@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/apps.h"
 #include "obs/json.h"
 #include "verifier/verifier.h"
 
@@ -38,6 +37,16 @@ inline std::string SanitizeBenchName(const std::string& name) {
   return out;
 }
 
+/// Linearly interpolated `q`-quantile of ascending `sorted` (0 if empty).
+inline double Quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  double pos = q * (sorted.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = pos - lo;
+  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+}
+
 /// Builds the canonical timing record: {"name": ..., "params": ...,
 /// "n", "median_s", "p90_s", "min_s", "max_s", "counters": ...}.
 /// `times_seconds` may hold a single sample (median == the sample).
@@ -45,21 +54,13 @@ inline obs::Json TimingRecord(const std::string& name, obs::Json params,
                               std::vector<double> times_seconds,
                               obs::Json counters) {
   std::sort(times_seconds.begin(), times_seconds.end());
-  auto quantile = [&](double q) -> double {
-    if (times_seconds.empty()) return 0;
-    double pos = q * (times_seconds.size() - 1);
-    size_t lo = static_cast<size_t>(pos);
-    size_t hi = std::min(lo + 1, times_seconds.size() - 1);
-    double frac = pos - lo;
-    return times_seconds[lo] * (1 - frac) + times_seconds[hi] * frac;
-  };
   obs::Json record = obs::Json::Object();
   record.Set("schema_version", obs::Json::Int(kBenchSchemaVersion));
   record.Set("name", obs::Json::Str(name));
   record.Set("params", std::move(params));
   record.Set("n", obs::Json::Int(static_cast<int64_t>(times_seconds.size())));
-  record.Set("median_s", obs::Json::Number(quantile(0.5)));
-  record.Set("p90_s", obs::Json::Number(quantile(0.9)));
+  record.Set("median_s", obs::Json::Number(Quantile(times_seconds, 0.5)));
+  record.Set("p90_s", obs::Json::Number(Quantile(times_seconds, 0.9)));
   record.Set("min_s",
              obs::Json::Number(times_seconds.empty() ? 0 : times_seconds.front()));
   record.Set("max_s",
@@ -104,64 +105,6 @@ inline VerifyResult RunProperty(Verifier& verifier, const Property& property,
     std::abort();
   }
   return std::move(static_cast<VerifyResult&>(*response));
-}
-
-/// Verifies every property of `bundle` and prints the paper's table
-/// columns: property, type, verdict, time, max pseudorun length, max trie
-/// size. Returns the number of verdict mismatches (0 expected).
-inline int RunSuite(const char* title, AppBundle* bundle,
-                    double timeout_seconds = 120, int jobs = 1) {
-  std::printf("==== %s ====\n", title);
-  std::printf("spec: %s\n\n", bundle->spec->StatsString().c_str());
-  std::printf("%-5s %-5s %-18s %9s %12s %10s %8s\n", "prop", "type",
-              "verdict (expected)", "time[s]", "max run len", "trie max",
-              "buchi");
-  Verifier verifier(bundle->spec.get());
-  JsonLinesEmitter emitter(title);
-  int mismatches = 0;
-  double min_time = 1e9, max_time = 0;
-  int min_len = 1 << 30, max_len = 0, min_trie = 1 << 30, max_trie = 0;
-  for (const ParsedProperty& p : bundle->properties) {
-    VerifyOptions options;
-    options.timeout_seconds = timeout_seconds;
-    VerifyResult r = RunProperty(verifier, p.property, options, jobs);
-    bool ok = r.verdict != Verdict::kUnknown &&
-              (r.verdict == Verdict::kHolds) == p.expected;
-    if (!ok) ++mismatches;
-    std::string verdict =
-        std::string(r.verdict == Verdict::kHolds      ? "true"
-                    : r.verdict == Verdict::kViolated ? "false"
-                                                      : "unknown") +
-        " (" + (p.expected ? "true" : "false") + ")" + (ok ? "" : "  !!");
-    std::printf("%-5s %-5s %-18s %9.3f %12d %10d %8d\n",
-                p.property.name.c_str(), p.property.type_code.c_str(),
-                verdict.c_str(), r.stats.seconds,
-                r.stats.max_pseudorun_length, r.stats.max_trie_size,
-                r.stats.buchi_states);
-    min_time = std::min(min_time, r.stats.seconds);
-    max_time = std::max(max_time, r.stats.seconds);
-    min_len = std::min(min_len, r.stats.max_pseudorun_length);
-    max_len = std::max(max_len, r.stats.max_pseudorun_length);
-    min_trie = std::min(min_trie, r.stats.max_trie_size);
-    max_trie = std::max(max_trie, r.stats.max_trie_size);
-
-    obs::Json params = obs::Json::Object();
-    params.Set("suite", obs::Json::Str(title));
-    params.Set("type", obs::Json::Str(p.property.type_code));
-    params.Set("verdict", obs::Json::Str(r.verdict == Verdict::kHolds
-                                             ? "holds"
-                                             : r.verdict == Verdict::kViolated
-                                                   ? "violated"
-                                                   : "unknown"));
-    emitter.Emit(TimingRecord(p.property.name, std::move(params),
-                              {r.stats.seconds}, r.stats.ToJson()));
-  }
-  std::printf(
-      "\nsummary: %zu properties; times %.3f-%.3f s; pseudorun lengths "
-      "%d-%d; trie sizes %d-%d\n\n",
-      bundle->properties.size(), min_time, max_time, min_len, max_len,
-      min_trie, max_trie);
-  return mismatches;
 }
 
 }  // namespace wave::bench

@@ -2,6 +2,7 @@
 
 #include <sys/utsname.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -32,18 +33,6 @@ constexpr SuiteEntry kSuites[] = {
     {"e3", &BuildE3},
     {"e4", &BuildE4},
 };
-
-const char* VerdictString(Verdict v) {
-  switch (v) {
-    case Verdict::kHolds:
-      return "holds";
-    case Verdict::kViolated:
-      return "violated";
-    case Verdict::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
 
 /// `git rev-parse HEAD` of the working directory; "" when not a repo
 /// (bench results are still valid, just unpinned).
@@ -81,11 +70,22 @@ obs::Json DeterministicCounters(const VerifyStats& stats) {
 }
 
 /// One sub-suite (one AppBundle) of a run; returns verdict mismatches.
+/// `verbose` prints the paper's table columns per property plus the
+/// suite's ranges (Section 5 reports them as ranges).
 int RunOneBundle(const char* suite_name, AppBundle bundle,
                  const BenchConfig& config, const obs::Json& env,
                  std::vector<obs::Json>* records, bool verbose) {
   Verifier verifier(bundle.spec.get());
   int mismatches = 0;
+  double min_time = 1e9, max_time = 0;
+  int min_len = 1 << 30, max_len = 0, min_trie = 1 << 30, max_trie = 0;
+  if (verbose) {
+    std::printf("==== %s: %s ====\n", suite_name,
+                bundle.spec->StatsString().c_str());
+    std::printf("%-10s %-4s %-19s %10s %10s %8s %9s %6s\n", "property",
+                "type", "verdict (expected)", "min", "median", "run len",
+                "trie max", "buchi");
+  }
   for (const ParsedProperty& p : bundle.properties) {
     VerifyOptions options;
     options.timeout_seconds = config.timeout_seconds;
@@ -113,18 +113,37 @@ int RunOneBundle(const char* suite_name, AppBundle bundle,
                      DeterministicCounters(last.stats));
     record.Set("suite", obs::Json::Str(suite_name));
     record.Set("warmup", obs::Json::Int(config.warmup));
-    record.Set("verdict", obs::Json::Str(VerdictString(last.verdict)));
+    record.Set("verdict", obs::Json::Str(api::VerdictName(last.verdict)));
     record.Set("expected_ok", obs::Json::Bool(expected_ok));
     record.Set("env", env);
     if (verbose) {
-      std::printf("%-10s %-8s min %8.3fs  median %8.3fs  (n=%zu)%s\n",
+      const VerifyStats& st = last.stats;
+      double median = record.Find("median_s")->AsDouble();
+      std::string verdict =
+          std::string(api::VerdictName(last.verdict)) + " (" +
+          api::VerdictName(p.expected ? Verdict::kHolds : Verdict::kViolated) +
+          ")";
+      std::printf("%-10s %-4s %-19s %9.3fs %9.3fs %8d %9d %6d%s\n",
                   record.Find("name")->AsString().c_str(),
-                  VerdictString(last.verdict),
-                  record.Find("min_s")->AsDouble(),
-                  record.Find("median_s")->AsDouble(), times.size(),
+                  p.property.type_code.c_str(), verdict.c_str(),
+                  record.Find("min_s")->AsDouble(), median,
+                  st.max_pseudorun_length, st.max_trie_size, st.buchi_states,
                   expected_ok ? "" : "  !! verdict mismatch");
+      min_time = std::min(min_time, median);
+      max_time = std::max(max_time, median);
+      min_len = std::min(min_len, st.max_pseudorun_length);
+      max_len = std::max(max_len, st.max_pseudorun_length);
+      min_trie = std::min(min_trie, st.max_trie_size);
+      max_trie = std::max(max_trie, st.max_trie_size);
     }
     records->push_back(std::move(record));
+  }
+  if (verbose && !bundle.properties.empty()) {
+    std::printf(
+        "%s: %zu properties; median times %.3f-%.3f s; pseudorun lengths "
+        "%d-%d; trie sizes %d-%d\n\n",
+        suite_name, bundle.properties.size(), min_time, max_time, min_len,
+        max_len, min_trie, max_trie);
   }
   return mismatches;
 }

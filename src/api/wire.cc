@@ -1,5 +1,7 @@
 #include "api/wire.h"
 
+#include <limits>
+#include <optional>
 #include <utility>
 
 namespace wave::api {
@@ -23,19 +25,32 @@ Status ReadBool(const obs::Json& j, std::string_view key, bool* out) {
   return Status::Ok();
 }
 
-Status ReadInt(const obs::Json& j, std::string_view key, int64_t* out) {
-  const obs::Json* v = j.Find(key);
-  if (v == nullptr) return Status::Ok();
-  if (!v->is_number()) return TypeError(key, "number");
-  *out = v->AsInt();
+// Every integer field decodes through IntValue: a fraction, or a value the
+// destination type cannot hold, is InvalidArgument — never truncated or
+// wrapped into a different, valid-looking number.
+Status IntValue(const obs::Json& v, std::string_view field, int64_t* out) {
+  if (!v.is_number()) return TypeError(field, "number");
+  std::optional<int64_t> exact = v.AsExactInt();
+  if (!exact.has_value()) return TypeError(field, "integer within int64");
+  *out = *exact;
   return Status::Ok();
 }
 
-Status ReadInt(const obs::Json& j, std::string_view key, int* out) {
-  int64_t wide = *out;
-  WAVE_RETURN_IF_ERROR(ReadInt(j, key, &wide));
+Status IntValue(const obs::Json& v, std::string_view field, int* out) {
+  int64_t wide = 0;
+  WAVE_RETURN_IF_ERROR(IntValue(v, field, &wide));
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    return TypeError(field, "integer within int");
+  }
   *out = static_cast<int>(wide);
   return Status::Ok();
+}
+
+template <typename Int>
+Status ReadInt(const obs::Json& j, std::string_view key, Int* out) {
+  const obs::Json* v = j.Find(key);
+  return v == nullptr ? Status::Ok() : IntValue(*v, key, out);
 }
 
 Status ReadDouble(const obs::Json& j, std::string_view key, double* out) {
@@ -61,8 +76,6 @@ Status RequireObject(const obs::Json& j, std::string_view what) {
 }
 
 // --- counterexample steps (symbols by name) ---------------------------------
-// Same shape as the ResultCache record payload, implemented independently:
-// the cache's on-disk format is frozen, this one follows the wire schema.
 
 obs::Json InstanceToJson(const Instance& instance, const WebAppSpec& spec) {
   obs::Json j = obs::Json::Object();
@@ -132,9 +145,7 @@ Status StepsFromJson(const obs::Json& j, WebAppSpec* spec,
   for (const obs::Json& step_json : j.items()) {
     WAVE_RETURN_IF_ERROR(RequireObject(step_json, "step"));
     CounterexampleStep step;
-    int64_t state = 0;
-    WAVE_RETURN_IF_ERROR(ReadInt(step_json, "buchi_state", &state));
-    step.buchi_state = static_cast<int>(state);
+    WAVE_RETURN_IF_ERROR(ReadInt(step_json, "buchi_state", &step.buchi_state));
     std::string page;
     WAVE_RETURN_IF_ERROR(ReadString(step_json, "page", &page));
     step.config.page = spec->PageIndex(page);
@@ -347,18 +358,20 @@ StatusOr<obs::HistogramData> HistogramFromJson(const obs::Json& j) {
   if (buckets != nullptr) {
     if (!buckets->is_array()) return TypeError("histogram.buckets", "array");
     for (const obs::Json& pair : buckets->items()) {
-      if (!pair.is_array() || pair.size() != 2 ||
-          !pair.items()[0].is_number() || !pair.items()[1].is_number()) {
+      if (!pair.is_array() || pair.size() != 2) {
         return TypeError("histogram.buckets", "[index,count] pair");
       }
-      int64_t index = pair.items()[0].AsInt();
+      int64_t index = 0;
+      WAVE_RETURN_IF_ERROR(
+          IntValue(pair.items()[0], "histogram.buckets", &index));
       if (index < 0 || index >= obs::HistogramData::kNumBuckets) {
         return Status::InvalidArgument(
             "histogram.buckets: index " + std::to_string(index) +
                 " out of range",
             WAVE_LOC);
       }
-      h.buckets[index] = pair.items()[1].AsInt();
+      WAVE_RETURN_IF_ERROR(
+          IntValue(pair.items()[1], "histogram.buckets", &h.buckets[index]));
     }
   }
   return h;
@@ -520,9 +533,9 @@ StatusOr<WireBatchRequest> BatchRequestFromJson(const obs::Json& j) {
   if (indices != nullptr) {
     if (!indices->is_array()) return TypeError("property_indices", "array");
     for (const obs::Json& index : indices->items()) {
-      if (!index.is_number()) return TypeError("property_indices", "number");
-      batch.request.property_indices.push_back(
-          static_cast<int>(index.AsInt()));
+      int value = 0;
+      WAVE_RETURN_IF_ERROR(IntValue(index, "property_indices", &value));
+      batch.request.property_indices.push_back(value);
     }
   }
   const obs::Json* options = j.Find("options");

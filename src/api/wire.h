@@ -21,10 +21,13 @@
 //     merges are exact, and so is the wire form), unlike the summary
 //     shape `VerifyStats::ToJson` emits for human-facing stats files.
 //
-// The on-disk `ResultCache` record payload (verifier/cache.cc) is a
-// *different*, frozen format with its own compatibility rules; the
-// duplication is deliberate — cache records must never change shape
-// because the wire schema evolved, and vice versa.
+// This is the only JSON codec for these types. The on-disk `ResultCache`
+// record (verifier/cache.cc) is a `ResponseToJson` document plus the
+// cache's own `format`/`key` members, read back with `ResponseFromJson`,
+// so a schema change here must keep reading the records already on disk:
+// tests/golden/cache_v2/ holds entries written before the cache used this
+// codec. `VerifyStats::ToJson` stays the human-facing percentile summary
+// behind `--stats-json`.
 #ifndef WAVE_API_WIRE_H_
 #define WAVE_API_WIRE_H_
 
@@ -47,10 +50,7 @@ Status CheckSchemaVersion(const obs::Json& doc);
 
 // --- enum <-> stable wire names ---------------------------------------------
 
-/// "holds" / "violated" / "unknown".
-const char* VerdictName(Verdict v);
-/// Inverse of `VerdictName`; InvalidArgument on an unknown name.
-StatusOr<Verdict> ParseVerdict(const std::string& name);
+// `VerdictName` / `ParseVerdict`: declared beside `Verdict` (verifier.h).
 
 /// Inverse of `UnknownReasonName` (governor.h); InvalidArgument on an
 /// unknown name.

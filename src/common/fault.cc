@@ -236,8 +236,8 @@ const std::vector<SiteInfo>& KnownSites() {
        mask({Kind::kDelay})},
       {"session.prepass.build", "src/verifier/session.cc",
        mask({Kind::kDelay})},
-      // verifier/retry.cc + verifier.cc — the budget-escalation ladder.
-      {"retry.ladder.build", "src/verifier/retry.cc",
+      // verifier/verifier.cc — the budget-escalation ladder.
+      {"retry.ladder.build", "src/verifier/verifier.cc",
        mask({Kind::kDelay})},
       {"retry.rung.attempt", "src/verifier/verifier.cc",
        mask({Kind::kDelay})},

@@ -28,6 +28,24 @@ Json Json::Int(int64_t v) {
   return j;
 }
 
+int64_t Json::AsInt() const {
+  if (is_int_) return int_;
+  if (std::isnan(num_)) return 0;
+  // Casting a double outside int64's range is undefined behaviour.
+  if (num_ >= 0x1p63) return INT64_MAX;
+  if (num_ < -0x1p63) return INT64_MIN;
+  return static_cast<int64_t>(num_);
+}
+
+std::optional<int64_t> Json::AsExactInt() const {
+  if (!is_number()) return std::nullopt;
+  if (is_int_) return int_;
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63) || std::trunc(num_) != num_) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(num_);
+}
+
 Json Json::Str(std::string s) {
   Json j;
   j.kind_ = Kind::kString;

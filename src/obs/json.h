@@ -43,7 +43,12 @@ class Json {
 
   bool AsBool() const { return bool_; }
   double AsDouble() const { return is_int_ ? static_cast<double>(int_) : num_; }
-  int64_t AsInt() const { return is_int_ ? int_ : static_cast<int64_t>(num_); }
+  /// Truncates a fraction and saturates at the int64 range (NaN reads 0).
+  int64_t AsInt() const;
+  /// The number when it is an integer that int64 holds exactly; nullopt
+  /// for fractions, out-of-range values and non-numbers. Readers of
+  /// untrusted integer fields use this instead of `AsInt`.
+  std::optional<int64_t> AsExactInt() const;
   const std::string& AsString() const { return str_; }
 
   // Array access.

@@ -23,15 +23,6 @@ const char* OracleAxisName(OracleAxis axis) {
   return "?";
 }
 
-const char* VerdictName(Verdict v) {
-  switch (v) {
-    case Verdict::kHolds: return "holds";
-    case Verdict::kViolated: return "violated";
-    case Verdict::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 bool Decided(Verdict v) { return v != Verdict::kUnknown; }
@@ -122,8 +113,8 @@ void CompareVerdicts(AxisCheck* check, Verdict reference,
   check->agreed = side.verdict == reference;
   if (!check->agreed) {
     check->detail = std::string("verdict mismatch: reference ") +
-                    VerdictName(reference) + " vs " +
-                    VerdictName(side.verdict);
+                    api::VerdictName(reference) + " vs " +
+                    api::VerdictName(side.verdict);
   }
 }
 
@@ -181,18 +172,18 @@ const AxisCheck* OracleReport::FindAxis(OracleAxis axis) const {
 std::string OracleReport::Summary() const {
   std::string out = "seed " + std::to_string(seed);
   if (!valid) return out + " INVALID: " + invalid_reason;
-  out += std::string(" ref=") + VerdictName(reference);
+  out += std::string(" ref=") + api::VerdictName(reference);
   if (flip_injected) out += " (flip injected)";
   for (const AxisCheck& check : axes) {
     out += std::string(" ") + OracleAxisName(check.axis) + "=";
     if (!check.ran) {
       out += "-";
     } else if (!check.agreed) {
-      out += std::string("DISAGREE(") + VerdictName(check.actual) + ")";
+      out += std::string("DISAGREE(") + api::VerdictName(check.actual) + ")";
     } else if (!check.compared) {
       out += "skip";
     } else {
-      out += VerdictName(check.actual);
+      out += api::VerdictName(check.actual);
     }
   }
   return out;
@@ -203,7 +194,7 @@ obs::Json OracleReport::ToJson() const {
   doc.Set("seed", obs::Json::Int(static_cast<int64_t>(seed)));
   doc.Set("valid", obs::Json::Bool(valid));
   if (!valid) doc.Set("invalid_reason", obs::Json::Str(invalid_reason));
-  doc.Set("reference", obs::Json::Str(VerdictName(reference)));
+  doc.Set("reference", obs::Json::Str(api::VerdictName(reference)));
   if (reference == Verdict::kUnknown) {
     doc.Set("reference_reason",
             obs::Json::Str(UnknownReasonName(reference_reason)));
@@ -218,8 +209,8 @@ obs::Json OracleReport::ToJson() const {
     a.Set("ran", obs::Json::Bool(check.ran));
     a.Set("compared", obs::Json::Bool(check.compared));
     a.Set("agreed", obs::Json::Bool(check.agreed));
-    a.Set("expected", obs::Json::Str(VerdictName(check.expected)));
-    a.Set("actual", obs::Json::Str(VerdictName(check.actual)));
+    a.Set("expected", obs::Json::Str(api::VerdictName(check.expected)));
+    a.Set("actual", obs::Json::Str(api::VerdictName(check.actual)));
     a.Set("seconds", obs::Json::Number(check.seconds));
     if (!check.detail.empty()) a.Set("detail", obs::Json::Str(check.detail));
     axes_json.Append(std::move(a));
@@ -362,8 +353,8 @@ OracleReport CheckCase(const FuzzCase& c, const OracleOptions& options) {
         } else if (Decided(cold.verdict) && Decided(warm.verdict) &&
                    cold.verdict != warm.verdict) {
           FailAxis(&check, std::string("cold/warm mismatch: ") +
-                               VerdictName(cold.verdict) + " vs " +
-                               VerdictName(warm.verdict));
+                               api::VerdictName(cold.verdict) + " vs " +
+                               api::VerdictName(warm.verdict));
         } else {
           CompareVerdicts(&check, report.reference, report.reference_reason,
                           warm);

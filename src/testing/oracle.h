@@ -50,9 +50,6 @@ enum class OracleAxis {
 /// Stable snake_case axis name for logs and campaign JSON.
 const char* OracleAxisName(OracleAxis axis);
 
-/// Stable verdict name ("holds" / "violated" / "unknown").
-const char* VerdictName(Verdict v);
-
 /// Knobs of one oracle evaluation.
 struct OracleOptions {
   /// Base WAVE options (budgets, heuristics) for every engine run.

@@ -17,6 +17,7 @@
 
 #include "common/crc32.h"
 #include "common/fault.h"
+#include "api/wire.h"
 #include "common/io.h"
 #include "obs/json.h"
 #include "verifier/session.h"
@@ -34,196 +35,58 @@ constexpr char kLockName[] = ".lock";
 constexpr char kEntriesDirName[] = "entries";
 constexpr char kQuarantineDirName[] = "quarantine";
 
-// ---------------------------------------------------------------------------
-// Record payload (unchanged shape since v1, now tagged "format":2)
-// ---------------------------------------------------------------------------
+/// True when `doc` carries "format": `version` (records and manifest).
+bool HasFormat(const obs::Json& doc, int version) {
+  const obs::Json* format = doc.Find("format");
+  return format != nullptr && format->AsExactInt() == version;
+}
 
-obs::Json InstanceToJson(const Instance& instance, const WebAppSpec& spec) {
-  obs::Json j = obs::Json::Object();
-  const Catalog& catalog = spec.catalog();
-  for (RelationId id = 0; id < catalog.size(); ++id) {
-    const Relation& r = instance.relation(id);
-    if (r.tuples().empty()) continue;
-    obs::Json tuples = obs::Json::Array();
-    for (const Tuple& t : r.tuples()) {
-      obs::Json tuple = obs::Json::Array();
-      for (SymbolId v : t) {
-        tuple.Append(obs::Json::Str(spec.symbols().Name(v)));
-      }
-      tuples.Append(std::move(tuple));
-    }
-    j.Set(catalog.schema(id).name, std::move(tuples));
+/// `stats` without its telemetry histograms: records never carried them
+/// (entries written before the wire codec hold only percentile summaries,
+/// which decode into bucketless histograms), and a hit reports none.
+VerifyStats WithoutHistograms(VerifyStats stats) {
+  for (obs::HistogramData* h :
+       {&stats.trie_depth, &stats.frontier_size, &stats.search_depth,
+        &stats.trie_lookup_us, &stats.shard_expansions,
+        &stats.shard_alloc_bytes}) {
+    *h = obs::HistogramData();
   }
-  return j;
+  return stats;
 }
 
-obs::Json StepsToJson(const std::vector<CounterexampleStep>& steps,
-                      const WebAppSpec& spec) {
-  obs::Json arr = obs::Json::Array();
-  for (const CounterexampleStep& step : steps) {
-    obs::Json j = obs::Json::Object();
-    j.Set("buchi_state", obs::Json::Int(step.buchi_state));
-    j.Set("page", obs::Json::Str(spec.page(step.config.page).name));
-    j.Set("data", InstanceToJson(step.config.data, spec));
-    j.Set("previous", InstanceToJson(step.config.previous, spec));
-    arr.Append(std::move(j));
-  }
-  return arr;
-}
-
-// --- parse-or-miss readers (every failure returns false, never throws) ---
-
-bool ParseInstance(const obs::Json& j, WebAppSpec* spec, Instance* out) {
-  if (!j.is_object()) return false;
-  *out = Instance(&spec->catalog());
-  for (const auto& [name, tuples] : j.members()) {
-    RelationId id = spec->catalog().Find(name);
-    if (id == kInvalidRelation || !tuples.is_array()) return false;
-    int arity = spec->catalog().schema(id).arity;
-    for (const obs::Json& tuple : tuples.items()) {
-      if (!tuple.is_array() ||
-          static_cast<int>(tuple.size()) != arity) {
-        return false;
-      }
-      Tuple t;
-      for (const obs::Json& v : tuple.items()) {
-        if (!v.is_string()) return false;
-        t.push_back(spec->symbols().Intern(v.AsString()));
-      }
-      out->relation(id).Insert(t);
-    }
-  }
-  return true;
-}
-
-bool ParseSteps(const obs::Json& j, WebAppSpec* spec,
-                std::vector<CounterexampleStep>* out) {
-  if (!j.is_array()) return false;
-  for (const obs::Json& step_json : j.items()) {
-    if (!step_json.is_object()) return false;
-    const obs::Json* state = step_json.Find("buchi_state");
-    const obs::Json* page = step_json.Find("page");
-    const obs::Json* data = step_json.Find("data");
-    const obs::Json* previous = step_json.Find("previous");
-    if (state == nullptr || !state->is_number() || page == nullptr ||
-        !page->is_string() || data == nullptr || previous == nullptr) {
-      return false;
-    }
-    CounterexampleStep step;
-    step.buchi_state = static_cast<int>(state->AsInt());
-    step.config.page = spec->PageIndex(page->AsString());
-    if (step.config.page < 0) return false;
-    if (!ParseInstance(*data, spec, &step.config.data)) return false;
-    if (!ParseInstance(*previous, spec, &step.config.previous)) return false;
-    out->push_back(std::move(step));
-  }
-  return true;
-}
-
-int64_t JsonInt(const obs::Json& j, std::string_view key) {
-  const obs::Json* v = j.Find(key);
-  return v != nullptr && v->is_number() ? v->AsInt() : 0;
-}
-
-double JsonDouble(const obs::Json& j, std::string_view key) {
-  const obs::Json* v = j.Find(key);
-  return v != nullptr && v->is_number() ? v->AsDouble() : 0;
-}
-
-/// Inverse of `VerifyStats::ToJson`, lenient: absent fields stay zero.
-VerifyStats ParseStats(const obs::Json& j) {
-  VerifyStats s;
-  s.seconds = JsonDouble(j, "seconds");
-  s.prepare_seconds = JsonDouble(j, "prepare_seconds");
-  s.dataflow_seconds = JsonDouble(j, "dataflow_seconds");
-  s.search_seconds = JsonDouble(j, "search_seconds");
-  s.validate_seconds = JsonDouble(j, "validate_seconds");
-  s.max_pseudorun_length = static_cast<int>(JsonInt(j, "max_pseudorun_length"));
-  s.max_trie_size = static_cast<int>(JsonInt(j, "max_trie_size"));
-  s.buchi_states = static_cast<int>(JsonInt(j, "buchi_states"));
-  s.num_assignments = JsonInt(j, "num_assignments");
-  s.num_cores = JsonInt(j, "num_cores");
-  s.num_expansions = JsonInt(j, "num_expansions");
-  s.num_successors = JsonInt(j, "num_successors");
-  s.num_rejected_candidates = JsonInt(j, "num_rejected_candidates");
-  s.trie_hits = JsonInt(j, "trie_hits");
-  s.trie_misses = JsonInt(j, "trie_misses");
-  s.heartbeats = JsonInt(j, "heartbeats");
-  s.peak_memory_bytes = JsonInt(j, "peak_memory_bytes");
-  s.governor_polls = JsonInt(j, "governor_polls");
-  s.cache_hits = JsonInt(j, "cache_hits");
-  s.prepass_reuses = JsonInt(j, "prepass_reuses");
-  return s;
-}
-
-/// Serializes a decided response into the (header-less) payload JSON.
+/// Serializes a decided response into the (header-less) payload JSON: the
+/// wire form of what a hit returns (verdict, witness binding, counterexample,
+/// scalar stats; no attempts or rung) plus the cache's "format" and "key".
 std::string RecordPayload(const Fingerprint& key, const WebAppSpec& spec,
                           const VerifyResponse& response) {
-  obs::Json record = obs::Json::Object();
+  VerifyResponse kept;
+  kept.verdict = response.verdict;
+  kept.witness_binding = response.witness_binding;
+  kept.stick = response.stick;
+  kept.candy = response.candy;
+  kept.stats = WithoutHistograms(response.stats);
+  obs::Json record = api::ResponseToJson(kept, spec);
   record.Set("format", obs::Json::Int(kFormatVersion));
   record.Set("key", obs::Json::Str(key.ToHex()));
-  record.Set("verdict",
-             obs::Json::Str(response.verdict == Verdict::kHolds
-                                ? "holds"
-                                : "violated"));
-  if (response.verdict == Verdict::kViolated) {
-    obs::Json binding = obs::Json::Object();
-    for (const auto& [var, value] : response.witness_binding) {
-      binding.Set(var, obs::Json::Str(spec.symbols().Name(value)));
-    }
-    record.Set("witness_binding", std::move(binding));
-    record.Set("stick", StepsToJson(response.stick, spec));
-    record.Set("candy", StepsToJson(response.candy, spec));
-  }
-  record.Set("stats", response.stats.ToJson());
   return record.Dump(2) + "\n";
 }
 
 /// Parses a payload back into a response; false = corrupt/incompatible.
 bool ParseRecordPayload(const std::string& payload, WebAppSpec* spec,
                         VerifyResponse* response) {
-  std::optional<obs::Json> parsed = obs::Json::Parse(payload);
-  if (!parsed.has_value() || !parsed->is_object() ||
-      JsonInt(*parsed, "format") != kFormatVersion) {
+  std::optional<obs::Json> record = obs::Json::Parse(payload);
+  if (!record.has_value() || !HasFormat(*record, kFormatVersion)) {
     return false;
   }
-  const obs::Json& record = *parsed;
-
-  VerifyResponse out;
-  const obs::Json* verdict = record.Find("verdict");
-  if (verdict == nullptr || !verdict->is_string()) return false;
-  if (verdict->AsString() == "holds") {
-    out.verdict = Verdict::kHolds;
-  } else if (verdict->AsString() == "violated") {
-    out.verdict = Verdict::kViolated;
-  } else {
-    return false;  // undecided records are never written; treat as corrupt
+  StatusOr<VerifyResponse> decoded = api::ResponseFromJson(*record, spec);
+  // Only decided verdicts are written, a violated one with its cycle.
+  if (!decoded.ok() || decoded->verdict == Verdict::kUnknown ||
+      (decoded->verdict == Verdict::kViolated && decoded->candy.empty())) {
+    return false;
   }
-
-  if (out.verdict == Verdict::kViolated) {
-    const obs::Json* binding = record.Find("witness_binding");
-    const obs::Json* stick = record.Find("stick");
-    const obs::Json* candy = record.Find("candy");
-    if (binding == nullptr || !binding->is_object() || stick == nullptr ||
-        candy == nullptr) {
-      return false;
-    }
-    for (const auto& [var, value] : binding->members()) {
-      if (!value.is_string()) return false;
-      out.witness_binding[var] = spec->symbols().Intern(value.AsString());
-    }
-    if (!ParseSteps(*stick, spec, &out.stick) ||
-        !ParseSteps(*candy, spec, &out.candy)) {
-      return false;
-    }
-  }
-
-  const obs::Json* stats = record.Find("stats");
-  if (stats != nullptr && stats->is_object()) {
-    out.stats = ParseStats(*stats);
-  }
-  out.stats.cache_hits = 1;
-  *response = std::move(out);
+  *response = std::move(*decoded);
+  response->stats = WithoutHistograms(std::move(response->stats));
+  response->stats.cache_hits = 1;
   return true;
 }
 
@@ -292,23 +155,27 @@ std::string ManifestToText(const Manifest& m) {
 
 std::optional<Manifest> ParseManifest(const std::string& text) {
   std::optional<obs::Json> parsed = obs::Json::Parse(text);
-  if (!parsed.has_value() || !parsed->is_object() ||
-      JsonInt(*parsed, "format") != kFormatVersion) {
+  if (!parsed.has_value() || !HasFormat(*parsed, kFormatVersion)) {
+    return std::nullopt;
+  }
+  const obs::Json* generation = parsed->Find("generation");
+  const obs::Json* entries = parsed->Find("entries");
+  if (generation == nullptr || entries == nullptr || !entries->is_object()) {
     return std::nullopt;
   }
   Manifest m;
-  m.generation = JsonInt(*parsed, "generation");
-  const obs::Json* entries = parsed->Find("entries");
-  if (entries == nullptr || !entries->is_object()) return std::nullopt;
+  m.generation = generation->AsInt();
   for (const auto& [hex, e] : entries->members()) {
-    if (!e.is_object()) return std::nullopt;
     const obs::Json* file = e.Find("file");
-    if (file == nullptr || !file->is_string()) return std::nullopt;
-    EntryRef ref;
-    ref.file = file->AsString();
-    ref.crc = static_cast<uint32_t>(JsonInt(e, "crc"));
-    ref.gen = JsonInt(e, "gen");
-    m.entries[hex] = ref;
+    const obs::Json* crc = e.Find("crc");
+    const obs::Json* gen = e.Find("gen");
+    if (file == nullptr || !file->is_string() || crc == nullptr ||
+        gen == nullptr) {
+      return std::nullopt;
+    }
+    m.entries[hex] = EntryRef{file->AsString(),
+                              static_cast<uint32_t>(crc->AsInt()),
+                              gen->AsInt()};
   }
   return m;
 }
@@ -576,8 +443,7 @@ class ResultCache::Impl {
         StatusOr<std::string> old = ReadFileToString(de.path().string());
         std::optional<obs::Json> record =
             old.ok() ? obs::Json::Parse(*old) : std::nullopt;
-        if (!record.has_value() || !record->is_object() ||
-            JsonInt(*record, "format") != 1) {
+        if (!record.has_value() || !HasFormat(*record, 1)) {
           Quarantine(c, de.path());
           dirty = true;
           continue;

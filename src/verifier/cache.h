@@ -33,9 +33,10 @@
 //   <dir>/entries/<hex>.g<gen>.json
 //                             immutable entry files: one header line
 //                             "WAVECACHE2 crc32=XXXXXXXX len=N" + payload
-//                             JSON. A new store writes a NEW generation
-//                             file and retires the old one only after the
-//                             manifest rename publishes it.
+//                             JSON (the record below). A new store writes
+//                             a NEW generation file and retires the old
+//                             one only after the manifest rename
+//                             publishes it.
 //   <dir>/quarantine/         corrupt files moved aside (never silently
 //                             discarded), counted in `health().corrupt` /
 //                             `.quarantined` and the `verify.cache.*`
@@ -56,11 +57,18 @@
 // same invariants without mutating anything — `tools/wave_crash` calls
 // it after every SIGKILL.
 //
-// Portability: records never contain process-local `SymbolId`s — symbols
-// cross the file boundary by NAME and are re-interned on load (fresh
-// witness values keep their minted `$...` names). A record that fails to
-// parse degrades to a MISS, never to an error: a corrupted cache costs a
-// re-verification (plus a quarantine entry), nothing else.
+// The record: the wire-schema response of api/wire.h
+// (`api::ResponseToJson`) holding the verdict, witness binding,
+// counterexample and scalar stats — no telemetry histograms, retry
+// attempts or rung — plus "format": 2 and "key": <hex>. It is read back
+// with `api::ResponseFromJson`, which also reads the records written
+// before the cache used that codec (their stats carry percentile
+// summaries, dropped on load; tests/golden/cache_v2/ pins them).
+// Records never contain process-local `SymbolId`s — symbols cross the
+// file boundary by NAME and are re-interned on load (fresh witness values
+// keep their minted `$...` names). A record that fails to parse degrades
+// to a MISS, never to an error: a corrupted cache costs a re-verification
+// (plus a quarantine entry), nothing else.
 #ifndef WAVE_VERIFIER_CACHE_H_
 #define WAVE_VERIFIER_CACHE_H_
 

@@ -38,20 +38,6 @@ Status UnknownReasonToStatus(UnknownReason reason,
   return Status::Internal(detail);
 }
 
-ResourceGovernor::ResourceGovernor(const GovernorLimits& limits)
-    : limits_(limits) {}
-
-double ResourceGovernor::RemainingSeconds() const {
-  double remaining = limits_.deadline_seconds - watch_.ElapsedSeconds();
-  return remaining > 0 ? remaining : 0;
-}
-
-void ResourceGovernor::Trip(UnknownReason reason, std::string message) {
-  if (tripped_ != UnknownReason::kNone) return;  // first trip wins
-  tripped_ = reason;
-  trip_message_ = std::move(message);
-}
-
 void BudgetLedger::Trip(UnknownReason reason, const std::string& message) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tripped_.load(std::memory_order_relaxed) != UnknownReason::kNone) {
@@ -63,7 +49,7 @@ void BudgetLedger::Trip(UnknownReason reason, const std::string& message) {
   tripped_.store(reason, std::memory_order_release);
 }
 
-void BudgetLedger::SyncMemoryReadings() {
+int64_t BudgetLedger::SyncMemoryReadings() {
   int64_t total_memory = 0;
   for (const std::atomic<int64_t>& slot : worker_memory_) {
     total_memory += slot.load(std::memory_order_relaxed);
@@ -74,6 +60,7 @@ void BudgetLedger::SyncMemoryReadings() {
          !peak_memory_.compare_exchange_weak(peak, total_memory,
                                              std::memory_order_relaxed)) {
   }
+  return total_memory;
 }
 
 UnknownReason BudgetLedger::Check() {
@@ -91,16 +78,7 @@ UnknownReason BudgetLedger::Check() {
          "timeout after " + std::to_string(limits_.deadline_seconds) + "s");
     return trip_reason();
   }
-  int64_t total_memory = 0;
-  for (const std::atomic<int64_t>& slot : worker_memory_) {
-    total_memory += slot.load(std::memory_order_relaxed);
-  }
-  last_memory_.store(total_memory, std::memory_order_relaxed);
-  int64_t peak = peak_memory_.load(std::memory_order_relaxed);
-  while (total_memory > peak &&
-         !peak_memory_.compare_exchange_weak(peak, total_memory,
-                                             std::memory_order_relaxed)) {
-  }
+  int64_t total_memory = SyncMemoryReadings();
   if (limits_.max_memory_bytes >= 0 &&
       total_memory > limits_.max_memory_bytes) {
     Trip(UnknownReason::kMemoryLimit,
@@ -115,38 +93,6 @@ UnknownReason BudgetLedger::Check() {
          "expansion budget exhausted (" +
              std::to_string(limits_.max_expansions) + ")");
     return trip_reason();
-  }
-  return UnknownReason::kNone;
-}
-
-UnknownReason ResourceGovernor::Poll() {
-  if (tripped_ != UnknownReason::kNone) return tripped_;
-  ++polls_;
-  if (limits_.cancellation != nullptr && limits_.cancellation->cancelled()) {
-    Trip(UnknownReason::kCancelled,
-         "cancelled after " + std::to_string(watch_.ElapsedSeconds()) + "s");
-    return tripped_;
-  }
-  double elapsed = watch_.ElapsedSeconds();
-  if (elapsed > limits_.deadline_seconds) {
-    Trip(UnknownReason::kTimeout,
-         "timeout after " + std::to_string(limits_.deadline_seconds) + "s");
-    return tripped_;
-  }
-  if (limits_.max_memory_bytes >= 0 &&
-      memory_bytes_ > limits_.max_memory_bytes) {
-    Trip(UnknownReason::kMemoryLimit,
-         "memory limit exceeded (~" + std::to_string(memory_bytes_) +
-             " bytes used, ceiling " +
-             std::to_string(limits_.max_memory_bytes) + ")");
-    return tripped_;
-  }
-  if (expansions_ != nullptr && limits_.max_expansions >= 0 &&
-      *expansions_ >= limits_.max_expansions) {
-    Trip(UnknownReason::kExpansionBudget,
-         "expansion budget exhausted (" +
-             std::to_string(limits_.max_expansions) + ")");
-    return tripped_;
   }
   return UnknownReason::kNone;
 }

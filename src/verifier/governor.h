@@ -2,25 +2,21 @@
 //
 // Section 7 of the paper accepts that an attempt may come back
 // inconclusive; this file makes "inconclusive" a first-class, *specific*
-// outcome. A `ResourceGovernor` owns every enforced ceiling of one
-// `Verify` call — wall-clock deadline, expansion budget, approximate
-// memory ceiling (fed by the visited-trie and search-stack accounting),
-// and a thread-safe cooperative cancellation token — and the search hot
-// loops poll it once per expansion (`Tick`). Expensive sources (the
-// steady clock, the memory gauge comparison) are only consulted every
+// outcome. A `BudgetLedger` owns every enforced ceiling of one attempt —
+// wall-clock deadline, expansion budget, approximate memory ceiling (fed
+// by the visited-trie and search-stack accounting), and a thread-safe
+// cooperative cancellation token — shared by the attempt's workers: it
+// aggregates expansion/memory totals through relaxed atomics, latches the
+// first tripped limit, and fans the stop out to every worker. Each worker
+// (one when jobs = 1) drives a `WorkerGovernor`, the strided per-thread
+// ticker the search hot loops call once per expansion: expensive sources
+// (the steady clock, the memory comparison) are only consulted every
 // `kPollStride` ticks, so governance costs a counter increment and one
 // relaxed atomic load per expansion while cancellation and deadline still
 // land within milliseconds.
 //
-// The governor answers *which* limit tripped via `UnknownReason`, the
-// enum every `Verdict::kUnknown` result now carries.
-// PR 3 adds the multi-worker counterpart: one `BudgetLedger` shared by a
-// worker pool aggregates expansion/memory totals through relaxed atomics,
-// latches the first tripped limit, and fans the stop out to every worker;
-// each worker drives a `WorkerGovernor`, the strided per-thread ticker
-// that batches its deltas into the ledger every `kPollStride` expansions.
-// The single-threaded `ResourceGovernor` below is unchanged and remains
-// the right tool when there is exactly one search thread.
+// The ledger answers *which* limit tripped via `UnknownReason`, the enum
+// every `Verdict::kUnknown` result carries.
 #ifndef WAVE_VERIFIER_GOVERNOR_H_
 #define WAVE_VERIFIER_GOVERNOR_H_
 
@@ -92,88 +88,7 @@ struct GovernorReadings {
   int64_t peak_memory_bytes = 0;  // high-water mark of the estimate
 };
 
-class ResourceGovernor {
- public:
-  /// The deadline clock starts here, so construction should happen at the
-  /// top of the attempt (covering prepare/dataflow, not just the search).
-  explicit ResourceGovernor(const GovernorLimits& limits);
-
-  /// Binds the expansion counter the budget is checked against (typically
-  /// `&stats.num_expansions`). Null (the default) disables that check.
-  void WatchExpansions(const int64_t* expansions) { expansions_ = expansions; }
-
-  /// Updates the approximate memory estimate (bytes). Cheap: two stores.
-  void ReportMemory(int64_t bytes) {
-    memory_bytes_ = bytes;
-    if (bytes > peak_memory_bytes_) peak_memory_bytes_ = bytes;
-  }
-
-  /// Hot-loop probe: call once per expansion. The cheap limits (expansion
-  /// counter compare, relaxed cancellation load) are checked on every
-  /// tick; the clock and memory gauge go through the strided `Poll` (the
-  /// first tick polls, so a zero deadline trips immediately). Returns
-  /// kNone while within every limit.
-  UnknownReason Tick() {
-    if (tripped_ != UnknownReason::kNone) return tripped_;
-    if (expansions_ != nullptr && limits_.max_expansions >= 0 &&
-        *expansions_ >= limits_.max_expansions) {
-      return Poll();
-    }
-    if (limits_.cancellation != nullptr &&
-        limits_.cancellation->cancelled()) {
-      return Poll();
-    }
-    if (ticks_++ % kPollStride == 0) return Poll();
-    return UnknownReason::kNone;
-  }
-
-  /// Full check of every limit (deadline, cancellation, memory,
-  /// expansions). Called by `Tick` on stride boundaries and directly at
-  /// phase boundaries so long non-search phases stay governed.
-  UnknownReason Poll();
-
-  /// First limit that tripped (kNone while running).
-  UnknownReason trip_reason() const { return tripped_; }
-
-  /// Human-readable description of the tripped limit ("" while running).
-  const std::string& trip_message() const { return trip_message_; }
-
-  /// Seconds since construction (reads the clock).
-  double ElapsedSeconds() const { return watch_.ElapsedSeconds(); }
-
-  /// Seconds left before the deadline (never negative).
-  double RemainingSeconds() const;
-
-  const GovernorLimits& limits() const { return limits_; }
-
-  GovernorReadings readings() const {
-    GovernorReadings r;
-    r.elapsed_seconds = watch_.ElapsedSeconds();
-    r.polls = polls_;
-    r.memory_bytes = memory_bytes_;
-    r.peak_memory_bytes = peak_memory_bytes_;
-    return r;
-  }
-
-  /// Expansions between full polls. Deadline/cancellation latency is this
-  /// many expansions — microseconds-to-low-milliseconds of work.
-  static constexpr int64_t kPollStride = 16;
-
- private:
-  void Trip(UnknownReason reason, std::string message);
-
-  GovernorLimits limits_;
-  Stopwatch watch_;
-  const int64_t* expansions_ = nullptr;
-  int64_t ticks_ = 0;
-  int64_t polls_ = 0;
-  int64_t memory_bytes_ = 0;
-  int64_t peak_memory_bytes_ = 0;
-  UnknownReason tripped_ = UnknownReason::kNone;
-  std::string trip_message_;
-};
-
-/// Shared budget state of one multi-worker verification attempt (PR 3).
+/// Shared budget state of one verification attempt, over its 1..N workers.
 ///
 /// The limits of `GovernorLimits` are *global*: the expansion budget and
 /// the memory ceiling bound the sum over every worker, the deadline clock
@@ -208,10 +123,10 @@ class BudgetLedger {
   }
 
   /// Full poll of every limit against the aggregated readings, in the
-  /// same order as `ResourceGovernor::Poll` (cancellation, deadline,
-  /// memory, expansions). Trips — and thereby stops every worker — on the
-  /// first violated limit. Thread-safe; callable from any worker and from
-  /// phase boundaries on the coordinating thread.
+  /// order cancellation, deadline, memory, expansions. Trips — and
+  /// thereby stops every worker — on the first violated limit.
+  /// Thread-safe; callable from any worker and from phase boundaries on
+  /// the coordinating thread.
   UnknownReason Check();
 
   /// Latches `reason` (first trip wins) and stops the workers.
@@ -219,8 +134,8 @@ class BudgetLedger {
 
   /// Folds the current per-worker memory slots into the last/peak readings
   /// WITHOUT checking any limit — end-of-attempt bookkeeping must not trip
-  /// a deadline the search already beat.
-  void SyncMemoryReadings();
+  /// a deadline the search already beat. Returns the folded total.
+  int64_t SyncMemoryReadings();
 
   /// Stops every worker without recording a trip — used when a worker
   /// found a counterexample and the remaining shards are moot.
@@ -253,7 +168,10 @@ class BudgetLedger {
     return r;
   }
 
-  static constexpr int64_t kPollStride = ResourceGovernor::kPollStride;
+  /// Expansions between a worker's full polls. Deadline/cancellation
+  /// latency is this many expansions — microseconds-to-low-milliseconds
+  /// of work.
+  static constexpr int64_t kPollStride = 16;
 
  private:
   GovernorLimits limits_;
@@ -269,9 +187,9 @@ class BudgetLedger {
   std::string trip_message_;
 };
 
-/// Per-worker front end of a `BudgetLedger`: the same strided Tick/Poll
-/// protocol as `ResourceGovernor`, but deltas flow into the shared ledger
-/// and trips flow back out. One instance per worker thread; never shared.
+/// Per-worker front end of a `BudgetLedger`: a strided Tick/Poll protocol
+/// whose deltas flow into the shared ledger and whose trips flow back
+/// out. One instance per worker thread; never shared.
 class WorkerGovernor {
  public:
   WorkerGovernor(BudgetLedger* ledger, int worker)
@@ -282,7 +200,7 @@ class WorkerGovernor {
   void WatchExpansions(const int64_t* expansions) { expansions_ = expansions; }
 
   /// Updates the worker's memory estimate; forwarded to the ledger at the
-  /// next poll (same trip latency as `ResourceGovernor`).
+  /// next poll.
   void ReportMemory(int64_t bytes) { memory_bytes_ = bytes; }
 
   /// Hot-loop probe, one call per expansion. Cheap ticks cost a relaxed

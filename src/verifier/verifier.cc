@@ -19,7 +19,6 @@
 #include "obs/tracer.h"
 #include "verifier/cache.h"
 #include "verifier/encode.h"
-#include "verifier/retry.h"
 #include "verifier/session.h"
 #include "verifier/shard.h"
 #include "verifier/trie.h"
@@ -45,15 +44,6 @@ GovernorLimits GovernorLimitsFromOptions(const VerifyOptions& options) {
   limits.max_memory_bytes = options.max_memory_bytes;
   limits.cancellation = options.cancellation;
   return limits;
-}
-
-const char* VerdictString(Verdict v) {
-  switch (v) {
-    case Verdict::kHolds: return "holds";
-    case Verdict::kViolated: return "violated";
-    case Verdict::kUnknown: return "unknown";
-  }
-  return "?";
 }
 
 /// Heartbeat counters a worker publishes for the coordinator's aggregated
@@ -1670,13 +1660,59 @@ StatusOr<BatchResponse> Verifier::RunBatch(const BatchRequest& request) {
   return batch;
 }
 
+namespace {
+
+/// True when `next` enlarges at least one budget over `prev` (otherwise
+/// re-running it could only repeat the same kUnknown).
+bool Escalates(const RetryRung& prev, const RetryRung& next) {
+  bool wider_candidates = next.max_candidates > prev.max_candidates;
+  bool wider_expansions =
+      (next.max_expansions < 0 && prev.max_expansions >= 0) ||
+      (next.max_expansions >= 0 && prev.max_expansions >= 0 &&
+       next.max_expansions > prev.max_expansions);
+  bool wider_existential =
+      next.exhaustive_existential && !prev.exhaustive_existential;
+  return wider_candidates || wider_expansions || wider_existential;
+}
+
+}  // namespace
+
+std::vector<RetryRung> DefaultLadder(const VerifyOptions& base) {
+  WAVE_FAULT("retry.ladder.build");
+  RetryRung tight;
+  tight.name = "tight";
+  tight.max_candidates = std::max(4, base.max_candidates / 2);
+  // Fail fast: a capped expansion budget even when the base is unlimited.
+  tight.max_expansions = base.max_expansions >= 0
+                             ? std::max<int64_t>(1, base.max_expansions / 4)
+                             : 200000;
+  tight.exhaustive_existential = false;
+
+  RetryRung mid;
+  mid.name = "base";
+  mid.max_candidates = base.max_candidates;
+  mid.max_expansions = base.max_expansions;
+  mid.exhaustive_existential = base.exhaustive_existential;
+
+  RetryRung wide;
+  wide.name = "exhaustive";
+  wide.max_candidates = base.max_candidates * 2;
+  wide.max_expansions = -1;
+  wide.exhaustive_existential = true;
+
+  std::vector<RetryRung> ladder = {tight};
+  if (Escalates(tight, mid)) ladder.push_back(mid);
+  if (Escalates(ladder.back(), wide)) ladder.push_back(wide);
+  return ladder;
+}
+
 obs::Json AttemptRecord::ToJson() const {
   obs::Json j = obs::Json::Object();
   j.Set("rung", obs::Json::Int(rung));
   j.Set("rung_name", obs::Json::Str(rung_name));
   j.Set("budget_seconds", obs::Json::Number(budget_seconds));
   j.Set("elapsed_seconds", obs::Json::Number(elapsed_seconds));
-  j.Set("verdict", obs::Json::Str(VerdictString(verdict)));
+  j.Set("verdict", obs::Json::Str(api::VerdictName(verdict)));
   j.Set("unknown_reason",
         obs::Json::Str(UnknownReasonName(unknown_reason)));
   j.Set("failure_reason", obs::Json::Str(failure_reason));

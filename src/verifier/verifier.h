@@ -93,7 +93,7 @@ struct VerifyOptions {
   /// Approximate memory ceiling in bytes for the search's dominant
   /// structures (visited trie + search stacks); -1 = unlimited. Exceeding
   /// it yields kUnknown with UnknownReason::kMemoryLimit. An estimate, not
-  /// an RSS measurement — see ResourceGovernor.
+  /// an RSS measurement — see BudgetLedger (verifier/governor.h).
   int64_t max_memory_bytes = -1;
   /// Cooperative cancellation token (not owned; may be null). `Cancel()`
   /// may be called from another thread or a signal handler; the search
@@ -133,6 +133,14 @@ enum class Verdict {
   kViolated,  // a counterexample pseudorun was found
   kUnknown,   // budget/timeout/overflow; see failure_reason
 };
+
+namespace api {
+/// The one verdict naming: "holds" / "violated" / "unknown" in every log,
+/// stats file, cache record and wire document (defined in api/wire.cc).
+const char* VerdictName(Verdict v);
+/// Inverse of `VerdictName`; InvalidArgument on an unknown name.
+StatusOr<Verdict> ParseVerdict(const std::string& name);
+}  // namespace api
 
 /// One product-state of a counterexample pseudorun.
 struct CounterexampleStep {
@@ -238,6 +246,15 @@ struct RetryRung {
   bool exhaustive_existential = false;
 };
 
+/// The standard three-rung ladder derived from the caller's options:
+///   0 "tight"      — half the candidate budget, capped expansions: fails
+///                    fast on easy instances, cheap to discard on hard ones;
+///   1 "base"       — the caller's own budgets;
+///   2 "exhaustive" — double candidate budget, unlimited expansions,
+///                    exhaustive_existential on.
+/// Rungs whose budgets do not exceed the previous rung's are dropped.
+std::vector<RetryRung> DefaultLadder(const VerifyOptions& base);
+
 /// What one attempt did, for logs and `--stats-json`.
 struct AttemptRecord {
   int rung = 0;
@@ -254,7 +271,7 @@ struct AttemptRecord {
 
 /// Budget-escalation policy of a `VerifyRequest`. Disabled by default (a
 /// single attempt with the request's own options); when `enabled`, the
-/// ladder is climbed exactly as documented in verifier/retry.h.
+/// ladder is climbed as documented in docs/ROBUSTNESS.md.
 struct RetryPolicy {
   bool enabled = false;
   /// Ladder to climb; empty uses `DefaultLadder` over the base options.

@@ -28,6 +28,8 @@
 #include "parser/parser.h"
 #include "verifier/verifier.h"
 
+#include "verify_helpers.h"
+
 namespace wave {
 namespace {
 
@@ -349,15 +351,31 @@ TEST(WireRequestTest, MalformedIsTypedError) {
   obs::Json bad_jobs = obs::Json::Object();
   bad_jobs.Set("jobs", obs::Json::Str("many"));
   EXPECT_FALSE(api::RequestFromJson(bad_jobs).ok());
+  // Integer fields never truncate or wrap: 2^32 must not select property
+  // 0, and 1e30 must not hit the undefined double-to-int64 cast.
+  for (const char* text :
+       {R"({"property_index": 4294967296})", R"({"property_index": 1.5})",
+        R"({"property_index": -2147483649})", R"({"jobs": 1e30})",
+        R"({"options": {"max_expansions": 1e30}})",
+        R"({"options": {"max_candidates": 2.5}})",
+        R"({"schema_version": 1e30})", R"({"retry": {"ladder": [
+             {"max_candidates": 99999999999}]}})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(api::RequestFromJson(MustParse(text)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // An integral value written as a double is still that integer.
+  StatusOr<VerifyRequest> integral =
+      api::RequestFromJson(MustParse(R"({"property_index": 3.0})"));
+  ASSERT_TRUE(integral.ok()) << integral.status().ToString();
+  EXPECT_EQ(integral->property_index, 3);
 }
 
 // --- batch requests ---------------------------------------------------------
 
 TEST(WireBatchTest, NamesResolveAgainstCatalog) {
   AppBundle bundle = BuildE1();
-  std::vector<Property> catalog;
-  for (const ParsedProperty& p : bundle.properties)
-    catalog.push_back(p.property);
+  std::vector<Property> catalog = CatalogOf(bundle);
 
   api::WireBatchRequest batch;
   batch.property_names = {catalog[1].name, catalog[0].name};
@@ -377,13 +395,22 @@ TEST(WireBatchTest, NamesResolveAgainstCatalog) {
 
 TEST(WireBatchTest, MissingNameIsNotFound) {
   AppBundle bundle = BuildE1();
-  std::vector<Property> catalog;
-  for (const ParsedProperty& p : bundle.properties)
-    catalog.push_back(p.property);
+  std::vector<Property> catalog = CatalogOf(bundle);
   api::WireBatchRequest batch;
   batch.property_names = {"NoSuchProperty"};
   EXPECT_EQ(api::BindBatchRequest(&batch, catalog).code(),
             StatusCode::kNotFound);
+}
+
+TEST(WireBatchTest, MalformedIndicesAreTypedErrors) {
+  for (const char* text :
+       {R"({"property_indices": [0, 4294967296]})",
+        R"({"property_indices": [0.5]})", R"({"property_indices": [1e30]})",
+        R"({"property_indices": ["0"]})", R"({"jobs": 4294967297})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(api::BatchRequestFromJson(MustParse(text)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(WireBatchTest, GoldenFormIsFrozen) {
@@ -460,9 +487,7 @@ TEST(WireResponseTest, HoldsResponseRoundTrips) {
 TEST(WireResponseTest, BatchResponseRoundTrips) {
   AppBundle bundle = BuildE1();
   Verifier verifier(bundle.spec.get());
-  std::vector<Property> catalog;
-  for (const ParsedProperty& p : bundle.properties)
-    catalog.push_back(p.property);
+  std::vector<Property> catalog = CatalogOf(bundle);
 
   BatchRequest request;
   request.properties = &catalog;
@@ -489,6 +514,17 @@ TEST(WireResponseTest, MalformedIsTypedError) {
   EXPECT_EQ(
       api::ResponseFromJson(bad_verdict, bundle.spec.get()).status().code(),
       StatusCode::kInvalidArgument);
+  for (const char* text :
+       {R"({"verdict": "holds", "stats": {"num_expansions": 1e30}})",
+        R"({"verdict": "holds", "decided_rung": 4294967296})",
+        R"({"verdict": "holds", "stats": {"trie_depth": {"count": 1,
+             "sum": 1, "min": 1, "max": 1, "buckets": [[1.5, 1]]}}})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(api::ResponseFromJson(MustParse(text), bundle.spec.get())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

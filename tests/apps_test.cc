@@ -18,6 +18,10 @@ struct AppCase {
   int min_properties;
 };
 
+// gtest's default dump of a param is its raw bytes, pointers included, so the
+// listed test names would change from run to run; print the app name instead.
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
+
 class AppsTest : public ::testing::TestWithParam<AppCase> {};
 
 TEST_P(AppsTest, SpecValidatesAndIsInputBounded) {

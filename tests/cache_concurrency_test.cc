@@ -35,6 +35,7 @@
 #include "common/io.h"
 #include "obs/json.h"
 #include "verifier/cache.h"
+#include "verifier/session.h"
 #include "verifier/verifier.h"
 
 #include "verify_helpers.h"
@@ -52,18 +53,11 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
-const Property* FindP1(const AppBundle& bundle) {
-  for (const ParsedProperty& p : bundle.properties) {
-    if (p.property.name == "P1") return &p.property;
-  }
-  return nullptr;
-}
-
 /// Runs E1/P1 once through `cache`; returns the verdict.
 Verdict VerifyP1(const AppBundle& e1, ResultCache* cache) {
   Verifier verifier(e1.spec.get());
   VerifyRequest request;
-  request.property = FindP1(e1);
+  request.property = FindProperty(e1, "P1");
   request.cache = cache;
   StatusOr<VerifyResponse> response = verifier.Run(request);
   WAVE_CHECK_MSG(response.ok(), response.status().message());
@@ -124,6 +118,55 @@ TEST(CacheFormatTest, OpenHealsCrashDebrisAndQuarantinesJunk) {
   // The healed directory still works end to end.
   AppBundle e1 = BuildE1();
   EXPECT_NE(VerifyP1(e1, cache->get()), Verdict::kUnknown);
+}
+
+TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
+  // Two entries written before records went through api/wire, with
+  // telemetry on (their stats hold percentile summaries): E1/P3 violated,
+  // E1/P1 holds. Open adopts them and rebuilds the MANIFEST; each reads
+  // back as a hit equal to a cold run.
+  const std::string dir = FreshDir("golden");
+  fs::create_directories(dir + "/entries");
+  for (const auto& golden : fs::directory_iterator(
+           std::string(WAVE_REPO_ROOT) + "/tests/golden/cache_v2")) {
+    fs::copy_file(golden.path(),
+                  fs::path(dir) / "entries" / golden.path().filename());
+  }
+  StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  CacheAudit audit = AuditCacheDir(dir);
+  EXPECT_TRUE(audit.clean());
+  EXPECT_EQ(audit.manifested_entries, 2);
+
+  auto counters = [](const VerifyStats& s) {
+    return std::vector<int64_t>{s.num_assignments, s.num_cores,
+                                s.num_expansions,  s.num_successors,
+                                s.trie_hits,       s.trie_misses,
+                                s.buchi_states,    s.max_trie_size,
+                                s.max_pseudorun_length};
+  };
+  AppBundle e1 = BuildE1();
+  for (const char* name : {"P3", "P1"}) {
+    SCOPED_TRACE(name);
+    Verifier verifier(e1.spec.get());
+    VerifyRequest request;
+    request.property = FindProperty(e1, name);
+    StatusOr<VerifyResponse> cold = verifier.Run(request);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    VerifyResponse hit;
+    ASSERT_TRUE((*cache)->Lookup(
+        ResultCacheKey(verifier.session().SpecFingerprint(),
+                       *request.property, e1.spec->symbols(), request.options),
+        e1.spec.get(), &hit));
+    EXPECT_EQ(hit.verdict, cold->verdict);
+    EXPECT_EQ(hit.witness_binding, cold->witness_binding);
+    EXPECT_EQ(hit.CounterexampleString(*e1.spec),
+              cold->CounterexampleString(*e1.spec));
+    EXPECT_EQ(counters(hit.stats), counters(cold->stats));
+    EXPECT_EQ(hit.stats.cache_hits, 1);
+    EXPECT_TRUE(hit.stats.trie_depth.empty()) << "summaries are dropped";
+  }
+  EXPECT_EQ((*cache)->hits(), 2);
 }
 
 // --- advisory locking --------------------------------------------------------

@@ -323,10 +323,7 @@ SweepOutcome RunCachedVerification(const std::string& dir, int jobs,
                                    bool starved_retry) {
   SweepOutcome out;
   AppBundle e1 = BuildE1();
-  const Property* p1 = nullptr;
-  for (const ParsedProperty& p : e1.properties) {
-    if (p.property.name == "P1") p1 = &p.property;
-  }
+  const Property* p1 = FindProperty(e1, "P1");
   WAVE_CHECK(p1 != nullptr);
 
   auto run_once = [&](Verdict* verdict) {

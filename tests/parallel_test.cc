@@ -297,10 +297,7 @@ TEST(WorkerPoolTest, RunsEveryWorkerAndWaitDoneBlocks) {
 TEST(VerifyRequestTest, SelectsByNameAndIndex) {
   AppBundle bundle = BuildE1();
   Verifier verifier(bundle.spec.get());
-  std::vector<Property> catalog;
-  for (const ParsedProperty& p : bundle.properties) {
-    catalog.push_back(p.property);
-  }
+  std::vector<Property> catalog = CatalogOf(bundle);
 
   VerifyRequest by_name;
   by_name.properties = &catalog;

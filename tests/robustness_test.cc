@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "parser/parser.h"
 #include "verifier/governor.h"
-#include "verifier/retry.h"
 #include "verifier/trie.h"
 #include "verifier/validate.h"
 #include "verifier/verifier.h"
@@ -379,22 +378,27 @@ TEST(ValidatePropertyTest, RunReturnsStatusInsteadOfAborting) {
 }
 
 // --- governor units ---------------------------------------------------------
+// The production ticker: a WorkerGovernor over a one-worker BudgetLedger,
+// which is exactly what a jobs=1 search runs on.
 
 TEST(GovernorTest, ZeroDeadlineTripsOnFirstTick) {
   GovernorLimits limits;
   limits.deadline_seconds = 0;
-  ResourceGovernor governor(limits);
+  BudgetLedger ledger(limits, 1);
+  WorkerGovernor governor(&ledger, 0);
   EXPECT_EQ(governor.Tick(), UnknownReason::kTimeout);
-  EXPECT_EQ(governor.trip_reason(), UnknownReason::kTimeout);
-  EXPECT_NE(governor.trip_message().find("timeout"), std::string::npos);
+  EXPECT_EQ(ledger.trip_reason(), UnknownReason::kTimeout);
+  EXPECT_NE(ledger.trip_message().find("timeout"), std::string::npos);
   // Tripping latches: later ticks keep reporting the first reason.
   EXPECT_EQ(governor.Tick(), UnknownReason::kTimeout);
+  EXPECT_TRUE(ledger.stop_requested());
 }
 
 TEST(GovernorTest, ExpansionBudgetChecksOnEveryTick) {
   GovernorLimits limits;
   limits.max_expansions = 5;
-  ResourceGovernor governor(limits);
+  BudgetLedger ledger(limits, 1);
+  WorkerGovernor governor(&ledger, 0);
   int64_t expansions = 0;
   governor.WatchExpansions(&expansions);
   // Burn the first (polling) tick, then stay inside the budget off-stride.
@@ -402,41 +406,55 @@ TEST(GovernorTest, ExpansionBudgetChecksOnEveryTick) {
   for (expansions = 1; expansions < 5; ++expansions) {
     EXPECT_EQ(governor.Tick(), UnknownReason::kNone) << expansions;
   }
-  // The budget check must not wait for a stride boundary.
+  static_assert(BudgetLedger::kPollStride > 5,
+                "the trip below must land off-stride");
+  // The budget check must not wait for a stride boundary, and with one
+  // worker it is exact: the trip flushes all five expansions.
   EXPECT_EQ(governor.Tick(), UnknownReason::kExpansionBudget);
-  EXPECT_NE(governor.trip_message().find("budget"), std::string::npos);
+  EXPECT_EQ(ledger.expansions(), 5);
+  EXPECT_NE(ledger.trip_message().find("budget"), std::string::npos);
 }
 
 TEST(GovernorTest, CancellationObservedWithinOneTick) {
   CancellationToken token;
   GovernorLimits limits;
   limits.cancellation = &token;
-  ResourceGovernor governor(limits);
+  BudgetLedger ledger(limits, 1);
+  WorkerGovernor governor(&ledger, 0);
   EXPECT_EQ(governor.Tick(), UnknownReason::kNone);
   token.Cancel();
   EXPECT_EQ(governor.Tick(), UnknownReason::kCancelled);
   token.Reset();
   EXPECT_FALSE(token.cancelled());
-  // Already tripped — reset does not un-trip the governor.
-  EXPECT_EQ(governor.trip_reason(), UnknownReason::kCancelled);
+  // Already tripped — reset does not un-trip the ledger.
+  EXPECT_EQ(ledger.trip_reason(), UnknownReason::kCancelled);
+  EXPECT_EQ(governor.Tick(), UnknownReason::kCancelled);
 }
 
 TEST(GovernorTest, MemoryCeilingTripsOnPoll) {
   GovernorLimits limits;
   limits.max_memory_bytes = 1000;
-  ResourceGovernor governor(limits);
+  BudgetLedger ledger(limits, 1);
+  WorkerGovernor governor(&ledger, 0);
+  // The worker's estimate reaches the ledger at its polls.
   governor.ReportMemory(500);
   EXPECT_EQ(governor.Poll(), UnknownReason::kNone);
-  governor.ReportMemory(2000);
-  governor.ReportMemory(800);  // peak stays at the high-water mark
+  governor.ReportMemory(900);
+  EXPECT_EQ(governor.Poll(), UnknownReason::kNone);
+  governor.ReportMemory(700);
   EXPECT_EQ(governor.Poll(), UnknownReason::kNone)
       << "current estimate is below the ceiling";
+  GovernorReadings readings = ledger.readings();
+  EXPECT_EQ(readings.memory_bytes, 700);
+  EXPECT_EQ(readings.peak_memory_bytes, 900)
+      << "peak stays at the high-water mark";
   governor.ReportMemory(1500);
   EXPECT_EQ(governor.Poll(), UnknownReason::kMemoryLimit);
-  GovernorReadings readings = governor.readings();
+  readings = ledger.readings();
   EXPECT_EQ(readings.memory_bytes, 1500);
-  EXPECT_EQ(readings.peak_memory_bytes, 2000);
-  EXPECT_GT(readings.polls, 0);
+  EXPECT_EQ(readings.peak_memory_bytes, 1500);
+  EXPECT_EQ(readings.polls, 4);
+  EXPECT_NE(ledger.trip_message().find("memory"), std::string::npos);
 }
 
 TEST(GovernorTest, ReasonNamesAndStatusMapping) {
@@ -488,13 +506,6 @@ TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
 }
 
 // --- every UnknownReason, end to end ----------------------------------------
-
-const Property* FindProperty(const AppBundle& bundle, const char* name) {
-  for (const ParsedProperty& p : bundle.properties) {
-    if (p.property.name == name) return &p.property;
-  }
-  return nullptr;
-}
 
 TEST(UnknownReasonE2eTest, DecidedResultsCarryNoReason) {
   AppBundle e1 = BuildE1();

@@ -34,21 +34,6 @@
 namespace wave {
 namespace {
 
-const Property* FindProperty(const AppBundle& bundle, const char* name) {
-  for (const ParsedProperty& p : bundle.properties) {
-    if (p.property.name == name) return &p.property;
-  }
-  return nullptr;
-}
-
-std::vector<Property> CatalogOf(const AppBundle& bundle) {
-  std::vector<Property> catalog;
-  for (const ParsedProperty& p : bundle.properties) {
-    catalog.push_back(p.property);
-  }
-  return catalog;
-}
-
 /// A unique empty temp directory under the gtest-provided scratch root.
 std::string FreshCacheDir(const char* tag) {
   static int counter = 0;
@@ -134,6 +119,12 @@ struct BatchCase {
   AppBundle (*build)();
   int jobs;
 };
+
+// Stable listed test names: gtest would otherwise print the raw bytes,
+// pointers included, which change from run to run.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << c.name << " jobs=" << c.jobs;
+}
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<BatchCase> {};
 

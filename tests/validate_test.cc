@@ -64,10 +64,7 @@ TEST(ValidateTest, RejectsNonViolations) {
 TEST(ValidateTest, WitnessBindingIsRecorded) {
   AppBundle e1 = BuildE1();
   Verifier verifier(e1.spec.get());
-  const Property* p6 = nullptr;
-  for (const ParsedProperty& p : e1.properties) {
-    if (p.property.name == "P6") p6 = &p.property;
-  }
+  const Property* p6 = FindProperty(e1, "P6");
   ASSERT_NE(p6, nullptr);
   VerifyResult r = RunVerify(verifier, *p6);
   ASSERT_EQ(r.verdict, Verdict::kViolated);

@@ -4,12 +4,33 @@
 #ifndef WAVE_TESTS_VERIFY_HELPERS_H_
 #define WAVE_TESTS_VERIFY_HELPERS_H_
 
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "apps/apps.h"
 #include "common/check.h"
 #include "verifier/verifier.h"
 
 namespace wave {
+
+/// The property of `bundle` named `name`; null when the suite has none.
+inline const Property* FindProperty(const AppBundle& bundle,
+                                    const std::string& name) {
+  for (const ParsedProperty& p : bundle.properties) {
+    if (p.property.name == name) return &p.property;
+  }
+  return nullptr;
+}
+
+/// `bundle`'s properties as a catalog for name/index/batch selection.
+inline std::vector<Property> CatalogOf(const AppBundle& bundle) {
+  std::vector<Property> catalog;
+  for (const ParsedProperty& p : bundle.properties) {
+    catalog.push_back(p.property);
+  }
+  return catalog;
+}
 
 /// Runs `property` through Verifier::Run and unwraps the response, dying
 /// with the status message on a malformed request (tests that expect a

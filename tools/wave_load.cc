@@ -35,6 +35,7 @@
 #include "obs/json.h"
 #include "parser/parser.h"
 #include "serve/protocol.h"
+#include "verifier/verifier.h"
 
 #ifndef WAVE_SERVE_BIN
 #define WAVE_SERVE_BIN ""
@@ -239,7 +240,8 @@ bool RoundTrip(Client& client, const SpecInfo& spec,
 
   auto check_verdict = [&](const obs::Json& body, size_t property_index) {
     const obs::Json* verdict = body.Find("verdict");
-    const char* want = spec.expected[property_index] ? "holds" : "violated";
+    const char* want = api::VerdictName(
+        spec.expected[property_index] ? Verdict::kHolds : Verdict::kViolated);
     if (verdict == nullptr || !verdict->is_string() ||
         verdict->AsString() != want) {
       ++tally->wrong;
@@ -299,21 +301,13 @@ serve::RequestEnvelope BatchEnvelope(const SpecInfo& spec,
 obs::Json Record(const char* name, const CliOptions& cli, Tally& tally,
                  std::vector<double> latencies) {
   std::sort(latencies.begin(), latencies.end());
-  auto quantile = [&](double q) -> double {
-    if (latencies.empty()) return 0;
-    double pos = q * (latencies.size() - 1);
-    size_t lo = static_cast<size_t>(pos);
-    size_t hi = std::min(lo + 1, latencies.size() - 1);
-    double frac = pos - lo;
-    return latencies[lo] * (1 - frac) + latencies[hi] * frac;
-  };
   obs::Json params = obs::Json::Object();
   params.Set("suite", obs::Json::Str("serve"));
   params.Set("clients", obs::Json::Int(cli.clients));
   params.Set("prepass_reuses", obs::Json::Int(tally.prepass_reuses));
   params.Set("cache_hits", obs::Json::Int(tally.cache_hits));
-  params.Set("p50_s", obs::Json::Number(quantile(0.5)));
-  params.Set("p99_s", obs::Json::Number(quantile(0.99)));
+  params.Set("p50_s", obs::Json::Number(bench::Quantile(latencies, 0.5)));
+  params.Set("p99_s", obs::Json::Number(bench::Quantile(latencies, 0.99)));
   obs::Json counters = obs::Json::Object();
   counters.Set("responses", obs::Json::Int(tally.received));
   counters.Set("wrong", obs::Json::Int(tally.wrong));

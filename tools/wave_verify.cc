@@ -15,7 +15,8 @@
 // rename), SIGINT cancels the running search cooperatively and still
 // emits the partial stats JSON, `--keep-going` isolates per-property
 // failures, and `--retry-ladder` climbs the budget-escalation ladder of
-// verifier/retry.h instead of a single fixed-budget attempt.
+// verifier/verifier.h (`DefaultLadder`) instead of a single fixed-budget
+// attempt.
 //
 // Parallel search (ISSUE 3): `--jobs=N` fans the (assignment, core) shard
 // space out over N worker threads via the unified VerifyRequest API; the
@@ -219,15 +220,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
   return true;
 }
 
-const char* VerdictName(Verdict v) {
-  switch (v) {
-    case Verdict::kHolds: return "holds";
-    case Verdict::kViolated: return "violated";
-    case Verdict::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 /// SIGINT lands here: a single lock-free atomic store the search observes
 /// at its next governor poll. The handler itself does no I/O.
 CancellationToken g_interrupt;
@@ -309,7 +301,7 @@ int RunWireRequest(const CliOptions& cli, const ParseResult& parsed,
       size_t catalog_index = indices.empty() ? i
                                              : static_cast<size_t>(indices[i]);
       std::printf("%-8s %-9s %8.3fs  expansions=%lld%s\n",
-                  catalog[catalog_index].name.c_str(), VerdictName(r.verdict),
+                  catalog[catalog_index].name.c_str(), api::VerdictName(r.verdict),
                   r.stats.seconds,
                   static_cast<long long>(r.stats.num_expansions),
                   r.stats.cache_hits > 0 ? "  (cached)" : "");
@@ -327,7 +319,7 @@ int RunWireRequest(const CliOptions& cli, const ParseResult& parsed,
     std::printf("%-8s %-9s %8.3fs  expansions=%lld%s\n",
                 request->property_name.empty() ? "request"
                                                : request->property_name.c_str(),
-                VerdictName(response->verdict), response->stats.seconds,
+                api::VerdictName(response->verdict), response->stats.seconds,
                 static_cast<long long>(response->stats.num_expansions),
                 response->stats.cache_hits > 0 ? "  (cached)" : "");
     response_json = api::ResponseToJson(*response, *parsed.spec);
@@ -531,7 +523,7 @@ int Main(int argc, char** argv) {
     if (r.unknown_reason == UnknownReason::kCancelled) interrupted = true;
     if (r.verdict == Verdict::kUnknown) ++undecided;
     std::printf("%-8s %-9s %8.3fs  expansions=%lld trie=%d buchi=%d%s%s%s\n",
-                p->property.name.c_str(), VerdictName(r.verdict),
+                p->property.name.c_str(), api::VerdictName(r.verdict),
                 r.stats.seconds, static_cast<long long>(r.stats.num_expansions),
                 r.stats.max_trie_size, r.stats.buchi_states,
                 r.stats.cache_hits > 0 ? "  (cached)" : "",
@@ -544,7 +536,7 @@ int Main(int argc, char** argv) {
     obs::Json run = obs::Json::Object();
     run.Set("property", obs::Json::Str(p->property.name));
     run.Set("type", obs::Json::Str(p->property.type_code));
-    run.Set("verdict", obs::Json::Str(VerdictName(r.verdict)));
+    run.Set("verdict", obs::Json::Str(api::VerdictName(r.verdict)));
     if (p->has_expected) run.Set("expected_holds", obs::Json::Bool(p->expected));
     if (!r.failure_reason.empty()) {
       run.Set("failure_reason", obs::Json::Str(r.failure_reason));
