@@ -400,13 +400,11 @@ obs::Json StatsToJson(const VerifyStats& stats) {
   j.Set("governor_polls", obs::Json::Int(stats.governor_polls));
   j.Set("cache_hits", obs::Json::Int(stats.cache_hits));
   j.Set("prepass_reuses", obs::Json::Int(stats.prepass_reuses));
-  j.Set("trie_depth", HistogramToJson(stats.trie_depth));
   j.Set("frontier_size", HistogramToJson(stats.frontier_size));
   j.Set("search_depth", HistogramToJson(stats.search_depth));
   j.Set("trie_lookup_us", HistogramToJson(stats.trie_lookup_us));
   j.Set("shard_expansions", HistogramToJson(stats.shard_expansions));
   j.Set("shard_alloc_bytes", HistogramToJson(stats.shard_alloc_bytes));
-  j.Set("trie_nodes", obs::Json::Int(stats.trie_nodes));
   j.Set("alloc_bytes", obs::Json::Int(stats.alloc_bytes));
   j.Set("alloc_count", obs::Json::Int(stats.alloc_count));
   return j;
@@ -444,7 +442,6 @@ StatusOr<VerifyStats> StatsFromJson(const obs::Json& j) {
     const char* key;
     obs::HistogramData* field;
   } kHistograms[] = {
-      {"trie_depth", &s.trie_depth},
       {"frontier_size", &s.frontier_size},
       {"search_depth", &s.search_depth},
       {"trie_lookup_us", &s.trie_lookup_us},
@@ -456,7 +453,6 @@ StatusOr<VerifyStats> StatsFromJson(const obs::Json& j) {
     if (h == nullptr) continue;
     WAVE_ASSIGN_OR_RETURN(*entry.field, HistogramFromJson(*h));
   }
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "trie_nodes", &s.trie_nodes));
   WAVE_RETURN_IF_ERROR(ReadInt(j, "alloc_bytes", &s.alloc_bytes));
   WAVE_RETURN_IF_ERROR(ReadInt(j, "alloc_count", &s.alloc_count));
   return s;

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "buchi/gpvw.h"
+#include "common/bitset.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "ltl/abstraction.h"

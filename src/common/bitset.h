@@ -16,8 +16,8 @@ namespace wave {
 ///
 /// Supports the operations the verifier needs: bit get/set, integer-counter
 /// increment (for subset enumeration), concatenation (for composing a
-/// pseudoconfiguration bitmap from per-relation bitmaps), byte serialization
-/// (for the visited trie), hashing and total order.
+/// pseudoconfiguration bitmap from per-relation bitmaps), byte
+/// serialization, hashing and total order.
 class DynamicBitset {
  public:
   DynamicBitset() = default;

@@ -1,7 +1,7 @@
 // Thin counting-allocator hook for per-phase allocation profiling
 // (ISSUE 6).
 //
-// The hot search structures (visited trie, encoded-key scratch, NDFS
+// The hot search structures (visited set, encoded-key scratch, NDFS
 // stacks, candidate tables, GPVW tableau) already account their own
 // growth in bytes; this hook lets the verifier attribute that growth to
 // a phase. A phase installs an `AllocStats` sink for the current thread
@@ -14,8 +14,8 @@
 //
 // This is deliberately NOT a global `operator new` replacement: it only
 // sees the structures that opt in, which is exactly the set the
-// ROADMAP's "raw speed" rewrite (bitmap pseudoconfigurations, arena
-// trie) will target, and it keeps the disabled path free.
+// ROADMAP's "raw speed" rewrite (bitmap pseudoconfigurations, the
+// visited set's key arena) targets, and it keeps the disabled path free.
 #ifndef WAVE_OBS_ALLOC_H_
 #define WAVE_OBS_ALLOC_H_
 

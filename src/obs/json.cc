@@ -203,6 +203,11 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
+/// Arrays and objects nest at most this deep. The parser recurses once per
+/// level, so without a bound one long line of '[' overflows the stack;
+/// the documents this repository writes nest fewer than ten levels.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* error)
@@ -257,9 +262,16 @@ class Parser {
       case '"':
         return ParseString();
       case '[':
-        return ParseArray();
-      case '{':
-        return ParseObject();
+      case '{': {
+        if (depth_ == kMaxDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        std::optional<Json> v = c == '[' ? ParseArray() : ParseObject();
+        --depth_;
+        return v;
+      }
       default:
         if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
         return Fail(std::string("unexpected character '") + c + "'");
@@ -430,6 +442,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open at the current position
 };
 
 }  // namespace

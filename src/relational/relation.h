@@ -40,6 +40,14 @@ class Relation {
 
   bool Contains(const Tuple& t) const;
 
+  /// Erases every tuple satisfying `pred`, in place (a relation none of
+  /// whose tuples match is left untouched).
+  template <typename Pred>
+  void EraseIf(Pred pred) {
+    tuples_.erase(std::remove_if(tuples_.begin(), tuples_.end(), pred),
+                  tuples_.end());
+  }
+
   void Clear() { tuples_.clear(); }
 
   const std::vector<Tuple>& tuples() const { return tuples_; }

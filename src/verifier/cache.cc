@@ -46,9 +46,8 @@ bool HasFormat(const obs::Json& doc, int version) {
 /// which decode into bucketless histograms), and a hit reports none.
 VerifyStats WithoutHistograms(VerifyStats stats) {
   for (obs::HistogramData* h :
-       {&stats.trie_depth, &stats.frontier_size, &stats.search_depth,
-        &stats.trie_lookup_us, &stats.shard_expansions,
-        &stats.shard_alloc_bytes}) {
+       {&stats.frontier_size, &stats.search_depth, &stats.trie_lookup_us,
+        &stats.shard_expansions, &stats.shard_alloc_bytes}) {
     *h = obs::HistogramData();
   }
   return stats;

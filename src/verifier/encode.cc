@@ -1,47 +1,8 @@
 #include "verifier/encode.h"
 
-#include "common/check.h"
 #include "obs/alloc.h"
 
 namespace wave {
-
-TupleIndexer::TupleIndexer(
-    std::vector<std::vector<SymbolId>> attribute_values)
-    : attribute_values_(std::move(attribute_values)) {
-  num_tuples_ = attribute_values_.empty() ? 0 : 1;
-  ranks_.resize(attribute_values_.size());
-  for (size_t i = 0; i < attribute_values_.size(); ++i) {
-    num_tuples_ *= static_cast<int64_t>(attribute_values_[i].size());
-    for (size_t r = 0; r < attribute_values_[i].size(); ++r) {
-      ranks_[i].emplace(attribute_values_[i][r], static_cast<int>(r));
-    }
-  }
-}
-
-int64_t TupleIndexer::Index(const Tuple& tuple) const {
-  WAVE_CHECK(tuple.size() == attribute_values_.size());
-  // j = r_k + n_k * (r_{k-1} + n_{k-1} * (... n_2 * r_1)), i.e. attribute 1
-  // is the most significant digit.
-  int64_t index = 0;
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    auto it = ranks_[i].find(tuple[i]);
-    if (it == ranks_[i].end()) return -1;
-    index = index * static_cast<int64_t>(attribute_values_[i].size()) +
-            it->second;
-  }
-  return index;
-}
-
-Tuple TupleIndexer::Decode(int64_t index) const {
-  WAVE_CHECK(index >= 0 && index < num_tuples_);
-  Tuple tuple(attribute_values_.size());
-  for (size_t i = attribute_values_.size(); i-- > 0;) {
-    int64_t n = static_cast<int64_t>(attribute_values_[i].size());
-    tuple[i] = attribute_values_[i][index % n];
-    index /= n;
-  }
-  return tuple;
-}
 
 namespace {
 
@@ -57,11 +18,14 @@ void AppendInstance(const Instance& instance, std::vector<uint8_t>* out) {
   const Catalog& catalog = instance.catalog();
   for (RelationId id = 0; id < catalog.size(); ++id) {
     const Relation& r = instance.relation(id);
+    if (r.empty()) continue;
+    AppendVarint(static_cast<uint32_t>(id) + 1, out);
     AppendVarint(static_cast<uint32_t>(r.size()), out);
     for (const Tuple& t : r.tuples()) {
       for (SymbolId v : t) AppendVarint(static_cast<uint32_t>(v), out);
     }
   }
+  out->push_back(0);
 }
 
 }  // namespace

@@ -1,62 +1,33 @@
-// Encodings of pseudoconfigurations and tuple sets.
+// The visited-set key of a pseudoconfiguration: a canonical byte
+// serialization of (flag, Büchi state, configuration). The paper extends
+// its rank-based bitmap scheme to whole configurations (Section 4); a
+// canonical serialization is an equivalent injective key and needs no
+// second dataflow pass for derived-relation value sets (see DESIGN.md).
 //
-// Two encodings coexist, as in the paper's implementation (Section 4):
-//   * `TupleIndexer` — the paper's rank-based mixed-radix bitmap layout for
-//     a relation whose attributes draw from fixed candidate value lists
-//     (bit index j = r_k + n_k × (r_{k-1} + n_{k-1} × (…))); used by the
-//     storage benchmark and as the core/extension subset representation.
-//   * `EncodeConfiguration` — a canonical byte serialization of a whole
-//     pseudoconfiguration, used as the visited-trie key. (The paper extends
-//     the bitmap scheme to full configurations; a canonical serialization
-//     is an equivalent injective key and avoids a second dataflow pass for
-//     derived-relation value sets — see DESIGN.md.)
+// Layout, all varints: flag (one byte), Büchi state, page, then for each of
+// `data` and `previous` the non-empty relations in id order as
+// `id + 1, tuple count, values...` followed by a `0` terminator. Empty
+// relations cost nothing, and the arities fixed by the catalog make the
+// value runs self-delimiting, so the key is injective over one spec.
 #ifndef WAVE_VERIFIER_ENCODE_H_
 #define WAVE_VERIFIER_ENCODE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "common/bitset.h"
-#include "common/symbol_table.h"
-#include "relational/relation.h"
 #include "spec/runtime.h"
 
 namespace wave {
 
-/// Rank-based tuple <-> bit-index codec for one relation (paper Section 4,
-/// "Translation between representations").
-class TupleIndexer {
- public:
-  /// `attribute_values[i]` lists the candidate constants of attribute i
-  /// (order defines ranks). The number of encodable tuples is the product
-  /// of the list sizes.
-  explicit TupleIndexer(std::vector<std::vector<SymbolId>> attribute_values);
-
-  /// Product of attribute list sizes (0 if any list is empty).
-  int64_t NumTuples() const { return num_tuples_; }
-
-  /// Bit index of `tuple`; -1 if some attribute value is not a candidate.
-  int64_t Index(const Tuple& tuple) const;
-
-  /// Inverse of `Index`.
-  Tuple Decode(int64_t index) const;
-
- private:
-  std::vector<std::vector<SymbolId>> attribute_values_;
-  std::vector<std::map<SymbolId, int>> ranks_;  // per-attribute value -> rank
-  int64_t num_tuples_ = 0;
-};
-
 /// Canonical byte key of (flag, Büchi state, configuration) for the
-/// visited trie. Injective for configurations over one spec.
+/// visited set. Injective for configurations over one spec.
 std::vector<uint8_t> EncodeVisitedKey(int flag, int buchi_state,
                                       const Configuration& config);
 
 /// Buffer-reusing variant for the search hot loop: clears `out` and fills
 /// it with the key, avoiding a fresh allocation per expansion. The filled
 /// size also feeds the resource governor's memory estimate (the key length
-/// approximates the configuration's share of trie/stack memory).
+/// approximates the configuration's share of visited-set/stack memory).
 void EncodeVisitedKeyInto(int flag, int buchi_state,
                           const Configuration& config,
                           std::vector<uint8_t>* out);

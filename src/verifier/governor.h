@@ -4,7 +4,7 @@
 // inconclusive; this file makes "inconclusive" a first-class, *specific*
 // outcome. A `BudgetLedger` owns every enforced ceiling of one attempt —
 // wall-clock deadline, expansion budget, approximate memory ceiling (fed
-// by the visited-trie and search-stack accounting), and a thread-safe
+// by the visited-set and search-stack accounting), and a thread-safe
 // cooperative cancellation token — shared by the attempt's workers: it
 // aggregates expansion/memory totals through relaxed atomics, latches the
 // first tripped limit, and fans the stop out to every worker. Each worker

@@ -405,6 +405,10 @@ std::unique_ptr<AssignmentContext> BuildAssignmentContext(
   }
   ctx->constant_vector.assign(ctx->constant_universe.begin(),
                               ctx->constant_universe.end());
+  if (!ctx->constant_vector.empty()) {
+    ctx->in_universe.resize(ctx->constant_vector.back() + 1);
+    for (SymbolId c : ctx->constant_vector) ctx->in_universe[c] = true;
+  }
 
   // Dataflow analysis over the instantiated property + spec, and the
   // candidate sets it prunes.

@@ -102,6 +102,9 @@ struct AssignmentContext {
   std::vector<PreparedFormula> components;
   std::set<SymbolId> constant_universe;
   std::vector<SymbolId> constant_vector;
+  /// Dense membership table of `constant_universe`, indexed by symbol id;
+  /// ids past its end are outside C.
+  std::vector<bool> in_universe;
   std::unique_ptr<ComparisonAnalysis> analysis;
   std::unique_ptr<CandidateBuilder> builder;
 
@@ -119,6 +122,12 @@ struct AssignmentContext {
   int ext_stride = 0;
 
   double build_us = 0;  // wall time to build this context (pre-pass)
+
+  /// True when `value` is in the constant universe C.
+  bool InUniverse(SymbolId value) const {
+    return static_cast<size_t>(value) < in_universe.size() &&
+           in_universe[value];
+  }
 
   const CandidateSet* extension(int page, int prev_page) const {
     return ext_table[page * ext_stride + (prev_page + 1)];

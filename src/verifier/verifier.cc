@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/stopwatch.h"
@@ -21,7 +22,7 @@
 #include "verifier/encode.h"
 #include "verifier/session.h"
 #include "verifier/shard.h"
-#include "verifier/trie.h"
+#include "verifier/visited_set.h"
 #include "verifier/worker_pool.h"
 
 namespace wave {
@@ -125,7 +126,7 @@ struct BatchShared {
   std::atomic<int> unsettled{0};
 };
 
-/// One worker's NDFS machinery: its own visited trie, search stacks,
+/// One worker's NDFS machinery: its own visited set, search stacks,
 /// governor front end and stats. Pops shards off the queue until it runs
 /// dry or a stop fans out. Reads the plans/contexts only; everything it
 /// writes is thread-local except the mutex-guarded EngineShared claims.
@@ -156,8 +157,8 @@ class ShardRunner {
   }
 
   void Drain(ShardQueue* queue) {
-    // Route the search structures' counting-allocator reports (trie
-    // nodes/edges, key-scratch growth, stack frames) to this worker while
+    // Route the search structures' counting-allocator reports (visited-set
+    // keys and slots, key-scratch growth, stack frames) to this worker while
     // telemetry is on; with telemetry off no sink is installed and every
     // CountAlloc site is a predicted-not-taken branch.
     std::optional<obs::ScopedAllocTracking> alloc_scope;
@@ -222,7 +223,7 @@ class ShardRunner {
     for (size_t b = 0; b < tuples.size(); ++b) {
       if ((shard.core >> b) & 1) core_.push_back(tuples[b]);
     }
-    trie_ = std::make_unique<VisitedTrie>();
+    visited_ = std::make_unique<VisitedSet>();
     stick_stack_.clear();
     candy_stack_.clear();
     stack_bytes_ = 0;
@@ -239,19 +240,16 @@ class ShardRunner {
         skeleton, /*prev_page=*/-1, [this](const Configuration& c0) {
           return Stick(plan_->automaton.start, c0, 1);
         });
-    stats_.max_trie_size = std::max(stats_.max_trie_size, trie_->size());
+    stats_.max_trie_size = std::max(stats_.max_trie_size, visited_->size());
     job_cur_->max_trie_size =
-        std::max(job_cur_->max_trie_size, trie_->size());
-    stats_.trie_hits += trie_->stats().hits;
-    stats_.trie_misses += trie_->stats().misses;
-    job_cur_->trie_hits += trie_->stats().hits;
-    job_cur_->trie_misses += trie_->stats().misses;
+        std::max(job_cur_->max_trie_size, visited_->size());
+    stats_.trie_hits += visited_->stats().hits;
+    stats_.trie_misses += visited_->stats().misses;
+    job_cur_->trie_hits += visited_->stats().hits;
+    job_cur_->trie_misses += visited_->stats().misses;
     if (telemetry_) {
-      // Per-shard search telemetry (ISSUE 6): key-depth distribution of
-      // this shard's trie, expansion count, and tracked allocation bytes.
-      trie_->VisitKeyDepths(
-          [this](int depth) { job_cur_->trie_depth.Record(depth); });
-      job_cur_->trie_nodes += trie_->node_count();
+      // Per-shard search telemetry: expansion count and tracked allocation
+      // bytes.
       job_cur_->shard_expansions.Record(
           static_cast<double>(job_cur_->num_expansions - expansions_before));
       job_cur_->shard_alloc_bytes.Record(
@@ -262,26 +260,26 @@ class ShardRunner {
     return status;
   }
 
-  /// Trie ops with sampled latency: every 64th visited-set operation is
+  /// Visited-set ops with sampled latency: every 64th operation is
   /// timed (telemetry on only), so `trie_lookup_us` reflects hit/miss
   /// latency without putting a clock read on every expansion.
   bool TimedInsert(const std::vector<uint8_t>& key) {
     if (telemetry_ && (++lookup_tick_ & 63) == 0) {
       Stopwatch watch;
-      bool added = trie_->Insert(key);
+      bool added = visited_->Insert(key);
       job_cur_->trie_lookup_us.Record(watch.ElapsedMicros());
       return added;
     }
-    return trie_->Insert(key);
+    return visited_->Insert(key);
   }
   bool TimedContains(const std::vector<uint8_t>& key) {
     if (telemetry_ && (++lookup_tick_ & 63) == 0) {
       Stopwatch watch;
-      bool found = trie_->Contains(key);
+      bool found = visited_->Contains(key);
       job_cur_->trie_lookup_us.Record(watch.ElapsedMicros());
       return found;
     }
-    return trie_->Contains(key);
+    return visited_->Contains(key);
   }
 
   /// Enumerates extensions and input choices completing `skeleton` (whose
@@ -305,20 +303,25 @@ class ShardRunner {
       return SearchStatus::kAbort;
     }
     DynamicBitset ext_bitmap(static_cast<int>(ext->tuples.size()));
+    // One configuration serves every extension and input choice of this
+    // call: reassigning it from `skeleton` keeps the relations' capacity,
+    // and a choice is applied in place because ApplyInput clears every
+    // input and action relation before installing it (and the filter below
+    // touches only actions). `fn` copies what must outlive the loop.
+    Configuration complete;
     while (true) {
-      Configuration with_ext = skeleton;
+      complete = skeleton;
       for (int b = 0; b < ext_bitmap.size(); ++b) {
         if (ext_bitmap.Test(b)) {
           const auto& [relation, tuple] = ext->tuples[b];
-          with_ext.data.relation(relation).Insert(tuple);
+          complete.data.relation(relation).Insert(tuple);
         }
       }
-      std::vector<SymbolId> domain = WindowDomain(with_ext);
-      InputOptions input_options = prepared_->ComputeOptions(with_ext, domain);
+      std::vector<SymbolId> domain = WindowDomain(complete);
+      InputOptions input_options = prepared_->ComputeOptions(complete, domain);
       std::vector<InputChoice> choices =
-          EnumerateChoices(with_ext.page, input_options);
+          EnumerateChoices(complete.page, input_options);
       for (const InputChoice& choice : choices) {
-        Configuration complete = with_ext;
         prepared_->ApplyInput(choice, domain, &complete);
         FilterToUniverse(&complete.data, RelationKind::kAction);
         ++stats_.num_successors;
@@ -369,7 +372,7 @@ class ShardRunner {
     const int64_t frame_bytes = static_cast<int64_t>(key_scratch_.size());
     stack_bytes_ += frame_bytes;
     obs::CountAlloc(frame_bytes);
-    gov_.ReportMemory(trie_->approx_bytes() + stack_bytes_);
+    gov_.ReportMemory(visited_->approx_bytes() + stack_bytes_);
     ++stats_.num_expansions;
     ++job_cur_->num_expansions;
     stats_.max_pseudorun_length =
@@ -421,7 +424,7 @@ class ShardRunner {
     const int64_t frame_bytes = static_cast<int64_t>(key_scratch_.size());
     stack_bytes_ += frame_bytes;
     obs::CountAlloc(frame_bytes);
-    gov_.ReportMemory(trie_->approx_bytes() + stack_bytes_);
+    gov_.ReportMemory(visited_->approx_bytes() + stack_bytes_);
     ++stats_.num_expansions;
     ++job_cur_->num_expansions;
     stats_.max_pseudorun_length =
@@ -523,19 +526,11 @@ class ShardRunner {
   void FilterToUniverse(Instance* instance, RelationKind kind) {
     for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
       if (spec_->catalog().schema(id).kind != kind) continue;
-      Relation& r = instance->relation(id);
-      Relation filtered(r.arity());
-      for (const Tuple& t : r.tuples()) {
-        bool in_universe = true;
-        for (SymbolId v : t) {
-          if (ctx_->constant_universe.count(v) == 0) {
-            in_universe = false;
-            break;
-          }
-        }
-        if (in_universe) filtered.Insert(t);
-      }
-      r = std::move(filtered);
+      instance->relation(id).EraseIf([this](const Tuple& t) {
+        return !std::all_of(t.begin(), t.end(), [this](SymbolId v) {
+          return ctx_->InUniverse(v);
+        });
+      });
     }
   }
 
@@ -578,7 +573,7 @@ class ShardRunner {
         auto it = pd.input_values.find({input, 0});
         if (it != pd.input_values.end()) tuples.push_back({it->second});
         for (SymbolId c : ctx_->analysis->constants({input, 0})) {
-          if (ctx_->constant_universe.count(c) > 0) tuples.push_back({c});
+          if (ctx_->InUniverse(c)) tuples.push_back({c});
         }
       } else {
         auto it = options.find(input);
@@ -633,7 +628,7 @@ class ShardRunner {
     progress_->successors.store(stats_.num_successors,
                                 std::memory_order_relaxed);
     progress_->cores.store(stats_.num_cores, std::memory_order_relaxed);
-    int trie_size = trie_ != nullptr ? trie_->size() : 0;
+    int trie_size = visited_ != nullptr ? visited_->size() : 0;
     progress_->trie_size.store(trie_size, std::memory_order_relaxed);
     progress_->max_trie.store(std::max(stats_.max_trie_size, trie_size),
                               std::memory_order_relaxed);
@@ -649,7 +644,7 @@ class ShardRunner {
     }
     last_heartbeat_seconds_ = elapsed;
     ++heartbeats_;
-    int trie_size = trie_ != nullptr ? trie_->size() : 0;
+    int trie_size = visited_ != nullptr ? visited_->size() : 0;
     if (options_->heartbeat != nullptr) {
       HeartbeatSnapshot snapshot;
       snapshot.elapsed_seconds = elapsed;
@@ -690,7 +685,7 @@ class ShardRunner {
   std::vector<VerifyStats> job_stats_;  // per-property slices of the same
   std::vector<double> assignment_us_;   // summed shard time per SLOT
   obs::AllocStats alloc_;               // tracked allocs across the drain
-  int lookup_tick_ = 0;                 // 1/64 trie-latency sampling phase
+  int lookup_tick_ = 0;                 // 1/64 lookup-latency sampling phase
   int64_t heartbeats_ = 0;
   double last_heartbeat_seconds_ = 0;
 
@@ -706,7 +701,7 @@ class ShardRunner {
   VerifyStats* job_cur_ = nullptr;
   const AssignmentContext* ctx_ = nullptr;
   std::vector<std::pair<RelationId, Tuple>> core_;
-  std::unique_ptr<VisitedTrie> trie_;
+  std::unique_ptr<VisitedSet> visited_;
   std::vector<CounterexampleStep> stick_stack_;
   std::vector<CounterexampleStep> candy_stack_;
   std::vector<uint8_t> key_scratch_;
@@ -1011,13 +1006,11 @@ std::vector<VerifyResult> RunBatchAttempt(
           std::max(r.stats.max_pseudorun_length, s.max_pseudorun_length);
       // Search telemetry histograms merge bucket-exactly across workers
       // (all empty when telemetry was off).
-      r.stats.trie_depth.MergeFrom(s.trie_depth);
       r.stats.frontier_size.MergeFrom(s.frontier_size);
       r.stats.search_depth.MergeFrom(s.search_depth);
       r.stats.trie_lookup_us.MergeFrom(s.trie_lookup_us);
       r.stats.shard_expansions.MergeFrom(s.shard_expansions);
       r.stats.shard_alloc_bytes.MergeFrom(s.shard_alloc_bytes);
-      r.stats.trie_nodes += s.trie_nodes;
       r.stats.alloc_bytes += s.alloc_bytes;
       r.stats.alloc_count += s.alloc_count;
       for (size_t slot = w.slot_begin; slot < w.slot_end; ++slot) {
@@ -1125,22 +1118,19 @@ std::vector<VerifyResult> RunBatchAttempt(
       // Batch-wide search telemetry: per-property histograms merged, the
       // per-phase counting-allocator tallies, and (jobs > 1) the steal
       // balance across workers.
-      obs::HistogramData trie_depth, frontier_size, search_depth;
+      obs::HistogramData frontier_size, search_depth;
       obs::HistogramData trie_lookup_us, shard_expansions, shard_alloc;
-      int64_t trie_nodes = 0, search_alloc_bytes = 0, search_alloc_count = 0;
+      int64_t search_alloc_bytes = 0, search_alloc_count = 0;
       for (int i = 0; i < n; ++i) {
         const VerifyStats& s = results[i].stats;
-        trie_depth.MergeFrom(s.trie_depth);
         frontier_size.MergeFrom(s.frontier_size);
         search_depth.MergeFrom(s.search_depth);
         trie_lookup_us.MergeFrom(s.trie_lookup_us);
         shard_expansions.MergeFrom(s.shard_expansions);
         shard_alloc.MergeFrom(s.shard_alloc_bytes);
-        trie_nodes += s.trie_nodes;
         search_alloc_bytes += s.alloc_bytes;
         search_alloc_count += s.alloc_count;
       }
-      call_metrics.histogram("trie.depth")->MergeData(trie_depth);
       call_metrics.histogram("trie.lookup_us")->MergeData(trie_lookup_us);
       call_metrics.histogram("search.frontier_size")
           ->MergeData(frontier_size);
@@ -1149,7 +1139,6 @@ std::vector<VerifyResult> RunBatchAttempt(
           ->MergeData(shard_expansions);
       call_metrics.histogram("alloc.search.shard_bytes")
           ->MergeData(shard_alloc);
-      call_metrics.Add("trie.nodes", trie_nodes);
       call_metrics.Add("alloc.prepare.bytes", prepare_alloc.bytes);
       call_metrics.Add("alloc.prepare.count", prepare_alloc.count);
       call_metrics.Add("alloc.dataflow.bytes", dataflow_alloc.bytes);
@@ -1157,7 +1146,6 @@ std::vector<VerifyResult> RunBatchAttempt(
       call_metrics.Add("alloc.search.bytes", search_alloc_bytes);
       call_metrics.Add("alloc.search.count", search_alloc_count);
       if (options.tracer != nullptr) {
-        options.tracer->CounterHistogram("trie.depth", trie_depth);
         options.tracer->CounterHistogram("trie.lookup_us", trie_lookup_us);
         options.tracer->CounterHistogram("search.frontier_size",
                                          frontier_size);
@@ -1642,13 +1630,11 @@ StatusOr<BatchResponse> Verifier::RunBatch(const BatchRequest& request) {
     merged.buchi_states = std::max(merged.buchi_states, s.buchi_states);
     merged.peak_memory_bytes =
         std::max(merged.peak_memory_bytes, s.peak_memory_bytes);
-    merged.trie_depth.MergeFrom(s.trie_depth);
     merged.frontier_size.MergeFrom(s.frontier_size);
     merged.search_depth.MergeFrom(s.search_depth);
     merged.trie_lookup_us.MergeFrom(s.trie_lookup_us);
     merged.shard_expansions.MergeFrom(s.shard_expansions);
     merged.shard_alloc_bytes.MergeFrom(s.shard_alloc_bytes);
-    merged.trie_nodes += s.trie_nodes;
     merged.alloc_bytes += s.alloc_bytes;
     merged.alloc_count += s.alloc_count;
   }
@@ -1750,13 +1736,11 @@ obs::Json VerifyStats::ToJson() const {
   j.Set("prepass_reuses", obs::Json::Int(prepass_reuses));
   // Search telemetry (ISSUE 6): histogram summaries + allocation tallies.
   // All-zero objects when the run had telemetry off.
-  j.Set("trie_depth", trie_depth.ToJson());
   j.Set("frontier_size", frontier_size.ToJson());
   j.Set("search_depth", search_depth.ToJson());
   j.Set("trie_lookup_us", trie_lookup_us.ToJson());
   j.Set("shard_expansions", shard_expansions.ToJson());
   j.Set("shard_alloc_bytes", shard_alloc_bytes.ToJson());
-  j.Set("trie_nodes", obs::Json::Int(trie_nodes));
   j.Set("alloc_bytes", obs::Json::Int(alloc_bytes));
   j.Set("alloc_count", obs::Json::Int(alloc_count));
   return j;

@@ -60,7 +60,7 @@ class VerifierSession;  // verifier/session.h
 /// Periodic progress snapshot delivered by `VerifyOptions::heartbeat` so
 /// long-running verifications are observable before they finish or time
 /// out. All counters are cumulative for the current `Verify` call;
-/// `trie_size` is the size of the current core's visited trie.
+/// `trie_size` is the size of the current core's visited set.
 struct HeartbeatSnapshot {
   double elapsed_seconds = 0;
   int64_t num_assignments = 0;
@@ -91,7 +91,7 @@ struct VerifyOptions {
 
   // --- resource governance (ISSUE 2) ----------------------------------------
   /// Approximate memory ceiling in bytes for the search's dominant
-  /// structures (visited trie + search stacks); -1 = unlimited. Exceeding
+  /// structures (visited set + search stacks); -1 = unlimited. Exceeding
   /// it yields kUnknown with UnknownReason::kMemoryLimit. An estimate, not
   /// an RSS measurement — see BudgetLedger (verifier/governor.h).
   int64_t max_memory_bytes = -1;
@@ -152,7 +152,8 @@ struct CounterexampleStep {
 struct VerifyStats {
   double seconds = 0;
   int max_pseudorun_length = 0;  // max length of a generated pseudorun
-  int max_trie_size = 0;         // max #pseudoconfigurations in the trie
+  int max_trie_size = 0;         // max #pseudoconfigurations visited per
+                                 // core (the paper's "max trie size")
   int buchi_states = 0;          // property automaton size
   int64_t num_assignments = 0;   // C∃ choices tried
   int64_t num_cores = 0;         // cores enumerated
@@ -176,7 +177,7 @@ struct VerifyStats {
   int64_t heartbeats = 0;   // progress heartbeats fired
 
   // Resource-governor readings (ISSUE 2):
-  int64_t peak_memory_bytes = 0;  // high-water estimate (trie + stacks)
+  int64_t peak_memory_bytes = 0;  // high-water estimate (visited set + stacks)
   int64_t governor_polls = 0;     // full limit polls performed
 
   // Caching (ISSUE 4):
@@ -193,13 +194,11 @@ struct VerifyStats {
   // (`VerifyOptions::metrics` or `tracer` set); all-empty otherwise —
   // the recording sites reduce to a predicted branch, which is the
   // zero-overhead guard the disabled-path micro-test pins down.
-  obs::HistogramData trie_depth;     // terminal-key depth per shard trie
   obs::HistogramData frontier_size;  // live NDFS frames at each expansion
   obs::HistogramData search_depth;   // nesting depth at each expansion
   obs::HistogramData trie_lookup_us; // sampled (1/64) visited-set op latency
   obs::HistogramData shard_expansions;   // expansions per (C∃, core) shard
   obs::HistogramData shard_alloc_bytes;  // tracked alloc bytes per shard
-  int64_t trie_nodes = 0;   // trie nodes summed over shard tries
   int64_t alloc_bytes = 0;  // counting-allocator bytes, search phase
   int64_t alloc_count = 0;  // counting-allocator events, search phase
 

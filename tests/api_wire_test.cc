@@ -260,11 +260,10 @@ VerifyStats DistinctiveStats() {
   stats.peak_memory_bytes = 1 << 16;
   stats.cache_hits = 1;
   stats.prepass_reuses = 2;
-  stats.trie_nodes = 4242;
   stats.alloc_bytes = 65536;
   stats.alloc_count = 128;
-  stats.trie_depth.Record(3.0);
-  stats.trie_depth.Record(5.0);
+  stats.search_depth.Record(3.0);
+  stats.search_depth.Record(5.0);
   stats.frontier_size.Record(11.0);
   return stats;
 }
@@ -278,8 +277,8 @@ TEST(WireStatsTest, RoundTripIsLosslessAndByteStable) {
   EXPECT_EQ(decoded->num_expansions, 1200);
   EXPECT_EQ(decoded->cache_hits, 1);
   EXPECT_EQ(decoded->prepass_reuses, 2);
-  EXPECT_EQ(decoded->trie_depth.count, 2);
-  EXPECT_EQ(decoded->trie_depth.buckets, original.trie_depth.buckets);
+  EXPECT_EQ(decoded->search_depth.count, 2);
+  EXPECT_EQ(decoded->search_depth.buckets, original.search_depth.buckets);
 }
 
 TEST(WireStatsTest, GoldenFormIsFrozen) {
@@ -517,7 +516,7 @@ TEST(WireResponseTest, MalformedIsTypedError) {
   for (const char* text :
        {R"({"verdict": "holds", "stats": {"num_expansions": 1e30}})",
         R"({"verdict": "holds", "decided_rung": 4294967296})",
-        R"({"verdict": "holds", "stats": {"trie_depth": {"count": 1,
+        R"({"verdict": "holds", "stats": {"frontier_size": {"count": 1,
              "sum": 1, "min": 1, "max": 1, "buckets": [[1.5, 1]]}}})"}) {
     SCOPED_TRACE(text);
     EXPECT_EQ(api::ResponseFromJson(MustParse(text), bundle.spec.get())

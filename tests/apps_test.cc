@@ -1,9 +1,16 @@
 // Integration tests: the four experimental applications of Section 5
 // verify with the verdicts the paper's experiments report (the expected
-// verdicts are asserted in the embedded suites).
+// verdicts are asserted in the embedded suites), and with exactly the
+// search counters of the committed benchmark baseline.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+#include <sstream>
+
 #include "apps/apps.h"
+#include "common/io.h"
+#include "obs/json.h"
 #include "verifier/verifier.h"
 
 #include "verify_helpers.h"
@@ -24,6 +31,27 @@ void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
 
 class AppsTest : public ::testing::TestWithParam<AppCase> {};
 
+/// The `counters` object of every record in bench/baselines/
+/// BENCH_verify.json (`wave_bench --suite verify`, jobs=1), keyed by record
+/// name ("e1/P4").
+std::map<std::string, obs::Json> BaselineCounters() {
+  StatusOr<std::string> text = ReadFileToString(
+      std::string(WAVE_REPO_ROOT) + "/bench/baselines/BENCH_verify.json");
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  std::map<std::string, obs::Json> counters;
+  if (!text.ok()) return counters;
+  std::istringstream lines(*text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    std::optional<obs::Json> record = obs::Json::Parse(line);
+    EXPECT_TRUE(record.has_value()) << line;
+    if (!record.has_value()) continue;
+    counters[record->Find("name")->AsString()] = *record->Find("counters");
+  }
+  return counters;
+}
+
 TEST_P(AppsTest, SpecValidatesAndIsInputBounded) {
   AppBundle bundle = GetParam().build();
   EXPECT_EQ(bundle.spec->num_pages(), GetParam().pages);
@@ -37,6 +65,9 @@ TEST_P(AppsTest, SpecValidatesAndIsInputBounded) {
 TEST_P(AppsTest, AllPropertiesMatchExpectedVerdicts) {
   AppBundle bundle = GetParam().build();
   Verifier verifier(bundle.spec.get());
+  const std::map<std::string, obs::Json> baseline = BaselineCounters();
+  std::string suite = GetParam().name;
+  suite[0] = static_cast<char>(std::tolower(suite[0]));
   for (const ParsedProperty& p : bundle.properties) {
     ASSERT_TRUE(p.has_expected) << p.property.name;
     VerifyOptions options;
@@ -50,6 +81,25 @@ TEST_P(AppsTest, AllPropertiesMatchExpectedVerdicts) {
     if (r.verdict == Verdict::kViolated) {
       EXPECT_FALSE(r.candy.empty())
           << "counterexamples are lassos; " << p.property.name;
+    }
+    // The search itself is pinned: the same successors in the same order
+    // give exactly the baseline's deterministic counters.
+    const std::string name = suite + "/" + p.property.name;
+    auto it = baseline.find(name);
+    ASSERT_NE(it, baseline.end()) << name << " has no baseline record";
+    const std::pair<const char*, int64_t> counters[] = {
+        {"num_assignments", r.stats.num_assignments},
+        {"num_cores", r.stats.num_cores},
+        {"num_expansions", r.stats.num_expansions},
+        {"num_successors", r.stats.num_successors},
+        {"buchi_states", r.stats.buchi_states},
+        {"max_trie_size", r.stats.max_trie_size},
+        {"max_pseudorun_length", r.stats.max_pseudorun_length},
+    };
+    for (const auto& [counter, value] : counters) {
+      const obs::Json* expected = it->second.Find(counter);
+      ASSERT_NE(expected, nullptr) << name << " baseline lacks " << counter;
+      EXPECT_EQ(value, expected->AsInt()) << name << " " << counter;
     }
   }
 }

@@ -164,7 +164,7 @@ TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
               cold->CounterexampleString(*e1.spec));
     EXPECT_EQ(counters(hit.stats), counters(cold->stats));
     EXPECT_EQ(hit.stats.cache_hits, 1);
-    EXPECT_TRUE(hit.stats.trie_depth.empty()) << "summaries are dropped";
+    EXPECT_TRUE(hit.stats.frontier_size.empty()) << "summaries are dropped";
   }
   EXPECT_EQ((*cache)->hits(), 2);
 }

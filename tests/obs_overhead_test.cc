@@ -97,13 +97,11 @@ TEST(ObsOverheadTest, DisabledHistogramRecordSitesStayDark) {
   for (const ParsedProperty& p : bundle.properties) {
     VerifyResult result =
         RunE2Property(verifier, p.property, /*metrics=*/nullptr);
-    EXPECT_EQ(result.stats.trie_depth.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.frontier_size.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.search_depth.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.trie_lookup_us.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.shard_expansions.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.shard_alloc_bytes.count, 0) << p.property.name;
-    EXPECT_EQ(result.stats.trie_nodes, 0) << p.property.name;
     EXPECT_EQ(result.stats.alloc_bytes, 0) << p.property.name;
     EXPECT_EQ(result.stats.alloc_count, 0) << p.property.name;
   }

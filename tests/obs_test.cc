@@ -74,6 +74,19 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
     EXPECT_FALSE(Json::Parse(bad, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
+  // Nesting is bounded: 2 MB of '[' (or of '{"a":') fails cleanly instead
+  // of overflowing the recursive parser's stack, while 512 levels parse.
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  for (const std::string& deep : {std::string(2 << 20, '['), objects}) {
+    std::string error;
+    EXPECT_FALSE(Json::Parse(deep, &error).has_value());
+    EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  }
+  std::string limit = std::string(512, '[') + std::string(512, ']');
+  EXPECT_TRUE(Json::Parse(limit).has_value());
+  std::string past = "[" + limit + "]";
+  EXPECT_FALSE(Json::Parse(past).has_value());
 }
 
 TEST(JsonTest, ParseHandlesWhitespaceAndUnicodeEscapes) {
@@ -294,13 +307,13 @@ TEST(TracerTest, CounterHistogramEmitsSummaryTracks) {
   Tracer tracer;
   HistogramData h;
   for (int i = 1; i <= 10; ++i) h.Record(i);
-  tracer.CounterHistogram("trie.depth", h);
+  tracer.CounterHistogram("search.depth", h);
   ASSERT_EQ(tracer.events().size(), 5u);
   for (const TraceEvent& e : tracer.events()) {
     EXPECT_EQ(e.phase, TraceEvent::Phase::kCounter);
   }
-  EXPECT_EQ(tracer.events()[0].name, "trie.depth.p50");
-  EXPECT_EQ(tracer.events()[4].name, "trie.depth.count");
+  EXPECT_EQ(tracer.events()[0].name, "search.depth.p50");
+  EXPECT_EQ(tracer.events()[4].name, "search.depth.count");
   EXPECT_DOUBLE_EQ(tracer.events()[4].value, 10);
   // Empty histograms emit nothing.
   tracer.CounterHistogram("empty", HistogramData{});

@@ -40,6 +40,12 @@ struct ParallelCase {
   int jobs;
 };
 
+// Without this gtest prints the param's raw bytes, a function pointer
+// included, so the listed test names would change from build to build.
+void PrintTo(const ParallelCase& c, std::ostream* os) {
+  *os << c.name << " jobs=" << c.jobs;
+}
+
 class DeterminismTest : public ::testing::TestWithParam<ParallelCase> {};
 
 // Every property of the bundled app: verdict at `jobs` workers equals the

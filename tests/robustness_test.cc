@@ -15,9 +15,9 @@
 #include "common/status.h"
 #include "parser/parser.h"
 #include "verifier/governor.h"
-#include "verifier/trie.h"
 #include "verifier/validate.h"
 #include "verifier/verifier.h"
+#include "verifier/visited_set.h"
 
 #include "verify_helpers.h"
 
@@ -488,21 +488,22 @@ TEST(GovernorTest, ReasonNamesAndStatusMapping) {
       StatusCode::kResourceExhausted);
 }
 
-// --- trie memory accounting -------------------------------------------------
+// --- visited-set memory accounting -----------------------------------------
 
 TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
-  VisitedTrie trie;
-  int64_t baseline = trie.approx_bytes();
+  VisitedSet set;
+  int64_t baseline = set.approx_bytes();
   EXPECT_GT(baseline, 0);
   int64_t previous = baseline;
-  for (uint8_t i = 0; i < 32; ++i) {
-    trie.Insert({i, static_cast<uint8_t>(i * 3), 7, i});
-    EXPECT_GE(trie.approx_bytes(), previous);
-    previous = trie.approx_bytes();
+  for (uint8_t i = 0; i < 32; ++i) {  // 32 keys: the slot table grows twice
+    set.Insert({i, static_cast<uint8_t>(i * 3), 7, i});
+    EXPECT_GT(set.approx_bytes(), previous);
+    previous = set.approx_bytes();
   }
-  EXPECT_GT(trie.approx_bytes(), baseline);
-  trie.Clear();
-  EXPECT_EQ(trie.approx_bytes(), baseline);
+  set.Insert({0, 0, 7, 0});  // already stored: no growth
+  EXPECT_EQ(set.approx_bytes(), previous);
+  set.Clear();
+  EXPECT_EQ(set.approx_bytes(), baseline);
 }
 
 // --- every UnknownReason, end to end ----------------------------------------
@@ -582,7 +583,7 @@ TEST(UnknownReasonE2eTest, MemoryLimitReason) {
   const Property* p1 = FindProperty(e1, "P1");
   ASSERT_NE(p1, nullptr);
   VerifyOptions options;
-  options.max_memory_bytes = 1024;  // below one search's trie footprint
+  options.max_memory_bytes = 1024;  // below one search's visited-set size
   VerifyResult r = RunVerify(verifier, *p1, options);
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_EQ(r.unknown_reason, UnknownReason::kMemoryLimit);

@@ -200,19 +200,24 @@ TEST(ServeProtocolTest, MalformedLineGetsTypedErrorAndConnectionSurvives) {
   TestClient client;
   ASSERT_TRUE(client.Connect(server->port()));
 
-  ASSERT_TRUE(client.SendLine("this is not json\n"));
-  std::string line;
-  ASSERT_TRUE(client.ReadLine(&line));
-  StatusOr<ResponseEnvelope> error = serve::ParseResponseLine(line);
-  ASSERT_TRUE(error.ok());
-  EXPECT_FALSE(error->ok);
-  EXPECT_EQ(error->id, "");  // no id was recoverable
-  EXPECT_EQ(error->status.code(), StatusCode::kInvalidArgument);
+  // Plain garbage, and 2 MB of '[' (deeper than the parser's nesting
+  // bound, so it must fail cleanly rather than overflow the stack).
+  for (const std::string& bad :
+       {std::string("this is not json"), std::string(2 << 20, '[')}) {
+    ASSERT_TRUE(client.SendLine(bad + "\n"));
+    std::string line;
+    ASSERT_TRUE(client.ReadLine(&line));
+    StatusOr<ResponseEnvelope> error = serve::ParseResponseLine(line);
+    ASSERT_TRUE(error.ok());
+    EXPECT_FALSE(error->ok);
+    EXPECT_EQ(error->id, "");  // no id was recoverable
+    EXPECT_EQ(error->status.code(), StatusCode::kInvalidArgument);
 
-  // One bad frame must not poison the connection.
-  ResponseEnvelope response;
-  ASSERT_TRUE(client.Call(Ping("after"), &response));
-  EXPECT_TRUE(response.ok);
+    // One bad frame must not poison the connection.
+    ResponseEnvelope response;
+    ASSERT_TRUE(client.Call(Ping("after"), &response));
+    EXPECT_TRUE(response.ok);
+  }
 }
 
 TEST(ServeProtocolTest, VerifyWithoutSpecIsRejected) {

@@ -42,12 +42,12 @@ const char* const kScalarKeys[] = {
     // PR 4 (sessions + persistent cache):
     "cache_hits", "prepass_reuses",
     // PR 6 (allocation profiling):
-    "trie_nodes", "alloc_bytes", "alloc_count",
+    "alloc_bytes", "alloc_count",
 };
 
 const char* const kHistogramKeys[] = {
-    "trie_depth",      "frontier_size",    "search_depth",
-    "trie_lookup_us",  "shard_expansions", "shard_alloc_bytes",
+    "frontier_size",    "search_depth",      "trie_lookup_us",
+    "shard_expansions", "shard_alloc_bytes",
 };
 
 const char* const kHistogramSummaryKeys[] = {
@@ -90,8 +90,8 @@ TEST(StatsJsonTest, EveryFieldPresentAndRoundTrips) {
   EXPECT_EQ(parsed->Find("cache_hits")->AsInt(), result.stats.cache_hits);
   EXPECT_EQ(parsed->Find("prepass_reuses")->AsInt(),
             result.stats.prepass_reuses);
-  EXPECT_DOUBLE_EQ(parsed->Find("trie_depth")->Find("count")->AsDouble(),
-                   static_cast<double>(result.stats.trie_depth.count));
+  EXPECT_DOUBLE_EQ(parsed->Find("frontier_size")->Find("count")->AsDouble(),
+                   static_cast<double>(result.stats.frontier_size.count));
 }
 
 TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
@@ -102,27 +102,23 @@ TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
   VerifyResult result =
       RunWithMetrics(verifier, bundle.properties.front().property, &metrics);
 
-  EXPECT_GT(result.stats.trie_depth.count, 0);
   EXPECT_GT(result.stats.frontier_size.count, 0);
   EXPECT_GT(result.stats.search_depth.count, 0);
   EXPECT_GT(result.stats.shard_expansions.count, 0);
-  EXPECT_GT(result.stats.trie_nodes, 0);
   EXPECT_GT(result.stats.alloc_bytes, 0);
   EXPECT_GT(result.stats.alloc_count, 0);
 
   // The same telemetry lands in the shared registry under the ISSUE-6
   // metric names.
-  EXPECT_GT(metrics.histogram("trie.depth")->count(), 0);
   EXPECT_GT(metrics.histogram("search.frontier_size")->count(), 0);
   EXPECT_GT(metrics.histogram("search.depth")->count(), 0);
   EXPECT_GT(metrics.histogram("search.shard_expansions")->count(), 0);
-  EXPECT_GT(metrics.counter("trie.nodes")->value(), 0);
   EXPECT_GT(metrics.counter("alloc.search.bytes")->value(), 0);
   EXPECT_GT(metrics.counter("alloc.search.count")->value(), 0);
 
   // And the JSON summaries reflect the recorded data.
   obs::Json j = result.stats.ToJson();
-  EXPECT_GT(j.Find("trie_depth")->Find("count")->AsInt(), 0);
+  EXPECT_GT(j.Find("shard_expansions")->Find("count")->AsInt(), 0);
   EXPECT_GT(j.Find("frontier_size")->Find("max")->AsDouble(), 0);
   EXPECT_GE(j.Find("search_depth")->Find("p99")->AsDouble(),
             j.Find("search_depth")->Find("p50")->AsDouble());
@@ -150,7 +146,7 @@ TEST(StatsJsonTest, BatchMergedStatsCarryTelemetry) {
   EXPECT_EQ(response->merged.shard_expansions.count,
             per_property_expansion_records);
   EXPECT_GT(response->merged.search_depth.count, 0);
-  EXPECT_GT(response->merged.trie_nodes, 0);
+  EXPECT_GT(response->merged.alloc_bytes, 0);
   EXPECT_TRUE(response->merged.ToJson().Has("shard_alloc_bytes"));
 }
 

@@ -1,4 +1,4 @@
-// Verifier-core tests: the visited trie, the encodings, heuristic on/off
+// Verifier-core tests: the visited set, the key encoding, heuristic on/off
 // agreement, counterexample sanity, and a differential test of the
 // pseudorun verifier against the explicit first-cut baseline on small
 // specs.
@@ -13,98 +13,76 @@
 #include "obs/tracer.h"
 #include "parser/parser.h"
 #include "verifier/encode.h"
-#include "verifier/trie.h"
 #include "verifier/verifier.h"
+#include "verifier/visited_set.h"
 
 #include "verify_helpers.h"
 
 namespace wave {
 namespace {
 
-// --- trie -------------------------------------------------------------------
+// --- visited set -------------------------------------------------------------
 
 TEST(TrieTest, InsertAndContains) {
-  VisitedTrie trie;
-  EXPECT_TRUE(trie.Insert({1, 2, 3}));
-  EXPECT_FALSE(trie.Insert({1, 2, 3}));
-  EXPECT_TRUE(trie.Contains({1, 2, 3}));
-  EXPECT_FALSE(trie.Contains({1, 2}));
-  EXPECT_TRUE(trie.Insert({1, 2}));  // prefix of an existing key
-  EXPECT_TRUE(trie.Contains({1, 2}));
-  EXPECT_EQ(trie.size(), 2);
-  trie.Clear();
-  EXPECT_EQ(trie.size(), 0);
-  EXPECT_FALSE(trie.Contains({1, 2, 3}));
+  VisitedSet set;
+  EXPECT_TRUE(set.Insert({1, 2, 3}));
+  EXPECT_FALSE(set.Insert({1, 2, 3}));
+  EXPECT_TRUE(set.Contains({1, 2, 3}));
+  EXPECT_FALSE(set.Contains({1, 2}));
+  EXPECT_TRUE(set.Insert({1, 2}));  // prefix of an existing key
+  EXPECT_TRUE(set.Contains({1, 2}));
+  EXPECT_EQ(set.size(), 2);
+  set.Clear();
+  EXPECT_EQ(set.size(), 0);
+  EXPECT_FALSE(set.Contains({1, 2, 3}));
 }
 
 TEST(TrieTest, EmptyKeyIsAKey) {
-  VisitedTrie trie;
-  EXPECT_FALSE(trie.Contains({}));
-  EXPECT_TRUE(trie.Insert({}));
-  EXPECT_FALSE(trie.Insert({}));
-  EXPECT_EQ(trie.size(), 1);
+  VisitedSet set;
+  EXPECT_FALSE(set.Contains({}));
+  EXPECT_TRUE(set.Insert({}));
+  EXPECT_FALSE(set.Insert({}));
+  EXPECT_TRUE(set.Contains({}));
+  EXPECT_FALSE(set.Contains({0}));
+  EXPECT_EQ(set.size(), 1);
 }
 
 TEST(TrieTest, CountsHitsAndMisses) {
-  VisitedTrie trie;
-  trie.Insert({1, 2, 3});       // miss (new)
-  trie.Insert({1, 2, 3});       // hit (already stored)
-  trie.Contains({1, 2, 3});     // hit
-  trie.Contains({9});           // miss
-  trie.Contains({1, 2});        // miss (prefix, not terminal)
-  EXPECT_EQ(trie.stats().hits, 2);
-  EXPECT_EQ(trie.stats().misses, 3);
-  EXPECT_EQ(trie.stats().lookups(), 5);
-  trie.Clear();
-  EXPECT_EQ(trie.stats().lookups(), 0);
+  VisitedSet set;
+  set.Insert({1, 2, 3});       // miss (new)
+  set.Insert({1, 2, 3});       // hit (already stored)
+  set.Contains({1, 2, 3});     // hit
+  set.Contains({9});           // miss
+  set.Contains({1, 2});        // miss (prefix, not stored)
+  EXPECT_EQ(set.stats().hits, 2);
+  EXPECT_EQ(set.stats().misses, 3);
+  EXPECT_EQ(set.stats().lookups(), 5);
+  set.Clear();
+  EXPECT_EQ(set.stats().lookups(), 0);
 }
 
 TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
+  // Enough distinct keys to double the 16-slot table ten times over; short
+  // keys repeat often, so hits, misses and growth all interleave.
   std::mt19937 rng(7);
-  VisitedTrie trie;
+  VisitedSet set;
   std::set<std::vector<uint8_t>> reference;
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < 20000; ++i) {
     std::vector<uint8_t> key(rng() % 12);
     for (uint8_t& b : key) b = static_cast<uint8_t>(rng() % 4);
     bool inserted_ref = reference.insert(key).second;
     if (rng() % 2 == 0) {
-      EXPECT_EQ(trie.Insert(key), inserted_ref);
+      EXPECT_EQ(set.Insert(key), inserted_ref);
     } else {
-      EXPECT_EQ(trie.Contains(key), !inserted_ref);
-      if (inserted_ref) trie.Insert(key);
+      EXPECT_EQ(set.Contains(key), !inserted_ref);
+      if (inserted_ref) set.Insert(key);
     }
-    EXPECT_EQ(trie.size(), static_cast<int>(reference.size()));
+    EXPECT_EQ(set.size(), static_cast<int>(reference.size()));
   }
-}
-
-// --- rank-based tuple indexing (paper Section 4) --------------------------------
-
-TEST(TupleIndexerTest, RoundTripsAllTuples) {
-  TupleIndexer indexer({{10, 20}, {30, 40, 50}, {60}});
-  EXPECT_EQ(indexer.NumTuples(), 6);
-  std::set<int64_t> seen;
-  for (SymbolId a : {10, 20}) {
-    for (SymbolId b : {30, 40, 50}) {
-      Tuple t = {a, b, 60};
-      int64_t index = indexer.Index(t);
-      ASSERT_GE(index, 0);
-      ASSERT_LT(index, 6);
-      EXPECT_TRUE(seen.insert(index).second) << "index collision";
-      EXPECT_EQ(indexer.Decode(index), t);
-    }
+  EXPECT_GT(set.size(), 16 << 9);
+  for (const std::vector<uint8_t>& key : reference) {
+    EXPECT_TRUE(set.Contains(key));
   }
-}
-
-TEST(TupleIndexerTest, FollowsPaperFormula) {
-  // j = r_k + n_k * (r_{k-1} + n_{k-1} * (... n_2 * r_1))
-  TupleIndexer indexer({{0, 1}, {10, 11, 12}});
-  // tuple (1, 12): r1 = 1, r2 = 2, n2 = 3 -> j = 2 + 3*1 = 5.
-  EXPECT_EQ(indexer.Index({1, 12}), 5);
-}
-
-TEST(TupleIndexerTest, UnknownValueYieldsMinusOne) {
-  TupleIndexer indexer({{1, 2}});
-  EXPECT_EQ(indexer.Index({3}), -1);
 }
 
 // --- visited-key encoding ----------------------------------------------------
@@ -112,6 +90,7 @@ TEST(TupleIndexerTest, UnknownValueYieldsMinusOne) {
 TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
   Catalog catalog;
   catalog.Declare({"R", 1, RelationKind::kDatabase, {}});
+  catalog.Declare({"S", 1, RelationKind::kDatabase, {}});
   catalog.Declare({"I", 1, RelationKind::kInput, {}});
   Configuration a;
   a.page = 0;
@@ -123,14 +102,36 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
   EXPECT_NE(EncodeVisitedKey(0, 1, a), EncodeVisitedKey(0, 0, a));
   b.page = 1;
   EXPECT_NE(EncodeVisitedKey(0, 0, a), EncodeVisitedKey(0, 0, b));
-  b = a;
-  b.data.relation("R").Insert({5});
-  EXPECT_NE(EncodeVisitedKey(0, 0, a), EncodeVisitedKey(0, 0, b));
-  // Current vs previous input must be distinguished.
-  Configuration c = a, d = a;
-  c.data.relation("I").Insert({5});
-  d.previous.relation("I").Insert({5});
-  EXPECT_NE(EncodeVisitedKey(0, 0, c), EncodeVisitedKey(0, 0, d));
+
+  // Only non-empty relations are written, tagged with their id, so moving
+  // a tuple to another relation or instance must change the key.
+  struct Put {
+    const char* relation;
+    SymbolId value;
+    bool previous;
+  };
+  const std::vector<std::vector<Put>> cases = {
+      {},
+      {{"R", 5, false}},
+      {{"S", 5, false}},                   // same values, next relation
+      {{"R", 5, false}, {"R", 6, false}},  // R holds both tuples ...
+      {{"R", 5, false}, {"S", 6, false}},  // ... vs one moved to S
+      {{"R", 5, true}},                    // same tuple, previous instance
+      {{"I", 5, false}},
+      {{"I", 5, true}},
+      {{"R", 0, false}},
+  };
+  std::set<std::vector<uint8_t>> keys;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Configuration c = a;
+    for (const Put& put : cases[i]) {
+      (put.previous ? c.previous : c.data)
+          .relation(put.relation)
+          .Insert({put.value});
+    }
+    EXPECT_TRUE(keys.insert(EncodeVisitedKey(0, 0, c)).second)
+        << "case " << i << " collides with an earlier one";
+  }
 }
 
 // --- heuristics preserve verdicts ----------------------------------------------
