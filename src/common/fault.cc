@@ -218,8 +218,6 @@ const std::vector<SiteInfo>& KnownSites() {
        mask({Kind::kDelay, Kind::kCrash})},
       {"cache.lock.acquire", "src/verifier/cache.cc",
        mask({Kind::kEio, Kind::kDelay, Kind::kCrash})},
-      {"cache.lookup.manifest", "src/verifier/cache.cc",
-       mask({Kind::kEio, Kind::kDelay, Kind::kCrash})},
       {"cache.lookup.entry", "src/verifier/cache.cc",
        mask({Kind::kEio, Kind::kDelay, Kind::kCrash})},
       {"cache.quarantine.move", "src/verifier/cache.cc",
@@ -227,10 +225,6 @@ const std::vector<SiteInfo>& KnownSites() {
       {"cache.store.entry", "src/verifier/cache.cc",
        mask({Kind::kEio, Kind::kEnospc, Kind::kShortWrite, Kind::kDelay,
              Kind::kCrash})},
-      {"cache.store.publish", "src/verifier/cache.cc",
-       mask({Kind::kDelay, Kind::kCrash})},
-      {"cache.store.manifest", "src/verifier/cache.cc",
-       mask({Kind::kEio, Kind::kEnospc, Kind::kDelay, Kind::kCrash})},
       // verifier/session.cc — shared-artifact pre-pass construction.
       {"session.plan.build", "src/verifier/session.cc",
        mask({Kind::kDelay})},

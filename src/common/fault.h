@@ -7,7 +7,7 @@
 // This header provides NAMED injection points that are ALWAYS compiled
 // into the binary:
 //
-//   fault::Action a = WAVE_FAULT("cache.store.publish");
+//   fault::Action a = WAVE_FAULT("cache.store.entry");
 //
 // When the process is not armed (the default, and the only production
 // state) a site costs one relaxed atomic load and returns a no-op
@@ -198,7 +198,7 @@ const std::vector<SiteInfo>& KnownSites();
 ///   rule  := SITE '=' KIND ['@' NTH] (':' MOD)*
 ///   MOD   := 'p=' FLOAT | 'max=' INT | 'delay=' SECONDS | 'keep=' FRACTION
 ///
-/// Examples: "cache.store.publish=crash@3",
+/// Examples: "cache.store.entry=crash@3",
 ///           "io.write.data=eio:p=0.25;seed=42",
 ///           "worker.start=delay:delay=0.01".
 StatusOr<Plan> ParsePlan(const std::string& text);

@@ -2,6 +2,6 @@
 
 namespace wave::obs::internal {
 
-thread_local AllocStats* tls_alloc_sink = nullptr;
+constinit thread_local AllocStats* tls_alloc_sink = nullptr;
 
 }  // namespace wave::obs::internal

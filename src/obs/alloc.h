@@ -35,7 +35,12 @@ struct AllocStats {
 };
 
 namespace internal {
-extern thread_local AllocStats* tls_alloc_sink;
+// `constinit` says the variable has no dynamic initializer, so accesses
+// compile to plain TLS references instead of going through a TLS wrapper
+// and its weak init-function check. On that path GCC 12's UBSan null
+// check reads flags that the linker's TLS relaxation no longer sets, and
+// reports a false "store to null pointer".
+extern constinit thread_local AllocStats* tls_alloc_sink;
 }  // namespace internal
 
 /// Reports one tracked allocation of `bytes` to the current thread's

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <unordered_map>
 
 namespace wave::obs {
 
@@ -208,7 +209,9 @@ namespace {
 /// the documents this repository writes nest fewer than ten levels.
 constexpr int kMaxDepth = 512;
 
-class Parser {
+}  // namespace
+
+class Json::Parser {
  public:
   Parser(std::string_view text, std::string* error)
       : text_(text), error_(error) {}
@@ -408,6 +411,7 @@ class Parser {
   std::optional<Json> ParseObject() {
     ++pos_;  // '{'
     Json out = Json::Object();
+    std::unordered_map<std::string, size_t> index;  // key -> member position
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
@@ -427,7 +431,15 @@ class Parser {
       }
       std::optional<Json> v = ParseValue();
       if (!v) return std::nullopt;
-      out.Set(*key, std::move(*v));
+      // As `Set` does, a repeated key keeps its first position and takes
+      // the last value; the index replaces `Set`'s scan, which made an
+      // n-key object cost O(n^2).
+      auto [at, added] = index.try_emplace(*key, out.members_.size());
+      if (added) {
+        out.members_.emplace_back(std::move(*key), std::move(*v));
+      } else {
+        out.members_[at->second].second = std::move(*v);
+      }
       SkipWhitespace();
       if (pos_ >= text_.size()) return Fail("unterminated object");
       char c = text_[pos_++];
@@ -444,8 +456,6 @@ class Parser {
   size_t pos_ = 0;
   int depth_ = 0;  // arrays/objects open at the current position
 };
-
-}  // namespace
 
 std::optional<Json> Json::Parse(std::string_view text, std::string* error) {
   return Parser(text, error).Run();

@@ -76,6 +76,8 @@ class Json {
                                    std::string* error = nullptr);
 
  private:
+  class Parser;  // json.cc
+
   void DumpTo(std::string* out, int indent, int depth) const;
 
   Kind kind_;

@@ -17,7 +17,7 @@
 // Each entry opens its own `ResultCache` handle on the pool's shared
 // cache directory: the v2 on-disk format is multi-process safe, and two
 // handles in one process behave exactly like two processes (separate
-// flock fds, lock-free manifest-snapshot reads).
+// flock fds, lock-free one-file reads).
 #ifndef WAVE_SERVE_SESSION_POOL_H_
 #define WAVE_SERVE_SESSION_POOL_H_
 

@@ -4,20 +4,20 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "api/wire.h"
 #include "common/crc32.h"
 #include "common/fault.h"
-#include "api/wire.h"
 #include "common/io.h"
 #include "obs/json.h"
 #include "verifier/session.h"
@@ -30,15 +30,22 @@ namespace fs = std::filesystem;
 
 constexpr int kFormatVersion = 2;
 constexpr char kMagic[] = "WAVECACHE2";
-constexpr char kManifestName[] = "MANIFEST";
 constexpr char kLockName[] = ".lock";
 constexpr char kEntriesDirName[] = "entries";
 constexpr char kQuarantineDirName[] = "quarantine";
+/// The index of the generation-numbered layout; `Open` removes it.
+constexpr char kLegacyManifestName[] = "MANIFEST";
 
-/// True when `doc` carries "format": `version` (records and manifest).
+/// True when `doc` carries "format": `version`.
 bool HasFormat(const obs::Json& doc, int version) {
   const obs::Json* format = doc.Find("format");
   return format != nullptr && format->AsExactInt() == version;
+}
+
+/// True when the record names `hex` as its key.
+bool HasKey(const obs::Json& record, const std::string& hex) {
+  const obs::Json* key = record.Find("key");
+  return key != nullptr && key->is_string() && key->AsString() == hex;
 }
 
 /// `stats` without its telemetry histograms: records never carried them
@@ -70,14 +77,11 @@ std::string RecordPayload(const Fingerprint& key, const WebAppSpec& spec,
   return record.Dump(2) + "\n";
 }
 
-/// Parses a payload back into a response; false = corrupt/incompatible.
-bool ParseRecordPayload(const std::string& payload, WebAppSpec* spec,
-                        VerifyResponse* response) {
-  std::optional<obs::Json> record = obs::Json::Parse(payload);
-  if (!record.has_value() || !HasFormat(*record, kFormatVersion)) {
-    return false;
-  }
-  StatusOr<VerifyResponse> decoded = api::ResponseFromJson(*record, spec);
+/// Decodes a record back into a response; false = incompatible.
+bool DecodeRecord(const obs::Json& record, WebAppSpec* spec,
+                  VerifyResponse* response) {
+  if (!HasFormat(record, kFormatVersion)) return false;
+  StatusOr<VerifyResponse> decoded = api::ResponseFromJson(record, spec);
   // Only decided verdicts are written, a violated one with its cycle.
   if (!decoded.ok() || decoded->verdict == Verdict::kUnknown ||
       (decoded->verdict == Verdict::kViolated && decoded->candy.empty())) {
@@ -100,87 +104,44 @@ std::string FrameEntry(const std::string& payload) {
   return std::string(header) + payload;
 }
 
-/// Splits + validates a framed entry; false on any header/CRC mismatch.
-bool UnframeEntry(const std::string& content, std::string* payload,
-                  uint32_t* crc) {
+/// Splits + validates a framed entry; nullopt on any header/CRC mismatch.
+std::optional<std::string> UnframeEntry(const std::string& content) {
   size_t nl = content.find('\n');
-  if (nl == std::string::npos) return false;
+  if (nl == std::string::npos) return std::nullopt;
   unsigned parsed_crc = 0;
   size_t parsed_len = 0;
   char magic[32] = {0};
   if (std::sscanf(content.substr(0, nl).c_str(), "%31s crc32=%x len=%zu",
                   magic, &parsed_crc, &parsed_len) != 3 ||
       std::string_view(magic) != kMagic) {
-    return false;
+    return std::nullopt;
   }
   std::string body = content.substr(nl + 1);
-  if (body.size() != parsed_len) return false;
-  if (Crc32(body) != parsed_crc) return false;
-  *payload = std::move(body);
-  *crc = parsed_crc;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Manifest
-// ---------------------------------------------------------------------------
-
-struct EntryRef {
-  std::string file;  // name under entries/
-  uint32_t crc = 0;
-  int64_t gen = 0;
-};
-
-struct Manifest {
-  int64_t generation = 0;
-  std::map<std::string, EntryRef> entries;  // key hex -> ref
-};
-
-std::string ManifestToText(const Manifest& m) {
-  obs::Json j = obs::Json::Object();
-  j.Set("format", obs::Json::Int(kFormatVersion));
-  j.Set("generation", obs::Json::Int(m.generation));
-  obs::Json entries = obs::Json::Object();
-  for (const auto& [hex, ref] : m.entries) {
-    obs::Json e = obs::Json::Object();
-    e.Set("file", obs::Json::Str(ref.file));
-    e.Set("crc", obs::Json::Int(static_cast<int64_t>(ref.crc)));
-    e.Set("gen", obs::Json::Int(ref.gen));
-    entries.Set(hex, std::move(e));
-  }
-  j.Set("entries", std::move(entries));
-  return j.Dump(2) + "\n";
-}
-
-std::optional<Manifest> ParseManifest(const std::string& text) {
-  std::optional<obs::Json> parsed = obs::Json::Parse(text);
-  if (!parsed.has_value() || !HasFormat(*parsed, kFormatVersion)) {
+  if (body.size() != parsed_len || Crc32(body) != parsed_crc) {
     return std::nullopt;
   }
-  const obs::Json* generation = parsed->Find("generation");
-  const obs::Json* entries = parsed->Find("entries");
-  if (generation == nullptr || entries == nullptr || !entries->is_object()) {
-    return std::nullopt;
-  }
-  Manifest m;
-  m.generation = generation->AsInt();
-  for (const auto& [hex, e] : entries->members()) {
-    const obs::Json* file = e.Find("file");
-    const obs::Json* crc = e.Find("crc");
-    const obs::Json* gen = e.Find("gen");
-    if (file == nullptr || !file->is_string() || crc == nullptr ||
-        gen == nullptr) {
-      return std::nullopt;
-    }
-    m.entries[hex] = EntryRef{file->AsString(),
-                              static_cast<uint32_t>(crc->AsInt()),
-                              gen->AsInt()};
-  }
-  return m;
+  return body;
+}
+
+enum class EntryCheck { kOk, kTorn, kMisnamed };
+
+/// Checks an entry file's bytes against the key its name claims: kTorn
+/// when the frame or CRC fails or the payload is not JSON, kMisnamed when
+/// the record parses but is not `hex`'s. On kOk, `record` (if non-null)
+/// receives the record.
+EntryCheck CheckEntry(const std::string& content, const std::string& hex,
+                      obs::Json* record) {
+  std::optional<std::string> payload = UnframeEntry(content);
+  if (!payload.has_value()) return EntryCheck::kTorn;
+  std::optional<obs::Json> parsed = obs::Json::Parse(*payload);
+  if (!parsed.has_value()) return EntryCheck::kTorn;
+  if (!HasKey(*parsed, hex)) return EntryCheck::kMisnamed;
+  if (record != nullptr) *record = std::move(*parsed);
+  return EntryCheck::kOk;
 }
 
 // ---------------------------------------------------------------------------
-// Filenames and paths
+// What a cache directory holds, by file name alone
 // ---------------------------------------------------------------------------
 
 bool IsHex(std::string_view s) {
@@ -191,27 +152,80 @@ bool IsHex(std::string_view s) {
   return true;
 }
 
-std::string EntryFileName(const std::string& hex, int64_t gen) {
-  return hex + ".g" + std::to_string(gen) + ".json";
+/// "<hex>.json" -> hex; empty for any other name.
+std::string EntryHex(const std::string& name) {
+  if (!name.ends_with(".json")) return "";
+  std::string hex = name.substr(0, name.size() - 5);
+  return IsHex(hex) ? hex : "";
 }
 
-/// Inverse of EntryFileName: "<hex>.g<gen>.json" -> (hex, gen).
-bool ParseEntryFileName(const std::string& name, std::string* hex,
-                        int64_t* gen) {
+/// A "<hex>.g<gen>.json" file of the generation-numbered layout.
+struct Generation {
+  std::string hex;
+  int64_t gen = 0;
+  fs::path path;
+};
+
+std::optional<Generation> ParseGenerationName(const fs::path& path) {
+  const std::string name = path.filename().string();
   size_t dot = name.find(".g");
-  if (dot == std::string::npos || !name.ends_with(".json")) return false;
-  *hex = name.substr(0, dot);
-  if (!IsHex(*hex)) return false;
+  if (dot == std::string::npos || !name.ends_with(".json")) {
+    return std::nullopt;
+  }
+  Generation g{name.substr(0, dot), 0, path};
   std::string gen_str = name.substr(dot + 2, name.size() - dot - 2 - 5);
-  if (gen_str.empty()) return false;
   char* end = nullptr;
-  *gen = std::strtoll(gen_str.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && *gen >= 0;
+  g.gen = std::strtoll(gen_str.c_str(), &end, 10);
+  if (!IsHex(g.hex) || gen_str.empty() || *end != '\0' || g.gen < 0) {
+    return std::nullopt;
+  }
+  return g;
 }
 
-bool IsLegacyRecordName(const std::string& name) {
-  // v1 flat records: "<hex>.json" with no generation infix.
-  return name.ends_with(".json") && IsHex(name.substr(0, name.size() - 5));
+/// The files of a cache directory that `Open` and the audit care about.
+/// Names nobody writes (the lock, the subdirectories, foreign files) are
+/// left out.
+struct Listing {
+  std::vector<fs::path> entries;         // entries/<hex>.json
+  std::vector<fs::path> tmp;             // *.tmp in <dir> or entries/
+  std::vector<fs::path> v1_records;      // <dir>/<hex>.json (format 1)
+  std::vector<Generation> generations;   // entries/<hex>.g<N>.json
+  bool manifest = false;                 // <dir>/MANIFEST
+
+  /// Anything `Open` heals: debris or a layout awaiting migration.
+  bool needs_healing() const {
+    return !tmp.empty() || !v1_records.empty() || !generations.empty() ||
+           manifest;
+  }
+};
+
+Listing ListCacheDir(const std::string& dir) {
+  Listing found;
+  std::error_code ec;
+  for (const auto& de : fs::directory_iterator(dir, ec)) {
+    if (!de.is_regular_file(ec)) continue;
+    const std::string name = de.path().filename().string();
+    if (name.ends_with(".tmp")) {
+      found.tmp.push_back(de.path());
+    } else if (name == kLegacyManifestName) {
+      found.manifest = true;
+    } else if (!EntryHex(name).empty()) {
+      found.v1_records.push_back(de.path());
+    }
+  }
+  for (const auto& de :
+       fs::directory_iterator(fs::path(dir) / kEntriesDirName, ec)) {
+    if (!de.is_regular_file(ec)) continue;
+    const std::string name = de.path().filename().string();
+    if (name.ends_with(".tmp")) {
+      found.tmp.push_back(de.path());
+    } else if (!EntryHex(name).empty()) {
+      found.entries.push_back(de.path());
+    } else if (std::optional<Generation> g = ParseGenerationName(de.path())) {
+      found.generations.push_back(std::move(*g));
+    }
+  }
+  return found;
 }
 
 uint64_t DefaultSeed() {
@@ -269,8 +283,6 @@ class LockGuard {
     return Status::Ok();
   }
 
-  bool held() const { return held_; }
-
   void Release() {
     if (fd_ >= 0) {
       if (held_) ::flock(fd_, LOCK_UN);
@@ -308,31 +320,28 @@ Fingerprint ResultCacheKey(const Fingerprint& spec_fingerprint,
 }
 
 // ---------------------------------------------------------------------------
-// ResultCache::Impl — all the path/lock/manifest plumbing, friended so the
+// ResultCache::Impl — the path/lock/healing plumbing, friended so the
 // public class keeps a flat surface.
 // ---------------------------------------------------------------------------
 
 class ResultCache::Impl {
  public:
-  static std::string ManifestPath(const ResultCache& c) {
-    return c.dir_ + "/" + kManifestName;
-  }
-  static std::string LockPath(const ResultCache& c) {
-    return c.dir_ + "/" + kLockName;
+  static std::string EntryPath(const ResultCache& c, const std::string& hex) {
+    return EntriesDir(c) + "/" + hex + ".json";
   }
   static std::string EntriesDir(const ResultCache& c) {
     return c.dir_ + "/" + kEntriesDirName;
   }
-  static std::string QuarantineDir(const ResultCache& c) {
-    return c.dir_ + "/" + kQuarantineDirName;
-  }
 
-  static uint64_t NextSeed(ResultCache* c) { return SplitMix64Next(&c->rng_); }
+  static Status AcquireLock(ResultCache* c, LockGuard* lock) {
+    return lock->Acquire(c->dir_ + "/" + kLockName, c->options_.lock_backoff,
+                         SplitMix64Next(&c->rng_), &c->health_.lock_waits);
+  }
 
   /// AtomicWriteFile with the tight transient-I/O retry schedule.
   static Status WriteWithRetry(ResultCache* c, const std::string& path,
                                const std::string& content) {
-    Backoff backoff(c->options_.io_retry, NextSeed(c));
+    Backoff backoff(c->options_.io_retry, SplitMix64Next(&c->rng_));
     while (true) {
       Status status = AtomicWriteFile(path, content);
       if (status.ok() || status.code() != StatusCode::kUnavailable) {
@@ -344,229 +353,104 @@ class ResultCache::Impl {
     }
   }
 
-  /// Moves a corrupt file into quarantine/ (never deletes it) and counts.
-  /// Returns the destination, or empty when the move could not happen.
-  static std::string Quarantine(ResultCache* c, const fs::path& victim) {
-    ++c->health_.corrupt;
+  /// Moves a corrupt file into quarantine/ (never deletes it); the file
+  /// stays put when the move fails. Callers count the corruption.
+  static void Quarantine(ResultCache* c, const fs::path& victim) {
     if (fault::Action a = WAVE_FAULT("cache.quarantine.move");
         fault::IsError(a)) {
-      return "";  // counted as corrupt; the file stays put this time
+      return;
     }
+    const fs::path dir = fs::path(c->dir_) / kQuarantineDirName;
     std::error_code ec;
-    fs::create_directories(QuarantineDir(*c), ec);
-    if (ec) return "";
-    fs::path dest = fs::path(QuarantineDir(*c)) / victim.filename();
+    fs::create_directories(dir, ec);
+    if (ec) return;
+    fs::path dest = dir / victim.filename();
     for (int i = 1; fs::exists(dest, ec) && i < 100; ++i) {
-      dest = fs::path(QuarantineDir(*c)) /
-             (victim.filename().string() + "." + std::to_string(i));
+      dest = dir / (victim.filename().string() + "." + std::to_string(i));
     }
     fs::rename(victim, dest, ec);
-    if (ec) return "";
-    ++c->health_.quarantined;
-    return dest.string();
+    if (!ec) ++c->health_.quarantined;
   }
 
-  /// Quarantines a corrupt manifested entry and (best-effort, under the
-  /// writer lock) scrubs its manifest reference so peers stop chasing it.
+  /// Quarantines `hex`'s entry if it still holds the bytes a reader
+  /// rejected. The re-read happens under the writer lock, so a store that
+  /// replaced the file in the meantime is never moved aside.
   static void QuarantineEntry(ResultCache* c, const std::string& hex,
-                              const std::string& file) {
-    Quarantine(c, fs::path(EntriesDir(*c)) / file);
+                              const std::string& rejected) {
     LockGuard lock;
-    if (!lock.Acquire(LockPath(*c), c->options_.lock_backoff, NextSeed(c),
-                      &c->health_.lock_waits)
-             .ok()) {
-      return;  // a peer is busy; recovery on its next Open will scrub
-    }
-    StatusOr<std::string> text = ReadFileToString(ManifestPath(*c));
-    if (!text.ok()) return;
-    std::optional<Manifest> manifest = ParseManifest(*text);
-    if (!manifest.has_value()) return;
-    auto it = manifest->entries.find(hex);
-    if (it == manifest->entries.end() || it->second.file != file) return;
-    manifest->entries.erase(it);
-    WriteWithRetry(c, ManifestPath(*c), ManifestToText(*manifest));
+    if (!AcquireLock(c, &lock).ok()) return;  // the next reader retries
+    const std::string path = EntryPath(*c, hex);
+    StatusOr<std::string> current = ReadFileToString(path);
+    if (current.ok() && *current == rejected) Quarantine(c, path);
   }
 
-  /// Validates one entry file on disk; true = framed + CRC-clean.
-  static bool ValidateEntryFile(const fs::path& path, std::string* payload,
-                                uint32_t* crc) {
-    StatusOr<std::string> content = ReadFileToString(path.string());
-    if (!content.ok()) return false;
-    return UnframeEntry(*content, payload, crc);
-  }
-
-  /// Heals the directory under the (held) writer lock: removes stray
-  /// temp files, rebuilds a missing/corrupt manifest from the
-  /// self-validating entry files, adopts fully-written orphans, retires
-  /// superseded generations and migrates legacy v1 flat records.
-  static void RecoverLocked(ResultCache* c) {
+  /// Heals the directory under the (held) writer lock, going by file
+  /// names: removes `*.tmp` debris, migrates v1 flat records, and turns
+  /// the generation-numbered layout into one `<hex>.json` per key.
+  static void HealLocked(ResultCache* c) {
+    Listing found = ListCacheDir(c->dir_);
     std::error_code ec;
-    bool dirty = false;
     int64_t healed = 0;
 
-    // 1. Crash debris: *.tmp anywhere in the tree is an interrupted
-    // atomic write whose rename never happened — always safe to drop.
-    for (const std::string& scan_dir : {c->dir_, EntriesDir(*c)}) {
-      if (!fs::is_directory(scan_dir, ec)) continue;
-      for (const auto& de : fs::directory_iterator(scan_dir, ec)) {
-        if (de.is_regular_file(ec) &&
-            de.path().filename().string().ends_with(".tmp")) {
-          fs::remove(de.path(), ec);
-          ++healed;
-        }
-      }
+    // An atomic write whose rename never happened. Writers create these
+    // only while holding the lock we hold, so none is live.
+    for (const fs::path& tmp : found.tmp) {
+      if (fs::remove(tmp, ec)) ++healed;
     }
 
-    // 2. The manifest: absent -> start empty; corrupt -> preserve the
-    // evidence in quarantine and rebuild from the entries.
-    Manifest manifest;
-    StatusOr<std::string> text = ReadFileToString(ManifestPath(*c));
-    if (text.ok()) {
-      std::optional<Manifest> parsed = ParseManifest(*text);
-      if (parsed.has_value()) {
-        manifest = std::move(*parsed);
-      } else {
-        Quarantine(c, ManifestPath(*c));
-        dirty = true;
-        ++healed;
-      }
-    }
-
-    // 3. Legacy v1 flat records migrate into framed v2 entries.
-    if (fs::is_directory(c->dir_, ec)) {
-      for (const auto& de : fs::directory_iterator(c->dir_, ec)) {
-        if (!de.is_regular_file(ec)) continue;
-        std::string name = de.path().filename().string();
-        if (!IsLegacyRecordName(name)) continue;
-        std::string hex = name.substr(0, name.size() - 5);
-        StatusOr<std::string> old = ReadFileToString(de.path().string());
-        std::optional<obs::Json> record =
-            old.ok() ? obs::Json::Parse(*old) : std::nullopt;
-        if (!record.has_value() || !HasFormat(*record, 1)) {
-          Quarantine(c, de.path());
-          dirty = true;
-          continue;
-        }
-        record->Set("format", obs::Json::Int(kFormatVersion));
-        std::string payload = record->Dump(2) + "\n";
-        int64_t gen = ++manifest.generation;
-        std::string file = EntryFileName(hex, gen);
-        fs::create_directories(EntriesDir(*c), ec);
-        if (!WriteWithRetry(c, EntriesDir(*c) + "/" + file,
-                            FrameEntry(payload))
-                 .ok()) {
-          --manifest.generation;
-          continue;  // keep the legacy record; migrate on a later open
-        }
-        manifest.entries[hex] = EntryRef{file, Crc32(payload), gen};
-        fs::remove(de.path(), ec);
-        dirty = true;
-        ++healed;
-      }
-    }
-
-    // 4. Reconcile manifest against the entry files on disk.
-    struct OnDisk {
-      int64_t gen = 0;
-      std::string file;
-      uint32_t crc = 0;
-      std::string key;  // payload's self-declared key
-    };
-    std::map<std::string, OnDisk> best;  // hex -> highest valid generation
-    if (fs::is_directory(EntriesDir(*c), ec)) {
-      for (const auto& de : fs::directory_iterator(EntriesDir(*c), ec)) {
-        if (!de.is_regular_file(ec)) continue;
-        std::string name = de.path().filename().string();
-        if (name.ends_with(".tmp")) continue;  // removed above; belt+braces
-        std::string hex;
-        int64_t gen = 0;
-        std::string payload;
-        uint32_t crc = 0;
-        if (!ParseEntryFileName(name, &hex, &gen) ||
-            !ValidateEntryFile(de.path(), &payload, &crc)) {
-          Quarantine(c, de.path());
-          dirty = true;
-          continue;
-        }
-        std::optional<obs::Json> record = obs::Json::Parse(payload);
-        std::string self_key;
-        if (record.has_value() && record->is_object()) {
-          const obs::Json* k = record->Find("key");
-          if (k != nullptr && k->is_string()) self_key = k->AsString();
-        }
-        if (self_key != hex) {
-          // A well-formed file under the wrong name cannot be trusted as
-          // a cache hit for that key.
-          Quarantine(c, de.path());
-          dirty = true;
-          continue;
-        }
-        auto it = best.find(hex);
-        if (it == best.end() || gen > it->second.gen) {
-          if (it != best.end()) {
-            // Superseded debris from an interrupted store.
-            fs::remove(fs::path(EntriesDir(*c)) / it->second.file, ec);
-            ++healed;
-            dirty = true;
-          }
-          best[hex] = OnDisk{gen, name, crc, self_key};
-        } else {
-          fs::remove(de.path(), ec);
-          ++healed;
-          dirty = true;
-        }
-      }
-    }
-    // Manifest refs must point at existing valid files; on-disk files
-    // newer than the ref win (a store that crashed after publish-write
-    // but... the manifest rename IS publish, so a newer valid file means
-    // the crash hit between entry write and manifest write — adopting it
-    // is safe because entry files are complete-by-construction).
-    for (auto it = manifest.entries.begin(); it != manifest.entries.end();) {
-      auto disk = best.find(it->first);
-      if (disk == best.end()) {
-        it = manifest.entries.erase(it);
-        dirty = true;
-        ++healed;
+    // v1 flat records become framed entries.
+    for (const fs::path& v1 : found.v1_records) {
+      const std::string hex = EntryHex(v1.filename().string());
+      StatusOr<std::string> old = ReadFileToString(v1.string());
+      std::optional<obs::Json> record =
+          old.ok() ? obs::Json::Parse(*old) : std::nullopt;
+      if (!record.has_value() || !HasFormat(*record, 1) ||
+          !HasKey(*record, hex)) {
+        ++c->health_.corrupt;
+        Quarantine(c, v1);
         continue;
       }
-      if (disk->second.gen != it->second.gen ||
-          disk->second.crc != it->second.crc) {
-        it->second = EntryRef{disk->second.file, disk->second.crc,
-                              disk->second.gen};
-        dirty = true;
-        ++healed;
+      record->Set("format", obs::Json::Int(kFormatVersion));
+      fs::create_directories(EntriesDir(*c), ec);
+      if (!WriteWithRetry(c, EntryPath(*c, hex),
+                          FrameEntry(record->Dump(2) + "\n"))
+               .ok()) {
+        continue;  // keep the v1 record; migrate on a later open
       }
-      ++it;
-    }
-    for (const auto& [hex, disk] : best) {
-      if (manifest.entries.count(hex) != 0) continue;
-      manifest.entries[hex] = EntryRef{disk.file, disk.crc, disk.gen};
-      dirty = true;
-      ++healed;  // adopted orphan
-    }
-    for (const auto& [hex, ref] : manifest.entries) {
-      manifest.generation = std::max(manifest.generation, ref.gen);
+      fs::remove(v1, ec);
+      ++healed;
     }
 
-    if (dirty) {
-      WriteWithRetry(c, ManifestPath(*c), ManifestToText(manifest));
+    // Generations, newest first per key: the first valid one becomes the
+    // key's entry unless one is already in place (a v1 migration above or
+    // an interrupted earlier heal); the rest go.
+    std::sort(found.generations.begin(), found.generations.end(),
+              [](const Generation& a, const Generation& b) {
+                return std::tie(a.hex, b.gen) < std::tie(b.hex, a.gen);
+              });
+    for (const Generation& g : found.generations) {
+      StatusOr<std::string> content = ReadFileToString(g.path.string());
+      if (!content.ok() ||
+          CheckEntry(*content, g.hex, nullptr) != EntryCheck::kOk) {
+        ++c->health_.corrupt;
+        Quarantine(c, g.path);
+        continue;
+      }
+      const std::string entry = EntryPath(*c, g.hex);
+      if (fs::exists(entry, ec)) {
+        fs::remove(g.path, ec);
+      } else {
+        fs::rename(g.path, entry, ec);
+      }
+      ++healed;
+    }
+
+    // The MANIFEST only indexed generations.
+    if (found.manifest &&
+        fs::remove(fs::path(c->dir_) / kLegacyManifestName, ec)) {
+      ++healed;
     }
     c->health_.recovered += healed;
-  }
-
-  /// True when the directory holds anything a recovery pass would care
-  /// about (so a freshly created empty cache stays byte-empty on disk —
-  /// `Open` must not invent files before the first store).
-  static bool NeedsRecovery(const std::string& dir) {
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec)) return false;
-    for (const auto& de : fs::directory_iterator(dir, ec)) {
-      std::string name = de.path().filename().string();
-      if (name == kLockName || name == kQuarantineDirName) continue;
-      return true;
-    }
-    return false;
   }
 };
 
@@ -588,17 +472,16 @@ StatusOr<std::unique_ptr<ResultCache>> ResultCache::Open(
         WAVE_LOC);
   }
   std::unique_ptr<ResultCache> cache(new ResultCache(dir, options));
-  if (Impl::NeedsRecovery(dir)) {
-    WAVE_FAULT("cache.open.recover");  // kill-point before healing starts
+  WAVE_FAULT("cache.open.recover");  // kill-point before the directory scan
+  if (ListCacheDir(dir).needs_healing()) {
+    // Under the lock, because a `*.tmp` may belong to a live writer; the
+    // heal lists again once no writer can be mid-store. Lock not acquired:
+    // a live peer owns the directory and the next Open heals. Reads remain
+    // safe meanwhile.
     LockGuard lock;
-    if (lock.Acquire(Impl::LockPath(*cache), options.lock_backoff,
-                     Impl::NextSeed(cache.get()),
-                     &cache->health_.lock_waits)
-            .ok()) {
-      Impl::RecoverLocked(cache.get());
+    if (Impl::AcquireLock(cache.get(), &lock).ok()) {
+      Impl::HealLocked(cache.get());
     }
-    // Lock not acquired: a live peer owns the directory; it (or the next
-    // uncontended Open) heals. Reads remain safe meanwhile.
   }
   return cache;
 }
@@ -606,51 +489,24 @@ StatusOr<std::unique_ptr<ResultCache>> ResultCache::Open(
 bool ResultCache::Lookup(const Fingerprint& key, WebAppSpec* spec,
                          VerifyResponse* response) {
   const std::string hex = key.ToHex();
-  // Two passes: an entry file vanishing between the manifest snapshot and
-  // the read is a benign race with a writer retiring that generation —
-  // retry once against a fresh manifest before declaring a miss.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (fault::Action a = WAVE_FAULT("cache.lookup.manifest");
-        fault::IsError(a)) {
-      break;
-    }
-    StatusOr<std::string> text = ReadFileToString(Impl::ManifestPath(*this));
-    if (!text.ok()) break;  // no manifest yet -> cold cache
-    std::optional<Manifest> manifest = ParseManifest(*text);
-    if (!manifest.has_value()) {
-      // The manifest is renamed into place atomically, so this is real
-      // corruption, not a torn read. Count it; recovery (under lock, on
-      // the next Open/Store) preserves it in quarantine and rebuilds.
+  if (fault::Action a = WAVE_FAULT("cache.lookup.entry");
+      !fault::IsError(a)) {
+    // Absent (kNotFound) or unreadable: a miss. Entries are published by
+    // rename, so bytes that fail the checks are corrupt, not half-written.
+    StatusOr<std::string> content =
+        ReadFileToString(Impl::EntryPath(*this, hex));
+    if (content.ok()) {
+      obs::Json record;
+      VerifyResponse out;
+      if (CheckEntry(*content, hex, &record) == EntryCheck::kOk &&
+          DecodeRecord(record, spec, &out)) {
+        *response = std::move(out);
+        ++hits_;
+        return true;
+      }
       ++health_.corrupt;
-      break;
+      Impl::QuarantineEntry(this, hex, *content);
     }
-    auto it = manifest->entries.find(hex);
-    if (it == manifest->entries.end()) break;
-    if (fault::Action a = WAVE_FAULT("cache.lookup.entry");
-        fault::IsError(a)) {
-      break;
-    }
-    const std::string entry_path =
-        Impl::EntriesDir(*this) + "/" + it->second.file;
-    StatusOr<std::string> content = ReadFileToString(entry_path);
-    if (!content.ok()) {
-      if (content.status().code() == StatusCode::kNotFound) continue;
-      break;
-    }
-    std::string payload;
-    uint32_t crc = 0;
-    if (!UnframeEntry(*content, &payload, &crc) || crc != it->second.crc) {
-      Impl::QuarantineEntry(this, hex, it->second.file);
-      break;
-    }
-    VerifyResponse out;
-    if (!ParseRecordPayload(payload, spec, &out)) {
-      Impl::QuarantineEntry(this, hex, it->second.file);
-      break;
-    }
-    *response = std::move(out);
-    ++hits_;
-    return true;
   }
   ++misses_;
   return false;
@@ -673,72 +529,18 @@ Status ResultCache::Store(const Fingerprint& key, const WebAppSpec& spec,
         WAVE_LOC);
   }
 
+  // The lock serializes writers, whose temp file `<entry>.tmp` has a fixed
+  // name, and keeps `Open` from sweeping that file mid-write.
   LockGuard lock;
-  WAVE_RETURN_IF_ERROR(lock.Acquire(Impl::LockPath(*this),
-                                    options_.lock_backoff,
-                                    Impl::NextSeed(this),
-                                    &health_.lock_waits));
-
+  WAVE_RETURN_IF_ERROR(Impl::AcquireLock(this, &lock));
   if (fault::Action a = WAVE_FAULT("cache.store.entry"); fault::IsError(a)) {
     return fault::ToStatus(a, "store " + hex);
   }
-
-  // Manifest under the lock; a corrupt one triggers full recovery here
-  // (we already hold the lock recovery needs).
-  Manifest manifest;
-  StatusOr<std::string> text = ReadFileToString(Impl::ManifestPath(*this));
-  if (text.ok()) {
-    std::optional<Manifest> parsed = ParseManifest(*text);
-    if (parsed.has_value()) {
-      manifest = std::move(*parsed);
-    } else {
-      ++health_.corrupt;
-      Impl::RecoverLocked(this);
-      text = ReadFileToString(Impl::ManifestPath(*this));
-      std::optional<Manifest> healed =
-          text.ok() ? ParseManifest(*text) : std::nullopt;
-      if (healed.has_value()) manifest = std::move(*healed);
-    }
-  }
-
-  const int64_t gen = manifest.generation + 1;
-  const std::string payload = RecordPayload(key, spec, response);
-  const std::string file = EntryFileName(hex, gen);
-  WAVE_RETURN_IF_ERROR(Impl::WriteWithRetry(
-      this, Impl::EntriesDir(*this) + "/" + file, FrameEntry(payload)));
-
-  // Kill-point: the new-generation entry exists but is unpublished. A
-  // crash here leaves a valid orphan that recovery adopts (or a reader
-  // simply never sees).
-  WAVE_FAULT("cache.store.publish");
-
-  std::string old_file;
-  if (auto it = manifest.entries.find(hex); it != manifest.entries.end()) {
-    old_file = it->second.file;
-  }
-  manifest.generation = gen;
-  manifest.entries[hex] = EntryRef{file, Crc32(payload), gen};
-
-  Status publish = Status::Ok();
-  if (fault::Action a = WAVE_FAULT("cache.store.manifest");
-      fault::IsError(a)) {
-    publish = fault::ToStatus(a, "publish manifest for " + hex);
-  } else {
-    publish = Impl::WriteWithRetry(this, Impl::ManifestPath(*this),
-                                   ManifestToText(manifest));
-  }
-  if (!publish.ok()) {
-    // Unpublished new generation: remove it so the failed store leaves no
-    // trace (the old generation, if any, remains the live record).
-    fs::remove(fs::path(Impl::EntriesDir(*this)) / file, ec);
-    return publish;
-  }
-
-  // Retire the replaced generation. Failure is harmless: it becomes
-  // superseded debris the next recovery sweep removes.
-  if (!old_file.empty() && old_file != file) {
-    fs::remove(fs::path(Impl::EntriesDir(*this)) / old_file, ec);
-  }
+  // AtomicWriteFile's rename is the publish: a reader sees the previous
+  // record or this one, whole.
+  WAVE_RETURN_IF_ERROR(
+      Impl::WriteWithRetry(this, Impl::EntryPath(*this, hex),
+                           FrameEntry(RecordPayload(key, spec, response))));
   ++stores_;
   return Status::Ok();
 }
@@ -749,83 +551,36 @@ Status ResultCache::Store(const Fingerprint& key, const WebAppSpec& spec,
 
 CacheAudit AuditCacheDir(const std::string& dir) {
   CacheAudit audit;
+  const Listing found = ListCacheDir(dir);
+  for (const fs::path& tmp : found.tmp) {
+    ++audit.tmp_files;
+    audit.problems.push_back("stray temp file: " +
+                             tmp.lexically_relative(dir).string());
+  }
+  audit.legacy_files =
+      static_cast<int64_t>(found.v1_records.size() +
+                           found.generations.size()) +
+      (found.manifest ? 1 : 0);
   std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return audit;  // no cache: consistent
-
-  const fs::path entries_dir = fs::path(dir) / kEntriesDirName;
-  const fs::path quarantine_dir = fs::path(dir) / kQuarantineDirName;
-
-  for (const auto& de : fs::directory_iterator(dir, ec)) {
-    std::string name = de.path().filename().string();
-    if (de.is_regular_file(ec)) {
-      if (name.ends_with(".tmp")) {
-        ++audit.tmp_files;
-        audit.problems.push_back("stray temp file: " + name);
-      } else if (IsLegacyRecordName(name)) {
-        ++audit.legacy_files;  // acceptable pre-migration state
-      }
-    }
+  for (const auto& de :
+       fs::directory_iterator(fs::path(dir) / kQuarantineDirName, ec)) {
+    if (de.is_regular_file(ec)) ++audit.quarantined_files;
   }
-  if (fs::is_directory(quarantine_dir, ec)) {
-    for (const auto& de : fs::directory_iterator(quarantine_dir, ec)) {
-      if (de.is_regular_file(ec)) ++audit.quarantined_files;
-    }
-  }
-
-  Manifest manifest;
-  StatusOr<std::string> text =
-      ReadFileToString((fs::path(dir) / kManifestName).string());
-  if (text.ok()) {
-    audit.manifest_present = true;
-    std::optional<Manifest> parsed = ParseManifest(*text);
-    if (parsed.has_value()) {
-      audit.manifest_ok = true;
-      manifest = std::move(*parsed);
-    } else {
-      audit.problems.push_back("MANIFEST unparseable or wrong format");
-    }
-  }
-
-  std::map<std::string, bool> on_disk;  // entry file name -> referenced?
-  if (fs::is_directory(entries_dir, ec)) {
-    for (const auto& de : fs::directory_iterator(entries_dir, ec)) {
-      if (!de.is_regular_file(ec)) continue;
-      std::string name = de.path().filename().string();
-      if (name.ends_with(".tmp")) {
-        ++audit.tmp_files;
-        audit.problems.push_back("stray temp file: entries/" + name);
-        continue;
-      }
-      on_disk[name] = false;
-    }
-  }
-
-  for (const auto& [hex, ref] : manifest.entries) {
-    ++audit.manifested_entries;
-    auto it = on_disk.find(ref.file);
-    if (it == on_disk.end()) {
-      ++audit.missing_entries;
-      audit.problems.push_back("manifest references missing entry " +
-                               ref.file);
-      continue;
-    }
-    it->second = true;
-    StatusOr<std::string> content =
-        ReadFileToString((entries_dir / ref.file).string());
-    std::string payload;
-    uint32_t crc = 0;
-    if (!content.ok() || !UnframeEntry(*content, &payload, &crc) ||
-        crc != ref.crc) {
+  for (const fs::path& path : found.entries) {
+    ++audit.entries;
+    const std::string name = path.filename().string();
+    StatusOr<std::string> content = ReadFileToString(path.string());
+    EntryCheck check = content.ok()
+                           ? CheckEntry(*content, EntryHex(name), nullptr)
+                           : EntryCheck::kTorn;
+    if (check == EntryCheck::kTorn) {
       ++audit.torn_entries;
-      audit.problems.push_back("manifested entry fails CRC/frame check: " +
-                               ref.file);
+      audit.problems.push_back("entry fails its frame/CRC/JSON check: " +
+                               name);
+    } else if (check == EntryCheck::kMisnamed) {
+      ++audit.misnamed_entries;
+      audit.problems.push_back("entry holds another key's record: " + name);
     }
-  }
-  for (const auto& [name, referenced] : on_disk) {
-    if (!referenced) ++audit.orphan_files;  // crash debris, healed by Open
-  }
-  if (!audit.manifest_present && !on_disk.empty()) {
-    audit.orphan_files = static_cast<int64_t>(on_disk.size());
   }
   return audit;
 }

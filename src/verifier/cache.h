@@ -21,41 +21,42 @@
 // hooks are deliberately excluded: a decided verdict is sound regardless
 // of them.
 //
-// On-disk format v2 — built for concurrent multi-process use:
+// On-disk format v2. The entry file is the index: a key's record lives at
+// a name derived from the key, so nothing else has to agree with it.
 //
-//   <dir>/MANIFEST            atomically-renamed JSON index:
-//                             {"format":2, "generation":N,
-//                              "entries":{<hex>:{"file","crc","gen"}}}
-//   <dir>/.lock               permanent advisory-flock fixture; writers
-//                             hold it across store/recovery (the kernel
-//                             releases it when a process dies, so a
-//                             SIGKILLed writer can never deadlock peers)
-//   <dir>/entries/<hex>.g<gen>.json
-//                             immutable entry files: one header line
-//                             "WAVECACHE2 crc32=XXXXXXXX len=N" + payload
-//                             JSON (the record below). A new store writes
-//                             a NEW generation file and retires the old
-//                             one only after the manifest rename
-//                             publishes it.
+//   <dir>/entries/<hex>.json  one self-validating entry per key: a header
+//                             line "WAVECACHE2 crc32=XXXXXXXX len=N" and
+//                             the payload JSON (the record below). A store
+//                             writes `<hex>.json.tmp` and renames it over
+//                             the entry; the rename is the publish.
+//   <dir>/.lock               permanent advisory-flock fixture. Writers
+//                             hold it across a store, a quarantine and
+//                             healing; the kernel releases it when a
+//                             process dies, so a SIGKILLed writer can never
+//                             deadlock peers.
 //   <dir>/quarantine/         corrupt files moved aside (never silently
 //                             discarded), counted in `health().corrupt` /
 //                             `.quarantined` and the `verify.cache.*`
 //                             metrics.
 //
-// Readers take NO lock: they snapshot the manifest (atomic rename makes
-// that a consistent point-in-time view) and read immutable entry files.
-// An entry missing underfoot is a benign lost race with a concurrent
-// writer retiring an old generation: the reader retries once against a
-// fresh manifest, then degrades to a miss. A CRC or parse failure, by
-// contrast, is real corruption: the file is quarantined and counted.
+// Readers take NO lock: a lookup reads the one file its key names. Absent
+// is a miss. Because entries are only ever renamed into place, a file that
+// fails its frame, CRC or parse check, or that holds another key's record,
+// is real corruption: a miss, plus a quarantine that takes the lock and
+// re-reads the file first, so a peer's fresh store is never moved aside.
 //
-// `Open` heals a directory that a crashed process left mid-store:
-// stray `*.tmp` files are removed, a missing/corrupt manifest is rebuilt
-// from the (self-validating) entry files, fully-written orphan entries
-// are adopted, superseded generations retired, and legacy v1 flat
-// `<hex>.json` records migrated in place. `AuditCacheDir` checks the
-// same invariants without mutating anything — `tools/wave_crash` calls
-// it after every SIGKILL.
+// `Open` heals only what it recognizes by name, under the lock: stray
+// `*.tmp` files (a write interrupted before its rename) are removed,
+// legacy v1 flat `<dir>/<hex>.json` records are migrated, and a directory
+// of the earlier generation-numbered layout (a `MANIFEST` index over
+// `entries/<hex>.g<N>.json` files) is converted: per key the newest valid
+// generation is renamed to `<hex>.json`, the others are removed (or
+// quarantined when torn) and the MANIFEST is deleted. The conversion is
+// one-way: a binary from before it quarantines `<hex>.json` names. A
+// directory holding only current entries opens without the lock and
+// without reading a file. `AuditCacheDir` checks the same invariants
+// without mutating anything — `tools/wave_crash` calls it after every
+// SIGKILL.
 //
 // The record: the wire-schema response of api/wire.h
 // (`api::ResponseToJson`) holding the verdict, witness binding,
@@ -112,12 +113,12 @@ struct CacheOptions {
 
 /// The on-disk cache. Open once, share across calls. Safe for concurrent
 /// *processes* on one directory (advisory flock for writers, lock-free
-/// manifest-snapshot readers, crash recovery on open); like the rest of
-/// the verifier, one `ResultCache` object is not for concurrent threads.
+/// one-file readers, crash recovery on open); like the rest of the
+/// verifier, one `ResultCache` object is not for concurrent threads.
 class ResultCache {
  public:
   /// Opens the cache directory (creating it if needed) and heals any
-  /// crash debris left by a previous process. Recovery runs under the
+  /// crash debris or legacy layout found by name. Healing runs under the
   /// writer lock; if a peer holds it past the backoff budget, healing is
   /// skipped (the peer is alive and responsible) rather than blocking.
   static StatusOr<std::unique_ptr<ResultCache>> Open(
@@ -127,16 +128,15 @@ class ResultCache {
   /// Returns false — a miss — when the record is absent, quarantined as
   /// corrupt, of an unknown format version, or inconsistent with `spec`
   /// (needed to re-intern counterexample symbols; mutated only through its
-  /// symbol table). Lock-free.
+  /// symbol table). Reads one file and takes no lock, except to
+  /// quarantine a corrupt entry.
   bool Lookup(const Fingerprint& key, WebAppSpec* spec,
               VerifyResponse* response);
 
-  /// Stores a DECIDED response under `key`: takes the writer lock, writes
-  /// an immutable new-generation entry file, publishes it with an atomic
-  /// manifest rename, then retires the old generation. Undecided
-  /// responses are rejected with InvalidArgument; lock/I-O trouble
-  /// surfaces as kUnavailable (the caller loses a warm start, nothing
-  /// else).
+  /// Stores a DECIDED response under `key`: takes the writer lock and
+  /// atomically replaces `entries/<hex>.json`. Undecided responses are
+  /// rejected with InvalidArgument; lock/I-O trouble surfaces as
+  /// kUnavailable (the caller loses a warm start, nothing else).
   Status Store(const Fingerprint& key, const WebAppSpec& spec,
                const VerifyResponse& response);
 
@@ -175,25 +175,19 @@ class ResultCache {
 /// Read-only consistency check of a cache directory — what
 /// `tools/wave_crash` asserts after every SIGKILL and recovery cycle.
 struct CacheAudit {
-  bool manifest_present = false;
-  bool manifest_ok = false;      // parsed, format 2, all refs accounted for
-  int64_t manifested_entries = 0;
-  int64_t torn_entries = 0;      // manifested but failing CRC/header checks
-  int64_t missing_entries = 0;   // manifested but no file on disk
-  int64_t orphan_files = 0;      // entry files the manifest doesn't know
-  int64_t tmp_files = 0;         // stray *.tmp anywhere in the tree
-  int64_t legacy_files = 0;      // un-migrated v1 flat records
-  int64_t quarantined_files = 0; // informational (not an inconsistency)
+  int64_t entries = 0;            // entries/<hex>.json files
+  int64_t torn_entries = 0;       // failing the frame/CRC/JSON check
+  int64_t misnamed_entries = 0;   // a record, but not their name's
+  int64_t tmp_files = 0;          // stray *.tmp in <dir> or entries/
+  int64_t legacy_files = 0;       // v1 records, MANIFEST, <hex>.g<N>.json
+  int64_t quarantined_files = 0;  // informational (not an inconsistency)
   std::vector<std::string> problems;  // human-readable, one per defect
 
   /// True when the directory is safe to serve reads from as-is. A healed
-  /// directory (post-`Open`) must additionally have no orphans/tmps —
+  /// directory (post-`Open`) must also have nothing left to migrate —
   /// `clean()` checks that stricter bar.
   bool consistent() const { return problems.empty(); }
-  bool clean() const {
-    return consistent() && orphan_files == 0 && tmp_files == 0 &&
-           legacy_files == 0;
-  }
+  bool clean() const { return consistent() && legacy_files == 0; }
 };
 CacheAudit AuditCacheDir(const std::string& dir);
 

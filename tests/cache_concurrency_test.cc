@@ -2,11 +2,12 @@
 //
 // The v2 on-disk contract under test (see verifier/cache.h and
 // docs/ROBUSTNESS.md):
-//  - a store publishes an immutable generation file and atomically
-//    renames the manifest, so readers never observe a torn entry;
-//  - Open heals crash debris (stray temp files, unpublished
-//    generations, un-migrated or junk legacy records) and quarantines —
-//    never silently deletes — anything corrupt;
+//  - a store atomically renames one `entries/<hex>.json` per key into
+//    place, so readers never observe a torn entry, and a lookup or a
+//    store reads no other file;
+//  - Open heals crash debris (stray temp files, un-migrated or junk
+//    legacy records) and converts the generation-numbered MANIFEST
+//    layout, quarantining — never silently deleting — anything corrupt;
 //  - the writer lock is advisory flock with bounded jittered backoff:
 //    contention is counted, bounded, and auto-released by the kernel
 //    when the holder dies;
@@ -22,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +34,8 @@
 
 #include "apps/apps.h"
 #include "common/backoff.h"
+#include "common/crc32.h"
+#include "common/fault.h"
 #include "common/io.h"
 #include "obs/json.h"
 #include "verifier/cache.h"
@@ -66,7 +70,7 @@ Verdict VerifyP1(const AppBundle& e1, ResultCache* cache) {
 
 // --- on-disk format v2 -------------------------------------------------------
 
-TEST(CacheFormatTest, StorePublishesAManifestedCleanLayout) {
+TEST(CacheFormatTest, StorePublishesOneEntryFilePerKey) {
   const std::string dir = FreshDir("layout");
   AppBundle e1 = BuildE1();
   StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
@@ -77,12 +81,17 @@ TEST(CacheFormatTest, StorePublishesAManifestedCleanLayout) {
   EXPECT_EQ((*cache)->stores(), 1);
 
   CacheAudit audit = AuditCacheDir(dir);
-  EXPECT_TRUE(audit.manifest_present);
-  EXPECT_TRUE(audit.manifest_ok);
-  EXPECT_EQ(audit.manifested_entries, 1);
+  EXPECT_EQ(audit.entries, 1);
   EXPECT_TRUE(audit.consistent());
   EXPECT_TRUE(audit.clean());
   EXPECT_EQ(audit.quarantined_files, 0);
+  std::vector<std::string> names;
+  for (const auto& f : fs::directory_iterator(dir + "/entries")) {
+    names.push_back(f.path().filename().string());
+  }
+  ASSERT_EQ(names.size(), 1u);
+  EXPECT_EQ(names[0].size(), 32u + 5u) << names[0] << ": <hex>.json";
+  EXPECT_FALSE(fs::exists(dir + "/MANIFEST"));
 
   // A second process (fresh handle) sees the published entry.
   StatusOr<std::unique_ptr<ResultCache>> peer = ResultCache::Open(dir);
@@ -92,12 +101,215 @@ TEST(CacheFormatTest, StorePublishesAManifestedCleanLayout) {
   EXPECT_EQ((*peer)->stores(), 0);
 }
 
+/// A decided response with no counterexample: the smallest record.
+VerifyResponse MinimalHolds() {
+  VerifyResponse response;
+  response.verdict = Verdict::kHolds;
+  return response;
+}
+
+/// Key `i` of a synthetic cache fill.
+Fingerprint SyntheticKey(int i) {
+  return Fingerprint{static_cast<uint64_t>(i) + 1, 0x5eedu};
+}
+
+/// `io.read.open` hits while `body` runs, under a plan that never fires.
+template <typename Body>
+int64_t FilesOpenedBy(Body body) {
+  fault::Rule rule;
+  rule.site = "io.read.open";
+  rule.max_fires = 0;
+  fault::Plan plan;
+  plan.rules.push_back(rule);
+  fault::ScopedPlan armed(std::move(plan));
+  body();
+  for (const fault::SiteCount& count : fault::Counts()) {
+    if (count.site == "io.read.open") return count.hits;
+  }
+  return 0;
+}
+
+TEST(CacheFormatTest, LookupReadsOneFileAndStoreAndOpenReadNoneAtAnySize) {
+  AppBundle e1 = BuildE1();
+  for (int size : {1, 500}) {
+    SCOPED_TRACE(size);
+    const std::string dir = FreshDir("access");
+    {
+      StatusOr<std::unique_ptr<ResultCache>> fill = ResultCache::Open(dir);
+      ASSERT_TRUE(fill.ok());
+      for (int i = 0; i < size; ++i) {
+        ASSERT_TRUE(
+            (*fill)->Store(SyntheticKey(i), *e1.spec, MinimalHolds()).ok());
+      }
+    }
+    std::unique_ptr<ResultCache> cache;
+    EXPECT_EQ(FilesOpenedBy([&] {
+                StatusOr<std::unique_ptr<ResultCache>> opened =
+                    ResultCache::Open(dir);
+                ASSERT_TRUE(opened.ok());
+                cache = std::move(*opened);
+              }),
+              0)
+        << "Open of a clean directory";
+    ASSERT_NE(cache, nullptr);
+    VerifyResponse out;
+    EXPECT_EQ(FilesOpenedBy([&] {
+                EXPECT_TRUE(cache->Lookup(SyntheticKey(size - 1),
+                                          e1.spec.get(), &out));
+              }),
+              1)
+        << "a hit";
+    EXPECT_EQ(FilesOpenedBy([&] {
+                EXPECT_FALSE(cache->Lookup(SyntheticKey(size), e1.spec.get(),
+                                           &out));
+              }),
+              1)
+        << "a miss";
+    EXPECT_EQ(FilesOpenedBy([&] {
+                EXPECT_TRUE(
+                    cache->Store(SyntheticKey(size), *e1.spec, MinimalHolds())
+                        .ok());
+              }),
+              0)
+        << "a store";
+    EXPECT_EQ(cache->health().corrupt, 0);
+    EXPECT_EQ(cache->health().lock_waits, 0);
+  }
+}
+
+/// An entry file: `payload` in the frame both layouts write.
+std::string FramedEntry(const std::string& payload) {
+  char header[64];
+  std::snprintf(header, sizeof(header), "WAVECACHE2 crc32=%08x len=%zu\n",
+                Crc32(payload), payload.size());
+  return header + payload;
+}
+
+/// The payload of a stored entry (its frame stripped).
+std::string EntryPayload(const std::string& path) {
+  std::string content = *ReadFileToString(path);
+  return content.substr(content.find('\n') + 1);
+}
+
+TEST(CacheFormatTest, OpenMigratesTheGenerationLayout) {
+  // Two records from today's writer, re-filed the way the MANIFEST layout
+  // named them: key A has generations 2 and 5 (5 published), key B has a
+  // published generation 3, an unpublished newer generation 7 and a
+  // CRC-torn generation 9; plus *.tmp debris at both levels.
+  AppBundle e1 = BuildE1();
+  const std::string source = FreshDir("migrate_src");
+  std::string a_hex = SyntheticKey(1).ToHex();
+  std::string b_hex = SyntheticKey(2).ToHex();
+  {
+    StatusOr<std::unique_ptr<ResultCache>> writer = ResultCache::Open(source);
+    ASSERT_TRUE(writer.ok());
+    for (int i : {1, 2}) {
+      ASSERT_TRUE(
+          (*writer)->Store(SyntheticKey(i), *e1.spec, MinimalHolds()).ok());
+    }
+  }
+  const std::string a_payload =
+      EntryPayload(source + "/entries/" + a_hex + ".json");
+  const std::string b_payload =
+      EntryPayload(source + "/entries/" + b_hex + ".json");
+  // Older generations differ from the newest in their stats, so the test
+  // sees which one survived.
+  auto older = [](std::string payload) {
+    size_t at = payload.find("\"num_expansions\": 0");
+    EXPECT_NE(at, std::string::npos);
+    return payload.replace(at, 19, "\"num_expansions\": 7");
+  };
+
+  const std::string dir = FreshDir("migrate");
+  fs::create_directories(dir + "/entries");
+  auto put = [&](const std::string& name, const std::string& bytes) {
+    std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
+  };
+  put("MANIFEST", "{\"format\": 2, \"generation\": 5, \"entries\": {}}\n");
+  put("entries/" + a_hex + ".g2.json", FramedEntry(older(a_payload)));
+  put("entries/" + a_hex + ".g5.json", FramedEntry(a_payload));
+  put("entries/" + b_hex + ".g3.json", FramedEntry(older(b_payload)));
+  put("entries/" + b_hex + ".g7.json", FramedEntry(b_payload));
+  std::string torn = FramedEntry(b_payload);
+  torn[torn.size() / 2] ^= 0x20;
+  put("entries/" + b_hex + ".g9.json", torn);
+  put("MANIFEST.tmp", "half a manifest");
+  put("entries/" + a_hex + ".g6.json.tmp", "half an entry");
+
+  StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  EXPECT_EQ((*cache)->health().corrupt, 1);
+  EXPECT_EQ((*cache)->health().quarantined, 1);
+
+  std::vector<std::string> entries;
+  for (const auto& f : fs::directory_iterator(dir + "/entries")) {
+    entries.push_back(f.path().filename().string());
+  }
+  std::sort(entries.begin(), entries.end());
+  std::vector<std::string> expected = {a_hex + ".json", b_hex + ".json"};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(entries, expected);
+  EXPECT_EQ(*ReadFileToString(dir + "/entries/" + a_hex + ".json"),
+            FramedEntry(a_payload));
+  EXPECT_EQ(*ReadFileToString(dir + "/entries/" + b_hex + ".json"),
+            FramedEntry(b_payload));
+  EXPECT_FALSE(fs::exists(dir + "/MANIFEST"));
+  EXPECT_TRUE(fs::exists(dir + "/quarantine/" + b_hex + ".g9.json"));
+
+  CacheAudit audit = AuditCacheDir(dir);
+  EXPECT_TRUE(audit.clean())
+      << (audit.problems.empty() ? "" : audit.problems[0]);
+  EXPECT_EQ(audit.entries, 2);
+  EXPECT_EQ(audit.quarantined_files, 1);
+  VerifyResponse hit;
+  EXPECT_TRUE((*cache)->Lookup(SyntheticKey(1), e1.spec.get(), &hit));
+  EXPECT_TRUE((*cache)->Lookup(SyntheticKey(2), e1.spec.get(), &hit));
+  EXPECT_EQ(hit.stats.num_expansions, 0) << "the newest generation won";
+}
+
+TEST(CacheFormatTest, MisnamedEntryIsAQuarantinedMissNeverAHit) {
+  // A valid record copied under another key's name: its CRC is clean,
+  // but it answers a different question.
+  AppBundle e1 = BuildE1();
+  const std::string dir = FreshDir("misnamed");
+  StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
+  ASSERT_TRUE(cache.ok());
+  ASSERT_TRUE(
+      (*cache)->Store(SyntheticKey(1), *e1.spec, MinimalHolds()).ok());
+  const std::string impostor =
+      dir + "/entries/" + SyntheticKey(2).ToHex() + ".json";
+  fs::copy_file(dir + "/entries/" + SyntheticKey(1).ToHex() + ".json",
+                impostor);
+  EXPECT_EQ(AuditCacheDir(dir).misnamed_entries, 1);
+  // A clean frame around bytes that are not JSON is torn, not misnamed.
+  const std::string garbled =
+      dir + "/entries/" + SyntheticKey(3).ToHex() + ".json";
+  std::ofstream(garbled, std::ios::binary) << FramedEntry("not json");
+  CacheAudit both = AuditCacheDir(dir);
+  EXPECT_EQ(both.torn_entries, 1);
+  EXPECT_EQ(both.misnamed_entries, 1);
+  fs::remove(garbled);
+
+  VerifyResponse out;
+  EXPECT_FALSE((*cache)->Lookup(SyntheticKey(2), e1.spec.get(), &out));
+  EXPECT_EQ((*cache)->misses(), 1);
+  EXPECT_EQ((*cache)->health().corrupt, 1);
+  EXPECT_EQ((*cache)->health().quarantined, 1);
+  EXPECT_FALSE(fs::exists(impostor));
+  EXPECT_TRUE((*cache)->Lookup(SyntheticKey(1), e1.spec.get(), &out))
+      << "the genuine entry still hits";
+
+  CacheAudit audit = AuditCacheDir(dir);
+  EXPECT_TRUE(audit.clean());
+  EXPECT_EQ(audit.entries, 1);
+  EXPECT_EQ(audit.quarantined_files, 1);
+}
+
 TEST(CacheFormatTest, OpenHealsCrashDebrisAndQuarantinesJunk) {
   const std::string dir = FreshDir("heal");
   fs::create_directories(dir + "/entries");
-  // Crash debris: interrupted atomic writes at both levels.
-  std::ofstream(dir + "/MANIFEST.tmp") << "half a manifest";
-  std::ofstream(dir + "/entries/aaaa.g3.json.tmp") << "half an entry";
+  // Crash debris: an interrupted atomic write.
+  std::ofstream(dir + "/entries/aaaa.json.tmp") << "half an entry";
   // A junk legacy-named record: migration must fail -> quarantine, not
   // silent deletion, not a crash.
   std::ofstream(dir + "/deadbeef.json") << "not a cache record at all";
@@ -123,8 +335,9 @@ TEST(CacheFormatTest, OpenHealsCrashDebrisAndQuarantinesJunk) {
 TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
   // Two entries written before records went through api/wire, with
   // telemetry on (their stats hold percentile summaries): E1/P3 violated,
-  // E1/P1 holds. Open adopts them and rebuilds the MANIFEST; each reads
-  // back as a hit equal to a cold run.
+  // E1/P1 holds. They carry the generation-numbered names of that layout,
+  // so Open migrates them to `<hex>.json` byte for byte; each reads back
+  // as a hit equal to a cold run.
   const std::string dir = FreshDir("golden");
   fs::create_directories(dir + "/entries");
   for (const auto& golden : fs::directory_iterator(
@@ -136,7 +349,15 @@ TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   CacheAudit audit = AuditCacheDir(dir);
   EXPECT_TRUE(audit.clean());
-  EXPECT_EQ(audit.manifested_entries, 2);
+  EXPECT_EQ(audit.entries, 2);
+  for (const auto& golden : fs::directory_iterator(
+           std::string(WAVE_REPO_ROOT) + "/tests/golden/cache_v2")) {
+    const std::string name = golden.path().filename().string();
+    EXPECT_EQ(*ReadFileToString(dir + "/entries/" +
+                                name.substr(0, name.find('.')) + ".json"),
+              *ReadFileToString(golden.path().string()))
+        << name;
+  }
 
   auto counters = [](const VerifyStats& s) {
     return std::vector<int64_t>{s.num_assignments, s.num_cores,
@@ -334,7 +555,7 @@ TEST(CacheConcurrencyTest, ConcurrentVerifyProcessesShareOneCacheSafely) {
   for (const auto& [spec, verdicts] : by_spec) {
     total_properties += static_cast<int64_t>(verdicts.size());
   }
-  EXPECT_EQ(audit.manifested_entries, total_properties);
+  EXPECT_EQ(audit.entries, total_properties);
 }
 
 // --- crash harness smoke -----------------------------------------------------

@@ -106,15 +106,15 @@ TEST(FaultTest, ProbabilityScheduleIsPinnedToTheSeed) {
 
 TEST(FaultTest, WildcardMatchAndMaxFiresCap) {
   fault::Rule rule;
-  rule.site = "cache.store.*";
+  rule.site = "cache.*";
   rule.kind = fault::Kind::kEio;
   rule.max_fires = 2;
   fault::ScopedPlan armed(OneRule(rule));
 
   EXPECT_TRUE(WAVE_FAULT("cache.store.entry").fire);
-  EXPECT_FALSE(WAVE_FAULT("cache.lookup.manifest").fire) << "prefix mismatch";
-  EXPECT_TRUE(WAVE_FAULT("cache.store.manifest").fire);
-  EXPECT_FALSE(WAVE_FAULT("cache.store.publish").fire) << "max_fires=2 spent";
+  EXPECT_FALSE(WAVE_FAULT("io.read.open").fire) << "prefix mismatch";
+  EXPECT_TRUE(WAVE_FAULT("cache.lookup.entry").fire);
+  EXPECT_FALSE(WAVE_FAULT("cache.quarantine.move").fire) << "max_fires=2 spent";
   EXPECT_EQ(fault::TotalFires(), 2);
 }
 

@@ -2,7 +2,9 @@
 // aggregation, span nesting/ordering, and the disabled-tracer fast path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -93,6 +95,34 @@ TEST(JsonTest, ParseHandlesWhitespaceAndUnicodeEscapes) {
   std::optional<Json> v = Json::Parse("  { \"a\" : [ 1 , \"\\u0041\" ] } ");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->Find("a")->items()[1].AsString(), "A");
+}
+
+TEST(JsonTest, ManyKeyObjectsParseFastAndRepeatedKeysKeepTheLastValue) {
+  // 200,000 distinct keys, then two repeats: one of an early key and one
+  // of the last key. A linear scan per member makes this take minutes.
+  constexpr int kKeys = 200000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  }
+  text += "\"k5\":-5,\"k" + std::to_string(kKeys - 1) + "\":-1}";
+
+  auto start = std::chrono::steady_clock::now();
+  std::optional<Json> v = Json::Parse(text);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_LT(seconds, 20.0);
+  ASSERT_EQ(v->members().size(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(v->members()[5].first, "k5") << "the first position is kept";
+  EXPECT_EQ(v->members()[5].second.AsInt(), -5) << "with the last value";
+  EXPECT_EQ(v->members().back().second.AsInt(), -1);
+  EXPECT_EQ(v->Find("k6")->AsInt(), 6);
+
+  std::optional<Json> small = Json::Parse("{\"a\":1,\"b\":2,\"a\":3}");
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->Dump(), "{\"a\":3,\"b\":2}");
 }
 
 // --- MetricsRegistry ---------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/apps.h"
+#include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
 #include "parser/parser.h"
@@ -739,7 +740,18 @@ TEST(RetryLadderTest, NonBudgetReasonsEndTheLadder) {
   request.property = p5;
   request.options = base;
   request.retry.enabled = true;
-  request.retry.total_budget_seconds = 0.1;  // every rung's slice times out
+  request.retry.total_budget_seconds = 0.3;
+  // The first rung's slice is a third of the budget, and only that rung
+  // builds the property plan (later rungs reuse it). Stalling the build
+  // past the slice times the first rung out however fast the search is,
+  // and leaves budget for the rungs after it.
+  fault::Rule stall;
+  stall.site = "session.plan.build";
+  stall.kind = fault::Kind::kDelay;
+  stall.delay_seconds = 0.15;
+  fault::Plan plan;
+  plan.rules.push_back(stall);
+  fault::ScopedPlan armed(std::move(plan));
   StatusOr<VerifyResponse> response = verifier.Run(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->verdict, Verdict::kUnknown);

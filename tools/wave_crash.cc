@@ -14,11 +14,11 @@
 //           the Nth hit of that site (or finishes normally when the site
 //           is hit fewer than N times).
 //   check:  re-open the cache (ResultCache::Open heals crash debris:
-//           stray temp files, unpublished generations, a torn store) and
-//           run `AuditCacheDir`: the directory must be consistent and
-//           clean, and the quarantine must stay EMPTY — a SIGKILL cannot
-//           tear an atomically-renamed file, so any CRC-failing
-//           manifested entry would be a real bug, not bad luck.
+//           the temp file of an interrupted store) and run
+//           `AuditCacheDir`: the directory must be consistent and clean,
+//           and the quarantine must stay EMPTY — a SIGKILL cannot tear an
+//           atomically-renamed file, so any CRC-failing entry would be a
+//           real bug, not bad luck.
 //   final:  warm-vs-cold differential. For each spec, one run over the
 //           hammered cache and one over a fresh directory, both with
 //           identical deterministic budgets; every property's verdict
@@ -294,13 +294,13 @@ int Main(int argc, char** argv) {
         audit.quarantined_files != 0) {
       std::fprintf(stderr,
                    "wave_crash: round %d (%s): INCONSISTENT after recovery "
-                   "(torn=%lld missing=%lld orphans=%lld tmp=%lld "
+                   "(torn=%lld misnamed=%lld tmp=%lld legacy=%lld "
                    "quarantined=%lld)\n",
                    rounds, fault_spec.c_str(),
                    static_cast<long long>(audit.torn_entries),
-                   static_cast<long long>(audit.missing_entries),
-                   static_cast<long long>(audit.orphan_files),
+                   static_cast<long long>(audit.misnamed_entries),
                    static_cast<long long>(audit.tmp_files),
+                   static_cast<long long>(audit.legacy_files),
                    static_cast<long long>(audit.quarantined_files));
       for (const std::string& p : audit.problems) {
         std::fprintf(stderr, "wave_crash:   %s\n", p.c_str());
@@ -313,7 +313,7 @@ int Main(int argc, char** argv) {
                    "wave_crash: %d rounds, %d/%d kills, %d clean, "
                    "%lld cached entries\n",
                    rounds, kills, cli.kills, clean_runs,
-                   static_cast<long long>(audit.manifested_entries));
+                   static_cast<long long>(audit.entries));
     }
 
     // All specs verified without a single kill-point firing: the cache is

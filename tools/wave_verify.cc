@@ -232,12 +232,9 @@ int RunAuditCache(const std::string& dir) {
   CacheAudit audit = AuditCacheDir(dir);
   obs::Json doc = obs::Json::Object();
   doc.Set("dir", obs::Json::Str(dir));
-  doc.Set("manifest_present", obs::Json::Bool(audit.manifest_present));
-  doc.Set("manifest_ok", obs::Json::Bool(audit.manifest_ok));
-  doc.Set("manifested_entries", obs::Json::Int(audit.manifested_entries));
+  doc.Set("entries", obs::Json::Int(audit.entries));
   doc.Set("torn_entries", obs::Json::Int(audit.torn_entries));
-  doc.Set("missing_entries", obs::Json::Int(audit.missing_entries));
-  doc.Set("orphan_files", obs::Json::Int(audit.orphan_files));
+  doc.Set("misnamed_entries", obs::Json::Int(audit.misnamed_entries));
   doc.Set("tmp_files", obs::Json::Int(audit.tmp_files));
   doc.Set("legacy_files", obs::Json::Int(audit.legacy_files));
   doc.Set("quarantined_files", obs::Json::Int(audit.quarantined_files));
