@@ -36,13 +36,6 @@ struct Workload {
   bool exhaustive;
 };
 
-const Property* FindProperty(const AppBundle& bundle, const char* name) {
-  for (const ParsedProperty& p : bundle.properties) {
-    if (p.property.name == name) return &p.property;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main() {

@@ -1,79 +1,99 @@
-// Ablation: the search's visited set (Section 4 stores visited
+// Ablation: the search's visited product (Section 4 stores visited
 // pseudoconfigurations "in a trie data structure which allows updates and
-// membership tests in time linear in the size of the bitmap"; WAVE uses an
-// open-addressing hash set, verifier/visited_set.h) against std::set and
-// std::unordered_set, on synthetic visited keys encoded over the E1
-// catalog: each structure inserts every key once, then looks it up.
+// membership tests in time linear in the size of the bitmap"; WAVE interns
+// each configuration's key once and keeps one visited bit per (flag, Büchi
+// state) beside its id, verifier/config_store.h) against std::set and
+// std::unordered_set keyed by (flag, state, configuration key), on
+// synthetic configurations over the E1 catalog: each structure inserts
+// every (flag, state, configuration) triple once, then looks it up. Every
+// structure encodes each configuration's key once per triple.
 #include <benchmark/benchmark.h>
 
 #include <set>
+#include <tuple>
 #include <unordered_set>
 
 #include "apps/apps.h"
+#include "verifier/config_store.h"
 #include "verifier/encode.h"
-#include "verifier/visited_set.h"
 
 namespace {
 
 using namespace wave;  // NOLINT: experiment harness
 
-/// Visited keys of synthetic configurations over the E1 catalog: every
-/// page, a button input, a one-tuple cart state and a few automaton
-/// states, so keys share long prefixes like the search's keys do.
-std::vector<std::vector<uint8_t>> MakeKeys() {
-  AppBundle e1 = BuildE1();
-  const Catalog& catalog = e1.spec->catalog();
-  std::vector<std::vector<uint8_t>> keys;
+constexpr int kStates = 3;
+
+struct Triple {
+  int flag;
+  int state;
   Configuration config;
-  config.data = Instance(&catalog);
-  config.previous = Instance(&catalog);
-  RelationId button = catalog.Find("button");
-  RelationId cart = catalog.Find("cart");
-  for (int page = 0; page < e1.spec->num_pages(); ++page) {
-    config.page = page;
-    for (SymbolId b = 0; b < 12; ++b) {
-      config.data.relation(button).Clear();
-      config.data.relation(button).Insert({b});
-      for (SymbolId c = 0; c < 6; ++c) {
-        config.data.relation(cart).Clear();
-        config.data.relation(cart).Insert({c, c + 1});
-        for (int state = 0; state < 3; ++state) {
-          for (int flag = 0; flag < 2; ++flag) {
-            keys.push_back(EncodeVisitedKey(flag, state, config));
+};
+
+/// Synthetic (flag, state, configuration) triples over the E1 catalog:
+/// every page, a button input, a one-tuple cart state and a few automaton
+/// states, so each configuration recurs under every (flag, state) pair
+/// like the search's do.
+struct Workload {
+  AppBundle e1 = BuildE1();
+  std::vector<Triple> triples;
+
+  Workload() {
+    const Catalog& catalog = e1.spec->catalog();
+    Configuration config;
+    config.data = Instance(&catalog);
+    config.previous = Instance(&catalog);
+    RelationId button = catalog.Find("button");
+    RelationId cart = catalog.Find("cart");
+    for (int page = 0; page < e1.spec->num_pages(); ++page) {
+      config.page = page;
+      for (SymbolId b = 0; b < 12; ++b) {
+        config.data.relation(button).Clear();
+        config.data.relation(button).Insert({b});
+        for (SymbolId c = 0; c < 6; ++c) {
+          config.data.relation(cart).Clear();
+          config.data.relation(cart).Insert({c, c + 1});
+          for (int state = 0; state < kStates; ++state) {
+            for (int flag = 0; flag < 2; ++flag) {
+              triples.push_back({flag, state, config});
+            }
           }
         }
       }
     }
   }
-  return keys;
+};
+
+const Workload& Triples() {
+  static const auto& workload = *new Workload();
+  return workload;
 }
 
-const std::vector<std::vector<uint8_t>>& Keys() {
-  static const auto& keys = *new std::vector<std::vector<uint8_t>>(MakeKeys());
-  return keys;
-}
-
-void BM_VisitedSet(benchmark::State& state) {
-  const auto& keys = Keys();
+void BM_ConfigStore(benchmark::State& state) {
+  const Workload& w = Triples();
+  ConfigStore store;
   for (auto _ : state) {
-    VisitedSet visited;
+    store.Reset(&w.e1.spec->catalog(), kStates, 0);
     int hits = 0;
-    for (const auto& key : keys) {
-      if (!visited.Insert(key)) ++hits;
-      if (visited.Contains(key)) ++hits;
+    for (const Triple& t : w.triples) {
+      ConfigId id = store.Intern(t.config);
+      if (!store.Insert(t.flag, t.state, id)) ++hits;
+      if (store.Contains(t.flag, t.state, id)) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   }
-  state.SetLabel(std::to_string(Keys().size()) + " keys");
+  state.SetLabel(std::to_string(w.triples.size()) + " triples");
 }
-BENCHMARK(BM_VisitedSet);
+BENCHMARK(BM_ConfigStore);
+
+using Key = std::tuple<int, int, std::vector<uint8_t>>;
 
 void BM_StdSet(benchmark::State& state) {
-  const auto& keys = Keys();
+  const Workload& w = Triples();
   for (auto _ : state) {
-    std::set<std::vector<uint8_t>> visited;
+    std::set<Key> visited;
     int hits = 0;
-    for (const auto& key : keys) {
+    for (const Triple& t : w.triples) {
+      Key key{t.flag, t.state, EncodeConfigurationKey(t.config)};
       if (!visited.insert(key).second) ++hits;
       if (visited.count(key) > 0) ++hits;
     }
@@ -82,20 +102,23 @@ void BM_StdSet(benchmark::State& state) {
 }
 BENCHMARK(BM_StdSet);
 
-struct ByteVectorHash {
-  size_t operator()(const std::vector<uint8_t>& v) const {
+struct KeyHash {
+  size_t operator()(const Key& k) const {
     size_t h = 14695981039346656037ull;
-    for (uint8_t b : v) h = (h ^ b) * 1099511628211ull;
+    h = (h ^ static_cast<size_t>(std::get<0>(k))) * 1099511628211ull;
+    h = (h ^ static_cast<size_t>(std::get<1>(k))) * 1099511628211ull;
+    for (uint8_t b : std::get<2>(k)) h = (h ^ b) * 1099511628211ull;
     return h;
   }
 };
 
 void BM_StdUnorderedSet(benchmark::State& state) {
-  const auto& keys = Keys();
+  const Workload& w = Triples();
   for (auto _ : state) {
-    std::unordered_set<std::vector<uint8_t>, ByteVectorHash> visited;
+    std::unordered_set<Key, KeyHash> visited;
     int hits = 0;
-    for (const auto& key : keys) {
+    for (const Triple& t : w.triples) {
+      Key key{t.flag, t.state, EncodeConfigurationKey(t.config)};
       if (!visited.insert(key).second) ++hits;
       if (visited.count(key) > 0) ++hits;
     }

@@ -585,6 +585,12 @@ obs::Json AttemptToJson(const AttemptRecord& attempt) {
   return j;
 }
 
+obs::Json AttemptsToJson(const std::vector<AttemptRecord>& attempts) {
+  obs::Json j = obs::Json::Array();
+  for (const AttemptRecord& attempt : attempts) j.Append(AttemptToJson(attempt));
+  return j;
+}
+
 StatusOr<AttemptRecord> AttemptFromJson(const obs::Json& j) {
   WAVE_RETURN_IF_ERROR(RequireObject(j, "attempt"));
   AttemptRecord attempt;
@@ -628,11 +634,7 @@ obs::Json ResponseToJson(const VerifyResponse& response,
   }
   j.Set("stats", StatsToJson(response.stats));
   if (!response.attempts.empty()) {
-    obs::Json attempts = obs::Json::Array();
-    for (const AttemptRecord& attempt : response.attempts) {
-      attempts.Append(AttemptToJson(attempt));
-    }
-    j.Set("attempts", std::move(attempts));
+    j.Set("attempts", AttemptsToJson(response.attempts));
   }
   j.Set("decided_rung", obs::Json::Int(response.decided_rung));
   return j;

@@ -122,6 +122,9 @@ Status BindBatchRequest(WireBatchRequest* batch,
 
 obs::Json AttemptToJson(const AttemptRecord& attempt);
 StatusOr<AttemptRecord> AttemptFromJson(const obs::Json& j);
+/// The `attempts` array of a response, also what `wave_verify
+/// --stats-json` writes under each run's `attempts`.
+obs::Json AttemptsToJson(const std::vector<AttemptRecord>& attempts);
 
 /// Counterexample steps/bindings render symbols by name via `spec`.
 obs::Json ResponseToJson(const VerifyResponse& response,

@@ -58,6 +58,7 @@
 #define WAVE_APPS_APPS_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "parser/parser.h"
@@ -83,6 +84,9 @@ AppBundle BuildE1();
 AppBundle BuildE2();
 AppBundle BuildE3();
 AppBundle BuildE4();
+
+/// The property of `bundle` named `name`; null when the suite has none.
+const Property* FindProperty(const AppBundle& bundle, const std::string& name);
 
 }  // namespace wave
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "buchi/gpvw.h"
 #include "common/bitset.h"
@@ -242,7 +243,7 @@ class ExplicitSearch {
 
   bool MarkVisited(int flag, int state, const Configuration& config) {
     bool inserted =
-        visited_.insert(EncodeVisitedKey(flag, state, config)).second;
+        visited_.insert({flag, state, EncodeConfigurationKey(config)}).second;
     result_->stats.max_visited = std::max(
         result_->stats.max_visited, static_cast<int>(visited_.size()));
     return inserted;
@@ -259,7 +260,7 @@ class ExplicitSearch {
       if (!GuardSatisfied(t.guard, assignment)) continue;
       SearchStatus status = ForEachSuccessor(
           config, [&](const Configuration& next) -> SearchStatus {
-            if (!visited_.count(EncodeVisitedKey(0, t.to, next))) {
+            if (!visited_.count({0, t.to, EncodeConfigurationKey(next)})) {
               SearchStatus s = Stick(t.to, next);
               if (s != SearchStatus::kContinue) return s;
             }
@@ -290,7 +291,7 @@ class ExplicitSearch {
             if (t.to == base_state_ && next == base_config_) {
               return SearchStatus::kFound;
             }
-            if (!visited_.count(EncodeVisitedKey(1, t.to, next))) {
+            if (!visited_.count({1, t.to, EncodeConfigurationKey(next)})) {
               return Candy(t.to, next);
             }
             return SearchStatus::kContinue;
@@ -311,7 +312,8 @@ class ExplicitSearch {
   std::vector<FormulaPtr> raw_components_;
   std::vector<SymbolId> domain_;
   std::vector<PreparedFormula> components_;
-  std::set<std::vector<uint8_t>> visited_;
+  // Visited (flag, Büchi state, configuration key) triples.
+  std::set<std::tuple<int, int, std::vector<uint8_t>>> visited_;
   int base_state_ = -1;
   Configuration base_config_;
   std::string abort_reason_;

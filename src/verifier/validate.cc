@@ -151,7 +151,7 @@ ValidationResult ValidateCounterexample(WebAppSpec* spec,
   size_t lasso_prefix = 0, lasso_cycle = 0;
   bool closed = false;
   for (int round = 0; round < kMaxRounds; ++round) {
-    std::vector<uint8_t> key = EncodeVisitedKey(0, 0, config);
+    std::vector<uint8_t> key = EncodeConfigurationKey(config);
     auto it = seen_rounds.find(key);
     if (it != seen_rounds.end()) {
       lasso_prefix = it->second;

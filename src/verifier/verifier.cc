@@ -19,10 +19,9 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "verifier/cache.h"
-#include "verifier/encode.h"
+#include "verifier/config_store.h"
 #include "verifier/session.h"
 #include "verifier/shard.h"
-#include "verifier/visited_set.h"
 #include "verifier/worker_pool.h"
 
 namespace wave {
@@ -126,7 +125,7 @@ struct BatchShared {
   std::atomic<int> unsettled{0};
 };
 
-/// One worker's NDFS machinery: its own visited set, search stacks,
+/// One worker's NDFS machinery: its own configuration store, search stacks,
 /// governor front end and stats. Pops shards off the queue until it runs
 /// dry or a stop fans out. Reads the plans/contexts only; everything it
 /// writes is thread-local except the mutex-guarded EngineShared claims.
@@ -199,6 +198,12 @@ class ShardRunner {
   int64_t heartbeats() const { return heartbeats_; }
 
  private:
+  /// One frame of the NDFS stacks: an automaton state and a configuration.
+  struct Frame {
+    int state = 0;
+    ConfigId id = 0;
+  };
+
   SearchStatus RunShard(const Shard& shard) {
     const BatchSlot& slot = (*slots_)[shard.assignment];
     job_ = slot.job;
@@ -223,7 +228,8 @@ class ShardRunner {
     for (size_t b = 0; b < tuples.size(); ++b) {
       if ((shard.core >> b) & 1) core_.push_back(tuples[b]);
     }
-    visited_ = std::make_unique<VisitedSet>();
+    store_.Reset(&spec_->catalog(), plan_->automaton.NumStates(),
+                 static_cast<int>(ctx_->components.size()));
     stick_stack_.clear();
     candy_stack_.clear();
     stack_bytes_ = 0;
@@ -238,15 +244,15 @@ class ShardRunner {
     }
     SearchStatus status = ForEachCompletion(
         skeleton, /*prev_page=*/-1, [this](const Configuration& c0) {
-          return Stick(plan_->automaton.start, c0, 1);
+          return Stick(plan_->automaton.start, TimedIntern(c0), &c0, 1);
         });
-    stats_.max_trie_size = std::max(stats_.max_trie_size, visited_->size());
+    stats_.max_trie_size = std::max(stats_.max_trie_size, store_.size());
     job_cur_->max_trie_size =
-        std::max(job_cur_->max_trie_size, visited_->size());
-    stats_.trie_hits += visited_->stats().hits;
-    stats_.trie_misses += visited_->stats().misses;
-    job_cur_->trie_hits += visited_->stats().hits;
-    job_cur_->trie_misses += visited_->stats().misses;
+        std::max(job_cur_->max_trie_size, store_.size());
+    stats_.trie_hits += store_.stats().hits;
+    stats_.trie_misses += store_.stats().misses;
+    job_cur_->trie_hits += store_.stats().hits;
+    job_cur_->trie_misses += store_.stats().misses;
     if (telemetry_) {
       // Per-shard search telemetry: expansion count and tracked allocation
       // bytes.
@@ -260,26 +266,17 @@ class ShardRunner {
     return status;
   }
 
-  /// Visited-set ops with sampled latency: every 64th operation is
-  /// timed (telemetry on only), so `trie_lookup_us` reflects hit/miss
-  /// latency without putting a clock read on every expansion.
-  bool TimedInsert(const std::vector<uint8_t>& key) {
+  /// Interns a configuration with sampled latency: every 64th intern is
+  /// timed (telemetry on only), so `trie_lookup_us` reflects the key
+  /// encoding plus the table probe without a clock read per successor.
+  ConfigId TimedIntern(const Configuration& config) {
     if (telemetry_ && (++lookup_tick_ & 63) == 0) {
       Stopwatch watch;
-      bool added = visited_->Insert(key);
+      ConfigId id = store_.Intern(config);
       job_cur_->trie_lookup_us.Record(watch.ElapsedMicros());
-      return added;
+      return id;
     }
-    return visited_->Insert(key);
-  }
-  bool TimedContains(const std::vector<uint8_t>& key) {
-    if (telemetry_ && (++lookup_tick_ & 63) == 0) {
-      Stopwatch watch;
-      bool found = visited_->Contains(key);
-      job_cur_->trie_lookup_us.Record(watch.ElapsedMicros());
-      return found;
-    }
-    return visited_->Contains(key);
+    return store_.Intern(config);
   }
 
   /// Enumerates extensions and input choices completing `skeleton` (whose
@@ -334,10 +331,52 @@ class ShardRunner {
     return SearchStatus::kContinue;
   }
 
+  /// The configuration an expansion works on: the caller's when it had
+  /// one in hand, else rebuilt from the store's key on first use. Only an
+  /// expansion the memo cannot serve needs it.
+  class ExpandedConfig {
+   public:
+    ExpandedConfig(const ConfigStore* store, ConfigId id,
+                   const Configuration* config)
+        : store_(store), id_(id), config_(config) {}
+
+    ConfigId id() const { return id_; }
+
+    const Configuration& get() {
+      if (config_ == nullptr) {
+        decoded_ = store_->Decode(id_);
+        config_ = &decoded_;
+      }
+      return *config_;
+    }
+
+   private:
+    const ConfigStore* store_;
+    ConfigId id_;
+    const Configuration* config_;
+    Configuration decoded_;
+  };
+
   /// succP (Section 3.1): keep the core, recompute page/state/previous,
-  /// re-choose the extension and input.
+  /// re-choose the extension and input. `fn(next, config)` receives each
+  /// successor's id and, when it was just enumerated, its configuration
+  /// (null when replayed from the memo). A configuration's first complete
+  /// enumeration is recorded, and every later one replays the ids.
   template <typename Fn>
-  SearchStatus ForEachSuccessor(const Configuration& config, const Fn& fn) {
+  SearchStatus ForEachSuccessor(ExpandedConfig* here, const Fn& fn) {
+    SuccessorRange memo;
+    if (store_.FindSuccessors(here->id(), &memo)) {
+      for (uint32_t i = memo.begin; i < memo.end; ++i) {
+        ++stats_.num_successors;
+        ++job_cur_->num_successors;
+        SearchStatus status = fn(store_.successor(i), nullptr);
+        if (status != SearchStatus::kContinue) return status;
+      }
+      return SearchStatus::kContinue;
+    }
+    // False while an ancestor frame records this id: enumerate unrecorded.
+    const bool record = store_.BeginSuccessors(here->id());
+    const Configuration& config = here->get();
     std::vector<SymbolId> domain = WindowDomain(config);
     Configuration skeleton = prepared_->Advance(config, domain);
     // States are kept only over C (other tuples cannot affect the
@@ -353,110 +392,135 @@ class ShardRunner {
     for (const auto& [relation, tuple] : core_) {
       skeleton.data.relation(relation).Insert(tuple);
     }
-    return ForEachCompletion(skeleton, config.page, fn);
+    SearchStatus status = ForEachCompletion(
+        skeleton, config.page, [&](const Configuration& next) {
+          ConfigId next_id = TimedIntern(next);
+          if (record) store_.AddSuccessor(next_id);
+          return fn(next_id, &next);
+        });
+    // A stopped enumeration ends the shard, so its recording never closes.
+    if (record && status == SearchStatus::kContinue) {
+      store_.EndSuccessors(here->id());
+    }
+    return status;
   }
 
-  // --- the nested depth-first search ----------------------------------------
-  SearchStatus Stick(int state, const Configuration& config, int depth) {
-    if (SearchStatus status = CheckBudgets();
-        status != SearchStatus::kContinue) {
-      return status;
+  /// Guard test against the memoized component truth values of `here`,
+  /// evaluating them on its first expansion.
+  bool Enabled(const Guard& guard, ExpandedConfig* here) {
+    if (!store_.has_components(here->id())) {
+      store_.SetComponents(here->id(), EvalComponents(here->get()));
     }
-    EncodeVisitedKeyInto(0, state, config, &key_scratch_);
-    if (!TimedInsert(key_scratch_)) {
-      return SearchStatus::kContinue;
+    for (const Literal& lit : guard) {
+      if (store_.component(here->id(), lit.prop) != lit.positive) return false;
     }
-    // The encoded key length doubles as this frame's share of the memory
-    // estimate (the stacks hold one Configuration per frame). Early aborts
-    // skip the matching subtraction deliberately: the search is over.
-    const int64_t frame_bytes = static_cast<int64_t>(key_scratch_.size());
-    stack_bytes_ += frame_bytes;
-    obs::CountAlloc(frame_bytes);
-    gov_.ReportMemory(visited_->approx_bytes() + stack_bytes_);
+    return true;
+  }
+
+  /// Marks (flag, state, id) visited and pushes its frame onto `stack`;
+  /// false when the triple was visited already.
+  bool Enter(int flag, int state, ConfigId id, int depth,
+             std::vector<Frame>* stack) {
+    if (!store_.Insert(flag, state, id)) return false;
+    // Early aborts skip the matching pop deliberately: the search is over.
+    stack_bytes_ += sizeof(Frame);
+    obs::CountAlloc(sizeof(Frame));
+    gov_.ReportMemory(store_.approx_bytes() + stack_bytes_);
     ++stats_.num_expansions;
     ++job_cur_->num_expansions;
     stats_.max_pseudorun_length =
         std::max(stats_.max_pseudorun_length, depth);
     job_cur_->max_pseudorun_length =
         std::max(job_cur_->max_pseudorun_length, depth);
-    stick_stack_.push_back({state, config});
+    stack->push_back({state, id});
     if (telemetry_) {
       job_cur_->search_depth.Record(depth);
       job_cur_->frontier_size.Record(
           static_cast<double>(stick_stack_.size() + candy_stack_.size()));
     }
+    return true;
+  }
 
-    std::vector<bool> assignment = EvalComponents(config);
+  void Leave(std::vector<Frame>* stack) {
+    stack->pop_back();
+    stack_bytes_ -= sizeof(Frame);
+  }
+
+  // --- the nested depth-first search ----------------------------------------
+  // `config` is the configuration `id` stands for when the caller has it,
+  // else null.
+  SearchStatus Stick(int state, ConfigId id, const Configuration* config,
+                     int depth) {
+    if (SearchStatus status = CheckBudgets();
+        status != SearchStatus::kContinue) {
+      return status;
+    }
+    if (!Enter(0, state, id, depth, &stick_stack_)) {
+      return SearchStatus::kContinue;
+    }
+    ExpandedConfig here(&store_, id, config);
     for (const BuchiTransition& t : plan_->automaton.adj[state]) {
-      if (!GuardSatisfied(t.guard, assignment)) continue;
+      if (!Enabled(t.guard, &here)) continue;
       SearchStatus status = ForEachSuccessor(
-          config, [&](const Configuration& next) -> SearchStatus {
-            EncodeVisitedKeyInto(0, t.to, next, &key_scratch_);
-            if (!TimedContains(key_scratch_)) {
-              SearchStatus s = Stick(t.to, next, depth + 1);
+          &here,
+          [&](ConfigId next, const Configuration* next_config) {
+            if (!store_.Contains(0, t.to, next)) {
+              SearchStatus s = Stick(t.to, next, next_config, depth + 1);
               if (s != SearchStatus::kContinue) return s;
             }
             if (plan_->automaton.accepting[t.to]) {
               base_state_ = t.to;
-              base_config_ = next;
+              base_id_ = next;
               candy_stack_.clear();
-              SearchStatus s = Candy(t.to, next, depth + 1);
+              SearchStatus s = Candy(t.to, next, next_config, depth + 1);
               if (s != SearchStatus::kContinue) return s;
             }
             return SearchStatus::kContinue;
           });
       if (status != SearchStatus::kContinue) return status;
     }
-    stick_stack_.pop_back();
-    stack_bytes_ -= frame_bytes;
+    Leave(&stick_stack_);
     return SearchStatus::kContinue;
   }
 
-  SearchStatus Candy(int state, const Configuration& config, int depth) {
+  SearchStatus Candy(int state, ConfigId id, const Configuration* config,
+                     int depth) {
     if (SearchStatus status = CheckBudgets();
         status != SearchStatus::kContinue) {
       return status;
     }
-    EncodeVisitedKeyInto(1, state, config, &key_scratch_);
-    if (!TimedInsert(key_scratch_)) {
+    if (!Enter(1, state, id, depth, &candy_stack_)) {
       return SearchStatus::kContinue;
     }
-    const int64_t frame_bytes = static_cast<int64_t>(key_scratch_.size());
-    stack_bytes_ += frame_bytes;
-    obs::CountAlloc(frame_bytes);
-    gov_.ReportMemory(visited_->approx_bytes() + stack_bytes_);
-    ++stats_.num_expansions;
-    ++job_cur_->num_expansions;
-    stats_.max_pseudorun_length =
-        std::max(stats_.max_pseudorun_length, depth);
-    job_cur_->max_pseudorun_length =
-        std::max(job_cur_->max_pseudorun_length, depth);
-    candy_stack_.push_back({state, config});
-    if (telemetry_) {
-      job_cur_->search_depth.Record(depth);
-      job_cur_->frontier_size.Record(
-          static_cast<double>(stick_stack_.size() + candy_stack_.size()));
-    }
-
-    std::vector<bool> assignment = EvalComponents(config);
+    ExpandedConfig here(&store_, id, config);
     for (const BuchiTransition& t : plan_->automaton.adj[state]) {
-      if (!GuardSatisfied(t.guard, assignment)) continue;
+      if (!Enabled(t.guard, &here)) continue;
       SearchStatus status = ForEachSuccessor(
-          config, [&](const Configuration& next) -> SearchStatus {
-            if (t.to == base_state_ && next == base_config_) {
+          &here,
+          [&](ConfigId next, const Configuration* next_config) {
+            if (t.to == base_state_ && next == base_id_) {
               return ClaimCounterexample();
             }
-            EncodeVisitedKeyInto(1, t.to, next, &key_scratch_);
-            if (!TimedContains(key_scratch_)) {
-              return Candy(t.to, next, depth + 1);
+            if (!store_.Contains(1, t.to, next)) {
+              return Candy(t.to, next, next_config, depth + 1);
             }
             return SearchStatus::kContinue;
           });
       if (status != SearchStatus::kContinue) return status;
     }
-    candy_stack_.pop_back();
-    stack_bytes_ -= frame_bytes;
+    Leave(&candy_stack_);
     return SearchStatus::kContinue;
+  }
+
+  /// The configurations of `stack`'s frames, rebuilt from their keys.
+  std::vector<CounterexampleStep> Materialize(
+      const std::vector<Frame>& stack) const {
+    std::vector<CounterexampleStep> steps;
+    steps.reserve(stack.size());
+    for (const Frame& frame : stack) {
+      steps.push_back({frame.state, store_.Decode(frame.id)});
+    }
+    return steps;
   }
 
   /// Lollipop closed: candidate counterexample. First worker to claim the
@@ -473,11 +537,13 @@ class ShardRunner {
       abort_kind_ = AbortKind::kJobSettled;
       return SearchStatus::kAbort;
     }
+    std::vector<CounterexampleStep> stick = Materialize(stick_stack_);
+    std::vector<CounterexampleStep> candy = Materialize(candy_stack_);
     if (options_->candidate_filter != nullptr) {
       obs::ScopedSpan validate_span(tracer_, "validate");
       Stopwatch validate_watch;
-      bool accepted = options_->candidate_filter(stick_stack_, candy_stack_,
-                                                 ctx_->binding);
+      bool accepted =
+          options_->candidate_filter(stick, candy, ctx_->binding);
       shared_->validate_us += validate_watch.ElapsedMicros();
       if (!accepted) {
         ++shared_->rejected;
@@ -485,8 +551,8 @@ class ShardRunner {
       }
     }
     shared_->winner_claimed = true;
-    shared_->stick = stick_stack_;
-    shared_->candy = candy_stack_;
+    shared_->stick = std::move(stick);
+    shared_->candy = std::move(candy);
     shared_->witness_binding = ctx_->binding;
     lock.unlock();
     batch_->settled[job_].store(true, std::memory_order_release);
@@ -628,7 +694,7 @@ class ShardRunner {
     progress_->successors.store(stats_.num_successors,
                                 std::memory_order_relaxed);
     progress_->cores.store(stats_.num_cores, std::memory_order_relaxed);
-    int trie_size = visited_ != nullptr ? visited_->size() : 0;
+    int trie_size = store_.size();
     progress_->trie_size.store(trie_size, std::memory_order_relaxed);
     progress_->max_trie.store(std::max(stats_.max_trie_size, trie_size),
                               std::memory_order_relaxed);
@@ -644,7 +710,7 @@ class ShardRunner {
     }
     last_heartbeat_seconds_ = elapsed;
     ++heartbeats_;
-    int trie_size = visited_ != nullptr ? visited_->size() : 0;
+    int trie_size = store_.size();
     if (options_->heartbeat != nullptr) {
       HeartbeatSnapshot snapshot;
       snapshot.elapsed_seconds = elapsed;
@@ -701,13 +767,12 @@ class ShardRunner {
   VerifyStats* job_cur_ = nullptr;
   const AssignmentContext* ctx_ = nullptr;
   std::vector<std::pair<RelationId, Tuple>> core_;
-  std::unique_ptr<VisitedSet> visited_;
-  std::vector<CounterexampleStep> stick_stack_;
-  std::vector<CounterexampleStep> candy_stack_;
-  std::vector<uint8_t> key_scratch_;
+  ConfigStore store_;  // the shard's configurations, visits and memo
+  std::vector<Frame> stick_stack_;
+  std::vector<Frame> candy_stack_;
   int64_t stack_bytes_ = 0;
   int base_state_ = -1;
-  Configuration base_config_;
+  ConfigId base_id_ = 0;
 };
 
 
@@ -1690,26 +1755,6 @@ std::vector<RetryRung> DefaultLadder(const VerifyOptions& base) {
   if (Escalates(tight, mid)) ladder.push_back(mid);
   if (Escalates(ladder.back(), wide)) ladder.push_back(wide);
   return ladder;
-}
-
-obs::Json AttemptRecord::ToJson() const {
-  obs::Json j = obs::Json::Object();
-  j.Set("rung", obs::Json::Int(rung));
-  j.Set("rung_name", obs::Json::Str(rung_name));
-  j.Set("budget_seconds", obs::Json::Number(budget_seconds));
-  j.Set("elapsed_seconds", obs::Json::Number(elapsed_seconds));
-  j.Set("verdict", obs::Json::Str(api::VerdictName(verdict)));
-  j.Set("unknown_reason",
-        obs::Json::Str(UnknownReasonName(unknown_reason)));
-  j.Set("failure_reason", obs::Json::Str(failure_reason));
-  j.Set("stats", stats.ToJson());
-  return j;
-}
-
-obs::Json VerifyResponse::AttemptsJson() const {
-  obs::Json arr = obs::Json::Array();
-  for (const AttemptRecord& a : attempts) arr.Append(a.ToJson());
-  return arr;
 }
 
 obs::Json VerifyStats::ToJson() const {

@@ -264,8 +264,6 @@ struct AttemptRecord {
   UnknownReason unknown_reason = UnknownReason::kNone;
   std::string failure_reason;
   VerifyStats stats;
-
-  obs::Json ToJson() const;
 };
 
 /// Budget-escalation policy of a `VerifyRequest`. Disabled by default (a
@@ -322,8 +320,6 @@ struct VerifyResponse : VerifyResult {
   /// Index of the ladder rung that decided (kHolds/kViolated); -1 when no
   /// rung did or retry was disabled.
   int decided_rung = -1;
-
-  obs::Json AttemptsJson() const;
 };
 
 // --- the batch API (PR 4) ---------------------------------------------------

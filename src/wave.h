@@ -33,7 +33,7 @@
 //   obs/metrics.h, obs/tracer.h — observability hooks for VerifyOptions
 //
 // Everything else under src/ (analysis/, buchi/, fo/, relational/,
-// verifier/{encode,shard,visited_set,worker_pool}.h, ...) is internal: those
+// verifier/{config_store,encode,shard,worker_pool}.h, ...) is internal: those
 // headers may change layout or disappear between versions without notice.
 // See README.md "Stable vs internal headers".
 #ifndef WAVE_WAVE_H_

@@ -11,6 +11,7 @@
 // unchanged tree and non-zero under a 2x slowdown, minus the process
 // boundary.
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -171,7 +172,10 @@ TEST(BenchSuiteTest, EnvCaptureHasTheSchemaFields) {
 
 // The end-to-end gate: a self-recorded E1 baseline passes clean, and a
 // synthetic 2x slowdown of the very same measurement trips it. Runs
-// real verifications (seconds), hence the `bench` ctest label.
+// real verifications (about a second), hence the `bench` ctest label. No
+// assertion needs two live timings to agree: the self-check gates
+// verdicts and counters only, the 2x slowdown is a transform of one
+// measurement, and the live slowdown factor dwarfs any load swing.
 TEST(BenchGateE2eTest, SelfBaselinePassesAndSyntheticSlowdownGates) {
   BenchConfig config;
   config.warmup = 1;
@@ -185,12 +189,12 @@ TEST(BenchGateE2eTest, SelfBaselinePassesAndSyntheticSlowdownGates) {
     EXPECT_TRUE(r.Find("expected_ok")->AsBool());
   }
 
-  // Unchanged tree: a fresh measurement passes against the baseline.
-  // time_frac is widened to 1.5 here because both sides are live
-  // single-machine measurements; the CLI default (0.75) gates committed
-  // baselines where the reference is a min-of-3.
+  // Unchanged tree: a fresh measurement passes against the baseline on
+  // verdicts and counters. Every time counts as below the noise floor:
+  // two live runs on a loaded machine can differ by more than any time
+  // limit (CompareRecordsTest pins the time gating itself).
   CompareThresholds thresholds;
-  thresholds.time_frac = 1.5;
+  thresholds.min_time_s = std::numeric_limits<double>::infinity();
   std::vector<obs::Json> rerun;
   ASSERT_EQ(RunBenchSuite("e1", config, &rerun, &error), 0) << error;
   CompareResult self_check = CompareRecords(baseline, rerun, thresholds);
@@ -199,8 +203,8 @@ TEST(BenchGateE2eTest, SelfBaselinePassesAndSyntheticSlowdownGates) {
             static_cast<int>(baseline.size()));
 
   // Synthetic 2x slowdown vs the CLI-default thresholds (+75% limit):
-  // at least the heavyweight properties (E1/P4 runs hundreds of ms)
-  // clear the noise floor, and 2x > 1.75x must regress. Derived from
+  // the properties that take milliseconds (E1/P4, P5, P7, ...) clear the
+  // 5 ms noise floor, and 2x > 1.75x must regress. Derived from
   // `baseline` itself (a pure data transform), so this half is
   // deterministic — exactly what the acceptance criterion pins.
   std::vector<obs::Json> slowed = baseline;
@@ -214,12 +218,14 @@ TEST(BenchGateE2eTest, SelfBaselinePassesAndSyntheticSlowdownGates) {
       << "a 2x slowdown must regress: " << gate.Summary();
 
   // And the BenchConfig::slowdown hook (what `wave_bench --slowdown=F`
-  // uses) produces the same verdict on a live run: 4x dominates any
-  // plausible run-to-run speedup against the default +75% limit.
+  // uses) produces the same verdict on a live run. The hook scales the
+  // reported times, not the work, so a factor of 100 costs nothing; to
+  // stay under the default +75% limit the slowed run would have to be
+  // 57x faster than the baseline run, far beyond any load swing.
   BenchConfig slow_config = config;
   slow_config.warmup = 0;
   slow_config.repeat = 1;
-  slow_config.slowdown = 4.0;
+  slow_config.slowdown = 100.0;
   std::vector<obs::Json> slow_run;
   ASSERT_EQ(RunBenchSuite("e1", slow_config, &slow_run, &error), 0) << error;
   CompareResult live_gate =

@@ -10,15 +10,16 @@
 #include <string>
 #include <vector>
 
+#include "api/wire.h"
 #include "apps/apps.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
 #include "parser/parser.h"
+#include "verifier/config_store.h"
 #include "verifier/governor.h"
 #include "verifier/validate.h"
 #include "verifier/verifier.h"
-#include "verifier/visited_set.h"
 
 #include "verify_helpers.h"
 
@@ -489,22 +490,38 @@ TEST(GovernorTest, ReasonNamesAndStatusMapping) {
       StatusCode::kResourceExhausted);
 }
 
-// --- visited-set memory accounting -----------------------------------------
+// --- configuration-store memory accounting ---------------------------------
 
 TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
-  VisitedSet set;
-  int64_t baseline = set.approx_bytes();
+  Catalog catalog;
+  catalog.Declare({"R", 1, RelationKind::kDatabase, {}});
+  ConfigStore store;
+  store.Reset(&catalog, /*num_states=*/2, /*num_components=*/1);
+  int64_t baseline = store.approx_bytes();
   EXPECT_GT(baseline, 0);
   int64_t previous = baseline;
-  for (uint8_t i = 0; i < 32; ++i) {  // 32 keys: the slot table grows twice
-    set.Insert({i, static_cast<uint8_t>(i * 3), 7, i});
-    EXPECT_GT(set.approx_bytes(), previous);
-    previous = set.approx_bytes();
+  Configuration config;
+  config.data = Instance(&catalog);
+  config.previous = Instance(&catalog);
+  for (SymbolId i = 0; i < 32; ++i) {  // 32 configurations: the table grows
+    config.data.relation(0).Insert({i});
+    ConfigId id = store.Intern(config);
+    EXPECT_GT(store.approx_bytes(), previous);
+    previous = store.approx_bytes();
+    store.Insert(0, 1, id);  // the bits came with the id: no growth
+    EXPECT_EQ(store.approx_bytes(), previous);
   }
-  set.Insert({0, 0, 7, 0});  // already stored: no growth
-  EXPECT_EQ(set.approx_bytes(), previous);
-  set.Clear();
-  EXPECT_EQ(set.approx_bytes(), baseline);
+  store.Intern(config);  // already interned: no growth
+  EXPECT_EQ(store.approx_bytes(), previous);
+  // Successor lists count while recorded and once complete.
+  ASSERT_TRUE(store.BeginSuccessors(0));
+  store.AddSuccessor(1);
+  EXPECT_GT(store.approx_bytes(), previous);
+  previous = store.approx_bytes();
+  store.EndSuccessors(0);
+  EXPECT_EQ(store.approx_bytes(), previous);
+  store.Reset(&catalog, 2, 1);
+  EXPECT_EQ(store.approx_bytes(), baseline);
 }
 
 // --- every UnknownReason, end to end ----------------------------------------
@@ -724,9 +741,18 @@ TEST(RetryLadderTest, FlipsACandidateBudgetUnknownToDecided) {
   const AttemptRecord& last = laddered.attempts.back();
   EXPECT_EQ(last.verdict, Verdict::kHolds);
   EXPECT_GT(last.budget_seconds, 0);
-  // The attempt history serialises (for --stats-json).
-  std::string json = laddered.AttemptsJson().Dump();
-  EXPECT_NE(json.find("\"rung_name\""), std::string::npos);
+  // The attempt history serialises through the wire codec (what
+  // --stats-json writes and the daemon sends) and reads back.
+  obs::Json json = api::AttemptsToJson(laddered.attempts);
+  ASSERT_EQ(json.size(), laddered.attempts.size());
+  for (size_t k = 0; k < laddered.attempts.size(); ++k) {
+    StatusOr<AttemptRecord> back = api::AttemptFromJson(json.items()[k]);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->rung_name, laddered.attempts[k].rung_name);
+    EXPECT_EQ(back->verdict, laddered.attempts[k].verdict);
+    EXPECT_EQ(back->stats.num_expansions,
+              laddered.attempts[k].stats.num_expansions);
+  }
 }
 
 TEST(RetryLadderTest, NonBudgetReasonsEndTheLadder) {

@@ -396,14 +396,20 @@ TEST(ResultCacheTest, SemanticsOptionFlipMissesWarmCache) {
   request.cache = cache->get();
   {
     Verifier verifier(e1.spec.get());
-    ASSERT_TRUE(verifier.RunBatch(request).ok());
+    StatusOr<BatchResponse> cold = verifier.RunBatch(request);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    for (const VerifyResponse& r : cold->responses) {
+      ASSERT_NE(r.verdict, Verdict::kUnknown) << r.failure_reason;
+    }
   }
 
   // Same spec, same properties, but exhaustive_existential changes what
-  // the search explores: every lookup must miss and re-verify.
+  // the search explores: every lookup must miss and re-verify. The
+  // lookups happen before any work, so a one-second deadline (not part of
+  // the key) cuts the exhaustive pre-pass and search short.
   Verifier verifier(e1.spec.get());
   request.options.exhaustive_existential = true;
-  request.options.timeout_seconds = 120;
+  request.options.timeout_seconds = 1;
   StatusOr<BatchResponse> flipped = verifier.RunBatch(request);
   ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
   EXPECT_EQ(flipped->merged.cache_hits, 0);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "api/wire.h"
 #include "apps/apps.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
@@ -148,6 +149,36 @@ TEST(StatsJsonTest, BatchMergedStatsCarryTelemetry) {
   EXPECT_GT(response->merged.search_depth.count, 0);
   EXPECT_GT(response->merged.alloc_bytes, 0);
   EXPECT_TRUE(response->merged.ToJson().Has("shard_alloc_bytes"));
+}
+
+// `wave_verify --stats-json` writes a run's retry history with the wire
+// codec: the bytes wave_serve sends under `attempts`, whose stats carry
+// lossless histogram buckets rather than p50/p90/p99 summaries.
+TEST(StatsJsonTest, AttemptsUseTheWireCodec) {
+  AppBundle bundle = BuildE1();
+  Verifier verifier(bundle.spec.get());
+  obs::MetricsRegistry metrics;  // telemetry on: histograms get samples
+  VerifyRequest request;
+  request.property = FindProperty(bundle, "P1");
+  ASSERT_NE(request.property, nullptr);
+  request.options.metrics = &metrics;
+  request.options.max_candidates = 6;  // P1 needs 10: early rungs fail
+  request.retry.enabled = true;
+  StatusOr<VerifyResponse> response = verifier.Run(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_GE(response->attempts.size(), 2u);
+  EXPECT_EQ(response->verdict, Verdict::kHolds);
+
+  obs::Json attempts = api::AttemptsToJson(response->attempts);
+  obs::Json wire = api::ResponseToJson(*response, *bundle.spec);
+  ASSERT_TRUE(wire.Has("attempts"));
+  EXPECT_EQ(attempts.Dump(), wire.Find("attempts")->Dump());
+  const obs::Json* depth =
+      attempts.items().back().Find("stats")->Find("search_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GT(depth->Find("count")->AsInt(), 0);
+  EXPECT_TRUE(depth->Has("buckets"));
+  EXPECT_FALSE(depth->Has("p50"));
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Verifier-core tests: the visited set, the key encoding, heuristic on/off
+// Verifier-core tests: the configuration store, the key encoding and its
+// decoder, successor sharing across automaton states, heuristic on/off
 // agreement, counterexample sanity, and a differential test of the
 // pseudorun verifier against the explicit first-cut baseline on small
 // specs.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
+#include <tuple>
 
 #include "apps/apps.h"
 #include "baseline/firstcut.h"
@@ -14,78 +18,181 @@
 #include "parser/parser.h"
 #include "verifier/encode.h"
 #include "verifier/verifier.h"
-#include "verifier/visited_set.h"
+#include "verifier/config_store.h"
 
 #include "verify_helpers.h"
 
 namespace wave {
 namespace {
 
-// --- visited set -------------------------------------------------------------
+// --- configuration store ----------------------------------------------------
+
+/// Two unary database relations, a nullary state and a unary input: enough
+/// for configurations that differ in page, relation, instance and size.
+Catalog SmallCatalog() {
+  Catalog catalog;
+  catalog.Declare({"R", 1, RelationKind::kDatabase, {}});
+  catalog.Declare({"S", 1, RelationKind::kDatabase, {}});
+  catalog.Declare({"Z", 0, RelationKind::kState, {}});
+  catalog.Declare({"I", 1, RelationKind::kInput, {}});
+  return catalog;
+}
+
+/// The configuration at `page` whose `R` holds the values `r`.
+Configuration ConfigWith(const Catalog& catalog, int page,
+                         const std::vector<SymbolId>& r) {
+  Configuration c;
+  c.page = page;
+  c.data = Instance(&catalog);
+  c.previous = Instance(&catalog);
+  for (SymbolId v : r) c.data.relation("R").Insert({v});
+  return c;
+}
 
 TEST(TrieTest, InsertAndContains) {
-  VisitedSet set;
-  EXPECT_TRUE(set.Insert({1, 2, 3}));
-  EXPECT_FALSE(set.Insert({1, 2, 3}));
-  EXPECT_TRUE(set.Contains({1, 2, 3}));
-  EXPECT_FALSE(set.Contains({1, 2}));
-  EXPECT_TRUE(set.Insert({1, 2}));  // prefix of an existing key
-  EXPECT_TRUE(set.Contains({1, 2}));
-  EXPECT_EQ(set.size(), 2);
-  set.Clear();
-  EXPECT_EQ(set.size(), 0);
-  EXPECT_FALSE(set.Contains({1, 2, 3}));
+  Catalog catalog = SmallCatalog();
+  ConfigStore store;
+  store.Reset(&catalog, /*num_states=*/3, /*num_components=*/0);
+  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
+  ConfigId b = store.Intern(ConfigWith(catalog, 0, {1, 2}));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(store.Intern(ConfigWith(catalog, 0, {1, 2, 3})), a);
+  EXPECT_EQ(store.num_configs(), 2);
+  EXPECT_TRUE(store.Insert(0, 2, a));
+  EXPECT_FALSE(store.Insert(0, 2, a));
+  EXPECT_TRUE(store.Contains(0, 2, a));
+  EXPECT_FALSE(store.Contains(0, 2, b));  // a subset of a's tuples
+  EXPECT_TRUE(store.Insert(0, 2, b));
+  EXPECT_TRUE(store.Contains(0, 2, b));
+  EXPECT_EQ(store.size(), 2);
+  store.Reset(&catalog, 3, 0);
+  EXPECT_EQ(store.size(), 0);
+  EXPECT_EQ(store.num_configs(), 0);
+  a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
+  EXPECT_EQ(a, 0u);
+  EXPECT_FALSE(store.Contains(0, 2, a));
 }
 
 TEST(TrieTest, EmptyKeyIsAKey) {
-  VisitedSet set;
-  EXPECT_FALSE(set.Contains({}));
-  EXPECT_TRUE(set.Insert({}));
-  EXPECT_FALSE(set.Insert({}));
-  EXPECT_TRUE(set.Contains({}));
-  EXPECT_FALSE(set.Contains({0}));
-  EXPECT_EQ(set.size(), 1);
+  // The all-empty configuration is interned and visited like any other.
+  Catalog catalog = SmallCatalog();
+  ConfigStore store;
+  store.Reset(&catalog, 1, 0);
+  ConfigId empty = store.Intern(ConfigWith(catalog, 0, {}));
+  EXPECT_FALSE(store.Contains(0, 0, empty));
+  EXPECT_TRUE(store.Insert(0, 0, empty));
+  EXPECT_FALSE(store.Insert(0, 0, empty));
+  EXPECT_TRUE(store.Contains(0, 0, empty));
+  ConfigId zero = store.Intern(ConfigWith(catalog, 0, {0}));  // R = {(0)}
+  EXPECT_NE(zero, empty);
+  EXPECT_FALSE(store.Contains(0, 0, zero));
+  EXPECT_EQ(store.size(), 1);
+  EXPECT_EQ(store.Decode(empty), ConfigWith(catalog, 0, {}));
 }
 
 TEST(TrieTest, CountsHitsAndMisses) {
-  VisitedSet set;
-  set.Insert({1, 2, 3});       // miss (new)
-  set.Insert({1, 2, 3});       // hit (already stored)
-  set.Contains({1, 2, 3});     // hit
-  set.Contains({9});           // miss
-  set.Contains({1, 2});        // miss (prefix, not stored)
-  EXPECT_EQ(set.stats().hits, 2);
-  EXPECT_EQ(set.stats().misses, 3);
-  EXPECT_EQ(set.stats().lookups(), 5);
-  set.Clear();
-  EXPECT_EQ(set.stats().lookups(), 0);
+  Catalog catalog = SmallCatalog();
+  ConfigStore store;
+  store.Reset(&catalog, 1, 0);
+  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
+  ConfigId b = store.Intern(ConfigWith(catalog, 0, {9}));
+  ConfigId c = store.Intern(ConfigWith(catalog, 0, {1, 2}));
+  store.Insert(0, 0, a);    // miss (new)
+  store.Insert(0, 0, a);    // hit (already stored)
+  store.Contains(0, 0, a);  // hit
+  store.Contains(0, 0, b);  // miss
+  store.Contains(0, 0, c);  // miss (interned, never visited)
+  EXPECT_EQ(store.stats().hits, 2);
+  EXPECT_EQ(store.stats().misses, 3);
+  EXPECT_EQ(store.stats().lookups(), 5);
+  store.Reset(&catalog, 1, 0);
+  EXPECT_EQ(store.stats().lookups(), 0);
 }
 
 TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
-  // Enough distinct keys to double the 16-slot table ten times over; short
-  // keys repeat often, so hits, misses and growth all interleave.
+  // Enough distinct configurations to double the 16-slot table ten times
+  // over; small ones repeat often, so hits, misses and growth interleave.
+  // The reference keys (flag, state, key) triples in a std::set and numbers
+  // keys in first-seen order, as interning must.
   std::mt19937 rng(7);
-  VisitedSet set;
-  std::set<std::vector<uint8_t>> reference;
+  Catalog catalog = SmallCatalog();
+  constexpr int kStates = 3;
+  ConfigStore store;
+  store.Reset(&catalog, kStates, 0);
+  std::map<std::vector<uint8_t>, ConfigId> ids;
+  std::set<std::tuple<int, int, std::vector<uint8_t>>> reference;
   for (int i = 0; i < 20000; ++i) {
-    std::vector<uint8_t> key(rng() % 12);
-    for (uint8_t& b : key) b = static_cast<uint8_t>(rng() % 4);
-    bool inserted_ref = reference.insert(key).second;
+    std::vector<SymbolId> r(rng() % 4);
+    for (SymbolId& v : r) v = static_cast<SymbolId>(rng() % 32);
+    Configuration c = ConfigWith(catalog, static_cast<int>(rng() % 4), r);
+    if (rng() % 2 == 0) c.previous.relation("I").Insert({SymbolId(rng() % 4)});
+    std::vector<uint8_t> key = EncodeConfigurationKey(c);
+    ConfigId expected_id = static_cast<ConfigId>(ids.size());
+    expected_id = ids.emplace(key, expected_id).first->second;
+    ConfigId id = store.Intern(c);
+    ASSERT_EQ(id, expected_id);
+    const int flag = static_cast<int>(rng() % 2);
+    const int state = static_cast<int>(rng() % kStates);
+    bool inserted_ref = reference.insert({flag, state, key}).second;
     if (rng() % 2 == 0) {
-      EXPECT_EQ(set.Insert(key), inserted_ref);
+      EXPECT_EQ(store.Insert(flag, state, id), inserted_ref);
     } else {
-      EXPECT_EQ(set.Contains(key), !inserted_ref);
-      if (inserted_ref) set.Insert(key);
+      EXPECT_EQ(store.Contains(flag, state, id), !inserted_ref);
+      if (inserted_ref) store.Insert(flag, state, id);
     }
-    EXPECT_EQ(set.size(), static_cast<int>(reference.size()));
+    EXPECT_EQ(store.size(), static_cast<int>(reference.size()));
   }
-  EXPECT_GT(set.size(), 16 << 9);
-  for (const std::vector<uint8_t>& key : reference) {
-    EXPECT_TRUE(set.Contains(key));
+  EXPECT_GT(store.num_configs(), 16 << 9);
+  EXPECT_EQ(store.num_configs(), static_cast<int>(ids.size()));
+  for (const auto& [flag, state, key] : reference) {
+    EXPECT_TRUE(store.Contains(flag, state, ids.at(key)));
+  }
+  for (const auto& [key, id] : ids) {
+    EXPECT_EQ(EncodeConfigurationKey(store.Decode(id)), key);
   }
 }
 
-// --- visited-key encoding ----------------------------------------------------
+TEST(TrieTest, SuccessorListsReplayOnlyOnceComplete) {
+  Catalog catalog = SmallCatalog();
+  ConfigStore store;
+  store.Reset(&catalog, 2, 3);
+  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1}));
+  ConfigId b = store.Intern(ConfigWith(catalog, 0, {2}));
+  ConfigId c = store.Intern(ConfigWith(catalog, 1, {}));
+  SuccessorRange range;
+  EXPECT_FALSE(store.FindSuccessors(a, &range));
+  ASSERT_TRUE(store.BeginSuccessors(a));
+  EXPECT_FALSE(store.BeginSuccessors(a));  // an ancestor is recording it
+  store.AddSuccessor(b);
+  ASSERT_TRUE(store.BeginSuccessors(b));  // nested recording
+  store.AddSuccessor(a);
+  EXPECT_FALSE(store.FindSuccessors(b, &range));
+  store.EndSuccessors(b);
+  ASSERT_TRUE(store.FindSuccessors(b, &range));
+  ASSERT_EQ(range.end - range.begin, 1u);
+  EXPECT_EQ(store.successor(range.begin), a);
+  EXPECT_FALSE(store.FindSuccessors(a, &range));  // still open
+  store.AddSuccessor(c);
+  store.AddSuccessor(b);
+  store.EndSuccessors(a);
+  ASSERT_TRUE(store.FindSuccessors(a, &range));
+  std::vector<ConfigId> replayed;
+  for (uint32_t i = range.begin; i < range.end; ++i) {
+    replayed.push_back(store.successor(i));
+  }
+  EXPECT_EQ(replayed, (std::vector<ConfigId>{b, c, b}));
+  EXPECT_FALSE(store.BeginSuccessors(a));  // complete: replay, not record
+
+  EXPECT_FALSE(store.has_components(c));
+  store.SetComponents(c, {true, false, true});
+  EXPECT_TRUE(store.has_components(c));
+  EXPECT_TRUE(store.component(c, 0));
+  EXPECT_FALSE(store.component(c, 1));
+  EXPECT_TRUE(store.component(c, 2));
+  EXPECT_FALSE(store.has_components(b));
+}
+
+// --- configuration keys ------------------------------------------------------
 
 TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
   Catalog catalog;
@@ -97,11 +204,21 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
   a.data = Instance(&catalog);
   a.previous = Instance(&catalog);
   Configuration b = a;
-  EXPECT_EQ(EncodeVisitedKey(0, 0, a), EncodeVisitedKey(0, 0, b));
-  EXPECT_NE(EncodeVisitedKey(1, 0, a), EncodeVisitedKey(0, 0, a));
-  EXPECT_NE(EncodeVisitedKey(0, 1, a), EncodeVisitedKey(0, 0, a));
+  EXPECT_EQ(EncodeConfigurationKey(a), EncodeConfigurationKey(b));
   b.page = 1;
-  EXPECT_NE(EncodeVisitedKey(0, 0, a), EncodeVisitedKey(0, 0, b));
+  EXPECT_NE(EncodeConfigurationKey(a), EncodeConfigurationKey(b));
+
+  // The flag and the automaton state are not in the key: each (flag,
+  // state) pair is its own visited bit beside the key's id.
+  ConfigStore store;
+  store.Reset(&catalog, /*num_states=*/2, /*num_components=*/0);
+  ConfigId id = store.Intern(a);
+  EXPECT_TRUE(store.Insert(0, 0, id));
+  EXPECT_TRUE(store.Insert(1, 0, id));
+  EXPECT_TRUE(store.Insert(0, 1, id));
+  EXPECT_TRUE(store.Insert(1, 1, id));
+  EXPECT_EQ(store.size(), 4);
+  EXPECT_FALSE(store.Contains(0, 0, store.Intern(b)));
 
   // Only non-empty relations are written, tagged with their id, so moving
   // a tuple to another relation or instance must change the key.
@@ -129,9 +246,109 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
           .relation(put.relation)
           .Insert({put.value});
     }
-    EXPECT_TRUE(keys.insert(EncodeVisitedKey(0, 0, c)).second)
+    EXPECT_TRUE(keys.insert(EncodeConfigurationKey(c)).second)
         << "case " << i << " collides with an earlier one";
   }
+}
+
+/// Decoding `config`'s key gives `config` back, and re-encoding it gives
+/// the same bytes.
+void ExpectRoundTrip(const Configuration& config, const std::string& what) {
+  std::vector<uint8_t> key = EncodeConfigurationKey(config);
+  Configuration decoded =
+      DecodeConfigurationKey(key.data(), key.size(), config.data.catalog());
+  EXPECT_TRUE(decoded == config) << what;
+  EXPECT_EQ(EncodeConfigurationKey(decoded), key) << what;
+}
+
+TEST(EncodeTest, DecodeInvertsEncodeOnEdgeCases) {
+  Catalog catalog;
+  catalog.Declare({"R", 1, RelationKind::kDatabase, {}});
+  catalog.Declare({"T", 3, RelationKind::kDatabase, {}});
+  catalog.Declare({"Z", 0, RelationKind::kState, {}});
+  catalog.Declare({"I", 2, RelationKind::kInput, {}});
+  catalog.Declare({"K", 1, RelationKind::kInputConstant, {}});
+  Configuration empty;
+  empty.page = 0;
+  empty.data = Instance(&catalog);
+  empty.previous = Instance(&catalog);
+  ExpectRoundTrip(empty, "all relations empty");
+
+  Configuration multi = empty;
+  multi.page = 3;
+  for (SymbolId v : {4, 1, 9}) multi.data.relation("R").Insert({v});
+  multi.data.relation("T").Insert({1, 2, 3});
+  multi.data.relation("T").Insert({1, 2, 2});
+  multi.data.relation("T").Insert({0, 7, 7});
+  multi.data.relation("Z").Insert({});
+  multi.data.relation("I").Insert({5, 6});
+  ExpectRoundTrip(multi, "multi-tuple relations and a nullary fact");
+
+  Configuration previous_only = empty;
+  previous_only.previous.relation("I").Insert({2, 3});
+  previous_only.previous.relation("K").Insert({8});
+  ExpectRoundTrip(previous_only, "previous only");
+
+  // Values and pages of 128 and up take more than one varint byte.
+  Configuration wide = empty;
+  wide.page = 200;
+  for (SymbolId v : {127, 128, 300, 16384, 1 << 28}) {
+    wide.data.relation("R").Insert({v});
+    wide.previous.relation("K").Clear();
+    wide.previous.relation("K").Insert({v});
+  }
+  wide.data.relation("T").Insert({129, 255, 70000});
+  ExpectRoundTrip(wide, "multi-byte varints");
+}
+
+TEST(EncodeTest, CounterexampleConfigurationsRoundTrip) {
+  // Every step of every counterexample the E1-E4 suites report.
+  int violated = 0, steps = 0;
+  for (AppBundle (*build)() : {&BuildE1, &BuildE2, &BuildE3, &BuildE4}) {
+    AppBundle app = build();
+    Verifier verifier(app.spec.get());
+    for (const ParsedProperty& p : app.properties) {
+      VerifyResult r = RunVerify(verifier, p.property);
+      if (r.verdict != Verdict::kViolated) continue;
+      ++violated;
+      for (const auto* part : {&r.stick, &r.candy}) {
+        for (const CounterexampleStep& step : *part) {
+          ++steps;
+          ExpectRoundTrip(step.config, p.property.name);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violated, 29);
+  EXPECT_GT(steps, 29);
+}
+
+TEST(ProductSharingTest, RevisitedConfigurationsReplayTheirSuccessors) {
+  // succP runs about once per distinct configuration, not once per
+  // (automaton state, configuration) expansion: E1/P4 expands 21,298
+  // pairs over 327 configurations, E1/P9 1,219 pairs over the same 327.
+  // Recomputing per expansion took 19,689 and 1,710 Advance calls.
+  AppBundle e1 = BuildE1();
+  Verifier verifier(e1.spec.get());
+  auto advance_calls = [&](const char* name, VerifyResult* result) {
+    obs::MetricsRegistry metrics;
+    VerifyOptions options;
+    options.metrics = &metrics;
+    const Property* p = FindProperty(e1, name);
+    EXPECT_NE(p, nullptr) << name;
+    if (p != nullptr) *result = RunVerify(verifier, *p, options);
+    return metrics.counter("prepared.advance_calls")->value();
+  };
+  VerifyResult p4, p9;
+  EXPECT_LT(advance_calls("P4", &p4), 1000);
+  EXPECT_LT(advance_calls("P9", &p9), 700);
+  EXPECT_EQ(p4.verdict, Verdict::kHolds);
+  EXPECT_EQ(p9.verdict, Verdict::kHolds);
+  // The visited bits see exactly the lookups a set of (flag, state,
+  // configuration) triples would.
+  EXPECT_EQ(p4.stats.num_expansions, 21298);
+  EXPECT_EQ(p4.stats.trie_hits, 341612);
+  EXPECT_EQ(p4.stats.trie_misses, 42556);
 }
 
 // --- heuristics preserve verdicts ----------------------------------------------

@@ -14,15 +14,6 @@
 
 namespace wave {
 
-/// The property of `bundle` named `name`; null when the suite has none.
-inline const Property* FindProperty(const AppBundle& bundle,
-                                    const std::string& name) {
-  for (const ParsedProperty& p : bundle.properties) {
-    if (p.property.name == name) return &p.property;
-  }
-  return nullptr;
-}
-
 /// `bundle`'s properties as a catalog for name/index/batch selection.
 inline std::vector<Property> CatalogOf(const AppBundle& bundle) {
   std::vector<Property> catalog;

@@ -492,7 +492,7 @@ int Main(int argc, char** argv) {
     obs::Json attempts;
     if (batch.has_value()) {
       VerifyResponse& response = batch->responses[index];
-      if (cli.retry_ladder) attempts = response.AttemptsJson();
+      if (cli.retry_ladder) attempts = api::AttemptsToJson(response.attempts);
       r = std::move(static_cast<VerifyResult&>(response));
     } else if (cli.validated) {
       // The Section 7 loop installs its own candidate filter, so it keeps
@@ -514,7 +514,7 @@ int Main(int argc, char** argv) {
         load_failures = true;
         continue;
       }
-      if (cli.retry_ladder) attempts = response->AttemptsJson();
+      if (cli.retry_ladder) attempts = api::AttemptsToJson(response->attempts);
       r = std::move(static_cast<VerifyResult&>(*response));
     }
     if (r.unknown_reason == UnknownReason::kCancelled) interrupted = true;
