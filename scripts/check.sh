@@ -14,7 +14,7 @@
 #   scripts/check.sh --fuzz              # 60s differential fuzz campaign (ASan)
 #   scripts/check.sh --fuzz=300          # longer campaign
 #   scripts/check.sh --fuzz undefined    # campaign under UBSan
-#   scripts/check.sh --bench             # wave_bench e1 smoke vs committed baseline
+#   scripts/check.sh --bench             # wave_bench verify suite vs committed baseline
 #   scripts/check.sh --faults            # fault-injection battery + 200-kill crash campaign
 #   scripts/check.sh --faults=30         # shorter crash campaign (~3 kills/sec)
 #   scripts/check.sh --faults undefined  # fault battery under UBSan
@@ -190,17 +190,18 @@ if [ "$MODE" = "test" ]; then
 fi
 
 # Bench mode (ISSUE 6): the `bench`-labelled ctest suite (hermetic gate
-# semantics) plus the real thing — wave_bench's e1 smoke suite compared
-# against the committed all-suite baseline. The time threshold is
-# widened to +150% because the committed baseline was measured on one
-# particular host; the deterministic search counters still compare
-# exactly, so an algorithmic regression gates regardless of hardware.
+# semantics) plus the real thing — wave_bench's whole verify suite (all
+# 56 E1-E4 properties, well under a second) compared against the
+# committed baseline. The time threshold is widened to +150% because the
+# committed baseline was measured on one particular host; the
+# deterministic search counters of every record still compare exactly,
+# so an algorithmic regression gates regardless of hardware.
 if [ "$MODE" = "bench" ]; then
   echo "== bench-labelled tests"
   ctest --test-dir "$BUILD_DIR" -L bench --output-on-failure
-  echo "== wave_bench e1 smoke vs committed baseline"
-  "$BUILD_DIR/tools/wave_bench" --suite e1 --quiet \
-      --out "$BUILD_DIR/BENCH_e1.json" \
+  echo "== wave_bench verify suite vs committed baseline"
+  "$BUILD_DIR/tools/wave_bench" --suite verify --quiet \
+      --out "$BUILD_DIR/BENCH_verify.json" \
       --compare "$ROOT/bench/baselines/BENCH_verify.json" \
       --threshold-time 1.5
   echo "== BENCH OK"

@@ -17,12 +17,14 @@
 //
 // A malformed line yields an `ok:false` envelope (id "" when the line did
 // not parse far enough to recover one) and the connection stays open —
-// clients pipeline requests, one bad frame must not poison the rest.
+// clients pipeline requests, one bad frame must not poison the rest. A
+// request line longer than `kMaxRequestLine` closes its connection.
 // Version policy is the api/wire.h one: unstamped envelopes read as
 // version 1; newer stamps are rejected with INVALID_ARGUMENT.
 #ifndef WAVE_SERVE_PROTOCOL_H_
 #define WAVE_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <string>
 
 #include "api/wire.h"
@@ -30,6 +32,9 @@
 #include "obs/json.h"
 
 namespace wave::serve {
+
+/// Longest request line the daemon frames, not counting its '\n'.
+inline constexpr size_t kMaxRequestLine = size_t{4} << 20;  // 4 MiB
 
 enum class Verb {
   kVerify = 0,

@@ -31,25 +31,31 @@ Status Errno(const std::string& what) {
   return Status::Unavailable(what + ": " + ::strerror(errno), WAVE_LOC);
 }
 
-/// Buffered newline framing over a socket fd. Lines beyond `kMaxLine`
-/// abort the connection — a runaway frame must not eat the heap.
+/// Buffered newline framing over a socket fd. Each byte is scanned for
+/// '\n' once and consumed lines are dropped once per `recv`, so framing
+/// is linear in the bytes received. A line longer than `kMaxRequestLine`
+/// aborts the connection: a runaway frame must not eat the heap.
 class LineReader {
  public:
-  static constexpr size_t kMaxLine = 64u << 20;  // 64 MiB
-
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// 1 = a line is in `*line` (without the '\n'), 0 = clean EOF,
   /// -1 = read error or oversized frame.
   int ReadLine(std::string* line) {
     for (;;) {
-      size_t nl = buffer_.find('\n');
+      size_t nl = buffer_.find('\n', scanned_);
       if (nl != std::string::npos) {
-        line->assign(buffer_, 0, nl);
-        buffer_.erase(0, nl + 1);
+        if (nl - start_ > kMaxRequestLine) return -1;
+        line->assign(buffer_, start_, nl - start_);
+        start_ = scanned_ = nl + 1;
         return 1;
       }
-      if (buffer_.size() > kMaxLine) return -1;
+      // One compaction per recv drops the consumed lines; `scanned_`
+      // keeps the unfinished line's bytes from being scanned again.
+      buffer_.erase(0, start_);
+      start_ = 0;
+      scanned_ = buffer_.size();
+      if (buffer_.size() > kMaxRequestLine) return -1;
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n == 0) return buffer_.empty() ? 0 : -1;  // mid-line EOF = error
@@ -64,6 +70,8 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+  size_t start_ = 0;    // where the next line begins in `buffer_`
+  size_t scanned_ = 0;  // [start_, scanned_) holds no '\n'
 };
 
 /// One client connection. The fd closes with the LAST reference — queued

@@ -43,64 +43,90 @@ size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
 
 }  // namespace
 
-ConfigStore::ConfigStore() : slots_(kInitialSlots) {}
+ConfigStore::KeyTable::KeyTable() : slots_(kInitialSlots) {}
 
-void ConfigStore::Reset(const Catalog* catalog, int num_states,
-                        int num_components) {
-  catalog_ = catalog;
-  num_states_ = static_cast<size_t>(num_states);
-  num_components_ = static_cast<size_t>(num_components);
+void ConfigStore::KeyTable::Clear() {
   slots_.assign(kInitialSlots, Slot{});
   arena_.clear();
-  entries_.clear();
-  visited_bits_.clear();
-  component_bits_.clear();
-  size_ = 0;
-  stats_ = VisitedStats{};
-  successors_.clear();
-  fill_depth_ = 0;
-  filling_ids_ = 0;
+  key_ends_.clear();
 }
 
-ConfigId ConfigStore::Intern(const Configuration& config) {
-  EncodeConfigurationKeyInto(config, &scratch_);
-  const uint64_t hash = HashBytes(scratch_.data(), scratch_.size());
+uint32_t ConfigStore::KeyTable::Intern(const std::vector<uint8_t>& bytes) {
+  const uint64_t hash = HashBytes(bytes.data(), bytes.size());
   const size_t mask = slots_.size() - 1;
   size_t i = hash & mask;
   for (;; i = (i + 1) & mask) {
     const Slot& slot = slots_[i];
     if (slot.id == kEmpty) break;
     if (slot.hash != hash) continue;
-    const size_t begin = KeyBegin(slot.id);
-    if (entries_[slot.id].key_end - begin == scratch_.size() &&
-        std::memcmp(arena_.data() + begin, scratch_.data(),
-                    scratch_.size()) == 0) {
+    if (key_size(slot.id) == bytes.size() &&
+        std::memcmp(key(slot.id), bytes.data(), bytes.size()) == 0) {
       return slot.id;
     }
   }
-  WAVE_CHECK_MSG(arena_.size() + scratch_.size() < UINT32_MAX,
-                 "configuration key arena past 4 GiB");
-  const ConfigId id = static_cast<ConfigId>(entries_.size());
+  WAVE_CHECK_MSG(arena_.size() + bytes.size() < UINT32_MAX,
+                 "key arena past 4 GiB");
+  const uint32_t id = static_cast<uint32_t>(key_ends_.size());
   slots_[i] = {hash, id};
-  arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-  Entry entry;
-  entry.key_end = static_cast<uint32_t>(arena_.size());
-  entries_.push_back(entry);
+  arena_.insert(arena_.end(), bytes.begin(), bytes.end());
+  key_ends_.push_back(static_cast<uint32_t>(arena_.size()));
+  obs::CountAlloc(static_cast<int64_t>(bytes.size() + sizeof(uint32_t)));
+  if (key_ends_.size() * 2 > slots_.size()) Grow();
+  return id;
+}
+
+int64_t ConfigStore::KeyTable::approx_bytes() const {
+  return static_cast<int64_t>(slots_.size() * sizeof(Slot) + arena_.size() +
+                              key_ends_.size() * sizeof(uint32_t));
+}
+
+void ConfigStore::KeyTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() * 2, Slot{});
+  obs::CountAlloc(static_cast<int64_t>(slots_.size() * sizeof(Slot)));
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id == kEmpty) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].id != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void ConfigStore::Reset(const Catalog* catalog, int num_states,
+                        int num_components) {
+  catalog_ = catalog;
+  num_states_ = static_cast<size_t>(num_states);
+  num_components_ = static_cast<size_t>(num_components);
+  configs_.Clear();
+  skeletons_.Clear();
+  entries_.clear();
+  skeleton_lists_.clear();
+  visited_bits_.clear();
+  component_bits_.clear();
+  size_ = 0;
+  stats_ = VisitedStats{};
+  successors_.clear();
+}
+
+ConfigId ConfigStore::Intern(const Configuration& config) {
+  EncodeConfigurationKeyInto(config, &scratch_);
+  const ConfigId id = configs_.Intern(scratch_);
+  if (id < entries_.size()) return id;
+  entries_.emplace_back();
   const size_t bits_before = visited_bits_.size() + component_bits_.size();
   visited_bits_.resize(WordsFor(entries_.size() * 2 * num_states_));
   component_bits_.resize(WordsFor(entries_.size() * num_components_));
   obs::CountAlloc(static_cast<int64_t>(
-      scratch_.size() + sizeof(Entry) +
+      sizeof(Entry) +
       (visited_bits_.size() + component_bits_.size() - bits_before) *
           sizeof(uint64_t)));
-  if (entries_.size() * 2 > slots_.size()) Grow();
   return id;
 }
 
 Configuration ConfigStore::Decode(ConfigId id) const {
-  const size_t begin = KeyBegin(id);
-  return DecodeConfigurationKey(arena_.data() + begin,
-                                entries_[id].key_end - begin, *catalog_);
+  return DecodeConfigurationKey(configs_.key(id), configs_.key_size(id),
+                                *catalog_);
 }
 
 bool ConfigStore::Insert(int flag, int state, ConfigId id) {
@@ -137,58 +163,44 @@ void ConfigStore::SetComponents(ConfigId id, const std::vector<bool>& values) {
   entries_[id].components = true;
 }
 
-bool ConfigStore::FindSuccessors(ConfigId id, SuccessorRange* range) const {
-  const Entry& entry = entries_[id];
-  if (entry.memo != Memo::kComplete) return false;
-  *range = entry.successors;
-  return true;
+SkeletonId ConfigStore::InternSkeleton(int prev_page,
+                                       const Configuration& skeleton) {
+  // A configuration key is self-delimiting, so the page appended after it
+  // keeps the pair's key injective.
+  EncodeConfigurationKeyInto(skeleton, &scratch_);
+  const uint32_t page = static_cast<uint32_t>(prev_page);
+  for (int shift = 0; shift < 32; shift += 8) {
+    scratch_.push_back(static_cast<uint8_t>(page >> shift));
+  }
+  const SkeletonId s = skeletons_.Intern(scratch_);
+  if (s == skeleton_lists_.size()) {
+    skeleton_lists_.emplace_back();
+    obs::CountAlloc(sizeof(List));
+  }
+  return s;
 }
 
-bool ConfigStore::BeginSuccessors(ConfigId id) {
-  Entry& entry = entries_[id];
-  if (entry.memo != Memo::kNone) return false;
-  entry.memo = Memo::kFilling;
-  if (fill_depth_ == fills_.size()) fills_.emplace_back();
-  fills_[fill_depth_].id = id;
-  fills_[fill_depth_].ids.clear();
-  ++fill_depth_;
-  return true;
-}
-
-void ConfigStore::EndSuccessors(ConfigId id) {
-  WAVE_CHECK(fill_depth_ > 0 && fills_[fill_depth_ - 1].id == id);
-  const std::vector<ConfigId>& ids = fills_[--fill_depth_].ids;
+SuccessorRange ConfigStore::SetSkeletonSuccessors(
+    SkeletonId s, const std::vector<ConfigId>& ids) {
   WAVE_CHECK_MSG(successors_.size() + ids.size() < UINT32_MAX,
                  "successor memo past 2^32 entries");
-  Entry& entry = entries_[id];
-  entry.successors.begin = static_cast<uint32_t>(successors_.size());
+  List& list = skeleton_lists_[s];
+  list.range.begin = static_cast<uint32_t>(successors_.size());
   successors_.insert(successors_.end(), ids.begin(), ids.end());
-  entry.successors.end = static_cast<uint32_t>(successors_.size());
-  entry.memo = Memo::kComplete;
-  filling_ids_ -= static_cast<int64_t>(ids.size());
+  list.range.end = static_cast<uint32_t>(successors_.size());
+  list.set = true;
   obs::CountAlloc(static_cast<int64_t>(ids.size() * sizeof(ConfigId)));
+  return list.range;
 }
 
 int64_t ConfigStore::approx_bytes() const {
-  return static_cast<int64_t>(
-      slots_.size() * sizeof(Slot) + arena_.size() +
-      entries_.size() * sizeof(Entry) +
-      (visited_bits_.size() + component_bits_.size()) * sizeof(uint64_t) +
-      (successors_.size() + static_cast<size_t>(filling_ids_)) *
-          sizeof(ConfigId));
-}
-
-void ConfigStore::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  obs::CountAlloc(static_cast<int64_t>(slots_.size() * sizeof(Slot)));
-  const size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.id == kEmpty) continue;
-    size_t i = slot.hash & mask;
-    while (slots_[i].id != kEmpty) i = (i + 1) & mask;
-    slots_[i] = slot;
-  }
+  return configs_.approx_bytes() + skeletons_.approx_bytes() +
+         static_cast<int64_t>(
+             entries_.size() * sizeof(Entry) +
+             skeleton_lists_.size() * sizeof(List) +
+             (visited_bits_.size() + component_bits_.size()) *
+                 sizeof(uint64_t) +
+             successors_.size() * sizeof(ConfigId));
 }
 
 }  // namespace wave

@@ -11,24 +11,30 @@
 // "State Compression in SPIN", SPIN Workshop 1997):
 //
 // * Interning. Every configuration gets a dense id keyed by its canonical
-//   key (verifier/encode.h), kept back to back in one byte arena and found
-//   through an open-addressing table of 64-bit hashes, probed linearly and
-//   doubled whenever it would pass half full. A successor is encoded once.
+//   key (verifier/encode.h). A key table keeps the keys back to back in one
+//   byte arena and finds them through an open-addressing table of 64-bit
+//   hashes, probed linearly and doubled whenever it would pass half full.
+//   A successor is encoded once.
 // * Visited bits. One bit per (flag, Büchi state) per id, packed densely,
 //   replaces a byte key per (flag, state, configuration). `Insert` and
 //   `Contains` count hits and misses, and `size()` counts stored triples:
 //   the statistics the paper's "max trie size" column tracks.
-// * Memo. Per id, the FO components' truth values and the ids of its
-//   successors in `succP`'s enumeration order. A successor list is filled
-//   during the id's first enumeration and becomes readable only when that
-//   enumeration finishes, so later expansions under any automaton state
-//   replay it; an id whose list is still being filled (an ancestor frame
-//   of the DFS is enumerating it) is enumerated again, unrecorded.
+// * Memo. `succP` first advances a configuration to its *skeleton* (page,
+//   state and previous inputs recomputed, the database reset to the core)
+//   and then completes the skeleton with every extension and input choice.
+//   The completions depend only on the skeleton and the previous page, so
+//   a second key table interns that pair, and a skeleton's completions are
+//   interned into one successor list, in enumeration order, before the
+//   search visits any of them. Lists therefore never nest, and one is
+//   readable as soon as it is set. A configuration's entry points at its
+//   skeleton's list, so a later expansion of it, or of another
+//   configuration with the same skeleton, replays the ids. Per id the memo
+//   also keeps the FO components' truth values.
 // * Decoding. `Decode` rebuilds a `Configuration` from its key, for an id
 //   expanded without a memo or reported in a counterexample.
 //
 // `Reset` keeps every buffer's capacity, so a shard's set-up writes only
-// the 16-slot table.
+// the two 16-slot tables.
 #ifndef WAVE_VERIFIER_CONFIG_STORE_H_
 #define WAVE_VERIFIER_CONFIG_STORE_H_
 
@@ -43,6 +49,9 @@ namespace wave {
 /// Dense id of an interned configuration, in interning order.
 using ConfigId = uint32_t;
 
+/// Dense id of an interned (previous page, skeleton) key.
+using SkeletonId = uint32_t;
+
 /// Lookup counters of the visited bits: every `Insert`/`Contains` is one
 /// lookup; a *hit* found the (flag, state, configuration) triple already
 /// stored, a *miss* did not.
@@ -52,9 +61,9 @@ struct VisitedStats {
   int64_t lookups() const { return hits + misses; }
 };
 
-/// Where a configuration's memoized successors lie: `successor(i)` for i
-/// in [begin, end). Offsets, not pointers, so a range read while the
-/// search interns and memoizes more stays valid.
+/// Where a successor list lies: `successor(i)` for i in [begin, end).
+/// Offsets, not pointers, so a range read while the search interns and
+/// memoizes more stays valid.
 struct SuccessorRange {
   uint32_t begin = 0;
   uint32_t end = 0;
@@ -63,7 +72,7 @@ struct SuccessorRange {
 class ConfigStore {
  public:
   /// An empty store; call `Reset` before use.
-  ConfigStore();
+  ConfigStore() = default;
 
   /// Empties the store for configurations over `catalog`, an automaton of
   /// `num_states` states and `num_components` FO components, dropping the
@@ -104,73 +113,92 @@ class ConfigStore {
     return (component_bits_[bit >> 6] >> (bit & 63)) & 1;
   }
 
-  /// True with `*range` set when `id`'s successor list is complete.
-  bool FindSuccessors(ConfigId id, SuccessorRange* range) const;
+  /// True with `*range` set when `id`'s successor list is set.
+  bool FindSuccessors(ConfigId id, SuccessorRange* range) const {
+    return entries_[id].successors.Find(range);
+  }
+  /// Sets `id`'s successor list to `range`, its skeleton's.
+  void SetSuccessors(ConfigId id, SuccessorRange range) {
+    entries_[id].successors = {range, true};
+  }
   ConfigId successor(uint32_t i) const { return successors_[i]; }
 
-  /// Starts recording `id`'s successors and returns true, or returns false
-  /// when its list is already being recorded (or complete): the caller
-  /// then enumerates without `AddSuccessor`. Recordings nest like the
-  /// enumerations that make them.
-  bool BeginSuccessors(ConfigId id);
-  /// Appends `next` to the innermost recording.
-  void AddSuccessor(ConfigId next) {
-    fills_[fill_depth_ - 1].ids.push_back(next);
-    ++filling_ids_;
+  /// The id of the key (`prev_page`, `skeleton`), interning it when new.
+  SkeletonId InternSkeleton(int prev_page, const Configuration& skeleton);
+  /// True with `*range` set when skeleton `s`'s successor list is set.
+  bool FindSkeletonSuccessors(SkeletonId s, SuccessorRange* range) const {
+    return skeleton_lists_[s].Find(range);
   }
-  /// Completes the innermost recording, which must be `id`'s.
-  void EndSuccessors(ConfigId id);
+  /// Sets skeleton `s`'s successor list to `ids`, its completions in
+  /// enumeration order, and returns the list's range.
+  SuccessorRange SetSkeletonSuccessors(SkeletonId s,
+                                       const std::vector<ConfigId>& ids);
 
-  /// Approximate heap footprint in bytes: the slot table, the key arena,
-  /// the per-id entries, the visited and component bits and the successor
-  /// lists, complete or being recorded. O(1), so the resource governor can
-  /// poll it per expansion; vector capacity slack is not counted.
+  /// Approximate heap footprint in bytes: both key tables, the per-id and
+  /// per-skeleton entries, the visited and component bits and the
+  /// successor lists. O(1), so the resource governor can poll it per
+  /// expansion; vector capacity slack is not counted.
   int64_t approx_bytes() const;
 
  private:
-  static constexpr ConfigId kEmpty = UINT32_MAX;
-  enum class Memo : uint8_t { kNone, kFilling, kComplete };
+  /// Byte keys interned to dense ids in interning order.
+  class KeyTable {
+   public:
+    KeyTable();
+    void Clear();
+    /// The id of the key `bytes`, interning it when new: a new key's id
+    /// is the number of keys interned before it.
+    uint32_t Intern(const std::vector<uint8_t>& bytes);
+    const uint8_t* key(uint32_t id) const { return arena_.data() + begin(id); }
+    size_t key_size(uint32_t id) const { return key_ends_[id] - begin(id); }
+    int64_t approx_bytes() const;
 
-  struct Slot {
-    uint64_t hash = 0;
-    ConfigId id = kEmpty;
+   private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    struct Slot {
+      uint64_t hash = 0;
+      uint32_t id = kEmpty;
+    };
+
+    size_t begin(uint32_t id) const { return id == 0 ? 0 : key_ends_[id - 1]; }
+    void Grow();
+
+    std::vector<Slot> slots_;         // power-of-two size, at most half full
+    std::vector<uint8_t> arena_;      // every key's bytes, back to back
+    std::vector<uint32_t> key_ends_;  // by id: where its key ends in arena_
+  };
+
+  /// A successor list's place in `successors_`, once set.
+  struct List {
+    SuccessorRange range;
+    bool set = false;
+
+    bool Find(SuccessorRange* out) const {
+      if (set) *out = range;
+      return set;
+    }
   };
   struct Entry {
-    uint32_t key_end = 0;  // key is arena_[previous entry's key_end, key_end)
-    SuccessorRange successors;
-    Memo memo = Memo::kNone;
+    List successors;
     bool components = false;
-  };
-
-  size_t KeyBegin(ConfigId id) const {
-    return id == 0 ? 0 : entries_[id - 1].key_end;
-  }
-  void Grow();
-
-  /// One open recording: the id whose successors it collects.
-  struct Fill {
-    ConfigId id = 0;
-    std::vector<ConfigId> ids;
   };
 
   const Catalog* catalog_ = nullptr;
   size_t num_states_ = 0;
   size_t num_components_ = 0;
 
-  std::vector<Slot> slots_;     // power-of-two size, at most half full
-  std::vector<uint8_t> arena_;  // every key's bytes, back to back
-  std::vector<Entry> entries_;  // by id
-  std::vector<uint8_t> scratch_;  // the key being interned
+  KeyTable configs_;                  // by ConfigId
+  KeyTable skeletons_;                // (skeleton, previous page), by SkeletonId
+  std::vector<uint8_t> scratch_;      // the key being interned
+  std::vector<Entry> entries_;        // by ConfigId
+  std::vector<List> skeleton_lists_;  // by SkeletonId
 
   std::vector<uint64_t> visited_bits_;    // (id * 2 + flag) * states + state
   std::vector<uint64_t> component_bits_;  // id * num_components + i
   int size_ = 0;
   mutable VisitedStats stats_;  // mutable: `Contains` is logically const
 
-  std::vector<ConfigId> successors_;  // complete lists, back to back
-  std::vector<Fill> fills_;  // [0, fill_depth_) open, innermost last
-  size_t fill_depth_ = 0;
-  int64_t filling_ids_ = 0;  // ids held by open recordings
+  std::vector<ConfigId> successors_;  // every list, back to back
 };
 
 }  // namespace wave

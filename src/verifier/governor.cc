@@ -63,7 +63,7 @@ int64_t BudgetLedger::SyncMemoryReadings() {
   return total_memory;
 }
 
-UnknownReason BudgetLedger::Check() {
+UnknownReason BudgetLedger::Check(bool expansion_budget) {
   UnknownReason tripped = trip_reason();
   if (tripped != UnknownReason::kNone) return tripped;
   polls_.fetch_add(1, std::memory_order_relaxed);
@@ -87,7 +87,7 @@ UnknownReason BudgetLedger::Check() {
              std::to_string(limits_.max_memory_bytes) + ")");
     return trip_reason();
   }
-  if (limits_.max_expansions >= 0 &&
+  if (expansion_budget && limits_.max_expansions >= 0 &&
       expansions_.load(std::memory_order_relaxed) >= limits_.max_expansions) {
     Trip(UnknownReason::kExpansionBudget,
          "expansion budget exhausted (" +

@@ -9,7 +9,8 @@
 // aggregates expansion/memory totals through relaxed atomics, latches the
 // first tripped limit, and fans the stop out to every worker. Each worker
 // (one when jobs = 1) drives a `WorkerGovernor`, the strided per-thread
-// ticker the search hot loops call once per expansion: expensive sources
+// ticker the search hot loops call once per expansion, and once per
+// configuration completed between expansions: expensive sources
 // (the steady clock, the memory comparison) are only consulted every
 // `kPollStride` ticks, so governance costs a counter increment and one
 // relaxed atomic load per expansion while cancellation and deadline still
@@ -126,8 +127,9 @@ class BudgetLedger {
   /// order cancellation, deadline, memory, expansions. Trips — and
   /// thereby stops every worker — on the first violated limit.
   /// Thread-safe; callable from any worker and from phase boundaries on
-  /// the coordinating thread.
-  UnknownReason Check();
+  /// the coordinating thread. `expansion_budget` false leaves that last
+  /// limit out, for polls made between expansions, which spend none.
+  UnknownReason Check(bool expansion_budget = true);
 
   /// Latches `reason` (first trip wins) and stops the workers.
   void Trip(UnknownReason reason, const std::string& message);
@@ -224,12 +226,29 @@ class WorkerGovernor {
     return UnknownReason::kNone;
   }
 
+  /// Probe for work done between expansions: completing one `succP`
+  /// skeleton interns up to 2^|extension| × input choices configurations
+  /// before the next expansion. Same cheap checks and stride as `Tick`,
+  /// on a counter of its own so completions do not shift `Tick`'s poll
+  /// phase, but a full poll leaves out the expansion budget, which only
+  /// expansions spend.
+  UnknownReason TickWork() {
+    UnknownReason tripped = ledger_->trip_reason();
+    if (tripped != UnknownReason::kNone) return tripped;
+    const GovernorLimits& limits = ledger_->limits();
+    if ((limits.cancellation != nullptr && limits.cancellation->cancelled()) ||
+        work_ticks_++ % BudgetLedger::kPollStride == 0) {
+      return Poll(/*expansion_budget=*/false);
+    }
+    return UnknownReason::kNone;
+  }
+
   /// Flush + full ledger check (also called by `Tick` on stride
   /// boundaries and at phase boundaries).
-  UnknownReason Poll() {
+  UnknownReason Poll(bool expansion_budget = true) {
     Flush();
     shared_expansions_ = ledger_->expansions();
-    return ledger_->Check();
+    return ledger_->Check(expansion_budget);
   }
 
   /// Publishes the unflushed expansion delta and the memory estimate to
@@ -252,6 +271,7 @@ class WorkerGovernor {
   int64_t flushed_ = 0;             // local expansions already in the ledger
   int64_t shared_expansions_ = 0;   // ledger total at the last poll
   int64_t ticks_ = 0;
+  int64_t work_ticks_ = 0;
   int64_t memory_bytes_ = 0;
 };
 

@@ -46,6 +46,14 @@ GovernorLimits GovernorLimitsFromOptions(const VerifyOptions& options) {
   return limits;
 }
 
+/// How a worker's `succP` requests were served: from a configuration's own
+/// successor list, or through its skeleton's, found or newly enumerated.
+struct MemoCounters {
+  int64_t replays = 0;
+  int64_t skeleton_hits = 0;
+  int64_t skeleton_misses = 0;
+};
+
 /// Heartbeat counters a worker publishes for the coordinator's aggregated
 /// progress snapshots (jobs > 1 only; all relaxed — monitoring data).
 struct WorkerProgress {
@@ -195,6 +203,7 @@ class ShardRunner {
   const VerifyStats& stats() const { return stats_; }
   const std::vector<VerifyStats>& job_stats() const { return job_stats_; }
   const std::vector<double>& assignment_us() const { return assignment_us_; }
+  const MemoCounters& memo() const { return memo_; }
   int64_t heartbeats() const { return heartbeats_; }
 
  private:
@@ -242,10 +251,14 @@ class ShardRunner {
     for (const auto& [relation, tuple] : core_) {
       skeleton.data.relation(relation).Insert(tuple);
     }
-    SearchStatus status = ForEachCompletion(
-        skeleton, /*prev_page=*/-1, [this](const Configuration& c0) {
-          return Stick(plan_->automaton.start, TimedIntern(c0), &c0, 1);
-        });
+    std::vector<ConfigId> starts;
+    SearchStatus status = InternCompletions(skeleton, /*prev_page=*/-1,
+                                            &starts);
+    for (size_t i = 0; i < starts.size() && status == SearchStatus::kContinue;
+         ++i) {
+      CountSuccessor();
+      status = Stick(plan_->automaton.start, starts[i], 1);
+    }
     stats_.max_trie_size = std::max(stats_.max_trie_size, store_.size());
     job_cur_->max_trie_size =
         std::max(job_cur_->max_trie_size, store_.size());
@@ -279,12 +292,18 @@ class ShardRunner {
     return store_.Intern(config);
   }
 
-  /// Enumerates extensions and input choices completing `skeleton` (whose
-  /// page/state/previous are set and whose database holds exactly the
-  /// core), invoking `fn` for each completed configuration.
-  template <typename Fn>
-  SearchStatus ForEachCompletion(const Configuration& skeleton,
-                                 int prev_page, const Fn& fn) {
+  void CountSuccessor() {
+    ++stats_.num_successors;
+    ++job_cur_->num_successors;
+  }
+
+  /// Enumerates the extensions and input choices completing `skeleton`
+  /// (whose page/state/previous are set and whose database holds exactly
+  /// the core) and appends each completed configuration's id to `*ids`, in
+  /// enumeration order. Runs no search, so enumerations never nest; a
+  /// budget tripped partway aborts with `*ids` incomplete.
+  SearchStatus InternCompletions(const Configuration& skeleton,
+                                 int prev_page, std::vector<ConfigId>* ids) {
     const CandidateSet* ext = ctx_->extension(skeleton.page, prev_page);
     WAVE_CHECK_MSG(ext != nullptr,
                    "unwarmed extension pair (page "
@@ -304,7 +323,7 @@ class ShardRunner {
     // call: reassigning it from `skeleton` keeps the relations' capacity,
     // and a choice is applied in place because ApplyInput clears every
     // input and action relation before installing it (and the filter below
-    // touches only actions). `fn` copies what must outlive the loop.
+    // touches only actions).
     Configuration complete;
     while (true) {
       complete = skeleton;
@@ -321,69 +340,48 @@ class ShardRunner {
       for (const InputChoice& choice : choices) {
         prepared_->ApplyInput(choice, domain, &complete);
         FilterToUniverse(&complete.data, RelationKind::kAction);
-        ++stats_.num_successors;
-        ++job_cur_->num_successors;
-        SearchStatus status = fn(complete);
-        if (status != SearchStatus::kContinue) return status;
+        ids->push_back(TimedIntern(complete));
+        if (SearchStatus status = CheckCompletionBudgets(*ids);
+            status != SearchStatus::kContinue) {
+          return status;
+        }
       }
       if (!ext_bitmap.Increment()) break;
     }
     return SearchStatus::kContinue;
   }
 
-  /// The configuration an expansion works on: the caller's when it had
-  /// one in hand, else rebuilt from the store's key on first use. Only an
-  /// expansion the memo cannot serve needs it.
+  /// The configuration an expansion works on, rebuilt from the store's key
+  /// on first use: only an expansion the memo cannot serve needs it.
   class ExpandedConfig {
    public:
-    ExpandedConfig(const ConfigStore* store, ConfigId id,
-                   const Configuration* config)
-        : store_(store), id_(id), config_(config) {}
+    ExpandedConfig(const ConfigStore* store, ConfigId id)
+        : store_(store), id_(id) {}
 
     ConfigId id() const { return id_; }
 
     const Configuration& get() {
-      if (config_ == nullptr) {
-        decoded_ = store_->Decode(id_);
-        config_ = &decoded_;
-      }
+      if (!config_) config_ = store_->Decode(id_);
       return *config_;
     }
 
    private:
     const ConfigStore* store_;
     ConfigId id_;
-    const Configuration* config_;
-    Configuration decoded_;
+    std::optional<Configuration> config_;
   };
 
-  /// succP (Section 3.1): keep the core, recompute page/state/previous,
-  /// re-choose the extension and input. `fn(next, config)` receives each
-  /// successor's id and, when it was just enumerated, its configuration
-  /// (null when replayed from the memo). A configuration's first complete
-  /// enumeration is recorded, and every later one replays the ids.
-  template <typename Fn>
-  SearchStatus ForEachSuccessor(ExpandedConfig* here, const Fn& fn) {
-    SuccessorRange memo;
-    if (store_.FindSuccessors(here->id(), &memo)) {
-      for (uint32_t i = memo.begin; i < memo.end; ++i) {
-        ++stats_.num_successors;
-        ++job_cur_->num_successors;
-        SearchStatus status = fn(store_.successor(i), nullptr);
-        if (status != SearchStatus::kContinue) return status;
-      }
-      return SearchStatus::kContinue;
-    }
-    // False while an ancestor frame records this id: enumerate unrecorded.
-    const bool record = store_.BeginSuccessors(here->id());
-    const Configuration& config = here->get();
+  /// The configuration `config` advances to before succP re-chooses the
+  /// extension and input: page, state and previous inputs recomputed,
+  /// states kept only over C (other tuples cannot affect the
+  /// input-bounded property or rules), irrelevant relations pruned, and
+  /// the database reset to the core (the previous extension is
+  /// discarded).
+  Configuration Skeleton(const Configuration& config) {
     std::vector<SymbolId> domain = WindowDomain(config);
     Configuration skeleton = prepared_->Advance(config, domain);
-    // States are kept only over C (other tuples cannot affect the
-    // input-bounded property or rules).
     FilterToUniverse(&skeleton.data, RelationKind::kState);
     PruneIrrelevant(&skeleton);
-    // The previous extension is discarded: reset the database to the core.
     for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
       if (spec_->catalog().schema(id).kind == RelationKind::kDatabase) {
         skeleton.data.relation(id).Clear();
@@ -392,15 +390,46 @@ class ShardRunner {
     for (const auto& [relation, tuple] : core_) {
       skeleton.data.relation(relation).Insert(tuple);
     }
-    SearchStatus status = ForEachCompletion(
-        skeleton, config.page, [&](const Configuration& next) {
-          ConfigId next_id = TimedIntern(next);
-          if (record) store_.AddSuccessor(next_id);
-          return fn(next_id, &next);
-        });
-    // A stopped enumeration ends the shard, so its recording never closes.
-    if (record && status == SearchStatus::kContinue) {
-      store_.EndSuccessors(here->id());
+    return skeleton;
+  }
+
+  /// succP (Section 3.1) of `here` as a range of successor ids in
+  /// enumeration order. A configuration's list is its skeleton's (see
+  /// verifier/config_store.h): its first expansion advances it, and only a
+  /// skeleton new to the shard is completed; every later expansion replays
+  /// the ids.
+  SearchStatus Successors(ExpandedConfig* here, SuccessorRange* range) {
+    if (store_.FindSuccessors(here->id(), range)) {
+      ++memo_.replays;
+      return SearchStatus::kContinue;
+    }
+    const Configuration& config = here->get();
+    Configuration skeleton = Skeleton(config);
+    const SkeletonId s = store_.InternSkeleton(config.page, skeleton);
+    if (store_.FindSkeletonSuccessors(s, range)) {
+      ++memo_.skeleton_hits;
+    } else {
+      ++memo_.skeleton_misses;
+      completions_.clear();
+      SearchStatus status =
+          InternCompletions(skeleton, config.page, &completions_);
+      if (status != SearchStatus::kContinue) return status;
+      *range = store_.SetSkeletonSuccessors(s, completions_);
+    }
+    store_.SetSuccessors(here->id(), *range);
+    return SearchStatus::kContinue;
+  }
+
+  /// Delivers `here`'s successor ids to `fn` in enumeration order, each
+  /// delivery counting one successor.
+  template <typename Fn>
+  SearchStatus ForEachSuccessor(ExpandedConfig* here, const Fn& fn) {
+    SuccessorRange range;
+    SearchStatus status = Successors(here, &range);
+    for (uint32_t i = range.begin;
+         i < range.end && status == SearchStatus::kContinue; ++i) {
+      CountSuccessor();
+      status = fn(store_.successor(i));
     }
     return status;
   }
@@ -447,10 +476,7 @@ class ShardRunner {
   }
 
   // --- the nested depth-first search ----------------------------------------
-  // `config` is the configuration `id` stands for when the caller has it,
-  // else null.
-  SearchStatus Stick(int state, ConfigId id, const Configuration* config,
-                     int depth) {
+  SearchStatus Stick(int state, ConfigId id, int depth) {
     if (SearchStatus status = CheckBudgets();
         status != SearchStatus::kContinue) {
       return status;
@@ -458,21 +484,21 @@ class ShardRunner {
     if (!Enter(0, state, id, depth, &stick_stack_)) {
       return SearchStatus::kContinue;
     }
-    ExpandedConfig here(&store_, id, config);
+    ExpandedConfig here(&store_, id);
     for (const BuchiTransition& t : plan_->automaton.adj[state]) {
       if (!Enabled(t.guard, &here)) continue;
       SearchStatus status = ForEachSuccessor(
           &here,
-          [&](ConfigId next, const Configuration* next_config) {
+          [&](ConfigId next) {
             if (!store_.Contains(0, t.to, next)) {
-              SearchStatus s = Stick(t.to, next, next_config, depth + 1);
+              SearchStatus s = Stick(t.to, next, depth + 1);
               if (s != SearchStatus::kContinue) return s;
             }
             if (plan_->automaton.accepting[t.to]) {
               base_state_ = t.to;
               base_id_ = next;
               candy_stack_.clear();
-              SearchStatus s = Candy(t.to, next, next_config, depth + 1);
+              SearchStatus s = Candy(t.to, next, depth + 1);
               if (s != SearchStatus::kContinue) return s;
             }
             return SearchStatus::kContinue;
@@ -483,8 +509,7 @@ class ShardRunner {
     return SearchStatus::kContinue;
   }
 
-  SearchStatus Candy(int state, ConfigId id, const Configuration* config,
-                     int depth) {
+  SearchStatus Candy(int state, ConfigId id, int depth) {
     if (SearchStatus status = CheckBudgets();
         status != SearchStatus::kContinue) {
       return status;
@@ -492,17 +517,17 @@ class ShardRunner {
     if (!Enter(1, state, id, depth, &candy_stack_)) {
       return SearchStatus::kContinue;
     }
-    ExpandedConfig here(&store_, id, config);
+    ExpandedConfig here(&store_, id);
     for (const BuchiTransition& t : plan_->automaton.adj[state]) {
       if (!Enabled(t.guard, &here)) continue;
       SearchStatus status = ForEachSuccessor(
           &here,
-          [&](ConfigId next, const Configuration* next_config) {
+          [&](ConfigId next) {
             if (t.to == base_state_ && next == base_id_) {
               return ClaimCounterexample();
             }
             if (!store_.Contains(1, t.to, next)) {
-              return Candy(t.to, next, next_config, depth + 1);
+              return Candy(t.to, next, depth + 1);
             }
             return SearchStatus::kContinue;
           });
@@ -667,8 +692,22 @@ class ShardRunner {
   /// compare and a relaxed trip load on most calls; a flush + ledger check
   /// every kPollStride-th) plus one relaxed stop-flag load, so a sibling's
   /// counterexample stops this worker within one poll stride.
-  SearchStatus CheckBudgets() {
-    UnknownReason reason = gov_.Tick();
+  SearchStatus CheckBudgets() { return Probe(gov_.Tick()); }
+
+  /// The same probe once per completion interned by `InternCompletions`
+  /// (`pending` holds the ids not yet in a list): a skeleton has up to
+  /// 2^|extension| × input choices completions, so the deadline,
+  /// cancellation, the memory ceiling and a sibling's stop must land
+  /// partway through one. The expansion budget is left to the expansions.
+  SearchStatus CheckCompletionBudgets(const std::vector<ConfigId>& pending) {
+    gov_.ReportMemory(store_.approx_bytes() + stack_bytes_ +
+                      static_cast<int64_t>(pending.size() * sizeof(ConfigId)));
+    return Probe(gov_.TickWork());
+  }
+
+  /// Aborts on a governor trip `reason`, a stop or this property settling;
+  /// otherwise publishes progress and heartbeats and continues.
+  SearchStatus Probe(UnknownReason reason) {
     if (reason != UnknownReason::kNone) {
       abort_kind_ = AbortKind::kGlobal;
       return SearchStatus::kAbort;
@@ -751,6 +790,7 @@ class ShardRunner {
   std::vector<VerifyStats> job_stats_;  // per-property slices of the same
   std::vector<double> assignment_us_;   // summed shard time per SLOT
   obs::AllocStats alloc_;               // tracked allocs across the drain
+  MemoCounters memo_;                   // across the drain
   int lookup_tick_ = 0;                 // 1/64 lookup-latency sampling phase
   int64_t heartbeats_ = 0;
   double last_heartbeat_seconds_ = 0;
@@ -768,6 +808,7 @@ class ShardRunner {
   const AssignmentContext* ctx_ = nullptr;
   std::vector<std::pair<RelationId, Tuple>> core_;
   ConfigStore store_;  // the shard's configurations, visits and memo
+  std::vector<ConfigId> completions_;  // the skeleton being enumerated
   std::vector<Frame> stick_stack_;
   std::vector<Frame> candy_stack_;
   int64_t stack_bytes_ = 0;
@@ -1289,6 +1330,15 @@ std::vector<VerifyResult> RunBatchAttempt(
                      exec.rule_evaluations - exec_before.rule_evaluations);
     call_metrics.Add("prepared.derived_tuples",
                      exec.derived_tuples - exec_before.derived_tuples);
+    MemoCounters memo;
+    for (const std::unique_ptr<ShardRunner>& runner : runners) {
+      memo.replays += runner->memo().replays;
+      memo.skeleton_hits += runner->memo().skeleton_hits;
+      memo.skeleton_misses += runner->memo().skeleton_misses;
+    }
+    call_metrics.Add("search.memo.replays", memo.replays);
+    call_metrics.Add("search.memo.skeleton_hits", memo.skeleton_hits);
+    call_metrics.Add("search.memo.skeleton_misses", memo.skeleton_misses);
     if (options.metrics != nullptr) options.metrics->MergeFrom(call_metrics);
   }
 

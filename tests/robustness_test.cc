@@ -15,6 +15,7 @@
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "verifier/config_store.h"
 #include "verifier/governor.h"
@@ -417,6 +418,29 @@ TEST(GovernorTest, ExpansionBudgetChecksOnEveryTick) {
   EXPECT_NE(ledger.trip_message().find("budget"), std::string::npos);
 }
 
+TEST(GovernorTest, WorkTicksPollOnTheirOwnStrideAndSpendNoExpansions) {
+  GovernorLimits limits;
+  limits.max_expansions = 0;  // already spent
+  limits.max_memory_bytes = 1000;
+  BudgetLedger ledger(limits, 1);
+  WorkerGovernor governor(&ledger, 0);
+  int64_t expansions = 0;
+  governor.WatchExpansions(&expansions);
+  // Work between expansions never trips the expansion budget: ticks 0,
+  // 16, 32 and 48 poll and find nothing over.
+  for (int i = 0; i <= 3 * BudgetLedger::kPollStride; ++i) {
+    EXPECT_EQ(governor.TickWork(), UnknownReason::kNone) << i;
+  }
+  EXPECT_EQ(ledger.readings().polls, 4);
+  // The memory ceiling lands at the next stride boundary, tick 64.
+  governor.ReportMemory(1500);
+  for (int i = 1; i < BudgetLedger::kPollStride; ++i) {
+    EXPECT_EQ(governor.TickWork(), UnknownReason::kNone) << i;
+  }
+  EXPECT_EQ(governor.TickWork(), UnknownReason::kMemoryLimit);
+  EXPECT_EQ(ledger.readings().polls, 5);
+}
+
 TEST(GovernorTest, CancellationObservedWithinOneTick) {
   CancellationToken token;
   GovernorLimits limits;
@@ -513,13 +537,23 @@ TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
   }
   store.Intern(config);  // already interned: no growth
   EXPECT_EQ(store.approx_bytes(), previous);
-  // Successor lists count while recorded and once complete.
-  ASSERT_TRUE(store.BeginSuccessors(0));
-  store.AddSuccessor(1);
+  // The skeleton table counts per new key, and the lists per id.
+  SkeletonId s = store.InternSkeleton(/*prev_page=*/0, config);
   EXPECT_GT(store.approx_bytes(), previous);
   previous = store.approx_bytes();
-  store.EndSuccessors(0);
+  store.InternSkeleton(0, config);  // already interned: no growth
   EXPECT_EQ(store.approx_bytes(), previous);
+  SuccessorRange range = store.SetSkeletonSuccessors(s, {1, 2, 3});
+  EXPECT_EQ(store.approx_bytes(),
+            previous + static_cast<int64_t>(3 * sizeof(ConfigId)));
+  previous = store.approx_bytes();
+  store.SetSuccessors(0, range);  // shares the skeleton's list: no growth
+  EXPECT_EQ(store.approx_bytes(), previous);
+  for (int prev_page = 1; prev_page <= 32; ++prev_page) {  // table grows
+    store.InternSkeleton(prev_page, config);
+    EXPECT_GT(store.approx_bytes(), previous);
+    previous = store.approx_bytes();
+  }
   store.Reset(&catalog, 2, 1);
   EXPECT_EQ(store.approx_bytes(), baseline);
 }
@@ -645,6 +679,100 @@ TEST(UnknownReasonE2eTest, MidSearchCancellationKeepsPartialStats) {
   EXPECT_NE(r.failure_reason.find("cancelled"), std::string::npos);
   EXPECT_GE(r.stats.num_expansions, 200);
   EXPECT_GT(r.stats.peak_memory_bytes, 0);
+}
+
+// One page whose action rule reads 18 database relations at the value of
+// its input constant: the extension has 18 candidate tuples, so completing
+// the start skeleton interns 2^18 × 2 configurations (every extension,
+// with and without the input) before the search expands any of them.
+// Uncapped, that takes seconds and tens of megabytes.
+constexpr int64_t kStartCompletions = int64_t{1} << 19;
+
+std::string WideExtensionSpec() {
+  std::string relations;
+  std::string atoms;
+  for (int i = 1; i <= 18; ++i) {
+    relations += "database d" + std::to_string(i) + "(a)\n";
+    atoms += " & d" + std::to_string(i) + "(x)";
+  }
+  return "app wide\n" + relations +
+         "inputconst u\naction hit()\nhome A\npage A {\n  input u\n"
+         "  action hit() <- exists x: u(x)" + atoms +
+         "\n}\nproperty home { G [at A] }\n";
+}
+
+VerifyOptions WideExtensionOptions() {
+  VerifyOptions options;
+  // 18 distinct candidates; the builder counts each atom's fresh and
+  // constant instantiation before removing duplicates.
+  options.max_candidates = 40;
+  return options;
+}
+
+TEST(UnknownReasonE2eTest, DeadlineLandsWhileASkeletonIsCompleted) {
+  ParseResult parsed = ParseSpec(WideExtensionSpec());
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  for (int jobs : {1, 4}) {
+    obs::MetricsRegistry metrics;
+    VerifyOptions options = WideExtensionOptions();
+    options.timeout_seconds = 0.05;
+    options.metrics = &metrics;
+    auto start = std::chrono::steady_clock::now();
+    VerifyResult r =
+        RunVerify(verifier, parsed.properties[0].property, options, jobs);
+    double elapsed = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    EXPECT_EQ(r.verdict, Verdict::kUnknown) << "jobs=" << jobs;
+    EXPECT_EQ(r.unknown_reason, UnknownReason::kTimeout) << "jobs=" << jobs;
+    EXPECT_EQ(r.stats.num_expansions, 0) << "jobs=" << jobs;
+    EXPECT_LT(metrics.counter("prepared.apply_input_calls")->value(),
+              kStartCompletions)
+        << "jobs=" << jobs;
+    EXPECT_LT(elapsed, 1.0) << "jobs=" << jobs << ": deadline overshot by "
+                            << elapsed << "s";
+  }
+}
+
+TEST(UnknownReasonE2eTest, MemoryCeilingLandsWhileASkeletonIsCompleted) {
+  ParseResult parsed = ParseSpec(WideExtensionSpec());
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  constexpr int64_t kCeiling = 64 << 10;
+  obs::MetricsRegistry metrics;
+  VerifyOptions options = WideExtensionOptions();
+  options.max_memory_bytes = kCeiling;
+  options.metrics = &metrics;
+  VerifyResult r = RunVerify(verifier, parsed.properties[0].property, options);
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.unknown_reason, UnknownReason::kMemoryLimit);
+  EXPECT_EQ(r.stats.num_expansions, 0);
+  EXPECT_LT(metrics.counter("prepared.apply_input_calls")->value(),
+            kStartCompletions);
+  // Polled every 16 completions, the estimate passes the ceiling by at
+  // most one doubling of the key table.
+  EXPECT_GT(r.stats.peak_memory_bytes, kCeiling);
+  EXPECT_LT(r.stats.peak_memory_bytes, 4 * kCeiling);
+}
+
+TEST(UnknownReasonE2eTest, CancellationLandsWhileASkeletonIsCompleted) {
+  ParseResult parsed = ParseSpec(WideExtensionSpec());
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  CancellationToken token;
+  VerifyOptions options = WideExtensionOptions();
+  options.cancellation = &token;
+  options.heartbeat_interval_seconds = 0;  // fire on every budget check
+  int64_t heartbeats = 0;
+  options.heartbeat = [&](const HeartbeatSnapshot&) {
+    if (++heartbeats == 100) token.Cancel();
+  };
+  VerifyResult r = RunVerify(verifier, parsed.properties[0].property, options);
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.unknown_reason, UnknownReason::kCancelled);
+  EXPECT_EQ(r.stats.num_expansions, 0);
+  EXPECT_EQ(heartbeats, 100);
 }
 
 // The non-input-bounded promo site (see tests/validate_test.cc): on

@@ -3,7 +3,9 @@
 //
 // Covered here:
 //   * protocol basics — ping, metrics, malformed lines (typed error
-//     envelope, connection survives), unknown verbs;
+//     envelope, connection survives), unknown verbs, line framing (a line
+//     at the length cap, pipelined lines, an over-cap line closing only
+//     its own connection);
 //   * concurrent correctness — N client threads, every verdict matches
 //     the E1 suite's expected annotations, ids echo back intact;
 //   * warm-path observability — a repeat spec is served by the hot
@@ -218,6 +220,58 @@ TEST(ServeProtocolTest, MalformedLineGetsTypedErrorAndConnectionSurvives) {
     ASSERT_TRUE(client.Call(Ping("after"), &response));
     EXPECT_TRUE(response.ok);
   }
+}
+
+TEST(ServeProtocolTest, LongAndPipelinedLinesFrameAndOverCapLinesClose) {
+  std::unique_ptr<Server> server = StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server->port()));
+
+  // The longest line allowed: a ping padded with JSON whitespace to
+  // exactly the cap.
+  std::string longest = serve::RequestEnvelopeToJson(Ping("longest")).Dump();
+  ASSERT_EQ(longest.back(), '}');
+  longest.insert(longest.size() - 1,
+                 serve::kMaxRequestLine - longest.size(), ' ');
+  ASSERT_EQ(longest.size(), serve::kMaxRequestLine);
+  ASSERT_TRUE(client.SendLine(longest + "\n"));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  StatusOr<ResponseEnvelope> pong = serve::ParseResponseLine(line);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_TRUE(pong->ok);
+  EXPECT_EQ(pong->id, "longest");
+
+  // Many small lines in one send are framed one by one, in order.
+  constexpr int kPipelined = 2000;
+  std::string burst;
+  for (int i = 0; i < kPipelined; ++i) {
+    burst += serve::FrameLine(
+        serve::RequestEnvelopeToJson(Ping("p" + std::to_string(i))));
+  }
+  ASSERT_TRUE(client.SendLine(burst));
+  for (int i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(client.ReadLine(&line)) << i;
+    StatusOr<ResponseEnvelope> response = serve::ParseResponseLine(line);
+    ASSERT_TRUE(response.ok()) << i;
+    EXPECT_TRUE(response->ok);
+    EXPECT_EQ(response->id, "p" + std::to_string(i));
+  }
+
+  // One byte over the cap closes that connection only. The send may fail
+  // part-way once the daemon hangs up.
+  TestClient over;
+  ASSERT_TRUE(over.Connect(server->port()));
+  over.SendLine(std::string(serve::kMaxRequestLine + 1, ' ') + "\n");
+  EXPECT_FALSE(over.ReadLine(&line));
+
+  ResponseEnvelope response;
+  ASSERT_TRUE(client.Call(Ping("after"), &response));
+  EXPECT_TRUE(response.ok);
+  TestClient fresh;
+  ASSERT_TRUE(fresh.Connect(server->port()));
+  ASSERT_TRUE(fresh.Call(Ping("fresh"), &response));
+  EXPECT_TRUE(response.ok);
 }
 
 TEST(ServeProtocolTest, VerifyWithoutSpecIsRejected) {

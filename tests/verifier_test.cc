@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "apps/apps.h"
@@ -153,6 +154,9 @@ TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
 }
 
 TEST(TrieTest, SuccessorListsReplayOnlyOnceComplete) {
+  // A skeleton's list is built whole, so it is readable as soon as it is
+  // set, and every configuration under one (previous page, skeleton) key
+  // shares its range.
   Catalog catalog = SmallCatalog();
   ConfigStore store;
   store.Reset(&catalog, 2, 3);
@@ -161,27 +165,46 @@ TEST(TrieTest, SuccessorListsReplayOnlyOnceComplete) {
   ConfigId c = store.Intern(ConfigWith(catalog, 1, {}));
   SuccessorRange range;
   EXPECT_FALSE(store.FindSuccessors(a, &range));
-  ASSERT_TRUE(store.BeginSuccessors(a));
-  EXPECT_FALSE(store.BeginSuccessors(a));  // an ancestor is recording it
-  store.AddSuccessor(b);
-  ASSERT_TRUE(store.BeginSuccessors(b));  // nested recording
-  store.AddSuccessor(a);
-  EXPECT_FALSE(store.FindSuccessors(b, &range));
-  store.EndSuccessors(b);
-  ASSERT_TRUE(store.FindSuccessors(b, &range));
-  ASSERT_EQ(range.end - range.begin, 1u);
-  EXPECT_EQ(store.successor(range.begin), a);
-  EXPECT_FALSE(store.FindSuccessors(a, &range));  // still open
-  store.AddSuccessor(c);
-  store.AddSuccessor(b);
-  store.EndSuccessors(a);
-  ASSERT_TRUE(store.FindSuccessors(a, &range));
+
+  const Configuration skeleton = ConfigWith(catalog, 1, {7});
+  SkeletonId s = store.InternSkeleton(/*prev_page=*/0, skeleton);
+  EXPECT_EQ(store.InternSkeleton(0, skeleton), s);
+  SkeletonId other_page = store.InternSkeleton(1, skeleton);
+  SkeletonId other_skeleton =
+      store.InternSkeleton(0, ConfigWith(catalog, 1, {8}));
+  EXPECT_EQ(std::set<SkeletonId>({s, other_page, other_skeleton}).size(), 3u);
+  EXPECT_FALSE(store.FindSkeletonSuccessors(s, &range));
+  EXPECT_FALSE(store.FindSkeletonSuccessors(other_page, &range));
+
+  SuccessorRange set = store.SetSkeletonSuccessors(s, {b, c, b});
+  ASSERT_TRUE(store.FindSkeletonSuccessors(s, &range));
+  EXPECT_EQ(range.begin, set.begin);
+  EXPECT_EQ(range.end, set.end);
   std::vector<ConfigId> replayed;
   for (uint32_t i = range.begin; i < range.end; ++i) {
     replayed.push_back(store.successor(i));
   }
   EXPECT_EQ(replayed, (std::vector<ConfigId>{b, c, b}));
-  EXPECT_FALSE(store.BeginSuccessors(a));  // complete: replay, not record
+
+  // Two configurations under the skeleton point at its one range.
+  store.SetSuccessors(a, set);
+  store.SetSuccessors(c, set);
+  SuccessorRange from_a, from_c;
+  ASSERT_TRUE(store.FindSuccessors(a, &from_a));
+  ASSERT_TRUE(store.FindSuccessors(c, &from_c));
+  EXPECT_EQ(from_a.begin, set.begin);
+  EXPECT_EQ(from_a.end, set.end);
+  EXPECT_EQ(from_c.begin, set.begin);
+  EXPECT_EQ(from_c.end, set.end);
+  EXPECT_FALSE(store.FindSuccessors(b, &range));
+
+  // An empty list still counts as set, and takes no room.
+  SkeletonId empty = store.InternSkeleton(2, skeleton);
+  SuccessorRange none = store.SetSkeletonSuccessors(empty, {});
+  ASSERT_TRUE(store.FindSkeletonSuccessors(empty, &range));
+  EXPECT_EQ(range.begin, set.end);
+  EXPECT_EQ(range.end, set.end);
+  EXPECT_EQ(none.begin, none.end);
 
   EXPECT_FALSE(store.has_components(c));
   store.SetComponents(c, {true, false, true});
@@ -349,6 +372,92 @@ TEST(ProductSharingTest, RevisitedConfigurationsReplayTheirSuccessors) {
   EXPECT_EQ(p4.stats.num_expansions, 21298);
   EXPECT_EQ(p4.stats.trie_hits, 341612);
   EXPECT_EQ(p4.stats.trie_misses, 42556);
+}
+
+TEST(ProductSharingTest, EachSkeletonIsEnumeratedOncePerShard) {
+  // Each distinct configuration is advanced once (E1/P4: 327 Advance
+  // calls for 327 configurations), and each distinct (previous page,
+  // skeleton) is completed once per shard: the 2-state E1/P5 and E3/R3
+  // never expand a configuration twice, yet their 21,399 and 34,301
+  // successors take at most 6,000 ApplyInput calls each. The search itself
+  // (expansions, visited-bit lookups) is pinned too.
+  struct Case {
+    AppBundle (*build)();
+    const char* property;
+    int64_t advance_calls;
+    int64_t expansions;
+    int64_t trie_hits;
+    int64_t trie_misses;
+  };
+  const Case cases[] = {
+      {&BuildE1, "P4", 327, 21298, 341612, 42556},
+      {&BuildE1, "P5", 1051, 1065, 20334, 2128},
+      {&BuildE3, "R3", 1113, 1121, 33180, 2241},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.property);
+    AppBundle app = c.build();
+    Verifier verifier(app.spec.get());
+    const Property* p = FindProperty(app, c.property);
+    ASSERT_NE(p, nullptr);
+    obs::MetricsRegistry metrics;
+    VerifyOptions options;
+    options.metrics = &metrics;
+    VerifyResult r = RunVerify(verifier, *p, options);
+    EXPECT_EQ(r.verdict, Verdict::kHolds);
+    EXPECT_EQ(metrics.counter("prepared.advance_calls")->value(),
+              c.advance_calls);
+    EXPECT_LE(metrics.counter("prepared.apply_input_calls")->value(), 6000);
+    EXPECT_EQ(r.stats.num_expansions, c.expansions);
+    EXPECT_EQ(r.stats.trie_hits, c.trie_hits);
+    EXPECT_EQ(r.stats.trie_misses, c.trie_misses);
+  }
+}
+
+TEST(ProductSharingTest, MemoCountersAccountForEveryAdvance) {
+  // Every succP request is a replay of the configuration's own list or an
+  // Advance whose skeleton is found or newly completed. The skeleton table
+  // is shard-local, so on properties that hold (every shard searched to
+  // the end) the counts do not depend on the number of workers.
+  const char* const kNames[] = {"search.memo.replays",
+                                "search.memo.skeleton_hits",
+                                "search.memo.skeleton_misses",
+                                "prepared.advance_calls",
+                                "prepared.apply_input_calls"};
+  std::map<std::string, int64_t> at_one_job;
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    AppBundle e1 = BuildE1();
+    std::vector<Property> catalog = CatalogOf(e1);
+    Verifier verifier(e1.spec.get());
+    obs::MetricsRegistry metrics;
+    BatchRequest request;
+    request.properties = &catalog;
+    for (size_t i = 0; i < e1.properties.size(); ++i) {
+      if (e1.properties[i].has_expected && e1.properties[i].expected) {
+        request.property_indices.push_back(static_cast<int>(i));
+      }
+    }
+    request.options.metrics = &metrics;
+    request.jobs = jobs;
+    StatusOr<BatchResponse> batch = verifier.RunBatch(request);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_TRUE(batch->all_hold());
+    std::map<std::string, int64_t> counts;
+    for (const char* name : kNames) {
+      counts[name] = metrics.counter(name)->value();
+    }
+    EXPECT_EQ(counts["search.memo.skeleton_hits"] +
+                  counts["search.memo.skeleton_misses"],
+              counts["prepared.advance_calls"]);
+    EXPECT_GT(counts["search.memo.replays"], 0);
+    EXPECT_GT(counts["search.memo.skeleton_hits"], 0);
+    if (jobs == 1) {
+      at_one_job = counts;
+    } else {
+      EXPECT_EQ(counts, at_one_job);
+    }
+  }
 }
 
 // --- heuristics preserve verdicts ----------------------------------------------
