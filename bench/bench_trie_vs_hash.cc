@@ -1,12 +1,13 @@
 // Ablation: the search's visited product (Section 4 stores visited
 // pseudoconfigurations "in a trie data structure which allows updates and
 // membership tests in time linear in the size of the bitmap"; WAVE interns
-// each configuration's key once and keeps one visited bit per (flag, Büchi
-// state) beside its id, verifier/config_store.h) against std::set and
-// std::unordered_set keyed by (flag, state, configuration key), on
-// synthetic configurations over the E1 catalog: each structure inserts
+// each configuration's word key once and keeps one visited bit per (flag,
+// Büchi state) beside its id, verifier/config_store.h) against std::set
+// and std::unordered_set keyed by (flag, state, configuration byte key),
+// on synthetic configurations over the E1 catalog: each structure inserts
 // every (flag, state, configuration) triple once, then looks it up. Every
-// structure encodes each configuration's key once per triple.
+// structure converts each configuration to its key once per triple: the
+// store packs it into words over its tuple table, the sets encode bytes.
 #include <benchmark/benchmark.h>
 
 #include <set>
@@ -75,7 +76,7 @@ void BM_ConfigStore(benchmark::State& state) {
     store.Reset(&w.e1.spec->catalog(), kStates, 0);
     int hits = 0;
     for (const Triple& t : w.triples) {
-      ConfigId id = store.Intern(t.config);
+      ConfigId id = store.Intern(store.Pack(t.config));
       if (!store.Insert(t.flag, t.state, id)) ++hits;
       if (store.Contains(t.flag, t.state, id)) ++hits;
     }

@@ -24,7 +24,9 @@
 # Stress mode drives wave_verify over every bundled spec with
 # deliberately tiny budgets (sub-second deadlines, 2-tuple candidate
 # budget, 1 MB memory ceiling, retry ladder on) and sweeps --jobs over
-# {1, 2, 8} so budget trips race worker shutdown. Resource exhaustion
+# {1, 2, 8} so budget trips race worker shutdown. One more row runs
+# tests/data/deep_chain.spec, whose search is a single chain of 4,096
+# configurations, at the same job counts. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
 # output, fails the check.
@@ -289,13 +291,15 @@ BATCH_CACHE="$(mktemp -d)"
 trap 'rm -f "$LOG" "$STATS" "$STATS.tmp"; rm -rf "$BATCH_CACHE"' EXIT
 FAILED=0
 
-# Each row: a label and the flag set to run every spec under; every row
-# is swept across --jobs=1/2/8 so shard hand-off, work stealing, and
-# mid-trip worker shutdown all get exercised under the tiny budgets.
+# Each row: a label and the flag set to run every spec in $SPECS under;
+# every row is swept across --jobs=1/2/8 so shard hand-off, work
+# stealing, and mid-trip worker shutdown all get exercised under the tiny
+# budgets.
+SPECS="$ROOT/specs/*.spec"
 run_stress() {
   label="$1"; shift
   for jobs in 1 2 8; do
-    for spec in "$ROOT"/specs/*.spec; do
+    for spec in $SPECS; do
       name="$(basename "$spec")"
       rc=0
       "$VERIFY" "$spec" --jobs="$jobs" "$@" >"$LOG" 2>&1 || rc=$?
@@ -333,6 +337,11 @@ if [ ! -s "$STATS" ]; then
   echo "FAIL [stats-json]: no stats file written"
   FAILED=1
 fi
+# A search that is one chain of 4,096 configurations (2^11 extensions,
+# with and without the input): the pseudorun's length must not grow the
+# thread's stack, whose frames are larger under a sanitizer.
+SPECS="$ROOT/tests/data/deep_chain.spec"
+run_stress "deep-chain" --max-candidates=40 --timeout=120
 
 # Short differential fuzz campaign (ISSUE 5): 100 seeded cases across
 # every oracle axis. Any disagreement (exit 3) or sanitizer report fails

@@ -154,7 +154,12 @@ void CandidateBuilder::AppendProduct(
       tuple[i] = value_sets[i][idx[i]];
       if (constant_universe_.count(tuple[i]) == 0) fresh = true;
     }
-    if (!require_fresh || fresh) {
+    // The budget counts distinct tuples: an atom's fresh and constant
+    // instantiations coincide when a variable has no dataflow constant, and
+    // atoms across rules often coincide. Past the budget nothing more is
+    // kept, so `approx_tuple_count` then counts every tuple, an upper bound.
+    if ((!require_fresh || fresh) &&
+        (out->overflow || seen_.emplace(relation, tuple).second)) {
       out->approx_tuple_count += 1;
       if (static_cast<int>(out->tuples.size()) >= options_.max_candidates) {
         out->overflow = true;
@@ -176,6 +181,7 @@ void CandidateBuilder::AppendProduct(
 
 void CandidateBuilder::BuildCore() {
   core_built_ = true;
+  seen_.clear();
   std::vector<SymbolId> universe(constant_universe_.begin(),
                                  constant_universe_.end());
   for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
@@ -349,6 +355,7 @@ void CandidateBuilder::AddFormulaCandidates(
 
 CandidateSet CandidateBuilder::BuildExtension(int page, int prev_page) {
   CandidateSet out;
+  seen_.clear();
 
   if (!options_.heuristic2) {
     // Heuristic 2 disabled: every tuple over C ∪ C_{V_t} ∪ C_{V_s} with at
@@ -401,10 +408,7 @@ CandidateSet CandidateBuilder::BuildExtension(int page, int prev_page) {
     }
   }
 
-  // Deduplicate (atoms across rules often coincide).
   std::sort(out.tuples.begin(), out.tuples.end());
-  out.tuples.erase(std::unique(out.tuples.begin(), out.tuples.end()),
-                   out.tuples.end());
   if (!out.overflow) {
     out.approx_tuple_count = static_cast<double>(out.tuples.size());
   }

@@ -127,8 +127,9 @@ class CandidateBuilder {
                             CandidateSet* out);
 
   /// Appends the product of `value_sets` as tuples of `relation` to `out`
-  /// (respecting the overflow budget). `require_fresh` keeps only tuples
-  /// with at least one non-constant-universe value.
+  /// (respecting the overflow budget), skipping tuples already in `seen_`.
+  /// `require_fresh` keeps only tuples with at least one
+  /// non-constant-universe value.
   void AppendProduct(RelationId relation,
                      const std::vector<std::vector<SymbolId>>& value_sets,
                      bool require_fresh, CandidateSet* out);
@@ -141,6 +142,8 @@ class CandidateBuilder {
   const std::vector<FormulaPtr>* property_components_;
   std::set<SymbolId> constant_universe_;
   CandidateOptions options_;
+
+  std::set<std::pair<RelationId, Tuple>> seen_;  // the set being built
 
   bool core_built_ = false;
   CandidateSet core_;

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/function_ref.h"
 #include "fo/nnf.h"
 
 namespace wave {
@@ -169,13 +170,18 @@ struct EvalContext {
   std::vector<SymbolId>* regs;
 };
 
+/// Called with the current bindings in place; returns false to stop.
+using Emit = FunctionRef<bool()>;
+
+/// Atoms with more arguments than this bind through a heap buffer.
+constexpr size_t kInlineArity = 16;
+
 bool EvalNode(const PreparedNode& n, EvalContext* ctx);
 
 /// Enumerates extensions of the current partial register binding that
 /// satisfy `n`, invoking `emit` for each (with bindings in place). `emit`
 /// returns false to stop; EnumNode then returns false as well.
-bool EnumNode(const PreparedNode& n, EvalContext* ctx,
-              const std::function<bool()>& emit);
+bool EnumNode(const PreparedNode& n, EvalContext* ctx, Emit emit);
 
 SymbolId ArgValue(const PreparedArg& a, const EvalContext& ctx) {
   return a.is_var ? (*ctx.regs)[a.slot] : a.constant;
@@ -184,7 +190,7 @@ SymbolId ArgValue(const PreparedArg& a, const EvalContext& ctx) {
 /// Binds every unbound slot in `slots[i..]` to every domain value in turn,
 /// calling `fn` for each complete combination. Restores bindings.
 bool ForEachBinding(const std::vector<int>& slots, size_t i, EvalContext* ctx,
-                    const std::function<bool()>& fn) {
+                    Emit fn) {
   while (i < slots.size() && (*ctx->regs)[slots[i]] != kInvalidSymbol) ++i;
   if (i == slots.size()) return fn();
   int slot = slots[i];
@@ -202,16 +208,14 @@ bool ForEachBinding(const std::vector<int>& slots, size_t i, EvalContext* ctx,
 /// Generic handler for nodes that cannot drive binding (negations,
 /// universals): grounds the subtree's unbound variables over the domain,
 /// then evaluates.
-bool EnumViaEval(const PreparedNode& n, EvalContext* ctx,
-                 const std::function<bool()>& emit) {
+bool EnumViaEval(const PreparedNode& n, EvalContext* ctx, Emit emit) {
   return ForEachBinding(n.subtree_slots, 0, ctx, [&] {
     if (EvalNode(n, ctx)) return emit();
     return true;
   });
 }
 
-bool EnumNode(const PreparedNode& n, EvalContext* ctx,
-              const std::function<bool()>& emit) {
+bool EnumNode(const PreparedNode& n, EvalContext* ctx, Emit emit) {
   switch (n.kind) {
     case Formula::Kind::kTrue:
       return emit();
@@ -247,34 +251,32 @@ bool EnumNode(const PreparedNode& n, EvalContext* ctx,
       (*ctx->regs)[slot] = kInvalidSymbol;
       return keep_going;
     }
-    case Formula::Kind::kAtom: {
-      const Relation& rel = ctx->view->Get(n.relation, n.previous);
-      for (const Tuple& t : rel.tuples()) {
-        // Match the tuple against the argument pattern, binding unbound
-        // variables; record what we bind so we can backtrack.
-        int bound[16];
-        int num_bound = 0;
-        bool match = true;
-        for (size_t i = 0; i < n.args.size(); ++i) {
-          const PreparedArg& a = n.args[i];
-          SymbolId expected = ArgValue(a, *ctx);
-          if (expected == kInvalidSymbol) {
-            (*ctx->regs)[a.slot] = t[i];
-            WAVE_CHECK(num_bound < 16);
-            bound[num_bound++] = a.slot;
-          } else if (expected != t[i]) {
-            match = false;
-            break;
-          }
-        }
-        bool keep_going = !match || emit();
-        for (int i = 0; i < num_bound; ++i) {
-          (*ctx->regs)[bound[i]] = kInvalidSymbol;
-        }
-        if (!keep_going) return false;
-      }
-      return true;
-    }
+    case Formula::Kind::kAtom:
+      return ctx->view->ForEachTuple(
+          n.relation, n.previous, [&](const SymbolId* t) {
+            // Match the tuple against the argument pattern, binding unbound
+            // variables; record what we bind so we can backtrack.
+            int bound[kInlineArity];
+            int num_bound = 0;
+            bool match = true;
+            for (size_t i = 0; i < n.args.size(); ++i) {
+              const PreparedArg& a = n.args[i];
+              SymbolId expected = ArgValue(a, *ctx);
+              if (expected == kInvalidSymbol) {
+                (*ctx->regs)[a.slot] = t[i];
+                WAVE_CHECK(num_bound < static_cast<int>(kInlineArity));
+                bound[num_bound++] = a.slot;
+              } else if (expected != t[i]) {
+                match = false;
+                break;
+              }
+            }
+            bool keep_going = !match || emit();
+            for (int i = 0; i < num_bound; ++i) {
+              (*ctx->regs)[bound[i]] = kInvalidSymbol;
+            }
+            return keep_going;
+          });
     case Formula::Kind::kAnd:
       return EnumNode(*n.children[0], ctx, [&] {
         return EnumNode(*n.children[1], ctx, emit);
@@ -312,13 +314,18 @@ bool EvalNode(const PreparedNode& n, EvalContext* ctx) {
       return va == vb;
     }
     case Formula::Kind::kAtom: {
-      const Relation& rel = ctx->view->Get(n.relation, n.previous);
-      Tuple t(n.args.size());
-      for (size_t i = 0; i < n.args.size(); ++i) {
-        t[i] = ArgValue(n.args[i], *ctx);
-        WAVE_CHECK(t[i] != kInvalidSymbol);
+      SymbolId inline_values[kInlineArity];
+      std::vector<SymbolId> heap_values;
+      SymbolId* values = inline_values;
+      if (n.args.size() > kInlineArity) {
+        heap_values.resize(n.args.size());
+        values = heap_values.data();
       }
-      return rel.Contains(t);
+      for (size_t i = 0; i < n.args.size(); ++i) {
+        values[i] = ArgValue(n.args[i], *ctx);
+        WAVE_CHECK(values[i] != kInvalidSymbol);
+      }
+      return ctx->view->Contains(n.relation, n.previous, values);
     }
     case Formula::Kind::kNot:
       return !EvalNode(*n.children[0], ctx);
@@ -351,6 +358,32 @@ bool EvalNode(const PreparedNode& n, EvalContext* ctx) {
   return false;
 }
 
+/// Appends the distinct rows among the `count` rows of `width` values in
+/// `rows` to `out`, in lexicographic order, and returns how many.
+size_t AppendSortedUnique(const std::vector<SymbolId>& rows, size_t count,
+                          size_t width, std::vector<uint32_t>* order,
+                          std::vector<SymbolId>* out) {
+  if (count == 0) return 0;
+  if (width == 0) return 1;  // every row is the empty tuple
+  auto row = [&](uint32_t i) { return rows.data() + i * width; };
+  order->resize(count);
+  for (uint32_t i = 0; i < count; ++i) (*order)[i] = i;
+  std::sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(row(a), row(a) + width, row(b),
+                                        row(b) + width);
+  });
+  size_t distinct = 0;
+  const SymbolId* last = nullptr;
+  for (uint32_t i : *order) {
+    const SymbolId* r = row(i);
+    if (last != nullptr && std::equal(r, r + width, last)) continue;
+    out->insert(out->end(), r, r + width);
+    last = r;
+    ++distinct;
+  }
+  return distinct;
+}
+
 }  // namespace
 
 PreparedFormula PreparedFormula::Prepare(
@@ -374,6 +407,7 @@ PreparedFormula PreparedFormula::Prepare(
   }
   PreparedFormula out;
   out.num_free_ = static_cast<int>(free_order.size());
+  for (int i = 0; i < out.num_free_; ++i) out.free_slots_.push_back(i);
   out.root_ = Compile(ToNNF(formula), &ctx);
   out.num_slots_ = ctx.next_slot;
   return out;
@@ -390,23 +424,38 @@ bool PreparedFormula::EvalClosed(const ConfigurationView& view,
   return EvalNode(*root_, &ctx);
 }
 
+size_t PreparedFormula::EnumerateSatisfying(
+    const ConfigurationView& view, const std::vector<SymbolId>& domain,
+    EvalScratch* scratch, std::vector<SymbolId>* out) const {
+  scratch->regs.assign(num_slots_, kInvalidSymbol);
+  scratch->rows.clear();
+  EvalContext ctx{&view, &domain, &scratch->regs};
+  size_t count = 0;
+  auto record = [&] {
+    scratch->rows.insert(scratch->rows.end(), scratch->regs.begin(),
+                         scratch->regs.begin() + num_free_);
+    ++count;
+    return true;
+  };
+  // Free slots the formula never mentions stay unbound on emit and are
+  // expanded over the domain afterwards.
+  EnumNode(*root_, &ctx,
+           [&] { return ForEachBinding(free_slots_, 0, &ctx, record); });
+  return AppendSortedUnique(scratch->rows, count,
+                            static_cast<size_t>(num_free_), &scratch->order,
+                            out);
+}
+
 void PreparedFormula::EnumerateSatisfying(const ConfigurationView& view,
                                           const std::vector<SymbolId>& domain,
                                           std::vector<Tuple>* out) const {
-  std::vector<SymbolId> regs = MakeRegisters();
-  EvalContext ctx{&view, &domain, &regs};
-  std::set<Tuple> seen;
-  // Free slots the formula never mentions stay unbound on emit and are
-  // expanded over the domain afterwards.
-  std::vector<int> free_slots(num_free_);
-  for (int i = 0; i < num_free_; ++i) free_slots[i] = i;
-  EnumNode(*root_, &ctx, [&] {
-    return ForEachBinding(free_slots, 0, &ctx, [&] {
-      Tuple t(regs.begin(), regs.begin() + num_free_);
-      if (seen.insert(t).second) out->push_back(std::move(t));
-      return true;
-    });
-  });
+  EvalScratch scratch;
+  std::vector<SymbolId> values;
+  const size_t count = EnumerateSatisfying(view, domain, &scratch, &values);
+  for (size_t i = 0; i < count; ++i) {
+    out->emplace_back(values.begin() + i * num_free_,
+                      values.begin() + (i + 1) * num_free_);
+  }
 }
 
 bool PreparedFormula::Satisfiable(const ConfigurationView& view,

@@ -17,6 +17,8 @@
 #ifndef WAVE_FO_PREPARED_H_
 #define WAVE_FO_PREPARED_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -24,6 +26,7 @@
 
 #include "fo/formula.h"
 #include "fo/view.h"
+#include "relational/relation.h"
 #include "relational/schema.h"
 
 namespace wave {
@@ -51,6 +54,14 @@ struct PreparedNode {
 };
 
 }  // namespace internal
+
+/// Buffers `PreparedFormula::EnumerateSatisfying` reuses from call to call,
+/// so a warm scratch makes an enumeration allocation-free.
+struct EvalScratch {
+  std::vector<SymbolId> regs;    // the register file
+  std::vector<SymbolId> rows;    // satisfying assignments, repeats included
+  std::vector<uint32_t> order;   // `rows` sorted, by row index
+};
 
 /// A compiled formula ready for repeated evaluation.
 ///
@@ -92,9 +103,15 @@ class PreparedFormula {
                   std::vector<SymbolId>* regs) const;
 
   /// Enumerates the distinct satisfying assignments of the free variables
-  /// over `domain`, appending one tuple (of length num_free()) per
-  /// assignment to `out`. Free variables not constrained by the formula
-  /// are expanded over `domain`.
+  /// over `domain`, appending each to `out` as num_free() values, in
+  /// lexicographic order, and returns how many it appended. Free variables
+  /// not constrained by the formula are expanded over `domain`.
+  size_t EnumerateSatisfying(const ConfigurationView& view,
+                             const std::vector<SymbolId>& domain,
+                             EvalScratch* scratch,
+                             std::vector<SymbolId>* out) const;
+
+  /// The same assignments, one tuple (of length num_free()) each.
   void EnumerateSatisfying(const ConfigurationView& view,
                            const std::vector<SymbolId>& domain,
                            std::vector<Tuple>* out) const;
@@ -106,6 +123,7 @@ class PreparedFormula {
 
  private:
   std::unique_ptr<internal::PreparedNode> root_;
+  std::vector<int> free_slots_;  // 0 .. num_free()-1
   int num_free_ = 0;
   int num_slots_ = 0;
 };

@@ -1,13 +1,21 @@
 // Abstract read view of a (pseudo)configuration, the evaluation structure
 // for FO formulas: relation contents by id (with a previous-input axis) and
-// the current Web page.
+// the current Web page. The view hands out tuples as value arrays, so the
+// evaluator runs unchanged over a `Configuration`'s relations (the
+// run semantics, counterexample validation, the first-cut baseline) and
+// over the search's bitset pseudoconfigurations (verifier/config_store.h).
 #ifndef WAVE_FO_VIEW_H_
 #define WAVE_FO_VIEW_H_
 
-#include "relational/relation.h"
+#include "common/function_ref.h"
+#include "common/symbol_table.h"
 #include "relational/schema.h"
 
 namespace wave {
+
+/// Called with each tuple's values (the relation's arity of them); returns
+/// false to stop the iteration.
+using TupleVisitor = FunctionRef<bool(const SymbolId*)>;
 
 /// What the evaluator can observe about a configuration.
 ///
@@ -17,7 +25,14 @@ class ConfigurationView {
  public:
   virtual ~ConfigurationView() = default;
 
-  virtual const Relation& Get(RelationId id, bool previous) const = 0;
+  /// Calls `visit` on every tuple of relation `id`, in no particular order,
+  /// until it returns false. Returns false iff `visit` stopped it.
+  virtual bool ForEachTuple(RelationId id, bool previous,
+                            TupleVisitor visit) const = 0;
+
+  /// True if relation `id` holds the tuple of `values` (its arity of them).
+  virtual bool Contains(RelationId id, bool previous,
+                        const SymbolId* values) const = 0;
 
   /// Dense index of the current page (see `WebAppSpec::PageIndex`).
   virtual int current_page() const = 0;

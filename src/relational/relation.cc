@@ -25,6 +25,16 @@ bool Relation::Contains(const Tuple& t) const {
   return std::binary_search(tuples_.begin(), tuples_.end(), t);
 }
 
+bool Relation::Contains(const SymbolId* values) const {
+  const SymbolId* end = values + arity_;
+  auto it = std::lower_bound(
+      tuples_.begin(), tuples_.end(), values,
+      [end](const Tuple& t, const SymbolId* v) {
+        return std::lexicographical_compare(t.begin(), t.end(), v, end);
+      });
+  return it != tuples_.end() && std::equal(it->begin(), it->end(), values);
+}
+
 void Relation::UnionWith(const Relation& other) {
   WAVE_CHECK(arity_ == other.arity_);
   for (const Tuple& t : other.tuples_) Insert(t);

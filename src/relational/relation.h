@@ -39,6 +39,8 @@ class Relation {
   bool Erase(const Tuple& t);
 
   bool Contains(const Tuple& t) const;
+  /// True if the tuple of `values` (arity() of them) is present.
+  bool Contains(const SymbolId* values) const;
 
   /// Erases every tuple satisfying `pred`, in place (a relation none of
   /// whose tuples match is left untouched).

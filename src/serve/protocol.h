@@ -18,7 +18,8 @@
 // A malformed line yields an `ok:false` envelope (id "" when the line did
 // not parse far enough to recover one) and the connection stays open —
 // clients pipeline requests, one bad frame must not poison the rest. A
-// request line longer than `kMaxRequestLine` closes its connection.
+// request line longer than `kMaxRequestLine` gets one INVALID_ARGUMENT
+// envelope (id "") naming the cap, and then its connection closes.
 // Version policy is the api/wire.h one: unstamped envelopes read as
 // version 1; newer stamps are rejected with INVALID_ARGUMENT.
 #ifndef WAVE_SERVE_PROTOCOL_H_

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,37 +32,45 @@ Status Errno(const std::string& what) {
   return Status::Unavailable(what + ": " + ::strerror(errno), WAVE_LOC);
 }
 
+/// What `LineReader::ReadLine` found.
+enum class ReadResult {
+  kLine,       // a line is in `*line`, without its '\n'
+  kEof,        // the client closed between lines
+  kError,      // a read error, or EOF inside a line
+  kOversized,  // the line passed `kMaxRequestLine`
+};
+
 /// Buffered newline framing over a socket fd. Each byte is scanned for
 /// '\n' once and consumed lines are dropped once per `recv`, so framing
 /// is linear in the bytes received. A line longer than `kMaxRequestLine`
-/// aborts the connection: a runaway frame must not eat the heap.
+/// ends the connection: a runaway frame must not eat the heap.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// 1 = a line is in `*line` (without the '\n'), 0 = clean EOF,
-  /// -1 = read error or oversized frame.
-  int ReadLine(std::string* line) {
+  ReadResult ReadLine(std::string* line) {
     for (;;) {
       size_t nl = buffer_.find('\n', scanned_);
       if (nl != std::string::npos) {
-        if (nl - start_ > kMaxRequestLine) return -1;
+        if (nl - start_ > kMaxRequestLine) return ReadResult::kOversized;
         line->assign(buffer_, start_, nl - start_);
         start_ = scanned_ = nl + 1;
-        return 1;
+        return ReadResult::kLine;
       }
       // One compaction per recv drops the consumed lines; `scanned_`
       // keeps the unfinished line's bytes from being scanned again.
       buffer_.erase(0, start_);
       start_ = 0;
       scanned_ = buffer_.size();
-      if (buffer_.size() > kMaxRequestLine) return -1;
+      if (buffer_.size() > kMaxRequestLine) return ReadResult::kOversized;
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n == 0) return buffer_.empty() ? 0 : -1;  // mid-line EOF = error
+      if (n == 0) {  // EOF inside a line is an error
+        return buffer_.empty() ? ReadResult::kEof : ReadResult::kError;
+      }
       if (n < 0) {
         if (errno == EINTR) continue;
-        return -1;
+        return ReadResult::kError;
       }
       buffer_.append(chunk, static_cast<size_t>(n));
     }
@@ -354,8 +363,18 @@ class Server::Impl {
     LineReader reader(conn->fd);
     std::string line;
     for (;;) {
-      int got = reader.ReadLine(&line);
-      if (got <= 0) break;
+      ReadResult got = reader.ReadLine(&line);
+      if (got == ReadResult::kOversized) {
+        metrics_->Add("serve.oversized_lines");
+        WriteFrame(*conn,
+                   ErrorEnvelope("", Status::InvalidArgument(
+                                         "request line exceeds the " +
+                                             std::to_string(kMaxRequestLine) +
+                                             "-byte (4 MiB) cap",
+                                         WAVE_LOC)));
+        break;
+      }
+      if (got != ReadResult::kLine) break;
       fault::Action fa = WAVE_FAULT("serve.read");
       if (fault::IsError(fa)) {
         metrics_->Add("serve.read_errors");

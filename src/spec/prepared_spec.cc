@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/check.h"
-
 namespace wave {
 
 namespace {
@@ -27,35 +25,57 @@ PreparedRule PrepareRule(RelationId relation, const std::vector<Term>& head,
   rule.relation = relation;
   rule.head = head;
   rule.head_vars = HeadVariables(head);
+  for (const Term& t : head) {
+    rule.head_slots.push_back(
+        t.is_variable()
+            ? static_cast<int>(std::find(rule.head_vars.begin(),
+                                         rule.head_vars.end(), t.variable) -
+                               rule.head_vars.begin())
+            : -1);
+  }
   rule.prepared =
       PreparedFormula::Prepare(body, spec.catalog(), rule.head_vars, pages);
   return rule;
 }
 
+bool IsInputOrAction(RelationKind kind) {
+  return kind == RelationKind::kInput ||
+         kind == RelationKind::kInputConstant || kind == RelationKind::kAction;
+}
+
 }  // namespace
 
-Tuple PreparedRule::InstantiateHead(
-    const std::vector<SymbolId>& assignment) const {
-  Tuple out(head.size());
-  for (size_t i = 0; i < head.size(); ++i) {
-    if (head[i].is_variable()) {
-      auto it = std::find(head_vars.begin(), head_vars.end(),
-                          head[i].variable);
-      WAVE_CHECK(it != head_vars.end());
-      out[i] = assignment[it - head_vars.begin()];
-    } else {
-      out[i] = head[i].constant;
-    }
+std::vector<Tuple> DerivedTuples::Tuples(int g) const {
+  std::vector<Tuple> out;
+  for (size_t i = 0; i < size(g); ++i) {
+    out.emplace_back(tuple(g, i), tuple(g, i) + groups_[g].arity);
   }
   return out;
 }
 
-void PreparedRule::Derive(const ConfigurationView& view,
-                          const std::vector<SymbolId>& domain,
-                          std::vector<Tuple>* out) const {
-  std::vector<Tuple> assignments;
-  prepared.EnumerateSatisfying(view, domain, &assignments);
-  for (const Tuple& a : assignments) out->push_back(InstantiateHead(a));
+void DerivedTuples::Derive(const PreparedRule& rule,
+                           const ConfigurationView& view,
+                           const std::vector<SymbolId>& domain) {
+  assignments_.clear();
+  const size_t count =
+      rule.prepared.EnumerateSatisfying(view, domain, &scratch_, &assignments_);
+  Group group;
+  group.relation = rule.relation;
+  group.arity = rule.head.size();
+  group.begin = values_.size();
+  group.count = count;
+  // Head variables appear in first-occurrence order, so distinct sorted
+  // assignments instantiate distinct sorted head tuples.
+  const size_t width = rule.head_vars.size();
+  for (size_t a = 0; a < count; ++a) {
+    const SymbolId* assignment = assignments_.data() + a * width;
+    for (size_t i = 0; i < group.arity; ++i) {
+      values_.push_back(rule.head_slots[i] >= 0
+                            ? assignment[rule.head_slots[i]]
+                            : rule.head[i].constant);
+    }
+  }
+  groups_.push_back(group);
 }
 
 PreparedSpec::PreparedSpec(const WebAppSpec* spec) : spec_(spec) {
@@ -91,73 +111,46 @@ PreparedSpec::PreparedSpec(const WebAppSpec* spec) : spec_(spec) {
   for (SymbolId c : spec->SpecConstants()) spec_constants_.push_back(c);
 }
 
-InputOptions PreparedSpec::ComputeOptions(
-    const Configuration& config, const std::vector<SymbolId>& domain) const {
+void PreparedSpec::ComputeOptions(const ConfigurationView& view,
+                                  const std::vector<SymbolId>& domain,
+                                  DerivedTuples* options) const {
   ++exec_stats_.compute_options_calls;
-  ConfigurationAdapter view(&config);
-  InputOptions options;
-  const PreparedPage& page = pages_[config.page];
-  for (const PreparedRule& rule : page.input_rules) {
-    std::vector<Tuple> tuples;
-    rule.Derive(view, domain, &tuples);
+  options->Clear();
+  for (const PreparedRule& rule : pages_[view.current_page()].input_rules) {
+    options->Derive(rule, view, domain);
     ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(tuples.size());
-    std::sort(tuples.begin(), tuples.end());
-    tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
-    options[rule.relation] = std::move(tuples);
+    exec_stats_.derived_tuples += static_cast<int64_t>(
+        options->size(options->num_groups() - 1));
   }
-  return options;
 }
 
-void PreparedSpec::ApplyInput(const InputChoice& choice,
-                              const std::vector<SymbolId>& domain,
-                              Configuration* config) const {
+void PreparedSpec::DeriveActions(const ConfigurationView& view,
+                                 const std::vector<SymbolId>& domain,
+                                 DerivedTuples* actions) const {
   ++exec_stats_.apply_input_calls;
-  // Clear all input and action relations, then install the choice.
-  const Catalog& catalog = spec_->catalog();
-  for (RelationId id = 0; id < catalog.size(); ++id) {
-    RelationKind kind = catalog.schema(id).kind;
-    if (kind == RelationKind::kInput ||
-        kind == RelationKind::kInputConstant ||
-        kind == RelationKind::kAction) {
-      config->data.relation(id).Clear();
-    }
-  }
-  for (const auto& [relation, tuple] : choice) {
-    config->data.relation(relation).Insert(tuple);
-  }
+  actions->Clear();
   // Actions see the chosen input, previous input and current state.
-  ConfigurationAdapter view(config);
-  const PreparedPage& page = pages_[config->page];
-  std::vector<std::pair<RelationId, Tuple>> derived;
-  for (const PreparedRule& rule : page.action_rules) {
-    std::vector<Tuple> tuples;
-    rule.Derive(view, domain, &tuples);
+  for (const PreparedRule& rule : pages_[view.current_page()].action_rules) {
+    actions->Derive(rule, view, domain);
     ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(tuples.size());
-    for (Tuple& t : tuples) derived.emplace_back(rule.relation, std::move(t));
-  }
-  for (const auto& [relation, tuple] : derived) {
-    config->data.relation(relation).Insert(tuple);
+    exec_stats_.derived_tuples += static_cast<int64_t>(
+        actions->size(actions->num_groups() - 1));
   }
 }
 
-Configuration PreparedSpec::Advance(const Configuration& config,
-                                    const std::vector<SymbolId>& domain) const {
+int PreparedSpec::Advance(const ConfigurationView& view,
+                          const std::vector<SymbolId>& domain,
+                          DerivedTuples* inserts,
+                          DerivedTuples* deletes) const {
   ++exec_stats_.advance_calls;
-  ConfigurationAdapter view(&config);
-  const PreparedPage& page = pages_[config.page];
-  const Catalog& catalog = spec_->catalog();
-
-  Configuration next;
-  next.data = config.data;
-  next.previous = Instance(&catalog);
+  const int current = view.current_page();
+  const PreparedPage& page = pages_[current];
 
   // Target page: exactly one satisfied condition moves; otherwise stay
   // ("if several conditions are true, no transition occurs").
   int target = -1;
   bool unique = true;
-  std::vector<SymbolId> regs;
+  std::vector<SymbolId>& regs = inserts->scratch_.regs;
   for (const PreparedTarget& t : page.targets) {
     regs.assign(t.condition.num_slots(), kInvalidSymbol);
     if (t.condition.EvalClosed(view, domain, &regs)) {
@@ -168,24 +161,80 @@ Configuration PreparedSpec::Advance(const Configuration& config,
       }
     }
   }
-  next.page = (target != -1 && unique) ? target : config.page;
 
-  // State update: evaluate all rules against the *current* configuration,
-  // then apply insert/delete sets with insert∧delete conflicts as no-ops.
-  std::set<std::pair<RelationId, Tuple>> inserts, deletes;
+  // State update: every rule is evaluated against the *current*
+  // configuration; the caller applies the two sets.
+  inserts->Clear();
+  deletes->Clear();
   for (const PreparedRule& rule : page.state_inserts) {
-    std::vector<Tuple> tuples;
-    rule.Derive(view, domain, &tuples);
+    inserts->Derive(rule, view, domain);
     ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(tuples.size());
-    for (Tuple& t : tuples) inserts.emplace(rule.relation, std::move(t));
+    exec_stats_.derived_tuples += static_cast<int64_t>(
+        inserts->size(inserts->num_groups() - 1));
   }
   for (const PreparedRule& rule : page.state_deletes) {
-    std::vector<Tuple> tuples;
-    rule.Derive(view, domain, &tuples);
+    deletes->Derive(rule, view, domain);
     ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(tuples.size());
-    for (Tuple& t : tuples) deletes.emplace(rule.relation, std::move(t));
+    exec_stats_.derived_tuples += static_cast<int64_t>(
+        deletes->size(deletes->num_groups() - 1));
+  }
+  return (target != -1 && unique) ? target : current;
+}
+
+InputOptions PreparedSpec::ComputeOptions(
+    const Configuration& config, const std::vector<SymbolId>& domain) const {
+  DerivedTuples derived;
+  ComputeOptions(ConfigurationAdapter(&config), domain, &derived);
+  InputOptions options;
+  for (int g = 0; g < derived.num_groups(); ++g) {
+    options[derived.relation(g)] = derived.Tuples(g);
+  }
+  return options;
+}
+
+void PreparedSpec::ApplyInput(const InputChoice& choice,
+                              const std::vector<SymbolId>& domain,
+                              Configuration* config) const {
+  // Clear all input and action relations, then install the choice.
+  const Catalog& catalog = spec_->catalog();
+  for (RelationId id = 0; id < catalog.size(); ++id) {
+    if (IsInputOrAction(catalog.schema(id).kind)) {
+      config->data.relation(id).Clear();
+    }
+  }
+  for (const auto& [relation, tuple] : choice) {
+    config->data.relation(relation).Insert(tuple);
+  }
+  DerivedTuples actions;
+  DeriveActions(ConfigurationAdapter(config), domain, &actions);
+  for (int g = 0; g < actions.num_groups(); ++g) {
+    for (const Tuple& t : actions.Tuples(g)) {
+      config->data.relation(actions.relation(g)).Insert(t);
+    }
+  }
+}
+
+Configuration PreparedSpec::Advance(const Configuration& config,
+                                    const std::vector<SymbolId>& domain) const {
+  const Catalog& catalog = spec_->catalog();
+  DerivedTuples insert_groups, delete_groups;
+  Configuration next;
+  next.page = Advance(ConfigurationAdapter(&config), domain, &insert_groups,
+                      &delete_groups);
+  next.data = config.data;
+  next.previous = Instance(&catalog);
+
+  // Apply the insert/delete sets with insert∧delete conflicts as no-ops.
+  std::set<std::pair<RelationId, Tuple>> inserts, deletes;
+  for (int g = 0; g < insert_groups.num_groups(); ++g) {
+    for (Tuple& t : insert_groups.Tuples(g)) {
+      inserts.emplace(insert_groups.relation(g), std::move(t));
+    }
+  }
+  for (int g = 0; g < delete_groups.num_groups(); ++g) {
+    for (Tuple& t : delete_groups.Tuples(g)) {
+      deletes.emplace(delete_groups.relation(g), std::move(t));
+    }
   }
   for (const auto& entry : deletes) {
     if (inserts.count(entry) > 0) continue;  // conflict: no-op

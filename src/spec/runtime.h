@@ -1,8 +1,9 @@
 // Configurations and the genuine-run semantics of a Web application
 // (Section 2.1): how one configuration steps to the next given a user's
-// input choice. The same `Configuration` struct doubles as the verifier's
-// *pseudo*configuration — there the database relations hold core∪extension
-// instead of a full database.
+// input choice. Genuine runs, counterexamples and the first-cut baseline
+// hold configurations as `Configuration`s; the verifier's search holds its
+// *pseudo*configurations (database relations = core ∪ extension) as
+// bitsets over a tuple table instead (verifier/config_store.h).
 #ifndef WAVE_SPEC_RUNTIME_H_
 #define WAVE_SPEC_RUNTIME_H_
 
@@ -36,13 +37,25 @@ class ConfigurationAdapter final : public ConfigurationView {
   explicit ConfigurationAdapter(const Configuration* config)
       : config_(config) {}
 
-  const Relation& Get(RelationId id, bool previous) const override {
-    return previous ? config_->previous.relation(id)
-                    : config_->data.relation(id);
+  bool ForEachTuple(RelationId id, bool previous,
+                    TupleVisitor visit) const override {
+    for (const Tuple& t : Get(id, previous).tuples()) {
+      if (!visit(t.data())) return false;
+    }
+    return true;
+  }
+  bool Contains(RelationId id, bool previous,
+                const SymbolId* values) const override {
+    return Get(id, previous).Contains(values);
   }
   int current_page() const override { return config_->page; }
 
  private:
+  const Relation& Get(RelationId id, bool previous) const {
+    return previous ? config_->previous.relation(id)
+                    : config_->data.relation(id);
+  }
+
   const Configuration* config_;
 };
 

@@ -1,6 +1,6 @@
 // Shard-local store of the pseudoconfigurations one (assignment, core)
-// search meets: interned canonical keys, the product's visited bits and a
-// successor/component memo.
+// search meets: a tuple table, bitset configurations interned to dense
+// ids, the product's visited bits and a successor/component memo.
 //
 // The paper's `ndfs-pseudo` (Section 3.1) searches pairs of a Büchi state
 // and a pseudoconfiguration, storing visited pairs "in a trie data
@@ -10,13 +10,23 @@
 // configuration half once, SPIN-style collapse compression (Holzmann,
 // "State Compression in SPIN", SPIN Workshop 1997):
 //
-// * Interning. Every configuration gets a dense id keyed by its canonical
-//   key (verifier/encode.h). A key table keeps the keys back to back in one
-//   byte arena and finds them through an open-addressing table of 64-bit
-//   hashes, probed linearly and doubled whenever it would pass half full.
-//   A successor is encoded once.
+// * Tuple table. Every (relation, tuple) the search meets is interned on
+//   first sight to a dense `TupleId`, its bit. The table keeps the values,
+//   whether they all lie in the constant universe C, and one mask per
+//   relation and per relation kind. It fills lazily, so no per-relation
+//   tuple universe is fixed up front (that would need a second dataflow
+//   pass over derived relations; see DESIGN.md).
+// * Configurations. A pseudoconfiguration is a page plus two bitsets over
+//   the table, `data` and `previous` (`ConfigWords`). Evaluation reads them
+//   through `WordsView`; a successor is a word copy plus masks.
+// * Interning. Every configuration gets a dense id keyed by its words: a
+//   header word (page, data length), then both bitsets with trailing zero
+//   words trimmed, so a key stays canonical while the table grows. A key
+//   table keeps the keys back to back in one word arena and finds them
+//   through an open-addressing table of 64-bit hashes, probed linearly and
+//   doubled whenever it would pass half full; equality is `memcmp`.
 // * Visited bits. One bit per (flag, Büchi state) per id, packed densely,
-//   replaces a byte key per (flag, state, configuration). `Insert` and
+//   replaces a key per (flag, state, configuration). `Insert` and
 //   `Contains` count hits and misses, and `size()` counts stored triples:
 //   the statistics the paper's "max trie size" column tracks.
 // * Memo. `succP` first advances a configuration to its *skeleton* (page,
@@ -30,18 +40,20 @@
 //   skeleton's list, so a later expansion of it, or of another
 //   configuration with the same skeleton, replays the ids. Per id the memo
 //   also keeps the FO components' truth values.
-// * Decoding. `Decode` rebuilds a `Configuration` from its key, for an id
-//   expanded without a memo or reported in a counterexample.
+// * Edges. `Pack` and `Unpack` convert from and to `Configuration`, for
+//   counterexamples and tests.
 //
 // `Reset` keeps every buffer's capacity, so a shard's set-up writes only
-// the two 16-slot tables.
+// the three 16-slot tables and the per-relation masks' lengths.
 #ifndef WAVE_VERIFIER_CONFIG_STORE_H_
 #define WAVE_VERIFIER_CONFIG_STORE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "fo/view.h"
 #include "spec/runtime.h"
 
 namespace wave {
@@ -51,6 +63,126 @@ using ConfigId = uint32_t;
 
 /// Dense id of an interned (previous page, skeleton) key.
 using SkeletonId = uint32_t;
+
+/// Dense id of an interned (relation, tuple): its bit in a configuration.
+using TupleId = uint32_t;
+inline constexpr TupleId kNoTuple = UINT32_MAX;
+
+/// A bitset over a tuple table. Words past the vector's end are zero, so a
+/// bitset may be shorter than the table is wide.
+using Words = std::vector<uint64_t>;
+
+inline bool TestBit(const Words& words, TupleId t) {
+  const size_t w = t >> 6;
+  return w < words.size() && ((words[w] >> (t & 63)) & 1);
+}
+inline void SetBit(Words* words, TupleId t) {
+  const size_t w = t >> 6;
+  if (w >= words->size()) words->resize(w + 1, 0);
+  (*words)[w] |= uint64_t{1} << (t & 63);
+}
+/// Calls `fn(t)` for every set bit `t` of `words`, in increasing order.
+template <typename Fn>
+void ForEachBit(const Words& words, Fn fn) {
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t m = words[w]; m != 0; m &= m - 1) {
+      fn(static_cast<TupleId>(w * 64 + std::countr_zero(m)));
+    }
+  }
+}
+
+/// A pseudoconfiguration over a shard's tuple table: the current page and
+/// the bits of the tuples in `data` (database, state, input and action
+/// relations) and `previous` (the previous step's inputs).
+struct ConfigWords {
+  int page = 0;
+  Words data;
+  Words previous;
+};
+
+/// Every (relation, tuple) a shard's search meets, interned on first sight.
+class TupleTable {
+ public:
+  TupleTable();
+
+  /// Empties the table for tuples over `catalog`. A value lies in C when
+  /// `in_universe` has it set; a null `in_universe` puts every value in C.
+  void Reset(const Catalog* catalog, const std::vector<bool>* in_universe);
+
+  /// The id of (`relation`, `values`), interning it when new. `values`
+  /// holds the relation's arity of values.
+  TupleId Intern(RelationId relation, const SymbolId* values);
+  /// The id of (`relation`, `values`), or kNoTuple if never interned.
+  TupleId Find(RelationId relation, const SymbolId* values) const;
+
+  size_t size() const { return relations_.size(); }
+  const Catalog& catalog() const { return *catalog_; }
+  RelationId relation(TupleId t) const { return relations_[t]; }
+  int arity(TupleId t) const { return catalog_->schema(relations_[t]).arity; }
+  const SymbolId* values(TupleId t) const {
+    return values_.data() + offsets_[t];
+  }
+
+  /// Tuples whose values all lie in C.
+  const Words& in_universe() const { return in_universe_mask_; }
+  /// Tuples of relations of `kind`.
+  const Words& kind_mask(RelationKind kind) const {
+    return kind_masks_[static_cast<size_t>(kind)];
+  }
+  /// Tuples of relation `id`.
+  const Words& relation_mask(RelationId id) const {
+    return relation_masks_[id];
+  }
+
+  /// Approximate heap footprint in bytes (capacity slack not counted).
+  int64_t approx_bytes() const;
+
+ private:
+  struct Slot {
+    uint32_t hash = 0;
+    TupleId id = kNoTuple;
+  };
+  static constexpr size_t kKinds = 5;
+
+  uint32_t Hash(RelationId relation, const SymbolId* values) const;
+  bool Equals(TupleId t, RelationId relation, const SymbolId* values) const;
+  /// The slot holding (`relation`, `values`), or the empty slot where it
+  /// would go.
+  size_t Probe(uint32_t hash, RelationId relation,
+               const SymbolId* values) const;
+  void Grow();
+  /// Sets bit `t` of `mask`, counting the words it grows by.
+  void Mark(Words* mask, TupleId t);
+
+  const Catalog* catalog_ = nullptr;
+  const std::vector<bool>* in_universe_ = nullptr;
+  std::vector<Slot> slots_;         // power-of-two size, at most half full
+  std::vector<RelationId> relations_;  // by TupleId
+  std::vector<uint32_t> offsets_;      // by TupleId: first value in values_
+  std::vector<SymbolId> values_;       // every tuple's values, back to back
+  Words in_universe_mask_;
+  Words kind_masks_[kKinds];
+  std::vector<Words> relation_masks_;  // by RelationId
+  size_t mask_words_ = 0;              // summed over every mask
+};
+
+/// A `ConfigWords` read through its tuple table: what the prepared rules
+/// and FO components evaluate over during the search.
+class WordsView final : public ConfigurationView {
+ public:
+  WordsView(const TupleTable* tuples, const ConfigWords* config)
+      : tuples_(tuples), config_(config) {}
+
+  bool ForEachTuple(RelationId id, bool previous,
+                    TupleVisitor visit) const override;
+  bool Contains(RelationId id, bool previous,
+                const SymbolId* values) const override;
+  int current_page() const override { return config_->page; }
+
+ private:
+  const TupleTable* tuples_;
+  const ConfigWords* config_;
+};
 
 /// Lookup counters of the visited bits: every `Insert`/`Contains` is one
 /// lookup; a *hit* found the (flag, state, configuration) triple already
@@ -74,20 +206,32 @@ class ConfigStore {
   /// An empty store; call `Reset` before use.
   ConfigStore() = default;
 
-  /// Empties the store for configurations over `catalog`, an automaton of
-  /// `num_states` states and `num_components` FO components, dropping the
-  /// counters too.
-  void Reset(const Catalog* catalog, int num_states, int num_components);
+  /// Empties the store, its tuple table included, for configurations over
+  /// `catalog` (C given by `in_universe`, see `TupleTable::Reset`), an
+  /// automaton of `num_states` states and `num_components` FO components,
+  /// dropping the counters too.
+  void Reset(const Catalog* catalog, int num_states, int num_components,
+             const std::vector<bool>* in_universe = nullptr);
+
+  TupleTable& tuples() { return tuples_; }
+  const TupleTable& tuples() const { return tuples_; }
 
   // --- interning ---------------------------------------------------------
   /// The id of `config`, interning its key when new.
-  ConfigId Intern(const Configuration& config);
+  ConfigId Intern(const ConfigWords& config);
 
   /// Number of interned configurations.
   int num_configs() const { return static_cast<int>(entries_.size()); }
 
-  /// The configuration `id` stands for, rebuilt from its key.
-  Configuration Decode(ConfigId id) const;
+  /// Writes the configuration `id` stands for into `*out`.
+  void Load(ConfigId id, ConfigWords* out) const;
+
+  /// `config` as words, interning its tuples.
+  ConfigWords Pack(const Configuration& config);
+  /// The `Configuration` `config` stands for.
+  Configuration Unpack(const ConfigWords& config) const;
+  /// The `Configuration` `id` stands for.
+  Configuration Materialize(ConfigId id) const;
 
   // --- visited bits ------------------------------------------------------
   /// Sets the bit of (`flag`, `state`, `id`); true if it was clear.
@@ -124,7 +268,7 @@ class ConfigStore {
   ConfigId successor(uint32_t i) const { return successors_[i]; }
 
   /// The id of the key (`prev_page`, `skeleton`), interning it when new.
-  SkeletonId InternSkeleton(int prev_page, const Configuration& skeleton);
+  SkeletonId InternSkeleton(int prev_page, const ConfigWords& skeleton);
   /// True with `*range` set when skeleton `s`'s successor list is set.
   bool FindSkeletonSuccessors(SkeletonId s, SuccessorRange* range) const {
     return skeleton_lists_[s].Find(range);
@@ -134,22 +278,25 @@ class ConfigStore {
   SuccessorRange SetSkeletonSuccessors(SkeletonId s,
                                        const std::vector<ConfigId>& ids);
 
-  /// Approximate heap footprint in bytes: both key tables, the per-id and
-  /// per-skeleton entries, the visited and component bits and the
-  /// successor lists. O(1), so the resource governor can poll it per
-  /// expansion; vector capacity slack is not counted.
+  /// Approximate heap footprint in bytes: the tuple table, both key
+  /// tables, the per-id and per-skeleton entries, the visited and
+  /// component bits and the successor lists. O(1), so the resource
+  /// governor can poll it per expansion; vector capacity slack is not
+  /// counted.
   int64_t approx_bytes() const;
 
  private:
-  /// Byte keys interned to dense ids in interning order.
+  /// Word keys interned to dense ids in interning order.
   class KeyTable {
    public:
     KeyTable();
     void Clear();
-    /// The id of the key `bytes`, interning it when new: a new key's id
+    /// The id of the key `words`, interning it when new: a new key's id
     /// is the number of keys interned before it.
-    uint32_t Intern(const std::vector<uint8_t>& bytes);
-    const uint8_t* key(uint32_t id) const { return arena_.data() + begin(id); }
+    uint32_t Intern(const Words& words);
+    const uint64_t* key(uint32_t id) const {
+      return arena_.data() + begin(id);
+    }
     size_t key_size(uint32_t id) const { return key_ends_[id] - begin(id); }
     int64_t approx_bytes() const;
 
@@ -164,7 +311,7 @@ class ConfigStore {
     void Grow();
 
     std::vector<Slot> slots_;         // power-of-two size, at most half full
-    std::vector<uint8_t> arena_;      // every key's bytes, back to back
+    Words arena_;                     // every key's words, back to back
     std::vector<uint32_t> key_ends_;  // by id: where its key ends in arena_
   };
 
@@ -183,13 +330,16 @@ class ConfigStore {
     bool components = false;
   };
 
-  const Catalog* catalog_ = nullptr;
+  /// Writes `config`'s canonical key into `scratch_`.
+  void EncodeKey(const ConfigWords& config);
+
   size_t num_states_ = 0;
   size_t num_components_ = 0;
 
+  TupleTable tuples_;
   KeyTable configs_;                  // by ConfigId
   KeyTable skeletons_;                // (skeleton, previous page), by SkeletonId
-  std::vector<uint8_t> scratch_;      // the key being interned
+  Words scratch_;                     // the key being interned
   std::vector<Entry> entries_;        // by ConfigId
   std::vector<List> skeleton_lists_;  // by SkeletonId
 

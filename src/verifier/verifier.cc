@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -207,11 +208,28 @@ class ShardRunner {
   int64_t heartbeats() const { return heartbeats_; }
 
  private:
-  /// One frame of the NDFS stacks: an automaton state and a configuration.
+  /// One frame of the NDFS stacks: an automaton state and a configuration,
+  /// plus how far the frame's expansion has got, so the search runs as a
+  /// loop over explicit frames instead of recursing once per pseudorun step
+  /// (a chain of tens of thousands of configurations would overflow the
+  /// thread's stack).
   struct Frame {
     int state = 0;
     ConfigId id = 0;
+    int depth = 0;
+    /// The transition of `adj[state]` being followed; -1 before the first.
+    int transition = -1;
+    int to = 0;  // its target state
+    /// Its successors not yet delivered: `successor(i)`, i in [next, end).
+    uint32_t next = 0;
+    uint32_t end = 0;
+    /// Stick frames only: set while the Stick descent into the last
+    /// delivered successor runs, so that successor's accepting check runs
+    /// once the descent returns.
+    bool accepting_check = false;
   };
+
+  static constexpr ConfigId kNoConfig = UINT32_MAX;
 
   SearchStatus RunShard(const Shard& shard) {
     const BatchSlot& slot = (*slots_)[shard.assignment];
@@ -232,32 +250,36 @@ class ShardRunner {
     obs::ScopedSpan span(tracer_, "core");
     ++stats_.num_cores;
     ++job_cur_->num_cores;
-    core_.clear();
-    const auto& tuples = ctx_->core_candidates->tuples;
-    for (size_t b = 0; b < tuples.size(); ++b) {
-      if ((shard.core >> b) & 1) core_.push_back(tuples[b]);
-    }
     store_.Reset(&spec_->catalog(), plan_->automaton.NumStates(),
-                 static_cast<int>(ctx_->components.size()));
+                 static_cast<int>(ctx_->components.size()),
+                 &ctx_->in_universe);
+    here_id_ = kNoConfig;
+    ext_bits_.resize(ctx_->ext_table.size());
+    ext_built_.assign(ctx_->ext_table.size(), false);
+    page_base_.resize(spec_->num_pages());
+    page_base_built_.assign(spec_->num_pages(), false);
     stick_stack_.clear();
     candy_stack_.clear();
     stack_bytes_ = 0;
 
     // Start pseudoconfigurations: home page, database = core ∪ extension.
-    Configuration skeleton;
-    skeleton.page = spec_->home_page();
-    skeleton.data = Instance(&spec_->catalog());
-    skeleton.previous = Instance(&spec_->catalog());
-    for (const auto& [relation, tuple] : core_) {
-      skeleton.data.relation(relation).Insert(tuple);
+    core_.clear();
+    const auto& tuples = ctx_->core_candidates->tuples;
+    for (size_t b = 0; b < tuples.size(); ++b) {
+      if ((shard.core >> b) & 1) {
+        SetBit(&core_, store_.tuples().Intern(tuples[b].first,
+                                              tuples[b].second.data()));
+      }
     }
-    std::vector<ConfigId> starts;
-    SearchStatus status = InternCompletions(skeleton, /*prev_page=*/-1,
-                                            &starts);
-    for (size_t i = 0; i < starts.size() && status == SearchStatus::kContinue;
+    skeleton_.page = spec_->home_page();
+    skeleton_.data = core_;
+    skeleton_.previous.clear();
+    starts_.clear();
+    SearchStatus status = InternCompletions(/*prev_page=*/-1, &starts_);
+    for (size_t i = 0; i < starts_.size() && status == SearchStatus::kContinue;
          ++i) {
       CountSuccessor();
-      status = Stick(plan_->automaton.start, starts[i], 1);
+      status = Search(plan_->automaton.start, starts_[i]);
     }
     stats_.max_trie_size = std::max(stats_.max_trie_size, store_.size());
     job_cur_->max_trie_size =
@@ -280,9 +302,10 @@ class ShardRunner {
   }
 
   /// Interns a configuration with sampled latency: every 64th intern is
-  /// timed (telemetry on only), so `trie_lookup_us` reflects the key
-  /// encoding plus the table probe without a clock read per successor.
-  ConfigId TimedIntern(const Configuration& config) {
+  /// timed (telemetry on only), so `trie_lookup_us` reflects building the
+  /// canonical word key plus the table probe without a clock read per
+  /// successor.
+  ConfigId TimedIntern(const ConfigWords& config) {
     if (telemetry_ && (++lookup_tick_ & 63) == 0) {
       Stopwatch watch;
       ConfigId id = store_.Intern(config);
@@ -297,20 +320,23 @@ class ShardRunner {
     ++job_cur_->num_successors;
   }
 
-  /// Enumerates the extensions and input choices completing `skeleton`
+  /// Enumerates the extensions and input choices completing `skeleton_`
   /// (whose page/state/previous are set and whose database holds exactly
   /// the core) and appends each completed configuration's id to `*ids`, in
-  /// enumeration order. Runs no search, so enumerations never nest; a
-  /// budget tripped partway aborts with `*ids` incomplete.
-  SearchStatus InternCompletions(const Configuration& skeleton,
-                                 int prev_page, std::vector<ConfigId>* ids) {
-    const CandidateSet* ext = ctx_->extension(skeleton.page, prev_page);
-    WAVE_CHECK_MSG(ext != nullptr,
-                   "unwarmed extension pair (page "
-                       << skeleton.page << ", prev " << prev_page << ")");
+  /// enumeration order: extension subsets as a binary counter over the
+  /// candidates, and per subset the input choices as an odometer over each
+  /// input's alternatives (0 = no choice), the last input fastest. Runs no
+  /// search, so enumerations never nest; a budget tripped partway aborts
+  /// with `*ids` incomplete.
+  SearchStatus InternCompletions(int prev_page, std::vector<ConfigId>* ids) {
+    const int page = skeleton_.page;
+    const CandidateSet* ext = ctx_->extension(page, prev_page);
+    WAVE_CHECK_MSG(ext != nullptr, "unwarmed extension pair (page "
+                                       << page << ", prev " << prev_page
+                                       << ")");
     if (ext->overflow) {
       local_message_ = "extension candidate overflow at page " +
-                       spec_->page(skeleton.page).name + " (" +
+                       spec_->page(page).name + " (" +
                        std::to_string(ext->approx_tuple_count) +
                        " candidate tuples); Heuristic 2 " +
                        (options_->heuristic2 ? "insufficient" : "disabled");
@@ -318,139 +344,262 @@ class ShardRunner {
       abort_kind_ = AbortKind::kLocal;
       return SearchStatus::kAbort;
     }
-    DynamicBitset ext_bitmap(static_cast<int>(ext->tuples.size()));
-    // One configuration serves every extension and input choice of this
-    // call: reassigning it from `skeleton` keeps the relations' capacity,
-    // and a choice is applied in place because ApplyInput clears every
-    // input and action relation before installing it (and the filter below
-    // touches only actions).
-    Configuration complete;
-    while (true) {
-      complete = skeleton;
-      for (int b = 0; b < ext_bitmap.size(); ++b) {
-        if (ext_bitmap.Test(b)) {
-          const auto& [relation, tuple] = ext->tuples[b];
-          complete.data.relation(relation).Insert(tuple);
-        }
+    TupleTable& tuples = store_.tuples();
+    const std::vector<TupleId>& ext_bits =
+        ExtensionBits(page, prev_page, *ext);
+    complete_.page = page;
+    complete_.previous = skeleton_.previous;
+    DynamicBitset subset(static_cast<int>(ext_bits.size()));
+    do {
+      ext_data_ = skeleton_.data;
+      for (int b = 0; b < subset.size(); ++b) {
+        if (subset.Test(b)) SetBit(&ext_data_, ext_bits[b]);
       }
-      std::vector<SymbolId> domain = WindowDomain(complete);
-      InputOptions input_options = prepared_->ComputeOptions(complete, domain);
-      std::vector<InputChoice> choices =
-          EnumerateChoices(complete.page, input_options);
-      for (const InputChoice& choice : choices) {
-        prepared_->ApplyInput(choice, domain, &complete);
-        FilterToUniverse(&complete.data, RelationKind::kAction);
-        ids->push_back(TimedIntern(complete));
+      complete_.data = ext_data_;
+      WindowDomain(complete_, &domain_);
+      InputAlternatives(page);
+      choice_.assign(alternatives_.size(), 0);
+      for (;;) {
+        // The completion: the chosen input tuples, then the actions
+        // derived over them, kept only over C (an AND with the table's
+        // "all values in C" bits).
+        complete_.data = ext_data_;
+        for (size_t i = 0; i < choice_.size(); ++i) {
+          if (choice_[i] > 0) {
+            SetBit(&complete_.data, alternatives_[i][choice_[i] - 1]);
+          }
+        }
+        prepared_->DeriveActions(WordsView(&tuples, &complete_), domain_,
+                                 &action_tuples_);
+        for (int g = 0; g < action_tuples_.num_groups(); ++g) {
+          for (size_t k = 0; k < action_tuples_.size(g); ++k) {
+            const TupleId t = tuples.Intern(action_tuples_.relation(g),
+                                            action_tuples_.tuple(g, k));
+            if (TestBit(tuples.in_universe(), t)) {
+              SetBit(&complete_.data, t);
+            }
+          }
+        }
+        ids->push_back(TimedIntern(complete_));
         if (SearchStatus status = CheckCompletionBudgets(*ids);
             status != SearchStatus::kContinue) {
           return status;
         }
+        int i = static_cast<int>(choice_.size()) - 1;
+        while (i >= 0 && ++choice_[i] > alternatives_[i].size()) {
+          choice_[i--] = 0;
+        }
+        if (i < 0) break;
       }
-      if (!ext_bitmap.Increment()) break;
-    }
+    } while (subset.Increment());
     return SearchStatus::kContinue;
   }
 
-  /// The configuration an expansion works on, rebuilt from the store's key
-  /// on first use: only an expansion the memo cannot serve needs it.
-  class ExpandedConfig {
-   public:
-    ExpandedConfig(const ConfigStore* store, ConfigId id)
-        : store_(store), id_(id) {}
-
-    ConfigId id() const { return id_; }
-
-    const Configuration& get() {
-      if (!config_) config_ = store_->Decode(id_);
-      return *config_;
-    }
-
-   private:
-    const ConfigStore* store_;
-    ConfigId id_;
-    std::optional<Configuration> config_;
-  };
-
-  /// The configuration `config` advances to before succP re-chooses the
-  /// extension and input: page, state and previous inputs recomputed,
-  /// states kept only over C (other tuples cannot affect the
-  /// input-bounded property or rules), irrelevant relations pruned, and
-  /// the database reset to the core (the previous extension is
-  /// discarded).
-  Configuration Skeleton(const Configuration& config) {
-    std::vector<SymbolId> domain = WindowDomain(config);
-    Configuration skeleton = prepared_->Advance(config, domain);
-    FilterToUniverse(&skeleton.data, RelationKind::kState);
-    PruneIrrelevant(&skeleton);
-    for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
-      if (spec_->catalog().schema(id).kind == RelationKind::kDatabase) {
-        skeleton.data.relation(id).Clear();
+  /// The extension candidates of (`page`, `prev_page`) as tuple ids, in
+  /// candidate order, interned on the pair's first use in the shard.
+  const std::vector<TupleId>& ExtensionBits(int page, int prev_page,
+                                            const CandidateSet& ext) {
+    const size_t slot =
+        static_cast<size_t>(page) * ctx_->ext_stride + (prev_page + 1);
+    std::vector<TupleId>& bits = ext_bits_[slot];
+    if (!ext_built_[slot]) {
+      bits.clear();
+      for (const auto& [relation, tuple] : ext.tuples) {
+        bits.push_back(store_.tuples().Intern(relation, tuple.data()));
       }
+      ext_built_[slot] = true;
     }
-    for (const auto& [relation, tuple] : core_) {
-      skeleton.data.relation(relation).Insert(tuple);
-    }
-    return skeleton;
+    return bits;
   }
 
-  /// succP (Section 3.1) of `here` as a range of successor ids in
+  /// Fills `alternatives_[i]` with the tuples input `i` of `page` may take
+  /// in `complete_` (besides "no choice"): none for an input nothing reads,
+  /// for an input constant a fresh page value or a constant it is compared
+  /// to, otherwise the options the page's rules generate, in order.
+  void InputAlternatives(int page) {
+    const PageSchema& schema = spec_->page(page);
+    const PageDomain& pd = *plan_->page_domain_table[page];
+    TupleTable& tuples = store_.tuples();
+    alternatives_.resize(schema.inputs.size());
+    bool options_computed = false;
+    for (size_t i = 0; i < schema.inputs.size(); ++i) {
+      const RelationId input = schema.inputs[i];
+      std::vector<TupleId>& alternatives = alternatives_[i];
+      alternatives.clear();
+      if (!plan_->relevant[input]) continue;  // the choice cannot matter
+      if (spec_->catalog().schema(input).kind ==
+          RelationKind::kInputConstant) {
+        auto it = pd.input_values.find({input, 0});
+        if (it != pd.input_values.end()) {
+          alternatives.push_back(tuples.Intern(input, &it->second));
+        }
+        for (SymbolId c : ctx_->analysis->constants({input, 0})) {
+          if (ctx_->InUniverse(c)) {
+            alternatives.push_back(tuples.Intern(input, &c));
+          }
+        }
+        continue;
+      }
+      if (!options_computed) {
+        prepared_->ComputeOptions(WordsView(&tuples, &complete_), domain_,
+                                  &option_tuples_);
+        options_computed = true;
+      }
+      // The last rule for `input` decides, as in `InputOptions`.
+      for (int g = option_tuples_.num_groups() - 1; g >= 0; --g) {
+        if (option_tuples_.relation(g) != input) continue;
+        for (size_t k = 0; k < option_tuples_.size(g); ++k) {
+          alternatives.push_back(
+              tuples.Intern(input, option_tuples_.tuple(g, k)));
+        }
+        break;
+      }
+    }
+  }
+
+  /// Loads configuration `id` into `here_`, with its window domain, unless
+  /// it is there already: the components and the skeleton of an expansion
+  /// share one load.
+  void Expand(ConfigId id) {
+    if (here_id_ == id) return;
+    store_.Load(id, &here_);
+    WindowDomain(here_, &here_domain_);
+    here_id_ = id;
+  }
+
+  /// Writes into `skeleton_` the configuration `here_` advances to before
+  /// succP re-chooses the extension and input: page, state and previous
+  /// inputs recomputed, states kept only over C (other tuples cannot
+  /// affect the input-bounded property or rules), irrelevant relations
+  /// pruned, and the database reset to the core (the previous extension
+  /// is discarded).
+  void Skeleton() {
+    TupleTable& tuples = store_.tuples();
+    skeleton_.page = prepared_->Advance(WordsView(&tuples, &here_),
+                                        here_domain_, &inserts_, &deletes_);
+    // The state update; an insert that is also deleted is a no-op.
+    inserted_.clear();
+    deleted_.clear();
+    for (int g = 0; g < inserts_.num_groups(); ++g) {
+      for (size_t k = 0; k < inserts_.size(g); ++k) {
+        SetBit(&inserted_,
+               tuples.Intern(inserts_.relation(g), inserts_.tuple(g, k)));
+      }
+    }
+    for (int g = 0; g < deletes_.num_groups(); ++g) {
+      for (size_t k = 0; k < deletes_.size(g); ++k) {
+        const TupleId t =
+            tuples.Find(deletes_.relation(g), deletes_.tuple(g, k));
+        if (t != kNoTuple) SetBit(&deleted_, t);
+      }
+    }
+    const size_t width = std::max({here_.data.size(), inserted_.size(),
+                                   deleted_.size(), core_.size()});
+    inserted_.resize(width, 0);
+    deleted_.resize(width, 0);
+    Words& data = skeleton_.data;
+    Words& previous = skeleton_.previous;
+    data = here_.data;
+    data.resize(width, 0);
+    previous.assign(width, 0);
+    const Words& input = tuples.kind_mask(RelationKind::kInput);
+    const Words& input_constant =
+        tuples.kind_mask(RelationKind::kInputConstant);
+    const Words& action = tuples.kind_mask(RelationKind::kAction);
+    const Words& state = tuples.kind_mask(RelationKind::kState);
+    const Words& database = tuples.kind_mask(RelationKind::kDatabase);
+    const Words& in_universe = tuples.in_universe();
+    auto at = [](const Words& words, size_t w) {
+      return w < words.size() ? words[w] : 0;
+    };
+    for (size_t w = 0; w < width; ++w) {
+      const uint64_t inputs = at(input, w) | at(input_constant, w);
+      uint64_t word = data[w];
+      word = (word & ~(deleted_[w] & ~inserted_[w])) |
+             (inserted_[w] & ~deleted_[w]);
+      // The previous inputs are the current ones; the current inputs and
+      // actions belong to the new step.
+      previous[w] = word & inputs;
+      word &= ~(inputs | at(action, w));
+      word &= ~(at(state, w) & ~at(in_universe, w));
+      data[w] = (word & ~at(database, w)) | at(core_, w);
+    }
+    PruneIrrelevant(&skeleton_);
+  }
+
+  /// Clears irrelevant state/action tuples and previous inputs the current
+  /// page (and property) cannot read.
+  void PruneIrrelevant(ConfigWords* config) {
+    const TupleTable& tuples = store_.tuples();
+    const Catalog& catalog = spec_->catalog();
+    const std::set<RelationId>& page_prev =
+        plan_->prev_read_by_page[config->page];
+    ForEachBit(config->data, [&](TupleId t) {
+      const RelationId id = tuples.relation(t);
+      const RelationKind kind = catalog.schema(id).kind;
+      if ((kind == RelationKind::kState || kind == RelationKind::kAction) &&
+          !plan_->relevant[id]) {
+        config->data[t >> 6] &= ~(uint64_t{1} << (t & 63));
+      }
+    });
+    ForEachBit(config->previous, [&](TupleId t) {
+      const RelationId id = tuples.relation(t);
+      if (page_prev.count(id) == 0 &&
+          plan_->property_prev_reads.count(id) == 0) {
+        config->previous[t >> 6] &= ~(uint64_t{1} << (t & 63));
+      }
+    });
+  }
+
+  /// succP (Section 3.1) of `id` as a range of successor ids in
   /// enumeration order. A configuration's list is its skeleton's (see
   /// verifier/config_store.h): its first expansion advances it, and only a
   /// skeleton new to the shard is completed; every later expansion replays
   /// the ids.
-  SearchStatus Successors(ExpandedConfig* here, SuccessorRange* range) {
-    if (store_.FindSuccessors(here->id(), range)) {
+  SearchStatus Successors(ConfigId id, SuccessorRange* range) {
+    if (store_.FindSuccessors(id, range)) {
       ++memo_.replays;
       return SearchStatus::kContinue;
     }
-    const Configuration& config = here->get();
-    Configuration skeleton = Skeleton(config);
-    const SkeletonId s = store_.InternSkeleton(config.page, skeleton);
+    Expand(id);
+    Skeleton();
+    const SkeletonId s = store_.InternSkeleton(here_.page, skeleton_);
     if (store_.FindSkeletonSuccessors(s, range)) {
       ++memo_.skeleton_hits;
     } else {
       ++memo_.skeleton_misses;
       completions_.clear();
-      SearchStatus status =
-          InternCompletions(skeleton, config.page, &completions_);
+      SearchStatus status = InternCompletions(here_.page, &completions_);
       if (status != SearchStatus::kContinue) return status;
       *range = store_.SetSkeletonSuccessors(s, completions_);
     }
-    store_.SetSuccessors(here->id(), *range);
+    store_.SetSuccessors(id, *range);
     return SearchStatus::kContinue;
   }
 
-  /// Delivers `here`'s successor ids to `fn` in enumeration order, each
-  /// delivery counting one successor.
-  template <typename Fn>
-  SearchStatus ForEachSuccessor(ExpandedConfig* here, const Fn& fn) {
-    SuccessorRange range;
-    SearchStatus status = Successors(here, &range);
-    for (uint32_t i = range.begin;
-         i < range.end && status == SearchStatus::kContinue; ++i) {
-      CountSuccessor();
-      status = fn(store_.successor(i));
-    }
-    return status;
-  }
-
-  /// Guard test against the memoized component truth values of `here`,
+  /// Guard test against the memoized component truth values of `id`,
   /// evaluating them on its first expansion.
-  bool Enabled(const Guard& guard, ExpandedConfig* here) {
-    if (!store_.has_components(here->id())) {
-      store_.SetComponents(here->id(), EvalComponents(here->get()));
+  bool Enabled(const Guard& guard, ConfigId id) {
+    if (!store_.has_components(id)) {
+      Expand(id);
+      EvalComponents();
+      store_.SetComponents(id, component_values_);
     }
     for (const Literal& lit : guard) {
-      if (store_.component(here->id(), lit.prop) != lit.positive) return false;
+      if (store_.component(id, lit.prop) != lit.positive) return false;
     }
     return true;
   }
 
-  /// Marks (flag, state, id) visited and pushes its frame onto `stack`;
-  /// false when the triple was visited already.
-  bool Enter(int flag, int state, ConfigId id, int depth,
-             std::vector<Frame>* stack) {
-    if (!store_.Insert(flag, state, id)) return false;
+  /// Checks the budgets, then marks (flag, state, id) visited and pushes
+  /// its frame onto the flag's stack; pushes nothing when the triple was
+  /// visited already.
+  SearchStatus Descend(int flag, int state, ConfigId id, int depth) {
+    if (SearchStatus status = CheckBudgets();
+        status != SearchStatus::kContinue) {
+      return status;
+    }
+    if (!store_.Insert(flag, state, id)) return SearchStatus::kContinue;
     // Early aborts skip the matching pop deliberately: the search is over.
     stack_bytes_ += sizeof(Frame);
     obs::CountAlloc(sizeof(Frame));
@@ -461,89 +610,112 @@ class ShardRunner {
         std::max(stats_.max_pseudorun_length, depth);
     job_cur_->max_pseudorun_length =
         std::max(job_cur_->max_pseudorun_length, depth);
-    stack->push_back({state, id});
+    Frame frame;
+    frame.state = state;
+    frame.id = id;
+    frame.depth = depth;
+    (flag == 0 ? stick_stack_ : candy_stack_).push_back(frame);
     if (telemetry_) {
       job_cur_->search_depth.Record(depth);
       job_cur_->frontier_size.Record(
           static_cast<double>(stick_stack_.size() + candy_stack_.size()));
     }
-    return true;
+    return SearchStatus::kContinue;
   }
 
-  void Leave(std::vector<Frame>* stack) {
-    stack->pop_back();
-    stack_bytes_ -= sizeof(Frame);
+  /// Delivers the next successor of `stack`'s top frame into `*next`,
+  /// moving on to the frame's next enabled transition when the current
+  /// one's successors are spent. Pops the frame and leaves `*next` at
+  /// kNoConfig once every transition is done.
+  SearchStatus NextSuccessor(std::vector<Frame>* stack, ConfigId* next) {
+    Frame& frame = stack->back();
+    const std::vector<BuchiTransition>& adj =
+        plan_->automaton.adj[frame.state];
+    while (frame.next == frame.end) {
+      if (++frame.transition == static_cast<int>(adj.size())) {
+        stack->pop_back();
+        stack_bytes_ -= sizeof(Frame);
+        *next = kNoConfig;
+        return SearchStatus::kContinue;
+      }
+      if (!Enabled(adj[frame.transition].guard, frame.id)) continue;
+      SuccessorRange range;
+      if (SearchStatus status = Successors(frame.id, &range);
+          status != SearchStatus::kContinue) {
+        return status;
+      }
+      frame.to = adj[frame.transition].to;
+      frame.next = range.begin;
+      frame.end = range.end;
+    }
+    CountSuccessor();
+    *next = store_.successor(frame.next++);
+    return SearchStatus::kContinue;
   }
 
   // --- the nested depth-first search ----------------------------------------
-  SearchStatus Stick(int state, ConfigId id, int depth) {
-    if (SearchStatus status = CheckBudgets();
-        status != SearchStatus::kContinue) {
-      return status;
+  /// ndfs-pseudo from (`state`, `id`): the outer (stick) search, which
+  /// starts an inner (candy) search from every accepting successor once
+  /// the stick descent into it has returned. The stacks hold the frames a
+  /// recursive search would; the candy stack's top frame, when there is
+  /// one, is the active frame, else the stick stack's.
+  SearchStatus Search(int state, ConfigId id) {
+    SearchStatus status = Descend(0, state, id, 1);
+    while (status == SearchStatus::kContinue && !stick_stack_.empty()) {
+      status = candy_stack_.empty() ? StickStep() : CandyStep();
     }
-    if (!Enter(0, state, id, depth, &stick_stack_)) {
-      return SearchStatus::kContinue;
-    }
-    ExpandedConfig here(&store_, id);
-    for (const BuchiTransition& t : plan_->automaton.adj[state]) {
-      if (!Enabled(t.guard, &here)) continue;
-      SearchStatus status = ForEachSuccessor(
-          &here,
-          [&](ConfigId next) {
-            if (!store_.Contains(0, t.to, next)) {
-              SearchStatus s = Stick(t.to, next, depth + 1);
-              if (s != SearchStatus::kContinue) return s;
-            }
-            if (plan_->automaton.accepting[t.to]) {
-              base_state_ = t.to;
-              base_id_ = next;
-              candy_stack_.clear();
-              SearchStatus s = Candy(t.to, next, depth + 1);
-              if (s != SearchStatus::kContinue) return s;
-            }
-            return SearchStatus::kContinue;
-          });
-      if (status != SearchStatus::kContinue) return status;
-    }
-    Leave(&stick_stack_);
-    return SearchStatus::kContinue;
+    return status;
   }
 
-  SearchStatus Candy(int state, ConfigId id, int depth) {
-    if (SearchStatus status = CheckBudgets();
-        status != SearchStatus::kContinue) {
+  SearchStatus StickStep() {
+    Frame& frame = stick_stack_.back();
+    if (frame.accepting_check) {
+      frame.accepting_check = false;
+      return AcceptingCheck(frame);
+    }
+    ConfigId next;
+    if (SearchStatus status = NextSuccessor(&stick_stack_, &next);
+        status != SearchStatus::kContinue || next == kNoConfig) {
       return status;
     }
-    if (!Enter(1, state, id, depth, &candy_stack_)) {
-      return SearchStatus::kContinue;
+    if (!store_.Contains(0, frame.to, next)) {
+      frame.accepting_check = true;
+      return Descend(0, frame.to, next, frame.depth + 1);
     }
-    ExpandedConfig here(&store_, id);
-    for (const BuchiTransition& t : plan_->automaton.adj[state]) {
-      if (!Enabled(t.guard, &here)) continue;
-      SearchStatus status = ForEachSuccessor(
-          &here,
-          [&](ConfigId next) {
-            if (t.to == base_state_ && next == base_id_) {
-              return ClaimCounterexample();
-            }
-            if (!store_.Contains(1, t.to, next)) {
-              return Candy(t.to, next, depth + 1);
-            }
-            return SearchStatus::kContinue;
-          });
-      if (status != SearchStatus::kContinue) return status;
-    }
-    Leave(&candy_stack_);
-    return SearchStatus::kContinue;
+    return AcceptingCheck(frame);
   }
 
-  /// The configurations of `stack`'s frames, rebuilt from their keys.
+  /// Starts the candy search from the successor `frame` last delivered
+  /// when its state is accepting.
+  SearchStatus AcceptingCheck(const Frame& frame) {
+    if (!plan_->automaton.accepting[frame.to]) return SearchStatus::kContinue;
+    base_state_ = frame.to;
+    base_id_ = store_.successor(frame.next - 1);
+    candy_stack_.clear();
+    return Descend(1, frame.to, base_id_, frame.depth + 1);
+  }
+
+  SearchStatus CandyStep() {
+    ConfigId next;
+    if (SearchStatus status = NextSuccessor(&candy_stack_, &next);
+        status != SearchStatus::kContinue || next == kNoConfig) {
+      return status;
+    }
+    const Frame& frame = candy_stack_.back();
+    if (frame.to == base_state_ && next == base_id_) {
+      return ClaimCounterexample();
+    }
+    if (store_.Contains(1, frame.to, next)) return SearchStatus::kContinue;
+    return Descend(1, frame.to, next, frame.depth + 1);
+  }
+
+  /// The configurations of `stack`'s frames, materialized from the store.
   std::vector<CounterexampleStep> Materialize(
       const std::vector<Frame>& stack) const {
     std::vector<CounterexampleStep> steps;
     steps.reserve(stack.size());
     for (const Frame& frame : stack) {
-      steps.push_back({frame.state, store_.Decode(frame.id)});
+      steps.push_back({frame.state, store_.Materialize(frame.id)});
     }
     return steps;
   }
@@ -589,103 +761,51 @@ class ShardRunner {
   }
 
   // --- evaluation helpers ---------------------------------------------------
-  std::vector<bool> EvalComponents(const Configuration& config) {
-    ConfigurationAdapter view(&config);
-    std::vector<SymbolId> domain = WindowDomain(config);
-    std::vector<bool> assignment(ctx_->components.size());
+  /// The FO components' truth values at `here_`, into `component_values_`.
+  void EvalComponents() {
+    WordsView view(&store_.tuples(), &here_);
+    component_values_.resize(ctx_->components.size());
     for (size_t i = 0; i < ctx_->components.size(); ++i) {
-      std::vector<SymbolId> regs = ctx_->components[i].MakeRegisters();
-      assignment[i] = ctx_->components[i].EvalClosed(view, domain, &regs);
-    }
-    return assignment;
-  }
-
-  std::vector<SymbolId> WindowDomain(const Configuration& config) const {
-    std::vector<SymbolId> domain = ctx_->constant_vector;
-    std::vector<SymbolId> active = config.data.ActiveDomain();
-    domain.insert(domain.end(), active.begin(), active.end());
-    std::vector<SymbolId> prev = config.previous.ActiveDomain();
-    domain.insert(domain.end(), prev.begin(), prev.end());
-    const PageDomain& pd = *plan_->page_domain_table[config.page];
-    domain.insert(domain.end(), pd.all_values.begin(), pd.all_values.end());
-    std::sort(domain.begin(), domain.end());
-    domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
-    return domain;
-  }
-
-  /// Removes tuples with any value outside C from relations of `kind`.
-  void FilterToUniverse(Instance* instance, RelationKind kind) {
-    for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
-      if (spec_->catalog().schema(id).kind != kind) continue;
-      instance->relation(id).EraseIf([this](const Tuple& t) {
-        return !std::all_of(t.begin(), t.end(), [this](SymbolId v) {
-          return ctx_->InUniverse(v);
-        });
-      });
+      regs_.assign(ctx_->components[i].num_slots(), kInvalidSymbol);
+      component_values_[i] =
+          ctx_->components[i].EvalClosed(view, here_domain_, &regs_);
     }
   }
 
-  /// Clears irrelevant state/action tuples and previous inputs the current
-  /// page (and property) cannot read.
-  void PruneIrrelevant(Configuration* config) {
-    const Catalog& catalog = spec_->catalog();
-    const std::set<RelationId>& page_prev =
-        plan_->prev_read_by_page[config->page];
-    for (RelationId id = 0; id < catalog.size(); ++id) {
-      RelationKind kind = catalog.schema(id).kind;
-      if (kind == RelationKind::kState || kind == RelationKind::kAction) {
-        if (!plan_->relevant[id]) config->data.relation(id).Clear();
-      } else if (kind == RelationKind::kInput ||
-                 kind == RelationKind::kInputConstant) {
-        if (page_prev.count(id) == 0 &&
-            plan_->property_prev_reads.count(id) == 0) {
-          config->previous.relation(id).Clear();
-        }
-      }
-    }
+  /// The window domain of `config` into `*domain`: C, the page's fresh
+  /// values and every value of its tuples, sorted and distinct.
+  void WindowDomain(const ConfigWords& config, std::vector<SymbolId>* domain) {
+    const TupleTable& tuples = store_.tuples();
+    tuple_values_.clear();
+    auto add = [&](TupleId t) {
+      const SymbolId* values = tuples.values(t);
+      tuple_values_.insert(tuple_values_.end(), values,
+                           values + tuples.arity(t));
+    };
+    ForEachBit(config.data, add);
+    ForEachBit(config.previous, add);
+    std::sort(tuple_values_.begin(), tuple_values_.end());
+    const std::vector<SymbolId>& base = PageBaseDomain(config.page);
+    domain->clear();
+    std::set_union(base.begin(), base.end(), tuple_values_.begin(),
+                   tuple_values_.end(), std::back_inserter(*domain));
+    domain->erase(std::unique(domain->begin(), domain->end()), domain->end());
   }
 
-  std::vector<InputChoice> EnumerateChoices(int page,
-                                            const InputOptions& options) {
-    const PageSchema& schema = spec_->page(page);
-    const PageDomain& pd = *plan_->page_domain_table[page];
-    // Alternatives per input: "no choice" plus each offered tuple; input
-    // constants take a fresh page value or a constant they are compared to.
-    std::vector<std::pair<RelationId, std::vector<Tuple>>> alternatives;
-    for (RelationId input : schema.inputs) {
-      std::vector<Tuple> tuples;
-      if (!plan_->relevant[input]) {
-        // Nothing reads this input anywhere: the choice cannot matter.
-        alternatives.emplace_back(input, std::move(tuples));
-        continue;
-      }
-      if (spec_->catalog().schema(input).kind ==
-          RelationKind::kInputConstant) {
-        auto it = pd.input_values.find({input, 0});
-        if (it != pd.input_values.end()) tuples.push_back({it->second});
-        for (SymbolId c : ctx_->analysis->constants({input, 0})) {
-          if (ctx_->InUniverse(c)) tuples.push_back({c});
-        }
-      } else {
-        auto it = options.find(input);
-        if (it != options.end()) tuples = it->second;
-      }
-      alternatives.emplace_back(input, std::move(tuples));
+  /// C and `page`'s fresh values, sorted and distinct: the part of every
+  /// window domain at `page` that no tuple adds, built on the page's first
+  /// use in the shard.
+  const std::vector<SymbolId>& PageBaseDomain(int page) {
+    std::vector<SymbolId>& base = page_base_[page];
+    if (!page_base_built_[page]) {
+      const PageDomain& pd = *plan_->page_domain_table[page];
+      base.assign(ctx_->constant_vector.begin(), ctx_->constant_vector.end());
+      base.insert(base.end(), pd.all_values.begin(), pd.all_values.end());
+      std::sort(base.begin(), base.end());
+      base.erase(std::unique(base.begin(), base.end()), base.end());
+      page_base_built_[page] = true;
     }
-    std::vector<InputChoice> out = {{}};
-    for (const auto& [input, tuples] : alternatives) {
-      std::vector<InputChoice> expanded;
-      for (const InputChoice& base : out) {
-        expanded.push_back(base);  // "no choice" for this input
-        for (const Tuple& t : tuples) {
-          InputChoice with = base;
-          with[input] = t;
-          expanded.push_back(std::move(with));
-        }
-      }
-      out = std::move(expanded);
-    }
-    return out;
+    return base;
   }
 
   /// Hot-loop governance probe: one `WorkerGovernor::Tick` (a counter
@@ -806,14 +926,39 @@ class ShardRunner {
   EngineShared* shared_ = nullptr;
   VerifyStats* job_cur_ = nullptr;
   const AssignmentContext* ctx_ = nullptr;
-  std::vector<std::pair<RelationId, Tuple>> core_;
-  ConfigStore store_;  // the shard's configurations, visits and memo
-  std::vector<ConfigId> completions_;  // the skeleton being enumerated
+  ConfigStore store_;  // the shard's tuples, configurations, visits and memo
+  Words core_;         // the shard's core
+  std::vector<std::vector<TupleId>> ext_bits_;  // see ExtensionBits
+  std::vector<bool> ext_built_;
+  std::vector<std::vector<SymbolId>> page_base_;  // see PageBaseDomain
+  std::vector<bool> page_base_built_;
+  std::vector<ConfigId> starts_;       // the start skeleton's completions
+  std::vector<ConfigId> completions_;  // the skeleton being completed
   std::vector<Frame> stick_stack_;
   std::vector<Frame> candy_stack_;
   int64_t stack_bytes_ = 0;
   int base_state_ = -1;
   ConfigId base_id_ = 0;
+
+  // Buffers every expansion and completion reuses.
+  ConfigId here_id_ = kNoConfig;       // the configuration in `here_`
+  ConfigWords here_;                   // ... and its window domain
+  std::vector<SymbolId> here_domain_;
+  ConfigWords skeleton_;
+  ConfigWords complete_;
+  Words ext_data_;                     // skeleton plus extension subset
+  Words inserted_;
+  Words deleted_;
+  std::vector<SymbolId> domain_;       // the completion's window domain
+  std::vector<SymbolId> tuple_values_;  // a window domain's tuple values
+  std::vector<std::vector<TupleId>> alternatives_;  // per page input
+  std::vector<size_t> choice_;         // per page input: 0 or option + 1
+  DerivedTuples option_tuples_;
+  DerivedTuples action_tuples_;
+  DerivedTuples inserts_;
+  DerivedTuples deletes_;
+  std::vector<SymbolId> regs_;
+  std::vector<bool> component_values_;
 };
 
 

@@ -335,9 +335,9 @@ SweepOutcome RunCachedVerification(const std::string& dir, int jobs,
     request.jobs = jobs;
     request.cache = cache->get();
     if (starved_retry) {
-      // The tight and base rungs starve on candidates (E1/P1 needs 10),
-      // the exhaustive rung (2x base = 10) decides — so the retry.*
-      // sites run AND the ladder still ends on the reference verdict.
+      // The ladder runs, so the retry.* sites fire, and still ends on the
+      // reference verdict (E1/P1 needs one distinct candidate at HP, so
+      // the tight rung decides).
       request.options.max_candidates = 5;
       request.retry.enabled = true;
     }

@@ -272,7 +272,8 @@ bool NaiveEval(const FormulaPtr& f, const ConfigurationView& view,
     case Formula::Kind::kAtom: {
       Tuple t(f->args().size());
       for (size_t i = 0; i < t.size(); ++i) t[i] = term_value(f->args()[i]);
-      return view.Get(catalog.Find(f->relation()), f->previous()).Contains(t);
+      return view.Contains(catalog.Find(f->relation()), f->previous(),
+                           t.data());
     }
     case Formula::Kind::kEquals:
       return term_value(f->args()[0]) == term_value(f->args()[1]);

@@ -4,14 +4,18 @@
 // must produce positioned parse errors — never a crash.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "api/wire.h"
 #include "apps/apps.h"
+#include "common/check.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
@@ -527,21 +531,25 @@ TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
   Configuration config;
   config.data = Instance(&catalog);
   config.previous = Instance(&catalog);
+  ConfigWords words;
   for (SymbolId i = 0; i < 32; ++i) {  // 32 configurations: the table grows
     config.data.relation(0).Insert({i});
-    ConfigId id = store.Intern(config);
+    words = store.Pack(config);  // one new tuple: the tuple table grows
+    EXPECT_GT(store.approx_bytes(), previous);
+    previous = store.approx_bytes();
+    ConfigId id = store.Intern(words);
     EXPECT_GT(store.approx_bytes(), previous);
     previous = store.approx_bytes();
     store.Insert(0, 1, id);  // the bits came with the id: no growth
     EXPECT_EQ(store.approx_bytes(), previous);
   }
-  store.Intern(config);  // already interned: no growth
+  store.Intern(store.Pack(config));  // already interned: no growth
   EXPECT_EQ(store.approx_bytes(), previous);
   // The skeleton table counts per new key, and the lists per id.
-  SkeletonId s = store.InternSkeleton(/*prev_page=*/0, config);
+  SkeletonId s = store.InternSkeleton(/*prev_page=*/0, words);
   EXPECT_GT(store.approx_bytes(), previous);
   previous = store.approx_bytes();
-  store.InternSkeleton(0, config);  // already interned: no growth
+  store.InternSkeleton(0, words);  // already interned: no growth
   EXPECT_EQ(store.approx_bytes(), previous);
   SuccessorRange range = store.SetSkeletonSuccessors(s, {1, 2, 3});
   EXPECT_EQ(store.approx_bytes(),
@@ -550,7 +558,7 @@ TEST(TrieMemoryTest, ApproxBytesGrowsWithInsertsAndResetsOnClear) {
   store.SetSuccessors(0, range);  // shares the skeleton's list: no growth
   EXPECT_EQ(store.approx_bytes(), previous);
   for (int prev_page = 1; prev_page <= 32; ++prev_page) {  // table grows
-    store.InternSkeleton(prev_page, config);
+    store.InternSkeleton(prev_page, words);
     EXPECT_GT(store.approx_bytes(), previous);
     previous = store.approx_bytes();
   }
@@ -623,7 +631,9 @@ TEST(UnknownReasonE2eTest, CandidateBudgetReason) {
   const Property* p1 = FindProperty(e1, "P1");
   ASSERT_NE(p1, nullptr);
   VerifyOptions options;
-  options.max_candidates = 6;  // P1 needs 10 candidate tuples at page HP
+  // P1 needs one distinct candidate tuple at page HP (the ten
+  // instantiations of its atoms coincide).
+  options.max_candidates = 0;
   VerifyResult r = RunVerify(verifier, *p1, options);
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_EQ(r.unknown_reason, UnknownReason::kCandidateBudget);
@@ -688,14 +698,14 @@ TEST(UnknownReasonE2eTest, MidSearchCancellationKeepsPartialStats) {
 // Uncapped, that takes seconds and tens of megabytes.
 constexpr int64_t kStartCompletions = int64_t{1} << 19;
 
-std::string WideExtensionSpec() {
-  std::string relations;
+std::string WideExtensionSpec(int relations = 18) {
+  std::string declarations;
   std::string atoms;
-  for (int i = 1; i <= 18; ++i) {
-    relations += "database d" + std::to_string(i) + "(a)\n";
+  for (int i = 1; i <= relations; ++i) {
+    declarations += "database d" + std::to_string(i) + "(a)\n";
     atoms += " & d" + std::to_string(i) + "(x)";
   }
-  return "app wide\n" + relations +
+  return "app wide\n" + declarations +
          "inputconst u\naction hit()\nhome A\npage A {\n  input u\n"
          "  action hit() <- exists x: u(x)" + atoms +
          "\n}\nproperty home { G [at A] }\n";
@@ -703,9 +713,7 @@ std::string WideExtensionSpec() {
 
 VerifyOptions WideExtensionOptions() {
   VerifyOptions options;
-  // 18 distinct candidates; the builder counts each atom's fresh and
-  // constant instantiation before removing duplicates.
-  options.max_candidates = 40;
+  options.max_candidates = 40;  // 18 distinct candidates
   return options;
 }
 
@@ -775,6 +783,72 @@ TEST(UnknownReasonE2eTest, CancellationLandsWhileASkeletonIsCompleted) {
   EXPECT_EQ(heartbeats, 100);
 }
 
+// --- deep searches and the candidate budget ---------------------------------
+
+/// Runs `fn` on a fresh thread with a `stack_bytes` stack and waits for it.
+void RunOnStack(size_t stack_bytes, const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  auto trampoline = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+/// tests/data/deep_chain.spec: 11 database relations read at one input
+/// constant's value, so the search is a single chain of 2^12
+/// configurations.
+ParseResult DeepChainSpec() {
+  StatusOr<ParseResult> parsed = ParseSpecFile(std::string(WAVE_REPO_ROOT) +
+                                               "/tests/data/deep_chain.spec");
+  WAVE_CHECK_MSG(parsed.ok(), parsed.status().ToString());
+  WAVE_CHECK_MSG(parsed->ok(), parsed->ErrorText());
+  return std::move(*parsed);
+}
+
+TEST(DeepSearchTest, LongChainHoldsOnASmallThreadStack) {
+  // The NDFS keeps its frames on explicit stacks, so the pseudorun's
+  // length does not grow the thread's stack: a recursive search died with
+  // SIGSEGV here on a 256 KiB thread (it held up to depth 512).
+  ParseResult parsed = DeepChainSpec();
+  Verifier verifier(parsed.spec.get());
+  VerifyResult r;
+  RunOnStack(256 << 10, [&] {
+    r = RunVerify(verifier, parsed.properties[0].property,
+                  WideExtensionOptions());
+  });
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.failure_reason;
+  EXPECT_GE(r.stats.max_pseudorun_length, 4096);
+}
+
+TEST(DeepSearchTest, ElevenDistinctCandidatesFitTheDefaultBudget) {
+  // The budget counts distinct tuples: each of the 11 atoms' fresh and
+  // constant instantiations coincide, so 11 count, not 22, against the
+  // default budget of 20.
+  ParseResult parsed = DeepChainSpec();
+  Verifier verifier(parsed.spec.get());
+  VerifyResult r = RunVerify(verifier, parsed.properties[0].property);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.failure_reason;
+  EXPECT_EQ(r.stats.max_pseudorun_length, 4096);
+}
+
+TEST(DeepSearchTest, TwentyOneDistinctCandidatesStillOverflow) {
+  ParseResult parsed = ParseSpec(WideExtensionSpec(21));
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  VerifyResult r = RunVerify(verifier, parsed.properties[0].property);
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.unknown_reason, UnknownReason::kCandidateBudget);
+  EXPECT_EQ(r.stats.num_expansions, 0);
+}
+
 // The non-input-bounded promo site (see tests/validate_test.cc): on
 // `shut`, every candidate counterexample the deterministic search
 // produces mixes inconsistent promo assumptions, so the validated loop
@@ -833,16 +907,16 @@ TEST(RetryLadderTest, DefaultLadderEscalates) {
 }
 
 TEST(RetryLadderTest, FlipsACandidateBudgetUnknownToDecided) {
-  // The ISSUE's acceptance bar: a property that is kUnknown under the
-  // base budgets must come back decided through the ladder. E1's P1
-  // overflows the candidate budget at max_candidates=6 and holds once the
-  // exhaustive rung doubles it.
-  AppBundle e1 = BuildE1();
-  Verifier verifier(e1.spec.get());
-  const Property* p1 = FindProperty(e1, "P1");
-  ASSERT_NE(p1, nullptr);
+  // A property that is kUnknown under the base budgets must come back
+  // decided through the ladder. With six relations the wide page has six
+  // distinct extension candidates: the tight (4) and base (5) rungs
+  // overflow the candidate budget, and the exhaustive rung doubles it.
+  ParseResult parsed = ParseSpec(WideExtensionSpec(6));
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  const Property* p1 = &parsed.properties[0].property;
   VerifyOptions base;
-  base.max_candidates = 6;
+  base.max_candidates = 5;
 
   VerifyResult plain = RunVerify(verifier, *p1, base);
   ASSERT_EQ(plain.verdict, Verdict::kUnknown);

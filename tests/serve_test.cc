@@ -258,12 +258,22 @@ TEST(ServeProtocolTest, LongAndPipelinedLinesFrameAndOverCapLinesClose) {
     EXPECT_EQ(response->id, "p" + std::to_string(i));
   }
 
-  // One byte over the cap closes that connection only. The send may fail
-  // part-way once the daemon hangs up.
+  // One byte over the cap gets one typed envelope naming the cap, then
+  // that connection (only) closes. The send may fail part-way once the
+  // daemon hangs up.
   TestClient over;
   ASSERT_TRUE(over.Connect(server->port()));
   over.SendLine(std::string(serve::kMaxRequestLine + 1, ' ') + "\n");
+  ASSERT_TRUE(over.ReadLine(&line));
+  StatusOr<ResponseEnvelope> refused = serve::ParseResponseLine(line);
+  ASSERT_TRUE(refused.ok());
+  EXPECT_FALSE(refused->ok);
+  EXPECT_EQ(refused->id, "");
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused->status.message().find("4 MiB"), std::string::npos)
+      << refused->status.message();
   EXPECT_FALSE(over.ReadLine(&line));
+  EXPECT_EQ(server->metrics().counter("serve.oversized_lines")->value(), 1);
 
   ResponseEnvelope response;
   ASSERT_TRUE(client.Call(Ping("after"), &response));

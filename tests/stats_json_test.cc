@@ -162,7 +162,7 @@ TEST(StatsJsonTest, AttemptsUseTheWireCodec) {
   request.property = FindProperty(bundle, "P1");
   ASSERT_NE(request.property, nullptr);
   request.options.metrics = &metrics;
-  request.options.max_candidates = 6;  // P1 needs 10: early rungs fail
+  request.options.max_expansions = 4;  // P1 takes 40: early rungs fail
   request.retry.enabled = true;
   StatusOr<VerifyResponse> response = verifier.Run(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();

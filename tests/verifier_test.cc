@@ -1,8 +1,8 @@
-// Verifier-core tests: the configuration store, the key encoding and its
-// decoder, successor sharing across automaton states, heuristic on/off
-// agreement, counterexample sanity, and a differential test of the
-// pseudorun verifier against the explicit first-cut baseline on small
-// specs.
+// Verifier-core tests: the configuration store (tuple table, word keys and
+// their round trip to `Configuration`), successor sharing across automaton
+// states, heuristic on/off agreement, counterexample sanity, and a
+// differential test of the pseudorun verifier against the explicit
+// first-cut baseline on small specs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -50,14 +50,19 @@ Configuration ConfigWith(const Catalog& catalog, int page,
   return c;
 }
 
+/// The id of `config` in `store`, packing it into words first.
+ConfigId Id(ConfigStore* store, const Configuration& config) {
+  return store->Intern(store->Pack(config));
+}
+
 TEST(TrieTest, InsertAndContains) {
   Catalog catalog = SmallCatalog();
   ConfigStore store;
   store.Reset(&catalog, /*num_states=*/3, /*num_components=*/0);
-  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
-  ConfigId b = store.Intern(ConfigWith(catalog, 0, {1, 2}));
+  ConfigId a = Id(&store, ConfigWith(catalog, 0, {1, 2, 3}));
+  ConfigId b = Id(&store, ConfigWith(catalog, 0, {1, 2}));
   EXPECT_NE(a, b);
-  EXPECT_EQ(store.Intern(ConfigWith(catalog, 0, {1, 2, 3})), a);
+  EXPECT_EQ(Id(&store, ConfigWith(catalog, 0, {1, 2, 3})), a);
   EXPECT_EQ(store.num_configs(), 2);
   EXPECT_TRUE(store.Insert(0, 2, a));
   EXPECT_FALSE(store.Insert(0, 2, a));
@@ -69,7 +74,8 @@ TEST(TrieTest, InsertAndContains) {
   store.Reset(&catalog, 3, 0);
   EXPECT_EQ(store.size(), 0);
   EXPECT_EQ(store.num_configs(), 0);
-  a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
+  EXPECT_EQ(store.tuples().size(), 0u);
+  a = Id(&store, ConfigWith(catalog, 0, {1, 2, 3}));
   EXPECT_EQ(a, 0u);
   EXPECT_FALSE(store.Contains(0, 2, a));
 }
@@ -79,25 +85,25 @@ TEST(TrieTest, EmptyKeyIsAKey) {
   Catalog catalog = SmallCatalog();
   ConfigStore store;
   store.Reset(&catalog, 1, 0);
-  ConfigId empty = store.Intern(ConfigWith(catalog, 0, {}));
+  ConfigId empty = Id(&store, ConfigWith(catalog, 0, {}));
   EXPECT_FALSE(store.Contains(0, 0, empty));
   EXPECT_TRUE(store.Insert(0, 0, empty));
   EXPECT_FALSE(store.Insert(0, 0, empty));
   EXPECT_TRUE(store.Contains(0, 0, empty));
-  ConfigId zero = store.Intern(ConfigWith(catalog, 0, {0}));  // R = {(0)}
+  ConfigId zero = Id(&store, ConfigWith(catalog, 0, {0}));  // R = {(0)}
   EXPECT_NE(zero, empty);
   EXPECT_FALSE(store.Contains(0, 0, zero));
   EXPECT_EQ(store.size(), 1);
-  EXPECT_EQ(store.Decode(empty), ConfigWith(catalog, 0, {}));
+  EXPECT_EQ(store.Materialize(empty), ConfigWith(catalog, 0, {}));
 }
 
 TEST(TrieTest, CountsHitsAndMisses) {
   Catalog catalog = SmallCatalog();
   ConfigStore store;
   store.Reset(&catalog, 1, 0);
-  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1, 2, 3}));
-  ConfigId b = store.Intern(ConfigWith(catalog, 0, {9}));
-  ConfigId c = store.Intern(ConfigWith(catalog, 0, {1, 2}));
+  ConfigId a = Id(&store, ConfigWith(catalog, 0, {1, 2, 3}));
+  ConfigId b = Id(&store, ConfigWith(catalog, 0, {9}));
+  ConfigId c = Id(&store, ConfigWith(catalog, 0, {1, 2}));
   store.Insert(0, 0, a);    // miss (new)
   store.Insert(0, 0, a);    // hit (already stored)
   store.Contains(0, 0, a);  // hit
@@ -112,9 +118,11 @@ TEST(TrieTest, CountsHitsAndMisses) {
 
 TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
   // Enough distinct configurations to double the 16-slot table ten times
-  // over; small ones repeat often, so hits, misses and growth interleave.
-  // The reference keys (flag, state, key) triples in a std::set and numbers
-  // keys in first-seen order, as interning must.
+  // over, over enough distinct tuples to widen the words past one; small
+  // ones repeat often, so hits, misses and growth interleave. The
+  // reference keys (flag, state, byte key) triples in a std::set and
+  // numbers keys in first-seen order, as interning must, and every id
+  // materializes back to its configuration.
   std::mt19937 rng(7);
   Catalog catalog = SmallCatalog();
   constexpr int kStates = 3;
@@ -124,13 +132,13 @@ TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
   std::set<std::tuple<int, int, std::vector<uint8_t>>> reference;
   for (int i = 0; i < 20000; ++i) {
     std::vector<SymbolId> r(rng() % 4);
-    for (SymbolId& v : r) v = static_cast<SymbolId>(rng() % 32);
+    for (SymbolId& v : r) v = static_cast<SymbolId>(rng() % 96);
     Configuration c = ConfigWith(catalog, static_cast<int>(rng() % 4), r);
     if (rng() % 2 == 0) c.previous.relation("I").Insert({SymbolId(rng() % 4)});
     std::vector<uint8_t> key = EncodeConfigurationKey(c);
     ConfigId expected_id = static_cast<ConfigId>(ids.size());
     expected_id = ids.emplace(key, expected_id).first->second;
-    ConfigId id = store.Intern(c);
+    ConfigId id = Id(&store, c);
     ASSERT_EQ(id, expected_id);
     const int flag = static_cast<int>(rng() % 2);
     const int state = static_cast<int>(rng() % kStates);
@@ -145,12 +153,106 @@ TEST(TrieTest, AgreesWithStdSetOnRandomKeys) {
   }
   EXPECT_GT(store.num_configs(), 16 << 9);
   EXPECT_EQ(store.num_configs(), static_cast<int>(ids.size()));
+  EXPECT_GT(store.tuples().size(), 64u);
   for (const auto& [flag, state, key] : reference) {
     EXPECT_TRUE(store.Contains(flag, state, ids.at(key)));
   }
   for (const auto& [key, id] : ids) {
-    EXPECT_EQ(EncodeConfigurationKey(store.Decode(id)), key);
+    EXPECT_EQ(EncodeConfigurationKey(store.Materialize(id)), key);
   }
+}
+
+TEST(TrieTest, SameContentGetsOneIdWhateverTheOrderOrTableWidth) {
+  // A key is the words with trailing zero words trimmed, so neither the
+  // order the bits were set in nor how wide the table has grown since
+  // changes a configuration's id.
+  Catalog catalog = SmallCatalog();
+  const RelationId r = catalog.Find("R");
+  const RelationId input = catalog.Find("I");
+  ConfigStore store;
+  store.Reset(&catalog, 1, 0);
+  Configuration c = ConfigWith(catalog, 1, {3, 1, 2});
+  c.previous.relation(input).Insert({5});
+  const ConfigId id = Id(&store, c);
+  ASSERT_EQ(store.tuples().size(), 4u);
+
+  // 300 more tuples: the table is now five words wide.
+  for (SymbolId v = 100; v < 400; ++v) store.tuples().Intern(r, &v);
+  ASSERT_GT(store.tuples().size(), 256u);
+  ConfigWords wide;
+  wide.page = 1;
+  wide.data.assign(5, 0);
+  wide.previous.assign(5, 0);
+  for (SymbolId v : {2, 3, 1}) SetBit(&wide.data, store.tuples().Find(r, &v));
+  const SymbolId five = 5;
+  SetBit(&wide.previous, store.tuples().Find(input, &five));
+  EXPECT_EQ(store.Intern(wide), id);
+
+  // Built in another order and packed again.
+  Configuration d = ConfigWith(catalog, 1, {2, 1});
+  d.previous.relation(input).Insert({5});
+  d.data.relation(r).Insert({3});
+  EXPECT_EQ(Id(&store, d), id);
+  EXPECT_EQ(store.num_configs(), 1);
+
+  // Loading the id gives the same content back, however wide.
+  ConfigWords loaded;
+  store.Load(id, &loaded);
+  EXPECT_EQ(store.Intern(loaded), id);
+  EXPECT_EQ(store.Unpack(loaded), c);
+  EXPECT_EQ(store.Unpack(wide), c);
+}
+
+TEST(TrieTest, TupleTableKeepsValuesKindsAndTheUniverse) {
+  Catalog catalog = SmallCatalog();
+  const RelationId r = catalog.Find("R");
+  const RelationId z = catalog.Find("Z");
+  const RelationId input = catalog.Find("I");
+  std::vector<bool> in_universe = {true, false, true};  // C = {0, 2}
+  TupleTable table;
+  table.Reset(&catalog, &in_universe);
+  const SymbolId zero = 0, one = 1, two = 2, nine = 9;
+  const TupleId r0 = table.Intern(r, &zero);
+  const TupleId r1 = table.Intern(r, &one);
+  const TupleId i2 = table.Intern(input, &two);
+  const TupleId i9 = table.Intern(input, &nine);
+  const TupleId fact = table.Intern(z, nullptr);  // nullary
+  EXPECT_EQ(table.Intern(r, &one), r1);
+  EXPECT_EQ(table.Find(input, &two), i2);
+  EXPECT_EQ(table.Find(r, &two), kNoTuple);
+  EXPECT_EQ(table.size(), 5u);
+  EXPECT_EQ(table.relation(i9), input);
+  EXPECT_EQ(table.values(i9)[0], nine);
+  EXPECT_EQ(table.arity(fact), 0);
+  EXPECT_TRUE(TestBit(table.in_universe(), r0));
+  EXPECT_FALSE(TestBit(table.in_universe(), r1));
+  EXPECT_TRUE(TestBit(table.in_universe(), i2));
+  EXPECT_FALSE(TestBit(table.in_universe(), i9));  // past the table's end
+  EXPECT_TRUE(TestBit(table.in_universe(), fact));
+  EXPECT_TRUE(TestBit(table.kind_mask(RelationKind::kInput), i9));
+  EXPECT_FALSE(TestBit(table.kind_mask(RelationKind::kInput), r0));
+  EXPECT_TRUE(TestBit(table.kind_mask(RelationKind::kState), fact));
+  EXPECT_TRUE(TestBit(table.relation_mask(r), r1));
+  EXPECT_FALSE(TestBit(table.relation_mask(r), i2));
+
+  // The view reads the words through the table.
+  ConfigWords words;
+  SetBit(&words.data, r1);
+  SetBit(&words.data, fact);
+  SetBit(&words.previous, i9);
+  WordsView view(&table, &words);
+  EXPECT_TRUE(view.Contains(r, false, &one));
+  EXPECT_FALSE(view.Contains(r, false, &zero));
+  EXPECT_FALSE(view.Contains(r, false, &nine));  // never interned
+  EXPECT_TRUE(view.Contains(input, true, &nine));
+  EXPECT_FALSE(view.Contains(input, false, &nine));
+  EXPECT_TRUE(view.Contains(z, false, nullptr));
+  std::vector<SymbolId> seen;
+  view.ForEachTuple(r, false, [&](const SymbolId* v) {
+    seen.push_back(v[0]);
+    return true;
+  });
+  EXPECT_EQ(seen, std::vector<SymbolId>({1}));
 }
 
 TEST(TrieTest, SuccessorListsReplayOnlyOnceComplete) {
@@ -160,18 +262,18 @@ TEST(TrieTest, SuccessorListsReplayOnlyOnceComplete) {
   Catalog catalog = SmallCatalog();
   ConfigStore store;
   store.Reset(&catalog, 2, 3);
-  ConfigId a = store.Intern(ConfigWith(catalog, 0, {1}));
-  ConfigId b = store.Intern(ConfigWith(catalog, 0, {2}));
-  ConfigId c = store.Intern(ConfigWith(catalog, 1, {}));
+  ConfigId a = Id(&store, ConfigWith(catalog, 0, {1}));
+  ConfigId b = Id(&store, ConfigWith(catalog, 0, {2}));
+  ConfigId c = Id(&store, ConfigWith(catalog, 1, {}));
   SuccessorRange range;
   EXPECT_FALSE(store.FindSuccessors(a, &range));
 
-  const Configuration skeleton = ConfigWith(catalog, 1, {7});
+  const ConfigWords skeleton = store.Pack(ConfigWith(catalog, 1, {7}));
   SkeletonId s = store.InternSkeleton(/*prev_page=*/0, skeleton);
   EXPECT_EQ(store.InternSkeleton(0, skeleton), s);
   SkeletonId other_page = store.InternSkeleton(1, skeleton);
   SkeletonId other_skeleton =
-      store.InternSkeleton(0, ConfigWith(catalog, 1, {8}));
+      store.InternSkeleton(0, store.Pack(ConfigWith(catalog, 1, {8})));
   EXPECT_EQ(std::set<SkeletonId>({s, other_page, other_skeleton}).size(), 3u);
   EXPECT_FALSE(store.FindSkeletonSuccessors(s, &range));
   EXPECT_FALSE(store.FindSkeletonSuccessors(other_page, &range));
@@ -227,24 +329,25 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
   a.data = Instance(&catalog);
   a.previous = Instance(&catalog);
   Configuration b = a;
-  EXPECT_EQ(EncodeConfigurationKey(a), EncodeConfigurationKey(b));
+  ConfigStore store;
+  store.Reset(&catalog, /*num_states=*/2, /*num_components=*/0);
+  EXPECT_EQ(Id(&store, a), Id(&store, b));
   b.page = 1;
-  EXPECT_NE(EncodeConfigurationKey(a), EncodeConfigurationKey(b));
+  EXPECT_NE(Id(&store, a), Id(&store, b));
 
   // The flag and the automaton state are not in the key: each (flag,
   // state) pair is its own visited bit beside the key's id.
-  ConfigStore store;
-  store.Reset(&catalog, /*num_states=*/2, /*num_components=*/0);
-  ConfigId id = store.Intern(a);
+  ConfigId id = Id(&store, a);
   EXPECT_TRUE(store.Insert(0, 0, id));
   EXPECT_TRUE(store.Insert(1, 0, id));
   EXPECT_TRUE(store.Insert(0, 1, id));
   EXPECT_TRUE(store.Insert(1, 1, id));
   EXPECT_EQ(store.size(), 4);
-  EXPECT_FALSE(store.Contains(0, 0, store.Intern(b)));
+  EXPECT_FALSE(store.Contains(0, 0, Id(&store, b)));
 
-  // Only non-empty relations are written, tagged with their id, so moving
-  // a tuple to another relation or instance must change the key.
+  // A tuple's bit names its relation, and `data` and `previous` are apart,
+  // so moving a tuple to another relation or instance must change the id.
+  // The byte key the edges use tells the same cases apart.
   struct Put {
     const char* relation;
     SymbolId value;
@@ -261,6 +364,7 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
       {{"I", 5, true}},
       {{"R", 0, false}},
   };
+  std::set<ConfigId> ids;
   std::set<std::vector<uint8_t>> keys;
   for (size_t i = 0; i < cases.size(); ++i) {
     Configuration c = a;
@@ -269,19 +373,26 @@ TEST(EncodeTest, DistinctConfigurationsGetDistinctKeys) {
           .relation(put.relation)
           .Insert({put.value});
     }
+    EXPECT_TRUE(ids.insert(Id(&store, c)).second)
+        << "case " << i << " collides with an earlier one";
     EXPECT_TRUE(keys.insert(EncodeConfigurationKey(c)).second)
         << "case " << i << " collides with an earlier one";
   }
 }
 
-/// Decoding `config`'s key gives `config` back, and re-encoding it gives
-/// the same bytes.
+/// Packing `config` into words and materializing its id gives `config`
+/// back, and the loaded words intern to the same id.
 void ExpectRoundTrip(const Configuration& config, const std::string& what) {
-  std::vector<uint8_t> key = EncodeConfigurationKey(config);
-  Configuration decoded =
-      DecodeConfigurationKey(key.data(), key.size(), config.data.catalog());
-  EXPECT_TRUE(decoded == config) << what;
-  EXPECT_EQ(EncodeConfigurationKey(decoded), key) << what;
+  ConfigStore store;
+  store.Reset(&config.data.catalog(), 1, 0);
+  const ConfigId id = Id(&store, config);
+  EXPECT_TRUE(store.Materialize(id) == config) << what;
+  ConfigWords loaded;
+  store.Load(id, &loaded);
+  EXPECT_EQ(store.Intern(loaded), id) << what;
+  EXPECT_EQ(EncodeConfigurationKey(store.Unpack(loaded)),
+            EncodeConfigurationKey(config))
+      << what;
 }
 
 TEST(EncodeTest, DecodeInvertsEncodeOnEdgeCases) {
@@ -312,7 +423,7 @@ TEST(EncodeTest, DecodeInvertsEncodeOnEdgeCases) {
   previous_only.previous.relation("K").Insert({8});
   ExpectRoundTrip(previous_only, "previous only");
 
-  // Values and pages of 128 and up take more than one varint byte.
+  // Large values and pages, and one tuple in both instances.
   Configuration wide = empty;
   wide.page = 200;
   for (SymbolId v : {127, 128, 300, 16384, 1 << 28}) {
@@ -320,8 +431,9 @@ TEST(EncodeTest, DecodeInvertsEncodeOnEdgeCases) {
     wide.previous.relation("K").Clear();
     wide.previous.relation("K").Insert({v});
   }
+  wide.data.relation("K").Insert({1 << 28});
   wide.data.relation("T").Insert({129, 255, 70000});
-  ExpectRoundTrip(wide, "multi-byte varints");
+  ExpectRoundTrip(wide, "large values");
 }
 
 TEST(EncodeTest, CounterexampleConfigurationsRoundTrip) {
