@@ -1,14 +1,21 @@
 // Integration tests: the four experimental applications of Section 5
 // verify with the verdicts the paper's experiments report (the expected
-// verdicts are asserted in the embedded suites), and with exactly the
-// search counters of the committed benchmark baseline.
+// verdicts are asserted in the embedded suites), with exactly the search
+// counters of the committed benchmark baseline, and with the visited-set
+// hits and misses and the counterexamples pinned in
+// tests/golden/search_pins.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "apps/apps.h"
+#include "common/fingerprint.h"
 #include "common/io.h"
 #include "obs/json.h"
 #include "verifier/verifier.h"
@@ -31,15 +38,12 @@ void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
 
 class AppsTest : public ::testing::TestWithParam<AppCase> {};
 
-/// The `counters` object of every record in bench/baselines/
-/// BENCH_verify.json (`wave_bench --suite verify`, jobs=1), keyed by record
-/// name ("e1/P4").
-std::map<std::string, obs::Json> BaselineCounters() {
-  StatusOr<std::string> text = ReadFileToString(
-      std::string(WAVE_REPO_ROOT) + "/bench/baselines/BENCH_verify.json");
-  EXPECT_TRUE(text.ok()) << text.status().ToString();
-  std::map<std::string, obs::Json> counters;
-  if (!text.ok()) return counters;
+/// Reads a JSON-lines file into (record name, record) pairs in file order.
+std::vector<std::pair<std::string, obs::Json>> ReadJsonLines(
+    const std::string& path) {
+  std::vector<std::pair<std::string, obs::Json>> records;
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return records;
   std::istringstream lines(*text);
   std::string line;
   while (std::getline(lines, line)) {
@@ -47,9 +51,66 @@ std::map<std::string, obs::Json> BaselineCounters() {
     std::optional<obs::Json> record = obs::Json::Parse(line);
     EXPECT_TRUE(record.has_value()) << line;
     if (!record.has_value()) continue;
-    counters[record->Find("name")->AsString()] = *record->Find("counters");
+    records.emplace_back(record->Find("name")->AsString(), *record);
+  }
+  return records;
+}
+
+/// The `counters` object of every record in bench/baselines/
+/// BENCH_verify.json (`wave_bench --suite verify`, jobs=1), keyed by record
+/// name ("e1/P4").
+std::map<std::string, obs::Json> BaselineCounters() {
+  std::map<std::string, obs::Json> counters;
+  for (const auto& [name, record] : ReadJsonLines(
+           std::string(WAVE_REPO_ROOT) + "/bench/baselines/BENCH_verify.json")) {
+    counters[name] = *record.Find("counters");
   }
   return counters;
+}
+
+/// tests/golden/search_pins.json: one line per property ("e1/P4") with its
+/// `trie_hits`, `trie_misses` and a fingerprint of its counterexample text
+/// (null when it holds). The fresh symbols a counterexample names (e.g.
+/// `$HP.upass.0.2`) expose any change in minting order. Run the test
+/// binary with WAVE_REGOLD set to rewrite this suite's rows deliberately.
+std::string SearchPinsPath() {
+  return std::string(WAVE_REPO_ROOT) + "/tests/golden/search_pins.json";
+}
+
+obs::Json SearchPin(const std::string& name, const VerifyResult& r,
+                    const WebAppSpec& spec) {
+  obs::Json pin = obs::Json::Object();
+  pin.Set("name", obs::Json::Str(name));
+  pin.Set("trie_hits", obs::Json::Int(r.stats.trie_hits));
+  pin.Set("trie_misses", obs::Json::Int(r.stats.trie_misses));
+  if (r.verdict == Verdict::kViolated) {
+    FingerprintBuilder fp;
+    fp.AddString(r.CounterexampleString(spec));
+    pin.Set("counterexample", obs::Json::Str(fp.Finish().ToHex()));
+  } else {
+    pin.Set("counterexample", obs::Json::Null());
+  }
+  return pin;
+}
+
+/// Replaces (or appends) `pins` in the golden file, keeping other rows.
+void RegoldSearchPins(
+    const std::vector<std::pair<std::string, obs::Json>>& pins) {
+  std::vector<std::pair<std::string, obs::Json>> rows =
+      ReadJsonLines(SearchPinsPath());
+  for (const auto& [name, pin] : pins) {
+    auto it = std::find_if(rows.begin(), rows.end(),
+                           [&](const auto& row) { return row.first == name; });
+    if (it != rows.end()) {
+      it->second = pin;
+    } else {
+      rows.emplace_back(name, pin);
+    }
+  }
+  std::string bytes;
+  for (const auto& row : rows) bytes += row.second.Dump() + "\n";
+  Status written = AtomicWriteFile(SearchPinsPath(), bytes);
+  EXPECT_TRUE(written.ok()) << written.ToString();
 }
 
 TEST_P(AppsTest, SpecValidatesAndIsInputBounded) {
@@ -66,6 +127,12 @@ TEST_P(AppsTest, AllPropertiesMatchExpectedVerdicts) {
   AppBundle bundle = GetParam().build();
   Verifier verifier(bundle.spec.get());
   const std::map<std::string, obs::Json> baseline = BaselineCounters();
+  std::map<std::string, obs::Json> golden_pins;
+  for (auto& [name, pin] : ReadJsonLines(SearchPinsPath())) {
+    golden_pins.emplace(name, std::move(pin));
+  }
+  const bool regold = std::getenv("WAVE_REGOLD") != nullptr;
+  std::vector<std::pair<std::string, obs::Json>> pins;
   std::string suite = GetParam().name;
   suite[0] = static_cast<char>(std::tolower(suite[0]));
   for (const ParsedProperty& p : bundle.properties) {
@@ -101,7 +168,17 @@ TEST_P(AppsTest, AllPropertiesMatchExpectedVerdicts) {
       ASSERT_NE(expected, nullptr) << name << " baseline lacks " << counter;
       EXPECT_EQ(value, expected->AsInt()) << name << " " << counter;
     }
+    // Hits, misses and the counterexample itself are pinned too.
+    obs::Json pin = SearchPin(name, r, *bundle.spec);
+    pins.emplace_back(name, pin);
+    if (regold) continue;
+    auto golden = golden_pins.find(name);
+    ASSERT_NE(golden, golden_pins.end()) << name << " has no search pin";
+    EXPECT_EQ(pin.Dump(), golden->second.Dump())
+        << name << " counterexample:\n"
+        << r.CounterexampleString(*bundle.spec);
   }
+  if (regold) RegoldSearchPins(pins);
 }
 
 INSTANTIATE_TEST_SUITE_P(
