@@ -9,61 +9,30 @@
 
 namespace wave {
 
-namespace {
-
-/// Collects every (relation) atom of a formula into `out`.
-void CollectAtoms(const FormulaPtr& f, std::vector<FormulaPtr>* out) {
-  switch (f->kind()) {
-    case Formula::Kind::kAtom:
-      out->push_back(f);
-      return;
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      CollectAtoms(f->body(), out);
-      return;
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      CollectAtoms(f->left(), out);
-      CollectAtoms(f->right(), out);
-      return;
-    default:
-      return;
-  }
-}
-
-/// Collects direct var=const equalities of a formula.
-void CollectVarConstEqualities(const FormulaPtr& f,
-                               std::map<std::string, SymbolId>* out) {
-  switch (f->kind()) {
-    case Formula::Kind::kEquals: {
-      const Term& a = f->args()[0];
-      const Term& b = f->args()[1];
-      if (a.is_variable() && !b.is_variable()) {
-        out->emplace(a.variable, b.constant);
-      } else if (b.is_variable() && !a.is_variable()) {
-        out->emplace(b.variable, a.constant);
+void LocalFacts::Walk(const Catalog& catalog, const Formula& f) {
+  f.VisitLeaves([&](const Formula& leaf) {
+    const std::vector<Term>& args = leaf.args();
+    if (leaf.kind() == Formula::Kind::kEquals) {
+      if (args[0].is_variable() && !args[1].is_variable()) {
+        vars[args[0].variable].pinned.insert(args[1].constant);
+      } else if (args[1].is_variable() && !args[0].is_variable()) {
+        vars[args[1].variable].pinned.insert(args[0].constant);
       }
       return;
     }
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      CollectVarConstEqualities(f->body(), out);
-      return;
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      CollectVarConstEqualities(f->left(), out);
-      CollectVarConstEqualities(f->right(), out);
-      return;
-    default:
-      return;
-  }
+    if (leaf.kind() != Formula::Kind::kAtom) return;
+    RelationId id = catalog.Find(leaf.relation());
+    if (id == kInvalidRelation) return;
+    bool is_input = IsInputKind(catalog.schema(id).kind);
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (!args[i].is_variable()) continue;
+      LocalVar& v = vars[args[i].variable];
+      AttrPos pos{id, static_cast<int>(i)};
+      v.all_positions.insert(pos);
+      if (is_input) v.input_positions.insert({pos, leaf.previous()});
+    }
+  });
 }
-
-}  // namespace
 
 CandidateBuilder::CandidateBuilder(
     WebAppSpec* spec, PageDomains* domains,
@@ -102,16 +71,15 @@ const PageDomain& PageDomains::Get(int page) {
     for (const Term& t : rule.head) {
       if (t.is_variable()) head_vars.insert(t.variable);
     }
-    std::map<std::string, SymbolId> equalities;
-    CollectVarConstEqualities(rule.body, &equalities);
+    LocalFacts facts;
+    facts.Walk(spec_->catalog(), *rule.body);
     // Witnesses for every body variable that is neither a head variable nor
     // pinned to a constant.
-    std::vector<FormulaPtr> atoms;
-    CollectAtoms(rule.body, &atoms);
-    for (const FormulaPtr& atom : atoms) {
-      for (const Term& t : atom->args()) {
+    rule.body->VisitLeaves([&](const Formula& atom) {
+      if (atom.kind() != Formula::Kind::kAtom) return;
+      for (const Term& t : atom.args()) {
         if (!t.is_variable() || head_vars.count(t.variable) > 0 ||
-            equalities.count(t.variable) > 0) {
+            !facts.vars[t.variable].pinned.empty()) {
           continue;
         }
         auto key = std::make_pair(static_cast<int>(r), t.variable);
@@ -120,7 +88,7 @@ const PageDomain& PageDomains::Get(int page) {
               symbols.MintFresh(prefix + ".w." + t.variable);
         }
       }
-    }
+    });
   }
   for (const auto& [pos, v] : domain.input_values) domain.all_values.push_back(v);
   for (const auto& [key, v] : domain.witnesses) domain.all_values.push_back(v);
@@ -215,73 +183,13 @@ SymbolId PageDomains::Witness(int page, const std::string& tag) {
   return generic_witnesses_.emplace(key, v).first->second;
 }
 
-namespace {
-
-/// Per-variable facts local to one formula, for candidate instantiation.
-struct LocalVar {
-  std::set<SymbolId> pinned;  // constants the variable is equated to
-  // Input positions the variable occurs at: (position, is_previous).
-  std::set<std::pair<AttrPos, bool>> input_positions;
-  std::set<AttrPos> all_positions;
-};
-
-struct LocalFacts {
-  std::map<std::string, LocalVar> vars;
-
-  void Walk(const Catalog& catalog, const FormulaPtr& f) {
-    switch (f->kind()) {
-      case Formula::Kind::kAtom: {
-        RelationId id = catalog.Find(f->relation());
-        if (id == kInvalidRelation) return;
-        RelationKind kind = catalog.schema(id).kind;
-        bool is_input = kind == RelationKind::kInput ||
-                        kind == RelationKind::kInputConstant;
-        for (size_t i = 0; i < f->args().size(); ++i) {
-          const Term& t = f->args()[i];
-          if (!t.is_variable()) continue;
-          LocalVar& v = vars[t.variable];
-          AttrPos pos{id, static_cast<int>(i)};
-          v.all_positions.insert(pos);
-          if (is_input) v.input_positions.insert({pos, f->previous()});
-        }
-        return;
-      }
-      case Formula::Kind::kEquals: {
-        const Term& a = f->args()[0];
-        const Term& b = f->args()[1];
-        if (a.is_variable() && !b.is_variable()) {
-          vars[a.variable].pinned.insert(b.constant);
-        } else if (b.is_variable() && !a.is_variable()) {
-          vars[b.variable].pinned.insert(a.constant);
-        }
-        return;
-      }
-      case Formula::Kind::kNot:
-      case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        Walk(catalog, f->body());
-        return;
-      case Formula::Kind::kAnd:
-      case Formula::Kind::kOr:
-      case Formula::Kind::kImplies:
-        Walk(catalog, f->left());
-        Walk(catalog, f->right());
-        return;
-      default:
-        return;
-    }
-  }
-};
-
-}  // namespace
-
 void CandidateBuilder::AddFormulaCandidates(
     const FormulaPtr& body, int page, int prev_page,
     const std::string& formula_tag, RelationId option_head_relation,
     const std::vector<Term>* option_head, CandidateSet* out) {
   const Catalog& catalog = spec_->catalog();
   LocalFacts facts;
-  facts.Walk(catalog, body);
+  facts.Walk(catalog, *body);
   if (option_head != nullptr) {
     // Option-rule head variables are the values of the generated input
     // tuple: treat the head columns as (current-step) input positions.
@@ -331,16 +239,15 @@ void CandidateBuilder::AddFormulaCandidates(
     return fresh_values(var);
   };
 
-  std::vector<FormulaPtr> atoms;
-  CollectAtoms(body, &atoms);
-  for (const FormulaPtr& atom : atoms) {
-    RelationId id = catalog.Find(atom->relation());
-    if (id == kInvalidRelation) continue;
-    if (catalog.schema(id).kind != RelationKind::kDatabase) continue;
+  body->VisitLeaves([&](const Formula& atom) {
+    if (atom.kind() != Formula::Kind::kAtom) return;
+    RelationId id = catalog.Find(atom.relation());
+    if (id == kInvalidRelation) return;
+    if (catalog.schema(id).kind != RelationKind::kDatabase) return;
     for (int mode = 0; mode < 2; ++mode) {
-      std::vector<std::vector<SymbolId>> value_sets(atom->args().size());
-      for (size_t k = 0; k < atom->args().size(); ++k) {
-        const Term& t = atom->args()[k];
+      std::vector<std::vector<SymbolId>> value_sets(atom.args().size());
+      for (size_t k = 0; k < atom.args().size(); ++k) {
+        const Term& t = atom.args()[k];
         if (!t.is_variable()) {
           value_sets[k] = {t.constant};
         } else {
@@ -350,7 +257,7 @@ void CandidateBuilder::AddFormulaCandidates(
       }
       AppendProduct(id, value_sets, /*require_fresh=*/true, out);
     }
-  }
+  });
 }
 
 CandidateSet CandidateBuilder::BuildExtension(int page, int prev_page) {

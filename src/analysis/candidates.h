@@ -30,6 +30,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataflow.h"
@@ -37,6 +39,25 @@
 #include "spec/web_app.h"
 
 namespace wave {
+
+/// What one formula says about a variable, gathered from its leaves.
+struct LocalVar {
+  std::set<SymbolId> pinned;  // constants the variable is equated to
+  // Input positions the variable occurs at: (position, is_previous).
+  std::set<std::pair<AttrPos, bool>> input_positions;
+  std::set<AttrPos> all_positions;
+};
+
+/// Per-variable facts of one or more formulas: candidate instantiation
+/// reads them per formula, the C∃ candidates of a property's free
+/// variables over all of its FO components.
+struct LocalFacts {
+  std::map<std::string, LocalVar> vars;
+
+  /// Adds `f`'s var=const equalities and the positions of its atoms over
+  /// declared relations.
+  void Walk(const Catalog& catalog, const Formula& f);
+};
 
 /// Fresh values minted for one page (the paper's C_V).
 struct PageDomain {

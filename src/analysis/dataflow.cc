@@ -76,28 +76,14 @@ struct FormulaFacts {
     }
   }
 
-  void Walk(const Catalog& catalog, const FormulaPtr& f) {
-    switch (f->kind()) {
-      case Formula::Kind::kAtom:
-        AddAtom(catalog, f->relation(), f->args());
-        return;
-      case Formula::Kind::kEquals:
-        AddEquality(f->args()[0], f->args()[1]);
-        return;
-      case Formula::Kind::kNot:
-      case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        Walk(catalog, f->body());
-        return;
-      case Formula::Kind::kAnd:
-      case Formula::Kind::kOr:
-      case Formula::Kind::kImplies:
-        Walk(catalog, f->left());
-        Walk(catalog, f->right());
-        return;
-      default:
-        return;
-    }
+  void Walk(const Catalog& catalog, const Formula& f) {
+    f.VisitLeaves([&](const Formula& leaf) {
+      if (leaf.kind() == Formula::Kind::kAtom) {
+        AddAtom(catalog, leaf.relation(), leaf.args());
+      } else if (leaf.kind() == Formula::Kind::kEquals) {
+        AddEquality(leaf.args()[0], leaf.args()[1]);
+      }
+    });
   }
 
   void Finalize() {
@@ -109,10 +95,6 @@ struct FormulaFacts {
     }
   }
 };
-
-bool IsInputKind(RelationKind kind) {
-  return kind == RelationKind::kInput || kind == RelationKind::kInputConstant;
-}
 
 }  // namespace
 
@@ -165,7 +147,7 @@ void ComparisonAnalysis::ProcessFormula(const FormulaPtr& body,
                                         const std::vector<Term>* head) {
   const Catalog& catalog = spec_->catalog();
   FormulaFacts facts;
-  facts.Walk(catalog, body);
+  facts.Walk(catalog, *body);
   facts.Finalize();
 
   // Head terms participate in the body's equality classes: a head constant

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace wave::api {
@@ -58,6 +59,14 @@ Status ReadDouble(const obs::Json& j, std::string_view key, double* out) {
   if (v == nullptr) return Status::Ok();
   if (!v->is_number()) return TypeError(key, "number");
   *out = v->AsDouble();
+  return Status::Ok();
+}
+
+Status ReadHistogram(const obs::Json& j, std::string_view key,
+                     obs::HistogramData* out) {
+  const obs::Json* v = j.Find(key);
+  if (v == nullptr) return Status::Ok();
+  WAVE_ASSIGN_OR_RETURN(*out, HistogramFromJson(*v));
   return Status::Ok();
 }
 
@@ -379,82 +388,37 @@ StatusOr<obs::HistogramData> HistogramFromJson(const obs::Json& j) {
 
 obs::Json StatsToJson(const VerifyStats& stats) {
   obs::Json j = obs::Json::Object();
-  j.Set("seconds", obs::Json::Number(stats.seconds));
-  j.Set("prepare_seconds", obs::Json::Number(stats.prepare_seconds));
-  j.Set("dataflow_seconds", obs::Json::Number(stats.dataflow_seconds));
-  j.Set("search_seconds", obs::Json::Number(stats.search_seconds));
-  j.Set("validate_seconds", obs::Json::Number(stats.validate_seconds));
-  j.Set("max_pseudorun_length", obs::Json::Int(stats.max_pseudorun_length));
-  j.Set("max_trie_size", obs::Json::Int(stats.max_trie_size));
-  j.Set("buchi_states", obs::Json::Int(stats.buchi_states));
-  j.Set("num_assignments", obs::Json::Int(stats.num_assignments));
-  j.Set("num_cores", obs::Json::Int(stats.num_cores));
-  j.Set("num_expansions", obs::Json::Int(stats.num_expansions));
-  j.Set("num_successors", obs::Json::Int(stats.num_successors));
-  j.Set("num_rejected_candidates",
-        obs::Json::Int(stats.num_rejected_candidates));
-  j.Set("trie_hits", obs::Json::Int(stats.trie_hits));
-  j.Set("trie_misses", obs::Json::Int(stats.trie_misses));
-  j.Set("heartbeats", obs::Json::Int(stats.heartbeats));
-  j.Set("peak_memory_bytes", obs::Json::Int(stats.peak_memory_bytes));
-  j.Set("governor_polls", obs::Json::Int(stats.governor_polls));
-  j.Set("cache_hits", obs::Json::Int(stats.cache_hits));
-  j.Set("prepass_reuses", obs::Json::Int(stats.prepass_reuses));
-  j.Set("frontier_size", HistogramToJson(stats.frontier_size));
-  j.Set("search_depth", HistogramToJson(stats.search_depth));
-  j.Set("trie_lookup_us", HistogramToJson(stats.trie_lookup_us));
-  j.Set("shard_expansions", HistogramToJson(stats.shard_expansions));
-  j.Set("shard_alloc_bytes", HistogramToJson(stats.shard_alloc_bytes));
-  j.Set("alloc_bytes", obs::Json::Int(stats.alloc_bytes));
-  j.Set("alloc_count", obs::Json::Int(stats.alloc_count));
+  VerifyStats::ForEachField([&](const char* key, auto member, StatsMerge) {
+    const auto& value = stats.*member;
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, obs::HistogramData>) {
+      j.Set(key, HistogramToJson(value));
+    } else if constexpr (std::is_same_v<T, double>) {
+      j.Set(key, obs::Json::Number(value));
+    } else {
+      j.Set(key, obs::Json::Int(value));
+    }
+  });
   return j;
 }
 
 StatusOr<VerifyStats> StatsFromJson(const obs::Json& j) {
   WAVE_RETURN_IF_ERROR(RequireObject(j, "stats"));
   VerifyStats s;
-  WAVE_RETURN_IF_ERROR(ReadDouble(j, "seconds", &s.seconds));
-  WAVE_RETURN_IF_ERROR(ReadDouble(j, "prepare_seconds", &s.prepare_seconds));
-  WAVE_RETURN_IF_ERROR(
-      ReadDouble(j, "dataflow_seconds", &s.dataflow_seconds));
-  WAVE_RETURN_IF_ERROR(ReadDouble(j, "search_seconds", &s.search_seconds));
-  WAVE_RETURN_IF_ERROR(
-      ReadDouble(j, "validate_seconds", &s.validate_seconds));
-  WAVE_RETURN_IF_ERROR(
-      ReadInt(j, "max_pseudorun_length", &s.max_pseudorun_length));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "max_trie_size", &s.max_trie_size));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "buchi_states", &s.buchi_states));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "num_assignments", &s.num_assignments));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "num_cores", &s.num_cores));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "num_expansions", &s.num_expansions));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "num_successors", &s.num_successors));
-  WAVE_RETURN_IF_ERROR(
-      ReadInt(j, "num_rejected_candidates", &s.num_rejected_candidates));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "trie_hits", &s.trie_hits));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "trie_misses", &s.trie_misses));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "heartbeats", &s.heartbeats));
-  WAVE_RETURN_IF_ERROR(
-      ReadInt(j, "peak_memory_bytes", &s.peak_memory_bytes));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "governor_polls", &s.governor_polls));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "cache_hits", &s.cache_hits));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "prepass_reuses", &s.prepass_reuses));
-  const struct {
-    const char* key;
-    obs::HistogramData* field;
-  } kHistograms[] = {
-      {"frontier_size", &s.frontier_size},
-      {"search_depth", &s.search_depth},
-      {"trie_lookup_us", &s.trie_lookup_us},
-      {"shard_expansions", &s.shard_expansions},
-      {"shard_alloc_bytes", &s.shard_alloc_bytes},
-  };
-  for (const auto& entry : kHistograms) {
-    const obs::Json* h = j.Find(entry.key);
-    if (h == nullptr) continue;
-    WAVE_ASSIGN_OR_RETURN(*entry.field, HistogramFromJson(*h));
-  }
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "alloc_bytes", &s.alloc_bytes));
-  WAVE_RETURN_IF_ERROR(ReadInt(j, "alloc_count", &s.alloc_count));
+  Status status = Status::Ok();
+  VerifyStats::ForEachField([&](const char* key, auto member, StatsMerge) {
+    if (!status.ok()) return;
+    auto& value = s.*member;
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, obs::HistogramData>) {
+      status = ReadHistogram(j, key, &value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      status = ReadDouble(j, key, &value);
+    } else {
+      status = ReadInt(j, key, &value);
+    }
+  });
+  WAVE_RETURN_IF_ERROR(status);
   return s;
 }
 

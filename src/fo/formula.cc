@@ -118,6 +118,30 @@ FormulaPtr Formula::OrAll(std::vector<FormulaPtr> fs) {
   return out;
 }
 
+void Formula::VisitLeaves(FunctionRef<void(const Formula&)> visit) const {
+  switch (kind_) {
+    case Kind::kTrue:
+    case Kind::kFalse:
+      return;
+    case Kind::kAtom:
+    case Kind::kEquals:
+    case Kind::kPage:
+      visit(*this);
+      return;
+    case Kind::kNot:
+    case Kind::kExists:
+    case Kind::kForall:
+      left_->VisitLeaves(visit);
+      return;
+    case Kind::kAnd:
+    case Kind::kOr:
+    case Kind::kImplies:
+      left_->VisitLeaves(visit);
+      right_->VisitLeaves(visit);
+      return;
+  }
+}
+
 void Formula::CollectFree(std::set<std::string>* bound,
                           std::vector<std::string>* out,
                           std::set<std::string>* seen) const {
@@ -166,59 +190,11 @@ std::vector<std::string> Formula::FreeVariables() const {
 
 std::set<SymbolId> Formula::Constants() const {
   std::set<SymbolId> out;
-  switch (kind_) {
-    case Kind::kTrue:
-    case Kind::kFalse:
-    case Kind::kPage:
-      break;
-    case Kind::kAtom:
-    case Kind::kEquals:
-      for (const Term& t : args_) {
-        if (!t.is_variable()) out.insert(t.constant);
-      }
-      break;
-    case Kind::kNot:
-    case Kind::kExists:
-    case Kind::kForall:
-      out = left_->Constants();
-      break;
-    case Kind::kAnd:
-    case Kind::kOr:
-    case Kind::kImplies: {
-      out = left_->Constants();
-      std::set<SymbolId> r = right_->Constants();
-      out.insert(r.begin(), r.end());
-      break;
+  VisitLeaves([&out](const Formula& leaf) {
+    for (const Term& t : leaf.args()) {
+      if (!t.is_variable()) out.insert(t.constant);
     }
-  }
-  return out;
-}
-
-std::set<std::string> Formula::Relations() const {
-  std::set<std::string> out;
-  switch (kind_) {
-    case Kind::kTrue:
-    case Kind::kFalse:
-    case Kind::kPage:
-    case Kind::kEquals:
-      break;
-    case Kind::kAtom:
-      out.insert(name_);
-      break;
-    case Kind::kNot:
-    case Kind::kExists:
-    case Kind::kForall:
-      out = left_->Relations();
-      break;
-    case Kind::kAnd:
-    case Kind::kOr:
-    case Kind::kImplies: {
-      out = left_->Relations();
-      std::set<std::string> r = right_->Relations();
-      out.insert(r.begin(), r.end());
-      break;
-    }
-  }
+  });
   return out;
 }
 

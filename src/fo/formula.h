@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/symbol_table.h"
 
 namespace wave {
@@ -99,14 +100,17 @@ class Formula {
   const std::vector<std::string>& vars() const { return vars_; }
 
   // --- Analysis ------------------------------------------------------------
+  /// Calls `visit` on every leaf — relation atom (`prev` atoms included),
+  /// equality and page atom — left to right in pre-order. `true` and
+  /// `false` are skipped. Read-only walks that need neither quantifier
+  /// scope nor a rebuilt formula go through this one recursion.
+  void VisitLeaves(FunctionRef<void(const Formula&)> visit) const;
+
   /// Free variables, in first-occurrence order.
   std::vector<std::string> FreeVariables() const;
 
   /// All constants mentioned anywhere in the formula.
   std::set<SymbolId> Constants() const;
-
-  /// All relation names mentioned (atom relations; excludes pages).
-  std::set<std::string> Relations() const;
 
   /// Replaces free occurrences of the mapped variables by constants.
   FormulaPtr SubstituteConstants(

@@ -9,10 +9,6 @@ namespace wave {
 
 namespace {
 
-bool IsInputKind(RelationKind kind) {
-  return kind == RelationKind::kInput || kind == RelationKind::kInputConstant;
-}
-
 struct Checker {
   const Catalog* catalog;
   FormulaRole role;

@@ -32,6 +32,12 @@ enum class RelationKind {
 /// Human-readable kind name ("database", "state", ...).
 const char* RelationKindName(RelationKind kind);
 
+/// True for the kinds the user chooses each step: input relations and
+/// input constants.
+inline bool IsInputKind(RelationKind kind) {
+  return kind == RelationKind::kInput || kind == RelationKind::kInputConstant;
+}
+
 /// Dense id of a relation within a `Catalog`.
 using RelationId = int32_t;
 

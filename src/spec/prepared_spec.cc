@@ -7,17 +7,6 @@ namespace wave {
 
 namespace {
 
-std::vector<std::string> HeadVariables(const std::vector<Term>& head) {
-  std::vector<std::string> vars;
-  for (const Term& t : head) {
-    if (t.is_variable() &&
-        std::find(vars.begin(), vars.end(), t.variable) == vars.end()) {
-      vars.push_back(t.variable);
-    }
-  }
-  return vars;
-}
-
 PreparedRule PrepareRule(RelationId relation, const std::vector<Term>& head,
                          const FormulaPtr& body, const WebAppSpec& spec,
                          const PageResolver& pages) {
@@ -36,11 +25,6 @@ PreparedRule PrepareRule(RelationId relation, const std::vector<Term>& head,
   rule.prepared =
       PreparedFormula::Prepare(body, spec.catalog(), rule.head_vars, pages);
   return rule;
-}
-
-bool IsInputOrAction(RelationKind kind) {
-  return kind == RelationKind::kInput ||
-         kind == RelationKind::kInputConstant || kind == RelationKind::kAction;
 }
 
 }  // namespace
@@ -198,7 +182,8 @@ void PreparedSpec::ApplyInput(const InputChoice& choice,
   // Clear all input and action relations, then install the choice.
   const Catalog& catalog = spec_->catalog();
   for (RelationId id = 0; id < catalog.size(); ++id) {
-    if (IsInputOrAction(catalog.schema(id).kind)) {
+    RelationKind kind = catalog.schema(id).kind;
+    if (IsInputKind(kind) || kind == RelationKind::kAction) {
       config->data.relation(id).Clear();
     }
   }
@@ -249,8 +234,7 @@ Configuration PreparedSpec::Advance(const Configuration& config,
   // current input and action relations (they belong to the new step).
   for (RelationId id = 0; id < catalog.size(); ++id) {
     RelationKind kind = catalog.schema(id).kind;
-    if (kind == RelationKind::kInput ||
-        kind == RelationKind::kInputConstant) {
+    if (IsInputKind(kind)) {
       next.previous.relation(id) = config.data.relation(id);
       next.data.relation(id).Clear();
     } else if (kind == RelationKind::kAction) {

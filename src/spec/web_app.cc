@@ -9,75 +9,20 @@ namespace wave {
 
 namespace {
 
-/// True if `f` contains a current-step (non-`prev`) atom over an input
-/// relation or input constant.
-bool HasCurrentInputAtom(const FormulaPtr& f, const Catalog& catalog) {
-  switch (f->kind()) {
-    case Formula::Kind::kAtom: {
-      if (f->previous()) return false;
-      RelationId id = catalog.Find(f->relation());
-      if (id == kInvalidRelation) return false;
-      RelationKind kind = catalog.schema(id).kind;
-      return kind == RelationKind::kInput ||
-             kind == RelationKind::kInputConstant;
-    }
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      return HasCurrentInputAtom(f->body(), catalog);
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      return HasCurrentInputAtom(f->left(), catalog) ||
-             HasCurrentInputAtom(f->right(), catalog);
-    default:
-      return false;
-  }
+/// True if `f` reads a current-step (non-`prev`) input relation or input
+/// constant.
+bool HasCurrentInputAtom(const Formula& f, const Catalog& catalog) {
+  bool found = false;
+  f.VisitLeaves([&](const Formula& leaf) {
+    if (leaf.kind() != Formula::Kind::kAtom || leaf.previous()) return;
+    RelationId id = catalog.Find(leaf.relation());
+    found |= id != kInvalidRelation && IsInputKind(catalog.schema(id).kind);
+  });
+  return found;
 }
 
-/// Reports atoms whose argument count disagrees with the declared arity
-/// and page atoms naming unknown pages (ISSUE 2: these used to surface as
-/// WAVE_CHECK aborts inside `PreparedFormula::Prepare` at verify time;
-/// catching them here keeps those checks genuine internal invariants).
-void CheckBodyAtoms(const WebAppSpec& spec, const FormulaPtr& f,
-                    const std::string& where,
-                    std::vector<std::string>* issues) {
-  switch (f->kind()) {
-    case Formula::Kind::kAtom: {
-      RelationId id = spec.catalog().Find(f->relation());
-      if (id == kInvalidRelation) return;  // reported separately
-      int arity = spec.catalog().schema(id).arity;
-      if (static_cast<int>(f->args().size()) != arity) {
-        issues->push_back(where + ": atom " + f->relation() + "/" +
-                          std::to_string(f->args().size()) +
-                          " does not match declared arity " +
-                          std::to_string(arity));
-      }
-      return;
-    }
-    case Formula::Kind::kPage:
-      if (spec.PageIndex(f->page()) < 0) {
-        issues->push_back(where + ": page atom 'at " + f->page() +
-                          "' references an unknown page");
-      }
-      return;
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      CheckBodyAtoms(spec, f->body(), where, issues);
-      return;
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      CheckBodyAtoms(spec, f->left(), where, issues);
-      CheckBodyAtoms(spec, f->right(), where, issues);
-      return;
-    default:
-      return;
-  }
-}
+}  // namespace
 
-/// Variables of a head tuple, first-occurrence order.
 std::vector<std::string> HeadVariables(const std::vector<Term>& head) {
   std::vector<std::string> vars;
   for (const Term& t : head) {
@@ -88,8 +33,6 @@ std::vector<std::string> HeadVariables(const std::vector<Term>& head) {
   }
   return vars;
 }
-
-}  // namespace
 
 int WebAppSpec::AddPage(PageSchema page) {
   WAVE_CHECK_MSG(page_index_.find(page.name) == page_index_.end(),
@@ -148,11 +91,25 @@ std::vector<std::string> WebAppSpec::Validate() const {
     issues.push_back("home page index out of range");
   }
 
+  // Atom checks shared by rule bodies and target conditions, which may
+  // not read action relations (actions are write-only).
+  auto check_reads = [&](const std::string& where, const Formula& f) {
+    CheckAtoms(f, where, &issues);
+    f.VisitLeaves([&](const Formula& leaf) {
+      if (leaf.kind() != Formula::Kind::kAtom) return;
+      RelationId id = catalog_.Find(leaf.relation());
+      if (id != kInvalidRelation &&
+          catalog_.schema(id).kind == RelationKind::kAction) {
+        report(where, "reads action relation '" + leaf.relation() +
+                          "' (actions are write-only)");
+      }
+    });
+  };
+
   // Shared checks for a rule head + body.
   auto check_rule = [&](const std::string& where, RelationId relation,
                         RelationKind expected_kind,
-                        const std::vector<Term>& head, const FormulaPtr& body,
-                        bool body_may_use_current_input) {
+                        const std::vector<Term>& head, const FormulaPtr& body) {
     if (relation == kInvalidRelation) {
       report(where, "head relation is undeclared");
       return;
@@ -186,22 +143,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
                           "' is unconstrained by the rule body");
       }
     }
-    // Relation references: must exist, match arity; action relations are
-    // write-only; input rules may not read the current input.
-    for (const std::string& rel_name : body->Relations()) {
-      RelationId id = catalog_.Find(rel_name);
-      if (id == kInvalidRelation) {
-        report(where, "body references undeclared relation '" + rel_name +
-                          "'");
-        continue;
-      }
-      if (catalog_.schema(id).kind == RelationKind::kAction) {
-        report(where, "body reads action relation '" + rel_name +
-                          "' (actions are write-only)");
-      }
-    }
-    CheckBodyAtoms(*this, body, where, &issues);
-    (void)body_may_use_current_input;
+    check_reads(where, *body);
   };
 
   for (const PageSchema& page : pages_) {
@@ -210,9 +152,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
     std::set<RelationId> declared_inputs(page.inputs.begin(),
                                          page.inputs.end());
     for (RelationId id : page.inputs) {
-      RelationKind kind = catalog_.schema(id).kind;
-      if (kind != RelationKind::kInput &&
-          kind != RelationKind::kInputConstant) {
+      if (!IsInputKind(catalog_.schema(id).kind)) {
         report(prefix, "declared input " + catalog_.schema(id).name +
                            " is not an input relation");
       }
@@ -224,8 +164,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
                      (r.relation == kInvalidRelation
                           ? "?"
                           : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kInput, r.head, r.body,
-                 /*body_may_use_current_input=*/false);
+                 r.relation, RelationKind::kInput, r.head, r.body);
       if (r.relation != kInvalidRelation) {
         if (!with_rule.insert(r.relation).second) {
           report(prefix, "multiple options rules for input " +
@@ -254,7 +193,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
     // see database, state and previous input only).
     for (const InputRule& r : page.input_rules) {
       if (r.relation != kInvalidRelation &&
-          HasCurrentInputAtom(r.body, catalog_)) {
+          HasCurrentInputAtom(*r.body, catalog_)) {
         report(prefix, "input rule " + catalog_.schema(r.relation).name +
                            " reads a current-step input (only `prev` input "
                            "atoms are allowed in option rules)");
@@ -265,14 +204,14 @@ std::vector<std::string> WebAppSpec::Validate() const {
                      (r.relation == kInvalidRelation
                           ? "?"
                           : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kState, r.head, r.body, true);
+                 r.relation, RelationKind::kState, r.head, r.body);
     }
     for (const ActionRule& r : page.action_rules) {
       check_rule(prefix + ", action rule " +
                      (r.relation == kInvalidRelation
                           ? "?"
                           : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kAction, r.head, r.body, true);
+                 r.relation, RelationKind::kAction, r.head, r.body);
     }
     for (const TargetRule& r : page.target_rules) {
       if (r.target_page < 0 || r.target_page >= num_pages()) {
@@ -284,23 +223,37 @@ std::vector<std::string> WebAppSpec::Validate() const {
                            pages_[r.target_page].name +
                            " has free variables (must be a sentence)");
       }
-      for (const std::string& rel_name : r.condition->Relations()) {
-        RelationId id = catalog_.Find(rel_name);
-        if (id == kInvalidRelation) {
-          report(prefix, "target condition references undeclared relation '" +
-                             rel_name + "'");
-        } else if (catalog_.schema(id).kind == RelationKind::kAction) {
-          report(prefix, "target condition reads action relation '" +
-                             rel_name + "'");
-        }
-      }
-      CheckBodyAtoms(*this, r.condition,
-                     prefix + ", target condition for " +
-                         pages_[r.target_page].name,
-                     &issues);
+      check_reads(prefix + ", target condition for " +
+                      pages_[r.target_page].name,
+                  *r.condition);
     }
   }
   return issues;
+}
+
+void WebAppSpec::CheckAtoms(const Formula& f, const std::string& where,
+                            std::vector<std::string>* issues) const {
+  f.VisitLeaves([&](const Formula& leaf) {
+    if (leaf.kind() == Formula::Kind::kPage) {
+      if (PageIndex(leaf.page()) < 0) {
+        issues->push_back(where + ": page atom 'at " + leaf.page() +
+                          "' references unknown page '" + leaf.page() + "'");
+      }
+      return;
+    }
+    if (leaf.kind() != Formula::Kind::kAtom) return;
+    RelationId id = catalog_.Find(leaf.relation());
+    if (id == kInvalidRelation) {
+      issues->push_back(where + ": undeclared relation '" + leaf.relation() +
+                        "'");
+    } else if (static_cast<int>(leaf.args().size()) !=
+               catalog_.schema(id).arity) {
+      issues->push_back(where + ": atom " + leaf.relation() + "/" +
+                        std::to_string(leaf.args().size()) +
+                        " does not match declared arity " +
+                        std::to_string(catalog_.schema(id).arity));
+    }
+  });
 }
 
 Status WebAppSpec::ValidateStatus() const {

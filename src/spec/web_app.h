@@ -64,6 +64,9 @@ struct PageSchema {
   std::vector<TargetRule> target_rules;
 };
 
+/// Variables of a rule head, in first-occurrence order.
+std::vector<std::string> HeadVariables(const std::vector<Term>& head);
+
 /// A complete Web application specification.
 ///
 /// Owns the symbol table (interned data constants) and the relation
@@ -104,6 +107,16 @@ class WebAppSpec {
   /// rule bodies, sentence-ness of target rules, home page set. Returns
   /// hard errors.
   std::vector<std::string> Validate() const;
+
+  /// Appends one "<where>: <problem>" line per faulty leaf of `f`, in visit
+  /// order: a relation atom over an undeclared relation or with the wrong
+  /// number of arguments, or a page atom naming an unknown page. These are
+  /// the parser's own atom errors, in its words, for formulas built through
+  /// the API or checked against another spec. `Validate` runs it on every
+  /// rule body and target condition, `ValidatePropertyForSpec` on every
+  /// property component.
+  void CheckAtoms(const Formula& f, const std::string& where,
+                  std::vector<std::string>* issues) const;
 
   /// `Validate()` as a structured error: OK when clean, otherwise
   /// FailedPrecondition listing every issue. The Status-returning

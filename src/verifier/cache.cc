@@ -12,6 +12,7 @@
 #include <optional>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,11 +53,13 @@ bool HasKey(const obs::Json& record, const std::string& hex) {
 /// (entries written before the wire codec hold only percentile summaries,
 /// which decode into bucketless histograms), and a hit reports none.
 VerifyStats WithoutHistograms(VerifyStats stats) {
-  for (obs::HistogramData* h :
-       {&stats.frontier_size, &stats.search_depth, &stats.trie_lookup_us,
-        &stats.shard_expansions, &stats.shard_alloc_bytes}) {
-    *h = obs::HistogramData();
-  }
+  VerifyStats::ForEachField([&](const char*, auto member, StatsMerge) {
+    auto& value = stats.*member;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 obs::HistogramData>) {
+      value = obs::HistogramData();
+    }
+  });
   return stats;
 }
 

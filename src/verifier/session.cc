@@ -13,104 +13,36 @@ namespace wave {
 
 namespace {
 
-/// Gathers, per free variable of the property, the attribute positions it
-/// occurs at and the constants it is directly equated to.
-struct VarOccurrences {
-  std::map<std::string, std::set<AttrPos>> positions;
-  std::map<std::string, std::set<SymbolId>> equated_constants;
-
-  void Walk(const Catalog& catalog, const FormulaPtr& f) {
-    switch (f->kind()) {
-      case Formula::Kind::kAtom: {
-        RelationId id = catalog.Find(f->relation());
-        if (id == kInvalidRelation) return;
-        for (size_t i = 0; i < f->args().size(); ++i) {
-          if (f->args()[i].is_variable()) {
-            positions[f->args()[i].variable].insert(
-                {id, static_cast<int>(i)});
-          }
-        }
-        return;
-      }
-      case Formula::Kind::kEquals: {
-        const Term& a = f->args()[0];
-        const Term& b = f->args()[1];
-        if (a.is_variable() && !b.is_variable()) {
-          equated_constants[a.variable].insert(b.constant);
-        } else if (b.is_variable() && !a.is_variable()) {
-          equated_constants[b.variable].insert(a.constant);
-        }
-        return;
-      }
-      case Formula::Kind::kNot:
-      case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        Walk(catalog, f->body());
-        return;
-      case Formula::Kind::kAnd:
-      case Formula::Kind::kOr:
-      case Formula::Kind::kImplies:
-        Walk(catalog, f->left());
-        Walk(catalog, f->right());
-        return;
-      default:
-        return;
-    }
-  }
-};
-
-void CollectAtomUses(const Catalog& catalog, const FormulaPtr& f,
-                     bool* has_prev, std::set<RelationId>* current,
-                     std::set<RelationId>* prev) {
-  switch (f->kind()) {
-    case Formula::Kind::kAtom: {
-      RelationId id = catalog.Find(f->relation());
-      if (id == kInvalidRelation) return;
-      if (f->previous()) {
-        prev->insert(id);
-        *has_prev = true;
-      } else {
-        current->insert(id);
-      }
-      return;
-    }
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      CollectAtomUses(catalog, f->body(), has_prev, current, prev);
-      return;
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      CollectAtomUses(catalog, f->left(), has_prev, current, prev);
-      CollectAtomUses(catalog, f->right(), has_prev, current, prev);
-      return;
-    default:
-      return;
-  }
+/// Adds the relations `f` reads to `current` and (through `prev` atoms) to
+/// `prev`; undeclared relations are skipped.
+void CollectReads(const Catalog& catalog, const Formula& f,
+                  std::set<RelationId>* current, std::set<RelationId>* prev) {
+  f.VisitLeaves([&](const Formula& leaf) {
+    if (leaf.kind() != Formula::Kind::kAtom) return;
+    RelationId id = catalog.Find(leaf.relation());
+    if (id != kInvalidRelation) (leaf.previous() ? prev : current)->insert(id);
+  });
 }
 
 void ComputeRelevance(const WebAppSpec& spec, PropertyPlan* plan) {
   const Catalog& catalog = spec.catalog();
   plan->relevant.assign(catalog.size(), false);
   plan->prev_read_by_page.assign(spec.num_pages(), {});
-  plan->property_reads_prev = false;
 
   std::set<RelationId> property_current, property_prev;
   for (const FormulaPtr& c : plan->raw_components) {
-    CollectAtomUses(catalog, c, &plan->property_reads_prev,
-                    &property_current, &property_prev);
+    CollectReads(catalog, *c, &property_current, &property_prev);
   }
   for (RelationId id : property_current) plan->relevant[id] = true;
   for (RelationId id : property_prev) plan->relevant[id] = true;
   plan->property_prev_reads = property_prev;
+  plan->property_reads_prev = !property_prev.empty();
 
-  bool dummy = false;
   for (int p = 0; p < spec.num_pages(); ++p) {
     const PageSchema& page = spec.page(p);
     std::set<RelationId> current, prev;
     auto walk = [&](const FormulaPtr& body) {
-      CollectAtomUses(catalog, body, &dummy, &current, &prev);
+      CollectReads(catalog, *body, &current, &prev);
     };
     for (const InputRule& r : page.input_rules) walk(r.body);
     for (const StateRule& r : page.state_rules) walk(r.body);
@@ -323,18 +255,18 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     // constants any of the variable's attribute positions may be compared
     // to, its directly equated constants, and one fresh value.
     ComparisonAnalysis uninstantiated(*spec_, plan->raw_components);
-    VarOccurrences occurrences;
+    LocalFacts occurrences;
     for (const FormulaPtr& c : plan->raw_components) {
-      occurrences.Walk(spec_->catalog(), c);
+      occurrences.Walk(spec_->catalog(), *c);
     }
     for (const std::string& v : plan->free_vars) {
       std::set<SymbolId> candidates;
-      for (const AttrPos& pos : occurrences.positions[v]) {
+      const LocalVar& facts = occurrences.vars[v];
+      for (const AttrPos& pos : facts.all_positions) {
         const std::set<SymbolId>& cs = uninstantiated.constants(pos);
         candidates.insert(cs.begin(), cs.end());
       }
-      const std::set<SymbolId>& eq = occurrences.equated_constants[v];
-      candidates.insert(eq.begin(), eq.end());
+      candidates.insert(facts.pinned.begin(), facts.pinned.end());
       plan->fresh_values.push_back(spec_->symbols().MintFresh("free." + v));
       plan->var_candidates.push_back(
           std::vector<SymbolId>(candidates.begin(), candidates.end()));

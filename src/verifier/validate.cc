@@ -20,10 +20,7 @@ InputChoice ExtractChoice(const WebAppSpec& spec, const Configuration& config,
   InputChoice choice;
   const Catalog& catalog = spec.catalog();
   for (RelationId id = 0; id < catalog.size(); ++id) {
-    RelationKind kind = catalog.schema(id).kind;
-    if (kind != RelationKind::kInput && kind != RelationKind::kInputConstant) {
-      continue;
-    }
+    if (!IsInputKind(catalog.schema(id).kind)) continue;
     const Relation& r = config.data.relation(id);
     if (r.empty()) continue;
     if (r.size() > 1) {

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,6 +134,19 @@ struct BatchShared {
   std::unique_ptr<std::atomic<bool>[]> settled;
   std::atomic<int> unsettled{0};
 };
+
+/// Fires one progress heartbeat: `snapshot` to the caller's callback and
+/// its counters as trace counter tracks.
+void EmitHeartbeat(const VerifyOptions& options, obs::Tracer* tracer,
+                   const HeartbeatSnapshot& snapshot) {
+  if (options.heartbeat != nullptr) options.heartbeat(snapshot);
+  if (tracer != nullptr) {
+    tracer->Counter("expansions", static_cast<double>(snapshot.num_expansions));
+    tracer->Counter("successors", static_cast<double>(snapshot.num_successors));
+    tracer->Counter("trie_size", static_cast<double>(snapshot.trie_size));
+    tracer->Counter("cores", static_cast<double>(snapshot.num_cores));
+  }
+}
 
 /// One worker's NDFS machinery: its own configuration store, search stacks,
 /// governor front end and stats. Pops shards off the queue until it runs
@@ -869,29 +883,16 @@ class ShardRunner {
     }
     last_heartbeat_seconds_ = elapsed;
     ++heartbeats_;
-    int trie_size = store_.size();
-    if (options_->heartbeat != nullptr) {
-      HeartbeatSnapshot snapshot;
-      snapshot.elapsed_seconds = elapsed;
-      snapshot.num_assignments =
-          static_cast<int64_t>(assignment_us_.size());
-      snapshot.num_cores = stats_.num_cores;
-      snapshot.num_expansions = stats_.num_expansions;
-      snapshot.num_successors = stats_.num_successors;
-      snapshot.trie_size = trie_size;
-      snapshot.max_trie_size = std::max(stats_.max_trie_size, trie_size);
-      snapshot.buchi_states =
-          plan_ != nullptr ? plan_->automaton.NumStates() : 0;
-      options_->heartbeat(snapshot);
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Counter("expansions",
-                       static_cast<double>(stats_.num_expansions));
-      tracer_->Counter("successors",
-                       static_cast<double>(stats_.num_successors));
-      tracer_->Counter("trie_size", static_cast<double>(trie_size));
-      tracer_->Counter("cores", static_cast<double>(stats_.num_cores));
-    }
+    HeartbeatSnapshot snapshot;
+    snapshot.elapsed_seconds = elapsed;
+    snapshot.num_assignments = static_cast<int64_t>(assignment_us_.size());
+    snapshot.num_cores = stats_.num_cores;
+    snapshot.num_expansions = stats_.num_expansions;
+    snapshot.num_successors = stats_.num_successors;
+    snapshot.trie_size = store_.size();
+    snapshot.max_trie_size = std::max(stats_.max_trie_size, store_.size());
+    snapshot.buchi_states = plan_ != nullptr ? plan_->automaton.NumStates() : 0;
+    EmitHeartbeat(*options_, tracer_, snapshot);
   }
 
   const std::vector<BatchSlot>* slots_;
@@ -1163,39 +1164,23 @@ std::vector<VerifyResult> RunBatchAttempt(
                                 : 0.01;
           while (!pool.WaitDone(interval)) {
             ++coordinator_heartbeats;
-            int64_t expansions = 0, successors = 0, cores = 0;
-            int trie_size = 0, max_trie = 0;
+            HeartbeatSnapshot snapshot;
+            snapshot.elapsed_seconds = ledger.ElapsedSeconds();
+            snapshot.num_assignments = static_cast<int64_t>(slots.size());
+            snapshot.buchi_states = max_buchi;
             for (const std::unique_ptr<WorkerProgress>& p : progress) {
-              expansions += p->expansions.load(std::memory_order_relaxed);
-              successors += p->successors.load(std::memory_order_relaxed);
-              cores += p->cores.load(std::memory_order_relaxed);
-              trie_size += p->trie_size.load(std::memory_order_relaxed);
-              max_trie = std::max(
-                  max_trie, p->max_trie.load(std::memory_order_relaxed));
+              snapshot.num_expansions +=
+                  p->expansions.load(std::memory_order_relaxed);
+              snapshot.num_successors +=
+                  p->successors.load(std::memory_order_relaxed);
+              snapshot.num_cores += p->cores.load(std::memory_order_relaxed);
+              snapshot.trie_size +=
+                  p->trie_size.load(std::memory_order_relaxed);
+              snapshot.max_trie_size =
+                  std::max(snapshot.max_trie_size,
+                           p->max_trie.load(std::memory_order_relaxed));
             }
-            if (options.heartbeat != nullptr) {
-              HeartbeatSnapshot snapshot;
-              snapshot.elapsed_seconds = ledger.ElapsedSeconds();
-              snapshot.num_assignments =
-                  static_cast<int64_t>(slots.size());
-              snapshot.num_cores = cores;
-              snapshot.num_expansions = expansions;
-              snapshot.num_successors = successors;
-              snapshot.trie_size = trie_size;
-              snapshot.max_trie_size = max_trie;
-              snapshot.buchi_states = max_buchi;
-              options.heartbeat(snapshot);
-            }
-            if (options.tracer != nullptr) {
-              options.tracer->Counter("expansions",
-                                      static_cast<double>(expansions));
-              options.tracer->Counter("successors",
-                                      static_cast<double>(successors));
-              options.tracer->Counter("trie_size",
-                                      static_cast<double>(trie_size));
-              options.tracer->Counter("cores",
-                                      static_cast<double>(cores));
-            }
+            EmitHeartbeat(options, options.tracer, snapshot);
           }
         }
         pool.WaitDone(-1);
@@ -1245,25 +1230,9 @@ std::vector<VerifyResult> RunBatchAttempt(
 
     double slot_us = 0;
     for (const std::unique_ptr<ShardRunner>& runner : runners) {
-      const VerifyStats& s = runner->job_stats()[i];
-      r.stats.num_cores += s.num_cores;
-      r.stats.num_expansions += s.num_expansions;
-      r.stats.num_successors += s.num_successors;
-      r.stats.trie_hits += s.trie_hits;
-      r.stats.trie_misses += s.trie_misses;
-      r.stats.max_trie_size =
-          std::max(r.stats.max_trie_size, s.max_trie_size);
-      r.stats.max_pseudorun_length =
-          std::max(r.stats.max_pseudorun_length, s.max_pseudorun_length);
-      // Search telemetry histograms merge bucket-exactly across workers
-      // (all empty when telemetry was off).
-      r.stats.frontier_size.MergeFrom(s.frontier_size);
-      r.stats.search_depth.MergeFrom(s.search_depth);
-      r.stats.trie_lookup_us.MergeFrom(s.trie_lookup_us);
-      r.stats.shard_expansions.MergeFrom(s.shard_expansions);
-      r.stats.shard_alloc_bytes.MergeFrom(s.shard_alloc_bytes);
-      r.stats.alloc_bytes += s.alloc_bytes;
-      r.stats.alloc_count += s.alloc_count;
+      // A runner's per-property slice holds only search counters, marks
+      // and telemetry (histograms all empty when telemetry was off).
+      r.stats.Merge(runner->job_stats()[i]);
       for (size_t slot = w.slot_begin; slot < w.slot_end; ++slot) {
         slot_us += runner->assignment_us()[slot];
       }
@@ -1315,22 +1284,12 @@ std::vector<VerifyResult> RunBatchAttempt(
     obs::MetricsRegistry call_metrics;
 
     double prepare_us = 0, dataflow_us = 0, validate_us = 0;
-    int64_t assignments = 0, cores = 0, expansions = 0, successors = 0;
-    int64_t rejected = 0, trie_hits = 0, trie_misses = 0;
-    int max_trie = 0;
+    VerifyStats merged;
     for (int i = 0; i < n; ++i) {
       prepare_us += work[i].prepare_us;
       dataflow_us += work[i].dataflow_us;
       validate_us += shared.jobs[i]->validate_us;
-      const VerifyStats& s = results[i].stats;
-      assignments += s.num_assignments;
-      cores += s.num_cores;
-      expansions += s.num_expansions;
-      successors += s.num_successors;
-      rejected += s.num_rejected_candidates;
-      trie_hits += s.trie_hits;
-      trie_misses += s.trie_misses;
-      max_trie = std::max(max_trie, s.max_trie_size);
+      merged.Merge(results[i].stats);
     }
     net_search_us = std::max(0.0, search_us - dataflow_us - validate_us);
 
@@ -1340,17 +1299,18 @@ std::vector<VerifyResult> RunBatchAttempt(
     call_metrics.Add("verify.search_us", static_cast<int64_t>(net_search_us));
     call_metrics.Add("verify.validate_us",
                      static_cast<int64_t>(validate_us));
-    call_metrics.Add("verify.assignments", assignments);
-    call_metrics.Add("verify.cores", cores);
-    call_metrics.Add("verify.expansions", expansions);
-    call_metrics.Add("verify.successors", successors);
-    call_metrics.Add("verify.rejected_candidates", rejected);
+    call_metrics.Add("verify.assignments", merged.num_assignments);
+    call_metrics.Add("verify.cores", merged.num_cores);
+    call_metrics.Add("verify.expansions", merged.num_expansions);
+    call_metrics.Add("verify.successors", merged.num_successors);
+    call_metrics.Add("verify.rejected_candidates",
+                     merged.num_rejected_candidates);
     call_metrics.Add("verify.heartbeats", heartbeats);
     call_metrics.Add("verify.steals", steals);
     call_metrics.Set("verify.jobs", jobs);
-    call_metrics.Add("trie.hits", trie_hits);
-    call_metrics.Add("trie.misses", trie_misses);
-    call_metrics.Set("trie.max_size", max_trie);
+    call_metrics.Add("trie.hits", merged.trie_hits);
+    call_metrics.Add("trie.misses", merged.trie_misses);
+    call_metrics.Set("trie.max_size", merged.max_trie_size);
     call_metrics.Set("buchi.states", max_buchi);
     int64_t gpvw_states_before = 0;
     for (int i = 0; i < n; ++i) {
@@ -1369,40 +1329,29 @@ std::vector<VerifyResult> RunBatchAttempt(
       // Batch-wide search telemetry: per-property histograms merged, the
       // per-phase counting-allocator tallies, and (jobs > 1) the steal
       // balance across workers.
-      obs::HistogramData frontier_size, search_depth;
-      obs::HistogramData trie_lookup_us, shard_expansions, shard_alloc;
-      int64_t search_alloc_bytes = 0, search_alloc_count = 0;
-      for (int i = 0; i < n; ++i) {
-        const VerifyStats& s = results[i].stats;
-        frontier_size.MergeFrom(s.frontier_size);
-        search_depth.MergeFrom(s.search_depth);
-        trie_lookup_us.MergeFrom(s.trie_lookup_us);
-        shard_expansions.MergeFrom(s.shard_expansions);
-        shard_alloc.MergeFrom(s.shard_alloc_bytes);
-        search_alloc_bytes += s.alloc_bytes;
-        search_alloc_count += s.alloc_count;
-      }
-      call_metrics.histogram("trie.lookup_us")->MergeData(trie_lookup_us);
+      call_metrics.histogram("trie.lookup_us")
+          ->MergeData(merged.trie_lookup_us);
       call_metrics.histogram("search.frontier_size")
-          ->MergeData(frontier_size);
-      call_metrics.histogram("search.depth")->MergeData(search_depth);
+          ->MergeData(merged.frontier_size);
+      call_metrics.histogram("search.depth")->MergeData(merged.search_depth);
       call_metrics.histogram("search.shard_expansions")
-          ->MergeData(shard_expansions);
+          ->MergeData(merged.shard_expansions);
       call_metrics.histogram("alloc.search.shard_bytes")
-          ->MergeData(shard_alloc);
+          ->MergeData(merged.shard_alloc_bytes);
       call_metrics.Add("alloc.prepare.bytes", prepare_alloc.bytes);
       call_metrics.Add("alloc.prepare.count", prepare_alloc.count);
       call_metrics.Add("alloc.dataflow.bytes", dataflow_alloc.bytes);
       call_metrics.Add("alloc.dataflow.count", dataflow_alloc.count);
-      call_metrics.Add("alloc.search.bytes", search_alloc_bytes);
-      call_metrics.Add("alloc.search.count", search_alloc_count);
+      call_metrics.Add("alloc.search.bytes", merged.alloc_bytes);
+      call_metrics.Add("alloc.search.count", merged.alloc_count);
       if (options.tracer != nullptr) {
-        options.tracer->CounterHistogram("trie.lookup_us", trie_lookup_us);
+        options.tracer->CounterHistogram("trie.lookup_us",
+                                         merged.trie_lookup_us);
         options.tracer->CounterHistogram("search.frontier_size",
-                                         frontier_size);
-        options.tracer->CounterHistogram("search.depth", search_depth);
+                                         merged.frontier_size);
+        options.tracer->CounterHistogram("search.depth", merged.search_depth);
         options.tracer->CounterHistogram("alloc.search.shard_bytes",
-                                         shard_alloc);
+                                         merged.shard_alloc_bytes);
       }
       if (runners.size() > 1) {
         // Work-stealing balance: max worker expansion share over the
@@ -1673,55 +1622,6 @@ void CollectFoComponents(const LtlPtr& f, std::vector<FormulaPtr>* out) {
   CollectFoComponents(f->right(), out);
 }
 
-/// Structural check of one FO component: page atoms name known pages,
-/// relation atoms resolve with the declared arity. Mirrors exactly the
-/// invariants `PreparedFormula::Prepare` WAVE_CHECKs at verify time, so a
-/// property passing here cannot abort the search.
-Status ValidateFoComponent(const WebAppSpec& spec,
-                           const std::string& property_name,
-                           const FormulaPtr& f) {
-  switch (f->kind()) {
-    case Formula::Kind::kPage:
-      if (spec.PageIndex(f->page()) < 0) {
-        return Status::InvalidArgument(
-            "property '" + property_name + "': unknown page '" + f->page() +
-                "' in page atom 'at " + f->page() + "'",
-            WAVE_LOC);
-      }
-      return Status::Ok();
-    case Formula::Kind::kAtom: {
-      RelationId id = spec.catalog().Find(f->relation());
-      if (id == kInvalidRelation) {
-        return Status::InvalidArgument(
-            "property '" + property_name + "': unknown relation '" +
-                f->relation() + "'",
-            WAVE_LOC);
-      }
-      int arity = spec.catalog().schema(id).arity;
-      if (static_cast<int>(f->args().size()) != arity) {
-        return Status::InvalidArgument(
-            "property '" + property_name + "': atom " + f->relation() + "/" +
-                std::to_string(f->args().size()) +
-                " does not match declared arity " + std::to_string(arity),
-            WAVE_LOC);
-      }
-      return Status::Ok();
-    }
-    case Formula::Kind::kNot:
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      return ValidateFoComponent(spec, property_name, f->body());
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-    case Formula::Kind::kImplies:
-      WAVE_RETURN_IF_ERROR(
-          ValidateFoComponent(spec, property_name, f->left()));
-      return ValidateFoComponent(spec, property_name, f->right());
-    default:
-      return Status::Ok();
-  }
-}
-
 }  // namespace
 
 Status ValidatePropertyForSpec(const WebAppSpec& spec,
@@ -1735,7 +1635,15 @@ Status ValidatePropertyForSpec(const WebAppSpec& spec,
   std::set<std::string> declared(property.forall_vars.begin(),
                                  property.forall_vars.end());
   for (const FormulaPtr& c : components) {
-    WAVE_RETURN_IF_ERROR(ValidateFoComponent(spec, property.name, c));
+    // Page atoms name known pages and relation atoms resolve with the
+    // declared arity: exactly the invariants `PreparedFormula::Prepare`
+    // WAVE_CHECKs at verify time, so a property passing here cannot abort
+    // the search.
+    std::vector<std::string> issues;
+    spec.CheckAtoms(*c, "property '" + property.name + "'", &issues);
+    if (!issues.empty()) {
+      return Status::InvalidArgument(issues.front(), WAVE_LOC);
+    }
     for (const std::string& v : c->FreeVariables()) {
       if (declared.count(v) == 0) {
         return Status::InvalidArgument(
@@ -1867,37 +1775,7 @@ StatusOr<BatchResponse> Verifier::RunBatch(const BatchRequest& request) {
                                      request.cache, &totals);
 
   VerifyStats& merged = batch.merged;
-  for (const VerifyResponse& r : batch.responses) {
-    const VerifyStats& s = r.stats;
-    merged.prepare_seconds += s.prepare_seconds;
-    merged.dataflow_seconds += s.dataflow_seconds;
-    merged.search_seconds += s.search_seconds;
-    merged.validate_seconds += s.validate_seconds;
-    merged.num_assignments += s.num_assignments;
-    merged.num_cores += s.num_cores;
-    merged.num_expansions += s.num_expansions;
-    merged.num_successors += s.num_successors;
-    merged.num_rejected_candidates += s.num_rejected_candidates;
-    merged.trie_hits += s.trie_hits;
-    merged.trie_misses += s.trie_misses;
-    merged.heartbeats += s.heartbeats;
-    merged.cache_hits += s.cache_hits;
-    merged.prepass_reuses += s.prepass_reuses;
-    merged.governor_polls = std::max(merged.governor_polls, s.governor_polls);
-    merged.max_trie_size = std::max(merged.max_trie_size, s.max_trie_size);
-    merged.max_pseudorun_length =
-        std::max(merged.max_pseudorun_length, s.max_pseudorun_length);
-    merged.buchi_states = std::max(merged.buchi_states, s.buchi_states);
-    merged.peak_memory_bytes =
-        std::max(merged.peak_memory_bytes, s.peak_memory_bytes);
-    merged.frontier_size.MergeFrom(s.frontier_size);
-    merged.search_depth.MergeFrom(s.search_depth);
-    merged.trie_lookup_us.MergeFrom(s.trie_lookup_us);
-    merged.shard_expansions.MergeFrom(s.shard_expansions);
-    merged.shard_alloc_bytes.MergeFrom(s.shard_alloc_bytes);
-    merged.alloc_bytes += s.alloc_bytes;
-    merged.alloc_count += s.alloc_count;
-  }
+  for (const VerifyResponse& r : batch.responses) merged.Merge(r.stats);
   // Batch-level heartbeats fired by the fused searches' coordinators (the
   // per-response stats carry none when n > 1: a heartbeat spans every
   // property at once and cannot be attributed to one of them).
@@ -1952,37 +1830,32 @@ std::vector<RetryRung> DefaultLadder(const VerifyOptions& base) {
   return ladder;
 }
 
+void VerifyStats::Merge(const VerifyStats& other) {
+  ForEachField([&](const char*, auto member, StatsMerge merge) {
+    auto& into = this->*member;
+    const auto& from = other.*member;
+    if constexpr (std::is_same_v<std::decay_t<decltype(into)>,
+                                 obs::HistogramData>) {
+      into.MergeFrom(from);
+    } else {
+      into = merge == StatsMerge::kMax ? std::max(into, from) : into + from;
+    }
+  });
+}
+
 obs::Json VerifyStats::ToJson() const {
   obs::Json j = obs::Json::Object();
-  j.Set("seconds", obs::Json::Number(seconds));
-  j.Set("prepare_seconds", obs::Json::Number(prepare_seconds));
-  j.Set("dataflow_seconds", obs::Json::Number(dataflow_seconds));
-  j.Set("search_seconds", obs::Json::Number(search_seconds));
-  j.Set("validate_seconds", obs::Json::Number(validate_seconds));
-  j.Set("max_pseudorun_length", obs::Json::Int(max_pseudorun_length));
-  j.Set("max_trie_size", obs::Json::Int(max_trie_size));
-  j.Set("buchi_states", obs::Json::Int(buchi_states));
-  j.Set("num_assignments", obs::Json::Int(num_assignments));
-  j.Set("num_cores", obs::Json::Int(num_cores));
-  j.Set("num_expansions", obs::Json::Int(num_expansions));
-  j.Set("num_successors", obs::Json::Int(num_successors));
-  j.Set("num_rejected_candidates", obs::Json::Int(num_rejected_candidates));
-  j.Set("trie_hits", obs::Json::Int(trie_hits));
-  j.Set("trie_misses", obs::Json::Int(trie_misses));
-  j.Set("heartbeats", obs::Json::Int(heartbeats));
-  j.Set("peak_memory_bytes", obs::Json::Int(peak_memory_bytes));
-  j.Set("governor_polls", obs::Json::Int(governor_polls));
-  j.Set("cache_hits", obs::Json::Int(cache_hits));
-  j.Set("prepass_reuses", obs::Json::Int(prepass_reuses));
-  // Search telemetry (ISSUE 6): histogram summaries + allocation tallies.
-  // All-zero objects when the run had telemetry off.
-  j.Set("frontier_size", frontier_size.ToJson());
-  j.Set("search_depth", search_depth.ToJson());
-  j.Set("trie_lookup_us", trie_lookup_us.ToJson());
-  j.Set("shard_expansions", shard_expansions.ToJson());
-  j.Set("shard_alloc_bytes", shard_alloc_bytes.ToJson());
-  j.Set("alloc_bytes", obs::Json::Int(alloc_bytes));
-  j.Set("alloc_count", obs::Json::Int(alloc_count));
+  ForEachField([&](const char* key, auto member, StatsMerge) {
+    const auto& value = this->*member;
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, obs::HistogramData>) {
+      j.Set(key, value.ToJson());
+    } else if constexpr (std::is_same_v<T, double>) {
+      j.Set(key, obs::Json::Number(value));
+    } else {
+      j.Set(key, obs::Json::Int(value));
+    }
+  });
   return j;
 }
 

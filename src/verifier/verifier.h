@@ -148,6 +148,11 @@ struct CounterexampleStep {
   Configuration config;
 };
 
+/// How `VerifyStats::Merge` combines one field: counters and times add up,
+/// high-water marks keep the larger value. Histograms merge bucket by
+/// bucket whatever their entry says.
+enum class StatsMerge { kSum, kMax };
+
 /// Search statistics (the paper's measured columns).
 struct VerifyStats {
   double seconds = 0;
@@ -202,11 +207,58 @@ struct VerifyStats {
   int64_t alloc_bytes = 0;  // counting-allocator bytes, search phase
   int64_t alloc_count = 0;  // counting-allocator events, search phase
 
+  /// The one field list: calls `fn(key, member, merge)` for every field in
+  /// the key order of both JSON shapes (`ToJson` and api::StatsToJson).
+  /// `member` points to a double, int, int64_t or obs::HistogramData
+  /// member; `merge` is how `Merge` combines it.
+  template <typename Fn>
+  static void ForEachField(Fn&& fn);
+
+  /// Folds `other` in: counters and times add up, the high-water marks
+  /// (max_pseudorun_length, max_trie_size, buchi_states, peak_memory_bytes,
+  /// governor_polls) keep the larger value, histograms merge bucket by
+  /// bucket.
+  void Merge(const VerifyStats& other);
+
   /// Every field as a JSON object with stable snake_case keys (the
   /// `wave_verify --stats-json` payload). Histograms render as their
   /// {count,sum,min,max,mean,p50,p90,p99} summaries.
   obs::Json ToJson() const;
 };
+
+template <typename Fn>
+void VerifyStats::ForEachField(Fn&& fn) {
+  using S = VerifyStats;
+  constexpr StatsMerge kSum = StatsMerge::kSum;
+  constexpr StatsMerge kMax = StatsMerge::kMax;
+  fn("seconds", &S::seconds, kSum);
+  fn("prepare_seconds", &S::prepare_seconds, kSum);
+  fn("dataflow_seconds", &S::dataflow_seconds, kSum);
+  fn("search_seconds", &S::search_seconds, kSum);
+  fn("validate_seconds", &S::validate_seconds, kSum);
+  fn("max_pseudorun_length", &S::max_pseudorun_length, kMax);
+  fn("max_trie_size", &S::max_trie_size, kMax);
+  fn("buchi_states", &S::buchi_states, kMax);
+  fn("num_assignments", &S::num_assignments, kSum);
+  fn("num_cores", &S::num_cores, kSum);
+  fn("num_expansions", &S::num_expansions, kSum);
+  fn("num_successors", &S::num_successors, kSum);
+  fn("num_rejected_candidates", &S::num_rejected_candidates, kSum);
+  fn("trie_hits", &S::trie_hits, kSum);
+  fn("trie_misses", &S::trie_misses, kSum);
+  fn("heartbeats", &S::heartbeats, kSum);
+  fn("peak_memory_bytes", &S::peak_memory_bytes, kMax);
+  fn("governor_polls", &S::governor_polls, kMax);
+  fn("cache_hits", &S::cache_hits, kSum);
+  fn("prepass_reuses", &S::prepass_reuses, kSum);
+  fn("frontier_size", &S::frontier_size, kSum);
+  fn("search_depth", &S::search_depth, kSum);
+  fn("trie_lookup_us", &S::trie_lookup_us, kSum);
+  fn("shard_expansions", &S::shard_expansions, kSum);
+  fn("shard_alloc_bytes", &S::shard_alloc_bytes, kSum);
+  fn("alloc_bytes", &S::alloc_bytes, kSum);
+  fn("alloc_count", &S::alloc_count, kSum);
+}
 
 /// Outcome of `Verifier::Verify`.
 struct VerifyResult {

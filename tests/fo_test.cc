@@ -5,6 +5,9 @@
 
 #include <map>
 #include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "fo/formula.h"
 #include "fo/input_bounded.h"
@@ -60,6 +63,32 @@ TEST_F(FoTest, FreeVariablesInFirstOccurrenceOrder) {
       Formula::Atom("R", {V("y"), V("x")}),
       Formula::Exists({"z"}, Formula::Atom("I", {V("z")})));
   EXPECT_EQ(f->FreeVariables(), (std::vector<std::string>{"y", "x"}));
+}
+
+TEST_F(FoTest, VisitLeavesIsLeftToRightPreOrder) {
+  // Every kind of node: the four leaf kinds are visited in the order they
+  // are written, `prev` atoms included; true, false, connectives and
+  // quantifiers are walked through.
+  SymbolTable symbols;
+  SymbolId go = symbols.Intern("go");
+  FormulaPtr f = Formula::Forall(
+      {"x"},
+      Formula::And(
+          Formula::Implies(
+              Formula::Atom("R", {V("x"), C(go)}),
+              Formula::Not(Formula::Atom("I", {V("x")}, /*previous=*/true))),
+          Formula::Or(
+              Formula::Exists({"y"},
+                              Formula::And(Formula::Equals(V("x"), V("y")),
+                                           Formula::Atom("S", {V("y")}))),
+              Formula::Or(Formula::Page("HP"),
+                          Formula::And(Formula::True(), Formula::False())))));
+  std::vector<std::string> leaves;
+  f->VisitLeaves(
+      [&](const Formula& leaf) { leaves.push_back(leaf.ToString(symbols)); });
+  EXPECT_EQ(leaves, (std::vector<std::string>{"R(x,\"go\")", "prev I(x)",
+                                              "x = y", "S(y)", "at HP"}));
+  EXPECT_EQ(f->Constants(), (std::set<SymbolId>{go}));
 }
 
 TEST_F(FoTest, QuantifierShadowingInFreeVariables) {

@@ -347,6 +347,20 @@ page Z {
       << arity_status.ToString();
 }
 
+TEST(ValidatePropertyTest, RejectsUndeclaredRelation) {
+  // Built through the API: the parser rejects such an atom before any
+  // property reaches validation.
+  ParseResult home = ParseSpec(kTinySpec);
+  ASSERT_TRUE(home.ok()) << home.ErrorText();
+  Property ghost;
+  ghost.name = "ghost_ref";
+  ghost.body = LtlFormula::G(LtlFormula::Fo(Formula::Atom("ghost", {})));
+  Status s = ValidatePropertyForSpec(*home.spec, ghost);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "property 'ghost_ref': undeclared relation 'ghost'");
+}
+
 TEST(ValidatePropertyTest, RejectsUnboundFreeVariable) {
   ParseResult home = ParseSpec(kTinySpec);
   ASSERT_TRUE(home.ok()) << home.ErrorText();

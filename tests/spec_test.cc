@@ -3,6 +3,10 @@
 // targets mean no transition, previous inputs shift by one step.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "parser/parser.h"
 #include "spec/graph.h"
 #include "spec/prepared_spec.h"
@@ -26,6 +30,41 @@ page P {
 )");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.ErrorText().find("reads action relation"), std::string::npos);
+}
+
+TEST(SpecValidationTest, AtomProblemsOfRulesBuiltThroughTheApi) {
+  // The parser rejects these atoms itself, so only a spec built through
+  // the API reaches Validate's atom checks with them.
+  WebAppSpec spec;
+  Catalog& catalog = spec.catalog();
+  catalog.Declare({"d", 1, RelationKind::kDatabase, {}});
+  RelationId s = catalog.Declare({"s", 1, RelationKind::kState, {}});
+  RelationId i = catalog.Declare({"i", 1, RelationKind::kInput, {}});
+  catalog.Declare({"fired", 1, RelationKind::kAction, {}});
+  PageSchema page;
+  page.name = "P";
+  page.inputs = {i};
+  page.input_rules.push_back(
+      {i, {Term::Var("x")}, Formula::Atom("d", {Term::Var("x")})});
+  page.state_rules.push_back(
+      {s, /*insert=*/true, {Term::Var("x")},
+       Formula::And(Formula::Atom("ghost", {Term::Var("x")}),
+                    Formula::Atom("d", {Term::Var("x"), Term::Var("x")}))});
+  page.target_rules.push_back(
+      {0, Formula::And(
+              Formula::Exists({"x"}, Formula::Atom("fired", {Term::Var("x")})),
+              Formula::Page("Nowhere"))});
+  spec.AddPage(std::move(page));
+  EXPECT_EQ(spec.Validate(),
+            (std::vector<std::string>{
+                "page P, state rule s: undeclared relation 'ghost'",
+                "page P, state rule s: atom d/2 does not match declared "
+                "arity 1",
+                "page P, target condition for P: page atom 'at Nowhere' "
+                "references unknown page 'Nowhere'",
+                "page P, target condition for P: reads action relation "
+                "'fired' (actions are write-only)",
+            }));
 }
 
 TEST(SpecValidationTest, RejectsWrongHeadKind) {

@@ -6,7 +6,9 @@
 // `wave_verify --stats-json` contract external tooling diffs against.
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/wire.h"
@@ -93,6 +95,46 @@ TEST(StatsJsonTest, EveryFieldPresentAndRoundTrips) {
             result.stats.prepass_reuses);
   EXPECT_DOUBLE_EQ(parsed->Find("frontier_size")->Find("count")->AsDouble(),
                    static_cast<double>(result.stats.frontier_size.count));
+}
+
+TEST(StatsJsonTest, MergeSumsCountersAndTimesKeepsMaximaAndMergesBuckets) {
+  const std::set<std::string> high_water_marks = {
+      "max_pseudorun_length", "max_trie_size", "buchi_states",
+      "peak_memory_bytes", "governor_polls"};
+  obs::HistogramData all_samples;
+  for (double v : {1.0, 4.0, 4.0, 1000.0}) all_samples.Record(v);
+  VerifyStats a, b;
+  VerifyStats::ForEachField([&](const char*, auto member, StatsMerge) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(a.*member)>,
+                                 obs::HistogramData>) {
+      (a.*member).Record(1.0);
+      (a.*member).Record(4.0);
+      (b.*member).Record(4.0);
+      (b.*member).Record(1000.0);
+    } else {
+      a.*member = 3;
+      b.*member = 5;
+    }
+  });
+  a.Merge(b);
+  int scalars = 0, histograms = 0;
+  VerifyStats::ForEachField([&](const char* key, auto member, StatsMerge) {
+    const auto& merged = a.*member;
+    if constexpr (std::is_same_v<std::decay_t<decltype(merged)>,
+                                 obs::HistogramData>) {
+      ++histograms;
+      EXPECT_EQ(merged.count, all_samples.count) << key;
+      EXPECT_EQ(merged.sum, all_samples.sum) << key;
+      EXPECT_EQ(merged.min, all_samples.min) << key;
+      EXPECT_EQ(merged.max, all_samples.max) << key;
+      EXPECT_EQ(merged.buckets, all_samples.buckets) << key;
+    } else {
+      ++scalars;
+      EXPECT_EQ(merged, high_water_marks.count(key) > 0 ? 5 : 3 + 5) << key;
+    }
+  });
+  EXPECT_EQ(scalars, 22);
+  EXPECT_EQ(histograms, 5);
 }
 
 TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
