@@ -3,7 +3,9 @@
 // verdicts are asserted in the embedded suites), with exactly the search
 // counters of the committed benchmark baseline, and with the visited-set
 // hits and misses and the counterexamples pinned in
-// tests/golden/search_pins.json.
+// tests/golden/search_pins.json, and with the candidate lists each
+// property's pre-pass hands the search pinned in
+// tests/golden/candidate_pins.json.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "common/fingerprint.h"
 #include "common/io.h"
 #include "obs/json.h"
+#include "verifier/session.h"
 #include "verifier/verifier.h"
 
 #include "verify_helpers.h"
@@ -93,11 +96,11 @@ obs::Json SearchPin(const std::string& name, const VerifyResult& r,
   return pin;
 }
 
-/// Replaces (or appends) `pins` in the golden file, keeping other rows.
-void RegoldSearchPins(
-    const std::vector<std::pair<std::string, obs::Json>>& pins) {
-  std::vector<std::pair<std::string, obs::Json>> rows =
-      ReadJsonLines(SearchPinsPath());
+/// Replaces (or appends) `pins` in the golden file at `path`, keeping
+/// other rows.
+void RegoldPins(const std::string& path,
+                const std::vector<std::pair<std::string, obs::Json>>& pins) {
+  std::vector<std::pair<std::string, obs::Json>> rows = ReadJsonLines(path);
   for (const auto& [name, pin] : pins) {
     auto it = std::find_if(rows.begin(), rows.end(),
                            [&](const auto& row) { return row.first == name; });
@@ -109,7 +112,7 @@ void RegoldSearchPins(
   }
   std::string bytes;
   for (const auto& row : rows) bytes += row.second.Dump() + "\n";
-  Status written = AtomicWriteFile(SearchPinsPath(), bytes);
+  Status written = AtomicWriteFile(path, bytes);
   EXPECT_TRUE(written.ok()) << written.ToString();
 }
 
@@ -178,7 +181,111 @@ TEST_P(AppsTest, AllPropertiesMatchExpectedVerdicts) {
         << name << " counterexample:\n"
         << r.CounterexampleString(*bundle.spec);
   }
-  if (regold) RegoldSearchPins(pins);
+  if (regold) RegoldPins(SearchPinsPath(), pins);
+}
+
+/// tests/golden/candidate_pins.json: one line per property ("e1/P4") with
+/// what its pre-pass hands the search at default options: each free
+/// variable's C∃ candidates and fresh value, and per assignment the core
+/// candidates and every warmed extension set ("page<prev", "page<" for the
+/// initial configuration). Tuples are rendered through symbol names in
+/// list order, so both candidate order and minting order show. Run the
+/// test binary with WAVE_REGOLD set to rewrite this suite's rows.
+std::string CandidatePinsPath() {
+  return std::string(WAVE_REPO_ROOT) + "/tests/golden/candidate_pins.json";
+}
+
+obs::Json CandidateSetPin(const CandidateSet& set, const WebAppSpec& spec) {
+  const SymbolTable& symbols = spec.symbols();
+  obs::Json tuples = obs::Json::Array();
+  for (const auto& [relation, tuple] : set.tuples) {
+    std::string text = spec.catalog().schema(relation).name + "(";
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      if (i > 0) text += ",";
+      text += symbols.Name(tuple[i]);
+    }
+    tuples.Append(obs::Json::Str(text + ")"));
+  }
+  obs::Json pin = obs::Json::Object();
+  pin.Set("tuples", std::move(tuples));
+  pin.Set("overflow", obs::Json::Bool(set.overflow));
+  pin.Set("approx_tuple_count", obs::Json::Number(set.approx_tuple_count));
+  return pin;
+}
+
+obs::Json CandidatePin(const std::string& name, const PropertyPlan& plan,
+                       const PrepassArtifacts* artifacts,
+                       const WebAppSpec& spec) {
+  const SymbolTable& symbols = spec.symbols();
+  obs::Json pin = obs::Json::Object();
+  pin.Set("name", obs::Json::Str(name));
+  pin.Set("decided_holds", obs::Json::Bool(plan.decided_holds));
+  obs::Json free = obs::Json::Array();
+  for (size_t v = 0; v < plan.free_vars.size(); ++v) {
+    obs::Json var = obs::Json::Object();
+    var.Set("var", obs::Json::Str(plan.free_vars[v]));
+    obs::Json candidates = obs::Json::Array();
+    for (SymbolId c : plan.var_candidates[v]) {
+      candidates.Append(obs::Json::Str(symbols.Name(c)));
+    }
+    var.Set("candidates", std::move(candidates));
+    var.Set("fresh", obs::Json::Str(symbols.Name(plan.fresh_values[v])));
+    free.Append(std::move(var));
+  }
+  pin.Set("free", std::move(free));
+  obs::Json assignments = obs::Json::Array();
+  if (artifacts != nullptr) {
+    for (const auto& ctx : artifacts->ctxs) {
+      obs::Json a = obs::Json::Object();
+      a.Set("core", CandidateSetPin(*ctx->core_candidates, spec));
+      obs::Json extensions = obs::Json::Object();
+      for (size_t slot = 0; slot < ctx->ext_table.size(); ++slot) {
+        const CandidateSet* ext = ctx->ext_table[slot];
+        if (ext == nullptr) continue;
+        const int page = static_cast<int>(slot) / ctx->ext_stride;
+        const int prev = static_cast<int>(slot) % ctx->ext_stride - 1;
+        extensions.Set(
+            spec.page(page).name + "<" + (prev < 0 ? "" : spec.page(prev).name),
+            CandidateSetPin(*ext, spec));
+      }
+      a.Set("extensions", std::move(extensions));
+      assignments.Append(std::move(a));
+    }
+  }
+  pin.Set("assignments", std::move(assignments));
+  return pin;
+}
+
+TEST_P(AppsTest, CandidateListsMatchPins) {
+  AppBundle bundle = GetParam().build();
+  Verifier verifier(bundle.spec.get());
+  std::map<std::string, obs::Json> golden_pins;
+  for (auto& [name, pin] : ReadJsonLines(CandidatePinsPath())) {
+    golden_pins.emplace(name, std::move(pin));
+  }
+  const bool regold = std::getenv("WAVE_REGOLD") != nullptr;
+  std::vector<std::pair<std::string, obs::Json>> pins;
+  std::string suite = GetParam().name;
+  suite[0] = static_cast<char>(std::tolower(suite[0]));
+  // The engine's own sequence per property: the plan, then the pre-pass,
+  // all on one session, so fresh symbols are minted in a run's order.
+  VerifierSession& session = verifier.session();
+  const VerifyOptions options;
+  for (const ParsedProperty& p : bundle.properties) {
+    const std::string name = suite + "/" + p.property.name;
+    const PropertyPlan* plan = session.GetPlan(p.property, nullptr);
+    PrepassResult prepass =
+        session.GetPrepass(p.property, options, nullptr, nullptr);
+    obs::Json pin =
+        CandidatePin(name, *plan, prepass.get(), *bundle.spec);
+    session.UnpinPrepass(prepass.artifacts);
+    pins.emplace_back(name, pin);
+    if (regold) continue;
+    auto golden = golden_pins.find(name);
+    ASSERT_NE(golden, golden_pins.end()) << name << " has no candidate pin";
+    EXPECT_EQ(pin.Dump(), golden->second.Dump()) << name;
+  }
+  if (regold) RegoldPins(CandidatePinsPath(), pins);
 }
 
 INSTANTIATE_TEST_SUITE_P(
