@@ -6,6 +6,7 @@
 // 2^(29^2 + 29^3 + 29^5 + 29^7) = 2^17,270,412,688 cores and about
 // 2^29,046,208,721 extensions; with them, 8 cores and a single extension
 // at page LSP.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -18,13 +19,13 @@ namespace {
 
 using namespace wave;  // NOLINT: experiment harness
 
-double CoreTupleCount(WebAppSpec* spec, PageDomains* domains,
+double CoreTupleCount(const SpecFacts* facts, PageDomains* domains,
                       const ComparisonAnalysis* analysis,
-                      const std::vector<FormulaPtr>* components,
-                      const std::set<SymbolId>& universe, bool heuristic1) {
+                      const std::vector<FormulaFacts>* components,
+                      const std::vector<SymbolId>& universe, bool heuristic1) {
   CandidateOptions options;
   options.heuristic1 = heuristic1;
-  CandidateBuilder builder(spec, domains, analysis, components, universe,
+  CandidateBuilder builder(facts, domains, analysis, components, universe,
                            options);
   return builder.CoreCandidates().approx_tuple_count;
 }
@@ -55,22 +56,28 @@ int main() {
   std::vector<FormulaPtr> components = {lhs->SubstituteConstants(c_exists),
                                         rhs->SubstituteConstants(c_exists)};
 
-  std::set<SymbolId> universe = spec->SpecConstants();
+  SpecFacts facts(*spec);
+  std::vector<FormulaFacts> gathered;
+  std::vector<SymbolId> universe = facts.constants();
   for (const FormulaPtr& c : components) {
-    std::set<SymbolId> cs = c->Constants();
-    universe.insert(cs.begin(), cs.end());
+    gathered.push_back(facts.Gather(*c));
+    universe.insert(universe.end(), gathered.back().constants.begin(),
+                    gathered.back().constants.end());
   }
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()),
+                 universe.end());
   std::printf("|C| = |CW ∪ C∃| = %zu constants "
               "(paper: 29 spec constants + 7 in C∃)\n\n",
               universe.size());
 
-  ComparisonAnalysis analysis(*spec, components);
-  PageDomains domains(spec);
+  ComparisonAnalysis analysis(facts, gathered);
+  PageDomains domains(spec, &facts);
 
   // --- cores (Example 3.4 vs 3.5) -------------------------------------------
-  double with_h1 = CoreTupleCount(spec, &domains, &analysis, &components,
+  double with_h1 = CoreTupleCount(&facts, &domains, &analysis, &gathered,
                                   universe, true);
-  double without_h1 = CoreTupleCount(spec, &domains, &analysis, &components,
+  double without_h1 = CoreTupleCount(&facts, &domains, &analysis, &gathered,
                                      universe, false);
   std::printf("cores:   #cores = 2^(candidate tuples)\n");
   std::printf("  Heuristic 1 OFF: %.0f candidate tuples -> 2^%.0f cores "
@@ -86,7 +93,7 @@ int main() {
   for (bool heuristic2 : {false, true}) {
     CandidateOptions options;
     options.heuristic2 = heuristic2;
-    CandidateBuilder builder(spec, &domains, &analysis, &components,
+    CandidateBuilder builder(&facts, &domains, &analysis, &gathered,
                              universe, options);
     const CandidateSet& ext = builder.ExtensionCandidates(lsp, cp);
     if (heuristic2) {

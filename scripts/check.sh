@@ -29,7 +29,9 @@
 # configurations, at the same job counts. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
-# output, fails the check.
+# output, fails the check. A few rows first feed wave_verify malformed or
+# out-of-range numeric flags, which must be a usage error (exit 1) with
+# no sanitizer report.
 #
 # TSan mode builds with WAVE_SANITIZE=thread and runs the determinism
 # suite (tests/parallel_test.cc) plus the batch-equivalence suite
@@ -317,6 +319,31 @@ run_stress() {
     done
   done
 }
+
+# Malformed or out-of-range numeric flags: a usage error (exit 1) before
+# any verification, never a silent 0 or an overflowed budget.
+run_usage_error() {
+  label="$1"; shift
+  rc=0
+  "$VERIFY" "$ROOT/specs/e1_shopping.spec" "$@" >"$LOG" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL [$label]: exit $rc (want 1)"
+    cat "$LOG"
+    FAILED=1
+  elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
+    echo "FAIL [$label]: sanitizer report"
+    cat "$LOG"
+    FAILED=1
+  else
+    echo "ok   [$label] (exit 1)"
+  fi
+}
+
+run_usage_error "bad-candidates" --max-candidates=abc
+run_usage_error "bad-timeout" --timeout=abc
+run_usage_error "huge-memory" --max-memory-mb=99999999999999
+run_usage_error "huge-candidates-ladder" --property=P8 \
+    --max-candidates=2147483647 --retry-ladder
 
 run_stress "deadline-50ms" --keep-going --timeout=0.05
 run_stress "candidates-2" --keep-going --max-candidates=2 --timeout=5

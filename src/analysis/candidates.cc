@@ -9,92 +9,117 @@
 
 namespace wave {
 
-void LocalFacts::Walk(const Catalog& catalog, const Formula& f) {
-  f.VisitLeaves([&](const Formula& leaf) {
-    const std::vector<Term>& args = leaf.args();
-    if (leaf.kind() == Formula::Kind::kEquals) {
-      if (args[0].is_variable() && !args[1].is_variable()) {
-        vars[args[0].variable].pinned.insert(args[1].constant);
-      } else if (args[1].is_variable() && !args[0].is_variable()) {
-        vars[args[1].variable].pinned.insert(args[0].constant);
+PageDomains::PageDomains(WebAppSpec* spec, const SpecFacts* facts)
+    : spec_(spec),
+      facts_(facts),
+      domains_(spec->num_pages()),
+      built_(spec->num_pages(), false),
+      rule_witnesses_(facts->num_witnesses(), kInvalidSymbol),
+      property_witnesses_(spec->num_pages()) {}
+
+const PageDomain& PageDomains::Get(int page) {
+  PageDomain& domain = domains_[page];
+  if (built_[page]) return domain;
+  built_[page] = true;
+
+  const PageSchema& schema = spec_->page(page);
+  const Catalog& catalog = spec_->catalog();
+  SymbolTable& symbols = spec_->symbols();
+  domain.input_values.assign(facts_->num_input_slots(), kInvalidSymbol);
+  for (RelationId input : schema.inputs) {
+    const RelationSchema& relation = catalog.schema(input);
+    for (int j = 0; j < relation.arity; ++j) {
+      const SymbolId v = symbols.MintFresh(schema.name + "." + relation.name +
+                                           "." + std::to_string(j));
+      const int slot = facts_->InputSlot({input, j});
+      if (slot >= 0) domain.input_values[slot] = v;  // else: invalid spec
+    }
+  }
+  for (SymbolId v : domain.input_values) {
+    if (v != kInvalidSymbol) domain.all_values.push_back(v);
+  }
+  // Witnesses for every option-rule body variable that is neither a head
+  // variable nor pinned to a constant, in atom order.
+  for (const RuleFacts& rule : facts_->rules(page)) {
+    if (rule.kind != 'i') break;  // input rules come first
+    const std::vector<LocalVar>& vars = rule.body.vars;
+    std::vector<bool> skip(vars.size(), false);
+    for (const TermFact& t : rule.head) {
+      if (t.is_variable()) skip[t.var] = true;
+    }
+    for (size_t k = 0; k < vars.size(); ++k) {
+      if (!vars[k].pinned.empty()) skip[k] = true;
+    }
+    for (const AtomFact& atom : rule.body.atoms) {
+      for (const TermFact& t : atom.args) {
+        if (!t.is_variable() || skip[t.var]) continue;
+        skip[t.var] = true;
+        domain.all_values.push_back(
+            symbols.MintFresh(schema.name + ".w." + vars[t.var].name));
       }
-      return;
     }
-    if (leaf.kind() != Formula::Kind::kAtom) return;
-    RelationId id = catalog.Find(leaf.relation());
-    if (id == kInvalidRelation) return;
-    bool is_input = IsInputKind(catalog.schema(id).kind);
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (!args[i].is_variable()) continue;
-      LocalVar& v = vars[args[i].variable];
-      AttrPos pos{id, static_cast<int>(i)};
-      v.all_positions.insert(pos);
-      if (is_input) v.input_positions.insert({pos, leaf.previous()});
-    }
-  });
+  }
+  std::sort(domain.all_values.begin(), domain.all_values.end());
+  return domain;
+}
+
+SymbolId PageDomains::Mint(int page, const std::string& tag) {
+  return spec_->symbols().MintFresh(spec_->page(page).name + ".w." + tag);
+}
+
+SymbolId PageDomains::RuleWitness(int page, const RuleFacts& rule, int var) {
+  SymbolId& witness = rule_witnesses_[rule.witness_base + var];
+  if (witness == kInvalidSymbol) {
+    witness = Mint(page, std::string(1, rule.kind) +
+                             std::to_string(rule.index) + "." +
+                             rule.body.vars[var].name);
+  }
+  return witness;
+}
+
+int PageDomains::PropertyVar(int component, const std::string& var) {
+  std::string tag = "p" + std::to_string(component) + "." + var;
+  auto [it, added] = property_vars_.emplace(
+      tag, static_cast<int>(property_tags_.size()));
+  if (added) property_tags_.push_back(std::move(tag));
+  return it->second;
+}
+
+SymbolId PageDomains::PropertyWitness(int page, int id) {
+  std::vector<SymbolId>& witnesses = property_witnesses_[page];
+  if (witnesses.size() <= static_cast<size_t>(id)) {
+    witnesses.resize(property_tags_.size(), kInvalidSymbol);
+  }
+  if (witnesses[id] == kInvalidSymbol) {
+    witnesses[id] = Mint(page, property_tags_[id]);
+  }
+  return witnesses[id];
 }
 
 CandidateBuilder::CandidateBuilder(
-    WebAppSpec* spec, PageDomains* domains,
+    const SpecFacts* facts, PageDomains* domains,
     const ComparisonAnalysis* analysis,
-    const std::vector<FormulaPtr>* property_components,
-    const std::set<SymbolId>& constant_universe,
+    const std::vector<FormulaFacts>* property_components,
+    const std::vector<SymbolId>& constant_universe,
     const CandidateOptions& options)
-    : spec_(spec),
+    : facts_(facts),
       domains_(domains),
       analysis_(analysis),
       property_components_(property_components),
-      constant_universe_(constant_universe),
-      options_(options) {}
-
-const PageDomain& PageDomains::Get(int page) {
-  auto it = domains_.find(page);
-  if (it != domains_.end()) return it->second;
-
-  PageDomain domain;
-  const PageSchema& schema = spec_->page(page);
-  SymbolTable& symbols = spec_->symbols();
-  const std::string prefix = schema.name;
-
-  for (RelationId input : schema.inputs) {
-    int arity = spec_->catalog().schema(input).arity;
-    for (int j = 0; j < arity; ++j) {
-      SymbolId v = symbols.MintFresh(
-          prefix + "." + spec_->catalog().schema(input).name + "." +
-          std::to_string(j));
-      domain.input_values[{input, j}] = v;
-    }
+      universe_(constant_universe),
+      options_(options) {
+  if (!universe_.empty()) {
+    in_universe_.resize(universe_.back() + 1);
+    for (SymbolId c : universe_) in_universe_[c] = true;
   }
-  for (size_t r = 0; r < schema.input_rules.size(); ++r) {
-    const InputRule& rule = schema.input_rules[r];
-    std::set<std::string> head_vars;
-    for (const Term& t : rule.head) {
-      if (t.is_variable()) head_vars.insert(t.variable);
-    }
-    LocalFacts facts;
-    facts.Walk(spec_->catalog(), *rule.body);
-    // Witnesses for every body variable that is neither a head variable nor
-    // pinned to a constant.
-    rule.body->VisitLeaves([&](const Formula& atom) {
-      if (atom.kind() != Formula::Kind::kAtom) return;
-      for (const Term& t : atom.args()) {
-        if (!t.is_variable() || head_vars.count(t.variable) > 0 ||
-            !facts.vars[t.variable].pinned.empty()) {
-          continue;
-        }
-        auto key = std::make_pair(static_cast<int>(r), t.variable);
-        if (domain.witnesses.count(key) == 0) {
-          domain.witnesses[key] =
-              symbols.MintFresh(prefix + ".w." + t.variable);
-        }
+  if (property_components_ != nullptr) {
+    for (size_t r = 0; r < property_components_->size(); ++r) {
+      std::vector<int>& ids = property_vars_.emplace_back();
+      for (const LocalVar& var : (*property_components_)[r].vars) {
+        ids.push_back(domains_->PropertyVar(static_cast<int>(r), var.name));
       }
-    });
+    }
   }
-  for (const auto& [pos, v] : domain.input_values) domain.all_values.push_back(v);
-  for (const auto& [key, v] : domain.witnesses) domain.all_values.push_back(v);
-  std::sort(domain.all_values.begin(), domain.all_values.end());
-
-  return domains_.emplace(page, std::move(domain)).first->second;
 }
 
 void CandidateBuilder::AppendProduct(
@@ -120,14 +145,19 @@ void CandidateBuilder::AppendProduct(
     bool fresh = false;
     for (size_t i = 0; i < value_sets.size(); ++i) {
       tuple[i] = value_sets[i][idx[i]];
-      if (constant_universe_.count(tuple[i]) == 0) fresh = true;
+      if (!InUniverse(tuple[i])) fresh = true;
     }
     // The budget counts distinct tuples: an atom's fresh and constant
     // instantiations coincide when a variable has no dataflow constant, and
-    // atoms across rules often coincide. Past the budget nothing more is
-    // kept, so `approx_tuple_count` then counts every tuple, an upper bound.
+    // atoms across rules often coincide. Until the budget is spent `out`
+    // holds every distinct tuple so far; past it nothing more is kept, so
+    // `approx_tuple_count` then counts every tuple, an upper bound.
     if ((!require_fresh || fresh) &&
-        (out->overflow || seen_.emplace(relation, tuple).second)) {
+        (out->overflow ||
+         std::none_of(out->tuples.begin(), out->tuples.end(),
+                      [&](const std::pair<RelationId, Tuple>& seen) {
+                        return seen.first == relation && seen.second == tuple;
+                      }))) {
       out->approx_tuple_count += 1;
       if (static_cast<int>(out->tuples.size()) >= options_.max_candidates) {
         out->overflow = true;
@@ -149,21 +179,18 @@ void CandidateBuilder::AppendProduct(
 
 void CandidateBuilder::BuildCore() {
   core_built_ = true;
-  seen_.clear();
-  std::vector<SymbolId> universe(constant_universe_.begin(),
-                                 constant_universe_.end());
-  for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
-    const RelationSchema& schema = spec_->catalog().schema(id);
+  const Catalog& catalog = facts_->spec().catalog();
+  for (RelationId id = 0; id < catalog.size(); ++id) {
+    const RelationSchema& schema = catalog.schema(id);
     if (schema.kind != RelationKind::kDatabase) continue;
     std::vector<std::vector<SymbolId>> value_sets(schema.arity);
     for (int i = 0; i < schema.arity; ++i) {
       if (options_.heuristic1) {
-        const std::set<SymbolId>& allowed = analysis_->constants({id, i});
-        for (SymbolId c : allowed) {
-          if (constant_universe_.count(c) > 0) value_sets[i].push_back(c);
+        for (SymbolId c : analysis_->constants({id, i})) {
+          if (InUniverse(c)) value_sets[i].push_back(c);
         }
       } else {
-        value_sets[i] = universe;
+        value_sets[i] = universe_;
       }
     }
     AppendProduct(id, value_sets, /*require_fresh=*/false, &core_);
@@ -175,109 +202,90 @@ const CandidateSet& CandidateBuilder::CoreCandidates() {
   return core_;
 }
 
-SymbolId PageDomains::Witness(int page, const std::string& tag) {
-  auto key = std::make_pair(page, tag);
-  auto it = generic_witnesses_.find(key);
-  if (it != generic_witnesses_.end()) return it->second;
-  SymbolId v = spec_->symbols().MintFresh(spec_->page(page).name + ".w." + tag);
-  return generic_witnesses_.emplace(key, v).first->second;
-}
-
-void CandidateBuilder::AddFormulaCandidates(
-    const FormulaPtr& body, int page, int prev_page,
-    const std::string& formula_tag, RelationId option_head_relation,
-    const std::vector<Term>* option_head, CandidateSet* out) {
-  const Catalog& catalog = spec_->catalog();
-  LocalFacts facts;
-  facts.Walk(catalog, *body);
-  if (option_head != nullptr) {
-    // Option-rule head variables are the values of the generated input
-    // tuple: treat the head columns as (current-step) input positions.
-    for (size_t j = 0; j < option_head->size(); ++j) {
-      const Term& t = (*option_head)[j];
-      if (!t.is_variable()) continue;
-      AttrPos pos{option_head_relation, static_cast<int>(j)};
-      facts.vars[t.variable].all_positions.insert(pos);
-      facts.vars[t.variable].input_positions.insert({pos, false});
-    }
-  }
-
-  const PageDomain& current = page_domain(page);
+template <typename Witness>
+void CandidateBuilder::AddFormulaCandidates(const FormulaFacts& f, int page,
+                                            int prev_page,
+                                            const Witness& witness,
+                                            CandidateSet* out) {
+  const Catalog& catalog = facts_->spec().catalog();
+  const PageDomain& current = domains_->Get(page);
   const PageDomain* previous =
-      prev_page >= 0 ? &page_domain(prev_page) : nullptr;
+      prev_page >= 0 ? &domains_->Get(prev_page) : nullptr;
 
   // Fresh value of a variable: a linked input position's page value, else a
   // per-variable witness; pinned variables always take their constant(s).
-  auto fresh_values = [&](const std::string& var) {
-    const LocalVar& info = facts.vars[var];
-    std::vector<SymbolId> values(info.pinned.begin(), info.pinned.end());
-    if (!values.empty()) return values;
-    for (const auto& [pos, is_prev] : info.input_positions) {
+  auto fresh_values = [&](int var, std::vector<SymbolId>* values) {
+    const LocalVar& info = f.vars[var];
+    values->assign(info.pinned.begin(), info.pinned.end());
+    if (!values->empty()) return;
+    for (const auto& [slot, is_prev] : info.inputs) {
       const PageDomain* domain = is_prev ? previous : &current;
       if (domain == nullptr) continue;
-      auto it = domain->input_values.find(pos);
-      if (it != domain->input_values.end()) values.push_back(it->second);
+      const SymbolId value = domain->input_values[slot];
+      if (value != kInvalidSymbol) values->push_back(value);
     }
-    if (values.empty()) {
-      values.push_back(domains_->Witness(page, formula_tag + "." + var));
-    }
-    return values;
+    if (values->empty()) values->push_back(witness(var));
   };
   // Constants mode: the dataflow-allowed constants of any position the
   // variable occupies (falling back to the fresh values).
-  auto constant_values = [&](const std::string& var) {
-    const LocalVar& info = facts.vars[var];
-    std::vector<SymbolId> values(info.pinned.begin(), info.pinned.end());
-    if (!values.empty()) return values;
-    std::set<SymbolId> cs;
-    for (const AttrPos& pos : info.all_positions) {
+  auto constant_values = [&](int var, std::vector<SymbolId>* values) {
+    const LocalVar& info = f.vars[var];
+    values->assign(info.pinned.begin(), info.pinned.end());
+    if (!values->empty()) return;
+    for (int pos : info.positions) {
       for (SymbolId c : analysis_->constants(pos)) {
-        if (constant_universe_.count(c) > 0) cs.insert(c);
+        if (InUniverse(c)) values->push_back(c);
       }
     }
-    if (!cs.empty()) return std::vector<SymbolId>(cs.begin(), cs.end());
-    return fresh_values(var);
+    std::sort(values->begin(), values->end());
+    values->erase(std::unique(values->begin(), values->end()), values->end());
+    if (values->empty()) fresh_values(var, values);
   };
 
-  body->VisitLeaves([&](const Formula& atom) {
-    if (atom.kind() != Formula::Kind::kAtom) return;
-    RelationId id = catalog.Find(atom.relation());
-    if (id == kInvalidRelation) return;
-    if (catalog.schema(id).kind != RelationKind::kDatabase) return;
+  std::vector<std::vector<SymbolId>> value_sets;
+  for (const AtomFact& atom : f.atoms) {
+    if (atom.relation == kInvalidRelation ||
+        catalog.schema(atom.relation).kind != RelationKind::kDatabase) {
+      continue;
+    }
+    value_sets.resize(atom.args.size());
     for (int mode = 0; mode < 2; ++mode) {
-      std::vector<std::vector<SymbolId>> value_sets(atom.args().size());
-      for (size_t k = 0; k < atom.args().size(); ++k) {
-        const Term& t = atom.args()[k];
+      for (size_t k = 0; k < atom.args.size(); ++k) {
+        const TermFact& t = atom.args[k];
         if (!t.is_variable()) {
-          value_sets[k] = {t.constant};
+          value_sets[k].assign(1, t.constant);
+        } else if (mode == 0) {
+          fresh_values(t.var, &value_sets[k]);
         } else {
-          value_sets[k] =
-              mode == 0 ? fresh_values(t.variable) : constant_values(t.variable);
+          constant_values(t.var, &value_sets[k]);
         }
       }
-      AppendProduct(id, value_sets, /*require_fresh=*/true, out);
+      AppendProduct(atom.relation, value_sets, /*require_fresh=*/true, out);
     }
-  });
+  }
 }
 
 CandidateSet CandidateBuilder::BuildExtension(int page, int prev_page) {
   CandidateSet out;
-  seen_.clear();
 
   if (!options_.heuristic2) {
     // Heuristic 2 disabled: every tuple over C ∪ C_{V_t} ∪ C_{V_s} with at
     // least one fresh value is a candidate — Example 3.4's regime.
-    const PageDomain& current = page_domain(page);
-    std::set<SymbolId> values(constant_universe_.begin(),
-                              constant_universe_.end());
-    values.insert(current.all_values.begin(), current.all_values.end());
+    std::vector<SymbolId> universe = universe_;
+    const PageDomain& current = domains_->Get(page);
+    universe.insert(universe.end(), current.all_values.begin(),
+                    current.all_values.end());
     if (prev_page >= 0) {
-      const PageDomain& previous = page_domain(prev_page);
-      values.insert(previous.all_values.begin(), previous.all_values.end());
+      const PageDomain& previous = domains_->Get(prev_page);
+      universe.insert(universe.end(), previous.all_values.begin(),
+                      previous.all_values.end());
     }
-    std::vector<SymbolId> universe(values.begin(), values.end());
-    for (RelationId id = 0; id < spec_->catalog().size(); ++id) {
-      const RelationSchema& schema = spec_->catalog().schema(id);
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()),
+                   universe.end());
+    const Catalog& catalog = facts_->spec().catalog();
+    for (RelationId id = 0; id < catalog.size(); ++id) {
+      const RelationSchema& schema = catalog.schema(id);
       if (schema.kind != RelationKind::kDatabase) continue;
       std::vector<std::vector<SymbolId>> value_sets(schema.arity, universe);
       AppendProduct(id, value_sets, /*require_fresh=*/true, &out);
@@ -285,33 +293,19 @@ CandidateSet CandidateBuilder::BuildExtension(int page, int prev_page) {
     return out;
   }
 
-  const PageSchema& schema = spec_->page(page);
-  for (size_t r = 0; r < schema.input_rules.size(); ++r) {
-    const InputRule& rule = schema.input_rules[r];
-    AddFormulaCandidates(rule.body, page, prev_page,
-                         "i" + std::to_string(r), rule.relation, &rule.head,
-                         &out);
-  }
-  for (size_t r = 0; r < schema.state_rules.size(); ++r) {
-    AddFormulaCandidates(schema.state_rules[r].body, page, prev_page,
-                         "s" + std::to_string(r), kInvalidRelation, nullptr,
-                         &out);
-  }
-  for (size_t r = 0; r < schema.action_rules.size(); ++r) {
-    AddFormulaCandidates(schema.action_rules[r].body, page, prev_page,
-                         "a" + std::to_string(r), kInvalidRelation, nullptr,
-                         &out);
-  }
-  for (size_t r = 0; r < schema.target_rules.size(); ++r) {
-    AddFormulaCandidates(schema.target_rules[r].condition, page, prev_page,
-                         "t" + std::to_string(r), kInvalidRelation, nullptr,
-                         &out);
+  for (const RuleFacts& rule : facts_->rules(page)) {
+    AddFormulaCandidates(
+        rule.body, page, prev_page,
+        [&](int var) { return domains_->RuleWitness(page, rule, var); },
+        &out);
   }
   if (property_components_ != nullptr) {
     for (size_t r = 0; r < property_components_->size(); ++r) {
-      AddFormulaCandidates((*property_components_)[r], page, prev_page,
-                           "p" + std::to_string(r), kInvalidRelation, nullptr,
-                           &out);
+      const std::vector<int>& ids = property_vars_[r];
+      AddFormulaCandidates(
+          (*property_components_)[r], page, prev_page,
+          [&](int var) { return domains_->PropertyWitness(page, ids[var]); },
+          &out);
     }
   }
 

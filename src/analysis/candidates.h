@@ -25,11 +25,13 @@
 // the witness tuples option rules need to generate fresh input choices;
 // mixed fresh/constant instantiations beyond the two modes are not
 // enumerated (see DESIGN.md).
+//
+// The rules' atoms come resolved from `SpecFacts` (dataflow.h), so building
+// a set walks no formula and looks up no name.
 #ifndef WAVE_ANALYSIS_CANDIDATES_H_
 #define WAVE_ANALYSIS_CANDIDATES_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,33 +42,20 @@
 
 namespace wave {
 
-/// What one formula says about a variable, gathered from its leaves.
-struct LocalVar {
-  std::set<SymbolId> pinned;  // constants the variable is equated to
-  // Input positions the variable occurs at: (position, is_previous).
-  std::set<std::pair<AttrPos, bool>> input_positions;
-  std::set<AttrPos> all_positions;
-};
-
-/// Per-variable facts of one or more formulas: candidate instantiation
-/// reads them per formula, the C∃ candidates of a property's free
-/// variables over all of its FO components.
-struct LocalFacts {
-  std::map<std::string, LocalVar> vars;
-
-  /// Adds `f`'s var=const equalities and the positions of its atoms over
-  /// declared relations.
-  void Walk(const Catalog& catalog, const Formula& f);
-};
+/// Default candidate-tuple budget per core/extension set.
+inline constexpr int kDefaultMaxCandidates = 20;
+/// Largest budget: a core is addressed as a bitmap of its candidates in an
+/// int64, so more than 62 could never be enumerated.
+inline constexpr int kMaxCandidatesLimit = 62;
 
 /// Fresh values minted for one page (the paper's C_V).
 struct PageDomain {
-  /// Value representing the input at position (relation, column).
-  std::map<AttrPos, SymbolId> input_values;
-  /// Witness values for option-rule variables that are neither head
-  /// variables nor equated to constants, keyed by (rule index, var name).
-  std::map<std::pair<int, std::string>, SymbolId> witnesses;
-  /// Every value of this domain (sorted).
+  /// The page's value of each of its input positions, indexed by
+  /// `SpecFacts::InputSlot`; kInvalidSymbol at other pages' inputs.
+  std::vector<SymbolId> input_values;
+  /// Every value of this domain (sorted): the input values and the
+  /// witnesses of option-rule variables that are neither head variables
+  /// nor equated to constants.
   std::vector<SymbolId> all_values;
 };
 
@@ -90,39 +79,55 @@ struct CandidateOptions {
   bool heuristic2 = true;  // extension pruning
   /// Candidate tuples beyond this are reported as overflow (the powerset
   /// would be unenumerable anyway).
-  int max_candidates = 24;
+  int max_candidates = kDefaultMaxCandidates;
 };
 
-/// Lazily mints and caches the fresh-value domain C_V of each page. Owned
-/// separately from `CandidateBuilder` so the (spec-dependent, property-
-/// independent) domains are shared across C∃ iterations.
+/// The fresh values of one spec: each page's domain C_V, and the witness
+/// values extension candidates mint lazily. A session shares them across
+/// properties and C∃ assignments; symbols are minted in first-use order.
 class PageDomains {
  public:
-  /// Mints fresh symbols into the spec's symbol table; relation schemas
-  /// are never modified.
-  explicit PageDomains(WebAppSpec* spec) : spec_(spec) {}
+  /// Mints into `spec`'s symbol table; relation schemas are never
+  /// modified. `facts` (over the same spec) must outlive this.
+  PageDomains(WebAppSpec* spec, const SpecFacts* facts);
 
+  /// C_V of `page`, minted on first use.
   const PageDomain& Get(int page);
 
-  /// A stable fresh witness value for `tag` at `page` (minted on first use).
-  SymbolId Witness(int page, const std::string& tag);
+  /// The witness of variable slot `var` of `rule`, one of `page`'s rules.
+  SymbolId RuleWitness(int page, const RuleFacts& rule, int var);
+
+  /// Id of variable `var` of a property's FO component `component`:
+  /// properties with the same component index and variable name share
+  /// witnesses.
+  int PropertyVar(int component, const std::string& var);
+  /// The witness of property variable `id` (see `PropertyVar`) at `page`.
+  SymbolId PropertyWitness(int page, int id);
 
  private:
+  SymbolId Mint(int page, const std::string& tag);
+
   WebAppSpec* spec_;
-  std::map<int, PageDomain> domains_;
-  std::map<std::pair<int, std::string>, SymbolId> generic_witnesses_;
+  const SpecFacts* facts_;
+  std::vector<PageDomain> domains_;
+  std::vector<bool> built_;
+  std::vector<SymbolId> rule_witnesses_;  // SpecFacts' witness table
+  std::map<std::string, int> property_vars_;  // "p<component>.<var>" -> id
+  std::vector<std::string> property_tags_;    // by id
+  std::vector<std::vector<SymbolId>> property_witnesses_;  // [page][id]
 };
 
 /// Builds candidate sets for cores and extensions.
 class CandidateBuilder {
  public:
-  /// `analysis` must be built over the same spec with the *instantiated*
-  /// property components, which are also passed as `property_components`.
-  /// `constant_universe` is C = CW ∪ C∃.
-  CandidateBuilder(WebAppSpec* spec, PageDomains* domains,
+  /// `analysis` must be built from `facts` with the property's
+  /// *instantiated* components, which are also passed, gathered, as
+  /// `property_components` (null for none). `constant_universe` is
+  /// C = CW ∪ C∃, sorted. Every pointee must outlive the builder.
+  CandidateBuilder(const SpecFacts* facts, PageDomains* domains,
                    const ComparisonAnalysis* analysis,
-                   const std::vector<FormulaPtr>* property_components,
-                   const std::set<SymbolId>& constant_universe,
+                   const std::vector<FormulaFacts>* property_components,
+                   const std::vector<SymbolId>& constant_universe,
                    const CandidateOptions& options);
 
   /// Candidate tuples for database cores.
@@ -138,33 +143,34 @@ class CandidateBuilder {
   CandidateSet BuildExtension(int page, int prev_page);
 
   /// Adds the per-atom instantiations of one formula's database atoms (see
-  /// the file comment) to `out`. `formula_tag` namespaces witness values;
-  /// option rules pass their head so head variables map to the page value
-  /// of their input position.
-  void AddFormulaCandidates(const FormulaPtr& body, int page, int prev_page,
-                            const std::string& formula_tag,
-                            RelationId option_head_relation,
-                            const std::vector<Term>* option_head,
-                            CandidateSet* out);
+  /// the file comment) to `out`; `witness(k)` is the witness value of its
+  /// variable slot k at `page`.
+  template <typename Witness>
+  void AddFormulaCandidates(const FormulaFacts& f, int page, int prev_page,
+                            const Witness& witness, CandidateSet* out);
 
   /// Appends the product of `value_sets` as tuples of `relation` to `out`
-  /// (respecting the overflow budget), skipping tuples already in `seen_`.
+  /// (respecting the overflow budget), skipping tuples already in `out`.
   /// `require_fresh` keeps only tuples with at least one
   /// non-constant-universe value.
   void AppendProduct(RelationId relation,
                      const std::vector<std::vector<SymbolId>>& value_sets,
                      bool require_fresh, CandidateSet* out);
 
-  const PageDomain& page_domain(int page) { return domains_->Get(page); }
+  bool InUniverse(SymbolId value) const {
+    return static_cast<size_t>(value) < in_universe_.size() &&
+           in_universe_[value];
+  }
 
-  WebAppSpec* spec_;
+  const SpecFacts* facts_;
   PageDomains* domains_;
   const ComparisonAnalysis* analysis_;
-  const std::vector<FormulaPtr>* property_components_;
-  std::set<SymbolId> constant_universe_;
+  const std::vector<FormulaFacts>* property_components_;
+  std::vector<SymbolId> universe_;
+  std::vector<bool> in_universe_;
   CandidateOptions options_;
-
-  std::set<std::pair<RelationId, Tuple>> seen_;  // the set being built
+  /// `PageDomains::PropertyVar` of each property component's variables.
+  std::vector<std::vector<int>> property_vars_;
 
   bool core_built_ = false;
   CandidateSet core_;

@@ -1,6 +1,8 @@
 #include "analysis/dataflow.h"
 
-#include <string>
+#include <algorithm>
+#include <iterator>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -8,199 +10,370 @@ namespace wave {
 
 namespace {
 
-/// Union-find over variable names with per-class payloads gathered later.
-class VarClasses {
- public:
-  int ClassOf(const std::string& var) {
-    auto it = index_.find(var);
-    if (it == index_.end()) {
-      int id = static_cast<int>(parent_.size());
-      parent_.push_back(id);
-      index_.emplace(var, id);
-      return id;
-    }
-    return Find(it->second);
-  }
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
 
-  void Union(const std::string& a, const std::string& b) {
-    int ra = ClassOf(a), rb = ClassOf(b);
-    if (ra != rb) parent_[ra] = rb;
-  }
+/// Adds `value` to the sorted vector `v`; true when it was new.
+template <typename T>
+bool InsertSorted(std::vector<T>* v, const T& value) {
+  auto it = std::lower_bound(v->begin(), v->end(), value);
+  if (it != v->end() && *it == value) return false;
+  v->insert(it, value);
+  return true;
+}
 
-  int Find(int i) {
-    while (parent_[i] != i) {
-      parent_[i] = parent_[parent_[i]];
-      i = parent_[i];
+/// Adds the sorted `from` to the sorted `to`; true when `to` grew.
+template <typename T>
+bool MergeSorted(std::vector<T>* to, const std::vector<T>& from) {
+  if (std::includes(to->begin(), to->end(), from.begin(), from.end())) {
+    return false;
+  }
+  std::vector<T> merged;
+  merged.reserve(to->size() + from.size());
+  std::set_union(to->begin(), to->end(), from.begin(), from.end(),
+                 std::back_inserter(merged));
+  to->swap(merged);
+  return true;
+}
+
+/// Adds `from`'s comparisons to `to`; true when `to` grew.
+bool Merge(ComparisonSets* to, const ComparisonSets& from) {
+  bool grew = MergeSorted(&to->constants, from.constants);
+  return MergeSorted(&to->input_links, from.input_links) || grew;
+}
+
+/// What one formula contributes to the analysis: comparisons at positions
+/// and, for a rule, copy edges from its head positions.
+struct Seeds {
+  std::vector<std::pair<int, SymbolId>> constants;  // (position, constant)
+  std::vector<std::pair<int, AttrPos>> links;       // (position, input)
+  std::vector<std::pair<int, int>> edges;           // (head, source)
+
+  bool empty() const { return constants.empty() && links.empty(); }
+};
+
+/// Collects `f`'s seeds: equality classes over its variables, explicit
+/// constants, and (given a head) copy edges from the head's positions to
+/// the body positions of each head variable's class.
+void CollectSeeds(const SpecFacts& facts, const FormulaFacts& f,
+                  RelationId head_relation, const std::vector<TermFact>* head,
+                  Seeds* out) {
+  const Catalog& catalog = facts.spec().catalog();
+  std::vector<int> parent(f.vars.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](int i) {
+    while (parent[i] != i) {
+      parent[i] = parent[parent[i]];
+      i = parent[i];
     }
     return i;
+  };
+  for (const auto& [a, b] : f.equalities) {
+    if (a.is_variable() && b.is_variable()) parent[find(a.var)] = find(b.var);
   }
 
- private:
-  std::map<std::string, int> index_;
-  std::vector<int> parent_;
-};
-
-struct FormulaFacts {
-  VarClasses classes;
-  // Raw facts collected during the walk; unions may still reshuffle class
-  // roots, so aggregation into per-class maps happens in Finalize().
-  std::vector<std::pair<std::string, AttrPos>> var_positions;
-  std::vector<std::pair<std::string, SymbolId>> var_constants;
-  std::vector<std::pair<AttrPos, SymbolId>> explicit_constants;
-  // Populated by Finalize(), keyed by final class roots.
-  std::map<int, std::set<AttrPos>> positions;
-  std::map<int, std::set<SymbolId>> constants;
-
-  void AddAtom(const Catalog& catalog, const std::string& relation,
-               const std::vector<Term>& args) {
-    RelationId id = catalog.Find(relation);
-    if (id == kInvalidRelation) return;
-    for (size_t i = 0; i < args.size(); ++i) {
-      AttrPos pos{id, static_cast<int>(i)};
-      if (args[i].is_variable()) {
-        classes.ClassOf(args[i].variable);
-        var_positions.emplace_back(args[i].variable, pos);
+  // Positions per class root; constants at positions go in directly.
+  std::vector<std::vector<int>> positions(f.vars.size());
+  for (const AtomFact& atom : f.atoms) {
+    if (atom.relation == kInvalidRelation) continue;
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const int pos = facts.Position({atom.relation, static_cast<int>(i)});
+      const TermFact& t = atom.args[i];
+      if (t.is_variable()) {
+        positions[find(t.var)].push_back(pos);
       } else {
-        explicit_constants.emplace_back(pos, args[i].constant);
+        out->constants.emplace_back(pos, t.constant);
+      }
+    }
+  }
+  // A head column joins its variable's class (the copy "compares" it to
+  // every position of the class), and comparisons made against the head
+  // column elsewhere flow back to the class.
+  if (head != nullptr && head_relation != kInvalidRelation) {
+    for (size_t j = 0; j < head->size(); ++j) {
+      const int pos = facts.Position({head_relation, static_cast<int>(j)});
+      const TermFact& t = (*head)[j];
+      if (t.is_variable()) {
+        std::vector<int>& cls = positions[find(t.var)];
+        for (int src : cls) out->edges.emplace_back(pos, src);
+        cls.push_back(pos);
+      } else {
+        out->constants.emplace_back(pos, t.constant);
       }
     }
   }
 
-  void AddEquality(const Term& a, const Term& b) {
-    if (a.is_variable() && b.is_variable()) {
-      classes.Union(a.variable, b.variable);
-    } else if (a.is_variable()) {
-      var_constants.emplace_back(a.variable, b.constant);
-    } else if (b.is_variable()) {
-      var_constants.emplace_back(b.variable, a.constant);
-    }
+  // Every position of a class is compared to the class's constants and to
+  // its input positions.
+  std::vector<std::vector<SymbolId>> class_constants(f.vars.size());
+  for (size_t v = 0; v < f.vars.size(); ++v) {
+    const std::vector<SymbolId>& pinned = f.vars[v].pinned;
+    std::vector<SymbolId>& cs = class_constants[find(static_cast<int>(v))];
+    cs.insert(cs.end(), pinned.begin(), pinned.end());
   }
-
-  void Walk(const Catalog& catalog, const Formula& f) {
-    f.VisitLeaves([&](const Formula& leaf) {
-      if (leaf.kind() == Formula::Kind::kAtom) {
-        AddAtom(catalog, leaf.relation(), leaf.args());
-      } else if (leaf.kind() == Formula::Kind::kEquals) {
-        AddEquality(leaf.args()[0], leaf.args()[1]);
+  for (size_t root = 0; root < f.vars.size(); ++root) {
+    std::vector<int>& cls = positions[root];
+    if (cls.empty()) continue;
+    SortUnique(&cls);
+    std::vector<AttrPos> inputs;
+    for (int pos : cls) {
+      const AttrPos at = facts.At(pos);
+      if (IsInputKind(catalog.schema(at.relation).kind)) inputs.push_back(at);
+    }
+    for (int pos : cls) {
+      for (SymbolId c : class_constants[root]) {
+        out->constants.emplace_back(pos, c);
       }
-    });
-  }
-
-  void Finalize() {
-    for (const auto& [var, pos] : var_positions) {
-      positions[classes.ClassOf(var)].insert(pos);
-    }
-    for (const auto& [var, c] : var_constants) {
-      constants[classes.ClassOf(var)].insert(c);
+      for (const AttrPos& in : inputs) out->links.emplace_back(pos, in);
     }
   }
-};
+}
 
 }  // namespace
 
-ComparisonAnalysis::ComparisonAnalysis(
-    const WebAppSpec& spec, const std::vector<FormulaPtr>& extra_formulas)
-    : spec_(&spec) {
+int FormulaFacts::Slot(const std::string& var) const {
+  for (size_t i = 0; i < vars.size(); ++i) {
+    if (vars[i].name == var) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+SpecFacts::SpecFacts(const WebAppSpec& spec) : spec_(&spec) {
+  const Catalog& catalog = spec.catalog();
+  offsets_.push_back(0);
+  for (RelationId id = 0; id < catalog.size(); ++id) {
+    offsets_.push_back(offsets_.back() + catalog.schema(id).arity);
+  }
+  input_slots_.assign(num_positions(), -1);
+  for (RelationId id = 0; id < catalog.size(); ++id) {
+    if (!IsInputKind(catalog.schema(id).kind)) continue;
+    for (int c = 0; c < catalog.schema(id).arity; ++c) {
+      input_slots_[offsets_[id] + c] = num_input_slots_++;
+    }
+  }
+
+  // Each rule's leaves, once.
+  rules_.resize(spec.num_pages());
+  reads_.assign(catalog.size(), false);
+  prev_reads_.resize(spec.num_pages());
   for (int p = 0; p < spec.num_pages(); ++p) {
     const PageSchema& page = spec.page(p);
-    for (const InputRule& r : page.input_rules) {
-      ProcessFormula(r.body, r.relation, &r.head);
+    std::vector<RuleFacts>& rules = rules_[p];
+    auto add = [&](char kind, size_t index, RelationId head_relation,
+                   const std::vector<Term>* head, const Formula& body) {
+      RuleFacts rule;
+      rule.kind = kind;
+      rule.index = static_cast<int>(index);
+      rule.head_relation = head_relation;
+      rule.body = Gather(body);
+      FormulaFacts& facts = rule.body;
+      for (size_t j = 0; head != nullptr && j < head->size(); ++j) {
+        const Term& t = (*head)[j];
+        TermFact term;
+        if (t.is_variable()) {
+          term.var = facts.Slot(t.variable);
+          if (term.var < 0) {
+            term.var = static_cast<int>(facts.vars.size());
+            facts.vars.push_back(LocalVar{t.variable, {}, {}, {}});
+          }
+          if (kind == 'i') {
+            // An option tuple's values: current-step input positions.
+            const int pos = Position({head_relation, static_cast<int>(j)});
+            LocalVar& var = facts.vars[term.var];
+            InsertSorted(&var.positions, pos);
+            if (input_slots_[pos] >= 0) {
+              InsertSorted(&var.inputs,
+                           std::make_pair(input_slots_[pos], false));
+            }
+          }
+        } else {
+          term.constant = t.constant;
+          constants_.push_back(t.constant);
+        }
+        rule.head.push_back(term);
+      }
+      constants_.insert(constants_.end(), facts.constants.begin(),
+                        facts.constants.end());
+      for (const AtomFact& atom : facts.atoms) {
+        if (atom.relation == kInvalidRelation) continue;
+        reads_[atom.relation] = true;
+        if (atom.previous) prev_reads_[p].push_back(atom.relation);
+      }
+      rule.witness_base = num_witnesses_;
+      num_witnesses_ += static_cast<int>(facts.vars.size());
+      rules.push_back(std::move(rule));
+    };
+    for (size_t r = 0; r < page.input_rules.size(); ++r) {
+      const InputRule& rule = page.input_rules[r];
+      add('i', r, rule.relation, &rule.head, *rule.body);
     }
-    for (const StateRule& r : page.state_rules) {
-      ProcessFormula(r.body, r.relation, &r.head);
+    for (size_t r = 0; r < page.state_rules.size(); ++r) {
+      const StateRule& rule = page.state_rules[r];
+      add('s', r, rule.relation, &rule.head, *rule.body);
     }
-    for (const ActionRule& r : page.action_rules) {
-      ProcessFormula(r.body, r.relation, &r.head);
+    for (size_t r = 0; r < page.action_rules.size(); ++r) {
+      const ActionRule& rule = page.action_rules[r];
+      add('a', r, rule.relation, &rule.head, *rule.body);
     }
-    for (const TargetRule& r : page.target_rules) {
-      ProcessFormula(r.condition, kInvalidRelation, nullptr);
+    for (size_t r = 0; r < page.target_rules.size(); ++r) {
+      add('t', r, kInvalidRelation, nullptr, *page.target_rules[r].condition);
     }
+    SortUnique(&prev_reads_[p]);
   }
-  for (const FormulaPtr& f : extra_formulas) {
-    ProcessFormula(f, kInvalidRelation, nullptr);
-  }
+  SortUnique(&constants_);
 
-  // Backward fixpoint over copy edges: a source position inherits the
-  // comparison sets of the (head) position its value is copied into.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [target, sources] : copy_edges_) {
-      const std::set<SymbolId>& target_constants = constants_[target];
-      const std::set<AttrPos>& target_links = input_links_[target];
-      for (const AttrPos& src : sources) {
-        std::set<SymbolId>& src_constants = constants_[src];
-        for (SymbolId c : target_constants) {
-          if (src_constants.insert(c).second) changed = true;
-        }
-        std::set<AttrPos>& src_links = input_links_[src];
-        for (const AttrPos& l : target_links) {
-          if (src_links.insert(l).second) changed = true;
-        }
+  // The rules' seeds and copy edges, then their closure.
+  Seeds seeds;
+  for (const std::vector<RuleFacts>& rules : rules_) {
+    for (const RuleFacts& rule : rules) {
+      CollectSeeds(*this, rule.body, rule.head_relation, &rule.head, &seeds);
+    }
+  }
+  closure_.resize(num_positions());
+  for (const auto& [pos, c] : seeds.constants) {
+    closure_[pos].constants.push_back(c);
+  }
+  for (const auto& [pos, in] : seeds.links) {
+    closure_[pos].input_links.push_back(in);
+  }
+  sources_.resize(num_positions());
+  for (const auto& [head, src] : seeds.edges) {
+    if (src != head) sources_[head].push_back(src);
+  }
+  std::vector<int> work;
+  std::vector<bool> queued(num_positions(), false);
+  for (int pos = 0; pos < num_positions(); ++pos) {
+    SortUnique(&closure_[pos].constants);
+    SortUnique(&closure_[pos].input_links);
+    SortUnique(&sources_[pos]);
+    if (!closure_[pos].constants.empty() ||
+        !closure_[pos].input_links.empty()) {
+      work.push_back(pos);
+      queued[pos] = true;
+    }
+  }
+  // Backward propagation: a source inherits the sets of every position its
+  // value is copied into.
+  while (!work.empty()) {
+    const int target = work.back();
+    work.pop_back();
+    queued[target] = false;
+    for (int src : sources_[target]) {
+      if (Merge(&closure_[src], closure_[target]) && !queued[src]) {
+        work.push_back(src);
+        queued[src] = true;
       }
     }
   }
 }
 
-void ComparisonAnalysis::ProcessFormula(const FormulaPtr& body,
-                                        RelationId head_relation,
-                                        const std::vector<Term>* head) {
+AttrPos SpecFacts::At(int position) const {
+  auto it = std::upper_bound(offsets_.begin(), offsets_.end(), position);
+  const auto relation = static_cast<RelationId>(it - offsets_.begin() - 1);
+  return {relation, position - offsets_[relation]};
+}
+
+FormulaFacts SpecFacts::Gather(const Formula& f) const {
   const Catalog& catalog = spec_->catalog();
-  FormulaFacts facts;
-  facts.Walk(catalog, *body);
-  facts.Finalize();
-
-  // Head terms participate in the body's equality classes: a head constant
-  // is an (explicit) comparison for every position of its column's class,
-  // and a head variable makes its column a copy target of the class.
-  if (head != nullptr && head_relation != kInvalidRelation) {
-    for (size_t j = 0; j < head->size(); ++j) {
-      AttrPos head_pos{head_relation, static_cast<int>(j)};
-      const Term& t = (*head)[j];
-      if (t.is_variable()) {
-        int cls = facts.classes.ClassOf(t.variable);
-        // The head column belongs to the class (it is "compared" to every
-        // other position of the class by the copy), and comparisons made
-        // against the head column elsewhere flow back to the class.
-        for (const AttrPos& src : facts.positions[cls]) {
-          copy_edges_[head_pos].insert(src);
-        }
-        facts.positions[cls].insert(head_pos);
-      } else {
-        facts.explicit_constants.emplace_back(head_pos, t.constant);
-      }
+  FormulaFacts out;
+  auto resolve = [&](const Term& t) {
+    TermFact term;
+    if (!t.is_variable()) {
+      term.constant = t.constant;
+      out.constants.push_back(t.constant);
+      return term;
     }
-  }
-
-  for (const auto& [pos, c] : facts.explicit_constants) {
-    constants_[pos].insert(c);
-  }
-  for (auto& [cls, positions] : facts.positions) {
-    const std::set<SymbolId>& cs = facts.constants[cls];
-    // Input positions in the class induce input links for every member.
-    std::set<AttrPos> inputs_in_class;
-    for (const AttrPos& pos : positions) {
-      if (IsInputKind(catalog.schema(pos.relation).kind)) {
-        inputs_in_class.insert(pos);
-      }
+    term.var = out.Slot(t.variable);
+    if (term.var < 0) {
+      term.var = static_cast<int>(out.vars.size());
+      out.vars.push_back(LocalVar{t.variable, {}, {}, {}});
     }
-    for (const AttrPos& pos : positions) {
-      constants_[pos].insert(cs.begin(), cs.end());
-      for (const AttrPos& in : inputs_in_class) {
-        input_links_[pos].insert(in);
+    return term;
+  };
+  f.VisitLeaves([&](const Formula& leaf) {
+    const std::vector<Term>& args = leaf.args();
+    if (leaf.kind() == Formula::Kind::kEquals) {
+      const TermFact a = resolve(args[0]);
+      const TermFact b = resolve(args[1]);
+      if (a.is_variable() && !b.is_variable()) {
+        out.vars[a.var].pinned.push_back(b.constant);
+      } else if (b.is_variable() && !a.is_variable()) {
+        out.vars[b.var].pinned.push_back(a.constant);
       }
+      out.equalities.emplace_back(a, b);
+      return;
     }
+    if (leaf.kind() != Formula::Kind::kAtom) return;
+    AtomFact atom;
+    atom.relation = catalog.Find(leaf.relation());
+    atom.previous = leaf.previous();
+    const bool is_input = atom.relation != kInvalidRelation &&
+                          IsInputKind(catalog.schema(atom.relation).kind);
+    for (size_t i = 0; i < args.size(); ++i) {
+      const TermFact t = resolve(args[i]);
+      atom.args.push_back(t);
+      if (!t.is_variable() || atom.relation == kInvalidRelation) continue;
+      const int pos = Position({atom.relation, static_cast<int>(i)});
+      LocalVar& var = out.vars[t.var];
+      var.positions.push_back(pos);
+      if (is_input) var.inputs.emplace_back(input_slots_[pos], atom.previous);
+    }
+    out.atoms.push_back(std::move(atom));
+  });
+  for (LocalVar& var : out.vars) {
+    SortUnique(&var.pinned);
+    SortUnique(&var.positions);
+    SortUnique(&var.inputs);
   }
+  SortUnique(&out.constants);
+  return out;
 }
 
-const std::set<SymbolId>& ComparisonAnalysis::constants(AttrPos pos) const {
-  auto it = constants_.find(pos);
-  return it == constants_.end() ? empty_constants_ : it->second;
-}
+ComparisonAnalysis::ComparisonAnalysis(
+    const SpecFacts& facts, const std::vector<FormulaFacts>& property_formulas)
+    : facts_(&facts) {
+  Seeds seeds;
+  for (const FormulaFacts& f : property_formulas) {
+    CollectSeeds(facts, f, kInvalidRelation, nullptr, &seeds);
+  }
+  if (seeds.empty()) return;
 
-const std::set<AttrPos>& ComparisonAnalysis::input_links(AttrPos pos) const {
-  auto it = input_links_.find(pos);
-  return it == input_links_.end() ? empty_links_ : it->second;
+  own_.assign(facts.num_positions(), -1);
+  auto own = [&](int pos) {
+    if (own_[pos] < 0) {
+      own_[pos] = static_cast<int>(sets_.size());
+      sets_.push_back(facts.closure(pos));
+    }
+    return own_[pos];
+  };
+  std::vector<int> work;
+  std::vector<bool> queued(facts.num_positions(), false);
+  auto changed = [&](int pos) {
+    if (!queued[pos]) {
+      work.push_back(pos);
+      queued[pos] = true;
+    }
+  };
+  for (const auto& [pos, c] : seeds.constants) {
+    if (InsertSorted(&sets_[own(pos)].constants, c)) changed(pos);
+  }
+  for (const auto& [pos, in] : seeds.links) {
+    if (InsertSorted(&sets_[own(pos)].input_links, in)) changed(pos);
+  }
+  // The spec's closure already holds everything the rules' own seeds
+  // imply; push only what the property adds.
+  while (!work.empty()) {
+    const int target = work.back();
+    work.pop_back();
+    queued[target] = false;
+    for (int src : facts.sources(target)) {
+      const int to = own(src);
+      if (Merge(&sets_[to], sets_[own_[target]])) changed(src);
+    }
+  }
 }
 
 }  // namespace wave

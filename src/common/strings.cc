@@ -1,5 +1,8 @@
 #include "common/strings.h"
 
+#include <charconv>
+#include <cmath>
+
 namespace wave {
 
 std::string Join(const std::vector<std::string>& parts,
@@ -43,6 +46,30 @@ std::string_view StripWhitespace(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double min, double max, double* out) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || ptr != end ||
+      !std::isfinite(value) || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace wave

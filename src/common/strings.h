@@ -2,6 +2,7 @@
 #ifndef WAVE_COMMON_STRINGS_H_
 #define WAVE_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,15 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 integer in [min, max]. False, with
+/// `*out` untouched, when `text` is empty, has any other character, or
+/// is out of range.
+bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out);
+
+/// Parses all of `text` as a finite decimal number in [min, max], under
+/// the same rules as `ParseInt`.
+bool ParseDouble(std::string_view text, double min, double max, double* out);
 
 }  // namespace wave
 

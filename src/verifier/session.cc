@@ -13,44 +13,17 @@ namespace wave {
 
 namespace {
 
-/// Adds the relations `f` reads to `current` and (through `prev` atoms) to
-/// `prev`; undeclared relations are skipped.
-void CollectReads(const Catalog& catalog, const Formula& f,
-                  std::set<RelationId>* current, std::set<RelationId>* prev) {
-  f.VisitLeaves([&](const Formula& leaf) {
-    if (leaf.kind() != Formula::Kind::kAtom) return;
-    RelationId id = catalog.Find(leaf.relation());
-    if (id != kInvalidRelation) (leaf.previous() ? prev : current)->insert(id);
-  });
-}
-
-void ComputeRelevance(const WebAppSpec& spec, PropertyPlan* plan) {
-  const Catalog& catalog = spec.catalog();
-  plan->relevant.assign(catalog.size(), false);
-  plan->prev_read_by_page.assign(spec.num_pages(), {});
-
-  std::set<RelationId> property_current, property_prev;
-  for (const FormulaPtr& c : plan->raw_components) {
-    CollectReads(catalog, *c, &property_current, &property_prev);
-  }
-  for (RelationId id : property_current) plan->relevant[id] = true;
-  for (RelationId id : property_prev) plan->relevant[id] = true;
-  plan->property_prev_reads = property_prev;
-  plan->property_reads_prev = !property_prev.empty();
-
-  for (int p = 0; p < spec.num_pages(); ++p) {
-    const PageSchema& page = spec.page(p);
-    std::set<RelationId> current, prev;
-    auto walk = [&](const FormulaPtr& body) {
-      CollectReads(catalog, *body, &current, &prev);
-    };
-    for (const InputRule& r : page.input_rules) walk(r.body);
-    for (const StateRule& r : page.state_rules) walk(r.body);
-    for (const ActionRule& r : page.action_rules) walk(r.body);
-    for (const TargetRule& r : page.target_rules) walk(r.condition);
-    for (RelationId id : current) plan->relevant[id] = true;
-    for (RelationId id : prev) plan->relevant[id] = true;
-    plan->prev_read_by_page[p] = prev;
+/// The spec's reads plus those of the property's components.
+void ComputeRelevance(const SpecFacts& facts,
+                      const std::vector<FormulaFacts>& components,
+                      PropertyPlan* plan) {
+  plan->relevant = facts.reads();
+  for (const FormulaFacts& c : components) {
+    for (const AtomFact& atom : c.atoms) {
+      if (atom.relation == kInvalidRelation) continue;
+      plan->relevant[atom.relation] = true;
+      if (atom.previous) plan->property_prev_reads.insert(atom.relation);
+    }
   }
 }
 
@@ -152,14 +125,15 @@ struct VerifierSession::PrepassEntry {
   uint64_t last_use = 0;
 };
 
-VerifierSession::VerifierSession(WebAppSpec* spec, PageDomains* page_domains)
-    : spec_(spec), page_domains_(page_domains) {}
+VerifierSession::VerifierSession(WebAppSpec* spec) : spec_(spec) {}
 
 VerifierSession::~VerifierSession() = default;
 
 void VerifierSession::EnsureSpecArtifacts() {
   if (spec_artifacts_built_) return;
   spec_fingerprint_ = FingerprintSpec(*spec_);
+  facts_ = std::make_unique<SpecFacts>(*spec_);
+  page_domains_ = std::make_unique<PageDomains>(spec_, facts_.get());
   // Warm every page domain now, on the coordinator thread: the cache mints
   // witness symbols lazily, and the plans' lookup tables must point at
   // fully built entries before any worker reads them.
@@ -174,6 +148,11 @@ void VerifierSession::EnsureSpecArtifacts() {
 const Fingerprint& VerifierSession::SpecFingerprint() {
   EnsureSpecArtifacts();
   return spec_fingerprint_;
+}
+
+const SpecFacts& VerifierSession::facts() {
+  EnsureSpecArtifacts();
+  return *facts_;
 }
 
 const PropertyPlan* VerifierSession::GetPlan(const Property& property,
@@ -195,6 +174,7 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
   auto entry = std::make_unique<PlanEntry>();
   PropertyPlan* plan = &entry->plan;
   plan->spec = spec_;
+  plan->facts = facts_.get();
   plan->page_domain_table = page_domain_table_;
 
   // ϕ := ¬ϕ0 — search for a pseudorun satisfying the negation.
@@ -254,25 +234,29 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     // Candidate constants per free variable (dataflow-guided C∃): the
     // constants any of the variable's attribute positions may be compared
     // to, its directly equated constants, and one fresh value.
-    ComparisonAnalysis uninstantiated(*spec_, plan->raw_components);
-    LocalFacts occurrences;
+    std::vector<FormulaFacts> components;
     for (const FormulaPtr& c : plan->raw_components) {
-      occurrences.Walk(spec_->catalog(), *c);
+      components.push_back(facts_->Gather(*c));
     }
+    ComparisonAnalysis uninstantiated(*facts_, components);
     for (const std::string& v : plan->free_vars) {
       std::set<SymbolId> candidates;
-      const LocalVar& facts = occurrences.vars[v];
-      for (const AttrPos& pos : facts.all_positions) {
-        const std::set<SymbolId>& cs = uninstantiated.constants(pos);
-        candidates.insert(cs.begin(), cs.end());
+      for (const FormulaFacts& c : components) {
+        const int slot = c.Slot(v);
+        if (slot < 0) continue;
+        for (int pos : c.vars[slot].positions) {
+          const std::vector<SymbolId>& cs = uninstantiated.constants(pos);
+          candidates.insert(cs.begin(), cs.end());
+        }
+        candidates.insert(c.vars[slot].pinned.begin(),
+                          c.vars[slot].pinned.end());
       }
-      candidates.insert(facts.pinned.begin(), facts.pinned.end());
       plan->fresh_values.push_back(spec_->symbols().MintFresh("free." + v));
       plan->var_candidates.push_back(
           std::vector<SymbolId>(candidates.begin(), candidates.end()));
     }
 
-    ComputeRelevance(*spec_, plan);
+    ComputeRelevance(*facts_, components, plan);
   }
 
   const PropertyPlan* result = &entry->plan;
@@ -306,7 +290,8 @@ void EnumerateBindings(const PropertyPlan& plan, bool exhaustive, size_t i,
 }
 
 std::unique_ptr<AssignmentContext> BuildAssignmentContext(
-    WebAppSpec* spec, PageDomains* page_domains, const PropertyPlan& plan,
+    WebAppSpec* spec, const SpecFacts& facts, PageDomains* page_domains,
+    const PropertyPlan& plan,
     const VerifyOptions& options,
     const std::map<std::string, SymbolId>& binding, int index,
     obs::Tracer* tracer, double* dataflow_us) {
@@ -324,19 +309,19 @@ std::unique_ptr<AssignmentContext> BuildAssignmentContext(
     ctx->instantiated.push_back(inst);
     ctx->components.push_back(
         PreparedFormula::Prepare(inst, spec->catalog(), {}, resolver));
+    ctx->component_facts.push_back(facts.Gather(*inst));
   }
 
   // C = CW ∪ (property constants) ∪ C∃.
-  ctx->constant_universe = spec->SpecConstants();
-  for (const FormulaPtr& c : ctx->instantiated) {
-    std::set<SymbolId> cs = c->Constants();
-    ctx->constant_universe.insert(cs.begin(), cs.end());
+  std::vector<SymbolId>& universe = ctx->constant_vector;
+  universe = facts.constants();
+  for (const FormulaFacts& c : ctx->component_facts) {
+    universe.insert(universe.end(), c.constants.begin(), c.constants.end());
   }
-  for (const auto& [var, value] : binding) {
-    ctx->constant_universe.insert(value);
-  }
-  ctx->constant_vector.assign(ctx->constant_universe.begin(),
-                              ctx->constant_universe.end());
+  for (const auto& [var, value] : binding) universe.push_back(value);
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()),
+                 universe.end());
   if (!ctx->constant_vector.empty()) {
     ctx->in_universe.resize(ctx->constant_vector.back() + 1);
     for (SymbolId c : ctx->constant_vector) ctx->in_universe[c] = true;
@@ -347,14 +332,14 @@ std::unique_ptr<AssignmentContext> BuildAssignmentContext(
   obs::ScopedSpan dataflow_span(tracer, "dataflow");
   Stopwatch dataflow_watch;
   ctx->analysis =
-      std::make_unique<ComparisonAnalysis>(*spec, ctx->instantiated);
+      std::make_unique<ComparisonAnalysis>(facts, ctx->component_facts);
   CandidateOptions candidate_options;
   candidate_options.heuristic1 = options.heuristic1;
   candidate_options.heuristic2 = options.heuristic2;
   candidate_options.max_candidates = options.max_candidates;
   ctx->builder = std::make_unique<CandidateBuilder>(
-      spec, page_domains, ctx->analysis.get(), &ctx->instantiated,
-      ctx->constant_universe, candidate_options);
+      &facts, page_domains, ctx->analysis.get(), &ctx->component_facts,
+      ctx->constant_vector, candidate_options);
 
   const CandidateSet& core = ctx->builder->CoreCandidates();
   ctx->core_candidates = &core;
@@ -458,7 +443,7 @@ PrepassResult VerifierSession::GetPrepass(const Property& property,
     }
     obs::ScopedSpan assignment_span(tracer, "assignment");
     artifacts->ctxs.push_back(BuildAssignmentContext(
-        spec_, page_domains_, *plan, options, bindings[i],
+        spec_, *facts_, page_domains_.get(), *plan, options, bindings[i],
         static_cast<int>(i), tracer, &artifacts->dataflow_us));
     if (artifacts->ctxs.back()->core_overflow) break;
   }

@@ -4,9 +4,14 @@
 // A `VerifierSession` owns the caches for ONE spec. The engine's pre-pass
 // has three layers, each keyed by exactly what it depends on:
 //
-//   1. spec artifacts   — the warmed page-domain table and the structural
-//                         spec fingerprint. Depend only on the spec; built
-//                         once per session.
+//   1. spec artifacts   — the structural spec fingerprint, the rules'
+//                         dataflow facts (`SpecFacts`: each rule's resolved
+//                         leaves, CW, page reads, the copy-edge graph and
+//                         the rules' comparison sets closed over it), and
+//                         the warmed page-domain table. Depend only on the
+//                         spec; built once per session. Layers 2 and 3 add
+//                         a property's seeds and reads to these facts and
+//                         walk no rule again.
 //   2. property plans   — negation, abstraction, GPVW automaton, relevance
 //                         sets, C∃ candidate constants. Depend on property
 //                         content (not its name), cached by its
@@ -71,12 +76,14 @@ struct PropertyPlan {
   /// data (the search never runs).
   bool decided_holds = false;
 
+  /// The session's spec facts (what the rules read per page included).
+  const SpecFacts* facts = nullptr;
+
   // Relevance sets (the paper's "prune the partial configurations with
-  // tuples that are irrelevant to the rules and property").
+  // tuples that are irrelevant to the rules and property"): the spec's
+  // reads plus the property's.
   std::vector<bool> relevant;
-  std::vector<std::set<RelationId>> prev_read_by_page;
   std::set<RelationId> property_prev_reads;
-  bool property_reads_prev = false;
 
   /// Page-domain lookup table: `page_domain_table[p]` points into the
   /// PageDomains cache, fully warmed before the workers start so the hot
@@ -93,17 +100,19 @@ struct PropertyPlan {
 /// the workers start: instantiated/prepared components, the constant
 /// universe, the dataflow analysis, and — crucially — every candidate set
 /// the search can reach, pre-built into lock-free lookup tables. Lives
-/// behind a unique_ptr because the CandidateBuilder keeps a pointer to
-/// `instantiated`.
+/// behind a unique_ptr because the analysis and the CandidateBuilder keep
+/// pointers to `component_facts`.
 struct AssignmentContext {
   int index = 0;
   std::map<std::string, SymbolId> binding;
   std::vector<FormulaPtr> instantiated;
   std::vector<PreparedFormula> components;
-  std::set<SymbolId> constant_universe;
+  /// The instantiated components' leaves, resolved by the spec facts.
+  std::vector<FormulaFacts> component_facts;
+  /// C = CW ∪ (property constants) ∪ C∃, sorted.
   std::vector<SymbolId> constant_vector;
-  /// Dense membership table of `constant_universe`, indexed by symbol id;
-  /// ids past its end are outside C.
+  /// Dense membership table of C, indexed by symbol id; ids past its end
+  /// are outside C.
   std::vector<bool> in_universe;
   std::unique_ptr<ComparisonAnalysis> analysis;
   std::unique_ptr<CandidateBuilder> builder;
@@ -196,9 +205,9 @@ Fingerprint FingerprintSpec(const WebAppSpec& spec);
 /// for the three layers and their keys.
 class VerifierSession {
  public:
-  /// Both pointees must outlive the session (the `Verifier` owns all
-  /// three and tears them down together).
-  VerifierSession(WebAppSpec* spec, PageDomains* page_domains);
+  /// `spec` must outlive the session (the `Verifier` owns both and tears
+  /// them down together); the session mints fresh values into it.
+  explicit VerifierSession(WebAppSpec* spec);
   ~VerifierSession();
 
   VerifierSession(const VerifierSession&) = delete;
@@ -207,6 +216,10 @@ class VerifierSession {
   /// Layer 1: structural fingerprint of the owned spec (also the prefix of
   /// every persistent-cache key). Builds the spec artifacts on first use.
   const Fingerprint& SpecFingerprint();
+
+  /// Layer 1: the rules' dataflow facts. Builds the spec artifacts on
+  /// first use.
+  const SpecFacts& facts();
 
   /// Layer 2: the plan for `property`, built on a miss (GPVW translation
   /// under a "gpvw" tracer span, served from the skeleton cache when a
@@ -236,10 +249,11 @@ class VerifierSession {
   void EnsureSpecArtifacts();
 
   WebAppSpec* spec_;
-  PageDomains* page_domains_;
 
   bool spec_artifacts_built_ = false;
   Fingerprint spec_fingerprint_;
+  std::unique_ptr<SpecFacts> facts_;
+  std::unique_ptr<PageDomains> page_domains_;
   std::vector<const PageDomain*> page_domain_table_;
 
   std::map<Fingerprint, std::unique_ptr<PlanEntry>> plans_;

@@ -443,9 +443,10 @@ class ShardRunner {
       if (!plan_->relevant[input]) continue;  // the choice cannot matter
       if (spec_->catalog().schema(input).kind ==
           RelationKind::kInputConstant) {
-        auto it = pd.input_values.find({input, 0});
-        if (it != pd.input_values.end()) {
-          alternatives.push_back(tuples.Intern(input, &it->second));
+        const SymbolId fresh =
+            pd.input_values[plan_->facts->InputSlot({input, 0})];
+        if (fresh != kInvalidSymbol) {
+          alternatives.push_back(tuples.Intern(input, &fresh));
         }
         for (SymbolId c : ctx_->analysis->constants({input, 0})) {
           if (ctx_->InUniverse(c)) {
@@ -546,8 +547,8 @@ class ShardRunner {
   void PruneIrrelevant(ConfigWords* config) {
     const TupleTable& tuples = store_.tuples();
     const Catalog& catalog = spec_->catalog();
-    const std::set<RelationId>& page_prev =
-        plan_->prev_read_by_page[config->page];
+    const std::vector<RelationId>& page_prev =
+        plan_->facts->prev_reads(config->page);
     ForEachBit(config->data, [&](TupleId t) {
       const RelationId id = tuples.relation(t);
       const RelationKind kind = catalog.schema(id).kind;
@@ -558,7 +559,7 @@ class ShardRunner {
     });
     ForEachBit(config->previous, [&](TupleId t) {
       const RelationId id = tuples.relation(t);
-      if (page_prev.count(id) == 0 &&
+      if (!std::binary_search(page_prev.begin(), page_prev.end(), id) &&
           plan_->property_prev_reads.count(id) == 0) {
         config->previous[t >> 6] &= ~(uint64_t{1} << (t & 63));
       }
@@ -631,8 +632,6 @@ class ShardRunner {
     (flag == 0 ? stick_stack_ : candy_stack_).push_back(frame);
     if (telemetry_) {
       job_cur_->search_depth.Record(depth);
-      job_cur_->frontier_size.Record(
-          static_cast<double>(stick_stack_.size() + candy_stack_.size()));
     }
     return SearchStatus::kContinue;
   }
@@ -1331,8 +1330,6 @@ std::vector<VerifyResult> RunBatchAttempt(
       // balance across workers.
       call_metrics.histogram("trie.lookup_us")
           ->MergeData(merged.trie_lookup_us);
-      call_metrics.histogram("search.frontier_size")
-          ->MergeData(merged.frontier_size);
       call_metrics.histogram("search.depth")->MergeData(merged.search_depth);
       call_metrics.histogram("search.shard_expansions")
           ->MergeData(merged.shard_expansions);
@@ -1347,8 +1344,6 @@ std::vector<VerifyResult> RunBatchAttempt(
       if (options.tracer != nullptr) {
         options.tracer->CounterHistogram("trie.lookup_us",
                                          merged.trie_lookup_us);
-        options.tracer->CounterHistogram("search.frontier_size",
-                                         merged.frontier_size);
         options.tracer->CounterHistogram("search.depth", merged.search_depth);
         options.tracer->CounterHistogram("alloc.search.shard_bytes",
                                          merged.shard_alloc_bytes);
@@ -1656,13 +1651,30 @@ Status ValidatePropertyForSpec(const WebAppSpec& spec,
   return Status::Ok();
 }
 
+Status ValidateCandidateBudgets(const VerifyOptions& options,
+                                const RetryPolicy& retry) {
+  auto check = [](int budget, const std::string& where) {
+    if (budget >= 0 && budget <= kMaxCandidatesLimit) return Status::Ok();
+    return Status::InvalidArgument(
+        where + " max_candidates " + std::to_string(budget) +
+            " is outside [0, " + std::to_string(kMaxCandidatesLimit) + "]",
+        WAVE_LOC);
+  };
+  WAVE_RETURN_IF_ERROR(check(options.max_candidates, "options:"));
+  for (const RetryRung& rung : retry.ladder) {
+    WAVE_RETURN_IF_ERROR(check(rung.max_candidates,
+                               "retry rung '" + rung.name + "':"));
+  }
+  return Status::Ok();
+}
+
 Verifier::Verifier(WebAppSpec* spec)
-    : spec_(spec), prepared_(spec), page_domains_(spec) {
+    : spec_(spec), prepared_(spec) {
   std::vector<std::string> issues = spec->Validate();
   WAVE_CHECK_MSG(issues.empty(),
                  "spec does not validate: " << issues.front() << " (and "
                                             << issues.size() - 1 << " more)");
-  session_ = std::make_unique<VerifierSession>(spec, &page_domains_);
+  session_ = std::make_unique<VerifierSession>(spec);
 }
 
 Verifier::~Verifier() = default;
@@ -1726,6 +1738,8 @@ StatusOr<VerifyResponse> Verifier::Run(const VerifyRequest& request) {
     }
   }
   WAVE_RETURN_IF_ERROR(ValidatePropertyForSpec(*spec_, *property));
+  WAVE_RETURN_IF_ERROR(
+      ValidateCandidateBudgets(request.options, request.retry));
 
   const int jobs = WorkerPool::ResolveJobs(request.jobs);
   std::vector<VerifyResponse> rs = VerifyProperties(
@@ -1765,6 +1779,8 @@ StatusOr<BatchResponse> Verifier::RunBatch(const BatchRequest& request) {
   for (const Property* p : props) {
     WAVE_RETURN_IF_ERROR(ValidatePropertyForSpec(*spec_, *p));
   }
+  WAVE_RETURN_IF_ERROR(
+      ValidateCandidateBudgets(request.options, request.retry));
 
   const int jobs = WorkerPool::ResolveJobs(request.jobs);
   Stopwatch watch;
@@ -1820,7 +1836,8 @@ std::vector<RetryRung> DefaultLadder(const VerifyOptions& base) {
 
   RetryRung wide;
   wide.name = "exhaustive";
-  wide.max_candidates = base.max_candidates * 2;
+  wide.max_candidates = static_cast<int>(std::min<int64_t>(
+      kMaxCandidatesLimit, int64_t{base.max_candidates} * 2));
   wide.max_expansions = -1;
   wide.exhaustive_existential = true;
 

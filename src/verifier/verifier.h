@@ -82,8 +82,10 @@ struct VerifyOptions {
   /// the cases arising in practice at a fraction of the cost.
   bool exhaustive_existential = false;
   /// Candidate-tuple budget per core/extension set; exceeding it aborts
-  /// with Verdict::kUnknown instead of enumerating 2^n subsets.
-  int max_candidates = 20;
+  /// with Verdict::kUnknown instead of enumerating 2^n subsets. At most
+  /// kMaxCandidatesLimit (62); `Run`/`RunBatch` reject anything outside
+  /// [0, 62].
+  int max_candidates = kDefaultMaxCandidates;
   /// Wall-clock budget; exceeding it yields Verdict::kUnknown.
   double timeout_seconds = 120.0;
   /// Budget on stick+candy expansions (-1 = unlimited).
@@ -199,7 +201,6 @@ struct VerifyStats {
   // (`VerifyOptions::metrics` or `tracer` set); all-empty otherwise —
   // the recording sites reduce to a predicted branch, which is the
   // zero-overhead guard the disabled-path micro-test pins down.
-  obs::HistogramData frontier_size;  // live NDFS frames at each expansion
   obs::HistogramData search_depth;   // nesting depth at each expansion
   obs::HistogramData trie_lookup_us; // sampled (1/64) visited-set op latency
   obs::HistogramData shard_expansions;   // expansions per (C∃, core) shard
@@ -251,7 +252,6 @@ void VerifyStats::ForEachField(Fn&& fn) {
   fn("governor_polls", &S::governor_polls, kMax);
   fn("cache_hits", &S::cache_hits, kSum);
   fn("prepass_reuses", &S::prepass_reuses, kSum);
-  fn("frontier_size", &S::frontier_size, kSum);
   fn("search_depth", &S::search_depth, kSum);
   fn("trie_lookup_us", &S::trie_lookup_us, kSum);
   fn("shard_expansions", &S::shard_expansions, kSum);
@@ -292,7 +292,7 @@ struct VerifyResult {
 /// separately, from the ladder's total budget).
 struct RetryRung {
   std::string name;                     // "tight", "base", "exhaustive", ...
-  int max_candidates = 20;
+  int max_candidates = kDefaultMaxCandidates;
   int64_t max_expansions = -1;          // -1 = unlimited
   bool exhaustive_existential = false;
 };
@@ -301,7 +301,8 @@ struct RetryRung {
 ///   0 "tight"      — half the candidate budget, capped expansions: fails
 ///                    fast on easy instances, cheap to discard on hard ones;
 ///   1 "base"       — the caller's own budgets;
-///   2 "exhaustive" — double candidate budget, unlimited expansions,
+///   2 "exhaustive" — double candidate budget (at most
+///                    kMaxCandidatesLimit), unlimited expansions,
 ///                    exhaustive_existential on.
 /// Rungs whose budgets do not exceed the previous rung's are dropped.
 std::vector<RetryRung> DefaultLadder(const VerifyOptions& base);
@@ -429,6 +430,13 @@ struct BatchResponse {
 Status ValidatePropertyForSpec(const WebAppSpec& spec,
                                const Property& property);
 
+/// The candidate budgets of a request: `options.max_candidates` and every
+/// rung of `retry.ladder` must lie in [0, kMaxCandidatesLimit] (a core is
+/// addressed as an int64 bitmap of its candidates). InvalidArgument
+/// otherwise. `Verifier::Run` and `RunBatch` run this automatically.
+Status ValidateCandidateBudgets(const VerifyOptions& options,
+                                const RetryPolicy& retry);
+
 /// The verifier. Reusable across properties of one spec; mints fresh
 /// symbols (page domains, C∃ witnesses) into the spec's symbol table.
 class Verifier {
@@ -455,8 +463,9 @@ class Verifier {
   /// The batch entry point (PR 4): validates every selected property,
   /// serves persistent-cache hits, then verifies the rest in one fused
   /// attempt per retry rung (see `BatchRequest`). Returns InvalidArgument
-  /// for a null/out-of-range selection or a property failing
-  /// `ValidatePropertyForSpec` — before verifying anything.
+  /// for a null/out-of-range selection, a property failing
+  /// `ValidatePropertyForSpec` or a budget failing
+  /// `ValidateCandidateBudgets` — before verifying anything.
   StatusOr<BatchResponse> RunBatch(const BatchRequest& request);
 
   const PreparedSpec& prepared() const { return prepared_; }
@@ -469,7 +478,6 @@ class Verifier {
  private:
   WebAppSpec* spec_;
   PreparedSpec prepared_;
-  PageDomains page_domains_;
   std::unique_ptr<VerifierSession> session_;
 };
 

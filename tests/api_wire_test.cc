@@ -264,7 +264,6 @@ VerifyStats DistinctiveStats() {
   stats.alloc_count = 128;
   stats.search_depth.Record(3.0);
   stats.search_depth.Record(5.0);
-  stats.frontier_size.Record(11.0);
   return stats;
 }
 
@@ -279,6 +278,31 @@ TEST(WireStatsTest, RoundTripIsLosslessAndByteStable) {
   EXPECT_EQ(decoded->prepass_reuses, 2);
   EXPECT_EQ(decoded->search_depth.count, 2);
   EXPECT_EQ(decoded->search_depth.buckets, original.search_depth.buckets);
+}
+
+TEST(WireStatsTest, RetiredKeysStillDecode) {
+  // A payload written before `frontier_size` was retired (it duplicated
+  // `search_depth`): the key is ignored, everything else decodes.
+  const std::string old_payload =
+      R"({"seconds":1.25,"prepare_seconds":0.125,"dataflow_seconds":0.0,)"
+      R"("search_seconds":1.0,"validate_seconds":0.0,)"
+      R"("max_pseudorun_length":9,"max_trie_size":333,"buchi_states":4,)"
+      R"("num_assignments":17,"num_cores":5,"num_expansions":1200,)"
+      R"("num_successors":2400,"num_rejected_candidates":0,)"
+      R"("trie_hits":700,"trie_misses":500,"heartbeats":0,)"
+      R"("peak_memory_bytes":65536,"governor_polls":0,"cache_hits":1,)"
+      R"("prepass_reuses":2,"frontier_size":{"count":1,"sum":11.0,)"
+      R"("min":11.0,"max":11.0,"buckets":[[46,1]]},)"
+      R"("search_depth":{"count":2,"sum":8.0,"min":3.0,"max":5.0,)"
+      R"("buckets":[[39,1],[42,1]]},"trie_lookup_us":{"count":0},)"
+      R"("shard_expansions":{"count":0},"shard_alloc_bytes":{"count":0},)"
+      R"("alloc_bytes":65536,"alloc_count":128})";
+  StatusOr<VerifyStats> decoded = api::StatsFromJson(MustParse(old_payload));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_expansions, 1200);
+  EXPECT_EQ(decoded->search_depth.count, 2);
+  EXPECT_EQ(api::StatsToJson(*decoded).Dump(),
+            api::StatsToJson(DistinctiveStats()).Dump());
 }
 
 TEST(WireStatsTest, GoldenFormIsFrozen) {
@@ -516,7 +540,7 @@ TEST(WireResponseTest, MalformedIsTypedError) {
   for (const char* text :
        {R"({"verdict": "holds", "stats": {"num_expansions": 1e30}})",
         R"({"verdict": "holds", "decided_rung": 4294967296})",
-        R"({"verdict": "holds", "stats": {"frontier_size": {"count": 1,
+        R"({"verdict": "holds", "stats": {"search_depth": {"count": 1,
              "sum": 1, "min": 1, "max": 1, "buckets": [[1.5, 1]]}}})"}) {
     SCOPED_TRACE(text);
     EXPECT_EQ(api::ResponseFromJson(MustParse(text), bundle.spec.get())

@@ -337,7 +337,8 @@ TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
   // telemetry on (their stats hold percentile summaries): E1/P3 violated,
   // E1/P1 holds. They carry the generation-numbered names of that layout,
   // so Open migrates them to `<hex>.json` byte for byte; each reads back
-  // as a hit equal to a cold run.
+  // as a hit equal to a cold run. Their stats also carry the retired
+  // `frontier_size` key, which decoding ignores.
   const std::string dir = FreshDir("golden");
   fs::create_directories(dir + "/entries");
   for (const auto& golden : fs::directory_iterator(
@@ -385,7 +386,7 @@ TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
               cold->CounterexampleString(*e1.spec));
     EXPECT_EQ(counters(hit.stats), counters(cold->stats));
     EXPECT_EQ(hit.stats.cache_hits, 1);
-    EXPECT_TRUE(hit.stats.frontier_size.empty()) << "summaries are dropped";
+    EXPECT_TRUE(hit.stats.search_depth.empty()) << "summaries are dropped";
   }
   EXPECT_EQ((*cache)->hits(), 2);
 }

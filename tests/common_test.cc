@@ -120,5 +120,25 @@ TEST(StringsTest, StartsWith) {
   EXPECT_FALSE(StartsWith("pre", "prefix"));
 }
 
+TEST(StringsTest, NumbersParseOnlyAsWholeStringsInRange) {
+  int64_t i = 7;
+  EXPECT_TRUE(ParseInt("-1", -1, 62, &i));
+  EXPECT_EQ(i, -1);
+  for (const char* bad : {"", "abc", "12x", " 5", "63", "-2",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt(bad, -1, 62, &i)) << bad;
+  }
+  EXPECT_EQ(i, -1) << "a rejected value leaves the output untouched";
+
+  double d = 0;
+  EXPECT_TRUE(ParseDouble("0.05", 0, 1e9, &d));
+  EXPECT_DOUBLE_EQ(d, 0.05);
+  for (const char* bad : {"", "abc", "1.5s", " 1", "-0.5", "inf", "nan",
+                          "1e10"}) {
+    EXPECT_FALSE(ParseDouble(bad, 0, 1e9, &d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 0.05);
+}
+
 }  // namespace
 }  // namespace wave

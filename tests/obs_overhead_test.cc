@@ -97,7 +97,6 @@ TEST(ObsOverheadTest, DisabledHistogramRecordSitesStayDark) {
   for (const ParsedProperty& p : bundle.properties) {
     VerifyResult result =
         RunE2Property(verifier, p.property, /*metrics=*/nullptr);
-    EXPECT_EQ(result.stats.frontier_size.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.search_depth.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.trie_lookup_us.count, 0) << p.property.name;
     EXPECT_EQ(result.stats.shard_expansions.count, 0) << p.property.name;

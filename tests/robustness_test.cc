@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <regex>
 #include <string>
 #include <vector>
@@ -918,6 +919,52 @@ TEST(RetryLadderTest, DefaultLadderEscalates) {
   EXPECT_EQ(ladder[2].max_expansions, -1);
   EXPECT_FALSE(ladder[0].exhaustive_existential);
   EXPECT_TRUE(ladder[2].exhaustive_existential);
+}
+
+TEST(RetryLadderTest, DefaultLadderStopsAtTheCandidateCap) {
+  VerifyOptions base;
+  base.max_candidates = 20;
+  EXPECT_EQ(DefaultLadder(base).back().max_candidates, 40);
+  // Doubling never passes the cap, nor overflows on a base past it.
+  for (int budget : {31, 40, kMaxCandidatesLimit,
+                     std::numeric_limits<int>::max()}) {
+    base.max_candidates = budget;
+    std::vector<RetryRung> ladder = DefaultLadder(base);
+    ASSERT_EQ(ladder.back().name, "exhaustive") << budget;
+    EXPECT_EQ(ladder.back().max_candidates, kMaxCandidatesLimit) << budget;
+  }
+}
+
+TEST(CandidateBudgetTest, RunAndRunBatchRejectBudgetsOutsideTheCap) {
+  AppBundle e1 = BuildE1();
+  Verifier verifier(e1.spec.get());
+  const std::vector<Property> catalog = CatalogOf(e1);
+  VerifyRequest request;
+  request.property = &catalog[0];
+  for (int budget : {-1, kMaxCandidatesLimit + 1,
+                     std::numeric_limits<int>::max()}) {
+    request.options.max_candidates = budget;
+    request.retry.enabled = true;
+    StatusOr<VerifyResponse> response = verifier.Run(request);
+    ASSERT_FALSE(response.ok()) << budget;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  }
+  request.options.max_candidates = kMaxCandidatesLimit;
+  EXPECT_TRUE(verifier.Run(request).ok());
+
+  // One rung past the cap fails the whole batch before any search.
+  BatchRequest batch;
+  batch.properties = &catalog;
+  batch.retry.enabled = true;
+  RetryRung wide;
+  wide.name = "wide";
+  wide.max_candidates = kMaxCandidatesLimit + 1;
+  batch.retry.ladder = {RetryRung{}, wide};
+  StatusOr<BatchResponse> response = verifier.RunBatch(batch);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("'wide'"), std::string::npos)
+      << response.status().message();
 }
 
 TEST(RetryLadderTest, FlipsACandidateBudgetUnknownToDecided) {

@@ -300,6 +300,27 @@ TEST(ServeProtocolTest, VerifyWithoutSpecIsRejected) {
   EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ServeProtocolTest, OutOfRangeCandidateBudgetIsRejected) {
+  std::unique_ptr<Server> server = StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server->port()));
+  // The wide retry rung would double this budget.
+  RequestEnvelope e = VerifyOne("big", E1Suite().spec_text, "P8");
+  obs::Json options = obs::Json::Object();
+  options.Set("max_candidates", obs::Json::Int(2147483647));
+  e.request.Set("options", std::move(options));
+  obs::Json retry = obs::Json::Object();
+  retry.Set("enabled", obs::Json::Bool(true));
+  e.request.Set("retry", std::move(retry));
+  ResponseEnvelope response;
+  ASSERT_TRUE(client.Call(e, &response));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("max_candidates"),
+            std::string::npos)
+      << response.status.message();
+}
+
 TEST(ServeProtocolTest, NewerSchemaVersionIsRejected) {
   std::unique_ptr<Server> server = StartServer();
   TestClient client;

@@ -49,8 +49,8 @@ const char* const kScalarKeys[] = {
 };
 
 const char* const kHistogramKeys[] = {
-    "frontier_size",    "search_depth",      "trie_lookup_us",
-    "shard_expansions", "shard_alloc_bytes",
+    "search_depth",     "trie_lookup_us",    "shard_expansions",
+    "shard_alloc_bytes",
 };
 
 const char* const kHistogramSummaryKeys[] = {
@@ -93,8 +93,8 @@ TEST(StatsJsonTest, EveryFieldPresentAndRoundTrips) {
   EXPECT_EQ(parsed->Find("cache_hits")->AsInt(), result.stats.cache_hits);
   EXPECT_EQ(parsed->Find("prepass_reuses")->AsInt(),
             result.stats.prepass_reuses);
-  EXPECT_DOUBLE_EQ(parsed->Find("frontier_size")->Find("count")->AsDouble(),
-                   static_cast<double>(result.stats.frontier_size.count));
+  EXPECT_DOUBLE_EQ(parsed->Find("search_depth")->Find("count")->AsDouble(),
+                   static_cast<double>(result.stats.search_depth.count));
 }
 
 TEST(StatsJsonTest, MergeSumsCountersAndTimesKeepsMaximaAndMergesBuckets) {
@@ -134,7 +134,7 @@ TEST(StatsJsonTest, MergeSumsCountersAndTimesKeepsMaximaAndMergesBuckets) {
     }
   });
   EXPECT_EQ(scalars, 22);
-  EXPECT_EQ(histograms, 5);
+  EXPECT_EQ(histograms, 4);
 }
 
 TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
@@ -145,7 +145,6 @@ TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
   VerifyResult result =
       RunWithMetrics(verifier, bundle.properties.front().property, &metrics);
 
-  EXPECT_GT(result.stats.frontier_size.count, 0);
   EXPECT_GT(result.stats.search_depth.count, 0);
   EXPECT_GT(result.stats.shard_expansions.count, 0);
   EXPECT_GT(result.stats.alloc_bytes, 0);
@@ -153,7 +152,6 @@ TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
 
   // The same telemetry lands in the shared registry under the ISSUE-6
   // metric names.
-  EXPECT_GT(metrics.histogram("search.frontier_size")->count(), 0);
   EXPECT_GT(metrics.histogram("search.depth")->count(), 0);
   EXPECT_GT(metrics.histogram("search.shard_expansions")->count(), 0);
   EXPECT_GT(metrics.counter("alloc.search.bytes")->value(), 0);
@@ -162,7 +160,7 @@ TEST(StatsJsonTest, TelemetryOnRunPopulatesSearchHistograms) {
   // And the JSON summaries reflect the recorded data.
   obs::Json j = result.stats.ToJson();
   EXPECT_GT(j.Find("shard_expansions")->Find("count")->AsInt(), 0);
-  EXPECT_GT(j.Find("frontier_size")->Find("max")->AsDouble(), 0);
+  EXPECT_GT(j.Find("search_depth")->Find("max")->AsDouble(), 0);
   EXPECT_GE(j.Find("search_depth")->Find("p99")->AsDouble(),
             j.Find("search_depth")->Find("p50")->AsDouble());
 }

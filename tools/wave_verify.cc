@@ -31,14 +31,17 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/wire.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -80,12 +83,15 @@ options:
   --summary             print the aggregated phase-time table after each run
   --heartbeat=SECONDS   print progress lines every SECONDS (default off)
   --jobs=N              search (assignment, core) shards on N worker threads
-                        (default 1; 0 = one per hardware thread; verdicts
-                        are identical at any N — see docs/PARALLELISM.md)
+                        (default 1; 0 = one per hardware thread; at most
+                        1024; verdicts are identical at any N — see
+                        docs/PARALLELISM.md)
   --timeout=SECONDS     wall-clock budget per property (default 120)
-  --max-expansions=N    expansion budget per property (default unlimited)
-  --max-candidates=N    candidate-tuple budget (default 20)
-  --max-memory-mb=N     approximate memory ceiling for trie+stacks (default unlimited)
+  --max-expansions=N    expansion budget per property (default -1,
+                        unlimited)
+  --max-candidates=N    candidate-tuple budget, 0..62 (default 20)
+  --max-memory-mb=N     approximate memory ceiling for trie+stacks
+                        (default -1, unlimited)
   --keep-going          verify remaining properties after an undecided or
                         missing one (default: stop at the first failure)
   --retry-ladder        escalate budgets on budget-limited unknowns
@@ -95,9 +101,15 @@ options:
   --no-heuristic1       disable core pruning
   --no-heuristic2       disable extension pruning
   --exhaustive          enumerate equality patterns among fresh C-exists values
+numeric values must be whole numbers (seconds may have a fraction) within
+the stated ranges; anything else is a usage error.
 exit status: 0 all verdicts decided, 1 usage/load error, 2 some verdict
 unknown, 130 interrupted (SIGINT; partial stats JSON is still written)
 )";
+
+// Upper bounds of the numeric flags: sanity limits, not tuning advice.
+constexpr int64_t kMaxJobs = 1024;
+constexpr double kMaxSeconds = 1e9;  // about 31 years
 
 struct CliOptions {
   std::string spec_path;
@@ -125,8 +137,28 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
     if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
     return nullptr;
   };
+  const char* arg = nullptr;
+  // Numeric flags take the whole value or fail with a usage error.
+  auto integer = [&](const char* v, int64_t min, int64_t max, auto* field) {
+    int64_t value = 0;
+    if (ParseInt(v, min, max, &value)) {
+      *field = static_cast<std::remove_reference_t<decltype(*field)>>(value);
+      return true;
+    }
+    *error = std::string("bad value in ") + arg + ": want a whole number in [" +
+             std::to_string(min) + ", " + std::to_string(max) + "]";
+    return false;
+  };
+  auto number = [&](const char* v, double min, double max, double* field) {
+    if (ParseDouble(v, min, max, field)) return true;
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", min, max);
+    *error = std::string("bad value in ") + arg + ": want a number in " +
+             range;
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
+    arg = argv[i];
     const char* v = nullptr;
     if (arg[0] != '-') {
       if (!out->spec_path.empty()) {
@@ -155,17 +187,28 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
     } else if (std::strcmp(arg, "--summary") == 0) {
       out->summary = true;
     } else if ((v = value_of(arg, "--heartbeat")) != nullptr) {
-      out->heartbeat_seconds = std::atof(v);
+      if (!number(v, 0, kMaxSeconds, &out->heartbeat_seconds)) return false;
     } else if ((v = value_of(arg, "--jobs")) != nullptr) {
-      out->jobs = std::atoi(v);
+      if (!integer(v, 0, kMaxJobs, &out->jobs)) return false;
     } else if ((v = value_of(arg, "--timeout")) != nullptr) {
-      out->verify.timeout_seconds = std::atof(v);
+      if (!number(v, 0, kMaxSeconds, &out->verify.timeout_seconds)) {
+        return false;
+      }
     } else if ((v = value_of(arg, "--max-expansions")) != nullptr) {
-      out->verify.max_expansions = std::atoll(v);
+      if (!integer(v, -1, std::numeric_limits<int64_t>::max(),
+                   &out->verify.max_expansions)) {
+        return false;
+      }
     } else if ((v = value_of(arg, "--max-candidates")) != nullptr) {
-      out->verify.max_candidates = std::atoi(v);
+      if (!integer(v, 0, kMaxCandidatesLimit, &out->verify.max_candidates)) {
+        return false;
+      }
     } else if ((v = value_of(arg, "--max-memory-mb")) != nullptr) {
-      out->verify.max_memory_bytes = std::atoll(v) * 1024 * 1024;
+      int64_t mb = 0;
+      if (!integer(v, -1, std::numeric_limits<int64_t>::max() >> 20, &mb)) {
+        return false;
+      }
+      out->verify.max_memory_bytes = mb < 0 ? -1 : mb << 20;
     } else if (std::strcmp(arg, "--keep-going") == 0) {
       out->keep_going = true;
     } else if (std::strcmp(arg, "--retry-ladder") == 0) {
