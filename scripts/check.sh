@@ -29,9 +29,9 @@
 # configurations, at the same job counts. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
-# output, fails the check. A few rows first feed wave_verify malformed or
-# out-of-range numeric flags, which must be a usage error (exit 1) with
-# no sanitizer report.
+# output, fails the check. A few rows first feed wave_verify and the other
+# tools malformed or out-of-range numeric flags, which must be a usage
+# error (exit 1) with no sanitizer report.
 #
 # TSan mode builds with WAVE_SANITIZE=thread and runs the determinism
 # suite (tests/parallel_test.cc) plus the batch-equivalence suite
@@ -321,11 +321,13 @@ run_stress() {
 }
 
 # Malformed or out-of-range numeric flags: a usage error (exit 1) before
-# any verification, never a silent 0 or an overflowed budget.
+# any work, never a silent 0 or an overflowed budget. Each row: a label,
+# then the binary and its arguments. `timeout` stops (and its exit code
+# fails) a tool that would run or listen instead.
 run_usage_error() {
   label="$1"; shift
   rc=0
-  "$VERIFY" "$ROOT/specs/e1_shopping.spec" "$@" >"$LOG" 2>&1 || rc=$?
+  timeout 20 "$@" >"$LOG" 2>&1 || rc=$?
   if [ "$rc" -ne 1 ]; then
     echo "FAIL [$label]: exit $rc (want 1)"
     cat "$LOG"
@@ -339,11 +341,18 @@ run_usage_error() {
   fi
 }
 
-run_usage_error "bad-candidates" --max-candidates=abc
-run_usage_error "bad-timeout" --timeout=abc
-run_usage_error "huge-memory" --max-memory-mb=99999999999999
-run_usage_error "huge-candidates-ladder" --property=P8 \
+E1="$ROOT/specs/e1_shopping.spec"
+TOOLS="$BUILD_DIR/tools"
+run_usage_error "bad-candidates" "$VERIFY" "$E1" --max-candidates=abc
+run_usage_error "bad-timeout" "$VERIFY" "$E1" --timeout=abc
+run_usage_error "huge-memory" "$VERIFY" "$E1" --max-memory-mb=99999999999999
+run_usage_error "huge-candidates-ladder" "$VERIFY" "$E1" --property=P8 \
     --max-candidates=2147483647 --retry-ladder
+run_usage_error "bench-timeout" "$TOOLS/wave_bench" --suite e2 --timeout=abc
+run_usage_error "crash-kills" "$TOOLS/wave_crash" --kills=abc
+run_usage_error "fuzz-jobs" "$TOOLS/wave_fuzz" --jobs=abc
+run_usage_error "load-clients" "$TOOLS/wave_load" --clients=abc --spawn
+run_usage_error "serve-port" "$TOOLS/wave_serve" --port=abc
 
 run_stress "deadline-50ms" --keep-going --timeout=0.05
 run_stress "candidates-2" --keep-going --max-candidates=2 --timeout=5

@@ -39,20 +39,11 @@ bool MergeSorted(std::vector<T>* to, const std::vector<T>& from) {
   return true;
 }
 
-/// Adds `from`'s comparisons to `to`; true when `to` grew.
-bool Merge(ComparisonSets* to, const ComparisonSets& from) {
-  bool grew = MergeSorted(&to->constants, from.constants);
-  return MergeSorted(&to->input_links, from.input_links) || grew;
-}
-
 /// What one formula contributes to the analysis: comparisons at positions
 /// and, for a rule, copy edges from its head positions.
 struct Seeds {
   std::vector<std::pair<int, SymbolId>> constants;  // (position, constant)
-  std::vector<std::pair<int, AttrPos>> links;       // (position, input)
   std::vector<std::pair<int, int>> edges;           // (head, source)
-
-  bool empty() const { return constants.empty() && links.empty(); }
 };
 
 /// Collects `f`'s seeds: equality classes over its variables, explicit
@@ -61,7 +52,6 @@ struct Seeds {
 void CollectSeeds(const SpecFacts& facts, const FormulaFacts& f,
                   RelationId head_relation, const std::vector<TermFact>* head,
                   Seeds* out) {
-  const Catalog& catalog = facts.spec().catalog();
   std::vector<int> parent(f.vars.size());
   std::iota(parent.begin(), parent.end(), 0);
   auto find = [&](int i) {
@@ -106,8 +96,7 @@ void CollectSeeds(const SpecFacts& facts, const FormulaFacts& f,
     }
   }
 
-  // Every position of a class is compared to the class's constants and to
-  // its input positions.
+  // Every position of a class is compared to the class's constants.
   std::vector<std::vector<SymbolId>> class_constants(f.vars.size());
   for (size_t v = 0; v < f.vars.size(); ++v) {
     const std::vector<SymbolId>& pinned = f.vars[v].pinned;
@@ -118,16 +107,10 @@ void CollectSeeds(const SpecFacts& facts, const FormulaFacts& f,
     std::vector<int>& cls = positions[root];
     if (cls.empty()) continue;
     SortUnique(&cls);
-    std::vector<AttrPos> inputs;
-    for (int pos : cls) {
-      const AttrPos at = facts.At(pos);
-      if (IsInputKind(catalog.schema(at.relation).kind)) inputs.push_back(at);
-    }
     for (int pos : cls) {
       for (SymbolId c : class_constants[root]) {
         out->constants.emplace_back(pos, c);
       }
-      for (const AttrPos& in : inputs) out->links.emplace_back(pos, in);
     }
   }
 }
@@ -233,12 +216,7 @@ SpecFacts::SpecFacts(const WebAppSpec& spec) : spec_(&spec) {
     }
   }
   closure_.resize(num_positions());
-  for (const auto& [pos, c] : seeds.constants) {
-    closure_[pos].constants.push_back(c);
-  }
-  for (const auto& [pos, in] : seeds.links) {
-    closure_[pos].input_links.push_back(in);
-  }
+  for (const auto& [pos, c] : seeds.constants) closure_[pos].push_back(c);
   sources_.resize(num_positions());
   for (const auto& [head, src] : seeds.edges) {
     if (src != head) sources_[head].push_back(src);
@@ -246,11 +224,9 @@ SpecFacts::SpecFacts(const WebAppSpec& spec) : spec_(&spec) {
   std::vector<int> work;
   std::vector<bool> queued(num_positions(), false);
   for (int pos = 0; pos < num_positions(); ++pos) {
-    SortUnique(&closure_[pos].constants);
-    SortUnique(&closure_[pos].input_links);
+    SortUnique(&closure_[pos]);
     SortUnique(&sources_[pos]);
-    if (!closure_[pos].constants.empty() ||
-        !closure_[pos].input_links.empty()) {
+    if (!closure_[pos].empty()) {
       work.push_back(pos);
       queued[pos] = true;
     }
@@ -262,18 +238,12 @@ SpecFacts::SpecFacts(const WebAppSpec& spec) : spec_(&spec) {
     work.pop_back();
     queued[target] = false;
     for (int src : sources_[target]) {
-      if (Merge(&closure_[src], closure_[target]) && !queued[src]) {
+      if (MergeSorted(&closure_[src], closure_[target]) && !queued[src]) {
         work.push_back(src);
         queued[src] = true;
       }
     }
   }
-}
-
-AttrPos SpecFacts::At(int position) const {
-  auto it = std::upper_bound(offsets_.begin(), offsets_.end(), position);
-  const auto relation = static_cast<RelationId>(it - offsets_.begin() - 1);
-  return {relation, position - offsets_[relation]};
 }
 
 FormulaFacts SpecFacts::Gather(const Formula& f) const {
@@ -339,7 +309,7 @@ ComparisonAnalysis::ComparisonAnalysis(
   for (const FormulaFacts& f : property_formulas) {
     CollectSeeds(facts, f, kInvalidRelation, nullptr, &seeds);
   }
-  if (seeds.empty()) return;
+  if (seeds.constants.empty()) return;
 
   own_.assign(facts.num_positions(), -1);
   auto own = [&](int pos) {
@@ -358,10 +328,7 @@ ComparisonAnalysis::ComparisonAnalysis(
     }
   };
   for (const auto& [pos, c] : seeds.constants) {
-    if (InsertSorted(&sets_[own(pos)].constants, c)) changed(pos);
-  }
-  for (const auto& [pos, in] : seeds.links) {
-    if (InsertSorted(&sets_[own(pos)].input_links, in)) changed(pos);
+    if (InsertSorted(&sets_[own(pos)], c)) changed(pos);
   }
   // The spec's closure already holds everything the rules' own seeds
   // imply; push only what the property adds.
@@ -371,7 +338,7 @@ ComparisonAnalysis::ComparisonAnalysis(
     queued[target] = false;
     for (int src : facts.sources(target)) {
       const int to = own(src);
-      if (Merge(&sets_[to], sets_[own_[target]])) changed(src);
+      if (MergeSorted(&sets_[to], sets_[own_[target]])) changed(src);
     }
   }
 }

@@ -1,13 +1,12 @@
 // Dataflow analysis for potential comparisons (paper Section 3.2).
 //
 // For every attribute position (relation, column) the analysis
-// overestimates:
-//   * `constants(R,i)`   — the constants the position may ever be compared
-//     to, explicitly (a constant in an atom / an equality) or implicitly
-//     (through equality transitivity within a rule, or through values being
-//     copied into a state/input/action attribute that is itself compared);
-//   * `input_links(R,i)` — the input attribute positions the position may
-//     be compared to (the ingredient of Heuristic 2's extension pruning).
+// overestimates `constants(R,i)`: the constants the position may ever be
+// compared to, explicitly (a constant in an atom / an equality) or
+// implicitly (through equality transitivity within a rule, or through
+// values being copied into a state/input/action attribute that is itself
+// compared). Heuristic 2's extension sets take their fresh values from each
+// formula's own input positions (`LocalVar::inputs`), not from here.
 //
 // Comparison sets propagate *backwards* along copy edges: if a rule head
 // H(..x..) copies from a body atom R(..x..), anything compared to the head
@@ -110,12 +109,6 @@ struct RuleFacts {
   int witness_base = 0;
 };
 
-/// Comparison sets of one attribute position.
-struct ComparisonSets {
-  std::vector<SymbolId> constants;  // sorted
-  std::vector<AttrPos> input_links;  // sorted
-};
-
 /// The spec-level facts behind the dataflow analysis and Heuristics 1 and
 /// 2, built once per spec: each rule's resolved leaves, CW, what each page
 /// reads, the copy-edge graph, and the rules' comparison sets closed over
@@ -135,7 +128,6 @@ class SpecFacts {
     return offsets_[pos.relation] + pos.column;
   }
   int num_positions() const { return offsets_.back(); }
-  AttrPos At(int position) const;
   /// Dense id of an input position (input and input-constant relations
   /// only), or -1; ids sort like positions too.
   int InputSlot(AttrPos pos) const { return input_slots_[Position(pos)]; }
@@ -161,8 +153,9 @@ class SpecFacts {
   const std::vector<int>& sources(int position) const {
     return sources_[position];
   }
-  /// The rules' comparison sets at `position`, closed over the copy edges.
-  const ComparisonSets& closure(int position) const {
+  /// The constants the rules compare `position` to, closed over the copy
+  /// edges, sorted.
+  const std::vector<SymbolId>& closure(int position) const {
     return closure_[position];
   }
 
@@ -177,7 +170,7 @@ class SpecFacts {
   std::vector<bool> reads_;
   std::vector<std::vector<RelationId>> prev_reads_;
   std::vector<std::vector<int>> sources_;
-  std::vector<ComparisonSets> closure_;
+  std::vector<std::vector<SymbolId>> closure_;
 };
 
 /// Comparison sets for one property: the spec's closure plus the seeds of
@@ -192,27 +185,18 @@ class ComparisonAnalysis {
 
   /// Constants the position may be compared to, sorted.
   const std::vector<SymbolId>& constants(AttrPos pos) const {
-    return at(facts_->Position(pos)).constants;
+    return constants(facts_->Position(pos));
   }
   const std::vector<SymbolId>& constants(int position) const {
-    return at(position).constants;
-  }
-
-  /// Input attribute positions the position may be compared to, sorted.
-  const std::vector<AttrPos>& input_links(AttrPos pos) const {
-    return at(facts_->Position(pos)).input_links;
-  }
-
- private:
-  const ComparisonSets& at(int position) const {
     const int own = own_.empty() ? -1 : own_[position];
     return own < 0 ? facts_->closure(position) : sets_[own];
   }
 
+ private:
   const SpecFacts* facts_;
   // Per position: index into sets_, or -1; empty when nothing is seeded.
   std::vector<int> own_;
-  std::vector<ComparisonSets> sets_;
+  std::vector<std::vector<SymbolId>> sets_;
 };
 
 }  // namespace wave

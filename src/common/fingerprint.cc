@@ -1,7 +1,5 @@
 #include "common/fingerprint.h"
 
-#include <cstring>
-
 namespace wave {
 
 namespace {
@@ -61,14 +59,6 @@ void FingerprintBuilder::AddInt(int64_t v) {
 void FingerprintBuilder::AddBool(bool b) {
   Mix('b');
   Mix(b ? 1 : 0);
-}
-
-void FingerprintBuilder::AddDouble(double v) {
-  Mix('d');
-  uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(v));
-  std::memcpy(&u, &v, sizeof(u));
-  for (int i = 0; i < 8; ++i) Mix(static_cast<uint8_t>(u >> (8 * i)));
 }
 
 void FingerprintBuilder::AddString(std::string_view s) {

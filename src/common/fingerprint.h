@@ -53,7 +53,6 @@ class FingerprintBuilder {
   void AddString(std::string_view s);  // tagged + length-prefixed
   void AddInt(int64_t v);
   void AddBool(bool b);
-  void AddDouble(double v);  // bit pattern; -0.0 and 0.0 are distinct
   /// Domain separator between record sections ("spec", "options", ...).
   void AddTag(std::string_view tag);
 

@@ -11,13 +11,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:

@@ -104,20 +104,6 @@ FormulaPtr Formula::Forall(std::vector<std::string> vars, FormulaPtr body) {
   return FormulaPtr(new Formula(std::move(f)));
 }
 
-FormulaPtr Formula::AndAll(std::vector<FormulaPtr> fs) {
-  if (fs.empty()) return True();
-  FormulaPtr out = fs[0];
-  for (size_t i = 1; i < fs.size(); ++i) out = And(out, fs[i]);
-  return out;
-}
-
-FormulaPtr Formula::OrAll(std::vector<FormulaPtr> fs) {
-  if (fs.empty()) return False();
-  FormulaPtr out = fs[0];
-  for (size_t i = 1; i < fs.size(); ++i) out = Or(out, fs[i]);
-  return out;
-}
-
 void Formula::VisitLeaves(FunctionRef<void(const Formula&)> visit) const {
   switch (kind_) {
     case Kind::kTrue:

@@ -85,10 +85,6 @@ class Formula {
   static FormulaPtr Exists(std::vector<std::string> vars, FormulaPtr body);
   static FormulaPtr Forall(std::vector<std::string> vars, FormulaPtr body);
 
-  /// N-ary conveniences; return True()/False() for empty input.
-  static FormulaPtr AndAll(std::vector<FormulaPtr> fs);
-  static FormulaPtr OrAll(std::vector<FormulaPtr> fs);
-
   // --- Accessors (valid for the relevant kinds only) ----------------------
   const std::string& relation() const { return name_; }   // kAtom
   const std::string& page() const { return name_; }       // kPage

@@ -458,16 +458,4 @@ void PreparedFormula::EnumerateSatisfying(const ConfigurationView& view,
   }
 }
 
-bool PreparedFormula::Satisfiable(const ConfigurationView& view,
-                                  const std::vector<SymbolId>& domain) const {
-  std::vector<SymbolId> regs = MakeRegisters();
-  EvalContext ctx{&view, &domain, &regs};
-  bool found = false;
-  EnumNode(*root_, &ctx, [&] {
-    found = true;
-    return false;
-  });
-  return found;
-}
-
 }  // namespace wave

@@ -116,11 +116,6 @@ class PreparedFormula {
                            const std::vector<SymbolId>& domain,
                            std::vector<Tuple>* out) const;
 
-  /// True iff some assignment of the free variables over `domain`
-  /// satisfies the formula (early-exits; does not materialize results).
-  bool Satisfiable(const ConfigurationView& view,
-                   const std::vector<SymbolId>& domain) const;
-
  private:
   std::unique_ptr<internal::PreparedNode> root_;
   std::vector<int> free_slots_;  // 0 .. num_free()-1

@@ -1,5 +1,7 @@
 #include "relational/relation.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/strings.h"
 

@@ -2,7 +2,6 @@
 #ifndef WAVE_RELATIONAL_RELATION_H_
 #define WAVE_RELATIONAL_RELATION_H_
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -41,14 +40,6 @@ class Relation {
   bool Contains(const Tuple& t) const;
   /// True if the tuple of `values` (arity() of them) is present.
   bool Contains(const SymbolId* values) const;
-
-  /// Erases every tuple satisfying `pred`, in place (a relation none of
-  /// whose tuples match is left untouched).
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    tuples_.erase(std::remove_if(tuples_.begin(), tuples_.end(), pred),
-                  tuples_.end());
-  }
 
   void Clear() { tuples_.clear(); }
 

@@ -155,9 +155,8 @@ class PreparedSpec {
       const Configuration& config,
       const std::vector<SymbolId>& extra = {}) const;
 
-  /// Cumulative counters since construction (or the last `ResetExecStats`).
+  /// Cumulative counters since construction.
   const PreparedExecStats& exec_stats() const { return exec_stats_; }
-  void ResetExecStats() const { exec_stats_ = {}; }
 
  private:
   const WebAppSpec* spec_;

@@ -4,14 +4,11 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -34,8 +31,6 @@ constexpr char kMagic[] = "WAVECACHE2";
 constexpr char kLockName[] = ".lock";
 constexpr char kEntriesDirName[] = "entries";
 constexpr char kQuarantineDirName[] = "quarantine";
-/// The index of the generation-numbered layout; `Open` removes it.
-constexpr char kLegacyManifestName[] = "MANIFEST";
 
 /// True when `doc` carries "format": `version`.
 bool HasFormat(const obs::Json& doc, int version) {
@@ -162,58 +157,21 @@ std::string EntryHex(const std::string& name) {
   return IsHex(hex) ? hex : "";
 }
 
-/// A "<hex>.g<gen>.json" file of the generation-numbered layout.
-struct Generation {
-  std::string hex;
-  int64_t gen = 0;
-  fs::path path;
-};
-
-std::optional<Generation> ParseGenerationName(const fs::path& path) {
-  const std::string name = path.filename().string();
-  size_t dot = name.find(".g");
-  if (dot == std::string::npos || !name.ends_with(".json")) {
-    return std::nullopt;
-  }
-  Generation g{name.substr(0, dot), 0, path};
-  std::string gen_str = name.substr(dot + 2, name.size() - dot - 2 - 5);
-  char* end = nullptr;
-  g.gen = std::strtoll(gen_str.c_str(), &end, 10);
-  if (!IsHex(g.hex) || gen_str.empty() || *end != '\0' || g.gen < 0) {
-    return std::nullopt;
-  }
-  return g;
-}
-
 /// The files of a cache directory that `Open` and the audit care about.
-/// Names nobody writes (the lock, the subdirectories, foreign files) are
-/// left out.
+/// Names this writer never makes (the lock, the subdirectories, an older
+/// layout's records, foreign files) are left out.
 struct Listing {
-  std::vector<fs::path> entries;         // entries/<hex>.json
-  std::vector<fs::path> tmp;             // *.tmp in <dir> or entries/
-  std::vector<fs::path> v1_records;      // <dir>/<hex>.json (format 1)
-  std::vector<Generation> generations;   // entries/<hex>.g<N>.json
-  bool manifest = false;                 // <dir>/MANIFEST
-
-  /// Anything `Open` heals: debris or a layout awaiting migration.
-  bool needs_healing() const {
-    return !tmp.empty() || !v1_records.empty() || !generations.empty() ||
-           manifest;
-  }
+  std::vector<fs::path> entries;  // entries/<hex>.json
+  std::vector<fs::path> tmp;      // *.tmp in <dir> or entries/
 };
 
 Listing ListCacheDir(const std::string& dir) {
   Listing found;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir, ec)) {
-    if (!de.is_regular_file(ec)) continue;
-    const std::string name = de.path().filename().string();
-    if (name.ends_with(".tmp")) {
+    if (de.is_regular_file(ec) &&
+        de.path().filename().string().ends_with(".tmp")) {
       found.tmp.push_back(de.path());
-    } else if (name == kLegacyManifestName) {
-      found.manifest = true;
-    } else if (!EntryHex(name).empty()) {
-      found.v1_records.push_back(de.path());
     }
   }
   for (const auto& de :
@@ -224,8 +182,6 @@ Listing ListCacheDir(const std::string& dir) {
       found.tmp.push_back(de.path());
     } else if (!EntryHex(name).empty()) {
       found.entries.push_back(de.path());
-    } else if (std::optional<Generation> g = ParseGenerationName(de.path())) {
-      found.generations.push_back(std::move(*g));
     }
   }
   return found;
@@ -387,73 +343,14 @@ class ResultCache::Impl {
     if (current.ok() && *current == rejected) Quarantine(c, path);
   }
 
-  /// Heals the directory under the (held) writer lock, going by file
-  /// names: removes `*.tmp` debris, migrates v1 flat records, and turns
-  /// the generation-numbered layout into one `<hex>.json` per key.
+  /// Removes `*.tmp` debris under the (held) writer lock: an atomic write
+  /// whose rename never happened. Writers create these only while holding
+  /// the lock we hold, so none is live.
   static void HealLocked(ResultCache* c) {
-    Listing found = ListCacheDir(c->dir_);
     std::error_code ec;
-    int64_t healed = 0;
-
-    // An atomic write whose rename never happened. Writers create these
-    // only while holding the lock we hold, so none is live.
-    for (const fs::path& tmp : found.tmp) {
-      if (fs::remove(tmp, ec)) ++healed;
+    for (const fs::path& tmp : ListCacheDir(c->dir_).tmp) {
+      if (fs::remove(tmp, ec)) ++c->health_.recovered;
     }
-
-    // v1 flat records become framed entries.
-    for (const fs::path& v1 : found.v1_records) {
-      const std::string hex = EntryHex(v1.filename().string());
-      StatusOr<std::string> old = ReadFileToString(v1.string());
-      std::optional<obs::Json> record =
-          old.ok() ? obs::Json::Parse(*old) : std::nullopt;
-      if (!record.has_value() || !HasFormat(*record, 1) ||
-          !HasKey(*record, hex)) {
-        ++c->health_.corrupt;
-        Quarantine(c, v1);
-        continue;
-      }
-      record->Set("format", obs::Json::Int(kFormatVersion));
-      fs::create_directories(EntriesDir(*c), ec);
-      if (!WriteWithRetry(c, EntryPath(*c, hex),
-                          FrameEntry(record->Dump(2) + "\n"))
-               .ok()) {
-        continue;  // keep the v1 record; migrate on a later open
-      }
-      fs::remove(v1, ec);
-      ++healed;
-    }
-
-    // Generations, newest first per key: the first valid one becomes the
-    // key's entry unless one is already in place (a v1 migration above or
-    // an interrupted earlier heal); the rest go.
-    std::sort(found.generations.begin(), found.generations.end(),
-              [](const Generation& a, const Generation& b) {
-                return std::tie(a.hex, b.gen) < std::tie(b.hex, a.gen);
-              });
-    for (const Generation& g : found.generations) {
-      StatusOr<std::string> content = ReadFileToString(g.path.string());
-      if (!content.ok() ||
-          CheckEntry(*content, g.hex, nullptr) != EntryCheck::kOk) {
-        ++c->health_.corrupt;
-        Quarantine(c, g.path);
-        continue;
-      }
-      const std::string entry = EntryPath(*c, g.hex);
-      if (fs::exists(entry, ec)) {
-        fs::remove(g.path, ec);
-      } else {
-        fs::rename(g.path, entry, ec);
-      }
-      ++healed;
-    }
-
-    // The MANIFEST only indexed generations.
-    if (found.manifest &&
-        fs::remove(fs::path(c->dir_) / kLegacyManifestName, ec)) {
-      ++healed;
-    }
-    c->health_.recovered += healed;
   }
 };
 
@@ -476,7 +373,7 @@ StatusOr<std::unique_ptr<ResultCache>> ResultCache::Open(
   }
   std::unique_ptr<ResultCache> cache(new ResultCache(dir, options));
   WAVE_FAULT("cache.open.recover");  // kill-point before the directory scan
-  if (ListCacheDir(dir).needs_healing()) {
+  if (!ListCacheDir(dir).tmp.empty()) {
     // Under the lock, because a `*.tmp` may belong to a live writer; the
     // heal lists again once no writer can be mid-store. Lock not acquired:
     // a live peer owns the directory and the next Open heals. Reads remain
@@ -560,10 +457,6 @@ CacheAudit AuditCacheDir(const std::string& dir) {
     audit.problems.push_back("stray temp file: " +
                              tmp.lexically_relative(dir).string());
   }
-  audit.legacy_files =
-      static_cast<int64_t>(found.v1_records.size() +
-                           found.generations.size()) +
-      (found.manifest ? 1 : 0);
   std::error_code ec;
   for (const auto& de :
        fs::directory_iterator(fs::path(dir) / kQuarantineDirName, ec)) {

@@ -46,17 +46,14 @@
 // re-reads the file first, so a peer's fresh store is never moved aside.
 //
 // `Open` heals only what it recognizes by name, under the lock: stray
-// `*.tmp` files (a write interrupted before its rename) are removed,
-// legacy v1 flat `<dir>/<hex>.json` records are migrated, and a directory
-// of the earlier generation-numbered layout (a `MANIFEST` index over
-// `entries/<hex>.g<N>.json` files) is converted: per key the newest valid
-// generation is renamed to `<hex>.json`, the others are removed (or
-// quarantined when torn) and the MANIFEST is deleted. The conversion is
-// one-way: a binary from before it quarantines `<hex>.json` names. A
-// directory holding only current entries opens without the lock and
-// without reading a file. `AuditCacheDir` checks the same invariants
-// without mutating anything — `tools/wave_crash` calls it after every
-// SIGKILL.
+// `*.tmp` files (a write interrupted before its rename) are removed. A
+// directory without them opens without the lock and without reading a
+// file. A directory of an older layout (v1 flat `<dir>/<hex>.json`
+// records, or a `MANIFEST` over `entries/<hex>.g<N>.json` generations)
+// opens too, but its record files are never read, moved or counted: each
+// of its keys is a miss until a store writes `entries/<hex>.json`.
+// `AuditCacheDir` checks the same invariants without mutating anything —
+// `tools/wave_crash` calls it after every SIGKILL.
 //
 // The record: the wire-schema response of api/wire.h
 // (`api::ResponseToJson`) holding the verdict, witness binding,
@@ -117,10 +114,11 @@ struct CacheOptions {
 /// verifier, one `ResultCache` object is not for concurrent threads.
 class ResultCache {
  public:
-  /// Opens the cache directory (creating it if needed) and heals any
-  /// crash debris or legacy layout found by name. Healing runs under the
-  /// writer lock; if a peer holds it past the backoff budget, healing is
-  /// skipped (the peer is alive and responsible) rather than blocking.
+  /// Opens the cache directory (creating it if needed) and removes any
+  /// `*.tmp` crash debris found by name. Healing runs under the writer
+  /// lock; if a peer holds it past the backoff budget, healing is skipped
+  /// (the peer is alive and responsible) rather than blocking. Files of
+  /// an older layout are left as they are; their keys are misses.
   static StatusOr<std::unique_ptr<ResultCache>> Open(
       const std::string& dir, const CacheOptions& options = {});
 
@@ -179,15 +177,11 @@ struct CacheAudit {
   int64_t torn_entries = 0;       // failing the frame/CRC/JSON check
   int64_t misnamed_entries = 0;   // a record, but not their name's
   int64_t tmp_files = 0;          // stray *.tmp in <dir> or entries/
-  int64_t legacy_files = 0;       // v1 records, MANIFEST, <hex>.g<N>.json
   int64_t quarantined_files = 0;  // informational (not an inconsistency)
   std::vector<std::string> problems;  // human-readable, one per defect
 
-  /// True when the directory is safe to serve reads from as-is. A healed
-  /// directory (post-`Open`) must also have nothing left to migrate —
-  /// `clean()` checks that stricter bar.
+  /// True when the directory is safe to serve reads from as-is.
   bool consistent() const { return problems.empty(); }
-  bool clean() const { return consistent() && legacy_files == 0; }
 };
 CacheAudit AuditCacheDir(const std::string& dir);
 

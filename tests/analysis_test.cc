@@ -81,16 +81,6 @@ TEST(DataflowTest, ImplicitComparisonFlowsThroughCopies) {
   // is attributable to the copy chain.
 }
 
-TEST(DataflowTest, InputLinksConnectDatabaseToInputs) {
-  // E1 HP login: user(name, password) is compared to the uname/upass input
-  // constants.
-  AppBundle e1 = BuildE1();
-  SpecFacts facts(*e1.spec);
-  ComparisonAnalysis analysis(facts, {});
-  EXPECT_TRUE(Contains(analysis.input_links(Pos(*e1.spec, "user", 0)),
-                       Pos(*e1.spec, "uname", 0)));
-}
-
 TEST(CandidatesTest, Heuristic1PrunesCriteriaCores) {
   // Example 3.5: with Heuristic 1 and no property constants on products,
   // criteria/user/ordersdb contribute no core tuples.
@@ -246,13 +236,9 @@ class ReferenceAnalysis {
       changed = false;
       for (const auto& [target, sources] : copy_edges_) {
         const std::set<SymbolId> target_constants = constants_[target];
-        const std::set<AttrPos> target_links = input_links_[target];
         for (const AttrPos& src : sources) {
           for (SymbolId c : target_constants) {
             changed |= constants_[src].insert(c).second;
-          }
-          for (const AttrPos& l : target_links) {
-            changed |= input_links_[src].insert(l).second;
           }
         }
       }
@@ -262,11 +248,6 @@ class ReferenceAnalysis {
   std::vector<SymbolId> constants(AttrPos pos) const {
     auto it = constants_.find(pos);
     if (it == constants_.end()) return {};
-    return {it->second.begin(), it->second.end()};
-  }
-  std::vector<AttrPos> input_links(AttrPos pos) const {
-    auto it = input_links_.find(pos);
-    if (it == input_links_.end()) return {};
     return {it->second.begin(), it->second.end()};
   }
 
@@ -333,22 +314,14 @@ class ReferenceAnalysis {
     for (const auto& [pos, c] : explicit_constants) constants_[pos].insert(c);
     for (const auto& [cls, members] : positions) {
       const std::set<SymbolId>& cs = constants[cls];
-      std::set<AttrPos> inputs;
-      for (const AttrPos& pos : members) {
-        if (IsInputKind(catalog_->schema(pos.relation).kind)) {
-          inputs.insert(pos);
-        }
-      }
       for (const AttrPos& pos : members) {
         constants_[pos].insert(cs.begin(), cs.end());
-        input_links_[pos].insert(inputs.begin(), inputs.end());
       }
     }
   }
 
   const Catalog* catalog_;
   std::map<AttrPos, std::set<SymbolId>> constants_;
-  std::map<AttrPos, std::set<AttrPos>> input_links_;
   std::map<AttrPos, std::set<AttrPos>> copy_edges_;
 };
 
@@ -366,9 +339,6 @@ void ExpectSameAsReference(const SpecFacts& facts,
       AttrPos pos{id, c};
       EXPECT_EQ(analysis.constants(pos), reference.constants(pos))
           << what << ": constants of " << catalog.schema(id).name << "." << c;
-      EXPECT_EQ(analysis.input_links(pos), reference.input_links(pos))
-          << what << ": input links of " << catalog.schema(id).name << "."
-          << c;
     }
   }
 }

@@ -5,9 +5,9 @@
 //  - a store atomically renames one `entries/<hex>.json` per key into
 //    place, so readers never observe a torn entry, and a lookup or a
 //    store reads no other file;
-//  - Open heals crash debris (stray temp files, un-migrated or junk
-//    legacy records) and converts the generation-numbered MANIFEST
-//    layout, quarantining — never silently deleting — anything corrupt;
+//  - Open removes crash debris (stray temp files) and never reads, moves
+//    or counts an older layout's records, whose keys are misses; a lookup
+//    quarantines — never silently deletes — a corrupt entry;
 //  - the writer lock is advisory flock with bounded jittered backoff:
 //    contention is counted, bounded, and auto-released by the kernel
 //    when the holder dies;
@@ -23,7 +23,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -83,7 +82,6 @@ TEST(CacheFormatTest, StorePublishesOneEntryFilePerKey) {
   CacheAudit audit = AuditCacheDir(dir);
   EXPECT_EQ(audit.entries, 1);
   EXPECT_TRUE(audit.consistent());
-  EXPECT_TRUE(audit.clean());
   EXPECT_EQ(audit.quarantined_files, 0);
   std::vector<std::string> names;
   for (const auto& f : fs::directory_iterator(dir + "/entries")) {
@@ -177,7 +175,7 @@ TEST(CacheFormatTest, LookupReadsOneFileAndStoreAndOpenReadNoneAtAnySize) {
   }
 }
 
-/// An entry file: `payload` in the frame both layouts write.
+/// An entry file: `payload` in the frame the cache writes.
 std::string FramedEntry(const std::string& payload) {
   char header[64];
   std::snprintf(header, sizeof(header), "WAVECACHE2 crc32=%08x len=%zu\n",
@@ -189,82 +187,6 @@ std::string FramedEntry(const std::string& payload) {
 std::string EntryPayload(const std::string& path) {
   std::string content = *ReadFileToString(path);
   return content.substr(content.find('\n') + 1);
-}
-
-TEST(CacheFormatTest, OpenMigratesTheGenerationLayout) {
-  // Two records from today's writer, re-filed the way the MANIFEST layout
-  // named them: key A has generations 2 and 5 (5 published), key B has a
-  // published generation 3, an unpublished newer generation 7 and a
-  // CRC-torn generation 9; plus *.tmp debris at both levels.
-  AppBundle e1 = BuildE1();
-  const std::string source = FreshDir("migrate_src");
-  std::string a_hex = SyntheticKey(1).ToHex();
-  std::string b_hex = SyntheticKey(2).ToHex();
-  {
-    StatusOr<std::unique_ptr<ResultCache>> writer = ResultCache::Open(source);
-    ASSERT_TRUE(writer.ok());
-    for (int i : {1, 2}) {
-      ASSERT_TRUE(
-          (*writer)->Store(SyntheticKey(i), *e1.spec, MinimalHolds()).ok());
-    }
-  }
-  const std::string a_payload =
-      EntryPayload(source + "/entries/" + a_hex + ".json");
-  const std::string b_payload =
-      EntryPayload(source + "/entries/" + b_hex + ".json");
-  // Older generations differ from the newest in their stats, so the test
-  // sees which one survived.
-  auto older = [](std::string payload) {
-    size_t at = payload.find("\"num_expansions\": 0");
-    EXPECT_NE(at, std::string::npos);
-    return payload.replace(at, 19, "\"num_expansions\": 7");
-  };
-
-  const std::string dir = FreshDir("migrate");
-  fs::create_directories(dir + "/entries");
-  auto put = [&](const std::string& name, const std::string& bytes) {
-    std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
-  };
-  put("MANIFEST", "{\"format\": 2, \"generation\": 5, \"entries\": {}}\n");
-  put("entries/" + a_hex + ".g2.json", FramedEntry(older(a_payload)));
-  put("entries/" + a_hex + ".g5.json", FramedEntry(a_payload));
-  put("entries/" + b_hex + ".g3.json", FramedEntry(older(b_payload)));
-  put("entries/" + b_hex + ".g7.json", FramedEntry(b_payload));
-  std::string torn = FramedEntry(b_payload);
-  torn[torn.size() / 2] ^= 0x20;
-  put("entries/" + b_hex + ".g9.json", torn);
-  put("MANIFEST.tmp", "half a manifest");
-  put("entries/" + a_hex + ".g6.json.tmp", "half an entry");
-
-  StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
-  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
-  EXPECT_EQ((*cache)->health().corrupt, 1);
-  EXPECT_EQ((*cache)->health().quarantined, 1);
-
-  std::vector<std::string> entries;
-  for (const auto& f : fs::directory_iterator(dir + "/entries")) {
-    entries.push_back(f.path().filename().string());
-  }
-  std::sort(entries.begin(), entries.end());
-  std::vector<std::string> expected = {a_hex + ".json", b_hex + ".json"};
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(entries, expected);
-  EXPECT_EQ(*ReadFileToString(dir + "/entries/" + a_hex + ".json"),
-            FramedEntry(a_payload));
-  EXPECT_EQ(*ReadFileToString(dir + "/entries/" + b_hex + ".json"),
-            FramedEntry(b_payload));
-  EXPECT_FALSE(fs::exists(dir + "/MANIFEST"));
-  EXPECT_TRUE(fs::exists(dir + "/quarantine/" + b_hex + ".g9.json"));
-
-  CacheAudit audit = AuditCacheDir(dir);
-  EXPECT_TRUE(audit.clean())
-      << (audit.problems.empty() ? "" : audit.problems[0]);
-  EXPECT_EQ(audit.entries, 2);
-  EXPECT_EQ(audit.quarantined_files, 1);
-  VerifyResponse hit;
-  EXPECT_TRUE((*cache)->Lookup(SyntheticKey(1), e1.spec.get(), &hit));
-  EXPECT_TRUE((*cache)->Lookup(SyntheticKey(2), e1.spec.get(), &hit));
-  EXPECT_EQ(hit.stats.num_expansions, 0) << "the newest generation won";
 }
 
 TEST(CacheFormatTest, MisnamedEntryIsAQuarantinedMissNeverAHit) {
@@ -300,45 +222,74 @@ TEST(CacheFormatTest, MisnamedEntryIsAQuarantinedMissNeverAHit) {
       << "the genuine entry still hits";
 
   CacheAudit audit = AuditCacheDir(dir);
-  EXPECT_TRUE(audit.clean());
+  EXPECT_TRUE(audit.consistent());
   EXPECT_EQ(audit.entries, 1);
   EXPECT_EQ(audit.quarantined_files, 1);
 }
 
-TEST(CacheFormatTest, OpenHealsCrashDebrisAndQuarantinesJunk) {
-  const std::string dir = FreshDir("heal");
+TEST(CacheFormatTest, OpenRemovesCrashDebrisAndLeavesOlderLayoutsUnread) {
+  // An older layout's files for key K: a MANIFEST, K's valid entry filed
+  // as generation 5, and a flat v1-named record at the top level. Plus
+  // crash debris: an interrupted atomic write.
+  AppBundle e1 = BuildE1();
+  const Fingerprint key = SyntheticKey(1);
+  const std::string hex = key.ToHex();
+  const std::string source = FreshDir("old_layout_src");
+  {
+    StatusOr<std::unique_ptr<ResultCache>> writer = ResultCache::Open(source);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Store(key, *e1.spec, MinimalHolds()).ok());
+  }
+  const std::string entry = source + "/entries/" + hex + ".json";
+  const std::map<std::string, std::string> old_files = {
+      {"MANIFEST", "{\"format\": 2, \"generation\": 5, \"entries\": {}}\n"},
+      {"entries/" + hex + ".g5.json", *ReadFileToString(entry)},
+      {hex + ".json", EntryPayload(entry)}};
+  const std::string dir = FreshDir("old_layout");
   fs::create_directories(dir + "/entries");
-  // Crash debris: an interrupted atomic write.
+  for (const auto& [name, bytes] : old_files) {
+    std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
+  }
   std::ofstream(dir + "/entries/aaaa.json.tmp") << "half an entry";
-  // A junk legacy-named record: migration must fail -> quarantine, not
-  // silent deletion, not a crash.
-  std::ofstream(dir + "/deadbeef.json") << "not a cache record at all";
 
-  StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
-  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
-  EXPECT_GE((*cache)->health().recovered, 1);
-  EXPECT_EQ((*cache)->health().corrupt, 1);
-  EXPECT_EQ((*cache)->health().quarantined, 1);
+  std::unique_ptr<ResultCache> cache;
+  EXPECT_EQ(FilesOpenedBy([&] {
+              StatusOr<std::unique_ptr<ResultCache>> opened =
+                  ResultCache::Open(dir);
+              ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+              cache = std::move(*opened);
+            }),
+            0)
+      << "Open reads no old record";
+  ASSERT_NE(cache, nullptr);
+  EXPECT_GE(cache->health().recovered, 1);
+  VerifyResponse out;
+  EXPECT_FALSE(cache->Lookup(key, e1.spec.get(), &out));
+  for (const auto& [name, bytes] : old_files) {
+    StatusOr<std::string> now = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(now.ok() && *now == bytes) << name << " was moved or changed";
+  }
+  EXPECT_EQ(cache->health().corrupt, 0);
+  EXPECT_EQ(cache->health().quarantined, 0);
 
   CacheAudit audit = AuditCacheDir(dir);
-  EXPECT_TRUE(audit.consistent());
+  EXPECT_TRUE(audit.consistent())
+      << (audit.problems.empty() ? "" : audit.problems[0]);
+  EXPECT_EQ(audit.entries, 0);
   EXPECT_EQ(audit.tmp_files, 0) << "temp debris must be removed";
-  EXPECT_EQ(audit.legacy_files, 0);
-  EXPECT_EQ(audit.quarantined_files, 1) << "the junk record, preserved";
-  EXPECT_TRUE(fs::exists(dir + "/quarantine"));
+  EXPECT_EQ(audit.quarantined_files, 0);
 
-  // The healed directory still works end to end.
-  AppBundle e1 = BuildE1();
-  EXPECT_NE(VerifyP1(e1, cache->get()), Verdict::kUnknown);
+  // A store files K under the current name, and K hits from then on.
+  ASSERT_TRUE(cache->Store(key, *e1.spec, MinimalHolds()).ok());
+  EXPECT_TRUE(fs::exists(dir + "/entries/" + hex + ".json"));
+  EXPECT_TRUE(cache->Lookup(key, e1.spec.get(), &out));
 }
 
 TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
   // Two entries written before records went through api/wire, with
   // telemetry on (their stats hold percentile summaries): E1/P3 violated,
-  // E1/P1 holds. They carry the generation-numbered names of that layout,
-  // so Open migrates them to `<hex>.json` byte for byte; each reads back
-  // as a hit equal to a cold run. Their stats also carry the retired
-  // `frontier_size` key, which decoding ignores.
+  // E1/P1 holds. Each reads back as a hit equal to a cold run. Their stats
+  // also carry the retired `frontier_size` key, which decoding ignores.
   const std::string dir = FreshDir("golden");
   fs::create_directories(dir + "/entries");
   for (const auto& golden : fs::directory_iterator(
@@ -349,16 +300,8 @@ TEST(CacheFormatTest, EntriesFromBeforeTheWireCodecStillHit) {
   StatusOr<std::unique_ptr<ResultCache>> cache = ResultCache::Open(dir);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   CacheAudit audit = AuditCacheDir(dir);
-  EXPECT_TRUE(audit.clean());
+  EXPECT_TRUE(audit.consistent());
   EXPECT_EQ(audit.entries, 2);
-  for (const auto& golden : fs::directory_iterator(
-           std::string(WAVE_REPO_ROOT) + "/tests/golden/cache_v2")) {
-    const std::string name = golden.path().filename().string();
-    EXPECT_EQ(*ReadFileToString(dir + "/entries/" +
-                                name.substr(0, name.find('.')) + ".json"),
-              *ReadFileToString(golden.path().string()))
-        << name;
-  }
 
   auto counters = [](const VerifyStats& s) {
     return std::vector<int64_t>{s.num_assignments, s.num_cores,
@@ -432,7 +375,6 @@ TEST(CacheLockTest, ContentionIsBoundedCountedAndRecoverable) {
 
   CacheAudit audit = AuditCacheDir(dir);
   EXPECT_TRUE(audit.consistent());
-  EXPECT_TRUE(audit.clean());
 }
 
 // --- multi-process hammer (the ISSUE-7 satellite ctest case) -----------------
@@ -549,7 +491,6 @@ TEST(CacheConcurrencyTest, ConcurrentVerifyProcessesShareOneCacheSafely) {
   CacheAudit audit = AuditCacheDir(dir);
   EXPECT_TRUE(audit.consistent())
       << (audit.problems.empty() ? "" : audit.problems[0]);
-  EXPECT_TRUE(audit.clean());
   EXPECT_EQ(audit.tmp_files, 0);
   EXPECT_EQ(audit.quarantined_files, 0);
   int64_t total_properties = 0;

@@ -21,7 +21,12 @@
 #include "bench/wave_bench_lib.h"
 #include "obs/json.h"
 
+#include "flags.h"
+
 namespace {
+
+/// Upper bound of the ratio flags: a sanity limit, not tuning advice.
+constexpr double kMaxRatio = 1e9;
 
 void PrintUsage() {
   std::fprintf(
@@ -73,31 +78,44 @@ int main(int argc, char** argv) {
   wave::bench::CompareThresholds thresholds;
   bool quiet = false;
   bool list = false;
+  std::string error;
 
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];  // the flag as typed, for a usage error
     std::string value;
+    bool parsed = true;
     if (ParseValue(argc, argv, &i, "--suite", &value)) {
       suite = value;
     } else if (ParseValue(argc, argv, &i, "--warmup", &value)) {
-      config.warmup = std::atoi(value.c_str());
+      parsed = wave::ParseIntFlag(arg, value.c_str(), 0, wave::kMaxInt,
+                                  &config.warmup, &error);
     } else if (ParseValue(argc, argv, &i, "--repeat", &value)) {
-      config.repeat = std::atoi(value.c_str());
+      parsed = wave::ParseIntFlag(arg, value.c_str(), 1, wave::kMaxInt,
+                                  &config.repeat, &error);
     } else if (ParseValue(argc, argv, &i, "--jobs", &value)) {
-      config.jobs = std::atoi(value.c_str());
+      parsed = wave::ParseThreadsFlag(arg, value.c_str(), 0, &config.jobs,
+                                      &error);
     } else if (ParseValue(argc, argv, &i, "--timeout", &value)) {
-      config.timeout_seconds = std::atof(value.c_str());
+      parsed = wave::ParseNumberFlag(arg, value.c_str(), 0, wave::kMaxSeconds,
+                                     &config.timeout_seconds, &error);
     } else if (ParseValue(argc, argv, &i, "--out", &value)) {
       out_path = value;
     } else if (ParseValue(argc, argv, &i, "--compare", &value)) {
       compare_path = value;
     } else if (ParseValue(argc, argv, &i, "--threshold-time", &value)) {
-      thresholds.time_frac = std::atof(value.c_str());
+      parsed = wave::ParseNumberFlag(arg, value.c_str(), 0, kMaxRatio,
+                                     &thresholds.time_frac, &error);
     } else if (ParseValue(argc, argv, &i, "--threshold-counter", &value)) {
-      thresholds.counter_frac = std::atof(value.c_str());
+      parsed = wave::ParseNumberFlag(arg, value.c_str(), 0, kMaxRatio,
+                                     &thresholds.counter_frac, &error);
     } else if (ParseValue(argc, argv, &i, "--min-time-ms", &value)) {
-      thresholds.min_time_s = std::atof(value.c_str()) / 1000.0;
+      double ms = 0;
+      parsed = wave::ParseNumberFlag(arg, value.c_str(), 0,
+                                     wave::kMaxSeconds * 1e3, &ms, &error);
+      thresholds.min_time_s = ms / 1000.0;
     } else if (ParseValue(argc, argv, &i, "--slowdown", &value)) {
-      config.slowdown = std::atof(value.c_str());
+      parsed = wave::ParseNumberFlag(arg, value.c_str(), 0, kMaxRatio,
+                                     &config.slowdown, &error);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
@@ -108,6 +126,11 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "wave_bench: unknown flag '%s'\n", argv[i]);
+      PrintUsage();
+      return 1;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "wave_bench: %s\n", error.c_str());
       PrintUsage();
       return 1;
     }
@@ -123,13 +146,12 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  if (config.warmup < 0 || config.repeat < 1 || config.slowdown <= 0) {
-    std::fprintf(stderr, "wave_bench: invalid --warmup/--repeat/--slowdown\n");
+  if (config.slowdown <= 0) {
+    std::fprintf(stderr, "wave_bench: --slowdown must be > 0\n");
     return 1;
   }
 
   std::vector<wave::obs::Json> records;
-  std::string error;
   int mismatches = wave::bench::RunBenchSuite(suite, config, &records, &error,
                                               /*verbose=*/!quiet);
   if (mismatches < 0) {

@@ -15,8 +15,8 @@
 //           is hit fewer than N times).
 //   check:  re-open the cache (ResultCache::Open heals crash debris:
 //           the temp file of an interrupted store) and run
-//           `AuditCacheDir`: the directory must be consistent and clean,
-//           and the quarantine must stay EMPTY — a SIGKILL cannot tear an
+//           `AuditCacheDir`: the directory must be consistent, and the
+//           quarantine must stay EMPTY — a SIGKILL cannot tear an
 //           atomically-renamed file, so any CRC-failing entry would be a
 //           real bug, not bad luck.
 //   final:  warm-vs-cold differential. For each spec, one run over the
@@ -51,6 +51,8 @@
 #include "obs/json.h"
 #include "verifier/cache.h"
 
+#include "flags.h"
+
 #ifndef WAVE_VERIFY_BIN
 #define WAVE_VERIFY_BIN ""
 #endif
@@ -75,8 +77,8 @@ options:
   --specs-dir=PATH    directory holding e1..e4 specs (default: in-tree)
   --work-dir=PATH     scratch directory (default ./wave_crash.work; the
                       hammered cache lives at WORK/cache)
-  --kills=N           SIGKILL deaths to collect (default 200)
-  --max-rounds=N      bound on total child runs (default 8*kills)
+  --kills=N           SIGKILL deaths to collect, 1..1048576 (default 200)
+  --max-rounds=N      bound on total child runs (default or 0: 8*kills)
   --seed=N            RNG seed for site/hit selection (default 1)
   --keep-going        report every inconsistency instead of stopping
   --quiet             suppress per-round lines
@@ -95,27 +97,26 @@ struct CliOptions {
   bool quiet = false;
 };
 
+/// Bound of --kills; 8x it (the default --max-rounds) still fits an int.
+constexpr int64_t kMaxKills = 1 << 20;
+
 bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
-  auto value_of = [](const char* arg, const char* flag) -> const char* {
-    size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    if ((v = value_of(arg, "--verify-bin")) != nullptr) {
+    bool parsed = true;
+    if ((v = FlagValue(arg, "--verify-bin")) != nullptr) {
       out->verify_bin = v;
-    } else if ((v = value_of(arg, "--specs-dir")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--specs-dir")) != nullptr) {
       out->specs_dir = v;
-    } else if ((v = value_of(arg, "--work-dir")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--work-dir")) != nullptr) {
       out->work_dir = v;
-    } else if ((v = value_of(arg, "--kills")) != nullptr) {
-      out->kills = std::atoi(v);
-    } else if ((v = value_of(arg, "--max-rounds")) != nullptr) {
-      out->max_rounds = std::atoi(v);
-    } else if ((v = value_of(arg, "--seed")) != nullptr) {
-      out->seed = std::strtoull(v, nullptr, 10);
+    } else if ((v = FlagValue(arg, "--kills")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 1, kMaxKills, &out->kills, error);
+    } else if ((v = FlagValue(arg, "--max-rounds")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 0, kMaxInt, &out->max_rounds, error);
+    } else if ((v = FlagValue(arg, "--seed")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 0, kMaxInt64, &out->seed, error);
     } else if (std::strcmp(arg, "--keep-going") == 0) {
       out->keep_going = true;
     } else if (std::strcmp(arg, "--quiet") == 0) {
@@ -124,6 +125,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
       *error = std::string("unknown option: ") + arg;
       return false;
     }
+    if (!parsed) return false;
   }
   if (out->max_rounds <= 0) out->max_rounds = 8 * out->kills;
   return true;
@@ -290,17 +292,14 @@ int Main(int argc, char** argv) {
       }
     }
     CacheAudit audit = AuditCacheDir(cache_dir);
-    if (!audit.consistent() || !audit.clean() ||
-        audit.quarantined_files != 0) {
+    if (!audit.consistent() || audit.quarantined_files != 0) {
       std::fprintf(stderr,
                    "wave_crash: round %d (%s): INCONSISTENT after recovery "
-                   "(torn=%lld misnamed=%lld tmp=%lld legacy=%lld "
-                   "quarantined=%lld)\n",
+                   "(torn=%lld misnamed=%lld tmp=%lld quarantined=%lld)\n",
                    rounds, fault_spec.c_str(),
                    static_cast<long long>(audit.torn_entries),
                    static_cast<long long>(audit.misnamed_entries),
                    static_cast<long long>(audit.tmp_files),
-                   static_cast<long long>(audit.legacy_files),
                    static_cast<long long>(audit.quarantined_files));
       for (const std::string& p : audit.problems) {
         std::fprintf(stderr, "wave_crash:   %s\n", p.c_str());

@@ -35,6 +35,8 @@
 #include "testing/shrink.h"
 #include "testing/spec_gen.h"
 
+#include "flags.h"
+
 namespace wave {
 namespace {
 
@@ -74,7 +76,8 @@ options:
   --max-pages=N         generator: pages per spec, 2..N (default 3)
   --max-constants=N     generator: data constants, 2..N, pool of 4
                         (default 3)
-  --property-depth=N    generator: max LTL skeleton depth (default 3)
+  --property-depth=N    generator: max LTL skeleton depth, 1..32
+                        (default 3)
   --no-shrink           report disagreements without minimizing them
   --no-metamorphic      skip the rename/reorder axes
   --probe-reasons       also probe every UnknownReason under starved
@@ -103,36 +106,39 @@ struct CliOptions {
 };
 
 bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
-  auto value_of = [](const char* arg, const char* flag) -> const char* {
-    size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
+  constexpr int64_t kMaxPropertyDepth = 32;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    if ((v = value_of(arg, "--seed-start")) != nullptr) {
-      out->seed_start = std::strtoull(v, nullptr, 10);
-    } else if ((v = value_of(arg, "--seed-count")) != nullptr) {
-      out->seed_count = std::strtoull(v, nullptr, 10);
-    } else if ((v = value_of(arg, "--time-budget")) != nullptr) {
-      out->time_budget_seconds = std::atof(v);
-    } else if ((v = value_of(arg, "--out-dir")) != nullptr) {
+    bool parsed = true;
+    if ((v = FlagValue(arg, "--seed-start")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 0, kMaxInt64, &out->seed_start, error);
+    } else if ((v = FlagValue(arg, "--seed-count")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 0, kMaxInt64, &out->seed_count, error);
+    } else if ((v = FlagValue(arg, "--time-budget")) != nullptr) {
+      parsed = ParseNumberFlag(arg, v, 0, kMaxSeconds,
+                               &out->time_budget_seconds, error);
+    } else if ((v = FlagValue(arg, "--out-dir")) != nullptr) {
       out->out_dir = v;
-    } else if ((v = value_of(arg, "--cache-dir")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--cache-dir")) != nullptr) {
       out->cache_dir = v;
-    } else if ((v = value_of(arg, "--jobs")) != nullptr) {
-      out->oracle.jobs = std::atoi(v);
-    } else if ((v = value_of(arg, "--timeout")) != nullptr) {
-      out->oracle.verify.timeout_seconds = std::atof(v);
-    } else if ((v = value_of(arg, "--baseline-timeout")) != nullptr) {
-      out->oracle.baseline.timeout_seconds = std::atof(v);
-    } else if ((v = value_of(arg, "--max-pages")) != nullptr) {
-      out->generator.max_pages = std::atoi(v);
-    } else if ((v = value_of(arg, "--max-constants")) != nullptr) {
-      out->generator.max_constants = std::atoi(v);
-    } else if ((v = value_of(arg, "--property-depth")) != nullptr) {
-      out->generator.max_property_depth = std::atoi(v);
+    } else if ((v = FlagValue(arg, "--jobs")) != nullptr) {
+      parsed = ParseThreadsFlag(arg, v, 0, &out->oracle.jobs, error);
+    } else if ((v = FlagValue(arg, "--timeout")) != nullptr) {
+      parsed = ParseNumberFlag(arg, v, 0, kMaxSeconds,
+                               &out->oracle.verify.timeout_seconds, error);
+    } else if ((v = FlagValue(arg, "--baseline-timeout")) != nullptr) {
+      parsed = ParseNumberFlag(arg, v, 0, kMaxSeconds,
+                               &out->oracle.baseline.timeout_seconds, error);
+    } else if ((v = FlagValue(arg, "--max-pages")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 2, kMaxInt, &out->generator.max_pages,
+                            error);
+    } else if ((v = FlagValue(arg, "--max-constants")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 2, kMaxInt,
+                            &out->generator.max_constants, error);
+    } else if ((v = FlagValue(arg, "--property-depth")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 1, kMaxPropertyDepth,
+                            &out->generator.max_property_depth, error);
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
       out->shrink = false;
     } else if (std::strcmp(arg, "--no-metamorphic") == 0) {
@@ -147,6 +153,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
       *error = std::string("unknown option: ") + arg;
       return false;
     }
+    if (!parsed) return false;
   }
   if (out->seed_count == 0 && out->time_budget_seconds <= 0) {
     *error = "--time-budget=0 needs an explicit --seed-count";

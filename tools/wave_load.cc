@@ -37,6 +37,8 @@
 #include "serve/protocol.h"
 #include "verifier/verifier.h"
 
+#include "flags.h"
+
 #ifndef WAVE_SERVE_BIN
 #define WAVE_SERVE_BIN ""
 #endif
@@ -54,7 +56,7 @@ options:
   --port=N          connect to a daemon on 127.0.0.1:N
   --spawn           fork a private wave_serve (Unix socket + fresh cache
                     in a temp dir), load it, then SIGTERM-drain it
-  --clients=N       concurrent client connections (default 8)
+  --clients=N       concurrent client connections, 1..1024 (default 8)
   --requests=N      warm-phase requests per client (default 50)
   --specs-dir=PATH  directory with e1..e4 .spec files (default: built-in)
   --out=PATH        latency record file (default BENCH_serve.json)
@@ -78,41 +80,36 @@ struct SpecInfo {
 };
 
 bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
-  auto value_of = [](const char* arg, const char* flag) -> const char* {
-    size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    if ((v = value_of(arg, "--socket")) != nullptr) {
+    bool parsed = true;
+    if ((v = FlagValue(arg, "--socket")) != nullptr) {
       out->socket_path = v;
-    } else if ((v = value_of(arg, "--port")) != nullptr) {
-      out->port = std::atoi(v);
+    } else if ((v = FlagValue(arg, "--port")) != nullptr) {
+      parsed = ParsePortFlag(arg, v, &out->port, error);
     } else if (std::strcmp(arg, "--spawn") == 0) {
       out->spawn = true;
-    } else if ((v = value_of(arg, "--clients")) != nullptr) {
-      out->clients = std::atoi(v);
-    } else if ((v = value_of(arg, "--requests")) != nullptr) {
-      out->requests_per_client = std::atoi(v);
-    } else if ((v = value_of(arg, "--specs-dir")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--clients")) != nullptr) {
+      // Also the spawned daemon's --executors.
+      parsed = ParseThreadsFlag(arg, v, 1, &out->clients, error);
+    } else if ((v = FlagValue(arg, "--requests")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 1, kMaxInt, &out->requests_per_client,
+                            error);
+    } else if ((v = FlagValue(arg, "--specs-dir")) != nullptr) {
       out->specs_dir = v;
-    } else if ((v = value_of(arg, "--out")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--out")) != nullptr) {
       out->out_path = v;
     } else {
       *error = std::string("unknown option: ") + arg;
       return false;
     }
+    if (!parsed) return false;
   }
   int modes = (out->spawn ? 1 : 0) + (!out->socket_path.empty() ? 1 : 0) +
               (out->port != 0 ? 1 : 0);
   if (modes != 1) {
     *error = "pick exactly one of --spawn, --socket, --port";
-    return false;
-  }
-  if (out->clients < 1 || out->requests_per_client < 1) {
-    *error = "--clients and --requests must be >= 1";
     return false;
   }
   return true;

@@ -13,11 +13,12 @@
 // ones are answered with a typed SHUTTING_DOWN. See docs/SERVING.md.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/fault.h"
 #include "serve/server.h"
+
+#include "flags.h"
 
 namespace wave {
 namespace {
@@ -27,16 +28,16 @@ constexpr char kUsage[] = R"(usage: wave_serve [options]
 options:
   --socket=PATH          listen on a Unix-domain socket (replaces a stale
                          socket file at PATH)
-  --port=N               listen on TCP 127.0.0.1:N (0 = ephemeral; the
-                         resolved port is printed; default when no
-                         --socket is given)
+  --port=N               listen on TCP 127.0.0.1:N, 0..65535 (0 =
+                         ephemeral; the resolved port is printed; default
+                         when no --socket is given)
   --cache-dir=PATH       shared persistent result cache for all requests
                          (created if missing; default: no cache)
-  --executors=N          request-executor threads (default 2)
+  --executors=N          request-executor threads, 1..1024 (default 2)
   --session-capacity=N   hot specs kept by the LRU session pool (default 8)
   --queue-capacity=N     admission bound on queued requests (default 64)
-  --max-jobs=N           clamp per-request worker counts to [1, N]
-                         (default 4)
+  --max-jobs=N           clamp per-request worker counts to [1, N], N in
+                         1..1024 (default 4)
 
 Protocol: one JSON object per line (docs/SERVING.md). SIGTERM/SIGINT
 drain gracefully. Exit status: 0 clean shutdown, 1 usage/bind error.
@@ -47,32 +48,31 @@ struct CliOptions {
 };
 
 bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
-  auto value_of = [](const char* arg, const char* flag) -> const char* {
-    size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
+  serve::ServerOptions& server = out->server;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    if ((v = value_of(arg, "--socket")) != nullptr) {
-      out->server.socket_path = v;
-    } else if ((v = value_of(arg, "--port")) != nullptr) {
-      out->server.port = std::atoi(v);
-    } else if ((v = value_of(arg, "--cache-dir")) != nullptr) {
-      out->server.cache_dir = v;
-    } else if ((v = value_of(arg, "--executors")) != nullptr) {
-      out->server.executors = std::atoi(v);
-    } else if ((v = value_of(arg, "--session-capacity")) != nullptr) {
-      out->server.session_capacity = std::atoi(v);
-    } else if ((v = value_of(arg, "--queue-capacity")) != nullptr) {
-      out->server.queue_capacity = std::atoi(v);
-    } else if ((v = value_of(arg, "--max-jobs")) != nullptr) {
-      out->server.max_jobs = std::atoi(v);
+    bool parsed = true;
+    if ((v = FlagValue(arg, "--socket")) != nullptr) {
+      server.socket_path = v;
+    } else if ((v = FlagValue(arg, "--port")) != nullptr) {
+      parsed = ParsePortFlag(arg, v, &server.port, error);
+    } else if ((v = FlagValue(arg, "--cache-dir")) != nullptr) {
+      server.cache_dir = v;
+    } else if ((v = FlagValue(arg, "--executors")) != nullptr) {
+      parsed = ParseThreadsFlag(arg, v, 1, &server.executors, error);
+    } else if ((v = FlagValue(arg, "--session-capacity")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 1, kMaxInt, &server.session_capacity,
+                            error);
+    } else if ((v = FlagValue(arg, "--queue-capacity")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 1, kMaxInt, &server.queue_capacity, error);
+    } else if ((v = FlagValue(arg, "--max-jobs")) != nullptr) {
+      parsed = ParseThreadsFlag(arg, v, 1, &server.max_jobs, error);
     } else {
       *error = std::string("unknown option: ") + arg;
       return false;
     }
+    if (!parsed) return false;
   }
   return true;
 }

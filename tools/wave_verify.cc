@@ -31,17 +31,14 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "api/wire.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/status.h"
-#include "common/strings.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -50,6 +47,8 @@
 #include "verifier/governor.h"
 #include "verifier/validate.h"
 #include "verifier/verifier.h"
+
+#include "flags.h"
 
 namespace wave {
 namespace {
@@ -107,10 +106,6 @@ exit status: 0 all verdicts decided, 1 usage/load error, 2 some verdict
 unknown, 130 interrupted (SIGINT; partial stats JSON is still written)
 )";
 
-// Upper bounds of the numeric flags: sanity limits, not tuning advice.
-constexpr int64_t kMaxJobs = 1024;
-constexpr double kMaxSeconds = 1e9;  // about 31 years
-
 struct CliOptions {
   std::string spec_path;
   std::vector<std::string> properties;
@@ -132,82 +127,53 @@ struct CliOptions {
 };
 
 bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
-  auto value_of = [](const char* arg, const char* flag) -> const char* {
-    size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
-  const char* arg = nullptr;
-  // Numeric flags take the whole value or fail with a usage error.
-  auto integer = [&](const char* v, int64_t min, int64_t max, auto* field) {
-    int64_t value = 0;
-    if (ParseInt(v, min, max, &value)) {
-      *field = static_cast<std::remove_reference_t<decltype(*field)>>(value);
-      return true;
-    }
-    *error = std::string("bad value in ") + arg + ": want a whole number in [" +
-             std::to_string(min) + ", " + std::to_string(max) + "]";
-    return false;
-  };
-  auto number = [&](const char* v, double min, double max, double* field) {
-    if (ParseDouble(v, min, max, field)) return true;
-    char range[64];
-    std::snprintf(range, sizeof(range), "[%g, %g]", min, max);
-    *error = std::string("bad value in ") + arg + ": want a number in " +
-             range;
-    return false;
-  };
   for (int i = 1; i < argc; ++i) {
-    arg = argv[i];
+    const char* arg = argv[i];
     const char* v = nullptr;
+    bool parsed = true;
     if (arg[0] != '-') {
       if (!out->spec_path.empty()) {
         *error = "multiple spec files given";
         return false;
       }
       out->spec_path = arg;
-    } else if ((v = value_of(arg, "--property")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--property")) != nullptr) {
       out->properties.push_back(v);
     } else if (std::strcmp(arg, "--all-properties") == 0) {
       out->all_properties = true;
-    } else if ((v = value_of(arg, "--cache-dir")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--cache-dir")) != nullptr) {
       out->cache_dir = v;
-    } else if ((v = value_of(arg, "--request")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--request")) != nullptr) {
       out->request_path = v;
-    } else if ((v = value_of(arg, "--response-json")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--response-json")) != nullptr) {
       out->response_json_path = v;
     } else if (std::strcmp(arg, "--audit-cache") == 0) {
       out->audit_cache = true;
     } else if (std::strcmp(arg, "--list") == 0) {
       out->list = true;
-    } else if ((v = value_of(arg, "--trace")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--trace")) != nullptr) {
       out->trace_path = v;
-    } else if ((v = value_of(arg, "--stats-json")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--stats-json")) != nullptr) {
       out->stats_path = v;
     } else if (std::strcmp(arg, "--summary") == 0) {
       out->summary = true;
-    } else if ((v = value_of(arg, "--heartbeat")) != nullptr) {
-      if (!number(v, 0, kMaxSeconds, &out->heartbeat_seconds)) return false;
-    } else if ((v = value_of(arg, "--jobs")) != nullptr) {
-      if (!integer(v, 0, kMaxJobs, &out->jobs)) return false;
-    } else if ((v = value_of(arg, "--timeout")) != nullptr) {
-      if (!number(v, 0, kMaxSeconds, &out->verify.timeout_seconds)) {
-        return false;
-      }
-    } else if ((v = value_of(arg, "--max-expansions")) != nullptr) {
-      if (!integer(v, -1, std::numeric_limits<int64_t>::max(),
-                   &out->verify.max_expansions)) {
-        return false;
-      }
-    } else if ((v = value_of(arg, "--max-candidates")) != nullptr) {
-      if (!integer(v, 0, kMaxCandidatesLimit, &out->verify.max_candidates)) {
-        return false;
-      }
-    } else if ((v = value_of(arg, "--max-memory-mb")) != nullptr) {
+    } else if ((v = FlagValue(arg, "--heartbeat")) != nullptr) {
+      parsed = ParseNumberFlag(arg, v, 0, kMaxSeconds,
+                               &out->heartbeat_seconds, error);
+    } else if ((v = FlagValue(arg, "--jobs")) != nullptr) {
+      parsed = ParseThreadsFlag(arg, v, 0, &out->jobs, error);
+    } else if ((v = FlagValue(arg, "--timeout")) != nullptr) {
+      parsed = ParseNumberFlag(arg, v, 0, kMaxSeconds,
+                               &out->verify.timeout_seconds, error);
+    } else if ((v = FlagValue(arg, "--max-expansions")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, -1, kMaxInt64,
+                            &out->verify.max_expansions, error);
+    } else if ((v = FlagValue(arg, "--max-candidates")) != nullptr) {
+      parsed = ParseIntFlag(arg, v, 0, kMaxCandidatesLimit,
+                            &out->verify.max_candidates, error);
+    } else if ((v = FlagValue(arg, "--max-memory-mb")) != nullptr) {
       int64_t mb = 0;
-      if (!integer(v, -1, std::numeric_limits<int64_t>::max() >> 20, &mb)) {
-        return false;
-      }
+      parsed = ParseIntFlag(arg, v, -1, kMaxInt64 >> 20, &mb, error);
       out->verify.max_memory_bytes = mb < 0 ? -1 : mb << 20;
     } else if (std::strcmp(arg, "--keep-going") == 0) {
       out->keep_going = true;
@@ -225,6 +191,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
       *error = std::string("unknown option: ") + arg;
       return false;
     }
+    if (!parsed) return false;
   }
   if (out->audit_cache) {
     if (out->cache_dir.empty()) {
@@ -279,10 +246,8 @@ int RunAuditCache(const std::string& dir) {
   doc.Set("torn_entries", obs::Json::Int(audit.torn_entries));
   doc.Set("misnamed_entries", obs::Json::Int(audit.misnamed_entries));
   doc.Set("tmp_files", obs::Json::Int(audit.tmp_files));
-  doc.Set("legacy_files", obs::Json::Int(audit.legacy_files));
   doc.Set("quarantined_files", obs::Json::Int(audit.quarantined_files));
   doc.Set("consistent", obs::Json::Bool(audit.consistent()));
-  doc.Set("clean", obs::Json::Bool(audit.clean()));
   obs::Json problems = obs::Json::Array();
   for (const std::string& p : audit.problems) {
     problems.Append(obs::Json::Str(p));
