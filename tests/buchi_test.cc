@@ -1,13 +1,26 @@
 // Büchi construction tests: Figure 1's automaton shape, hand-picked
-// formulas, and a randomized differential test of the GPVW translation
-// against the reference lasso-word LTL evaluator.
+// formulas, a randomized differential test of the GPVW translation
+// against the reference lasso-word LTL evaluator, and the property
+// automata of the suite and of generated cases pinned in
+// tests/golden/automaton_pins.json.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
+#include <set>
+#include <sstream>
+#include <string>
 
+#include "apps/apps.h"
 #include "buchi/gpvw.h"
 #include "buchi/lasso.h"
 #include "buchi/prop_ltl.h"
+#include "common/fingerprint.h"
+#include "common/io.h"
+#include "ltl/abstraction.h"
+#include "obs/json.h"
+#include "parser/parser.h"
+#include "testing/spec_gen.h"
 
 namespace wave {
 namespace {
@@ -167,6 +180,129 @@ TEST_P(GpvwDifferentialTest, MatchesReferenceSemanticsOnRandomLassos) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GpvwDifferentialTest,
                          ::testing::Range(0, 60));
+
+// --- automaton pins ---------------------------------------------------------
+
+/// One LTL-FO property whose negation's automaton is pinned.
+struct PinnedProperty {
+  std::string name;  // "e1/P4", "fuzz/<seed>", "wide/<seed>"
+  LtlPtr negated;
+  const SymbolTable* symbols;
+};
+
+/// Number of generated properties pinned per generator config.
+constexpr int kPinnedSeeds = 500;
+
+/// The properties of tests/golden/automaton_pins.json: the suite's, then
+/// generated ones (seeds 1..kPinnedSeeds) at the fuzz defaults and at a
+/// widened config. `specs` keeps their symbol tables alive.
+std::vector<PinnedProperty> PinnedProperties(
+    std::vector<std::unique_ptr<WebAppSpec>>* specs) {
+  std::vector<PinnedProperty> out;
+  const std::pair<const char*, AppBundle (*)()> suites[] = {
+      {"e1", BuildE1}, {"e2", BuildE2}, {"e3", BuildE3}, {"e4", BuildE4}};
+  for (const auto& [suite, build] : suites) {
+    AppBundle bundle = build();
+    for (const ParsedProperty& p : bundle.properties) {
+      out.push_back({std::string(suite) + "/" + p.property.name,
+                     LtlFormula::Not(p.property.body),
+                     &bundle.spec->symbols()});
+    }
+    specs->push_back(std::move(bundle.spec));
+  }
+  testing::GeneratorConfig wide;
+  wide.max_pages = 6;
+  wide.max_constants = 4;
+  wide.max_property_depth = 4;
+  const std::pair<const char*, testing::GeneratorConfig> configs[] = {
+      {"fuzz", testing::GeneratorConfig{}}, {"wide", wide}};
+  for (const auto& [prefix, config] : configs) {
+    for (uint64_t seed = 1; seed <= kPinnedSeeds; ++seed) {
+      ParseResult parsed =
+          ParseSpec(testing::GenerateCase(seed, config).Text());
+      EXPECT_TRUE(parsed.ok()) << prefix << "/" << seed << "\n"
+                               << parsed.ErrorText();
+      if (!parsed.ok() || parsed.properties.empty()) continue;
+      out.push_back({std::string(prefix) + "/" + std::to_string(seed),
+                     LtlFormula::Not(parsed.properties[0].property.body),
+                     &parsed.spec->symbols()});
+      specs->push_back(std::move(parsed.spec));
+    }
+  }
+  return out;
+}
+
+/// Hex fingerprint of an automaton: its start state, then per state its
+/// acceptance flag and its transitions' targets and guards, in order.
+std::string AutomatonFingerprint(const BuchiAutomaton& a) {
+  FingerprintBuilder fp;
+  fp.AddInt(a.NumStates());
+  fp.AddInt(a.start);
+  for (int s = 0; s < a.NumStates(); ++s) {
+    fp.AddBool(a.accepting[s]);
+    fp.AddInt(static_cast<int64_t>(a.adj[s].size()));
+    for (const BuchiTransition& t : a.adj[s]) {
+      fp.AddInt(t.to);
+      fp.AddInt(static_cast<int64_t>(t.guard.size()));
+      for (const Literal& lit : t.guard) {
+        fp.AddInt(lit.prop);
+        fp.AddBool(lit.positive);
+      }
+    }
+  }
+  return fp.Finish().ToHex();
+}
+
+/// The pin of one property: the raw tableau's and the simplified
+/// automaton's state counts and fingerprints.
+obs::Json AutomatonPin(const PinnedProperty& p) {
+  obs::Json pin = obs::Json::Object();
+  pin.Set("name", obs::Json::Str(p.name));
+  for (bool simplify : {false, true}) {
+    Abstraction abstraction = AbstractLtl(p.negated, *p.symbols);
+    GpvwOptions options;
+    options.simplify = simplify;
+    BuchiAutomaton a =
+        LtlToBuchi(&abstraction.arena, abstraction.root,
+                   static_cast<int>(abstraction.components.size()), options);
+    const std::string prefix = simplify ? "" : "raw_";
+    pin.Set(prefix + "states", obs::Json::Int(a.NumStates()));
+    pin.Set(prefix + "fingerprint", obs::Json::Str(AutomatonFingerprint(a)));
+  }
+  return pin;
+}
+
+std::string AutomatonPinsPath() {
+  return std::string(WAVE_REPO_ROOT) + "/tests/golden/automaton_pins.json";
+}
+
+/// Every pinned property's automaton, raw and simplified, matches
+/// tests/golden/automaton_pins.json. Run the test binary with WAVE_REGOLD
+/// set to rewrite the file after a deliberate change to the translation.
+TEST(AutomatonPinsTest, AutomataMatchPins) {
+  std::vector<std::unique_ptr<WebAppSpec>> specs;
+  std::vector<PinnedProperty> properties = PinnedProperties(&specs);
+  ASSERT_EQ(properties.size(), 56u + 2 * kPinnedSeeds);
+  if (std::getenv("WAVE_REGOLD") != nullptr) {
+    std::string bytes;
+    for (const PinnedProperty& p : properties) {
+      bytes += AutomatonPin(p).Dump() + "\n";
+    }
+    Status written = AtomicWriteFile(AutomatonPinsPath(), bytes);
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    return;
+  }
+  StatusOr<std::string> golden = ReadFileToString(AutomatonPinsPath());
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  std::istringstream lines(*golden);
+  std::string line;
+  size_t row = 0;
+  for (; std::getline(lines, line) && row < properties.size(); ++row) {
+    EXPECT_EQ(AutomatonPin(properties[row]).Dump(), line);
+  }
+  EXPECT_EQ(row, properties.size()) << "pins file is short";
+  EXPECT_FALSE(std::getline(lines, line)) << "pins file is long";
+}
 
 }  // namespace
 }  // namespace wave
