@@ -1,8 +1,9 @@
 #include "buchi/buchi.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 
@@ -37,6 +38,70 @@ int BuchiAutomaton::NumTransitions() const {
 
 namespace {
 
+uint64_t MixInto(uint64_t hash, uint64_t value) {
+  hash = (hash ^ value) * 0xbf58476d1ce4e5b9ULL;
+  return hash ^ (hash >> 31);
+}
+
+/// Per-state int sequences in one buffer, with an open-addressing index
+/// that finds the first indexed state holding an equal sequence.
+class Signatures {
+ public:
+  explicit Signatures(int num_states) {
+    size_t capacity = 16;
+    while (capacity < 2 * static_cast<size_t>(num_states)) capacity *= 2;
+    slots_.resize(capacity);
+  }
+
+  void Clear() {
+    flat_.clear();
+    begin_.assign(1, 0);
+    std::fill(slots_.begin(), slots_.end(), -1);
+  }
+  void Append(int value) { flat_.push_back(value); }
+  /// Closes the sequence of the next state (states are numbered in order).
+  void EndState() { begin_.push_back(static_cast<int>(flat_.size())); }
+
+  /// The first indexed state whose sequence equals that of `s`, or -1;
+  /// then indexes `s` if `insert` is set and no state matched.
+  int Find(int s, bool insert) {
+    const int* seq = flat_.data() + begin_[s];
+    const int len = begin_[s + 1] - begin_[s];
+    uint64_t hash = static_cast<uint64_t>(len);
+    for (int i = 0; i < len; ++i) {
+      hash = MixInto(hash, static_cast<uint32_t>(seq[i]));
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const int other = slots_[i];
+      if (other < 0) {
+        if (insert) slots_[i] = s;
+        return -1;
+      }
+      if (begin_[other + 1] - begin_[other] == len &&
+          std::equal(seq, seq + len, flat_.data() + begin_[other])) {
+        return other;
+      }
+    }
+  }
+
+ private:
+  std::vector<int> flat_;
+  std::vector<int> begin_;  // state s's sequence is [begin_[s], begin_[s+1])
+  std::vector<int> slots_;  // state ids, -1 empty
+};
+
+/// Hash of a guard's literals, for interning.
+struct GuardHash {
+  size_t operator()(const Guard& g) const {
+    uint64_t hash = g.size();
+    for (const Literal& lit : g) {
+      hash = MixInto(hash, 2 * static_cast<uint64_t>(lit.prop) + lit.positive);
+    }
+    return hash;
+  }
+};
+
 /// Applies a state renumbering: `keep[s]` is the new id of s or -1 to drop.
 void Renumber(BuchiAutomaton* a, const std::vector<int>& keep,
               int new_count) {
@@ -45,9 +110,9 @@ void Renumber(BuchiAutomaton* a, const std::vector<int>& keep,
   for (int s = 0; s < a->NumStates(); ++s) {
     if (keep[s] < 0) continue;
     accepting[keep[s]] = a->accepting[s];
-    for (const BuchiTransition& t : a->adj[s]) {
+    for (BuchiTransition& t : a->adj[s]) {
       if (keep[t.to] < 0) continue;
-      adj[keep[s]].push_back({keep[t.to], t.guard});
+      adj[keep[s]].push_back({keep[t.to], std::move(t.guard)});
     }
   }
   for (auto& ts : adj) {
@@ -180,51 +245,84 @@ void BuchiAutomaton::ClearAcceptanceOffCycles() {
 }
 
 void BuchiAutomaton::RemoveSubsumedTransitions() {
+  std::vector<char> subsumed;
   for (auto& ts : adj) {
-    std::vector<BuchiTransition> kept;
-    for (const BuchiTransition& t : ts) {
-      bool subsumed = false;
-      for (const BuchiTransition& other : ts) {
-        if (&other == &t || other.to != t.to) continue;
+    subsumed.assign(ts.size(), 0);
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const BuchiTransition& t = ts[i];
+      for (size_t j = 0; j < ts.size(); ++j) {
+        const BuchiTransition& other = ts[j];
+        if (j == i || other.to != t.to) continue;
         // `other` subsumes `t` if other's guard is a subset of t's guard
-        // (weaker condition, fires whenever t does). Break guard-equality
-        // ties by address to keep exactly one copy.
+        // (weaker condition, fires whenever t does). Of equal guards, the
+        // first copy stays.
         bool subset = std::includes(t.guard.begin(), t.guard.end(),
                                     other.guard.begin(), other.guard.end());
-        if (subset && (other.guard != t.guard || &other < &t)) {
-          subsumed = true;
+        if (subset && (other.guard != t.guard || j < i)) {
+          subsumed[i] = 1;
           break;
         }
       }
-      if (!subsumed) kept.push_back(t);
     }
-    ts = std::move(kept);
+    size_t kept = 0;
+    for (size_t i = 0; i < ts.size(); ++i) {
+      if (subsumed[i]) continue;
+      if (kept != i) ts[kept] = std::move(ts[i]);
+      ++kept;
+    }
+    ts.resize(kept);
   }
 }
 
 void BuchiAutomaton::MergeEquivalentStates() {
   int n = NumStates();
+  // Guards interned to dense ids, so a state's signature — its class, then
+  // its sorted (guard id, successor class) pairs — is a sequence of ints.
+  std::unordered_map<Guard, int, GuardHash> guard_ids;
+  std::vector<int> edge_begin = {0};
+  std::vector<std::pair<int, int>> edges;  // (guard id, target)
+  for (int s = 0; s < n; ++s) {
+    for (const BuchiTransition& t : adj[s]) {
+      int id = guard_ids.emplace(t.guard, static_cast<int>(guard_ids.size()))
+                   .first->second;
+      edges.emplace_back(id, t.to);
+    }
+    edge_begin.push_back(static_cast<int>(edges.size()));
+  }
   std::vector<int> part(n);
   for (int s = 0; s < n; ++s) part[s] = accepting[s] ? 1 : 0;
+  Signatures signatures(n);
+  std::vector<std::pair<int, int>> pairs;
+  auto append_successors = [&](int s) {
+    pairs.clear();
+    for (int e = edge_begin[s]; e < edge_begin[s + 1]; ++e) {
+      pairs.emplace_back(edges[e].first, part[edges[e].second]);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (const auto& [guard, cls] : pairs) {
+      signatures.Append(guard);
+      signatures.Append(cls);
+    }
+  };
   bool changed = true;
+  std::vector<int> next_part(n);
   while (changed) {
     changed = false;
-    // Signature: (current class, sorted set of (guard, successor class)).
-    std::map<std::pair<int, std::set<std::pair<Guard, int>>>, int> classes;
-    std::vector<int> next_part(n);
+    signatures.Clear();
     for (int s = 0; s < n; ++s) {
-      std::set<std::pair<Guard, int>> succs;
-      for (const BuchiTransition& t : adj[s]) {
-        succs.emplace(t.guard, part[t.to]);
-      }
-      auto key = std::make_pair(part[s], std::move(succs));
-      auto it =
-          classes.emplace(std::move(key), static_cast<int>(classes.size()))
-              .first;
-      next_part[s] = it->second;
+      signatures.Append(part[s]);
+      append_successors(s);
+      signatures.EndState();
+    }
+    // Class ids are handed out in state order.
+    int classes = 0;
+    for (int s = 0; s < n; ++s) {
+      int first = signatures.Find(s, /*insert=*/true);
+      next_part[s] = first < 0 ? classes++ : next_part[first];
     }
     if (next_part != part) {
-      part = std::move(next_part);
+      part.swap(next_part);
       changed = true;
     }
   }
@@ -240,19 +338,19 @@ void BuchiAutomaton::MergeEquivalentStates() {
     bool folded = true;
     while (folded) {
       folded = false;
-      std::map<std::set<std::pair<Guard, int>>, int> by_signature;
-      std::vector<std::set<std::pair<Guard, int>>> signature(n);
+      signatures.Clear();
       for (int s = 0; s < n; ++s) {
-        for (const BuchiTransition& t : adj[s]) {
-          signature[s].emplace(t.guard, part[t.to]);
-        }
-        if (on_cycle[s]) by_signature.emplace(signature[s], part[s]);
+        append_successors(s);
+        signatures.EndState();
+      }
+      for (int s = 0; s < n; ++s) {
+        if (on_cycle[s]) signatures.Find(s, /*insert=*/true);
       }
       for (int s = 0; s < n; ++s) {
         if (on_cycle[s]) continue;
-        auto it = by_signature.find(signature[s]);
-        if (it != by_signature.end() && part[s] != it->second) {
-          part[s] = it->second;
+        int first = signatures.Find(s, /*insert=*/false);
+        if (first >= 0 && part[s] != part[first]) {
+          part[s] = part[first];
           folded = true;
         }
       }
@@ -276,8 +374,8 @@ void BuchiAutomaton::MergeEquivalentStates() {
     int cls = rep[part[s]];
     // OR: folded off-cycle members must not clear an accepting class.
     new_acc[cls] = new_acc[cls] || accepting[s];
-    for (const BuchiTransition& t : adj[s]) {
-      new_adj[cls].push_back({rep[part[t.to]], t.guard});
+    for (BuchiTransition& t : adj[s]) {
+      new_adj[cls].push_back({rep[part[t.to]], std::move(t.guard)});
     }
   }
   for (auto& ts : new_adj) {

@@ -1,9 +1,10 @@
 #include "buchi/gpvw.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -13,152 +14,246 @@ namespace wave {
 
 namespace {
 
-using NodeSet = std::set<PropId>;
-
-/// A tableau node in the GPVW expansion. `name` is assigned only when the
-/// node completes (New empty) and is registered — split copies of a node in
-/// progress must not share an identity.
-struct GNode {
-  int name = -2;  // unassigned until completion
-  std::set<int> incoming;  // node names; kInitName denotes the initial edge
-  NodeSet nnew;            // obligations still to process
-  NodeSet old;             // processed obligations (define the state label)
-  NodeSet next;            // obligations for the successor state
-};
+using Kind = PropArena::Kind;
+using Words = std::vector<uint64_t>;
 
 constexpr int kInitName = -1;
 
+bool TestBit(const uint64_t* set, int i) {
+  return (set[i >> 6] >> (i & 63)) & uint64_t{1};
+}
+void SetBit(uint64_t* set, int i) { set[i >> 6] |= uint64_t{1} << (i & 63); }
+
+/// The NNF closure of the root: every node the expansion can put into a
+/// tableau node's New, Old or Next set, indexed densely in ascending
+/// PropId order. Sets over the closure are word arrays, and the lowest set
+/// bit of one is its smallest PropId.
+struct Closure {
+  struct Member {
+    Kind kind;
+    int left = -1;        // closure index of the body / lhs
+    int right = -1;       // closure index of the rhs
+    int complement = -1;  // literals: closure index of the negation
+    Literal literal;      // kProp / kNot: the guard literal
+  };
+
+  Closure(const PropArena& arena, PropId root) {
+    // Obligations enter New as the root, the operands of ∧ ∨ U R, and (via
+    // Next) the body of X; a negated proposition is a literal, not opened.
+    std::vector<char> seen(arena.size(), 0);
+    std::vector<PropId> stack = {root}, ids;
+    seen[root] = 1;
+    while (!stack.empty()) {
+      PropId f = stack.back();
+      stack.pop_back();
+      ids.push_back(f);
+      const PropArena::Node& n = arena.node(f);
+      if (n.kind == Kind::kProp || n.kind == Kind::kNot ||
+          n.kind == Kind::kTrue || n.kind == Kind::kFalse) {
+        continue;
+      }
+      WAVE_CHECK_MSG(n.kind == Kind::kAnd || n.kind == Kind::kOr ||
+                         n.kind == Kind::kU || n.kind == Kind::kR ||
+                         n.kind == Kind::kX,
+                     "non-NNF node in GPVW expansion");
+      for (PropId c : {n.left, n.right}) {
+        if (c >= 0 && !seen[c]) {
+          seen[c] = 1;
+          stack.push_back(c);
+        }
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    std::vector<int> index(arena.size(), -1);
+    for (size_t i = 0; i < ids.size(); ++i) index[ids[i]] = static_cast<int>(i);
+    members.resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const PropArena::Node& n = arena.node(ids[i]);
+      Member& m = members[i];
+      m.kind = n.kind;
+      if (n.kind == Kind::kProp) {
+        m.literal = {n.prop, true};
+      } else if (n.kind == Kind::kNot) {
+        m.literal = {arena.node(n.left).prop, false};
+        int p = index[n.left];
+        if (p >= 0) {
+          m.complement = p;
+          members[p].complement = static_cast<int>(i);
+        }
+      } else if (n.kind != Kind::kTrue && n.kind != Kind::kFalse) {
+        m.left = index[n.left];
+        if (n.right >= 0) m.right = index[n.right];
+      }
+    }
+    root_index = index[root];
+    words = static_cast<int>((members.size() + 63) / 64);
+  }
+
+  std::vector<Member> members;
+  int root_index = -1;
+  int words = 0;  // 64-bit words per subset
+};
+
+/// A completed tableau node: its Old and Next sets (`words` each, in that
+/// order) and the names of its predecessors.
+struct TableauNode {
+  Words old_next;
+  std::vector<int> incoming;  // kInitName denotes the initial edge
+};
+
+/// GPVW expansion over closure bitsets. A node under expansion carries its
+/// New, Old and Next sets in one word array; it takes obligations from New
+/// smallest PropId first, splits depth first, and on completion either
+/// merges into the registered node with the same Old and Next sets or is
+/// registered under the next name, queueing its successor.
 class Expander {
  public:
-  Expander(PropArena* arena, PropId root) : arena_(arena) {
-    GNode init;
-    init.incoming.insert(kInitName);
-    init.nnew.insert(root);
-    // Worklist instead of recursion across nodes: successor nodes are
-    // queued, only the obligation-processing within one node recurses
-    // (depth bounded by the formula's closure size).
-    pending_.push_back(std::move(init));
+  explicit Expander(const Closure& closure)
+      : c_(closure), w_(closure.words) {
+    pending_.push_back(Fresh(kInitName));
+    SetBit(pending_.back().words.data(), c_.root_index);
     while (!pending_.empty()) {
-      GNode node = std::move(pending_.front());
+      Expanding node = std::move(pending_.front());
       pending_.pop_front();
       Expand(std::move(node));
     }
-  }
-
-  const std::vector<GNode>& nodes() const { return done_; }
-
- private:
-  const PropArena::Node& N(PropId id) const { return arena_->node(id); }
-
-  /// Negation of an NNF leaf/literal, for the contradiction check.
-  PropId NegLiteral(PropId f) {
-    const PropArena::Node& n = N(f);
-    if (n.kind == PropArena::Kind::kNot) return n.left;
-    WAVE_CHECK(n.kind == PropArena::Kind::kProp);
-    return arena_->Not(f);
-  }
-
-  bool IsLiteral(PropId f) {
-    switch (N(f).kind) {
-      case PropArena::Kind::kProp:
-      case PropArena::Kind::kNot:
-      case PropArena::Kind::kTrue:
-      case PropArena::Kind::kFalse:
-        return true;
-      default:
-        return false;
+    for (TableauNode& nd : done_) {
+      std::sort(nd.incoming.begin(), nd.incoming.end());
+      nd.incoming.erase(std::unique(nd.incoming.begin(), nd.incoming.end()),
+                        nd.incoming.end());
     }
   }
 
-  void Expand(GNode node) {
-    if (node.nnew.empty()) {
-      // A fully processed node: merge with an existing node having the same
-      // Old and Next sets, else register it and start its successor.
-      for (GNode& nd : done_) {
-        if (nd.old == node.old && nd.next == node.next) {
-          nd.incoming.insert(node.incoming.begin(), node.incoming.end());
+  const std::vector<TableauNode>& nodes() const { return done_; }
+
+ private:
+  struct Expanding {
+    int pred;
+    Words words;  // New, Old, Next
+  };
+
+  Expanding Fresh(int pred) const { return {pred, Words(3 * w_, 0)}; }
+
+  uint64_t* New(Expanding& n) const { return n.words.data(); }
+  uint64_t* Old(Expanding& n) const { return n.words.data() + w_; }
+  uint64_t* Next(Expanding& n) const { return n.words.data() + 2 * w_; }
+
+  /// Adds obligation `i` to New unless it is already in Old.
+  void Oblige(Expanding& n, int i) const {
+    if (!TestBit(Old(n), i)) SetBit(New(n), i);
+  }
+
+  int PopLowestNew(Expanding& n) const {
+    uint64_t* nnew = New(n);
+    for (int w = 0; w < w_; ++w) {
+      if (nnew[w] != 0) {
+        int bit = __builtin_ctzll(nnew[w]);
+        nnew[w] &= nnew[w] - 1;
+        return w * 64 + bit;
+      }
+    }
+    return -1;
+  }
+
+  /// Expands `root` and every node split off it, depth first: the second
+  /// branch of a split waits on the stack until the first is done.
+  void Expand(Expanding root) {
+    std::vector<Expanding> stack;
+    stack.push_back(std::move(root));
+    while (!stack.empty()) {
+      Expanding node = std::move(stack.back());
+      stack.pop_back();
+      while (true) {
+        int f = PopLowestNew(node);
+        if (f < 0) {
+          Complete(std::move(node));
+          break;
+        }
+        const Closure::Member& m = c_.members[f];
+        if (m.kind == Kind::kFalse) break;  // contradiction
+        if (m.kind == Kind::kTrue) continue;
+        if (m.kind == Kind::kProp || m.kind == Kind::kNot) {
+          if (m.complement >= 0 && TestBit(Old(node), m.complement)) {
+            break;  // p & !p
+          }
+          SetBit(Old(node), f);
+          continue;
+        }
+        if (m.kind == Kind::kAnd) {
+          Oblige(node, m.left);
+          Oblige(node, m.right);
+          SetBit(Old(node), f);
+          continue;
+        }
+        if (m.kind == Kind::kX) {
+          SetBit(Next(node), m.left);
+          SetBit(Old(node), f);
+          continue;
+        }
+        // ∨, U and R split: f = l ∨ r into l | r; f = l U r into
+        // (l ∧ X f) | r; f = l R r into (r ∧ X f) | (l ∧ r).
+        Expanding second = node;
+        if (m.kind == Kind::kOr) {
+          Oblige(node, m.left);
+          Oblige(second, m.right);
+        } else if (m.kind == Kind::kU) {
+          Oblige(node, m.left);
+          SetBit(Next(node), f);
+          Oblige(second, m.right);
+        } else {
+          Oblige(node, m.right);
+          SetBit(Next(node), f);
+          Oblige(second, m.left);
+          Oblige(second, m.right);
+        }
+        SetBit(Old(node), f);
+        SetBit(Old(second), f);
+        stack.push_back(std::move(second));
+      }
+    }
+  }
+
+  /// A fully processed node: merges with the registered node having the
+  /// same Old and Next sets, else registers it and queues its successor.
+  void Complete(Expanding node) {
+    const uint64_t* key = Old(node);
+    uint64_t hash = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 2 * w_; ++i) {
+      hash = (hash ^ key[i]) * 0xbf58476d1ce4e5b9ULL;
+      hash ^= hash >> 31;
+    }
+    auto [it, inserted] =
+        by_hash_.emplace(hash, static_cast<int>(done_.size()));
+    if (!inserted) {
+      for (int i = it->second; i >= 0; i = same_hash_[i]) {
+        if (std::equal(key, key + 2 * w_, done_[i].old_next.begin())) {
+          done_[i].incoming.push_back(node.pred);
           return;
         }
       }
-      node.name = next_name_++;
-      GNode succ;
-      succ.incoming.insert(node.name);
-      succ.nnew = node.next;
-      obs::CountAlloc(static_cast<int64_t>(sizeof(GNode)));
-      done_.push_back(std::move(node));
-      pending_.push_back(std::move(succ));
-      return;
+      same_hash_.push_back(it->second);
+      it->second = static_cast<int>(done_.size());
+    } else {
+      same_hash_.push_back(-1);
     }
-    PropId f = *node.nnew.begin();
-    node.nnew.erase(node.nnew.begin());
-    const PropArena::Node& n = N(f);
-    if (IsLiteral(f)) {
-      if (n.kind == PropArena::Kind::kFalse) return;  // contradiction
-      if (n.kind != PropArena::Kind::kTrue) {
-        if (node.old.count(NegLiteral(f)) > 0) return;  // p & !p
-        node.old.insert(f);
-      }
-      Expand(std::move(node));
-      return;
-    }
-    switch (n.kind) {
-      case PropArena::Kind::kAnd: {
-        if (node.old.count(n.left) == 0) node.nnew.insert(n.left);
-        if (node.old.count(n.right) == 0) node.nnew.insert(n.right);
-        node.old.insert(f);
-        Expand(std::move(node));
-        return;
-      }
-      case PropArena::Kind::kOr: {
-        GNode n1 = node, n2 = node;
-        if (n1.old.count(n.left) == 0) n1.nnew.insert(n.left);
-        n1.old.insert(f);
-        if (n2.old.count(n.right) == 0) n2.nnew.insert(n.right);
-        n2.old.insert(f);
-        Expand(std::move(n1));
-        Expand(std::move(n2));
-        return;
-      }
-      case PropArena::Kind::kU: {
-        // f = l U r:  (l ∧ X f)  ∨  r
-        GNode n1 = node, n2 = node;
-        if (n1.old.count(n.left) == 0) n1.nnew.insert(n.left);
-        n1.next.insert(f);
-        n1.old.insert(f);
-        if (n2.old.count(n.right) == 0) n2.nnew.insert(n.right);
-        n2.old.insert(f);
-        Expand(std::move(n1));
-        Expand(std::move(n2));
-        return;
-      }
-      case PropArena::Kind::kR: {
-        // f = l R r:  (r ∧ X f)  ∨  (l ∧ r)
-        GNode n1 = node, n2 = node;
-        if (n1.old.count(n.right) == 0) n1.nnew.insert(n.right);
-        n1.next.insert(f);
-        n1.old.insert(f);
-        if (n2.old.count(n.left) == 0) n2.nnew.insert(n.left);
-        if (n2.old.count(n.right) == 0) n2.nnew.insert(n.right);
-        n2.old.insert(f);
-        Expand(std::move(n1));
-        Expand(std::move(n2));
-        return;
-      }
-      case PropArena::Kind::kX: {
-        node.next.insert(n.left);
-        node.old.insert(f);
-        Expand(std::move(node));
-        return;
-      }
-      default:
-        WAVE_CHECK_MSG(false, "non-NNF node in GPVW expansion");
-    }
+    int name = static_cast<int>(done_.size());
+    Expanding succ = Fresh(name);
+    std::copy(Next(node), Next(node) + w_, New(succ));
+    TableauNode registered;
+    registered.old_next.assign(key, key + 2 * w_);
+    registered.incoming.push_back(node.pred);
+    obs::CountAlloc(static_cast<int64_t>(sizeof(TableauNode) +
+                                         2 * w_ * sizeof(uint64_t)));
+    done_.push_back(std::move(registered));
+    pending_.push_back(std::move(succ));
   }
 
-  PropArena* arena_;
-  int next_name_ = 0;
-  std::vector<GNode> done_;
-  std::deque<GNode> pending_;
+  const Closure& c_;
+  const int w_;
+  std::vector<TableauNode> done_;  // indexed by name
+  std::unordered_map<uint64_t, int> by_hash_;  // newest node per hash
+  std::vector<int> same_hash_;  // per node: the previous one with its hash
+  std::deque<Expanding> pending_;
 };
 
 }  // namespace
@@ -167,46 +262,41 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
                           const GpvwOptions& options) {
   PropId nnf = arena->Nnf(f);
 
-  Expander expander(arena, nnf);
-  const std::vector<GNode>& nodes = expander.nodes();
+  const Closure closure(*arena, nnf);
+  const Expander expander(closure);
+  const std::vector<TableauNode>& nodes = expander.nodes();
+  const int w = closure.words;
+  auto old_has = [&](const TableauNode& q, int i) {
+    return TestBit(q.old_next.data(), i);
+  };
 
-  // Collect all U-subformulas appearing in any node — these induce the
-  // generalized acceptance sets F_{lUr} = { q : lUr ∉ Old(q) or r ∈ Old(q) }.
-  std::set<PropId> until_formulas;
-  for (const GNode& nd : nodes) {
-    for (PropId g : nd.old) {
-      if (arena->node(g).kind == PropArena::Kind::kU) {
-        until_formulas.insert(g);
-      }
-    }
-    for (PropId g : nd.next) {
-      if (arena->node(g).kind == PropArena::Kind::kU) {
-        until_formulas.insert(g);
-      }
+  // The U-subformulas appearing in any node induce the generalized
+  // acceptance sets F_{lUr} = { q : lUr ∉ Old(q) or r ∈ Old(q) }.
+  Words any(w, 0);
+  for (const TableauNode& nd : nodes) {
+    for (int i = 0; i < w; ++i) any[i] |= nd.old_next[i] | nd.old_next[w + i];
+  }
+  std::vector<int> untils;
+  for (int i = 0; i < static_cast<int>(closure.members.size()); ++i) {
+    if (TestBit(any.data(), i) && closure.members[i].kind == Kind::kU) {
+      untils.push_back(i);
     }
   }
-  std::vector<PropId> untils(until_formulas.begin(), until_formulas.end());
   int k = static_cast<int>(untils.size());
 
-  // Map tableau node names to dense ids; state 0 is a fresh initial state
-  // (the paper's automata also carry an explicit start).
-  std::map<int, int> state_of_name;
-  state_of_name[kInitName] = 0;
-  for (const GNode& nd : nodes) {
-    state_of_name[nd.name] = static_cast<int>(state_of_name.size());
-  }
-  int num_gba_states = static_cast<int>(state_of_name.size());
+  // State 0 is a fresh initial state (the paper's automata also carry an
+  // explicit start); the node named n is state n + 1.
+  auto state_of_name = [](int name) { return name + 1; };
+  int num_gba_states = static_cast<int>(nodes.size()) + 1;
 
   // Guard of every transition *into* node q: conjunction of literals in
   // Old(q).
-  auto guard_of = [&](const GNode& q) -> Guard {
+  auto guard_of = [&](const TableauNode& q) -> Guard {
     Guard g;
-    for (PropId h : q.old) {
-      const PropArena::Node& n = arena->node(h);
-      if (n.kind == PropArena::Kind::kProp) {
-        g.push_back({n.prop, true});
-      } else if (n.kind == PropArena::Kind::kNot) {
-        g.push_back({arena->node(n.left).prop, false});
+    for (int i = 0; i < static_cast<int>(closure.members.size()); ++i) {
+      const Closure::Member& m = closure.members[i];
+      if ((m.kind == Kind::kProp || m.kind == Kind::kNot) && old_has(q, i)) {
+        g.push_back(m.literal);
       }
     }
     bool ok = NormalizeGuard(&g);
@@ -215,10 +305,10 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
   };
 
   // Membership in acceptance set i.
-  auto in_accept_set = [&](const GNode& q, int i) {
-    PropId u = untils[i];
-    if (q.old.count(u) == 0) return true;
-    return q.old.count(arena->node(u).right) > 0;
+  auto in_accept_set = [&](const TableauNode& q, int i) {
+    int u = untils[i];
+    if (!old_has(q, u)) return true;
+    return old_has(q, closure.members[u].right);
   };
 
   BuchiAutomaton out;
@@ -230,11 +320,11 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     out.adj.assign(num_gba_states, {});
     out.accepting.assign(num_gba_states, true);
     out.start = 0;
-    for (const GNode& q : nodes) {
+    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
+      const TableauNode& q = nodes[name];
       Guard g = guard_of(q);
       for (int p_name : q.incoming) {
-        out.adj[state_of_name[p_name]].push_back(
-            {state_of_name[q.name], g});
+        out.adj[state_of_name(p_name)].push_back({state_of_name(name), g});
       }
     }
   } else {
@@ -252,19 +342,20 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     // acceptance sets.
     std::vector<std::vector<bool>> in_f(num_gba_states,
                                         std::vector<bool>(k, true));
-    for (const GNode& q : nodes) {
+    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
       for (int i = 0; i < k; ++i) {
-        in_f[state_of_name[q.name]][i] = in_accept_set(q, i);
+        in_f[state_of_name(name)][i] = in_accept_set(nodes[name], i);
       }
     }
     for (int s = 0; s < num_gba_states; ++s) {
       if (in_f[s][0]) out.accepting[id_of(s, 0)] = true;
     }
-    for (const GNode& q : nodes) {
+    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
+      const TableauNode& q = nodes[name];
       Guard g = guard_of(q);
-      int to_state = state_of_name[q.name];
+      int to_state = state_of_name(name);
       for (int p_name : q.incoming) {
-        int from_state = state_of_name[p_name];
+        int from_state = state_of_name(p_name);
         for (int i = 0; i < k; ++i) {
           int next_i = in_f[from_state][i] ? (i + 1) % k : i;
           out.adj[id_of(from_state, i)].push_back(
