@@ -80,59 +80,79 @@ PropId PropArena::B(PropId l, PropId r) {
 }
 
 PropId PropArena::Nnf(PropId f, bool negate) {
-  Node n = nodes_[f];  // copy: interning below may reallocate nodes_
+  // A node's operands are interned before it, so ids up to f suffice.
+  std::vector<PropId> memo(2 * (static_cast<size_t>(f) + 1), -1);
+  return Nnf(f, negate, &memo);
+}
+
+PropId PropArena::Nnf(PropId f, bool negate, std::vector<PropId>* memo) {
+  // Memoized by (node, polarity): the arena is a DAG, and a chain of
+  // implications reaches its nodes in both polarities.
+  const size_t slot = 2 * static_cast<size_t>(f) + (negate ? 1 : 0);
+  if ((*memo)[slot] >= 0) return (*memo)[slot];
+  auto nnf = [&](PropId g, bool neg) { return Nnf(g, neg, memo); };
+  const Node n = nodes_[f];  // copy: interning below may reallocate nodes_
+  PropId out = -1;
   switch (n.kind) {
     case Kind::kTrue:
-      return negate ? False() : True();
+      out = negate ? False() : True();
+      break;
     case Kind::kFalse:
-      return negate ? True() : False();
+      out = negate ? True() : False();
+      break;
     case Kind::kProp:
-      return negate ? Not(f) : f;
+      out = negate ? Not(f) : f;
+      break;
     case Kind::kNot:
-      return Nnf(n.left, !negate);
-    case Kind::kAnd: {
-      PropId l = Nnf(n.left, negate);
-      PropId r = Nnf(n.right, negate);
-      return negate ? Or(l, r) : And(l, r);
-    }
+      out = nnf(n.left, !negate);
+      break;
+    case Kind::kAnd:
     case Kind::kOr: {
-      PropId l = Nnf(n.left, negate);
-      PropId r = Nnf(n.right, negate);
-      return negate ? And(l, r) : Or(l, r);
+      PropId l = nnf(n.left, negate);
+      PropId r = nnf(n.right, negate);
+      out = (n.kind == Kind::kAnd) != negate ? And(l, r) : Or(l, r);
+      break;
     }
     case Kind::kImplies: {
-      // a -> b == !a | b
-      PropId l = Nnf(n.left, !negate);
-      PropId r = Nnf(n.right, negate);
-      return negate ? And(Nnf(n.left, false), r) : Or(l, r);
+      // a -> b == !a | b ;  !(a -> b) == a & !b
+      PropId l = nnf(n.left, !negate);
+      PropId r = nnf(n.right, negate);
+      out = negate ? And(l, r) : Or(l, r);
+      break;
     }
     case Kind::kX:
-      return X(Nnf(n.left, negate));
-    case Kind::kU: {
-      PropId l = Nnf(n.left, negate);
-      PropId r = Nnf(n.right, negate);
-      return negate ? R(l, r) : U(l, r);
-    }
+      out = X(nnf(n.left, negate));
+      break;
+    case Kind::kU:
     case Kind::kR: {
-      PropId l = Nnf(n.left, negate);
-      PropId r = Nnf(n.right, negate);
-      return negate ? U(l, r) : R(l, r);
+      PropId l = nnf(n.left, negate);
+      PropId r = nnf(n.right, negate);
+      out = (n.kind == Kind::kU) != negate ? U(l, r) : R(l, r);
+      break;
     }
-    case Kind::kG:
+    case Kind::kG: {
       // G p = false R p ; !G p = true U !p
-      return negate ? U(True(), Nnf(n.left, true))
-                    : R(False(), Nnf(n.left, false));
-    case Kind::kF:
+      PropId body = nnf(n.left, negate);
+      out = negate ? U(True(), body) : R(False(), body);
+      break;
+    }
+    case Kind::kF: {
       // F p = true U p ; !F p = false R !p
-      return negate ? R(False(), Nnf(n.left, true))
-                    : U(True(), Nnf(n.left, false));
-    case Kind::kB:
+      PropId body = nnf(n.left, negate);
+      out = negate ? R(False(), body) : U(True(), body);
+      break;
+    }
+    case Kind::kB: {
       // p B q == !(!p U q):  NNF = p R !q ; negation = !p U q.
-      return negate ? U(Nnf(n.left, true), Nnf(n.right, false))
-                    : R(Nnf(n.left, false), Nnf(n.right, true));
+      PropId r = nnf(n.right, !negate);
+      PropId l = nnf(n.left, negate);
+      out = negate ? U(l, r) : R(l, r);
+      break;
+    }
   }
-  WAVE_CHECK(false);
-  return -1;
+  WAVE_CHECK(out >= 0);
+  (*memo)[slot] = out;
+  return out;
 }
 
 std::string PropArena::ToString(

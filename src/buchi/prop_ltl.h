@@ -71,7 +71,8 @@ class PropArena {
   int size() const { return static_cast<int>(nodes_.size()); }
 
   /// Negation normal form (negating first when `negate`). The result uses
-  /// only kTrue/kFalse/kProp/kNot-over-kProp/kAnd/kOr/kX/kU/kR.
+  /// only kTrue/kFalse/kProp/kNot-over-kProp/kAnd/kOr/kX/kU/kR. Linear in
+  /// the number of distinct nodes under `f`.
   PropId Nnf(PropId f, bool negate = false);
 
   /// Renders using `prop_name` for propositions.
@@ -80,6 +81,8 @@ class PropArena {
 
  private:
   PropId Intern(Node n);
+  /// `Nnf` with `memo[2 * id + negate]` caching each (node, polarity).
+  PropId Nnf(PropId f, bool negate, std::vector<PropId>* memo);
 
   std::vector<Node> nodes_;
   std::map<std::tuple<uint8_t, int, PropId, PropId>, PropId> index_;

@@ -5,6 +5,7 @@
 // tests/golden/automaton_pins.json.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <random>
 #include <set>
@@ -106,6 +107,56 @@ TEST(GpvwTest, BeforeOperatorSemantics) {
       a, MakeLasso({{false, true}}, {{false, false}})));
   // p and q simultaneously at 0 (p not strictly before): rejected.
   EXPECT_FALSE(AcceptsLasso(a, MakeLasso({{true, true}}, {{false, false}})));
+}
+
+// --- negation normal form ----------------------------------------------------
+
+/// ((…(F p0 -> F p1) -> …) -> F p_depth): each implication nests in the
+/// left operand of the next.
+PropId NestedImplications(PropArena* arena, int depth) {
+  PropId f = arena->F(arena->Prop(0));
+  for (int i = 1; i <= depth; ++i) {
+    f = arena->Implies(f, arena->F(arena->Prop(i)));
+  }
+  return f;
+}
+
+/// The NNF of `NestedImplications(depth)` in polarity `negate`, built by
+/// hand: a -> b is !a | b, !(a -> b) is a & !b, F p is true U p and !F p
+/// is false R !p.
+PropId NestedImplicationsNnf(PropArena* arena, int depth, bool negate) {
+  PropId p = arena->Prop(depth);
+  PropId f = negate ? arena->R(arena->False(), arena->Not(p))
+                    : arena->U(arena->True(), p);
+  if (depth == 0) return f;
+  PropId rest = NestedImplicationsNnf(arena, depth - 1, !negate);
+  return negate ? arena->And(rest, f) : arena->Or(rest, f);
+}
+
+TEST(PropArenaTest, NnfOfNestedImplicationsMatchesHandBuilt) {
+  for (int depth = 0; depth <= 6; ++depth) {
+    for (bool negate : {false, true}) {
+      PropArena arena;
+      PropId f = NestedImplications(&arena, depth);
+      EXPECT_EQ(arena.Nnf(f, negate),
+                NestedImplicationsNnf(&arena, depth, negate))
+          << "depth " << depth << " negate " << negate;
+    }
+  }
+}
+
+TEST(PropArenaTest, NnfIsLinearInDeepImplicationChains) {
+  // Each level reaches the level below in both polarities; without the
+  // (node, polarity) memo the work doubles with every two levels.
+  PropArena arena;
+  PropId f = NestedImplications(&arena, 200);
+  auto start = std::chrono::steady_clock::now();
+  PropId nnf = arena.Nnf(f, true);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_EQ(nnf, NestedImplicationsNnf(&arena, 200, true));
+  EXPECT_LT(seconds, 1.0);
 }
 
 // --- randomized differential test -------------------------------------------
