@@ -260,7 +260,7 @@ class Expander {
 
 BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
                           const GpvwOptions& options) {
-  PropId nnf = arena->Nnf(f);
+  PropId nnf = arena->Rewrite(arena->Nnf(f));
 
   const Closure closure(*arena, nnf);
   const Expander expander(closure);

@@ -1,5 +1,7 @@
 #include "buchi/prop_ltl.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace wave {
@@ -153,6 +155,129 @@ PropId PropArena::Nnf(PropId f, bool negate, std::vector<PropId>* memo) {
   WAVE_CHECK(out >= 0);
   (*memo)[slot] = out;
   return out;
+}
+
+PropId PropArena::Rewrite(PropId f) {
+  std::vector<PropId> memo;
+  return Rewrite(f, &memo);
+}
+
+PropId PropArena::Rewrite(PropId f, std::vector<PropId>* memo) {
+  if (static_cast<size_t>(f) < memo->size() && (*memo)[f] >= 0) {
+    return (*memo)[f];
+  }
+  const Node n = nodes_[f];  // copy: interning below may reallocate nodes_
+  PropId out = f;
+  switch (n.kind) {
+    case Kind::kAnd:
+    case Kind::kOr:
+      out = RewriteChain(f, memo);
+      break;
+    case Kind::kX:
+      out = X(Rewrite(n.left, memo));
+      break;
+    case Kind::kU:
+    case Kind::kR: {
+      PropId l = Rewrite(n.left, memo);
+      PropId r = Rewrite(n.right, memo);
+      out = n.kind == Kind::kU ? U(l, r) : R(l, r);
+      break;
+    }
+    default:
+      break;  // literals and constants
+  }
+  // The pass is idempotent, so its result is its own rewrite.
+  memo->resize(nodes_.size(), -1);
+  (*memo)[f] = out;
+  (*memo)[out] = out;
+  return out;
+}
+
+PropId PropArena::RewriteChain(PropId f, std::vector<PropId>* memo) {
+  const Kind kind = nodes_[f].kind;
+  const bool is_and = kind == Kind::kAnd;
+  auto join = [&](const std::vector<PropId>& operands) {
+    PropId out = operands[0];
+    for (size_t i = 1; i < operands.size(); ++i) {
+      out = is_and ? And(out, operands[i]) : Or(out, operands[i]);
+    }
+    return out;
+  };
+  // The chain's operands, left to right, each rewritten; an operand that
+  // rewrites to the chain's own connective is spliced in.
+  std::vector<PropId> operands;
+  std::vector<PropId> stack = {f};
+  while (!stack.empty()) {
+    PropId g = stack.back();
+    stack.pop_back();
+    if (nodes_[g].kind == kind) {
+      stack.push_back(nodes_[g].right);
+      stack.push_back(nodes_[g].left);
+      continue;
+    }
+    PropId r = Rewrite(g, memo);
+    if (nodes_[r].kind == kind) {
+      stack.push_back(r);  // already rewritten: its operands are too
+      continue;
+    }
+    operands.push_back(r);
+  }
+  // Drop duplicates, then gather the operands that share an argument:
+  //   ∨: a U b1, a U b2 → a U (b1 ∨ b2);  a1 R b, a2 R b → (a1 ∨ a2) R b
+  //   ∧: a R b1, a R b2 → a R (b1 ∧ b2);  a1 U b, a2 U b → (a1 ∧ a2) U b
+  //   both: X a, X b → X (a ∘ b)
+  // A group sits where its first member did.
+  struct Group {
+    Kind kind;
+    PropId shared = -1;          // the common argument (U/R groups)
+    std::vector<PropId> others;  // X bodies or the differing arguments
+    PropId first;                // the first member, for singletons
+  };
+  std::vector<Group> groups;
+  std::vector<PropId> seen;
+  for (PropId g : operands) {
+    if (std::find(seen.begin(), seen.end(), g) != seen.end()) continue;
+    seen.push_back(g);
+    const Node& n = nodes_[g];
+    // Which argument is shared: U merges on its left in ∨ and on its
+    // right in ∧; R the other way round.
+    bool shares_left = (n.kind == Kind::kU) != is_and;
+    PropId shared = -1, other = n.left;
+    if (n.kind == Kind::kU || n.kind == Kind::kR) {
+      shared = shares_left ? n.left : n.right;
+      other = shares_left ? n.right : n.left;
+    } else if (n.kind != Kind::kX) {
+      groups.push_back({n.kind, -1, {}, g});
+      continue;
+    }
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& gr) {
+      return gr.kind == n.kind && gr.shared == shared;
+    });
+    if (it == groups.end()) {
+      groups.push_back({n.kind, shared, {other}, g});
+    } else {
+      it->others.push_back(other);
+    }
+  }
+  std::vector<PropId> merged;
+  for (const Group& group : groups) {
+    if (group.others.size() <= 1) {
+      merged.push_back(group.first);
+      continue;
+    }
+    PropId joined = join(group.others);
+    PropId node;
+    if (group.kind == Kind::kX) {
+      node = X(joined);
+    } else {
+      bool shares_left = (group.kind == Kind::kU) != is_and;
+      PropId l = shares_left ? group.shared : joined;
+      PropId r = shares_left ? joined : group.shared;
+      node = group.kind == Kind::kU ? U(l, r) : R(l, r);
+    }
+    merged.push_back(Rewrite(node, memo));
+  }
+  return join(merged);
 }
 
 std::string PropArena::ToString(

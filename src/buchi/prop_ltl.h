@@ -75,6 +75,17 @@ class PropArena {
   /// the number of distinct nodes under `f`.
   PropId Nnf(PropId f, bool negate = false);
 
+  /// Rewrites an NNF formula into an equivalent one that the tableau
+  /// expands into fewer states (Somenzi & Bloem, CAV 2000; Etessami &
+  /// Holzmann, CONCUR 2000). Each ∧ and ∨ chain is flattened and its
+  /// duplicate operands dropped; then operands sharing an argument merge:
+  ///   a U b1 ∨ a U b2 → a U (b1 ∨ b2)    a1 R b ∨ a2 R b → (a1 ∨ a2) R b
+  ///   a R b1 ∧ a R b2 → a R (b1 ∧ b2)    a1 U b ∧ a2 U b → (a1 ∧ a2) U b
+  ///   X a ∨ X b → X (a ∨ b)              X a ∧ X b → X (a ∧ b)
+  /// A merged group takes the place of its first member, and is rewritten
+  /// again. Chains are rebuilt left-nested.
+  PropId Rewrite(PropId f);
+
   /// Renders using `prop_name` for propositions.
   std::string ToString(PropId f,
                        const std::function<std::string(int)>& prop_name) const;
@@ -83,6 +94,10 @@ class PropArena {
   PropId Intern(Node n);
   /// `Nnf` with `memo[2 * id + negate]` caching each (node, polarity).
   PropId Nnf(PropId f, bool negate, std::vector<PropId>* memo);
+  /// `Rewrite` with `memo[id]` caching each node's rewrite (-1 unknown).
+  PropId Rewrite(PropId f, std::vector<PropId>* memo);
+  /// Rewrites the ∧ or ∨ chain rooted at `f`.
+  PropId RewriteChain(PropId f, std::vector<PropId>* memo);
 
   std::vector<Node> nodes_;
   std::map<std::tuple<uint8_t, int, PropId, PropId>, PropId> index_;

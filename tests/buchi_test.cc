@@ -5,6 +5,7 @@
 // tests/golden/automaton_pins.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <random>
@@ -354,6 +355,228 @@ TEST(AutomatonPinsTest, AutomataMatchPins) {
   EXPECT_EQ(row, properties.size()) << "pins file is short";
   EXPECT_FALSE(std::getline(lines, line)) << "pins file is long";
 }
+
+// --- the rewrite before the tableau -----------------------------------------
+
+TEST(RewriteTest, FlattensChainsAndDropsDuplicates) {
+  PropArena arena;
+  PropId a = arena.Prop(0), b = arena.Prop(1), c = arena.Prop(2);
+  // a ∧ (b ∧ a) → a ∧ b; (a ∨ b) ∨ (c ∨ b) → (a ∨ b) ∨ c.
+  EXPECT_EQ(arena.Rewrite(arena.And(a, arena.And(b, a))), arena.And(a, b));
+  EXPECT_EQ(arena.Rewrite(arena.Or(arena.Or(a, b), arena.Or(c, b))),
+            arena.Or(arena.Or(a, b), c));
+  // A chain that collapses to one operand is that operand.
+  PropId ab = arena.And(a, b);
+  EXPECT_EQ(arena.Rewrite(arena.Or(ab, ab)), ab);
+}
+
+TEST(RewriteTest, MergesUntilsSharingTheirLeftInDisjunctions) {
+  PropArena arena;
+  PropId a = arena.Prop(0), b1 = arena.Prop(1), b2 = arena.Prop(2);
+  EXPECT_EQ(arena.Rewrite(arena.Or(arena.U(a, b1), arena.U(a, b2))),
+            arena.U(a, arena.Or(b1, b2)));
+  // F b1 ∨ F b2 → true U (b1 ∨ b2).
+  PropId f = arena.Nnf(arena.Or(arena.F(b1), arena.F(b2)));
+  EXPECT_EQ(arena.Rewrite(f), arena.U(arena.True(), arena.Or(b1, b2)));
+  // Untils sharing only their right operand stay apart in a disjunction.
+  PropId apart = arena.Or(arena.U(b1, a), arena.U(b2, a));
+  EXPECT_EQ(arena.Rewrite(apart), apart);
+}
+
+TEST(RewriteTest, MergesReleasesSharingTheirRightInDisjunctions) {
+  PropArena arena;
+  PropId a1 = arena.Prop(0), a2 = arena.Prop(1), b = arena.Prop(2);
+  EXPECT_EQ(arena.Rewrite(arena.Or(arena.R(a1, b), arena.R(a2, b))),
+            arena.R(arena.Or(a1, a2), b));
+}
+
+TEST(RewriteTest, MergesReleasesSharingTheirLeftInConjunctions) {
+  PropArena arena;
+  PropId a = arena.Prop(0), b1 = arena.Prop(1), b2 = arena.Prop(2);
+  EXPECT_EQ(arena.Rewrite(arena.And(arena.R(a, b1), arena.R(a, b2))),
+            arena.R(a, arena.And(b1, b2)));
+  // G b1 ∧ G b2 → false R (b1 ∧ b2).
+  PropId g = arena.Nnf(arena.And(arena.G(b1), arena.G(b2)));
+  EXPECT_EQ(arena.Rewrite(g), arena.R(arena.False(), arena.And(b1, b2)));
+}
+
+TEST(RewriteTest, MergesUntilsSharingTheirRightInConjunctions) {
+  PropArena arena;
+  PropId a1 = arena.Prop(0), a2 = arena.Prop(1), b = arena.Prop(2);
+  EXPECT_EQ(arena.Rewrite(arena.And(arena.U(a1, b), arena.U(a2, b))),
+            arena.U(arena.And(a1, a2), b));
+}
+
+TEST(RewriteTest, MergesNexts) {
+  PropArena arena;
+  PropId a = arena.Prop(0), b = arena.Prop(1), c = arena.Prop(2);
+  EXPECT_EQ(arena.Rewrite(arena.Or(arena.X(a), arena.X(b))),
+            arena.X(arena.Or(a, b)));
+  EXPECT_EQ(arena.Rewrite(arena.And(arena.And(arena.X(a), c), arena.X(b))),
+            arena.And(arena.X(arena.And(a, b)), c));
+}
+
+TEST(RewriteTest, GroupsSitWhereTheirFirstMemberDid) {
+  PropArena arena;
+  PropId a = arena.Prop(0), b1 = arena.Prop(1), b2 = arena.Prop(2);
+  PropId p = arena.Prop(3);
+  PropId f = arena.Or(arena.Or(p, arena.U(a, b1)),
+                      arena.Or(arena.X(p), arena.U(a, b2)));
+  EXPECT_EQ(arena.Rewrite(f),
+            arena.Or(arena.Or(p, arena.U(a, arena.Or(b1, b2))), arena.X(p)));
+}
+
+TEST(RewriteTest, RewritesAMergedOperandAgain) {
+  // a U X b1 ∨ a U X b2 → a U (X b1 ∨ X b2) → a U X (b1 ∨ b2).
+  PropArena arena;
+  PropId a = arena.Prop(0), b1 = arena.Prop(1), b2 = arena.Prop(2);
+  PropId f = arena.Or(arena.U(a, arena.X(b1)), arena.U(a, arena.X(b2)));
+  PropId once = arena.Rewrite(f);
+  EXPECT_EQ(once, arena.U(a, arena.X(arena.Or(b1, b2))));
+  EXPECT_EQ(arena.Rewrite(once), once);
+}
+
+TEST(RewriteTest, ShrinksTheE1P4Automaton) {
+  // E1/P4's negation is a disjunction of twelve F's; merged into one, the
+  // tableau has 27 states instead of 744, and the automaton 14 (the
+  // paper's ltl2ba automaton has 30).
+  AppBundle e1 = BuildE1();
+  const ParsedProperty* p4 = nullptr;
+  for (const ParsedProperty& p : e1.properties) {
+    if (p.property.name == "P4") p4 = &p;
+  }
+  ASSERT_NE(p4, nullptr);
+  Abstraction abstraction =
+      AbstractLtl(LtlFormula::Not(p4->property.body), e1.spec->symbols());
+  GpvwStats stats;
+  GpvwOptions options;
+  options.stats = &stats;
+  BuchiAutomaton a =
+      LtlToBuchi(&abstraction.arena, abstraction.root,
+                 static_cast<int>(abstraction.components.size()), options);
+  EXPECT_EQ(stats.states_before_simplify, 27);
+  EXPECT_EQ(a.NumStates(), 14);
+}
+
+/// A random lasso word over `num_props` propositions.
+LassoWord RandomLasso(std::mt19937* rng, int num_props) {
+  std::uniform_int_distribution<int> prefix_dist(0, 3), cycle_dist(1, 3);
+  LassoWord word;
+  int prefix_len = prefix_dist(*rng), cycle_len = cycle_dist(*rng);
+  for (int i = 0; i < prefix_len; ++i) {
+    word.prefix.push_back(RandomLetter(rng, num_props));
+  }
+  for (int i = 0; i < cycle_len; ++i) {
+    word.cycle.push_back(RandomLetter(rng, num_props));
+  }
+  return word;
+}
+
+/// Checks that `f`, its rewritten NNF and its automaton agree on `words`
+/// random lassos.
+void ExpectRewriteAgrees(PropArena* arena, PropId f, int num_props,
+                         std::mt19937* rng, int words,
+                         const std::string& name) {
+  PropId rewritten = arena->Rewrite(arena->Nnf(f));
+  BuchiAutomaton a = LtlToBuchi(arena, f, num_props);
+  for (int w = 0; w < words; ++w) {
+    LassoWord word = RandomLasso(rng, std::max(num_props, 1));
+    bool semantic = EvalLtlOnLasso(arena, f, word);
+    ASSERT_EQ(EvalLtlOnLasso(arena, rewritten, word), semantic)
+        << name << ": " << arena->ToString(f, nullptr) << " rewritten to "
+        << arena->ToString(rewritten, nullptr) << ", word " << w;
+    ASSERT_EQ(AcceptsLasso(a, word), semantic)
+        << name << ": " << arena->ToString(f, nullptr) << ", word " << w;
+  }
+}
+
+TEST(RewriteDifferentialTest, PinnedPropertiesAgreeOnRandomLassos) {
+  std::vector<std::unique_ptr<WebAppSpec>> specs;
+  std::mt19937 rng(7);
+  for (const PinnedProperty& p : PinnedProperties(&specs)) {
+    Abstraction abstraction = AbstractLtl(p.negated, *p.symbols);
+    ExpectRewriteAgrees(&abstraction.arena, abstraction.root,
+                        static_cast<int>(abstraction.components.size()),
+                        &rng, 12, p.name);
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// A random ∧/∨ chain of U, R, X, G and F operands over two propositions.
+/// Operands draw their arguments from a pool of two, and most take a shape
+/// that merges under the chain's connective, so the rules fire often.
+/// Temporal nesting stays at two.
+PropId RandomSharedChain(PropArena* arena, std::mt19937* rng) {
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(*rng);
+  };
+  auto leaf = [&]() -> PropId {
+    switch (pick(6)) {
+      case 0:
+        return arena->True();
+      case 1:
+        return arena->False();
+      case 2:
+      case 3:
+        return arena->Prop(pick(2));
+      default:
+        return arena->Not(arena->Prop(pick(2)));
+    }
+  };
+  auto arg = [&]() { return pick(4) == 0 ? arena->X(leaf()) : leaf(); };
+  const PropId pool[] = {arg(), arg()};
+  const bool conjunction = pick(2) == 0;
+  auto operand = [&]() -> PropId {
+    PropId shared = pool[pick(2)], other = arg();
+    // 0-3 merge in a conjunction, 4-7 in a disjunction (X in both).
+    int shape = pick(4) == 0 ? pick(8) : pick(4) + (conjunction ? 0 : 4);
+    switch (shape) {
+      case 0:
+        return arena->U(other, shared);
+      case 1:
+        return arena->R(shared, other);
+      case 2:
+        return arena->G(other);
+      case 4:
+        return arena->U(shared, other);
+      case 5:
+        return arena->R(other, shared);
+      case 6:
+        return arena->F(other);
+      default:
+        return arena->X(other);
+    }
+  };
+  PropId f = operand();
+  for (int i = 1 + pick(4); i > 0; --i) {
+    PropId g = operand();
+    f = (pick(8) == 0) != conjunction ? arena->And(f, g) : arena->Or(f, g);
+  }
+  return pick(3) == 0 ? arena->Not(f) : f;
+}
+
+class RewriteChainDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RewriteChainDifferentialTest, AgreesOnRandomLassos) {
+  std::mt19937 rng(GetParam());
+  int rewritten = 0;
+  for (int i = 0; i < 50; ++i) {
+    PropArena arena;
+    PropId f = RandomSharedChain(&arena, &rng);
+    PropId nnf = arena.Nnf(f);
+    if (arena.Rewrite(nnf) != nnf) ++rewritten;
+    ExpectRewriteAgrees(&arena, f, 2, &rng, 30,
+                        "seed " + std::to_string(GetParam()) + " formula " +
+                            std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // The generator is built for the merge rules: at least 14 of each
+  // seed's 50 formulas move.
+  EXPECT_GE(rewritten, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RewriteChainDifferentialTest,
+                         ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace wave
