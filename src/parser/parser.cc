@@ -106,6 +106,36 @@ class Parser {
                        std::to_string(t.column) + ": " + message);
   }
 
+  // --- formula depth (kMaxFormulaDepth) --------------------------------------
+  void DepthError() {
+    Error("formula is nested more than " + std::to_string(kMaxFormulaDepth) +
+          " levels deep");
+  }
+
+  /// Records `depth` as the depth of the formula about to be returned;
+  /// false, with a positioned error, past the limit.
+  bool SetDepth(int depth) {
+    depth_ = depth;
+    if (depth <= kMaxFormulaDepth) return true;
+    DepthError();
+    return false;
+  }
+
+  /// Runs `parse` for an operand one level further down. A level that
+  /// cannot fit even an atom below it fails first, so the descent itself
+  /// stays within the limit.
+  template <typename ParseFn>
+  auto Nested(ParseFn parse) -> decltype(parse()) {
+    if (open_ + 2 > kMaxFormulaDepth) {
+      DepthError();
+      return nullptr;
+    }
+    ++open_;
+    auto result = parse();
+    --open_;
+    return result;
+  }
+
   bool Expect(TokenKind kind, const std::string& what) {
     if (Eat(kind)) return true;
     Error("expected " + what + ", found " +
@@ -344,8 +374,12 @@ class Parser {
     FormulaPtr lhs = ParseDisjunction();
     if (lhs == nullptr) return nullptr;
     if (Eat(TokenKind::kArrowRight)) {
-      FormulaPtr rhs = ParseImplication();  // right associative
-      if (rhs == nullptr) return nullptr;
+      const int lhs_depth = depth_;
+      // right associative
+      FormulaPtr rhs = Nested([&] { return ParseImplication(); });
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       return Formula::Implies(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -355,8 +389,11 @@ class Parser {
     FormulaPtr lhs = ParseConjunction();
     if (lhs == nullptr) return nullptr;
     while (Eat(TokenKind::kPipe)) {
+      const int lhs_depth = depth_;
       FormulaPtr rhs = ParseConjunction();
-      if (rhs == nullptr) return nullptr;
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       lhs = Formula::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -366,8 +403,11 @@ class Parser {
     FormulaPtr lhs = ParseUnary();
     if (lhs == nullptr) return nullptr;
     while (Eat(TokenKind::kAmp)) {
+      const int lhs_depth = depth_;
       FormulaPtr rhs = ParseUnary();
-      if (rhs == nullptr) return nullptr;
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       lhs = Formula::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -384,30 +424,32 @@ class Parser {
 
   FormulaPtr ParseUnary() {
     if (Eat(TokenKind::kBang)) {
-      FormulaPtr body = ParseUnary();
-      if (body == nullptr) return nullptr;
+      FormulaPtr body = Nested([&] { return ParseUnary(); });
+      if (body == nullptr || !SetDepth(depth_ + 1)) return nullptr;
       return Formula::Not(std::move(body));
     }
     if (EatIdent("exists")) {
       std::vector<std::string> vars;
       if (!ParseVarList(&vars)) return nullptr;
-      FormulaPtr body = ParseImplication();
-      if (body == nullptr) return nullptr;
+      FormulaPtr body = Nested([&] { return ParseImplication(); });
+      if (body == nullptr || !SetDepth(depth_ + 1)) return nullptr;
       return Formula::Exists(std::move(vars), std::move(body));
     }
     if (EatIdent("forall")) {
       std::vector<std::string> vars;
       if (!ParseVarList(&vars)) return nullptr;
-      FormulaPtr body = ParseImplication();
-      if (body == nullptr) return nullptr;
+      FormulaPtr body = Nested([&] { return ParseImplication(); });
+      if (body == nullptr || !SetDepth(depth_ + 1)) return nullptr;
       return Formula::Forall(std::move(vars), std::move(body));
     }
     if (Eat(TokenKind::kLParen)) {
-      FormulaPtr inner = ParseImplication();
+      FormulaPtr inner = Nested([&] { return ParseImplication(); });
       if (inner == nullptr) return nullptr;
       if (!Expect(TokenKind::kRParen, "')'")) return nullptr;
+      if (!SetDepth(depth_ + 1)) return nullptr;
       return inner;
     }
+    depth_ = 1;  // an atom
     if (EatIdent("true")) return Formula::True();
     if (EatIdent("false")) return Formula::False();
     if (EatIdent("at")) {
@@ -538,8 +580,11 @@ class Parser {
     LtlPtr lhs = ParseLtlDisjunction();
     if (lhs == nullptr) return nullptr;
     if (Eat(TokenKind::kArrowRight)) {
-      LtlPtr rhs = ParseLtlImplication();
-      if (rhs == nullptr) return nullptr;
+      const int lhs_depth = depth_;
+      LtlPtr rhs = Nested([&] { return ParseLtlImplication(); });
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       return LtlFormula::Implies(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -549,8 +594,11 @@ class Parser {
     LtlPtr lhs = ParseLtlConjunction();
     if (lhs == nullptr) return nullptr;
     while (Eat(TokenKind::kPipe)) {
+      const int lhs_depth = depth_;
       LtlPtr rhs = ParseLtlConjunction();
-      if (rhs == nullptr) return nullptr;
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       lhs = LtlFormula::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -560,8 +608,11 @@ class Parser {
     LtlPtr lhs = ParseLtlTemporalBinary();
     if (lhs == nullptr) return nullptr;
     while (Eat(TokenKind::kAmp)) {
+      const int lhs_depth = depth_;
       LtlPtr rhs = ParseLtlTemporalBinary();
-      if (rhs == nullptr) return nullptr;
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       lhs = LtlFormula::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -572,42 +623,53 @@ class Parser {
     if (lhs == nullptr) return nullptr;
     while (PeekIdent("U") || PeekIdent("B")) {
       bool is_until = Advance().text == "U";
+      const int lhs_depth = depth_;
       LtlPtr rhs = ParseLtlUnary();
-      if (rhs == nullptr) return nullptr;
+      if (rhs == nullptr || !SetDepth(1 + std::max(lhs_depth, depth_))) {
+        return nullptr;
+      }
       lhs = is_until ? LtlFormula::U(std::move(lhs), std::move(rhs))
                      : LtlFormula::B(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
+  /// The operand of a unary LTL operator, one level down.
+  LtlPtr ParseLtlOperand() {
+    LtlPtr body = Nested([&] { return ParseLtlUnary(); });
+    if (body == nullptr || !SetDepth(depth_ + 1)) return nullptr;
+    return body;
+  }
+
   LtlPtr ParseLtlUnary() {
     if (Eat(TokenKind::kBang)) {
-      LtlPtr body = ParseLtlUnary();
-      if (body == nullptr) return nullptr;
-      return LtlFormula::Not(std::move(body));
+      LtlPtr body = ParseLtlOperand();
+      return body == nullptr ? nullptr : LtlFormula::Not(std::move(body));
     }
     if (EatIdent("G")) {
-      LtlPtr body = ParseLtlUnary();
+      LtlPtr body = ParseLtlOperand();
       return body == nullptr ? nullptr : LtlFormula::G(std::move(body));
     }
     if (EatIdent("F")) {
-      LtlPtr body = ParseLtlUnary();
+      LtlPtr body = ParseLtlOperand();
       return body == nullptr ? nullptr : LtlFormula::F(std::move(body));
     }
     if (EatIdent("X")) {
-      LtlPtr body = ParseLtlUnary();
+      LtlPtr body = ParseLtlOperand();
       return body == nullptr ? nullptr : LtlFormula::X(std::move(body));
     }
     if (Eat(TokenKind::kLParen)) {
-      LtlPtr inner = ParseLtlImplication();
+      LtlPtr inner = Nested([&] { return ParseLtlImplication(); });
       if (inner == nullptr) return nullptr;
       if (!Expect(TokenKind::kRParen, "')'")) return nullptr;
+      if (!SetDepth(depth_ + 1)) return nullptr;
       return inner;
     }
     if (Eat(TokenKind::kLBracket)) {
-      FormulaPtr fo = ParseFormula();
+      FormulaPtr fo = Nested([&] { return ParseFormula(); });
       if (fo == nullptr) return nullptr;
       if (!Expect(TokenKind::kRBracket, "']'")) return nullptr;
+      if (!SetDepth(depth_ + 1)) return nullptr;
       return LtlFormula::Fo(std::move(fo));
     }
     Error("expected an LTL formula (G/F/X/!, '(', or an FO component in "
@@ -670,6 +732,10 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  // Depth of the formula the last formula-parsing call returned, and the
+  // levels open above the one being parsed (see kMaxFormulaDepth).
+  int depth_ = 0;
+  int open_ = 0;
   WebAppSpec* spec_;
   std::vector<ParsedProperty>* properties_;
   std::vector<std::string>* errors_;

@@ -47,6 +47,14 @@
 
 namespace wave {
 
+/// The deepest formula the parser accepts. An atom is one level, and each
+/// operator, parenthesized group and bracketed FO component adds one; a
+/// deeper rule body, target condition or property is a positioned parse
+/// error. The passes after the parser (abstraction, NNF, the rewrite,
+/// GPVW, evaluation) recurse over formulas, so the limit keeps their
+/// stacks bounded.
+inline constexpr int kMaxFormulaDepth = 1000;
+
 /// A property together with the verdict the source asserted via `expect`.
 struct ParsedProperty {
   Property property;

@@ -1,6 +1,9 @@
 // Parser tests: lexing, spec parsing, property parsing, and diagnostics.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "apps/apps.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
@@ -233,6 +236,117 @@ property mix expect false {
   // Top level must be the implication.
   EXPECT_EQ(body->kind(), LtlFormula::Kind::kImplies);
   EXPECT_EQ(body->left()->kind(), LtlFormula::Kind::kU);
+}
+
+// --- formula depth ----------------------------------------------------------
+
+std::string Repeat(const std::string& text, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += text;
+  return out;
+}
+
+/// `count` copies of `operand` joined by `op`.
+std::string Chain(const std::string& operand, const std::string& op,
+                  int count) {
+  return operand + Repeat(op + operand, count - 1);
+}
+
+/// One way to nest a formula: its text at a given depth.
+struct DepthShape {
+  const char* name;
+  std::string (*text)(int depth);
+};
+
+// FO shapes: an atom is one level.
+const DepthShape kFoShapes[] = {
+    {"not", [](int d) { return Repeat("!", d - 1) + "at P1"; }},
+    {"parens",
+     [](int d) { return Repeat("(", d - 1) + "at P1" + Repeat(")", d - 1); }},
+    {"and", [](int d) { return Chain("at P1", " & ", d); }},
+    {"or", [](int d) { return Chain("at P1", " | ", d); }},
+    {"implies", [](int d) { return Chain("at P1", " -> ", d); }},
+    {"exists", [](int d) { return Repeat("exists x: ", d - 1) + "i(x)"; }},
+};
+
+// LTL shapes: a bracketed component holding an atom is two levels.
+const DepthShape kLtlShapes[] = {
+    {"not", [](int d) { return Repeat("! ", d - 2) + "[at P1]"; }},
+    {"X", [](int d) { return Repeat("X ", d - 2) + "[at P1]"; }},
+    {"G", [](int d) { return Repeat("G ", d - 2) + "[at P1]"; }},
+    {"F", [](int d) { return Repeat("F ", d - 2) + "[at P1]"; }},
+    {"parens",
+     [](int d) {
+       return Repeat("(", d - 2) + "[at P1]" + Repeat(")", d - 2);
+     }},
+    {"and", [](int d) { return Chain("[at P1]", " & ", d - 1); }},
+    {"or", [](int d) { return Chain("[at P1]", " | ", d - 1); }},
+    {"implies", [](int d) { return Chain("[at P1]", " -> ", d - 1); }},
+    {"until", [](int d) { return Chain("[at P1]", " U ", d - 1); }},
+    {"before", [](int d) { return Chain("[at P1]", " B ", d - 1); }},
+    {"component", [](int d) { return "[" + Repeat("!", d - 2) + "at P1]"; }},
+};
+
+/// A positioned depth-limit diagnostic: "line:col: formula is nested…".
+bool IsDepthError(const std::string& error) {
+  static const std::regex kPattern(
+      "[0-9]+:[0-9]+: formula is nested more than 1000 levels deep");
+  return std::regex_match(error, kPattern);
+}
+
+TEST(ParserDepthTest, FoFormulasParseAtTheLimitAndFailPastIt) {
+  ASSERT_EQ(kMaxFormulaDepth, 1000);
+  ParseResult base = ParseSpec(kMinimalSpec);
+  ASSERT_TRUE(base.ok());
+  for (const DepthShape& shape : kFoShapes) {
+    SCOPED_TRACE(shape.name);
+    std::vector<std::string> errors;
+    EXPECT_NE(ParseFormula(shape.text(kMaxFormulaDepth), base.spec.get(),
+                           &errors),
+              nullptr);
+    EXPECT_TRUE(errors.empty()) << errors.front();
+    errors.clear();
+    EXPECT_EQ(ParseFormula(shape.text(kMaxFormulaDepth + 1), base.spec.get(),
+                           &errors),
+              nullptr);
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_TRUE(IsDepthError(errors[0])) << errors[0];
+  }
+}
+
+TEST(ParserDepthTest, PropertiesParseAtTheLimitAndFailPastIt) {
+  ParseResult base = ParseSpec(kMinimalSpec);
+  ASSERT_TRUE(base.ok());
+  for (const DepthShape& shape : kLtlShapes) {
+    SCOPED_TRACE(shape.name);
+    ParseResult at = ParseProperties(
+        "property deep {\n" + shape.text(kMaxFormulaDepth) + "\n}",
+        base.spec.get());
+    EXPECT_TRUE(at.ok()) << at.ErrorText();
+    ParseResult past = ParseProperties(
+        "property deep {\n" + shape.text(kMaxFormulaDepth + 1) + "\n}",
+        base.spec.get());
+    ASSERT_EQ(past.errors.size(), 1u) << past.ErrorText();
+    EXPECT_TRUE(IsDepthError(past.errors[0])) << past.errors[0];
+    EXPECT_TRUE(past.properties.empty());
+  }
+}
+
+TEST(ParserDepthTest, RuleBodiesAndTargetConditionsAreCapped) {
+  // 30,000 parentheses once overflowed the parser's stack.
+  const std::string deep =
+      Repeat("(", 30000) + "exists b: d(x, b)" + Repeat(")", 30000);
+  std::string rule_spec = kMinimalSpec;
+  rule_spec.replace(rule_spec.find("exists b: d(x, b)"), 17, deep);
+  ParseResult rule = ParseSpec(rule_spec);
+  ASSERT_EQ(rule.errors.size(), 1u) << rule.ErrorText();
+  EXPECT_TRUE(IsDepthError(rule.errors[0])) << rule.errors[0];
+  std::string target_spec = kMinimalSpec;
+  target_spec.replace(target_spec.find("P1 <- true"), 10,
+                      "P1 <- " + Chain("true", " & ", 30000));
+  ParseResult target = ParseSpec(target_spec);
+  ASSERT_EQ(target.errors.size(), 1u) << target.ErrorText();
+  EXPECT_TRUE(IsDepthError(target.errors[0])) << target.errors[0];
 }
 
 TEST(ParserTest, AppsSpecsRoundTripThroughTheParser) {

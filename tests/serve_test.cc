@@ -321,6 +321,27 @@ TEST(ServeProtocolTest, OutOfRangeCandidateBudgetIsRejected) {
       << response.status.message();
 }
 
+TEST(ServeProtocolTest, TooDeepAPropertyIsRejectedAndTheDaemonLives) {
+  // An inline spec whose property nests 30,000 parentheses once overflowed
+  // the parser's stack and took the daemon down.
+  std::unique_ptr<Server> server = StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server->port()));
+  const std::string spec = E1Suite().spec_text +
+                           "\nproperty deep {\n" + std::string(30000, '(') +
+                           "F [at HP]" + std::string(30000, ')') + "\n}\n";
+  ResponseEnvelope response;
+  ASSERT_TRUE(client.Call(VerifyOne("deep", spec, "deep"), &response));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("nested more than 1000 levels"),
+            std::string::npos)
+      << response.status.message();
+  ASSERT_TRUE(client.Call(Ping("after"), &response));
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.id, "after");
+}
+
 TEST(ServeProtocolTest, NewerSchemaVersionIsRejected) {
   std::unique_ptr<Server> server = StartServer();
   TestClient client;
