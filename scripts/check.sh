@@ -26,12 +26,15 @@
 # budget, 1 MB memory ceiling, retry ladder on) and sweeps --jobs over
 # {1, 2, 8} so budget trips race worker shutdown. One more row runs
 # tests/data/deep_chain.spec, whose search is a single chain of 4,096
-# configurations, at the same job counts. Resource exhaustion
+# configurations, at the same job counts, and tests/data/
+# nested_implications.spec (64 nested implications) must decide within a
+# minute. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
 # output, fails the check. A few rows first feed wave_verify and the other
-# tools malformed or out-of-range numeric flags, which must be a usage
-# error (exit 1) with no sanitizer report.
+# tools malformed or out-of-range numeric flags, or a property nested in
+# 30,000 parentheses, which must be a usage error (exit 1) with no
+# sanitizer report.
 #
 # TSan mode builds with WAVE_SANITIZE=thread and runs the determinism
 # suite (tests/parallel_test.cc) plus the batch-equivalence suite
@@ -199,7 +202,9 @@ fi
 # committed baseline. The time threshold is widened to +150% because the
 # committed baseline was measured on one particular host; the
 # deterministic search counters of every record still compare exactly,
-# so an algorithmic regression gates regardless of hardware.
+# so an algorithmic regression gates regardless of hardware. Last,
+# bench_property_automata must keep E1/P4's automaton within the 30
+# states of the paper's ltl2ba automaton.
 if [ "$MODE" = "bench" ]; then
   echo "== bench-labelled tests"
   ctest --test-dir "$BUILD_DIR" -L bench --output-on-failure
@@ -208,6 +213,15 @@ if [ "$MODE" = "bench" ]; then
       --out "$BUILD_DIR/BENCH_verify.json" \
       --compare "$ROOT/bench/baselines/BENCH_verify.json" \
       --threshold-time 1.5
+  echo "== property automata: E1/P4 within 30 states"
+  P4_STATES="$("$BUILD_DIR/bench/bench_property_automata" | awk '
+      /^---- / { in_e1 = ($2 == "E1") }
+      in_e1 && $1 == "P4" { print $4 }')"
+  if [ -z "$P4_STATES" ] || [ "$P4_STATES" -gt 30 ]; then
+    echo "FAIL: E1/P4 automaton has '${P4_STATES}' states (want <= 30)"
+    exit 1
+  fi
+  echo "ok   E1/P4 automaton: $P4_STATES states"
   echo "== BENCH OK"
   exit 0
 fi
@@ -343,6 +357,18 @@ run_usage_error() {
 
 E1="$ROOT/specs/e1_shopping.spec"
 TOOLS="$BUILD_DIR/tools"
+# A property nested in 30,000 parentheses is a parse error (the parser
+# caps formula depth), not a stack overflow.
+DEEP_SPEC="$BATCH_CACHE/deep_formula.spec"
+{
+  sed '/^property /,$d' "$E1"
+  printf 'property deep {\n'
+  awk 'BEGIN { for (i = 0; i < 30000; ++i) printf "(" }'
+  printf 'F [at HP]'
+  awk 'BEGIN { for (i = 0; i < 30000; ++i) printf ")" }'
+  printf '\n}\n'
+} > "$DEEP_SPEC"
+run_usage_error "deep-formula" "$VERIFY" "$DEEP_SPEC"
 run_usage_error "bad-candidates" "$VERIFY" "$E1" --max-candidates=abc
 run_usage_error "bad-timeout" "$VERIFY" "$E1" --timeout=abc
 run_usage_error "huge-memory" "$VERIFY" "$E1" --max-memory-mb=99999999999999
@@ -378,6 +404,23 @@ fi
 # thread's stack, whose frames are larger under a sanitizer.
 SPECS="$ROOT/tests/data/deep_chain.spec"
 run_stress "deep-chain" --max-candidates=40 --timeout=120
+# 64 implications, each nested in the left operand of the next: the
+# negation normal form must stay linear in the depth (it once doubled
+# with every two levels), so the property decides well within a minute.
+rc=0
+timeout 60 "$VERIFY" "$ROOT/tests/data/nested_implications.spec" \
+    >"$LOG" 2>&1 || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL [nested-implications]: exit $rc (want 0)"
+  cat "$LOG"
+  FAILED=1
+elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
+  echo "FAIL [nested-implications]: sanitizer report"
+  cat "$LOG"
+  FAILED=1
+else
+  echo "ok   [nested-implications] (exit 0)"
+fi
 
 # Short differential fuzz campaign (ISSUE 5): 100 seeded cases across
 # every oracle axis. Any disagreement (exit 3) or sanitizer report fails
