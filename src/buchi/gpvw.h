@@ -1,9 +1,10 @@
 // LTL → Büchi translation, replacing the paper's use of the external
 // `ltl2ba` tool. Implements the tableau construction of Gerth, Peled,
 // Vardi, Wolper, "Simple On-the-Fly Automatic Verification of Linear
-// Temporal Logic" (PSTV 1995) — the algorithm the paper cites [20] —
-// followed by degeneralization of the generalized acceptance condition and
-// the simplification passes of `BuchiAutomaton::Simplify`.
+// Temporal Logic" (PSTV 1995) — the algorithm the paper cites [20] — on
+// the formula as `PropArena::Rewrite` leaves it, followed by
+// degeneralization of the generalized acceptance condition and the
+// simplification passes of `BuchiAutomaton::Simplify`.
 #ifndef WAVE_BUCHI_GPVW_H_
 #define WAVE_BUCHI_GPVW_H_
 
@@ -30,10 +31,10 @@ struct GpvwOptions {
   GpvwStats* stats = nullptr;
 };
 
-/// Translates the propositional LTL formula `f` (any connectives; NNF is
-/// applied internally) into a Büchi automaton accepting exactly the infinite
-/// words satisfying it. `num_props` is the number of propositions (atoms
-/// are `0 .. num_props-1`).
+/// Translates the propositional LTL formula `f` (any connectives; NNF and
+/// the rewrite are applied internally) into a Büchi automaton accepting
+/// exactly the infinite words satisfying it. `num_props` is the number of
+/// propositions (atoms are `0 .. num_props-1`).
 BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
                           const GpvwOptions& options = {});
 
