@@ -203,6 +203,39 @@ std::vector<bool> RandomLetter(std::mt19937* rng, int num_props) {
   return letter;
 }
 
+/// A random lasso word over `num_props` propositions: a prefix of 0-3
+/// letters, then a cycle of 1-3.
+LassoWord RandomLasso(std::mt19937* rng, int num_props) {
+  std::uniform_int_distribution<int> prefix_dist(0, 3), cycle_dist(1, 3);
+  LassoWord word;
+  int prefix_len = prefix_dist(*rng), cycle_len = cycle_dist(*rng);
+  for (int i = 0; i < prefix_len; ++i) {
+    word.prefix.push_back(RandomLetter(rng, num_props));
+  }
+  for (int i = 0; i < cycle_len; ++i) {
+    word.cycle.push_back(RandomLetter(rng, num_props));
+  }
+  return word;
+}
+
+/// Checks that the formula `f`, its rewritten NNF and its automaton agree
+/// on `words` random lassos.
+void ExpectAgreesOnLassos(PropArena* arena, PropId f, int num_props,
+                          std::mt19937* rng, int words,
+                          const std::string& name) {
+  PropId rewritten = arena->Rewrite(arena->Nnf(f));
+  BuchiAutomaton a = LtlToBuchi(arena, f, num_props);
+  for (int w = 0; w < words; ++w) {
+    LassoWord word = RandomLasso(rng, std::max(num_props, 1));
+    bool semantic = EvalLtlOnLasso(arena, f, word);
+    ASSERT_EQ(EvalLtlOnLasso(arena, rewritten, word), semantic)
+        << name << ": " << arena->ToString(f, nullptr) << " rewritten to "
+        << arena->ToString(rewritten, nullptr) << ", word " << w;
+    ASSERT_EQ(AcceptsLasso(a, word), semantic)
+        << name << ": " << arena->ToString(f, nullptr) << ", word " << w;
+  }
+}
+
 class GpvwDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GpvwDifferentialTest, MatchesReferenceSemanticsOnRandomLassos) {
@@ -210,24 +243,8 @@ TEST_P(GpvwDifferentialTest, MatchesReferenceSemanticsOnRandomLassos) {
   constexpr int kNumProps = 2;
   PropArena arena;
   PropId f = RandomFormula(&arena, &rng, 3, kNumProps);
-  BuchiAutomaton a = LtlToBuchi(&arena, f, kNumProps);
-  std::uniform_int_distribution<int> len_dist(0, 3);
-  std::uniform_int_distribution<int> cycle_dist(1, 3);
-  for (int w = 0; w < 40; ++w) {
-    LassoWord word;
-    int prefix_len = len_dist(rng), cycle_len = cycle_dist(rng);
-    for (int i = 0; i < prefix_len; ++i) {
-      word.prefix.push_back(RandomLetter(&rng, kNumProps));
-    }
-    for (int i = 0; i < cycle_len; ++i) {
-      word.cycle.push_back(RandomLetter(&rng, kNumProps));
-    }
-    bool semantic = EvalLtlOnLasso(&arena, f, word);
-    bool automaton = AcceptsLasso(a, word);
-    ASSERT_EQ(semantic, automaton)
-        << "formula: " << arena.ToString(f, nullptr) << " word prefix "
-        << prefix_len << " cycle " << cycle_len << " trial " << w;
-  }
+  ExpectAgreesOnLassos(&arena, f, kNumProps, &rng, 40,
+                       "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GpvwDifferentialTest,
@@ -458,46 +475,14 @@ TEST(RewriteTest, ShrinksTheE1P4Automaton) {
   EXPECT_EQ(a.NumStates(), 14);
 }
 
-/// A random lasso word over `num_props` propositions.
-LassoWord RandomLasso(std::mt19937* rng, int num_props) {
-  std::uniform_int_distribution<int> prefix_dist(0, 3), cycle_dist(1, 3);
-  LassoWord word;
-  int prefix_len = prefix_dist(*rng), cycle_len = cycle_dist(*rng);
-  for (int i = 0; i < prefix_len; ++i) {
-    word.prefix.push_back(RandomLetter(rng, num_props));
-  }
-  for (int i = 0; i < cycle_len; ++i) {
-    word.cycle.push_back(RandomLetter(rng, num_props));
-  }
-  return word;
-}
-
-/// Checks that `f`, its rewritten NNF and its automaton agree on `words`
-/// random lassos.
-void ExpectRewriteAgrees(PropArena* arena, PropId f, int num_props,
-                         std::mt19937* rng, int words,
-                         const std::string& name) {
-  PropId rewritten = arena->Rewrite(arena->Nnf(f));
-  BuchiAutomaton a = LtlToBuchi(arena, f, num_props);
-  for (int w = 0; w < words; ++w) {
-    LassoWord word = RandomLasso(rng, std::max(num_props, 1));
-    bool semantic = EvalLtlOnLasso(arena, f, word);
-    ASSERT_EQ(EvalLtlOnLasso(arena, rewritten, word), semantic)
-        << name << ": " << arena->ToString(f, nullptr) << " rewritten to "
-        << arena->ToString(rewritten, nullptr) << ", word " << w;
-    ASSERT_EQ(AcceptsLasso(a, word), semantic)
-        << name << ": " << arena->ToString(f, nullptr) << ", word " << w;
-  }
-}
-
 TEST(RewriteDifferentialTest, PinnedPropertiesAgreeOnRandomLassos) {
   std::vector<std::unique_ptr<WebAppSpec>> specs;
   std::mt19937 rng(7);
   for (const PinnedProperty& p : PinnedProperties(&specs)) {
     Abstraction abstraction = AbstractLtl(p.negated, *p.symbols);
-    ExpectRewriteAgrees(&abstraction.arena, abstraction.root,
-                        static_cast<int>(abstraction.components.size()),
-                        &rng, 12, p.name);
+    ExpectAgreesOnLassos(&abstraction.arena, abstraction.root,
+                         static_cast<int>(abstraction.components.size()),
+                         &rng, 12, p.name);
     if (HasFatalFailure()) return;
   }
 }
@@ -565,9 +550,9 @@ TEST_P(RewriteChainDifferentialTest, AgreesOnRandomLassos) {
     PropId f = RandomSharedChain(&arena, &rng);
     PropId nnf = arena.Nnf(f);
     if (arena.Rewrite(nnf) != nnf) ++rewritten;
-    ExpectRewriteAgrees(&arena, f, 2, &rng, 30,
-                        "seed " + std::to_string(GetParam()) + " formula " +
-                            std::to_string(i));
+    ExpectAgreesOnLassos(&arena, f, 2, &rng, 30,
+                         "seed " + std::to_string(GetParam()) + " formula " +
+                             std::to_string(i));
     if (HasFatalFailure()) return;
   }
   // The generator is built for the merge rules: at least 14 of each
