@@ -3,7 +3,8 @@
 //
 // What is pinned here:
 //   * golden-file round-trips — the canonical serialized form of a
-//     request / batch request / options / stats document is frozen in
+//     request / batch request / options / stats / response / batch
+//     response document is frozen in
 //     tests/golden/api_wire/*.json; serializing the in-process value
 //     must reproduce the file BYTE FOR BYTE (regenerate deliberately
 //     when the schema version is bumped, never by accident);
@@ -526,6 +527,117 @@ TEST(WireResponseTest, BatchResponseRoundTrips) {
   for (size_t i = 0; i < decoded->responses.size(); ++i)
     EXPECT_EQ(decoded->responses[i].verdict, batch->responses[i].verdict);
   EXPECT_EQ(api::BatchResponseToJson(*decoded, *bundle.spec).Dump(), wire);
+}
+
+// --- response goldens (fixed values, no search) ----------------------------
+
+/// A symbol name that exercises every escape class of the encoder: quote,
+/// backslash, the short escapes, a \u00XX control byte and UTF-8 bytes.
+constexpr char kEscapedSymbol[] = "say \"hi\"\\\b\f\n\r\t\x01\x1f caf\xc3\xa9";
+
+/// One counterexample step on E1's `page` with `data` and `previous` given
+/// as (relation, tuple of symbol names) rows.
+CounterexampleStep Step(
+    WebAppSpec* spec, int buchi_state, const std::string& page,
+    const std::vector<std::pair<std::string, std::vector<std::string>>>& data,
+    const std::vector<std::pair<std::string, std::vector<std::string>>>&
+        previous) {
+  auto fill = [&](Instance* instance, const auto& rows) {
+    *instance = Instance(&spec->catalog());
+    for (const auto& [relation, names] : rows) {
+      Tuple t;
+      for (const std::string& name : names) {
+        t.push_back(spec->symbols().Intern(name));
+      }
+      instance->relation(relation).Insert(t);
+    }
+  };
+  CounterexampleStep step;
+  step.buchi_state = buchi_state;
+  step.config.page = spec->PageIndex(page);
+  EXPECT_GE(step.config.page, 0) << page;
+  fill(&step.config.data, data);
+  fill(&step.config.previous, previous);
+  return step;
+}
+
+/// A violated E1 response: a two-step stick, a one-step candy, a witness
+/// whose value needs escapes, one attempt record and `DistinctiveStats`.
+VerifyResponse DistinctiveViolatedResponse(WebAppSpec* spec) {
+  VerifyResponse response;
+  response.verdict = Verdict::kViolated;
+  response.witness_binding["u"] = spec->symbols().Intern(kEscapedSymbol);
+  response.witness_binding["p"] = spec->symbols().Intern("p1");
+  response.stick.push_back(
+      Step(spec, 0, "HP", {{"user", {"alice", kEscapedSymbol}}},
+           {{"uname", {"alice"}}}));
+  response.stick.push_back(
+      Step(spec, 1, "CP",
+           {{"user", {"alice", kEscapedSymbol}},
+            {"loggedin", {}},
+            {"userid", {"alice"}},
+            {"button", {"login"}}},
+           {{"uname", {"alice"}}, {"upass", {kEscapedSymbol}}}));
+  response.candy.push_back(
+      Step(spec, 2, "CP", {{"cart", {"p1", "100"}}, {"pick", {"p1", "100"}}},
+           {}));
+  response.stats = DistinctiveStats();
+  AttemptRecord attempt;
+  attempt.rung = 0;
+  attempt.rung_name = "base";
+  attempt.budget_seconds = 7.5;
+  attempt.elapsed_seconds = 0.1;
+  attempt.verdict = Verdict::kViolated;
+  attempt.stats = DistinctiveStats();
+  response.attempts.push_back(attempt);
+  response.decided_rung = 0;
+  return response;
+}
+
+TEST(WireResponseTest, GoldenFormIsFrozen) {
+  AppBundle bundle = BuildE1();
+  VerifyResponse response = DistinctiveViolatedResponse(bundle.spec.get());
+  std::string bytes =
+      api::ResponseToJson(response, *bundle.spec).Dump() + "\n";
+  if (MaybeRegold("response.json", bytes)) return;
+  std::string golden = ReadGolden("response.json");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(bytes, golden);
+  StatusOr<VerifyResponse> decoded =
+      api::ResponseFromJson(MustParse(golden), bundle.spec.get());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->stick.size(), 2u);
+  EXPECT_EQ(decoded->candy.size(), 1u);
+  EXPECT_EQ(bundle.spec->symbols().Name(decoded->witness_binding.at("u")),
+            kEscapedSymbol);
+  EXPECT_EQ(api::ResponseToJson(*decoded, *bundle.spec).Dump() + "\n", golden);
+}
+
+TEST(WireBatchResponseTest, GoldenFormIsFrozen) {
+  AppBundle bundle = BuildE1();
+  BatchResponse batch;
+  batch.responses.push_back(DistinctiveViolatedResponse(bundle.spec.get()));
+  VerifyResponse holds;
+  holds.verdict = Verdict::kHolds;
+  holds.stats = DistinctiveStats();
+  holds.stats.cache_hits = 0;
+  batch.responses.push_back(holds);
+  batch.merged = DistinctiveStats();
+  batch.merged.seconds = 2.5;
+  std::string bytes =
+      api::BatchResponseToJson(batch, *bundle.spec).Dump() + "\n";
+  if (MaybeRegold("batch_response.json", bytes)) return;
+  std::string golden = ReadGolden("batch_response.json");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(bytes, golden);
+  StatusOr<BatchResponse> decoded =
+      api::BatchResponseFromJson(MustParse(golden), bundle.spec.get());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->responses.size(), 2u);
+  EXPECT_EQ(decoded->responses[0].verdict, Verdict::kViolated);
+  EXPECT_EQ(decoded->responses[1].verdict, Verdict::kHolds);
+  EXPECT_EQ(api::BatchResponseToJson(*decoded, *bundle.spec).Dump() + "\n",
+            golden);
 }
 
 TEST(WireResponseTest, MalformedIsTypedError) {
