@@ -1,4 +1,5 @@
-// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), table-driven.
+// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), table-driven, eight
+// bytes per step (slicing-by-8).
 //
 // Used by the ResultCache v2 per-entry header to detect torn or
 // bit-rotted entry files before parsing them (parse success alone cannot

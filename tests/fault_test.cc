@@ -296,6 +296,39 @@ TEST(Crc32Test, KnownAnswerAndIncrementalUpdate) {
   crc = Crc32Update(crc, "1234", 4);
   crc = Crc32Update(crc, "56789", 5);
   EXPECT_EQ(crc, 0xCBF43926u) << "chunked update must equal one-shot";
+
+  // The sliced implementation against a bitwise reference: every length
+  // 0..257 at every alignment 0..7 of the buffer, and every split point
+  // of an incremental update.
+  auto reference = [](const unsigned char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> buffer(257 + 8);
+  uint32_t state = 12345;
+  for (unsigned char& b : buffer) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 16);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buffer.data() + align;
+    for (size_t n = 0; n <= 257; ++n) {
+      ASSERT_EQ(Crc32Update(0, p, n), reference(p, n))
+          << "length " << n << " at alignment " << align;
+    }
+  }
+  const unsigned char* p = buffer.data();
+  const size_t n = 257;
+  const uint32_t whole = reference(p, n);
+  for (size_t split = 0; split <= n; ++split) {
+    ASSERT_EQ(Crc32Update(Crc32Update(0, p, split), p + split, n - split),
+              whole)
+        << "split at " << split;
+  }
 }
 
 // --- end-to-end sweep --------------------------------------------------------
