@@ -58,9 +58,11 @@ VerifyStats WithoutHistograms(VerifyStats stats) {
   return stats;
 }
 
-/// Serializes a decided response into the (header-less) payload JSON: the
-/// wire form of what a hit returns (verdict, witness binding, counterexample,
-/// scalar stats; no attempts or rung) plus the cache's "format" and "key".
+/// Serializes a decided response into the (header-less) payload: one line
+/// of compact JSON holding the wire form of what a hit returns (verdict,
+/// witness binding, counterexample, scalar stats; no attempts or rung) plus
+/// the cache's "format" and "key". Readers take any JSON layout, so entries
+/// written pretty-printed by older versions still hit.
 std::string RecordPayload(const Fingerprint& key, const WebAppSpec& spec,
                           const VerifyResponse& response) {
   VerifyResponse kept;
@@ -72,7 +74,9 @@ std::string RecordPayload(const Fingerprint& key, const WebAppSpec& spec,
   obs::Json record = api::ResponseToJson(kept, spec);
   record.Set("format", obs::Json::Int(kFormatVersion));
   record.Set("key", obs::Json::Str(key.ToHex()));
-  return record.Dump(2) + "\n";
+  std::string payload = record.Dump();
+  payload.push_back('\n');
+  return payload;
 }
 
 /// Decodes a record back into a response; false = incompatible.
@@ -97,24 +101,38 @@ bool DecodeRecord(const obs::Json& record, WebAppSpec* spec,
 
 std::string FrameEntry(const std::string& payload) {
   char header[64];
-  std::snprintf(header, sizeof(header), "%s crc32=%08x len=%zu\n", kMagic,
-                Crc32(payload), payload.size());
-  return std::string(header) + payload;
+  int n = std::snprintf(header, sizeof(header), "%s crc32=%08x len=%zu\n",
+                        kMagic, Crc32(payload), payload.size());
+  std::string entry;
+  entry.reserve(static_cast<size_t>(n) + payload.size());
+  entry.append(header, static_cast<size_t>(n));
+  entry += payload;
+  return entry;
 }
 
+/// Longest header line `UnframeEntry` reads: the magic, an 8-digit CRC and
+/// a 20-digit length take 50 bytes.
+constexpr size_t kMaxHeaderLine = 95;
+
 /// Splits + validates a framed entry; nullopt on any header/CRC mismatch.
-std::optional<std::string> UnframeEntry(const std::string& content) {
+/// The payload is a view into `content`.
+std::optional<std::string_view> UnframeEntry(std::string_view content) {
   size_t nl = content.find('\n');
-  if (nl == std::string::npos) return std::nullopt;
+  if (nl == std::string_view::npos || nl > kMaxHeaderLine) {
+    return std::nullopt;
+  }
+  char header[kMaxHeaderLine + 1];
+  content.copy(header, nl);
+  header[nl] = '\0';
   unsigned parsed_crc = 0;
   size_t parsed_len = 0;
   char magic[32] = {0};
-  if (std::sscanf(content.substr(0, nl).c_str(), "%31s crc32=%x len=%zu",
-                  magic, &parsed_crc, &parsed_len) != 3 ||
+  if (std::sscanf(header, "%31s crc32=%x len=%zu", magic, &parsed_crc,
+                  &parsed_len) != 3 ||
       std::string_view(magic) != kMagic) {
     return std::nullopt;
   }
-  std::string body = content.substr(nl + 1);
+  std::string_view body = content.substr(nl + 1);
   if (body.size() != parsed_len || Crc32(body) != parsed_crc) {
     return std::nullopt;
   }
@@ -129,7 +147,7 @@ enum class EntryCheck { kOk, kTorn, kMisnamed };
 /// receives the record.
 EntryCheck CheckEntry(const std::string& content, const std::string& hex,
                       obs::Json* record) {
-  std::optional<std::string> payload = UnframeEntry(content);
+  std::optional<std::string_view> payload = UnframeEntry(content);
   if (!payload.has_value()) return EntryCheck::kTorn;
   std::optional<obs::Json> parsed = obs::Json::Parse(*payload);
   if (!parsed.has_value()) return EntryCheck::kTorn;
