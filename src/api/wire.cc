@@ -579,10 +579,13 @@ StatusOr<AttemptRecord> AttemptFromJson(const obs::Json& j) {
   return attempt;
 }
 
-obs::Json ResponseToJson(const VerifyResponse& response,
-                         const WebAppSpec& spec) {
-  obs::Json j = obs::Json::Object();
-  j.Set("schema_version", obs::Json::Int(kSchemaVersion));
+namespace {
+
+/// Sets every member of `response`'s wire document except the schema
+/// stamp on `*out`, in wire order.
+void SetResponseMembers(const VerifyResponse& response, const WebAppSpec& spec,
+                        obs::Json* out) {
+  obs::Json& j = *out;
   j.Set("verdict", obs::Json::Str(VerdictName(response.verdict)));
   j.Set("unknown_reason",
         obs::Json::Str(UnknownReasonName(response.unknown_reason)));
@@ -601,6 +604,15 @@ obs::Json ResponseToJson(const VerifyResponse& response,
     j.Set("attempts", AttemptsToJson(response.attempts));
   }
   j.Set("decided_rung", obs::Json::Int(response.decided_rung));
+}
+
+}  // namespace
+
+obs::Json ResponseToJson(const VerifyResponse& response,
+                         const WebAppSpec& spec) {
+  obs::Json j = obs::Json::Object();
+  j.Set("schema_version", obs::Json::Int(kSchemaVersion));
+  SetResponseMembers(response, spec, &j);
   return j;
 }
 
@@ -656,12 +668,9 @@ obs::Json BatchResponseToJson(const BatchResponse& batch,
   obs::Json responses = obs::Json::Array();
   for (const VerifyResponse& response : batch.responses) {
     // Nested responses carry no stamp of their own: the envelope's governs.
-    obs::Json r = ResponseToJson(response, spec);
-    obs::Json stripped = obs::Json::Object();
-    for (const auto& [key, value] : r.members()) {
-      if (key != "schema_version") stripped.Set(key, value);
-    }
-    responses.Append(std::move(stripped));
+    obs::Json r = obs::Json::Object();
+    SetResponseMembers(response, spec, &r);
+    responses.Append(std::move(r));
   }
   j.Set("responses", std::move(responses));
   j.Set("merged", StatsToJson(batch.merged));

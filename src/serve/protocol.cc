@@ -68,11 +68,11 @@ StatusOr<RequestEnvelope> ParseRequestLine(const std::string& line) {
               " needs exactly one of 'spec' and 'spec_path'",
           WAVE_LOC);
     }
-    const obs::Json* request = doc->Find("request");
+    obs::Json* request = doc->Find("request");
     if (request == nullptr || !request->is_object()) {
       return Status::InvalidArgument("missing request object", WAVE_LOC);
     }
-    envelope.request = *request;
+    envelope.request = std::move(*request);
   }
   return envelope;
 }
@@ -130,12 +130,12 @@ StatusOr<ResponseEnvelope> ParseResponseLine(const std::string& line) {
   }
   envelope.ok = ok->AsBool();
   if (envelope.ok) {
-    const obs::Json* response = doc->Find("response");
+    obs::Json* response = doc->Find("response");
     if (response == nullptr) {
       return Status::InvalidArgument("ok envelope missing response",
                                      WAVE_LOC);
     }
-    envelope.response = *response;
+    envelope.response = std::move(*response);
   } else {
     const obs::Json* status = doc->Find("status");
     if (status == nullptr) {
@@ -147,6 +147,10 @@ StatusOr<ResponseEnvelope> ParseResponseLine(const std::string& line) {
   return envelope;
 }
 
-std::string FrameLine(const obs::Json& doc) { return doc.Dump() + "\n"; }
+std::string FrameLine(const obs::Json& doc) {
+  std::string frame = doc.Dump();
+  frame.push_back('\n');
+  return frame;
+}
 
 }  // namespace wave::serve

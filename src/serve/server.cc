@@ -474,13 +474,15 @@ class Server::Impl {
   }
 
   obs::Json Execute(const RequestEnvelope& envelope, obs::Tracer* tracer) {
-    std::string spec_text = envelope.spec_text;
+    const std::string* spec_text = &envelope.spec_text;
+    std::string file_text;
     if (!envelope.spec_path.empty()) {
       StatusOr<std::string> text = ReadFileToString(envelope.spec_path);
       if (!text.ok()) return ErrorEnvelope(envelope.id, text.status());
-      spec_text = std::move(*text);
+      file_text = std::move(*text);
+      spec_text = &file_text;
     }
-    StatusOr<SessionPool::Lease> lease = sessions_.Acquire(spec_text);
+    StatusOr<SessionPool::Lease> lease = sessions_.Acquire(*spec_text);
     if (!lease.ok()) return ErrorEnvelope(envelope.id, lease.status());
 
     if (envelope.verb == Verb::kVerify) {
