@@ -124,6 +124,7 @@ Status InstanceFromJson(const obs::Json& j, WebAppSpec* spec,
             "instance." + name + ": tuple arity mismatch", WAVE_LOC);
       }
       Tuple t;
+      t.reserve(static_cast<size_t>(arity));
       for (const obs::Json& v : tuple.items()) {
         if (!v.is_string()) return TypeError("instance." + name, "string");
         t.push_back(spec->symbols().Intern(v.AsString()));

@@ -239,9 +239,9 @@ namespace {
 constexpr int kMaxDepth = 512;
 
 /// An object with more members than this indexes its keys to find repeats;
-/// a smaller one scans them. A scan per member would make an n-key object
-/// cost O(n^2).
-constexpr size_t kScanMembers = 16;
+/// a smaller one (a stats record has 26) scans them. A scan per member
+/// would make an n-key object cost O(n^2).
+constexpr size_t kScanMembers = 32;
 
 }  // namespace
 

@@ -4,6 +4,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <random>
 #include <string>
 
 #include "obs/json.h"
@@ -123,6 +128,187 @@ TEST(JsonTest, ManyKeyObjectsParseFastAndRepeatedKeysKeepTheLastValue) {
   std::optional<Json> small = Json::Parse("{\"a\":1,\"b\":2,\"a\":3}");
   ASSERT_TRUE(small.has_value());
   EXPECT_EQ(small->Dump(), "{\"a\":3,\"b\":2}");
+}
+
+// --- Json property tests -----------------------------------------------------
+
+/// Random bytes for strings and keys: every control byte, the quote, the
+/// backslash, the slash, DEL, non-ASCII bytes and plain letters.
+std::string RandomBytes(std::mt19937_64* rng) {
+  static const std::string kSpecial = std::string("\"\\/\x7f", 4);
+  std::string s;
+  const int length = static_cast<int>((*rng)() % 12);
+  for (int i = 0; i < length; ++i) {
+    switch ((*rng)() % 5) {
+      case 0: s.push_back(static_cast<char>((*rng)() % 0x20)); break;
+      case 1: s.push_back(kSpecial[(*rng)() % kSpecial.size()]); break;
+      case 2: s.push_back(static_cast<char>(0x80 + (*rng)() % 0x80)); break;
+      default: s.push_back(static_cast<char>('a' + (*rng)() % 26));
+    }
+  }
+  return s;
+}
+
+/// Finite doubles the dumper prints in each of its two forms, the
+/// boundaries between them, and random bit patterns.
+double RandomDouble(std::mt19937_64* rng) {
+  static const double kSpecial[] = {
+      -0.0, 0.0, 1e300, -1e300, 5e-324, 2.0, -3.0, 0.1, 1e15, 1e15 - 1,
+      -1e15, 1e17, 0x1p63, -0x1p63, 1.7976931348623157e308, 2.5e-308};
+  if ((*rng)() % 2 == 0) return kSpecial[(*rng)() % std::size(kSpecial)];
+  while (true) {
+    uint64_t bits = (*rng)();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) return v;
+  }
+}
+
+Json RandomJson(std::mt19937_64* rng, int depth, int max_depth) {
+  static const int64_t kInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1};
+  // Past `max_depth` only scalars; a chain document forces the depth.
+  const uint64_t kinds = depth >= max_depth ? 6 : 8;
+  switch ((*rng)() % kinds) {
+    case 0: return Json::Null();
+    case 1: return Json::Bool((*rng)() % 2 == 0);
+    case 2:
+      return Json::Int((*rng)() % 2 == 0
+                           ? kInts[(*rng)() % std::size(kInts)]
+                           : static_cast<int64_t>((*rng)()));
+    case 3: return Json::Number(RandomDouble(rng));
+    case 4:
+    case 5: return Json::Str(RandomBytes(rng));
+    case 6: {
+      Json array = Json::Array();
+      const int n = static_cast<int>((*rng)() % 5);
+      for (int i = 0; i < n; ++i) {
+        array.Append(RandomJson(rng, depth + 1, max_depth));
+      }
+      return array;
+    }
+    default: {
+      Json object = Json::Object();
+      const int n = static_cast<int>((*rng)() % 5);
+      for (int i = 0; i < n; ++i) {
+        object.Set(RandomBytes(rng), RandomJson(rng, depth + 1, max_depth));
+      }
+      return object;
+    }
+  }
+}
+
+/// Wraps `leaf` in `levels` alternating arrays and objects.
+Json Chain(Json leaf, int levels, std::mt19937_64* rng) {
+  for (int i = 0; i < levels; ++i) {
+    if (i % 2 == 0) {
+      Json array = Json::Array();
+      array.Append(Json::Int(i));
+      array.Append(std::move(leaf));
+      leaf = std::move(array);
+    } else {
+      Json object = Json::Object();
+      object.Set(RandomBytes(rng), std::move(leaf));
+      leaf = std::move(object);
+    }
+  }
+  return leaf;
+}
+
+TEST(JsonPropertyTest, DumpParseDumpIsTheIdentity) {
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    std::mt19937_64 rng(seed);
+    Json doc = seed % 10 == 0 ? Chain(RandomJson(&rng, 0, 2), 64, &rng)
+                              : RandomJson(&rng, 0, 6);
+    for (int indent : {-1, 2}) {
+      const std::string text = doc.Dump(indent);
+      std::string error;
+      std::optional<Json> parsed = Json::Parse(text, &error);
+      ASSERT_TRUE(parsed.has_value())
+          << "seed " << seed << " indent " << indent << ": " << error;
+      EXPECT_EQ(parsed->Dump(indent), text)
+          << "seed " << seed << " indent " << indent;
+    }
+  }
+}
+
+TEST(JsonPropertyTest, EveryEscapeDecodesAndReencodesStably) {
+  // Escapes the dumper never writes (\/, \u of printable and non-ASCII
+  // code points, upper-case hex) decode to the bytes they name, and the
+  // decoded value then round-trips exactly.
+  std::mt19937_64 rng(7);
+  static const char* kEscapes[] = {"\\\"", "\\\\", "\\/", "\\b", "\\f",
+                                   "\\n", "\\r", "\\t", "\\u0041",
+                                   "\\u00e9", "\\u20AC", "\\u0000",
+                                   "\\u001F", "\\uD83D"};
+  for (int round = 0; round < 200; ++round) {
+    std::string text = "\"";
+    for (int i = 0; i < 8; ++i) {
+      if (rng() % 2 == 0) {
+        text += kEscapes[rng() % std::size(kEscapes)];
+      } else {
+        text.push_back(static_cast<char>('a' + rng() % 26));
+      }
+    }
+    text += "\"";
+    std::optional<Json> once = Json::Parse(text);
+    ASSERT_TRUE(once.has_value()) << text;
+    std::optional<Json> twice = Json::Parse(once->Dump());
+    ASSERT_TRUE(twice.has_value()) << once->Dump();
+    EXPECT_EQ(twice->AsString(), once->AsString()) << text;
+    EXPECT_EQ(twice->Dump(), once->Dump()) << text;
+  }
+  std::optional<Json> decoded = Json::Parse(R"("\/\u00e9\u20AC")");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->AsString(), "/\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(decoded->Dump(), "\"/\xc3\xa9\xe2\x82\xac\"");
+}
+
+TEST(JsonPropertyTest, NumbersKeepTheirPrintfText) {
+  // Integral doubles below 1e15 print as "%.1f", every other finite double
+  // as "%.17g", integers as "%lld".
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    double v = RandomDouble(&rng);
+    char want[40];
+    std::snprintf(want, sizeof(want),
+                  v == std::floor(v) && std::fabs(v) < 1e15 ? "%.1f" : "%.17g",
+                  v);
+    ASSERT_EQ(Json::Number(v).Dump(), want);
+    int64_t n = static_cast<int64_t>(rng());
+    std::snprintf(want, sizeof(want), "%lld", static_cast<long long>(n));
+    ASSERT_EQ(Json::Int(n).Dump(), want);
+  }
+  EXPECT_EQ(Json::Int(INT64_MIN).Dump(), "-9223372036854775808");
+  EXPECT_EQ(Json::Number(-0.0).Dump(), "-0.0");
+  EXPECT_EQ(Json::Number(5e-324).Dump(), "4.9406564584124654e-324");
+  EXPECT_EQ(Json::Number(std::nan("")).Dump(), "null");
+  // Magnitudes past double's range read as strtod reads them.
+  EXPECT_EQ(Json::Parse("1e400")->AsDouble(), HUGE_VAL);
+  EXPECT_EQ(Json::Parse("-1e-400")->AsDouble(), 0.0);
+  EXPECT_EQ(Json::Parse("99999999999999999999")->AsDouble(), 1e20);
+}
+
+TEST(JsonPropertyTest, RepeatedKeysKeepTheFirstPositionAndTheLastValue) {
+  // Objects on both sides of the size where the parser stops scanning
+  // keys and starts indexing them, with repeats early, late and of the
+  // last key; `Set` has the same semantics and is the oracle.
+  std::mt19937_64 rng(5);
+  for (int keys : {1, 2, 31, 32, 33, 64, 300}) {
+    std::string text = "{";
+    Json expected = Json::Object();
+    for (int i = 0; i < keys + keys / 2 + 3; ++i) {
+      const int k = i < keys ? i : static_cast<int>(rng() % keys);
+      const std::string key = "k" + std::to_string(k);
+      if (i > 0) text += ",";
+      text += "\"" + key + "\":" + std::to_string(i);
+      expected.Set(key, Json::Int(i));
+    }
+    text += "}";
+    std::optional<Json> parsed = Json::Parse(text);
+    ASSERT_TRUE(parsed.has_value()) << keys;
+    EXPECT_EQ(parsed->Dump(), expected.Dump()) << keys;
+    EXPECT_EQ(parsed->members().size(), static_cast<size_t>(keys));
+  }
 }
 
 // --- MetricsRegistry ---------------------------------------------------------
