@@ -1277,10 +1277,10 @@ std::vector<VerifyResult> RunBatchAttempt(
   {
     // Result validation/finalization; with a candidate_filter installed
     // the per-candidate "validate" spans inside the search carry the bulk
-    // of this phase. Per-call registry: stats come from it, then it merges
-    // into the caller's (possibly shared, accumulating) registry.
+    // of this phase. The per-call registry is built only when the caller
+    // installed one, and merges into it (it may be shared and
+    // accumulating); the results read none of it.
     obs::ScopedSpan validate_span(options.tracer, "validate");
-    obs::MetricsRegistry call_metrics;
 
     double prepare_us = 0, dataflow_us = 0, validate_us = 0;
     VerifyStats merged;
@@ -1292,42 +1292,50 @@ std::vector<VerifyResult> RunBatchAttempt(
     }
     net_search_us = std::max(0.0, search_us - dataflow_us - validate_us);
 
-    call_metrics.Add("verify.prepare_us", static_cast<int64_t>(prepare_us));
-    call_metrics.Add("verify.dataflow_us",
-                     static_cast<int64_t>(dataflow_us));
-    call_metrics.Add("verify.search_us", static_cast<int64_t>(net_search_us));
-    call_metrics.Add("verify.validate_us",
-                     static_cast<int64_t>(validate_us));
-    call_metrics.Add("verify.assignments", merged.num_assignments);
-    call_metrics.Add("verify.cores", merged.num_cores);
-    call_metrics.Add("verify.expansions", merged.num_expansions);
-    call_metrics.Add("verify.successors", merged.num_successors);
-    call_metrics.Add("verify.rejected_candidates",
-                     merged.num_rejected_candidates);
-    call_metrics.Add("verify.heartbeats", heartbeats);
-    call_metrics.Add("verify.steals", steals);
-    call_metrics.Set("verify.jobs", jobs);
-    call_metrics.Add("trie.hits", merged.trie_hits);
-    call_metrics.Add("trie.misses", merged.trie_misses);
-    call_metrics.Set("trie.max_size", merged.max_trie_size);
-    call_metrics.Set("buchi.states", max_buchi);
-    int64_t gpvw_states_before = 0;
-    for (int i = 0; i < n; ++i) {
-      const GpvwStats& g = work[i].plan->gpvw_stats;
-      call_metrics.Add("gpvw.tableau_nodes", g.tableau_nodes);
-      call_metrics.Add("gpvw.until_subformulas", g.until_subformulas);
-      gpvw_states_before =
-          std::max<int64_t>(gpvw_states_before, g.states_before_simplify);
+    if (options.tracer != nullptr) {
+      options.tracer->CounterHistogram("trie.lookup_us",
+                                       merged.trie_lookup_us);
+      options.tracer->CounterHistogram("search.depth", merged.search_depth);
+      options.tracer->CounterHistogram("alloc.search.shard_bytes",
+                                       merged.shard_alloc_bytes);
     }
-    call_metrics.Set("gpvw.states_before_simplify", gpvw_states_before);
-    call_metrics.Set("governor.peak_memory_bytes",
-                     readings.peak_memory_bytes);
-    call_metrics.Add("governor.polls", readings.polls);
+    if (options.metrics != nullptr) {
+      obs::MetricsRegistry call_metrics;
+      call_metrics.Add("verify.prepare_us", static_cast<int64_t>(prepare_us));
+      call_metrics.Add("verify.dataflow_us",
+                       static_cast<int64_t>(dataflow_us));
+      call_metrics.Add("verify.search_us", static_cast<int64_t>(net_search_us));
+      call_metrics.Add("verify.validate_us",
+                       static_cast<int64_t>(validate_us));
+      call_metrics.Add("verify.assignments", merged.num_assignments);
+      call_metrics.Add("verify.cores", merged.num_cores);
+      call_metrics.Add("verify.expansions", merged.num_expansions);
+      call_metrics.Add("verify.successors", merged.num_successors);
+      call_metrics.Add("verify.rejected_candidates",
+                       merged.num_rejected_candidates);
+      call_metrics.Add("verify.heartbeats", heartbeats);
+      call_metrics.Add("verify.steals", steals);
+      call_metrics.Set("verify.jobs", jobs);
+      call_metrics.Add("trie.hits", merged.trie_hits);
+      call_metrics.Add("trie.misses", merged.trie_misses);
+      call_metrics.Set("trie.max_size", merged.max_trie_size);
+      call_metrics.Set("buchi.states", max_buchi);
+      int64_t gpvw_states_before = 0;
+      for (int i = 0; i < n; ++i) {
+        const GpvwStats& g = work[i].plan->gpvw_stats;
+        call_metrics.Add("gpvw.tableau_nodes", g.tableau_nodes);
+        call_metrics.Add("gpvw.until_subformulas", g.until_subformulas);
+        gpvw_states_before =
+            std::max<int64_t>(gpvw_states_before, g.states_before_simplify);
+      }
+      call_metrics.Set("gpvw.states_before_simplify", gpvw_states_before);
+      call_metrics.Set("governor.peak_memory_bytes",
+                       readings.peak_memory_bytes);
+      call_metrics.Add("governor.polls", readings.polls);
 
-    if (telemetry) {
-      // Batch-wide search telemetry: per-property histograms merged, the
-      // per-phase counting-allocator tallies, and (jobs > 1) the steal
-      // balance across workers.
+      // Batch-wide search telemetry (on whenever a registry is): the
+      // per-property histograms merged, the per-phase counting-allocator
+      // tallies, and (jobs > 1) the steal balance across workers.
       call_metrics.histogram("trie.lookup_us")
           ->MergeData(merged.trie_lookup_us);
       call_metrics.histogram("search.depth")->MergeData(merged.search_depth);
@@ -1341,13 +1349,6 @@ std::vector<VerifyResult> RunBatchAttempt(
       call_metrics.Add("alloc.dataflow.count", dataflow_alloc.count);
       call_metrics.Add("alloc.search.bytes", merged.alloc_bytes);
       call_metrics.Add("alloc.search.count", merged.alloc_count);
-      if (options.tracer != nullptr) {
-        options.tracer->CounterHistogram("trie.lookup_us",
-                                         merged.trie_lookup_us);
-        options.tracer->CounterHistogram("search.depth", merged.search_depth);
-        options.tracer->CounterHistogram("alloc.search.shard_bytes",
-                                         merged.shard_alloc_bytes);
-      }
       if (runners.size() > 1) {
         // Work-stealing balance: max worker expansion share over the
         // mean (1.0 = perfectly balanced).
@@ -1365,70 +1366,70 @@ std::vector<VerifyResult> RunBatchAttempt(
                          mean > 0 ? static_cast<double>(worker_max) / mean
                                   : 1.0);
       }
-    }
 
-    // Session-cache deltas of this attempt (verify.prepass.* proves the
-    // spec pre-pass ran exactly once across a batch: spec_builds is 1 on
-    // the session's first attempt and 0 afterwards).
-    const SessionStats& sa = session->stats();
-    call_metrics.Add("verify.prepass.spec_builds",
-                     sa.spec_builds - session_before.spec_builds);
-    call_metrics.Add("verify.prepass.spec_reuses",
-                     sa.spec_reuses - session_before.spec_reuses);
-    call_metrics.Add("verify.prepass.plan_builds",
-                     sa.plan_builds - session_before.plan_builds);
-    call_metrics.Add("verify.prepass.plan_reuses",
-                     sa.plan_reuses - session_before.plan_reuses);
-    call_metrics.Add("verify.prepass.context_builds",
-                     sa.context_builds - session_before.context_builds);
-    call_metrics.Add("verify.prepass.context_reuses",
-                     sa.context_reuses - session_before.context_reuses);
-    call_metrics.Add("verify.prepass.evictions",
-                     sa.context_evictions - session_before.context_evictions);
-    call_metrics.Add("verify.gpvw_cache.hits",
-                     sa.gpvw_hits - session_before.gpvw_hits);
-    call_metrics.Add("verify.gpvw_cache.misses",
-                     sa.gpvw_misses - session_before.gpvw_misses);
+      // Session-cache deltas of this attempt (verify.prepass.* proves the
+      // spec pre-pass ran exactly once across a batch: spec_builds is 1 on
+      // the session's first attempt and 0 afterwards).
+      const SessionStats& sa = session->stats();
+      call_metrics.Add("verify.prepass.spec_builds",
+                       sa.spec_builds - session_before.spec_builds);
+      call_metrics.Add("verify.prepass.spec_reuses",
+                       sa.spec_reuses - session_before.spec_reuses);
+      call_metrics.Add("verify.prepass.plan_builds",
+                       sa.plan_builds - session_before.plan_builds);
+      call_metrics.Add("verify.prepass.plan_reuses",
+                       sa.plan_reuses - session_before.plan_reuses);
+      call_metrics.Add("verify.prepass.context_builds",
+                       sa.context_builds - session_before.context_builds);
+      call_metrics.Add("verify.prepass.context_reuses",
+                       sa.context_reuses - session_before.context_reuses);
+      call_metrics.Add("verify.prepass.evictions",
+                       sa.context_evictions - session_before.context_evictions);
+      call_metrics.Add("verify.gpvw_cache.hits",
+                       sa.gpvw_hits - session_before.gpvw_hits);
+      call_metrics.Add("verify.gpvw_cache.misses",
+                       sa.gpvw_misses - session_before.gpvw_misses);
 
-    // Per-assignment wall time, recorded in slot order (so the histogram
-    // count always equals the attempt's summed num_assignments): the
-    // context build time — when this attempt actually built it — plus the
-    // shard time summed across workers.
-    obs::Histogram assignment_hist;
-    for (size_t slot = 0; slot < slots.size(); ++slot) {
-      double total = work[slots[slot].job].prepass.reused
-                         ? 0.0
-                         : slots[slot].ctx->build_us;
-      for (const std::unique_ptr<ShardRunner>& runner : runners) {
-        total += runner->assignment_us()[slot];
+      // Per-assignment wall time, recorded in slot order (so the histogram
+      // count always equals the attempt's summed num_assignments): the
+      // context build time — when this attempt actually built it — plus the
+      // shard time summed across workers.
+      obs::Histogram assignment_hist;
+      for (size_t slot = 0; slot < slots.size(); ++slot) {
+        double total = work[slots[slot].job].prepass.reused
+                           ? 0.0
+                           : slots[slot].ctx->build_us;
+        for (const std::unique_ptr<ShardRunner>& runner : runners) {
+          total += runner->assignment_us()[slot];
+        }
+        assignment_hist.Record(total);
       }
-      assignment_hist.Record(total);
-    }
-    call_metrics.histogram("verify.assignment_us")
-        ->MergeFrom(assignment_hist);
+      call_metrics.histogram("verify.assignment_us")
+          ->MergeFrom(assignment_hist);
 
-    const PreparedExecStats& exec = prepared->exec_stats();
-    call_metrics.Add(
-        "prepared.compute_options_calls",
-        exec.compute_options_calls - exec_before.compute_options_calls);
-    call_metrics.Add("prepared.apply_input_calls",
-                     exec.apply_input_calls - exec_before.apply_input_calls);
-    call_metrics.Add("prepared.advance_calls",
-                     exec.advance_calls - exec_before.advance_calls);
-    call_metrics.Add("prepared.rule_evaluations",
-                     exec.rule_evaluations - exec_before.rule_evaluations);
-    call_metrics.Add("prepared.derived_tuples",
-                     exec.derived_tuples - exec_before.derived_tuples);
-    MemoCounters memo;
-    for (const std::unique_ptr<ShardRunner>& runner : runners) {
-      memo.replays += runner->memo().replays;
-      memo.skeleton_hits += runner->memo().skeleton_hits;
-      memo.skeleton_misses += runner->memo().skeleton_misses;
+      const PreparedExecStats& exec = prepared->exec_stats();
+      call_metrics.Add(
+          "prepared.compute_options_calls",
+          exec.compute_options_calls - exec_before.compute_options_calls);
+      call_metrics.Add("prepared.apply_input_calls",
+                       exec.apply_input_calls - exec_before.apply_input_calls);
+      call_metrics.Add("prepared.advance_calls",
+                       exec.advance_calls - exec_before.advance_calls);
+      call_metrics.Add("prepared.rule_evaluations",
+                       exec.rule_evaluations - exec_before.rule_evaluations);
+      call_metrics.Add("prepared.derived_tuples",
+                       exec.derived_tuples - exec_before.derived_tuples);
+      MemoCounters memo;
+      for (const std::unique_ptr<ShardRunner>& runner : runners) {
+        memo.replays += runner->memo().replays;
+        memo.skeleton_hits += runner->memo().skeleton_hits;
+        memo.skeleton_misses += runner->memo().skeleton_misses;
+      }
+      call_metrics.Add("search.memo.replays", memo.replays);
+      call_metrics.Add("search.memo.skeleton_hits", memo.skeleton_hits);
+      call_metrics.Add("search.memo.skeleton_misses", memo.skeleton_misses);
+      options.metrics->MergeFrom(call_metrics);
     }
-    call_metrics.Add("search.memo.replays", memo.replays);
-    call_metrics.Add("search.memo.skeleton_hits", memo.skeleton_hits);
-    call_metrics.Add("search.memo.skeleton_misses", memo.skeleton_misses);
-    if (options.metrics != nullptr) options.metrics->MergeFrom(call_metrics);
   }
 
   // Release the session pins now that the merge no longer reads the
