@@ -131,7 +131,6 @@ VerifierSession::~VerifierSession() = default;
 
 void VerifierSession::EnsureSpecArtifacts() {
   if (spec_artifacts_built_) return;
-  spec_fingerprint_ = FingerprintSpec(*spec_);
   facts_ = std::make_unique<SpecFacts>(*spec_);
   page_domains_ = std::make_unique<PageDomains>(spec_, facts_.get());
   // Warm every page domain now, on the coordinator thread: the cache mints
@@ -147,7 +146,10 @@ void VerifierSession::EnsureSpecArtifacts() {
 
 const Fingerprint& VerifierSession::SpecFingerprint() {
   EnsureSpecArtifacts();
-  return spec_fingerprint_;
+  if (!spec_fingerprint_.has_value()) {
+    spec_fingerprint_ = FingerprintSpec(*spec_);
+  }
+  return *spec_fingerprint_;
 }
 
 const SpecFacts& VerifierSession::facts() {

@@ -4,7 +4,8 @@
 // A `VerifierSession` owns the caches for ONE spec. The engine's pre-pass
 // has three layers, each keyed by exactly what it depends on:
 //
-//   1. spec artifacts   — the structural spec fingerprint, the rules'
+//   1. spec artifacts   — the structural spec fingerprint (computed when
+//                         a persistent cache first asks for it), the rules'
 //                         dataflow facts (`SpecFacts`: each rule's resolved
 //                         leaves, CW, page reads, the copy-edge graph and
 //                         the rules' comparison sets closed over it), and
@@ -43,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -214,7 +216,9 @@ class VerifierSession {
   VerifierSession& operator=(const VerifierSession&) = delete;
 
   /// Layer 1: structural fingerprint of the owned spec (also the prefix of
-  /// every persistent-cache key). Builds the spec artifacts on first use.
+  /// every persistent-cache key), computed on first use: only cached runs
+  /// read it. Builds the spec artifacts first, so the witnesses they mint
+  /// keep their names whatever symbols a cache hit then interns.
   const Fingerprint& SpecFingerprint();
 
   /// Layer 1: the rules' dataflow facts. Builds the spec artifacts on
@@ -251,7 +255,7 @@ class VerifierSession {
   WebAppSpec* spec_;
 
   bool spec_artifacts_built_ = false;
-  Fingerprint spec_fingerprint_;
+  std::optional<Fingerprint> spec_fingerprint_;
   std::unique_ptr<SpecFacts> facts_;
   std::unique_ptr<PageDomains> page_domains_;
   std::vector<const PageDomain*> page_domain_table_;
