@@ -28,7 +28,8 @@
 # tests/data/deep_chain.spec, whose search is a single chain of 4,096
 # configurations, at the same job counts, and tests/data/
 # nested_implications.spec (64 nested implications) must decide within a
-# minute. Resource exhaustion
+# minute, and a property of G nested 998 deep must answer unknown/timeout
+# under a one-second deadline. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
 # output, fails the check. A few rows first feed wave_verify and the other
@@ -420,6 +421,29 @@ elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
   FAILED=1
 else
   echo "ok   [nested-implications] (exit 0)"
+fi
+# G nested 998 deep (within the parser's depth limit) keeps the LTL ->
+# Büchi translation busy for minutes; the translation polls the attempt's
+# deadline, so a one-second budget answers unknown/timeout (exit 2).
+DEEP_G_SPEC="$BATCH_CACHE/deep_g_chain.spec"
+{
+  sed '/^property /,$d' "$E1"
+  printf 'property deep {\n'
+  awk 'BEGIN { for (i = 0; i < 998; ++i) printf "G " }'
+  printf '[at HP]\n}\n'
+} > "$DEEP_G_SPEC"
+rc=0
+timeout 60 "$VERIFY" "$DEEP_G_SPEC" --timeout=1 >"$LOG" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "timeout" "$LOG"; then
+  echo "FAIL [deep-g-chain]: exit $rc (want 2, unknown/timeout)"
+  cat "$LOG"
+  FAILED=1
+elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
+  echo "FAIL [deep-g-chain]: sanitizer report"
+  cat "$LOG"
+  FAILED=1
+else
+  echo "ok   [deep-g-chain] (exit 2)"
 fi
 
 # Short differential fuzz campaign (ISSUE 5): 100 seeded cases across

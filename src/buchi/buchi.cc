@@ -244,9 +244,11 @@ void BuchiAutomaton::ClearAcceptanceOffCycles() {
   }
 }
 
-void BuchiAutomaton::RemoveSubsumedTransitions() {
+void BuchiAutomaton::RemoveSubsumedTransitions(StopPoll* poll) {
   std::vector<char> subsumed;
   for (auto& ts : adj) {
+    const int64_t degree = static_cast<int64_t>(ts.size());
+    if (poll != nullptr && poll->Tick(1 + degree * degree)) return;
     subsumed.assign(ts.size(), 0);
     for (size_t i = 0; i < ts.size(); ++i) {
       const BuchiTransition& t = ts[i];
@@ -274,7 +276,7 @@ void BuchiAutomaton::RemoveSubsumedTransitions() {
   }
 }
 
-void BuchiAutomaton::MergeEquivalentStates() {
+void BuchiAutomaton::MergeEquivalentStates(StopPoll* poll) {
   int n = NumStates();
   // Guards interned to dense ids, so a state's signature — its class, then
   // its sorted (guard id, successor class) pairs — is a sequence of ints.
@@ -308,6 +310,9 @@ void BuchiAutomaton::MergeEquivalentStates() {
   bool changed = true;
   std::vector<int> next_part(n);
   while (changed) {
+    if (poll != nullptr && poll->Tick(n + static_cast<int64_t>(edges.size()))) {
+      return;
+    }
     changed = false;
     signatures.Clear();
     for (int s = 0; s < n; ++s) {
@@ -337,6 +342,10 @@ void BuchiAutomaton::MergeEquivalentStates() {
     }
     bool folded = true;
     while (folded) {
+      if (poll != nullptr &&
+          poll->Tick(n + static_cast<int64_t>(edges.size()))) {
+        return;
+      }
       folded = false;
       signatures.Clear();
       for (int s = 0; s < n; ++s) {
@@ -387,7 +396,7 @@ void BuchiAutomaton::MergeEquivalentStates() {
   start = rep[part[start]];
 }
 
-void BuchiAutomaton::PruneDeadStates() {
+void BuchiAutomaton::PruneDeadStates(StopPoll* poll) {
   // States on an accepting cycle.
   std::vector<int> comp;
   StronglyConnectedComponents(*this, &comp);
@@ -408,6 +417,7 @@ void BuchiAutomaton::PruneDeadStates() {
   // to fixpoint (automata are small).
   bool changed = true;
   while (changed) {
+    if (poll != nullptr && poll->Tick(NumStates())) return;
     changed = false;
     for (int s = 0; s < NumStates(); ++s) {
       if (live[s]) continue;
@@ -430,17 +440,18 @@ void BuchiAutomaton::PruneDeadStates() {
   EnsureNonDegenerate(this);
 }
 
-void BuchiAutomaton::Simplify() {
+void BuchiAutomaton::Simplify(StopPoll* poll) {
   // Cheap fixpoint: each pass only shrinks the automaton.
   int prev_states = -1, prev_transitions = -1;
   while (prev_states != NumStates() || prev_transitions != NumTransitions()) {
+    if (poll != nullptr && poll->Tick(NumStates())) return;
     prev_states = NumStates();
     prev_transitions = NumTransitions();
     RemoveUnreachable();
-    RemoveSubsumedTransitions();
+    RemoveSubsumedTransitions(poll);
     ClearAcceptanceOffCycles();
-    MergeEquivalentStates();
-    PruneDeadStates();
+    MergeEquivalentStates(poll);
+    PruneDeadStates(poll);
   }
 }
 

@@ -5,11 +5,41 @@
 #ifndef WAVE_BUCHI_BUCHI_H_
 #define WAVE_BUCHI_BUCHI_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 namespace wave {
+
+/// Counts the steps of a long construction and calls a stop check once
+/// every few hundred of them, so its loops read no clock per step. Once
+/// the check returns true the poll latches and every later `Tick` is true.
+class StopPoll {
+ public:
+  /// `stop` may be empty (the construction never stops); it must outlive
+  /// the poll.
+  explicit StopPoll(const std::function<bool()>& stop) : stop_(stop) {}
+
+  /// Counts `steps` steps; true once the stop check has fired.
+  bool Tick(int64_t steps = 1) {
+    if (stopped_ || !stop_) return stopped_;
+    until_poll_ -= steps;
+    if (until_poll_ > 0) return false;
+    until_poll_ = kStride;
+    stopped_ = stop_();
+    return stopped_;
+  }
+
+  bool stopped() const { return stopped_; }
+
+ private:
+  static constexpr int64_t kStride = 256;
+
+  const std::function<bool()>& stop_;
+  int64_t until_poll_ = kStride;
+  bool stopped_ = false;
+};
 
 /// One propositional literal of a transition guard.
 struct Literal {
@@ -69,21 +99,26 @@ struct BuchiAutomaton {
   /// cycle, so its acceptance flag is irrelevant; clear it. Enables merges.
   void ClearAcceptanceOffCycles();
 
+  // The passes below that can take more than linear time tick `poll`
+  // (when given) and return early once it stops, leaving a well-formed
+  // automaton that is no longer equivalent to the formula: a caller whose
+  // poll stopped discards it.
+
   /// Drops transitions whose guard is subsumed by a weaker guard to the
   /// same target (g1 ⊆ g2 with equal targets makes g2 redundant).
-  void RemoveSubsumedTransitions();
+  void RemoveSubsumedTransitions(StopPoll* poll = nullptr);
 
   /// Merges states that are equivalent under repeated partition refinement
   /// over (accepting, labelled successor partitions).
-  void MergeEquivalentStates();
+  void MergeEquivalentStates(StopPoll* poll = nullptr);
 
   /// Removes states from which no accepting cycle is reachable. May remove
   /// the start state's successors; if the start itself dies the automaton
   /// becomes empty (one non-accepting state with no transitions).
-  void PruneDeadStates();
+  void PruneDeadStates(StopPoll* poll = nullptr);
 
   /// All of the above, to fixpoint.
-  void Simplify();
+  void Simplify(StopPoll* poll = nullptr);
 
   /// True if no accepting lasso exists at all (empty language), assuming
   /// guards are satisfiable (they are normalized).

@@ -108,11 +108,13 @@ struct TableauNode {
 /// registered under the next name, queueing its successor.
 class Expander {
  public:
-  explicit Expander(const Closure& closure)
-      : c_(closure), w_(closure.words) {
+  /// Builds the whole tableau, or stops with a partial one once `poll`
+  /// stops (it ticks once per node taken up).
+  Expander(const Closure& closure, StopPoll* poll)
+      : c_(closure), w_(closure.words), poll_(poll) {
     pending_.push_back(Fresh(kInitName));
     SetBit(pending_.back().words.data(), c_.root_index);
-    while (!pending_.empty()) {
+    while (!pending_.empty() && !poll_->stopped()) {
       Expanding node = std::move(pending_.front());
       pending_.pop_front();
       Expand(std::move(node));
@@ -161,6 +163,7 @@ class Expander {
     std::vector<Expanding> stack;
     stack.push_back(std::move(root));
     while (!stack.empty()) {
+      if (poll_->Tick()) return;
       Expanding node = std::move(stack.back());
       stack.pop_back();
       while (true) {
@@ -250,6 +253,7 @@ class Expander {
 
   const Closure& c_;
   const int w_;
+  StopPoll* poll_;
   std::vector<TableauNode> done_;  // indexed by name
   std::unordered_map<uint64_t, int> by_hash_;  // newest node per hash
   std::vector<int> same_hash_;  // per node: the previous one with its hash
@@ -262,8 +266,10 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
                           const GpvwOptions& options) {
   PropId nnf = arena->Rewrite(arena->Nnf(f));
 
+  StopPoll poll(options.stop);
   const Closure closure(*arena, nnf);
-  const Expander expander(closure);
+  const Expander expander(closure, &poll);
+  if (poll.stopped()) return BuchiAutomaton();
   const std::vector<TableauNode>& nodes = expander.nodes();
   const int w = closure.words;
   auto old_has = [&](const TableauNode& q, int i) {
@@ -322,6 +328,9 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     out.start = 0;
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
       const TableauNode& q = nodes[name];
+      if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()))) {
+        return BuchiAutomaton();
+      }
       Guard g = guard_of(q);
       for (int p_name : q.incoming) {
         out.adj[state_of_name(p_name)].push_back({state_of_name(name), g});
@@ -343,6 +352,7 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     std::vector<std::vector<bool>> in_f(num_gba_states,
                                         std::vector<bool>(k, true));
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
+      if (poll.Tick(k)) return BuchiAutomaton();
       for (int i = 0; i < k; ++i) {
         in_f[state_of_name(name)][i] = in_accept_set(nodes[name], i);
       }
@@ -352,6 +362,9 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     }
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
       const TableauNode& q = nodes[name];
+      if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()) * k)) {
+        return BuchiAutomaton();
+      }
       Guard g = guard_of(q);
       int to_state = state_of_name(name);
       for (int p_name : q.incoming) {
@@ -370,7 +383,8 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     options.stats->until_subformulas = k;
     options.stats->states_before_simplify = out.NumStates();
   }
-  if (options.simplify) out.Simplify();
+  if (options.simplify) out.Simplify(&poll);
+  if (poll.stopped()) return BuchiAutomaton();
   if (options.stats != nullptr) {
     options.stats->states_after_simplify = out.NumStates();
   }

@@ -8,6 +8,8 @@
 #ifndef WAVE_BUCHI_GPVW_H_
 #define WAVE_BUCHI_GPVW_H_
 
+#include <functional>
+
 #include "buchi/buchi.h"
 #include "buchi/prop_ltl.h"
 
@@ -29,6 +31,10 @@ struct GpvwOptions {
   bool simplify = true;
   /// When non-null, filled with translation statistics.
   GpvwStats* stats = nullptr;
+  /// When set, called every few hundred tableau nodes, degeneralized
+  /// states and simplification steps. Once it returns true the translation
+  /// stops and returns an empty automaton, which the caller discards.
+  std::function<bool()> stop;
 };
 
 /// Translates the propositional LTL formula `f` (any connectives; NNF and

@@ -158,7 +158,8 @@ const SpecFacts& VerifierSession::facts() {
 }
 
 const PropertyPlan* VerifierSession::GetPlan(const Property& property,
-                                             obs::Tracer* tracer) {
+                                             obs::Tracer* tracer,
+                                             BudgetLedger* ledger) {
   if (spec_artifacts_built_) {
     ++stats_.spec_reuses;
   } else {
@@ -198,18 +199,29 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     plan->gpvw_cache_hit = true;
     ++stats_.gpvw_hits;
   } else {
+    ++stats_.gpvw_misses;
     obs::ScopedSpan span(tracer, "gpvw");
     GpvwOptions gpvw_options;
     gpvw_options.stats = &plan->gpvw_stats;
+    bool stopped = false;
+    if (ledger != nullptr) {
+      gpvw_options.stop = [ledger, &stopped] {
+        stopped = ledger->Check(/*expansion_budget=*/false) !=
+                  UnknownReason::kNone;
+        return stopped;
+      };
+    }
     plan->automaton =
         LtlToBuchi(&abstraction.arena, abstraction.root,
                    static_cast<int>(abstraction.components.size()),
                    gpvw_options);
+    // The ledger tripped mid-translation: the automaton is incomplete and
+    // nothing of this plan is kept.
+    if (stopped) return nullptr;
     auto cached = std::make_unique<GpvwEntry>();
     cached->automaton = plan->automaton;
     cached->stats = plan->gpvw_stats;
     gpvw_cache_[skeleton] = std::move(cached);
-    ++stats_.gpvw_misses;
   }
 
   if (plan->automaton.IsEmptyLanguage()) {

@@ -227,8 +227,12 @@ class VerifierSession {
 
   /// Layer 2: the plan for `property`, built on a miss (GPVW translation
   /// under a "gpvw" tracer span, served from the skeleton cache when a
-  /// structurally identical property was translated before).
-  const PropertyPlan* GetPlan(const Property& property, obs::Tracer* tracer);
+  /// structurally identical property was translated before). With a
+  /// `ledger`, the translation polls its deadline, cancellation and memory
+  /// ceiling; when one trips mid-translation the result is null and neither
+  /// the plan nor the automaton is cached.
+  const PropertyPlan* GetPlan(const Property& property, obs::Tracer* tracer,
+                              BudgetLedger* ledger = nullptr);
 
   /// Layer 3: assignment contexts for (property, options). On a miss the
   /// build runs under `ledger` — checked between assignments, like the

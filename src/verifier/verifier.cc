@@ -1019,7 +1019,12 @@ std::vector<VerifyResult> RunBatchAttempt(
       obs::ScopedSpan span(options.tracer, "prepare");
       Stopwatch prepare_watch;
       int64_t reuses_before = session->stats().reuses();
-      work[i].plan = session->GetPlan(*props[i], options.tracer);
+      const PropertyPlan* plan =
+          session->GetPlan(*props[i], options.tracer, &ledger);
+      // A translation the ledger stopped leaves the property undecided:
+      // the trip skips the search and becomes its kUnknown below.
+      static const PropertyPlan kUntranslated;
+      work[i].plan = plan != nullptr ? plan : &kUntranslated;
       work[i].prepass_reuses = session->stats().reuses() - reuses_before;
       work[i].prepare_us = prepare_watch.ElapsedMicros();
       results[i].stats.buchi_states = work[i].plan->automaton.NumStates();

@@ -24,6 +24,7 @@
 #include "parser/parser.h"
 #include "verifier/config_store.h"
 #include "verifier/governor.h"
+#include "verifier/session.h"
 #include "verifier/validate.h"
 #include "verifier/verifier.h"
 
@@ -626,6 +627,59 @@ TEST(UnknownReasonE2eTest, DeadlineGranularityIsMilliseconds) {
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_EQ(r.unknown_reason, UnknownReason::kTimeout);
   EXPECT_LT(elapsed, 1.0) << "deadline overshot: " << elapsed << "s";
+}
+
+/// E1's spec with one property `deep` at the parser's depth limit: `G`
+/// nested 998 times around [at HP], or a chain of 998 `U` (the parser
+/// nests it to the left) over [at CP] and [at HP].
+std::string DeepTemporalSpec(const std::string& shape) {
+  StatusOr<std::string> e1 =
+      ReadFileToString(std::string(WAVE_REPO_ROOT) + "/specs/e1_shopping.spec");
+  WAVE_CHECK_MSG(e1.ok(), e1.status().ToString());
+  std::string text = e1->substr(0, e1->find("\nproperty ")) +
+                     "\nproperty deep {\n";
+  constexpr int kDepth = 998;
+  if (shape == "G") {
+    for (int i = 0; i < kDepth; ++i) text += "G ";
+    text += "[at HP]";
+  } else {
+    text += "[at HP]";
+    for (int i = 0; i < kDepth; ++i) text += " U [at CP]";
+  }
+  return text + "\n}\n";
+}
+
+TEST(UnknownReasonE2eTest, DeadlineStopsTheBuchiTranslation) {
+  // Each of these formulas keeps GPVW busy for more than a minute; the
+  // translation polls the attempt's deadline, so a one-second budget
+  // answers unknown/timeout in about a second, and the stopped translation
+  // is not memoized: a second attempt stops the same way.
+  for (const char* shape : {"G", "U"}) {
+    SCOPED_TRACE(shape);
+    ParseResult parsed = ParseSpec(DeepTemporalSpec(shape));
+    ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+    ASSERT_EQ(parsed.properties.size(), 1u);
+    Verifier verifier(parsed.spec.get());
+    VerifyOptions options;
+    options.timeout_seconds = 1;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto start = std::chrono::steady_clock::now();
+      VerifyResult r =
+          RunVerify(verifier, parsed.properties[0].property, options);
+      double elapsed = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+      EXPECT_EQ(r.verdict, Verdict::kUnknown);
+      EXPECT_EQ(r.unknown_reason, UnknownReason::kTimeout)
+          << r.failure_reason;
+      EXPECT_LT(elapsed, 3.0) << "attempt " << attempt;
+      const SessionStats& session = verifier.session().stats();
+      EXPECT_EQ(session.plan_builds, attempt + 1)
+          << "a stopped translation leaves no plan behind";
+      EXPECT_EQ(session.gpvw_misses, attempt + 1);
+      EXPECT_EQ(session.gpvw_hits, 0);
+    }
+  }
 }
 
 TEST(UnknownReasonE2eTest, ExpansionBudgetReason) {
