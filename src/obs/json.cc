@@ -262,9 +262,10 @@ class Json::Parser {
   }
 
  private:
-  bool Fail(const char* message) {
+  bool Fail(std::string_view message) {
     if (error_ != nullptr && error_->empty()) {
-      *error_ = "offset " + std::to_string(pos_) + ": " + message;
+      *error_ = "offset " + std::to_string(pos_) + ": ";
+      error_->append(message);
     }
     return false;
   }
@@ -304,9 +305,8 @@ class Json::Parser {
       case '[':
       case '{': {
         if (depth_ == kMaxDepth) {
-          std::string message =
-              "nesting deeper than " + std::to_string(kMaxDepth) + " levels";
-          return Fail(message.c_str());
+          return Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
         }
         ++depth_;
         bool ok = c == '[' ? ParseArray(out) : ParseObject(out);
@@ -315,8 +315,7 @@ class Json::Parser {
       }
       default:
         if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber(out);
-        std::string message = std::string("unexpected character '") + c + "'";
-        return Fail(message.c_str());
+        return Fail(std::string("unexpected character '") + c + "'");
     }
   }
 

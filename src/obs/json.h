@@ -8,8 +8,9 @@
 // is deterministic and diff-friendly.
 //
 // Each value holds exactly one payload (a bool, an int64, a double, a
-// string, an item vector or a member vector), so a node is 40 bytes and
-// an array or object owns one exactly sized allocation once parsed.
+// string, an item vector or a member vector), so a node is 40 bytes on a
+// 64-bit host, and a parsed array or object owns one exactly sized
+// allocation.
 #ifndef WAVE_OBS_JSON_H_
 #define WAVE_OBS_JSON_H_
 

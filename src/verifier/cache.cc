@@ -101,33 +101,21 @@ bool DecodeRecord(const obs::Json& record, WebAppSpec* spec,
 
 std::string FrameEntry(const std::string& payload) {
   char header[64];
-  int n = std::snprintf(header, sizeof(header), "%s crc32=%08x len=%zu\n",
-                        kMagic, Crc32(payload), payload.size());
-  std::string entry;
-  entry.reserve(static_cast<size_t>(n) + payload.size());
-  entry.append(header, static_cast<size_t>(n));
-  entry += payload;
-  return entry;
+  std::snprintf(header, sizeof(header), "%s crc32=%08x len=%zu\n", kMagic,
+                Crc32(payload), payload.size());
+  return std::string(header) + payload;
 }
-
-/// Longest header line `UnframeEntry` reads: the magic, an 8-digit CRC and
-/// a 20-digit length take 50 bytes.
-constexpr size_t kMaxHeaderLine = 95;
 
 /// Splits + validates a framed entry; nullopt on any header/CRC mismatch.
 /// The payload is a view into `content`.
 std::optional<std::string_view> UnframeEntry(std::string_view content) {
   size_t nl = content.find('\n');
-  if (nl == std::string_view::npos || nl > kMaxHeaderLine) {
-    return std::nullopt;
-  }
-  char header[kMaxHeaderLine + 1];
-  content.copy(header, nl);
-  header[nl] = '\0';
+  if (nl == std::string_view::npos) return std::nullopt;
   unsigned parsed_crc = 0;
   size_t parsed_len = 0;
   char magic[32] = {0};
-  if (std::sscanf(header, "%31s crc32=%x len=%zu", magic, &parsed_crc,
+  if (std::sscanf(std::string(content.substr(0, nl)).c_str(),
+                  "%31s crc32=%x len=%zu", magic, &parsed_crc,
                   &parsed_len) != 3 ||
       std::string_view(magic) != kMagic) {
     return std::nullopt;
