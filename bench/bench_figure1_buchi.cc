@@ -19,11 +19,11 @@ int main() {
 
   wave::GpvwOptions raw;
   raw.simplify = false;
-  wave::BuchiAutomaton tableau = wave::LtlToBuchi(&arena, f, 2, raw);
+  wave::BuchiAutomaton tableau = *wave::LtlToBuchi(&arena, f, 2, raw);
   std::printf("raw GPVW tableau: %d states, %d transitions\n",
               tableau.NumStates(), tableau.NumTransitions());
 
-  wave::BuchiAutomaton automaton = wave::LtlToBuchi(&arena, f, 2);
+  wave::BuchiAutomaton automaton = *wave::LtlToBuchi(&arena, f, 2);
   std::printf("simplified automaton: %d states, %d transitions\n",
               automaton.NumStates(), automaton.NumTransitions());
   std::printf("(paper Figure 1: 2 states)\n\n%s",

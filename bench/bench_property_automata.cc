@@ -23,12 +23,12 @@ void Report(const char* app_name, AppBundle* bundle) {
     GpvwOptions raw;
     raw.simplify = false;
     BuchiAutomaton tableau =
-        LtlToBuchi(&raw_abs.arena, raw_abs.root,
-                   static_cast<int>(raw_abs.components.size()), raw);
+        *LtlToBuchi(&raw_abs.arena, raw_abs.root,
+                    static_cast<int>(raw_abs.components.size()), raw);
     Abstraction abs = AbstractLtl(negated, bundle->spec->symbols());
     BuchiAutomaton simplified =
-        LtlToBuchi(&abs.arena, abs.root,
-                   static_cast<int>(abs.components.size()));
+        *LtlToBuchi(&abs.arena, abs.root,
+                    static_cast<int>(abs.components.size()));
     std::printf("%-6s %6zu %10d %12d %12d\n", p.property.name.c_str(),
                 abs.components.size(), tableau.NumStates(),
                 simplified.NumStates(), simplified.NumTransitions());

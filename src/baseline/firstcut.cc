@@ -34,8 +34,8 @@ class ExplicitSearch {
     Abstraction abstraction = AbstractLtl(negated, spec_->symbols());
     raw_components_ = abstraction.components;
     automaton_ =
-        LtlToBuchi(&abstraction.arena, abstraction.root,
-                   static_cast<int>(abstraction.components.size()));
+        *LtlToBuchi(&abstraction.arena, abstraction.root,
+                    static_cast<int>(abstraction.components.size()));
     if (automaton_.IsEmptyLanguage()) {
       result_->verdict = Verdict::kHolds;
       return;

@@ -244,11 +244,11 @@ void BuchiAutomaton::ClearAcceptanceOffCycles() {
   }
 }
 
-void BuchiAutomaton::RemoveSubsumedTransitions(StopPoll* poll) {
+void BuchiAutomaton::RemoveSubsumedTransitions(StopPoll& poll) {
   std::vector<char> subsumed;
   for (auto& ts : adj) {
     const int64_t degree = static_cast<int64_t>(ts.size());
-    if (poll != nullptr && poll->Tick(1 + degree * degree)) return;
+    if (poll.Tick(1 + degree * degree)) return;
     subsumed.assign(ts.size(), 0);
     for (size_t i = 0; i < ts.size(); ++i) {
       const BuchiTransition& t = ts[i];
@@ -276,7 +276,7 @@ void BuchiAutomaton::RemoveSubsumedTransitions(StopPoll* poll) {
   }
 }
 
-void BuchiAutomaton::MergeEquivalentStates(StopPoll* poll) {
+void BuchiAutomaton::MergeEquivalentStates(StopPoll& poll) {
   int n = NumStates();
   // Guards interned to dense ids, so a state's signature — its class, then
   // its sorted (guard id, successor class) pairs — is a sequence of ints.
@@ -310,9 +310,7 @@ void BuchiAutomaton::MergeEquivalentStates(StopPoll* poll) {
   bool changed = true;
   std::vector<int> next_part(n);
   while (changed) {
-    if (poll != nullptr && poll->Tick(n + static_cast<int64_t>(edges.size()))) {
-      return;
-    }
+    if (poll.Tick(n + static_cast<int64_t>(edges.size()))) return;
     changed = false;
     signatures.Clear();
     for (int s = 0; s < n; ++s) {
@@ -342,10 +340,7 @@ void BuchiAutomaton::MergeEquivalentStates(StopPoll* poll) {
     }
     bool folded = true;
     while (folded) {
-      if (poll != nullptr &&
-          poll->Tick(n + static_cast<int64_t>(edges.size()))) {
-        return;
-      }
+      if (poll.Tick(n + static_cast<int64_t>(edges.size()))) return;
       folded = false;
       signatures.Clear();
       for (int s = 0; s < n; ++s) {
@@ -396,7 +391,7 @@ void BuchiAutomaton::MergeEquivalentStates(StopPoll* poll) {
   start = rep[part[start]];
 }
 
-void BuchiAutomaton::PruneDeadStates(StopPoll* poll) {
+void BuchiAutomaton::PruneDeadStates(StopPoll& poll) {
   // States on an accepting cycle.
   std::vector<int> comp;
   StronglyConnectedComponents(*this, &comp);
@@ -417,7 +412,7 @@ void BuchiAutomaton::PruneDeadStates(StopPoll* poll) {
   // to fixpoint (automata are small).
   bool changed = true;
   while (changed) {
-    if (poll != nullptr && poll->Tick(NumStates())) return;
+    if (poll.Tick(NumStates())) return;
     changed = false;
     for (int s = 0; s < NumStates(); ++s) {
       if (live[s]) continue;
@@ -440,11 +435,11 @@ void BuchiAutomaton::PruneDeadStates(StopPoll* poll) {
   EnsureNonDegenerate(this);
 }
 
-void BuchiAutomaton::Simplify(StopPoll* poll) {
+void BuchiAutomaton::Simplify(StopPoll& poll) {
   // Cheap fixpoint: each pass only shrinks the automaton.
   int prev_states = -1, prev_transitions = -1;
   while (prev_states != NumStates() || prev_transitions != NumTransitions()) {
-    if (poll != nullptr && poll->Tick(NumStates())) return;
+    if (poll.Tick(NumStates())) return;
     prev_states = NumStates();
     prev_transitions = NumTransitions();
     RemoveUnreachable();

@@ -99,26 +99,26 @@ struct BuchiAutomaton {
   /// cycle, so its acceptance flag is irrelevant; clear it. Enables merges.
   void ClearAcceptanceOffCycles();
 
-  // The passes below that can take more than linear time tick `poll`
-  // (when given) and return early once it stops, leaving a well-formed
-  // automaton that is no longer equivalent to the formula: a caller whose
-  // poll stopped discards it.
+  // The passes below that can take more than linear time tick `poll` and
+  // return early once it stops, leaving a well-formed automaton that is no
+  // longer equivalent to the formula: a caller whose poll stopped discards
+  // it. A poll over an empty stop check never stops them.
 
   /// Drops transitions whose guard is subsumed by a weaker guard to the
   /// same target (g1 ⊆ g2 with equal targets makes g2 redundant).
-  void RemoveSubsumedTransitions(StopPoll* poll = nullptr);
+  void RemoveSubsumedTransitions(StopPoll& poll);
 
   /// Merges states that are equivalent under repeated partition refinement
   /// over (accepting, labelled successor partitions).
-  void MergeEquivalentStates(StopPoll* poll = nullptr);
+  void MergeEquivalentStates(StopPoll& poll);
 
   /// Removes states from which no accepting cycle is reachable. May remove
   /// the start state's successors; if the start itself dies the automaton
   /// becomes empty (one non-accepting state with no transitions).
-  void PruneDeadStates(StopPoll* poll = nullptr);
+  void PruneDeadStates(StopPoll& poll);
 
   /// All of the above, to fixpoint.
-  void Simplify(StopPoll* poll = nullptr);
+  void Simplify(StopPoll& poll);
 
   /// True if no accepting lasso exists at all (empty language), assuming
   /// guards are satisfiable (they are normalized).

@@ -110,11 +110,11 @@ class Expander {
  public:
   /// Builds the whole tableau, or stops with a partial one once `poll`
   /// stops (it ticks once per node taken up).
-  Expander(const Closure& closure, StopPoll* poll)
+  Expander(const Closure& closure, StopPoll& poll)
       : c_(closure), w_(closure.words), poll_(poll) {
     pending_.push_back(Fresh(kInitName));
     SetBit(pending_.back().words.data(), c_.root_index);
-    while (!pending_.empty() && !poll_->stopped()) {
+    while (!pending_.empty() && !poll_.stopped()) {
       Expanding node = std::move(pending_.front());
       pending_.pop_front();
       Expand(std::move(node));
@@ -163,7 +163,7 @@ class Expander {
     std::vector<Expanding> stack;
     stack.push_back(std::move(root));
     while (!stack.empty()) {
-      if (poll_->Tick()) return;
+      if (poll_.Tick()) return;
       Expanding node = std::move(stack.back());
       stack.pop_back();
       while (true) {
@@ -253,7 +253,7 @@ class Expander {
 
   const Closure& c_;
   const int w_;
-  StopPoll* poll_;
+  StopPoll& poll_;
   std::vector<TableauNode> done_;  // indexed by name
   std::unordered_map<uint64_t, int> by_hash_;  // newest node per hash
   std::vector<int> same_hash_;  // per node: the previous one with its hash
@@ -262,14 +262,15 @@ class Expander {
 
 }  // namespace
 
-BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
-                          const GpvwOptions& options) {
+std::optional<BuchiAutomaton> LtlToBuchi(PropArena* arena, PropId f,
+                                         int num_props,
+                                         const GpvwOptions& options) {
   PropId nnf = arena->Rewrite(arena->Nnf(f));
 
   StopPoll poll(options.stop);
   const Closure closure(*arena, nnf);
-  const Expander expander(closure, &poll);
-  if (poll.stopped()) return BuchiAutomaton();
+  const Expander expander(closure, poll);
+  if (poll.stopped()) return std::nullopt;
   const std::vector<TableauNode>& nodes = expander.nodes();
   const int w = closure.words;
   auto old_has = [&](const TableauNode& q, int i) {
@@ -329,7 +330,7 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
       const TableauNode& q = nodes[name];
       if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()))) {
-        return BuchiAutomaton();
+        return std::nullopt;
       }
       Guard g = guard_of(q);
       for (int p_name : q.incoming) {
@@ -352,7 +353,7 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     std::vector<std::vector<bool>> in_f(num_gba_states,
                                         std::vector<bool>(k, true));
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
-      if (poll.Tick(k)) return BuchiAutomaton();
+      if (poll.Tick(k)) return std::nullopt;
       for (int i = 0; i < k; ++i) {
         in_f[state_of_name(name)][i] = in_accept_set(nodes[name], i);
       }
@@ -363,7 +364,7 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
       const TableauNode& q = nodes[name];
       if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()) * k)) {
-        return BuchiAutomaton();
+        return std::nullopt;
       }
       Guard g = guard_of(q);
       int to_state = state_of_name(name);
@@ -383,8 +384,8 @@ BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
     options.stats->until_subformulas = k;
     options.stats->states_before_simplify = out.NumStates();
   }
-  if (options.simplify) out.Simplify(&poll);
-  if (poll.stopped()) return BuchiAutomaton();
+  if (options.simplify) out.Simplify(poll);
+  if (poll.stopped()) return std::nullopt;
   if (options.stats != nullptr) {
     options.stats->states_after_simplify = out.NumStates();
   }

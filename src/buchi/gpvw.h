@@ -9,6 +9,7 @@
 #define WAVE_BUCHI_GPVW_H_
 
 #include <functional>
+#include <optional>
 
 #include "buchi/buchi.h"
 #include "buchi/prop_ltl.h"
@@ -33,16 +34,18 @@ struct GpvwOptions {
   GpvwStats* stats = nullptr;
   /// When set, called every few hundred tableau nodes, degeneralized
   /// states and simplification steps. Once it returns true the translation
-  /// stops and returns an empty automaton, which the caller discards.
+  /// stops and returns no automaton.
   std::function<bool()> stop;
 };
 
 /// Translates the propositional LTL formula `f` (any connectives; NNF and
 /// the rewrite are applied internally) into a Büchi automaton accepting
 /// exactly the infinite words satisfying it. `num_props` is the number of
-/// propositions (atoms are `0 .. num_props-1`).
-BuchiAutomaton LtlToBuchi(PropArena* arena, PropId f, int num_props,
-                          const GpvwOptions& options = {});
+/// propositions (atoms are `0 .. num_props-1`). Returns nullopt only when
+/// `options.stop` stopped the translation.
+std::optional<BuchiAutomaton> LtlToBuchi(PropArena* arena, PropId f,
+                                         int num_props,
+                                         const GpvwOptions& options = {});
 
 }  // namespace wave
 

@@ -1,6 +1,7 @@
 #include "verifier/session.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -203,21 +204,19 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     obs::ScopedSpan span(tracer, "gpvw");
     GpvwOptions gpvw_options;
     gpvw_options.stats = &plan->gpvw_stats;
-    bool stopped = false;
     if (ledger != nullptr) {
-      gpvw_options.stop = [ledger, &stopped] {
-        stopped = ledger->Check(/*expansion_budget=*/false) !=
-                  UnknownReason::kNone;
-        return stopped;
+      gpvw_options.stop = [ledger] {
+        return ledger->Check(/*expansion_budget=*/false) !=
+               UnknownReason::kNone;
       };
     }
-    plan->automaton =
+    std::optional<BuchiAutomaton> automaton =
         LtlToBuchi(&abstraction.arena, abstraction.root,
                    static_cast<int>(abstraction.components.size()),
                    gpvw_options);
-    // The ledger tripped mid-translation: the automaton is incomplete and
-    // nothing of this plan is kept.
-    if (stopped) return nullptr;
+    // The ledger tripped mid-translation: nothing of this plan is kept.
+    if (!automaton.has_value()) return nullptr;
+    plan->automaton = std::move(*automaton);
     auto cached = std::make_unique<GpvwEntry>();
     cached->automaton = plan->automaton;
     cached->stats = plan->gpvw_stats;

@@ -68,8 +68,8 @@ ValidationResult ValidateCounterexample(WebAppSpec* spec,
   LtlPtr negated = LtlFormula::Not(property.body);
   Abstraction abstraction = AbstractLtl(negated, spec->symbols());
   BuchiAutomaton automaton =
-      LtlToBuchi(&abstraction.arena, abstraction.root,
-                 static_cast<int>(abstraction.components.size()));
+      *LtlToBuchi(&abstraction.arena, abstraction.root,
+                  static_cast<int>(abstraction.components.size()));
   PageResolver resolver = [spec](const std::string& name) {
     return spec->PageIndex(name);
   };

@@ -1021,9 +1021,12 @@ std::vector<VerifyResult> RunBatchAttempt(
       int64_t reuses_before = session->stats().reuses();
       const PropertyPlan* plan =
           session->GetPlan(*props[i], options.tracer, &ledger);
-      // A translation the ledger stopped leaves the property undecided:
-      // the trip skips the search and becomes its kUnknown below.
+      // A null plan means the ledger stopped the translation. Its latched
+      // trip skips the search, so the placeholder (no automaton states) is
+      // never searched, and the property answers kUnknown below.
       static const PropertyPlan kUntranslated;
+      WAVE_CHECK(plan != nullptr ||
+                 ledger.trip_reason() != UnknownReason::kNone);
       work[i].plan = plan != nullptr ? plan : &kUntranslated;
       work[i].prepass_reuses = session->stats().reuses() - reuses_before;
       work[i].prepare_us = prepare_watch.ElapsedMicros();

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -41,7 +42,7 @@ TEST(GpvwTest, Figure1UntilAutomatonShape) {
   // with a true self-loop.
   PropArena arena;
   PropId f = arena.U(arena.Prop(0), arena.Prop(1));
-  BuchiAutomaton a = LtlToBuchi(&arena, f, 2);
+  BuchiAutomaton a = *LtlToBuchi(&arena, f, 2);
   EXPECT_EQ(a.NumStates(), 2);
   int accepting_count = 0;
   for (int s = 0; s < a.NumStates(); ++s) {
@@ -61,7 +62,7 @@ TEST(GpvwTest, Figure1UntilAutomatonShape) {
 TEST(GpvwTest, UntilAcceptsOnlyMatchingWords) {
   PropArena arena;
   PropId f = arena.U(arena.Prop(0), arena.Prop(1));
-  BuchiAutomaton a = LtlToBuchi(&arena, f, 2);
+  BuchiAutomaton a = *LtlToBuchi(&arena, f, 2);
   // P1 P1 P2 then anything: accepted.
   EXPECT_TRUE(AcceptsLasso(
       a, MakeLasso({{true, false}, {true, false}, {false, true}},
@@ -76,7 +77,7 @@ TEST(GpvwTest, UntilAcceptsOnlyMatchingWords) {
 TEST(GpvwTest, GloballyAutomaton) {
   PropArena arena;
   PropId f = arena.G(arena.Prop(0));
-  BuchiAutomaton a = LtlToBuchi(&arena, f, 1);
+  BuchiAutomaton a = *LtlToBuchi(&arena, f, 1);
   EXPECT_TRUE(AcceptsLasso(a, MakeLasso({}, {{true}})));
   EXPECT_FALSE(AcceptsLasso(a, MakeLasso({{true}}, {{false}})));
   EXPECT_FALSE(AcceptsLasso(a, MakeLasso({{false}}, {{true}})));
@@ -84,12 +85,12 @@ TEST(GpvwTest, GloballyAutomaton) {
 
 TEST(GpvwTest, FalseHasEmptyLanguage) {
   PropArena arena;
-  BuchiAutomaton a = LtlToBuchi(&arena, arena.False(), 1);
+  BuchiAutomaton a = *LtlToBuchi(&arena, arena.False(), 1);
   EXPECT_TRUE(a.IsEmptyLanguage());
   // G p & F !p is also unsatisfiable.
   PropId f = arena.And(arena.G(arena.Prop(0)),
                        arena.F(arena.Not(arena.Prop(0))));
-  BuchiAutomaton b = LtlToBuchi(&arena, f, 1);
+  BuchiAutomaton b = *LtlToBuchi(&arena, f, 1);
   EXPECT_TRUE(b.IsEmptyLanguage());
 }
 
@@ -97,7 +98,7 @@ TEST(GpvwTest, BeforeOperatorSemantics) {
   // p B q: q never holds, or p holds strictly before the first q.
   PropArena arena;
   PropId f = arena.B(arena.Prop(0), arena.Prop(1));
-  BuchiAutomaton a = LtlToBuchi(&arena, f, 2);
+  BuchiAutomaton a = *LtlToBuchi(&arena, f, 2);
   // q never: accepted.
   EXPECT_TRUE(AcceptsLasso(a, MakeLasso({}, {{false, false}})));
   // p at 0, q at 1: accepted.
@@ -108,6 +109,30 @@ TEST(GpvwTest, BeforeOperatorSemantics) {
       a, MakeLasso({{false, true}}, {{false, false}})));
   // p and q simultaneously at 0 (p not strictly before): rejected.
   EXPECT_FALSE(AcceptsLasso(a, MakeLasso({{true, true}}, {{false, false}})));
+}
+
+TEST(GpvwTest, AStoppedTranslationReturnsNoAutomaton) {
+  // F nested 12 deep: thousands of translation steps, so the stop check
+  // is called more than once.
+  PropArena arena;
+  PropId f = arena.Prop(0);
+  for (int i = 0; i < 12; ++i) f = arena.F(f);
+  int calls = 0;
+  GpvwOptions options;
+  options.stop = [&calls] { return ++calls == 2; };
+  EXPECT_FALSE(LtlToBuchi(&arena, f, 1, options).has_value());
+  EXPECT_EQ(calls, 2) << "the stop latches: no check after it fired";
+
+  // A check that never fires leaves the automaton as it is without one.
+  calls = 0;
+  options.stop = [&calls] { return ++calls < 0; };
+  std::optional<BuchiAutomaton> kept = LtlToBuchi(&arena, f, 1, options);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_GT(calls, 1);
+  BuchiAutomaton plain = *LtlToBuchi(&arena, f, 1);
+  EXPECT_EQ(kept->start, plain.start);
+  EXPECT_EQ(kept->adj, plain.adj);
+  EXPECT_EQ(kept->accepting, plain.accepting);
 }
 
 // --- negation normal form ----------------------------------------------------
@@ -224,7 +249,7 @@ void ExpectAgreesOnLassos(PropArena* arena, PropId f, int num_props,
                           std::mt19937* rng, int words,
                           const std::string& name) {
   PropId rewritten = arena->Rewrite(arena->Nnf(f));
-  BuchiAutomaton a = LtlToBuchi(arena, f, num_props);
+  BuchiAutomaton a = *LtlToBuchi(arena, f, num_props);
   for (int w = 0; w < words; ++w) {
     LassoWord word = RandomLasso(rng, std::max(num_props, 1));
     bool semantic = EvalLtlOnLasso(arena, f, word);
@@ -332,8 +357,8 @@ obs::Json AutomatonPin(const PinnedProperty& p) {
     GpvwOptions options;
     options.simplify = simplify;
     BuchiAutomaton a =
-        LtlToBuchi(&abstraction.arena, abstraction.root,
-                   static_cast<int>(abstraction.components.size()), options);
+        *LtlToBuchi(&abstraction.arena, abstraction.root,
+                    static_cast<int>(abstraction.components.size()), options);
     const std::string prefix = simplify ? "" : "raw_";
     pin.Set(prefix + "states", obs::Json::Int(a.NumStates()));
     pin.Set(prefix + "fingerprint", obs::Json::Str(AutomatonFingerprint(a)));
@@ -469,8 +494,8 @@ TEST(RewriteTest, ShrinksTheE1P4Automaton) {
   GpvwOptions options;
   options.stats = &stats;
   BuchiAutomaton a =
-      LtlToBuchi(&abstraction.arena, abstraction.root,
-                 static_cast<int>(abstraction.components.size()), options);
+      *LtlToBuchi(&abstraction.arena, abstraction.root,
+                  static_cast<int>(abstraction.components.size()), options);
   EXPECT_EQ(stats.states_before_simplify, 27);
   EXPECT_EQ(a.NumStates(), 14);
 }
