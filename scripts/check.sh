@@ -29,7 +29,9 @@
 # configurations, at the same job counts, and tests/data/
 # nested_implications.spec (64 nested implications) must decide within a
 # minute, and a property of G nested 998 deep must answer unknown/timeout
-# under a one-second deadline. Resource exhaustion
+# under a one-second deadline and unknown/memory_limit under a 64 MiB
+# ceiling, as must G nested 210 deep, whose automaton would pass the
+# translation's state cap. Resource exhaustion
 # must surface as a verdict, never a crash: any exit status other than
 # 0 (decided) or 2 (some unknown), and any sanitizer report in the
 # output, fails the check. A few rows first feed wave_verify and the other
@@ -445,6 +447,43 @@ elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
 else
   echo "ok   [deep-g-chain] (exit 2)"
 fi
+# The translation's memory counts against the attempt's ceiling, and its
+# degeneralized automaton is capped (buchi/gpvw.h): each row must answer
+# unknown/memory_limit (exit 2) within a minute. Each row: a label, the
+# spec, then wave_verify's flags.
+DEEP_STATS="$BATCH_CACHE/deep_stats.json"
+run_memory_limit() {
+  label="$1"; spec="$2"; shift 2
+  rc=0
+  rm -f "$DEEP_STATS"
+  timeout 60 "$VERIFY" "$spec" --stats-json="$DEEP_STATS" "$@" \
+      >"$LOG" 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q '"memory_limit"' "$DEEP_STATS"; then
+    echo "FAIL [$label]: exit $rc (want 2, unknown/memory_limit)"
+    cat "$LOG"
+    FAILED=1
+  elif grep -q -e "Sanitizer" -e "runtime error:" "$LOG"; then
+    echo "FAIL [$label]: sanitizer report"
+    cat "$LOG"
+    FAILED=1
+  else
+    echo "ok   [$label] (exit 2)"
+  fi
+}
+# G nested 998 deep under a 64 MiB ceiling: its tableau passes the
+# ceiling long before its 30 s deadline.
+run_memory_limit "deep-g-chain-64mb" "$DEEP_G_SPEC" --timeout=30 \
+    --max-memory-mb=64
+# G nested 210 deep: its tableau completes in well under a second, but it
+# would degeneralize past the state cap; no ceiling is set.
+CAP_G_SPEC="$BATCH_CACHE/cap_g_chain.spec"
+{
+  sed '/^property /,$d' "$E1"
+  printf 'property deep {\n'
+  awk 'BEGIN { for (i = 0; i < 210; ++i) printf "G " }'
+  printf '[at HP]\n}\n'
+} > "$CAP_G_SPEC"
+run_memory_limit "g-chain-past-cap" "$CAP_G_SPEC"
 
 # Short differential fuzz campaign (ISSUE 5): 100 seeded cases across
 # every oracle axis. Any disagreement (exit 3) or sanitizer report fails

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "buchi/gpvw.h"
 #include "common/bitset.h"
@@ -33,9 +35,14 @@ class ExplicitSearch {
     LtlPtr negated = LtlFormula::Not(property_.body);
     Abstraction abstraction = AbstractLtl(negated, spec_->symbols());
     raw_components_ = abstraction.components;
-    automaton_ =
-        *LtlToBuchi(&abstraction.arena, abstraction.root,
-                    static_cast<int>(abstraction.components.size()));
+    std::optional<BuchiAutomaton> automaton =
+        LtlToBuchi(&abstraction.arena, abstraction.root,
+                   static_cast<int>(abstraction.components.size()));
+    if (!automaton.has_value()) {
+      result_->failure_reason = "Büchi automaton past its size cap";
+      return;
+    }
+    automaton_ = std::move(*automaton);
     if (automaton_.IsEmptyLanguage()) {
       result_->verdict = Verdict::kHolds;
       return;

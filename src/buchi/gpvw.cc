@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "buchi/flat_buchi.h"
 #include "common/check.h"
 #include "obs/alloc.h"
 
@@ -15,9 +13,6 @@ namespace wave {
 namespace {
 
 using Kind = PropArena::Kind;
-using Words = std::vector<uint64_t>;
-
-constexpr int kInitName = -1;
 
 bool TestBit(const uint64_t* set, int i) {
   return (set[i >> 6] >> (i & 63)) & uint64_t{1};
@@ -94,171 +89,359 @@ struct Closure {
   int words = 0;  // 64-bit words per subset
 };
 
-/// A completed tableau node: its Old and Next sets (`words` each, in that
-/// order) and the names of its predecessors.
-struct TableauNode {
-  Words old_next;
-  std::vector<int> incoming;  // kInitName denotes the initial edge
-};
-
-/// GPVW expansion over closure bitsets. A node under expansion carries its
-/// New, Old and Next sets in one word array; it takes obligations from New
-/// smallest PropId first, splits depth first, and on completion either
-/// merges into the registered node with the same Old and Next sets or is
-/// registered under the next name, queueing its successor.
-class Expander {
+/// The GPVW tableau in flat arrays. Tableau state 0 is the initial state
+/// and registered node `name` is state name + 1. Every node's Old and Next
+/// sets sit side by side in one word array (`2 * words` each, Old first),
+/// and an open-addressing index over their stored hashes finds the node a
+/// completed expansion merges into. States are expanded in the order they
+/// are registered, so a cursor over names replaces the queue: a queued
+/// successor's New set is its node's Next set. Each state's successors
+/// (node names, ascending) are kept as it is expanded.
+class Tableau {
  public:
   /// Builds the whole tableau, or stops with a partial one once `poll`
-  /// stops (it ticks once per node taken up).
-  Expander(const Closure& closure, StopPoll& poll)
-      : c_(closure), w_(closure.words), poll_(poll) {
-    pending_.push_back(Fresh(kInitName));
-    SetBit(pending_.back().words.data(), c_.root_index);
-    while (!pending_.empty() && !poll_.stopped()) {
-      Expanding node = std::move(pending_.front());
-      pending_.pop_front();
-      Expand(std::move(node));
+  /// stops (it ticks once per expansion taken up).
+  Tableau(const Closure& closure, StopPoll& poll)
+      : c_(closure), w_(closure.words), poll_(poll), slots_(16, -1) {
+    for (int state = 0; state <= size(); ++state) {
+      out_first_.push_back(static_cast<int>(out_.size()));
+      frames_.assign(3 * w_, 0);
+      if (state == 0) {
+        SetBit(frames_.data(), c_.root_index);
+      } else {
+        std::copy(Old(state - 1) + w_, Old(state - 1) + 2 * w_,
+                  frames_.data());
+      }
+      Expand();
+      if (poll_.stopped()) return;
+      auto begin = out_.begin() + out_first_[state];
+      std::sort(begin, out_.end());
+      out_.erase(std::unique(begin, out_.end()), out_.end());
+      // Degeneralization only multiplies nodes and edges: past a size cap
+      // here, the automaton is past it too.
+      if (size() + 1 > kMaxDegeneralizedStates ||
+          NumArcs() > kMaxDegeneralizedTransitions) {
+        over_size_cap_ = true;
+        return;
+      }
     }
-    for (TableauNode& nd : done_) {
-      std::sort(nd.incoming.begin(), nd.incoming.end());
-      nd.incoming.erase(std::unique(nd.incoming.begin(), nd.incoming.end()),
-                        nd.incoming.end());
-    }
+    out_first_.push_back(static_cast<int>(out_.size()));
   }
 
-  const std::vector<TableauNode>& nodes() const { return done_; }
+  /// True if the tableau stopped early, its nodes or edges already past a
+  /// size cap.
+  bool over_size_cap() const { return over_size_cap_; }
+
+  /// Registered nodes.
+  int size() const { return static_cast<int>(hashes_.size()); }
+  /// Node `name`'s Old set, followed by its Next set.
+  const uint64_t* Old(int name) const {
+    return words_.data() + 2 * static_cast<size_t>(w_) * name;
+  }
+  /// The successors of tableau state `state` (node names, ascending).
+  const int* SuccessorsBegin(int state) const {
+    return out_.data() + out_first_[state];
+  }
+  const int* SuccessorsEnd(int state) const {
+    return out_.data() + out_first_[state + 1];
+  }
+  int64_t NumArcs() const { return static_cast<int64_t>(out_.size()); }
+
+  int64_t Bytes() const {
+    return static_cast<int64_t>(
+        (words_.capacity() + hashes_.capacity() + frames_.capacity()) *
+            sizeof(uint64_t) +
+        (slots_.capacity() + out_.capacity() + out_first_.capacity()) *
+            sizeof(int));
+  }
 
  private:
-  struct Expanding {
-    int pred;
-    Words words;  // New, Old, Next
-  };
-
-  Expanding Fresh(int pred) const { return {pred, Words(3 * w_, 0)}; }
-
-  uint64_t* New(Expanding& n) const { return n.words.data(); }
-  uint64_t* Old(Expanding& n) const { return n.words.data() + w_; }
-  uint64_t* Next(Expanding& n) const { return n.words.data() + 2 * w_; }
+  // A frame under expansion holds its New, Old and Next sets, `w_` words
+  // each.
+  uint64_t* OldOf(uint64_t* frame) const { return frame + w_; }
+  uint64_t* NextOf(uint64_t* frame) const { return frame + 2 * w_; }
 
   /// Adds obligation `i` to New unless it is already in Old.
-  void Oblige(Expanding& n, int i) const {
-    if (!TestBit(Old(n), i)) SetBit(New(n), i);
+  void Oblige(uint64_t* frame, int i) const {
+    if (!TestBit(OldOf(frame), i)) SetBit(frame, i);
   }
 
-  int PopLowestNew(Expanding& n) const {
-    uint64_t* nnew = New(n);
+  int PopLowestNew(uint64_t* frame) const {
     for (int w = 0; w < w_; ++w) {
-      if (nnew[w] != 0) {
-        int bit = __builtin_ctzll(nnew[w]);
-        nnew[w] &= nnew[w] - 1;
+      if (frame[w] != 0) {
+        int bit = __builtin_ctzll(frame[w]);
+        frame[w] &= frame[w] - 1;
         return w * 64 + bit;
       }
     }
     return -1;
   }
 
-  /// Expands `root` and every node split off it, depth first: the second
-  /// branch of a split waits on the stack until the first is done.
-  void Expand(Expanding root) {
-    std::vector<Expanding> stack;
-    stack.push_back(std::move(root));
-    while (!stack.empty()) {
+  /// Expands the frames on the stack, depth first, until none is left.
+  void Expand() {
+    while (!frames_.empty()) {
+      poll_.set_bytes(Bytes());
       if (poll_.Tick()) return;
-      Expanding node = std::move(stack.back());
-      stack.pop_back();
-      while (true) {
-        int f = PopLowestNew(node);
-        if (f < 0) {
-          Complete(std::move(node));
-          break;
-        }
-        const Closure::Member& m = c_.members[f];
-        if (m.kind == Kind::kFalse) break;  // contradiction
-        if (m.kind == Kind::kTrue) continue;
-        if (m.kind == Kind::kProp || m.kind == Kind::kNot) {
-          if (m.complement >= 0 && TestBit(Old(node), m.complement)) {
-            break;  // p & !p
-          }
-          SetBit(Old(node), f);
-          continue;
-        }
-        if (m.kind == Kind::kAnd) {
-          Oblige(node, m.left);
-          Oblige(node, m.right);
-          SetBit(Old(node), f);
-          continue;
-        }
-        if (m.kind == Kind::kX) {
-          SetBit(Next(node), m.left);
-          SetBit(Old(node), f);
-          continue;
-        }
-        // ∨, U and R split: f = l ∨ r into l | r; f = l U r into
-        // (l ∧ X f) | r; f = l R r into (r ∧ X f) | (l ∧ r).
-        Expanding second = node;
-        if (m.kind == Kind::kOr) {
-          Oblige(node, m.left);
-          Oblige(second, m.right);
-        } else if (m.kind == Kind::kU) {
-          Oblige(node, m.left);
-          SetBit(Next(node), f);
-          Oblige(second, m.right);
-        } else {
-          Oblige(node, m.right);
-          SetBit(Next(node), f);
-          Oblige(second, m.left);
-          Oblige(second, m.right);
-        }
-        SetBit(Old(node), f);
-        SetBit(Old(second), f);
-        stack.push_back(std::move(second));
-      }
+      ExpandTop();
     }
   }
 
-  /// A fully processed node: merges with the registered node having the
-  /// same Old and Next sets, else registers it and queues its successor.
-  void Complete(Expanding node) {
-    const uint64_t* key = Old(node);
+  /// Expands the top frame until it completes or proves contradictory,
+  /// then pops it. A split copies the frame: the copy on top takes the
+  /// first branch and goes on, the frame below takes the second and waits.
+  void ExpandTop() {
+    while (true) {
+      const size_t top = frames_.size() - 3 * w_;
+      uint64_t* node = frames_.data() + top;
+      const int f = PopLowestNew(node);
+      if (f < 0) {
+        Complete(OldOf(node));
+        break;
+      }
+      const Closure::Member& m = c_.members[f];
+      if (m.kind == Kind::kFalse) break;  // contradiction
+      if (m.kind == Kind::kTrue) continue;
+      if (m.kind == Kind::kProp || m.kind == Kind::kNot) {
+        if (m.complement >= 0 && TestBit(OldOf(node), m.complement)) {
+          break;  // p & !p
+        }
+        SetBit(OldOf(node), f);
+        continue;
+      }
+      if (m.kind == Kind::kAnd) {
+        Oblige(node, m.left);
+        Oblige(node, m.right);
+        SetBit(OldOf(node), f);
+        continue;
+      }
+      if (m.kind == Kind::kX) {
+        SetBit(NextOf(node), m.left);
+        SetBit(OldOf(node), f);
+        continue;
+      }
+      // ∨, U and R split: f = l ∨ r into l | r; f = l U r into
+      // (l ∧ X f) | r; f = l R r into (r ∧ X f) | (l ∧ r).
+      frames_.resize(top + 6 * w_);
+      uint64_t* second = frames_.data() + top;
+      node = second + 3 * w_;
+      std::copy(second, second + 3 * w_, node);
+      if (m.kind == Kind::kOr) {
+        Oblige(node, m.left);
+        Oblige(second, m.right);
+      } else if (m.kind == Kind::kU) {
+        Oblige(node, m.left);
+        SetBit(NextOf(node), f);
+        Oblige(second, m.right);
+      } else {
+        Oblige(node, m.right);
+        SetBit(NextOf(node), f);
+        Oblige(second, m.left);
+        Oblige(second, m.right);
+      }
+      SetBit(OldOf(node), f);
+      SetBit(OldOf(second), f);
+    }
+    frames_.resize(frames_.size() - 3 * w_);
+  }
+
+  /// A fully processed node, given by its Old and Next sets: merges with
+  /// the registered node having the same sets, else registers it under the
+  /// next name. Either way it is a successor of the state being expanded.
+  void Complete(const uint64_t* key) {
     uint64_t hash = 0x9e3779b97f4a7c15ULL;
     for (int i = 0; i < 2 * w_; ++i) {
       hash = (hash ^ key[i]) * 0xbf58476d1ce4e5b9ULL;
       hash ^= hash >> 31;
     }
-    auto [it, inserted] =
-        by_hash_.emplace(hash, static_cast<int>(done_.size()));
-    if (!inserted) {
-      for (int i = it->second; i >= 0; i = same_hash_[i]) {
-        if (std::equal(key, key + 2 * w_, done_[i].old_next.begin())) {
-          done_[i].incoming.push_back(node.pred);
-          return;
-        }
+    size_t mask = slots_.size() - 1;
+    size_t slot = hash & mask;
+    for (; slots_[slot] >= 0; slot = (slot + 1) & mask) {
+      const int name = slots_[slot];
+      if (hashes_[name] == hash && std::equal(key, key + 2 * w_, Old(name))) {
+        out_.push_back(name);
+        return;
       }
-      same_hash_.push_back(it->second);
-      it->second = static_cast<int>(done_.size());
-    } else {
-      same_hash_.push_back(-1);
     }
-    int name = static_cast<int>(done_.size());
-    Expanding succ = Fresh(name);
-    std::copy(Next(node), Next(node) + w_, New(succ));
-    TableauNode registered;
-    registered.old_next.assign(key, key + 2 * w_);
-    registered.incoming.push_back(node.pred);
-    obs::CountAlloc(static_cast<int64_t>(sizeof(TableauNode) +
-                                         2 * w_ * sizeof(uint64_t)));
-    done_.push_back(std::move(registered));
-    pending_.push_back(std::move(succ));
+    const int name = size();
+    words_.insert(words_.end(), key, key + 2 * w_);
+    hashes_.push_back(hash);
+    out_.push_back(name);
+    obs::CountAlloc(static_cast<int64_t>((2 * w_ + 1) * sizeof(uint64_t)));
+    if (2 * hashes_.size() <= slots_.size()) {
+      slots_[slot] = name;
+      return;
+    }
+    slots_.assign(2 * slots_.size(), -1);
+    mask = slots_.size() - 1;
+    for (int n = 0; n < size(); ++n) {
+      for (slot = hashes_[n] & mask; slots_[slot] >= 0;) {
+        slot = (slot + 1) & mask;
+      }
+      slots_[slot] = n;
+    }
   }
 
   const Closure& c_;
   const int w_;
   StopPoll& poll_;
-  std::vector<TableauNode> done_;  // indexed by name
-  std::unordered_map<uint64_t, int> by_hash_;  // newest node per hash
-  std::vector<int> same_hash_;  // per node: the previous one with its hash
-  std::deque<Expanding> pending_;
+  std::vector<uint64_t> words_;   // per node: Old, then Next
+  std::vector<uint64_t> hashes_;  // per node: the hash of its words
+  std::vector<int> slots_;        // open-addressing index of names, -1 empty
+  std::vector<int> out_first_;    // per state: its first successor in out_
+  std::vector<int> out_;          // successor names, by state
+  std::vector<uint64_t> frames_;  // the expansion stack, 3 * w_ per frame
+  bool over_size_cap_ = false;
 };
+
+/// Translates the tableau of `closure` into a degeneralized automaton
+/// whose guards are interned in `guards`, or returns nullopt if `poll`
+/// stops or the automaton would pass a size cap. With
+/// `reachable_only` set it builds only the states reachable from the
+/// start, numbered in nominal order: what the first pass of `Simplify`
+/// would keep of the nominal automaton.
+std::optional<FlatBuchi> Degeneralize(const Closure& closure,
+                                      bool reachable_only, GpvwStats& stats,
+                                      GuardTable* guards, StopPoll& poll) {
+  const Tableau tableau(closure, poll);
+  if (poll.stopped()) return std::nullopt;
+  if (tableau.over_size_cap()) {
+    stats.over_size_cap = true;
+    return std::nullopt;
+  }
+  const int nodes = tableau.size();
+  const int w = closure.words;
+  const int num_members = static_cast<int>(closure.members.size());
+
+  // The U-subformulas appearing in any node induce the generalized
+  // acceptance sets F_{lUr} = { q : lUr ∉ Old(q) or r ∈ Old(q) }.
+  std::vector<uint64_t> any(w, 0);
+  for (int name = 0; name < nodes; ++name) {
+    const uint64_t* old_next = tableau.Old(name);
+    for (int i = 0; i < w; ++i) any[i] |= old_next[i] | old_next[w + i];
+  }
+  std::vector<int> untils, literals;
+  for (int i = 0; i < num_members; ++i) {
+    const Kind kind = closure.members[i].kind;
+    if (kind == Kind::kU && TestBit(any.data(), i)) untils.push_back(i);
+    if (kind == Kind::kProp || kind == Kind::kNot) literals.push_back(i);
+  }
+  const int k = static_cast<int>(untils.size());
+  stats.tableau_nodes = nodes;
+  stats.until_subformulas = k;
+
+  // Degeneralize with a counter: state (s, i) of tableau state s waits to
+  // see acceptance set i; it is numbered s * copies + i. Check its size,
+  // and the bytes it needs, before building any of it.
+  const int copies = std::max(k, 1);
+  const int64_t nominal = (int64_t{nodes} + 1) * copies;
+  const int64_t nominal_edges = tableau.NumArcs() * copies;
+  if (nominal > kMaxDegeneralizedStates ||
+      nominal_edges > kMaxDegeneralizedTransitions) {
+    stats.over_size_cap = true;
+    return std::nullopt;
+  }
+  // The flat automaton, then either the reachable states' numbering or
+  // the materialized nominal automaton (its guards' literals aside).
+  int64_t per_state = sizeof(int) + 1, per_edge = sizeof(FlatEdge);
+  if (reachable_only) {
+    per_state += sizeof(int);
+  } else {
+    per_state += sizeof(std::vector<BuchiTransition>);
+    per_edge += sizeof(BuchiTransition);
+  }
+  poll.set_bytes(tableau.Bytes() + nominal * per_state +
+                 nominal_edges * per_edge);
+  if (poll.Poll()) return std::nullopt;
+  stats.states_before_simplify = static_cast<int>(nominal);
+
+  // Guard of every transition into node q: conjunction of literals in
+  // Old(q), interned once per node and ranked.
+  std::vector<int> guard_of(nodes);
+  Guard g;
+  for (int name = 0; name < nodes; ++name) {
+    if (poll.Tick()) return std::nullopt;
+    g.clear();
+    for (int i : literals) {
+      if (TestBit(tableau.Old(name), i)) {
+        g.push_back(closure.members[i].literal);
+      }
+    }
+    bool ok = NormalizeGuard(&g);
+    WAVE_CHECK(ok);  // expansion already rejects contradictions
+    guard_of[name] = guards->Intern(g.data(), static_cast<int>(g.size()));
+  }
+  const std::vector<int> rank = guards->Rank();
+  for (int& id : guard_of) id = rank[id];
+
+  // The initial state has no Old set: it belongs to every F_i vacuously,
+  // so its counter advances. From (s, i) an edge s->q goes to (q, i')
+  // where i' advances when s belongs to F_i. Accepting: (s, 0) with s ∈
+  // F_0; without Until subformulas the condition is vacuous and every
+  // state accepts.
+  auto in_set = [&](int state, int i) {
+    if (state == 0) return true;
+    const uint64_t* old = tableau.Old(state - 1);
+    return !TestBit(old, untils[i]) ||
+           TestBit(old, closure.members[untils[i]].right);
+  };
+  auto counter_after = [&](int state, int i) {
+    if (k == 0) return 0;
+    return in_set(state, i) ? (i + 1) % k : i;
+  };
+  auto accepting = [&](int state, int i) -> char {
+    return k == 0 || (i == 0 && in_set(state, 0));
+  };
+
+  // Numbers the nominal states to build: all of them, or the reachable
+  // ones in nominal order (marked 0 when found, then numbered).
+  std::vector<int> id;
+  int num_states = static_cast<int>(nominal);
+  if (reachable_only) {
+    id.assign(nominal, -1);
+    std::vector<int> stack = {0};
+    id[0] = 0;
+    while (!stack.empty()) {
+      const int x = stack.back();
+      stack.pop_back();
+      const int state = x / copies;
+      const int counter = counter_after(state, x % copies);
+      const int* q = tableau.SuccessorsBegin(state);
+      const int* end = tableau.SuccessorsEnd(state);
+      if (poll.Tick(1 + (end - q))) return std::nullopt;
+      for (; q != end; ++q) {
+        const int t = (*q + 1) * copies + counter;
+        if (id[t] < 0) {
+          id[t] = 0;
+          stack.push_back(t);
+        }
+      }
+    }
+    num_states = 0;
+    for (int& v : id) {
+      if (v >= 0) v = num_states++;
+    }
+  }
+
+  FlatBuchi a;
+  a.first.reserve(num_states + 1);
+  a.accepting.reserve(num_states);
+  if (!reachable_only) a.edges.reserve(nominal_edges);
+  for (int x = 0; x < nominal; ++x) {
+    if (reachable_only && id[x] < 0) continue;
+    const int state = x / copies, i = x % copies;
+    const int* q = tableau.SuccessorsBegin(state);
+    const int* end = tableau.SuccessorsEnd(state);
+    if (poll.Tick(1 + (end - q))) return std::nullopt;
+    a.accepting.push_back(accepting(state, i));
+    const int counter = counter_after(state, i);
+    for (; q != end; ++q) {
+      const int t = (*q + 1) * copies + counter;
+      a.edges.push_back({reachable_only ? id[t] : t, guard_of[*q]});
+    }
+    a.first.push_back(static_cast<int>(a.edges.size()));
+  }
+  return a;
+}
 
 }  // namespace
 
@@ -268,128 +451,19 @@ std::optional<BuchiAutomaton> LtlToBuchi(PropArena* arena, PropId f,
   PropId nnf = arena->Rewrite(arena->Nnf(f));
 
   StopPoll poll(options.stop);
-  const Closure closure(*arena, nnf);
-  const Expander expander(closure, poll);
-  if (poll.stopped()) return std::nullopt;
-  const std::vector<TableauNode>& nodes = expander.nodes();
-  const int w = closure.words;
-  auto old_has = [&](const TableauNode& q, int i) {
-    return TestBit(q.old_next.data(), i);
-  };
-
-  // The U-subformulas appearing in any node induce the generalized
-  // acceptance sets F_{lUr} = { q : lUr ∉ Old(q) or r ∈ Old(q) }.
-  Words any(w, 0);
-  for (const TableauNode& nd : nodes) {
-    for (int i = 0; i < w; ++i) any[i] |= nd.old_next[i] | nd.old_next[w + i];
+  GpvwStats unused;
+  GpvwStats& stats = options.stats != nullptr ? *options.stats : unused;
+  GuardTable guards;
+  std::optional<FlatBuchi> a = Degeneralize(
+      Closure(*arena, nnf), options.simplify, stats, &guards, poll);
+  if (!a.has_value()) return std::nullopt;
+  if (options.simplify) {
+    poll.set_bytes(a->Bytes());
+    Simplify(guards, poll, &*a);
+    if (poll.stopped()) return std::nullopt;
   }
-  std::vector<int> untils;
-  for (int i = 0; i < static_cast<int>(closure.members.size()); ++i) {
-    if (TestBit(any.data(), i) && closure.members[i].kind == Kind::kU) {
-      untils.push_back(i);
-    }
-  }
-  int k = static_cast<int>(untils.size());
-
-  // State 0 is a fresh initial state (the paper's automata also carry an
-  // explicit start); the node named n is state n + 1.
-  auto state_of_name = [](int name) { return name + 1; };
-  int num_gba_states = static_cast<int>(nodes.size()) + 1;
-
-  // Guard of every transition *into* node q: conjunction of literals in
-  // Old(q).
-  auto guard_of = [&](const TableauNode& q) -> Guard {
-    Guard g;
-    for (int i = 0; i < static_cast<int>(closure.members.size()); ++i) {
-      const Closure::Member& m = closure.members[i];
-      if ((m.kind == Kind::kProp || m.kind == Kind::kNot) && old_has(q, i)) {
-        g.push_back(m.literal);
-      }
-    }
-    bool ok = NormalizeGuard(&g);
-    WAVE_CHECK(ok);  // expansion already rejects contradictions
-    return g;
-  };
-
-  // Membership in acceptance set i.
-  auto in_accept_set = [&](const TableauNode& q, int i) {
-    int u = untils[i];
-    if (!old_has(q, u)) return true;
-    return old_has(q, closure.members[u].right);
-  };
-
-  BuchiAutomaton out;
-  out.num_props = num_props;
-
-  if (k == 0) {
-    // No Until subformulas: the generalized condition is vacuous; every
-    // state is accepting.
-    out.adj.assign(num_gba_states, {});
-    out.accepting.assign(num_gba_states, true);
-    out.start = 0;
-    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
-      const TableauNode& q = nodes[name];
-      if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()))) {
-        return std::nullopt;
-      }
-      Guard g = guard_of(q);
-      for (int p_name : q.incoming) {
-        out.adj[state_of_name(p_name)].push_back({state_of_name(name), g});
-      }
-    }
-  } else {
-    // Degeneralize with a counter: state (q, i) waits to see acceptance
-    // set i. From (q, i) an edge q->q' goes to (q', i') where i' advances
-    // when q belongs to F_i. Accepting: (q, 0) with q ∈ F_0.
-    auto id_of = [&](int state, int counter) {
-      return state * k + counter;
-    };
-    out.adj.assign(num_gba_states * k, {});
-    out.accepting.assign(num_gba_states * k, false);
-    out.start = id_of(0, 0);
-    // Initial virtual state: belongs to every F_i vacuously (it has no Old
-    // set), so its counter advances; keep it simple and treat it as in all
-    // acceptance sets.
-    std::vector<std::vector<bool>> in_f(num_gba_states,
-                                        std::vector<bool>(k, true));
-    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
-      if (poll.Tick(k)) return std::nullopt;
-      for (int i = 0; i < k; ++i) {
-        in_f[state_of_name(name)][i] = in_accept_set(nodes[name], i);
-      }
-    }
-    for (int s = 0; s < num_gba_states; ++s) {
-      if (in_f[s][0]) out.accepting[id_of(s, 0)] = true;
-    }
-    for (int name = 0; name < static_cast<int>(nodes.size()); ++name) {
-      const TableauNode& q = nodes[name];
-      if (poll.Tick(1 + static_cast<int64_t>(q.incoming.size()) * k)) {
-        return std::nullopt;
-      }
-      Guard g = guard_of(q);
-      int to_state = state_of_name(name);
-      for (int p_name : q.incoming) {
-        int from_state = state_of_name(p_name);
-        for (int i = 0; i < k; ++i) {
-          int next_i = in_f[from_state][i] ? (i + 1) % k : i;
-          out.adj[id_of(from_state, i)].push_back(
-              {id_of(to_state, next_i), g});
-        }
-      }
-    }
-  }
-
-  if (options.stats != nullptr) {
-    options.stats->tableau_nodes = static_cast<int>(nodes.size());
-    options.stats->until_subformulas = k;
-    options.stats->states_before_simplify = out.NumStates();
-  }
-  if (options.simplify) out.Simplify(poll);
-  if (poll.stopped()) return std::nullopt;
-  if (options.stats != nullptr) {
-    options.stats->states_after_simplify = out.NumStates();
-  }
-  return out;
+  stats.states_after_simplify = a->NumStates();
+  return Materialize(*a, guards, num_props);
 }
 
 }  // namespace wave

@@ -205,7 +205,10 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     GpvwOptions gpvw_options;
     gpvw_options.stats = &plan->gpvw_stats;
     if (ledger != nullptr) {
-      gpvw_options.stop = [ledger] {
+      // No worker runs yet, so the translation reports its memory through
+      // worker 0's slot, and clears it when done.
+      gpvw_options.stop = [ledger](int64_t bytes) {
+        ledger->ReportWorkerMemory(0, bytes);
         return ledger->Check(/*expansion_budget=*/false) !=
                UnknownReason::kNone;
       };
@@ -214,8 +217,21 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
         LtlToBuchi(&abstraction.arena, abstraction.root,
                    static_cast<int>(abstraction.components.size()),
                    gpvw_options);
-    // The ledger tripped mid-translation: nothing of this plan is kept.
-    if (!automaton.has_value()) return nullptr;
+    if (ledger != nullptr) ledger->ReportWorkerMemory(0, 0);
+    if (!automaton.has_value()) {
+      // The ledger tripped mid-translation, or the automaton would pass a
+      // size cap: nothing of this plan is kept.
+      if (ledger != nullptr && plan->gpvw_stats.over_size_cap) {
+        ledger->Trip(UnknownReason::kMemoryLimit,
+                     "Büchi automaton too large: its degeneralization "
+                     "passes the cap of " +
+                         std::to_string(kMaxDegeneralizedStates) +
+                         " states or " +
+                         std::to_string(kMaxDegeneralizedTransitions) +
+                         " transitions");
+      }
+      return nullptr;
+    }
     plan->automaton = std::move(*automaton);
     auto cached = std::make_unique<GpvwEntry>();
     cached->automaton = plan->automaton;

@@ -228,10 +228,11 @@ class VerifierSession {
   /// Layer 2: the plan for `property`, built on a miss (GPVW translation
   /// under a "gpvw" tracer span, served from the skeleton cache when a
   /// structurally identical property was translated before). With a
-  /// `ledger`, the translation polls its deadline and cancellation; when
-  /// one trips mid-translation the result is null and neither the plan nor
-  /// the automaton is cached. The translation's memory is not reported to
-  /// the ledger, so a memory ceiling does not stop it.
+  /// `ledger`, the translation reports its memory and polls the deadline,
+  /// cancellation and memory ceiling; when one trips mid-translation the
+  /// result is null and neither the plan nor the automaton is cached. A
+  /// translation whose automaton would pass a size cap (buchi/gpvw.h)
+  /// also returns null, after tripping the ledger's memory limit.
   const PropertyPlan* GetPlan(const Property& property, obs::Tracer* tracer,
                               BudgetLedger* ledger = nullptr);
 

@@ -1,6 +1,7 @@
 #include "verifier/validate.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "buchi/gpvw.h"
@@ -67,9 +68,14 @@ ValidationResult ValidateCounterexample(WebAppSpec* spec,
   // 2. Property machinery under the witness binding.
   LtlPtr negated = LtlFormula::Not(property.body);
   Abstraction abstraction = AbstractLtl(negated, spec->symbols());
-  BuchiAutomaton automaton =
-      *LtlToBuchi(&abstraction.arena, abstraction.root,
-                  static_cast<int>(abstraction.components.size()));
+  std::optional<BuchiAutomaton> translated =
+      LtlToBuchi(&abstraction.arena, abstraction.root,
+                 static_cast<int>(abstraction.components.size()));
+  if (!translated.has_value()) {
+    out.reason = "Büchi automaton past its size cap";
+    return out;
+  }
+  const BuchiAutomaton& automaton = *translated;
   PageResolver resolver = [spec](const std::string& name) {
     return spec->PageIndex(name);
   };

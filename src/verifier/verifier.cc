@@ -1021,9 +1021,11 @@ std::vector<VerifyResult> RunBatchAttempt(
       int64_t reuses_before = session->stats().reuses();
       const PropertyPlan* plan =
           session->GetPlan(*props[i], options.tracer, &ledger);
-      // A null plan means the ledger stopped the translation. Its latched
-      // trip skips the search, so the placeholder (no automaton states) is
-      // never searched, and the property answers kUnknown below.
+      // A null plan means the ledger stopped the translation (GetPlan
+      // trips it when the automaton would pass a size cap, too). Its
+      // latched trip skips the search, so the placeholder (no automaton
+      // states) is never searched, and the property answers kUnknown
+      // below.
       static const PropertyPlan kUntranslated;
       WAVE_CHECK(plan != nullptr ||
                  ledger.trip_reason() != UnknownReason::kNone);

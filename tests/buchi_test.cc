@@ -119,13 +119,13 @@ TEST(GpvwTest, AStoppedTranslationReturnsNoAutomaton) {
   for (int i = 0; i < 12; ++i) f = arena.F(f);
   int calls = 0;
   GpvwOptions options;
-  options.stop = [&calls] { return ++calls == 2; };
+  options.stop = [&calls](int64_t) { return ++calls == 2; };
   EXPECT_FALSE(LtlToBuchi(&arena, f, 1, options).has_value());
   EXPECT_EQ(calls, 2) << "the stop latches: no check after it fired";
 
   // A check that never fires leaves the automaton as it is without one.
   calls = 0;
-  options.stop = [&calls] { return ++calls < 0; };
+  options.stop = [&calls](int64_t) { return ++calls < 0; };
   std::optional<BuchiAutomaton> kept = LtlToBuchi(&arena, f, 1, options);
   ASSERT_TRUE(kept.has_value());
   EXPECT_GT(calls, 1);
@@ -133,6 +133,68 @@ TEST(GpvwTest, AStoppedTranslationReturnsNoAutomaton) {
   EXPECT_EQ(kept->start, plain.start);
   EXPECT_EQ(kept->adj, plain.adj);
   EXPECT_EQ(kept->accepting, plain.accepting);
+}
+
+/// ¬(G nested `depth` deep around p0), i.e. F nested as deep around ¬p0:
+/// a tableau of (depth + 1)(depth + 2)/2 nodes and `depth` Until
+/// subformulas.
+PropId NegatedGChain(PropArena* arena, int depth) {
+  PropId f = arena->Prop(0);
+  for (int i = 0; i < depth; ++i) f = arena->G(f);
+  return arena->Not(f);
+}
+
+TEST(GpvwTest, TheStopCheckIsToldTheBytesAboutToBeNeeded) {
+  // Once before degeneralizing, the check sees the tableau's bytes plus
+  // those of the degeneralized automaton: 8 bytes and more per state.
+  PropArena arena;
+  PropId f = NegatedGChain(&arena, 12);
+  GpvwStats stats;
+  GpvwOptions options;
+  options.stats = &stats;
+  int64_t most = 0;
+  options.stop = [&most](int64_t bytes) {
+    most = std::max(most, bytes);
+    return false;
+  };
+  ASSERT_TRUE(LtlToBuchi(&arena, f, 1, options).has_value());
+  EXPECT_EQ(stats.tableau_nodes, 13 * 14 / 2);
+  EXPECT_EQ(stats.states_before_simplify, (stats.tableau_nodes + 1) * 12);
+  EXPECT_GT(most, 8 * int64_t{stats.states_before_simplify});
+  EXPECT_FALSE(stats.over_size_cap);
+}
+
+TEST(GpvwTest, AnAutomatonPastASizeCapIsNotBuilt) {
+  // G nested 210 deep: 22,366 tableau nodes, whose degeneralization would
+  // have 22,367 × 210 = 4,697,070 states, past kMaxDegeneralizedStates.
+  // G nested 100 deep: 515,200 states, but more transitions than
+  // kMaxDegeneralizedTransitions. Both tableaux complete in well under a
+  // second; nothing of the degeneralized size is allocated, so the stop
+  // check only ever sees the tableau's few megabytes.
+  for (int depth : {210, 100}) {
+    SCOPED_TRACE(depth);
+    for (bool simplify : {true, false}) {
+      PropArena arena;
+      PropId f = NegatedGChain(&arena, depth);
+      GpvwStats stats;
+      GpvwOptions options;
+      options.simplify = simplify;
+      options.stats = &stats;
+      int64_t most = 0;
+      options.stop = [&most](int64_t bytes) {
+        most = std::max(most, bytes);
+        return false;
+      };
+      EXPECT_FALSE(LtlToBuchi(&arena, f, 1, options).has_value());
+      EXPECT_TRUE(stats.over_size_cap);
+      EXPECT_EQ(stats.tableau_nodes, (depth + 1) * (depth + 2) / 2);
+      EXPECT_EQ(stats.until_subformulas, depth);
+      EXPECT_EQ(stats.states_before_simplify, 0);
+      EXPECT_LT(most, 16 << 20);
+    }
+  }
+  EXPECT_LE((int64_t{101 * 102 / 2} + 1) * 100, kMaxDegeneralizedStates);
+  EXPECT_GT((int64_t{211 * 212 / 2} + 1) * 210, kMaxDegeneralizedStates);
 }
 
 // --- negation normal form ----------------------------------------------------

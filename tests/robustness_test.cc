@@ -629,22 +629,21 @@ TEST(UnknownReasonE2eTest, DeadlineGranularityIsMilliseconds) {
   EXPECT_LT(elapsed, 1.0) << "deadline overshot: " << elapsed << "s";
 }
 
-/// E1's spec with one property `deep` at the parser's depth limit: `G`
-/// nested 998 times around [at HP], or a chain of 998 `U` (the parser
-/// nests it to the left) over [at CP] and [at HP].
-std::string DeepTemporalSpec(const std::string& shape) {
+/// E1's spec with one property `deep`: `G` nested `depth` times around
+/// [at HP], or a chain of `depth` `U` (the parser nests it to the left)
+/// over [at CP] and [at HP]. 998 is the parser's depth limit.
+std::string DeepTemporalSpec(const std::string& shape, int depth = 998) {
   StatusOr<std::string> e1 =
       ReadFileToString(std::string(WAVE_REPO_ROOT) + "/specs/e1_shopping.spec");
   WAVE_CHECK_MSG(e1.ok(), e1.status().ToString());
   std::string text = e1->substr(0, e1->find("\nproperty ")) +
                      "\nproperty deep {\n";
-  constexpr int kDepth = 998;
   if (shape == "G") {
-    for (int i = 0; i < kDepth; ++i) text += "G ";
+    for (int i = 0; i < depth; ++i) text += "G ";
     text += "[at HP]";
   } else {
     text += "[at HP]";
-    for (int i = 0; i < kDepth; ++i) text += " U [at CP]";
+    for (int i = 0; i < depth; ++i) text += " U [at CP]";
   }
   return text + "\n}\n";
 }
@@ -652,8 +651,10 @@ std::string DeepTemporalSpec(const std::string& shape) {
 TEST(UnknownReasonE2eTest, DeadlineStopsTheBuchiTranslation) {
   // Each of these formulas keeps GPVW busy for more than a minute; the
   // translation polls the attempt's deadline, so a one-second budget
-  // answers unknown/timeout in about a second, and the stopped translation
-  // is not memoized: a second, shorter attempt stops the same way.
+  // answers unknown/timeout in about a second (within half a second of
+  // the deadline: the stop frees a few flat arrays, not a node per
+  // allocation), and the stopped translation is not memoized: a second,
+  // shorter attempt stops the same way.
   for (const char* shape : {"G", "U"}) {
     SCOPED_TRACE(shape);
     ParseResult parsed = ParseSpec(DeepTemporalSpec(shape));
@@ -672,13 +673,63 @@ TEST(UnknownReasonE2eTest, DeadlineStopsTheBuchiTranslation) {
       EXPECT_EQ(r.verdict, Verdict::kUnknown);
       EXPECT_EQ(r.unknown_reason, UnknownReason::kTimeout)
           << r.failure_reason;
-      EXPECT_LT(elapsed, 3.0) << "attempt " << attempt;
+      EXPECT_LT(elapsed, options.timeout_seconds + 0.5)
+          << "attempt " << attempt;
       const SessionStats& session = verifier.session().stats();
       EXPECT_EQ(session.plan_builds, attempt + 1)
           << "a stopped translation leaves no plan behind";
       EXPECT_EQ(session.gpvw_misses, attempt + 1);
       EXPECT_EQ(session.gpvw_hits, 0);
     }
+  }
+}
+
+TEST(UnknownReasonE2eTest, MemoryCeilingStopsTheBuchiTranslation) {
+  // The translation reports its arrays' bytes to the ledger: `G` nested
+  // 998 deep grows its tableau past a 64 MiB ceiling within a fraction of
+  // its 30 s deadline, and answers unknown/memory_limit; nothing is
+  // memoized, so a second attempt translates again.
+  ParseResult parsed = ParseSpec(DeepTemporalSpec("G"));
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  constexpr int64_t kCeiling = int64_t{64} << 20;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    VerifyOptions options;
+    options.timeout_seconds = 30;
+    options.max_memory_bytes = kCeiling;
+    auto start = std::chrono::steady_clock::now();
+    VerifyResult r =
+        RunVerify(verifier, parsed.properties[0].property, options);
+    double elapsed = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    EXPECT_EQ(r.verdict, Verdict::kUnknown);
+    EXPECT_EQ(r.unknown_reason, UnknownReason::kMemoryLimit)
+        << r.failure_reason;
+    EXPECT_GT(r.stats.peak_memory_bytes, kCeiling);
+    EXPECT_LT(elapsed, 10.0) << "attempt " << attempt;
+    EXPECT_EQ(verifier.session().stats().gpvw_misses, attempt + 1);
+    EXPECT_EQ(verifier.session().stats().gpvw_hits, 0);
+  }
+}
+
+TEST(UnknownReasonE2eTest, TheSizeCapStopsTheBuchiTranslation) {
+  // `G` nested 210 deep: its tableau completes in well under a second,
+  // but degeneralized it would pass kMaxDegeneralizedStates, so with no
+  // memory ceiling set the attempt answers unknown/memory_limit without
+  // building it, and memoizes nothing.
+  ParseResult parsed = ParseSpec(DeepTemporalSpec("G", 210));
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  Verifier verifier(parsed.spec.get());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    VerifyResult r = RunVerify(verifier, parsed.properties[0].property, {});
+    EXPECT_EQ(r.verdict, Verdict::kUnknown);
+    EXPECT_EQ(r.unknown_reason, UnknownReason::kMemoryLimit);
+    EXPECT_NE(r.failure_reason.find("too large"), std::string::npos)
+        << r.failure_reason;
+    EXPECT_EQ(r.stats.num_expansions, 0);
+    EXPECT_EQ(verifier.session().stats().plan_builds, attempt + 1);
+    EXPECT_EQ(verifier.session().stats().gpvw_misses, attempt + 1);
   }
 }
 
