@@ -5,6 +5,8 @@
 #include <numeric>
 #include <utility>
 
+#include "common/check.h"
+
 namespace wave {
 
 namespace {
@@ -410,6 +412,7 @@ class Simplifier {
 }  // namespace
 
 int GuardTable::Intern(const Literal* lits, int n) {
+  WAVE_CHECK_MSG(!ranked_, "a guard interned after Rank");
   uint64_t hash = static_cast<uint64_t>(n);
   for (int i = 0; i < n; ++i) {
     hash = MixInto(hash, 2 * static_cast<uint64_t>(lits[i].prop) +
@@ -456,7 +459,6 @@ std::vector<int> GuardTable::Rank() {
   std::vector<int> rank(size());
   std::vector<Literal> lits;
   std::vector<int> first = {0};
-  std::vector<uint64_t> hashes;
   lits.reserve(lits_.size());
   for (int r = 0; r < size(); ++r) {
     const int id = order[r];
@@ -464,13 +466,13 @@ std::vector<int> GuardTable::Rank() {
     lits.insert(lits.end(), lits_.begin() + first_[id],
                 lits_.begin() + first_[id + 1]);
     first.push_back(static_cast<int>(lits.size()));
-    hashes.push_back(hashes_[id]);
   }
   lits_ = std::move(lits);
   first_ = std::move(first);
-  hashes_ = std::move(hashes);
-  std::fill(slots_.begin(), slots_.end(), -1);
-  for (int g = 0; g < size(); ++g) Index(g);
+  // The index served only interning.
+  hashes_ = {};
+  slots_ = {};
+  ranked_ = true;
   return rank;
 }
 

@@ -63,13 +63,14 @@ class StopPoll {
 class GuardTable {
  public:
   /// The id of the normalized guard `[lits, lits + n)`, interned if new.
+  /// Not after `Rank`.
   int Intern(const Literal* lits, int n);
 
-  /// Renumbers the guards in lexicographic order; returns the new id of
-  /// each old one.
+  /// Renumbers the guards in lexicographic order, once every guard is
+  /// interned; returns the new id of each old one.
   std::vector<int> Rank();
 
-  int size() const { return static_cast<int>(hashes_.size()); }
+  int size() const { return static_cast<int>(first_.size()) - 1; }
 
   /// True if guard `sub`'s literals all occur in guard `super`.
   bool Includes(int super, int sub) const;
@@ -83,8 +84,11 @@ class GuardTable {
 
   std::vector<Literal> lits_;
   std::vector<int> first_ = {0};  // guard g: lits_[first_[g], first_[g + 1])
-  std::vector<uint64_t> hashes_;  // by id
-  std::vector<int> slots_;        // open-addressing index of ids, -1 empty
+  // Until `Rank`: the guards' hashes by id, and an open-addressing index of
+  // ids over them (-1 empty).
+  std::vector<uint64_t> hashes_;
+  std::vector<int> slots_;
+  bool ranked_ = false;
 };
 
 /// A transition: target state and guard id.

@@ -96,40 +96,32 @@ struct Closure {
 /// completed expansion merges into. States are expanded in the order they
 /// are registered, so a cursor over names replaces the queue: a queued
 /// successor's New set is its node's Next set. Each state's successors
-/// (node names, ascending) are kept as it is expanded.
+/// (node names, each once, ascending) are kept as it is expanded.
 class Tableau {
  public:
   /// Builds the whole tableau, or stops with a partial one once `poll`
-  /// stops (it ticks once per expansion taken up).
+  /// stops (it ticks once per expansion taken up) or a size cap is passed.
   Tableau(const Closure& closure, StopPoll& poll)
       : c_(closure), w_(closure.words), poll_(poll), slots_(16, -1) {
-    for (int state = 0; state <= size(); ++state) {
+    for (state_ = 0; state_ <= size(); ++state_) {
       out_first_.push_back(static_cast<int>(out_.size()));
       frames_.assign(3 * w_, 0);
-      if (state == 0) {
+      if (state_ == 0) {
         SetBit(frames_.data(), c_.root_index);
       } else {
-        std::copy(Old(state - 1) + w_, Old(state - 1) + 2 * w_,
+        std::copy(Old(state_ - 1) + w_, Old(state_ - 1) + 2 * w_,
                   frames_.data());
       }
       Expand();
-      if (poll_.stopped()) return;
-      auto begin = out_.begin() + out_first_[state];
-      std::sort(begin, out_.end());
-      out_.erase(std::unique(begin, out_.end()), out_.end());
-      // Degeneralization only multiplies nodes and edges: past a size cap
-      // here, the automaton is past it too.
-      if (size() + 1 > kMaxDegeneralizedStates ||
-          NumArcs() > kMaxDegeneralizedTransitions) {
-        over_size_cap_ = true;
-        return;
-      }
+      if (poll_.stopped() || over_size_cap_) return;
+      std::sort(out_.begin() + out_first_[state_], out_.end());
     }
     out_first_.push_back(static_cast<int>(out_.size()));
   }
 
   /// True if the tableau stopped early, its nodes or edges already past a
-  /// size cap.
+  /// size cap: degeneralization only multiplies them, so the automaton
+  /// would be past it too.
   bool over_size_cap() const { return over_size_cap_; }
 
   /// Registered nodes.
@@ -151,7 +143,8 @@ class Tableau {
     return static_cast<int64_t>(
         (words_.capacity() + hashes_.capacity() + frames_.capacity()) *
             sizeof(uint64_t) +
-        (slots_.capacity() + out_.capacity() + out_first_.capacity()) *
+        (slots_.capacity() + listed_.capacity() + out_.capacity() +
+         out_first_.capacity()) *
             sizeof(int));
   }
 
@@ -177,9 +170,10 @@ class Tableau {
     return -1;
   }
 
-  /// Expands the frames on the stack, depth first, until none is left.
+  /// Expands the frames on the stack, depth first, until none is left or
+  /// a size cap is passed.
   void Expand() {
-    while (!frames_.empty()) {
+    while (!frames_.empty() && !over_size_cap_) {
       poll_.set_bytes(Bytes());
       if (poll_.Tick()) return;
       ExpandTop();
@@ -247,6 +241,8 @@ class Tableau {
   /// A fully processed node, given by its Old and Next sets: merges with
   /// the registered node having the same sets, else registers it under the
   /// next name. Either way it is a successor of the state being expanded.
+  /// One expansion can complete exponentially many nodes, so the caps are
+  /// checked here: past one, nothing more is registered or listed.
   void Complete(const uint64_t* key) {
     uint64_t hash = 0x9e3779b97f4a7c15ULL;
     for (int i = 0; i < 2 * w_; ++i) {
@@ -258,14 +254,19 @@ class Tableau {
     for (; slots_[slot] >= 0; slot = (slot + 1) & mask) {
       const int name = slots_[slot];
       if (hashes_[name] == hash && std::equal(key, key + 2 * w_, Old(name))) {
-        out_.push_back(name);
+        List(name);
         return;
       }
+    }
+    if (size() + 2 > kMaxDegeneralizedStates) {  // with the initial state
+      over_size_cap_ = true;
+      return;
     }
     const int name = size();
     words_.insert(words_.end(), key, key + 2 * w_);
     hashes_.push_back(hash);
-    out_.push_back(name);
+    listed_.push_back(-1);
+    List(name);
     obs::CountAlloc(static_cast<int64_t>((2 * w_ + 1) * sizeof(uint64_t)));
     if (2 * hashes_.size() <= slots_.size()) {
       slots_[slot] = name;
@@ -281,26 +282,39 @@ class Tableau {
     }
   }
 
+  /// Lists node `name` as a successor of the state being expanded, unless
+  /// it already is one.
+  void List(int name) {
+    if (listed_[name] == state_) return;
+    if (NumArcs() + 1 > kMaxDegeneralizedTransitions) {
+      over_size_cap_ = true;
+      return;
+    }
+    listed_[name] = state_;
+    out_.push_back(name);
+  }
+
   const Closure& c_;
   const int w_;
   StopPoll& poll_;
   std::vector<uint64_t> words_;   // per node: Old, then Next
   std::vector<uint64_t> hashes_;  // per node: the hash of its words
   std::vector<int> slots_;        // open-addressing index of names, -1 empty
+  std::vector<int> listed_;       // per node: the last state listing it
   std::vector<int> out_first_;    // per state: its first successor in out_
   std::vector<int> out_;          // successor names, by state
   std::vector<uint64_t> frames_;  // the expansion stack, 3 * w_ per frame
+  int state_ = 0;                 // the state being expanded
   bool over_size_cap_ = false;
 };
 
-/// Translates the tableau of `closure` into a degeneralized automaton
-/// whose guards are interned in `guards`, or returns nullopt if `poll`
-/// stops or the automaton would pass a size cap. With
-/// `reachable_only` set it builds only the states reachable from the
-/// start, numbered in nominal order: what the first pass of `Simplify`
-/// would keep of the nominal automaton.
+/// Translates the tableau of `closure` into the nominal degeneralized
+/// automaton, whose guards are interned in `guards`, or returns nullopt if
+/// `poll` stops or the automaton would pass a size cap. `materialized`
+/// says whether a `BuchiAutomaton` of the same size will be built from it,
+/// for the bytes the stop check is told.
 std::optional<FlatBuchi> Degeneralize(const Closure& closure,
-                                      bool reachable_only, GpvwStats& stats,
+                                      bool materialized, GpvwStats& stats,
                                       GuardTable* guards, StopPoll& poll) {
   const Tableau tableau(closure, poll);
   if (poll.stopped()) return std::nullopt;
@@ -340,12 +354,10 @@ std::optional<FlatBuchi> Degeneralize(const Closure& closure,
     stats.over_size_cap = true;
     return std::nullopt;
   }
-  // The flat automaton, then either the reachable states' numbering or
-  // the materialized nominal automaton (its guards' literals aside).
+  // The flat automaton, and the materialized one (its guards' literals
+  // aside) when it is not simplified first.
   int64_t per_state = sizeof(int) + 1, per_edge = sizeof(FlatEdge);
-  if (reachable_only) {
-    per_state += sizeof(int);
-  } else {
+  if (materialized) {
     per_state += sizeof(std::vector<BuchiTransition>);
     per_edge += sizeof(BuchiTransition);
   }
@@ -392,42 +404,11 @@ std::optional<FlatBuchi> Degeneralize(const Closure& closure,
     return k == 0 || (i == 0 && in_set(state, 0));
   };
 
-  // Numbers the nominal states to build: all of them, or the reachable
-  // ones in nominal order (marked 0 when found, then numbered).
-  std::vector<int> id;
-  int num_states = static_cast<int>(nominal);
-  if (reachable_only) {
-    id.assign(nominal, -1);
-    std::vector<int> stack = {0};
-    id[0] = 0;
-    while (!stack.empty()) {
-      const int x = stack.back();
-      stack.pop_back();
-      const int state = x / copies;
-      const int counter = counter_after(state, x % copies);
-      const int* q = tableau.SuccessorsBegin(state);
-      const int* end = tableau.SuccessorsEnd(state);
-      if (poll.Tick(1 + (end - q))) return std::nullopt;
-      for (; q != end; ++q) {
-        const int t = (*q + 1) * copies + counter;
-        if (id[t] < 0) {
-          id[t] = 0;
-          stack.push_back(t);
-        }
-      }
-    }
-    num_states = 0;
-    for (int& v : id) {
-      if (v >= 0) v = num_states++;
-    }
-  }
-
   FlatBuchi a;
-  a.first.reserve(num_states + 1);
-  a.accepting.reserve(num_states);
-  if (!reachable_only) a.edges.reserve(nominal_edges);
+  a.first.reserve(nominal + 1);
+  a.accepting.reserve(nominal);
+  a.edges.reserve(nominal_edges);
   for (int x = 0; x < nominal; ++x) {
-    if (reachable_only && id[x] < 0) continue;
     const int state = x / copies, i = x % copies;
     const int* q = tableau.SuccessorsBegin(state);
     const int* end = tableau.SuccessorsEnd(state);
@@ -436,7 +417,7 @@ std::optional<FlatBuchi> Degeneralize(const Closure& closure,
     const int counter = counter_after(state, i);
     for (; q != end; ++q) {
       const int t = (*q + 1) * copies + counter;
-      a.edges.push_back({reachable_only ? id[t] : t, guard_of[*q]});
+      a.edges.push_back({t, guard_of[*q]});
     }
     a.first.push_back(static_cast<int>(a.edges.size()));
   }
@@ -455,7 +436,7 @@ std::optional<BuchiAutomaton> LtlToBuchi(PropArena* arena, PropId f,
   GpvwStats& stats = options.stats != nullptr ? *options.stats : unused;
   GuardTable guards;
   std::optional<FlatBuchi> a = Degeneralize(
-      Closure(*arena, nnf), options.simplify, stats, &guards, poll);
+      Closure(*arena, nnf), !options.simplify, stats, &guards, poll);
   if (!a.has_value()) return std::nullopt;
   if (options.simplify) {
     poll.set_bytes(a->Bytes());

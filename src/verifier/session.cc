@@ -160,7 +160,8 @@ const SpecFacts& VerifierSession::facts() {
 
 const PropertyPlan* VerifierSession::GetPlan(const Property& property,
                                              obs::Tracer* tracer,
-                                             BudgetLedger* ledger) {
+                                             BudgetLedger* ledger,
+                                             bool* too_large) {
   if (spec_artifacts_built_) {
     ++stats_.spec_reuses;
   } else {
@@ -221,15 +222,7 @@ const PropertyPlan* VerifierSession::GetPlan(const Property& property,
     if (!automaton.has_value()) {
       // The ledger tripped mid-translation, or the automaton would pass a
       // size cap: nothing of this plan is kept.
-      if (ledger != nullptr && plan->gpvw_stats.over_size_cap) {
-        ledger->Trip(UnknownReason::kMemoryLimit,
-                     "Büchi automaton too large: its degeneralization "
-                     "passes the cap of " +
-                         std::to_string(kMaxDegeneralizedStates) +
-                         " states or " +
-                         std::to_string(kMaxDegeneralizedTransitions) +
-                         " transitions");
-      }
+      if (too_large != nullptr) *too_large = plan->gpvw_stats.over_size_cap;
       return nullptr;
     }
     plan->automaton = std::move(*automaton);

@@ -232,9 +232,11 @@ class VerifierSession {
   /// cancellation and memory ceiling; when one trips mid-translation the
   /// result is null and neither the plan nor the automaton is cached. A
   /// translation whose automaton would pass a size cap (buchi/gpvw.h)
-  /// also returns null, after tripping the ledger's memory limit.
+  /// also returns null, caches nothing and sets `*too_large` when given;
+  /// it leaves the ledger alone, so only this property is unknown.
   const PropertyPlan* GetPlan(const Property& property, obs::Tracer* tracer,
-                              BudgetLedger* ledger = nullptr);
+                              BudgetLedger* ledger = nullptr,
+                              bool* too_large = nullptr);
 
   /// Layer 3: assignment contexts for (property, options). On a miss the
   /// build runs under `ledger` — checked between assignments, like the

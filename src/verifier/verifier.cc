@@ -1011,6 +1011,12 @@ std::vector<VerifyResult> RunBatchAttempt(
   std::vector<PropertyWork> work(n);
 
   // --- property plans (session layer 2) -------------------------------------
+  // A null plan means the ledger stopped the translation, or the automaton
+  // would pass a size cap. A trip is latched and skips the search; past a
+  // cap this property alone answers kUnknown. Either way the placeholder
+  // (no automaton states) is never searched.
+  static const PropertyPlan kUntranslated;
+  BatchShared shared(n);
   bool any_undecided = false;
   {
     std::optional<obs::ScopedAllocTracking> alloc_scope;
@@ -1019,16 +1025,19 @@ std::vector<VerifyResult> RunBatchAttempt(
       obs::ScopedSpan span(options.tracer, "prepare");
       Stopwatch prepare_watch;
       int64_t reuses_before = session->stats().reuses();
+      bool too_large = false;
       const PropertyPlan* plan =
-          session->GetPlan(*props[i], options.tracer, &ledger);
-      // A null plan means the ledger stopped the translation (GetPlan
-      // trips it when the automaton would pass a size cap, too). Its
-      // latched trip skips the search, so the placeholder (no automaton
-      // states) is never searched, and the property answers kUnknown
-      // below.
-      static const PropertyPlan kUntranslated;
-      WAVE_CHECK(plan != nullptr ||
+          session->GetPlan(*props[i], options.tracer, &ledger, &too_large);
+      WAVE_CHECK(plan != nullptr || too_large ||
                  ledger.trip_reason() != UnknownReason::kNone);
+      if (too_large) {
+        shared.jobs[i]->RecordLocalUnknown(
+            /*assignment=*/0, /*core=*/-1, UnknownReason::kMemoryLimit,
+            "Büchi automaton too large: its degeneralization passes the cap "
+            "of " + std::to_string(kMaxDegeneralizedStates) + " states or " +
+                std::to_string(kMaxDegeneralizedTransitions) +
+                " transitions");
+      }
       work[i].plan = plan != nullptr ? plan : &kUntranslated;
       work[i].prepass_reuses = session->stats().reuses() - reuses_before;
       work[i].prepare_us = prepare_watch.ElapsedMicros();
@@ -1037,7 +1046,7 @@ std::vector<VerifyResult> RunBatchAttempt(
         // The negation is unsatisfiable: ϕ0 holds on all runs of any
         // system.
         results[i].verdict = Verdict::kHolds;
-      } else {
+      } else if (plan != nullptr) {
         any_undecided = true;
       }
     }
@@ -1047,7 +1056,6 @@ std::vector<VerifyResult> RunBatchAttempt(
     max_buchi = std::max(max_buchi, results[i].stats.buchi_states);
   }
 
-  BatchShared shared(n);
   const bool heartbeat_enabled =
       options.heartbeat != nullptr || options.tracer != nullptr;
   int64_t coordinator_heartbeats = 0;
@@ -1077,7 +1085,7 @@ std::vector<VerifyResult> RunBatchAttempt(
     if (telemetry) dataflow_alloc_scope.emplace(&dataflow_alloc);
     for (int i = 0; i < n; ++i) {
       PropertyWork& w = work[i];
-      if (w.plan->decided_holds) continue;
+      if (w.plan->decided_holds || w.plan == &kUntranslated) continue;
       if (prepass_tripped || ledger.Check() != UnknownReason::kNone) {
         prepass_tripped = true;  // remaining pre-passes are pointless
         continue;

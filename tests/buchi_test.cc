@@ -197,6 +197,62 @@ TEST(GpvwTest, AnAutomatonPastASizeCapIsNotBuilt) {
   EXPECT_GT((int64_t{211 * 212 / 2} + 1) * 210, kMaxDegeneralizedStates);
 }
 
+TEST(GpvwTest, OneExpansionStopsAtTheStateCap) {
+  // (G a1 ∨ G b1) ∧ … ∧ (G a26 ∨ G b26): the initial state alone
+  // completes 2^26 distinct nodes, one per choice of disjuncts (the
+  // rewrite merges no R under ∨ on its left operand). The tableau stops
+  // registering them once they pass kMaxDegeneralizedStates, inside that
+  // one expansion, so its bytes stay a few hundred megabytes; without
+  // that bound the stop check here would end the translation instead.
+  constexpr int kConjuncts = 26;
+  constexpr int64_t kLimit = int64_t{512} << 20;
+  PropArena arena;
+  PropId f = -1;
+  for (int i = 0; i < kConjuncts; ++i) {
+    PropId d = arena.Or(arena.G(arena.Prop(2 * i)),
+                        arena.G(arena.Prop(2 * i + 1)));
+    f = i == 0 ? d : arena.And(f, d);
+  }
+  GpvwStats stats;
+  GpvwOptions options;
+  options.stats = &stats;
+  int64_t most = 0;
+  options.stop = [&most](int64_t bytes) {
+    most = std::max(most, bytes);
+    return bytes > kLimit;
+  };
+  EXPECT_FALSE(LtlToBuchi(&arena, f, 2 * kConjuncts, options).has_value());
+  EXPECT_TRUE(stats.over_size_cap);
+  EXPECT_LE(most, kLimit);
+}
+
+TEST(GpvwTest, ASuccessorCompletedManyTimesIsListedOnce) {
+  // p0 ∧ … ∧ p7 ∧ (p0 ∨ p1) ∧ (p0 ∨ p2) ∧ … (20 of the pairs): both
+  // branches of each disjunction are already in Old, so the initial state
+  // completes the same node 2^20 times. It lists that node once, so the
+  // tableau's bytes do not grow with the completions.
+  PropArena arena;
+  PropId f = arena.Prop(0);
+  for (int i = 1; i < 8; ++i) f = arena.And(f, arena.Prop(i));
+  int pairs = 0;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = i + 1; j < 8 && pairs < 20; ++j, ++pairs) {
+      f = arena.And(f, arena.Or(arena.Prop(i), arena.Prop(j)));
+    }
+  }
+  GpvwStats stats;
+  GpvwOptions options;
+  options.stats = &stats;
+  int64_t most = 0;
+  options.stop = [&most](int64_t bytes) {
+    most = std::max(most, bytes);
+    return false;
+  };
+  ASSERT_TRUE(LtlToBuchi(&arena, f, 8, options).has_value());
+  EXPECT_EQ(stats.tableau_nodes, 2);
+  EXPECT_LT(most, 64 << 10);
+}
+
 // --- negation normal form ----------------------------------------------------
 
 /// ((…(F p0 -> F p1) -> …) -> F p_depth): each implication nests in the

@@ -733,6 +733,51 @@ TEST(UnknownReasonE2eTest, TheSizeCapStopsTheBuchiTranslation) {
   }
 }
 
+TEST(UnknownReasonE2eTest, TheSizeCapLeavesTheRestOfABatchDecided) {
+  // A property past the size cap is unknown on its own: the ledger the
+  // batch shares stays untripped, so E1's properties, translated before
+  // and after it, all get their expected verdicts.
+  StatusOr<std::string> e1 =
+      ReadFileToString(std::string(WAVE_REPO_ROOT) + "/specs/e1_shopping.spec");
+  ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+  const std::string deep = DeepTemporalSpec("G", 210);
+  ParseResult parsed =
+      ParseSpec(*e1 + deep.substr(deep.find("\nproperty deep")));
+  ASSERT_TRUE(parsed.ok()) << parsed.ErrorText();
+  std::vector<Property> catalog;
+  for (const ParsedProperty& p : parsed.properties) {
+    catalog.push_back(p.property);
+  }
+  const int deep_index = static_cast<int>(catalog.size()) - 1;
+  ASSERT_EQ(catalog[deep_index].name, "deep");
+  BatchRequest request;
+  request.properties = &catalog;
+  for (int i = 0; i < deep_index; ++i) {
+    if (i == deep_index / 2) request.property_indices.push_back(deep_index);
+    request.property_indices.push_back(i);
+  }
+  Verifier verifier(parsed.spec.get());
+  StatusOr<BatchResponse> batch = verifier.RunBatch(request);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->responses.size(), catalog.size());
+  for (size_t k = 0; k < request.property_indices.size(); ++k) {
+    const int i = request.property_indices[k];
+    const VerifyResponse& r = batch->responses[k];
+    SCOPED_TRACE(catalog[i].name);
+    if (i == deep_index) {
+      EXPECT_EQ(r.verdict, Verdict::kUnknown);
+      EXPECT_EQ(r.unknown_reason, UnknownReason::kMemoryLimit);
+      EXPECT_NE(r.failure_reason.find("too large"), std::string::npos)
+          << r.failure_reason;
+      continue;
+    }
+    ASSERT_TRUE(parsed.properties[i].has_expected);
+    EXPECT_EQ(r.verdict, parsed.properties[i].expected ? Verdict::kHolds
+                                                       : Verdict::kViolated)
+        << r.failure_reason;
+  }
+}
+
 TEST(UnknownReasonE2eTest, ExpansionBudgetReason) {
   AppBundle e1 = BuildE1();
   Verifier verifier(e1.spec.get());
