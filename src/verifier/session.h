@@ -233,7 +233,7 @@ class VerifierSession {
   /// result is null and neither the plan nor the automaton is cached. A
   /// translation whose automaton would pass a size cap (buchi/gpvw.h)
   /// also returns null, caches nothing and sets `*too_large` when given;
-  /// it leaves the ledger alone, so only this property is unknown.
+  /// it leaves the ledger alone, so the batch's other properties go on.
   const PropertyPlan* GetPlan(const Property& property, obs::Tracer* tracer,
                               BudgetLedger* ledger = nullptr,
                               bool* too_large = nullptr);
