@@ -1,12 +1,20 @@
 // Parser tests: lexing, spec parsing, property parsing, and diagnostics.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <regex>
+#include <sstream>
 #include <string>
 
 #include "apps/apps.h"
+#include "common/fingerprint.h"
+#include "common/io.h"
+#include "common/strings.h"
+#include "obs/json.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
+#include "testing/rng.h"
+#include "testing/spec_gen.h"
 
 namespace wave {
 namespace {
@@ -356,6 +364,199 @@ TEST(ParserTest, AppsSpecsRoundTripThroughTheParser) {
     ParseResult result = ParseSpec(text);
     EXPECT_TRUE(result.ok()) << result.ErrorText();
   }
+}
+
+// --- parse pins ---------------------------------------------------------------
+
+std::string TermText(const Term& t, const SymbolTable& symbols) {
+  return t.is_variable() ? t.variable : "\"" + symbols.Name(t.constant) + "\"";
+}
+
+std::string HeadText(const WebAppSpec& spec, RelationId relation,
+                     const std::vector<Term>& head) {
+  std::vector<std::string> terms;
+  for (const Term& t : head) terms.push_back(TermText(t, spec.symbols()));
+  return std::to_string(relation) + "(" + Join(terms, ",") + ")";
+}
+
+/// Everything a parse produces, as text: the app name, the catalog in
+/// declaration order, each page's inputs and rules (bodies through
+/// `Formula::ToString`), the home page, each property (through
+/// `Property::ToString`) and the symbol table in id order.
+std::string DescribeParse(const ParseResult& result) {
+  const WebAppSpec& spec = *result.spec;
+  const SymbolTable& symbols = spec.symbols();
+  std::string out = "app " + spec.name + "\n";
+  for (RelationId id = 0; id < spec.catalog().size(); ++id) {
+    const RelationSchema& s = spec.catalog().schema(id);
+    out += "relation " + s.name + " " + RelationKindName(s.kind) + "/" +
+           std::to_string(s.arity) + " (" + Join(s.attributes, ",") + ")\n";
+  }
+  for (int p = 0; p < spec.num_pages(); ++p) {
+    const PageSchema& page = spec.page(p);
+    out += "page " + page.name + "\n";
+    for (RelationId id : page.inputs) {
+      out += "  input " + std::to_string(id) + "\n";
+    }
+    for (const InputRule& r : page.input_rules) {
+      out += "  rule " + HeadText(spec, r.relation, r.head) + " <- " +
+             r.body->ToString(symbols) + "\n";
+    }
+    for (const StateRule& r : page.state_rules) {
+      out += std::string("  state ") + (r.insert ? "+" : "-") +
+             HeadText(spec, r.relation, r.head) + " <- " +
+             r.body->ToString(symbols) + "\n";
+    }
+    for (const ActionRule& r : page.action_rules) {
+      out += "  action " + HeadText(spec, r.relation, r.head) + " <- " +
+             r.body->ToString(symbols) + "\n";
+    }
+    for (const TargetRule& r : page.target_rules) {
+      out += "  target " + std::to_string(r.target_page) + " <- " +
+             r.condition->ToString(symbols) + "\n";
+    }
+  }
+  out += "home " + std::to_string(spec.home_page()) + "\n";
+  for (const ParsedProperty& p : result.properties) {
+    out += "property " + p.property.name + " type " + p.property.type_code +
+           " desc " + p.property.description + " expect " +
+           (p.has_expected ? (p.expected ? "true" : "false") : "-") + ": " +
+           p.property.ToString(symbols) + "\n";
+  }
+  for (SymbolId id = 0; id < symbols.size(); ++id) {
+    out += "symbol " + symbols.Name(id) + "\n";
+  }
+  return out;
+}
+
+/// One input of tests/golden/parse_pins.json.
+struct PinnedText {
+  std::string name;
+  std::string text;
+};
+
+std::string ReadRepoFile(const std::string& relative) {
+  StatusOr<std::string> text =
+      ReadFileToString(std::string(WAVE_REPO_ROOT) + "/" + relative);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  return text.ok() ? *text : "";
+}
+
+/// The pinned inputs: every spec under specs/ and tests/data/, generated
+/// cases (seeds 1..200) at the fuzz defaults and at perfbench's frozen
+/// shape, then malformed copies of E1-E4: each truncated at 64 evenly
+/// spaced offsets, 200 seeded single-byte deletions or duplications, and
+/// 200 seeded insertions of one of `"$(}`.
+std::vector<PinnedText> PinnedTexts() {
+  std::vector<PinnedText> out;
+  const char* apps[] = {"e1_shopping", "e2_motogp", "e3_airline",
+                        "e4_bookstore"};
+  std::vector<std::string> app_texts;
+  for (const char* app : apps) {
+    app_texts.push_back(ReadRepoFile(std::string("specs/") + app + ".spec"));
+    out.push_back({std::string("specs/") + app, app_texts.back()});
+  }
+  for (const char* data : {"deep_chain", "nested_implications"}) {
+    out.push_back({std::string("tests/data/") + data,
+                   ReadRepoFile(std::string("tests/data/") + data + ".spec")});
+  }
+  testing::GeneratorConfig frozen;
+  frozen.max_pages = 6;
+  frozen.max_constants = 4;
+  frozen.max_property_depth = 4;
+  const std::pair<const char*, testing::GeneratorConfig> configs[] = {
+      {"fuzz", testing::GeneratorConfig{}}, {"frozen", frozen}};
+  for (const auto& [prefix, config] : configs) {
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      out.push_back({std::string(prefix) + "/" + std::to_string(seed),
+                     testing::GenerateCase(seed, config).Text()});
+    }
+  }
+  for (size_t a = 0; a < app_texts.size(); ++a) {
+    const std::string& text = app_texts[a];
+    const std::string app = "e" + std::to_string(a + 1);
+    for (size_t k = 0; k < 64; ++k) {
+      size_t at = text.size() * k / 64;
+      out.push_back({app + "/truncate/" + std::to_string(at),
+                     text.substr(0, at)});
+    }
+    testing::FuzzRng rng(1000 + a);
+    for (int i = 0; i < 200; ++i) {
+      size_t at = rng.Below(text.size());
+      bool drop = rng.Coin();
+      std::string edited = text;
+      if (drop) {
+        edited.erase(at, 1);
+      } else {
+        edited.insert(at, 1, text[at]);
+      }
+      out.push_back({app + (drop ? "/delete/" : "/duplicate/") +
+                         std::to_string(at),
+                     std::move(edited)});
+    }
+    for (int i = 0; i < 200; ++i) {
+      size_t at = rng.Below(text.size() + 1);
+      char c = "\"$(}"[rng.Below(4)];
+      std::string edited = text;
+      edited.insert(at, 1, c);
+      out.push_back({app + "/insert/" + std::to_string(at) + "/" + c,
+                     std::move(edited)});
+    }
+  }
+  return out;
+}
+
+/// One pin: the input's name, its exact error list and a fingerprint of
+/// `DescribeParse` (the spec a failed parse leaves behind included).
+obs::Json ParsePin(const std::string& name, const ParseResult& result) {
+  obs::Json pin = obs::Json::Object();
+  pin.Set("name", obs::Json::Str(name));
+  obs::Json errors = obs::Json::Array();
+  for (const std::string& e : result.errors) errors.Append(obs::Json::Str(e));
+  pin.Set("errors", std::move(errors));
+  FingerprintBuilder fp;
+  fp.AddString(DescribeParse(result));
+  pin.Set("fingerprint", obs::Json::Str(fp.Finish().ToHex()));
+  return pin;
+}
+
+std::string ParsePinsPath() {
+  return std::string(WAVE_REPO_ROOT) + "/tests/golden/parse_pins.json";
+}
+
+/// Every pinned input parses to the pinned errors and the pinned spec.
+/// Run the test binary with WAVE_REGOLD set to rewrite
+/// tests/golden/parse_pins.json after a deliberate change to the language.
+TEST(ParsePinsTest, ParsesMatchPins) {
+  std::vector<PinnedText> texts = PinnedTexts();
+  ASSERT_EQ(texts.size(), 6u + 400u + 4u * 464u);
+  if (std::getenv("WAVE_REGOLD") != nullptr) {
+    std::string bytes;
+    for (const PinnedText& t : texts) {
+      bytes += ParsePin(t.name, ParseSpec(t.text)).Dump() + "\n";
+    }
+    Status written = AtomicWriteFile(ParsePinsPath(), bytes);
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    return;
+  }
+  StatusOr<std::string> golden = ReadFileToString(ParsePinsPath());
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  std::istringstream lines(*golden);
+  std::string line;
+  size_t row = 0;
+  for (; row < texts.size() && std::getline(lines, line); ++row) {
+    ParseResult result = ParseSpec(texts[row].text);
+    std::string pin = ParsePin(texts[row].name, result).Dump();
+    if (pin != line) {
+      // The first differing input only: one change usually moves many.
+      ADD_FAILURE() << "row " << row << " (" << texts[row].name
+                    << ")\n  pinned: " << line << "\n  parsed: " << pin
+                    << "\nparse:\n" << DescribeParse(result);
+      return;
+    }
+  }
+  EXPECT_EQ(row, texts.size()) << "pins file is short";
+  EXPECT_FALSE(std::getline(lines, line)) << "pins file is long";
 }
 
 }  // namespace
