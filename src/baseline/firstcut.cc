@@ -35,11 +35,19 @@ class ExplicitSearch {
     LtlPtr negated = LtlFormula::Not(property_.body);
     Abstraction abstraction = AbstractLtl(negated, spec_->symbols());
     raw_components_ = abstraction.components;
+    // The translation stops at the search's deadline too.
+    GpvwStats gpvw_stats;
+    GpvwOptions gpvw;
+    gpvw.stats = &gpvw_stats;
+    gpvw.stop = [this](int64_t /*bytes*/) { return TimedOut(); };
     std::optional<BuchiAutomaton> automaton =
         LtlToBuchi(&abstraction.arena, abstraction.root,
-                   static_cast<int>(abstraction.components.size()));
+                   static_cast<int>(abstraction.components.size()), gpvw);
     if (!automaton.has_value()) {
-      result_->failure_reason = "Büchi automaton past its size cap";
+      result_->failure_reason =
+          gpvw_stats.over_size_cap
+              ? "Büchi automaton past its size cap"
+              : TimeoutReason("while translating the property");
       return;
     }
     automaton_ = std::move(*automaton);
@@ -232,12 +240,21 @@ class ExplicitSearch {
     return assignment;
   }
 
+  bool TimedOut() const {
+    return watch_.ElapsedSeconds() > options_.timeout_seconds;
+  }
+
+  /// "timeout after <timeout_seconds>s (<when>)".
+  std::string TimeoutReason(const std::string& when) const {
+    return "timeout after " + std::to_string(options_.timeout_seconds) +
+           "s (" + when + ")";
+  }
+
   SearchStatus CheckBudgets() {
-    if (watch_.ElapsedSeconds() > options_.timeout_seconds) {
-      abort_reason_ = "timeout after " +
-                      std::to_string(options_.timeout_seconds) + "s (after " +
-                      std::to_string(result_->stats.num_databases) +
-                      " of the representative databases)";
+    if (TimedOut()) {
+      abort_reason_ = TimeoutReason(
+          "after " + std::to_string(result_->stats.num_databases) +
+          " of the representative databases");
       return SearchStatus::kAbort;
     }
     if (options_.max_expansions >= 0 &&

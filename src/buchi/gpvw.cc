@@ -182,7 +182,8 @@ class Tableau {
 
   /// Expands the top frame until it completes or proves contradictory,
   /// then pops it. A split copies the frame: the copy on top takes the
-  /// first branch and goes on, the frame below takes the second and waits.
+  /// first branch and goes on, the frame below takes the second and waits,
+  /// unless the two branches are the same frame.
   void ExpandTop() {
     while (true) {
       const size_t top = frames_.size() - 3 * w_;
@@ -234,6 +235,11 @@ class Tableau {
       }
       SetBit(OldOf(node), f);
       SetBit(OldOf(second), f);
+      // Oblige skips an operand already in Old, so the branches can come
+      // out identical. They would complete the same nodes, so keep one.
+      if (std::equal(second, second + 3 * w_, node)) {
+        frames_.resize(top + 3 * w_);
+      }
     }
     frames_.resize(frames_.size() - 3 * w_);
   }

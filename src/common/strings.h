@@ -3,11 +3,27 @@
 #define WAVE_COMMON_STRINGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace wave {
+
+/// Hashes a string key as its view, so that a map keyed by std::string
+/// finds a std::string_view without building a string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// A std::string-keyed hash map whose lookups take a std::string_view.
+template <typename Value>
+using StringMap =
+    std::unordered_map<std::string, Value, StringViewHash, std::equal_to<>>;
 
 /// Joins `parts` with `separator`.
 std::string Join(const std::vector<std::string>& parts,

@@ -7,7 +7,7 @@
 namespace wave {
 
 SymbolId SymbolTable::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   SymbolId id = static_cast<SymbolId>(names_.size());
   names_.emplace_back(name);
@@ -16,7 +16,7 @@ SymbolId SymbolTable::Intern(std::string_view name) {
 }
 
 SymbolId SymbolTable::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kInvalidSymbol : it->second;
 }
 

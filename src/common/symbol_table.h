@@ -9,8 +9,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "common/strings.h"
 
 namespace wave {
 
@@ -54,7 +55,7 @@ class SymbolTable {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  StringMap<SymbolId> ids_;
   int fresh_counter_ = 0;
 };
 

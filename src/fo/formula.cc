@@ -16,92 +16,82 @@ std::string TermToString(const Term& t, const SymbolTable& symbols) {
 
 }  // namespace
 
-// Each factory builds a node field-by-field inside a static member function
-// (which can use the private default constructor) and moves it to the heap.
+// Each factory allocates its node and control block together, then sets the
+// node's fields.
 
-FormulaPtr Formula::True() {
-  Formula f;
-  f.kind_ = Kind::kTrue;
-  return FormulaPtr(new Formula(std::move(f)));
+std::shared_ptr<Formula> Formula::New(Kind kind) {
+  auto f = std::make_shared<Formula>(Key());
+  f->kind_ = kind;
+  return f;
 }
 
-FormulaPtr Formula::False() {
-  Formula f;
-  f.kind_ = Kind::kFalse;
-  return FormulaPtr(new Formula(std::move(f)));
-}
+FormulaPtr Formula::True() { return New(Kind::kTrue); }
+
+FormulaPtr Formula::False() { return New(Kind::kFalse); }
 
 FormulaPtr Formula::Atom(std::string relation, std::vector<Term> args,
                          bool previous) {
-  Formula f;
-  f.kind_ = Kind::kAtom;
-  f.name_ = std::move(relation);
-  f.args_ = std::move(args);
-  f.previous_ = previous;
-  return FormulaPtr(new Formula(std::move(f)));
+  std::shared_ptr<Formula> f = New(Kind::kAtom);
+  f->name_ = std::move(relation);
+  f->args_ = std::move(args);
+  f->previous_ = previous;
+  return f;
 }
 
 FormulaPtr Formula::Equals(Term lhs, Term rhs) {
-  Formula f;
-  f.kind_ = Kind::kEquals;
-  f.args_ = {std::move(lhs), std::move(rhs)};
-  return FormulaPtr(new Formula(std::move(f)));
+  std::shared_ptr<Formula> f = New(Kind::kEquals);
+  f->args_.reserve(2);
+  f->args_.push_back(std::move(lhs));
+  f->args_.push_back(std::move(rhs));
+  return f;
 }
 
 FormulaPtr Formula::Page(std::string page) {
-  Formula f;
-  f.kind_ = Kind::kPage;
-  f.name_ = std::move(page);
-  return FormulaPtr(new Formula(std::move(f)));
+  std::shared_ptr<Formula> f = New(Kind::kPage);
+  f->name_ = std::move(page);
+  return f;
 }
 
-FormulaPtr Formula::Not(FormulaPtr f0) {
-  Formula f;
-  f.kind_ = Kind::kNot;
-  f.left_ = std::move(f0);
-  return FormulaPtr(new Formula(std::move(f)));
+FormulaPtr Formula::Not(FormulaPtr body) {
+  std::shared_ptr<Formula> f = New(Kind::kNot);
+  f->left_ = std::move(body);
+  return f;
+}
+
+FormulaPtr Formula::Binary(Kind kind, FormulaPtr lhs, FormulaPtr rhs) {
+  std::shared_ptr<Formula> f = New(kind);
+  f->left_ = std::move(lhs);
+  f->right_ = std::move(rhs);
+  return f;
 }
 
 FormulaPtr Formula::And(FormulaPtr lhs, FormulaPtr rhs) {
-  Formula f;
-  f.kind_ = Kind::kAnd;
-  f.left_ = std::move(lhs);
-  f.right_ = std::move(rhs);
-  return FormulaPtr(new Formula(std::move(f)));
+  return Binary(Kind::kAnd, std::move(lhs), std::move(rhs));
 }
 
 FormulaPtr Formula::Or(FormulaPtr lhs, FormulaPtr rhs) {
-  Formula f;
-  f.kind_ = Kind::kOr;
-  f.left_ = std::move(lhs);
-  f.right_ = std::move(rhs);
-  return FormulaPtr(new Formula(std::move(f)));
+  return Binary(Kind::kOr, std::move(lhs), std::move(rhs));
 }
 
 FormulaPtr Formula::Implies(FormulaPtr lhs, FormulaPtr rhs) {
-  Formula f;
-  f.kind_ = Kind::kImplies;
-  f.left_ = std::move(lhs);
-  f.right_ = std::move(rhs);
-  return FormulaPtr(new Formula(std::move(f)));
+  return Binary(Kind::kImplies, std::move(lhs), std::move(rhs));
+}
+
+FormulaPtr Formula::Quantified(Kind kind, std::vector<std::string> vars,
+                               FormulaPtr body) {
+  WAVE_CHECK(!vars.empty());
+  std::shared_ptr<Formula> f = New(kind);
+  f->vars_ = std::move(vars);
+  f->left_ = std::move(body);
+  return f;
 }
 
 FormulaPtr Formula::Exists(std::vector<std::string> vars, FormulaPtr body) {
-  WAVE_CHECK(!vars.empty());
-  Formula f;
-  f.kind_ = Kind::kExists;
-  f.vars_ = std::move(vars);
-  f.left_ = std::move(body);
-  return FormulaPtr(new Formula(std::move(f)));
+  return Quantified(Kind::kExists, std::move(vars), std::move(body));
 }
 
 FormulaPtr Formula::Forall(std::vector<std::string> vars, FormulaPtr body) {
-  WAVE_CHECK(!vars.empty());
-  Formula f;
-  f.kind_ = Kind::kForall;
-  f.vars_ = std::move(vars);
-  f.left_ = std::move(body);
-  return FormulaPtr(new Formula(std::move(f)));
+  return Quantified(Kind::kForall, std::move(vars), std::move(body));
 }
 
 void Formula::VisitLeaves(FunctionRef<void(const Formula&)> visit) const {
@@ -128,9 +118,8 @@ void Formula::VisitLeaves(FunctionRef<void(const Formula&)> visit) const {
   }
 }
 
-void Formula::CollectFree(std::set<std::string>* bound,
-                          std::vector<std::string>* out,
-                          std::set<std::string>* seen) const {
+void Formula::CollectFree(const BoundScope* bound,
+                          std::vector<std::string_view>* out) const {
   switch (kind_) {
     case Kind::kTrue:
     case Kind::kFalse:
@@ -139,39 +128,45 @@ void Formula::CollectFree(std::set<std::string>* bound,
     case Kind::kAtom:
     case Kind::kEquals:
       for (const Term& t : args_) {
-        if (t.is_variable() && bound->count(t.variable) == 0 &&
-            seen->insert(t.variable).second) {
-          out->push_back(t.variable);
+        if (!t.is_variable() ||
+            std::find(out->begin(), out->end(), t.variable) != out->end()) {
+          continue;
         }
+        bool is_bound = false;
+        for (const BoundScope* s = bound; s != nullptr && !is_bound;
+             s = s->outer) {
+          is_bound = std::find(s->vars->begin(), s->vars->end(),
+                               t.variable) != s->vars->end();
+        }
+        if (!is_bound) out->push_back(t.variable);
       }
       return;
     case Kind::kNot:
-      left_->CollectFree(bound, out, seen);
+      left_->CollectFree(bound, out);
       return;
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kImplies:
-      left_->CollectFree(bound, out, seen);
-      right_->CollectFree(bound, out, seen);
+      left_->CollectFree(bound, out);
+      right_->CollectFree(bound, out);
       return;
     case Kind::kExists:
     case Kind::kForall: {
-      std::vector<std::string> newly_bound;
-      for (const std::string& v : vars_) {
-        if (bound->insert(v).second) newly_bound.push_back(v);
-      }
-      left_->CollectFree(bound, out, seen);
-      for (const std::string& v : newly_bound) bound->erase(v);
+      const BoundScope inner{&vars_, bound};
+      left_->CollectFree(&inner, out);
       return;
     }
   }
 }
 
+void Formula::AppendFreeVariables(std::vector<std::string_view>* out) const {
+  CollectFree(nullptr, out);
+}
+
 std::vector<std::string> Formula::FreeVariables() const {
-  std::set<std::string> bound, seen;
-  std::vector<std::string> out;
-  CollectFree(&bound, &out, &seen);
-  return out;
+  std::vector<std::string_view> views;
+  AppendFreeVariables(&views);
+  return {views.begin(), views.end()};
 }
 
 std::set<SymbolId> Formula::Constants() const {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -104,6 +105,9 @@ class Formula {
 
   /// Free variables, in first-occurrence order.
   std::vector<std::string> FreeVariables() const;
+  /// Appends each free variable not yet in `out`, in first-occurrence
+  /// order. The views name this formula's own strings.
+  void AppendFreeVariables(std::vector<std::string_view>* out) const;
 
   /// All constants mentioned anywhere in the formula.
   std::set<SymbolId> Constants() const;
@@ -116,11 +120,28 @@ class Formula {
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
-  Formula() = default;
+  /// Lets the factories reach the constructor through `std::make_shared`.
+  struct Key {
+    explicit Key() = default;
+  };
 
-  void CollectFree(std::set<std::string>* bound,
-                   std::vector<std::string>* out,
-                   std::set<std::string>* seen) const;
+ public:
+  explicit Formula(Key) {}
+
+ private:
+  static std::shared_ptr<Formula> New(Kind kind);
+  static FormulaPtr Binary(Kind kind, FormulaPtr lhs, FormulaPtr rhs);
+  static FormulaPtr Quantified(Kind kind, std::vector<std::string> vars,
+                               FormulaPtr body);
+
+  /// The variables of the quantifiers enclosing a subformula, innermost
+  /// first.
+  struct BoundScope {
+    const std::vector<std::string>* vars;
+    const BoundScope* outer;
+  };
+  void CollectFree(const BoundScope* bound,
+                   std::vector<std::string_view>* out) const;
 
   Kind kind_ = Kind::kTrue;
   std::string name_;        // relation or page

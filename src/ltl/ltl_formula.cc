@@ -1,107 +1,71 @@
 #include "ltl/ltl_formula.h"
 
 #include <map>
-#include <set>
 
 #include "common/check.h"
 #include "common/strings.h"
 
 namespace wave {
 
-LtlPtr LtlFormula::Fo(FormulaPtr f0) {
-  LtlFormula f;
-  f.kind_ = Kind::kFo;
-  f.fo_ = std::move(f0);
-  return LtlPtr(new LtlFormula(std::move(f)));
+// Each factory allocates its node and control block together.
+
+LtlPtr LtlFormula::Make(Kind kind, LtlPtr left, LtlPtr right) {
+  auto f = std::make_shared<LtlFormula>(Key());
+  f->kind_ = kind;
+  f->left_ = std::move(left);
+  f->right_ = std::move(right);
+  return f;
 }
 
-LtlPtr LtlFormula::Not(LtlPtr body) {
-  LtlFormula f;
-  f.kind_ = Kind::kNot;
-  f.left_ = std::move(body);
-  return LtlPtr(new LtlFormula(std::move(f)));
+LtlPtr LtlFormula::Fo(FormulaPtr fo) {
+  auto f = std::make_shared<LtlFormula>(Key());
+  f->kind_ = Kind::kFo;
+  f->fo_ = std::move(fo);
+  return f;
 }
+
+LtlPtr LtlFormula::Not(LtlPtr body) { return Make(Kind::kNot, std::move(body)); }
 
 LtlPtr LtlFormula::And(LtlPtr l, LtlPtr r) {
-  LtlFormula f;
-  f.kind_ = Kind::kAnd;
-  f.left_ = std::move(l);
-  f.right_ = std::move(r);
-  return LtlPtr(new LtlFormula(std::move(f)));
+  return Make(Kind::kAnd, std::move(l), std::move(r));
 }
 
 LtlPtr LtlFormula::Or(LtlPtr l, LtlPtr r) {
-  LtlFormula f;
-  f.kind_ = Kind::kOr;
-  f.left_ = std::move(l);
-  f.right_ = std::move(r);
-  return LtlPtr(new LtlFormula(std::move(f)));
+  return Make(Kind::kOr, std::move(l), std::move(r));
 }
 
 LtlPtr LtlFormula::Implies(LtlPtr l, LtlPtr r) {
-  LtlFormula f;
-  f.kind_ = Kind::kImplies;
-  f.left_ = std::move(l);
-  f.right_ = std::move(r);
-  return LtlPtr(new LtlFormula(std::move(f)));
+  return Make(Kind::kImplies, std::move(l), std::move(r));
 }
 
-LtlPtr LtlFormula::G(LtlPtr body) {
-  LtlFormula f;
-  f.kind_ = Kind::kG;
-  f.left_ = std::move(body);
-  return LtlPtr(new LtlFormula(std::move(f)));
-}
+LtlPtr LtlFormula::G(LtlPtr body) { return Make(Kind::kG, std::move(body)); }
 
-LtlPtr LtlFormula::F(LtlPtr body) {
-  LtlFormula f;
-  f.kind_ = Kind::kF;
-  f.left_ = std::move(body);
-  return LtlPtr(new LtlFormula(std::move(f)));
-}
+LtlPtr LtlFormula::F(LtlPtr body) { return Make(Kind::kF, std::move(body)); }
 
-LtlPtr LtlFormula::X(LtlPtr body) {
-  LtlFormula f;
-  f.kind_ = Kind::kX;
-  f.left_ = std::move(body);
-  return LtlPtr(new LtlFormula(std::move(f)));
-}
+LtlPtr LtlFormula::X(LtlPtr body) { return Make(Kind::kX, std::move(body)); }
 
 LtlPtr LtlFormula::U(LtlPtr l, LtlPtr r) {
-  LtlFormula f;
-  f.kind_ = Kind::kU;
-  f.left_ = std::move(l);
-  f.right_ = std::move(r);
-  return LtlPtr(new LtlFormula(std::move(f)));
+  return Make(Kind::kU, std::move(l), std::move(r));
 }
 
 LtlPtr LtlFormula::B(LtlPtr l, LtlPtr r) {
-  LtlFormula f;
-  f.kind_ = Kind::kB;
-  f.left_ = std::move(l);
-  f.right_ = std::move(r);
-  return LtlPtr(new LtlFormula(std::move(f)));
+  return Make(Kind::kB, std::move(l), std::move(r));
+}
+
+void LtlFormula::AppendFreeVariables(
+    std::vector<std::string_view>* out) const {
+  if (kind_ == Kind::kFo) {
+    fo_->AppendFreeVariables(out);
+    return;
+  }
+  if (left_ != nullptr) left_->AppendFreeVariables(out);
+  if (right_ != nullptr) right_->AppendFreeVariables(out);
 }
 
 std::vector<std::string> LtlFormula::FreeVariables() const {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  std::vector<const LtlFormula*> stack = {this};
-  // Left-to-right DFS preserving first-occurrence order.
-  while (!stack.empty()) {
-    const LtlFormula* f = stack.back();
-    stack.pop_back();
-    if (f->kind_ == Kind::kFo) {
-      for (const std::string& v : f->fo_->FreeVariables()) {
-        if (seen.insert(v).second) out.push_back(v);
-      }
-      continue;
-    }
-    // Push right first so the left child pops (and is visited) first.
-    if (f->right_ != nullptr) stack.push_back(f->right_.get());
-    if (f->left_ != nullptr) stack.push_back(f->left_.get());
-  }
-  return out;
+  std::vector<std::string_view> views;
+  AppendFreeVariables(&views);
+  return {views.begin(), views.end()};
 }
 
 bool LtlFormula::ContainsTemporal() const {

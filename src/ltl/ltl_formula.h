@@ -55,6 +55,9 @@ class LtlFormula {
 
   /// Free variables of all embedded FO formulas, first-occurrence order.
   std::vector<std::string> FreeVariables() const;
+  /// Appends each such variable not yet in `out`, in first-occurrence
+  /// order. The views name the embedded formulas' own strings.
+  void AppendFreeVariables(std::vector<std::string_view>* out) const;
 
   /// True if the subtree contains any temporal operator.
   bool ContainsTemporal() const;
@@ -66,7 +69,16 @@ class LtlFormula {
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
-  LtlFormula() = default;
+  /// Lets the factories reach the constructor through `std::make_shared`.
+  struct Key {
+    explicit Key() = default;
+  };
+
+ public:
+  explicit LtlFormula(Key) {}
+
+ private:
+  static LtlPtr Make(Kind kind, LtlPtr left, LtlPtr right = nullptr);
 
   Kind kind_ = Kind::kFo;
   FormulaPtr fo_;

@@ -1,74 +1,87 @@
 #include "parser/lexer.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+
 namespace wave {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+/// Character classes, one table lookup per byte.
+enum CharClass : uint8_t {
+  kOther = 0,
+  kIdentStart = 1,  // a letter or '_'
+  kIdentRest = 2,   // a digit or '.': continues an identifier only
+};
+
+constexpr std::array<uint8_t, 256> MakeClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart;
+  classes['_'] = kIdentStart;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kIdentRest;
+  classes['.'] = kIdentRest;
+  return classes;
 }
 
-bool IsIdentChar(char c) {
-  return IsIdentStart(c) || (c >= '0' && c <= '9') || c == '.';
-}
+constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
+
+uint8_t ClassOf(char c) { return kClasses[static_cast<unsigned char>(c)]; }
 
 }  // namespace
 
-std::vector<Token> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  int line = 1, column = 1;
-  size_t i = 0;
-  auto push = [&](TokenKind kind, std::string value, int start_column) {
-    out.push_back({kind, std::move(value), line, start_column});
-  };
-  while (i < text.size()) {
-    char c = text[i];
-    int start_column = column;
+Token Lexer::Next() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    const int start_column = column_;
     if (c == '\n') {
-      ++line;
-      column = 1;
-      ++i;
+      ++line_;
+      column_ = 1;
+      ++pos_;
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r') {
-      ++column;
-      ++i;
+      ++column_;
+      ++pos_;
       continue;
     }
     if (c == '#') {
-      while (i < text.size() && text[i] != '\n') ++i;
+      // The newline, or the end of input, ends the comment.
+      pos_ = std::min(text_.find('\n', pos_), text_.size());
       continue;
     }
-    if (IsIdentStart(c)) {
-      size_t start = i;
-      while (i < text.size() && IsIdentChar(text[i])) {
-        ++i;
-        ++column;
+    if (ClassOf(c) == kIdentStart) {
+      const size_t start = pos_;
+      while (++pos_ < text_.size() && ClassOf(text_[pos_]) != kOther) {
       }
-      push(TokenKind::kIdent, std::string(text.substr(start, i - start)),
-           start_column);
-      continue;
+      column_ += static_cast<int>(pos_ - start);
+      return {TokenKind::kIdent, text_.substr(start, pos_ - start), line_,
+              start_column};
     }
     if (c == '"') {
-      size_t start = ++i;
-      ++column;
-      while (i < text.size() && text[i] != '"' && text[i] != '\n') {
-        ++i;
-        ++column;
+      const size_t start = ++pos_;
+      ++column_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\n') {
+        ++pos_;
+        ++column_;
       }
-      if (i >= text.size() || text[i] != '"') {
-        push(TokenKind::kError, "unterminated string literal", start_column);
-        out.push_back({TokenKind::kEnd, "", line, column});
-        return out;
+      if (pos_ >= text_.size() || text_[pos_] != '"') {
+        const Token error{TokenKind::kError,
+                          text_.substr(start - 1, pos_ - start + 1), line_,
+                          start_column};
+        pos_ = text_.size();  // the input ends at a lexical error
+        return error;
       }
-      push(TokenKind::kString, std::string(text.substr(start, i - start)),
-           start_column);
-      ++i;
-      ++column;
-      continue;
+      const Token value{TokenKind::kString, text_.substr(start, pos_ - start),
+                        line_, start_column};
+      ++pos_;
+      ++column_;
+      return value;
     }
     auto two = [&](char next) {
-      return i + 1 < text.size() && text[i + 1] == next;
+      return pos_ + 1 < text_.size() && text_[pos_ + 1] == next;
     };
     TokenKind kind = TokenKind::kError;
     int advance = 1;
@@ -104,17 +117,22 @@ std::vector<Token> Tokenize(std::string_view text) {
         break;
     }
     if (kind == TokenKind::kError) {
-      push(TokenKind::kError,
-           std::string("unexpected character '") + c + "'", start_column);
-      out.push_back({TokenKind::kEnd, "", line, column});
-      return out;
+      const Token error{TokenKind::kError, text_.substr(pos_, 1), line_,
+                        start_column};
+      pos_ = text_.size();  // the input ends at a lexical error
+      return error;
     }
-    push(kind, "", start_column);
-    i += advance;
-    column += advance;
+    pos_ += advance;
+    column_ += advance;
+    return {kind, {}, line_, start_column};
   }
-  out.push_back({TokenKind::kEnd, "", line, column});
-  return out;
+  return {TokenKind::kEnd, {}, line_, column_};
+}
+
+std::string LexErrorMessage(const Token& token) {
+  if (token.text.starts_with('"')) return "unterminated string literal";
+  return "unexpected character '" + std::string(token.text.substr(0, 1)) +
+         "'";
 }
 
 const char* TokenKindName(TokenKind kind) {

@@ -1,7 +1,6 @@
 #include "parser/parser.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 #include "common/io.h"
@@ -19,15 +18,23 @@ Status ParseResult::status() const {
 
 namespace {
 
-/// Recursive-descent parser over the token stream. One instance parses one
-/// source text; results accumulate into the referenced spec / property
-/// list / error list.
+/// "line:col: message", the form of every parse error.
+std::string Positioned(int line, int column, std::string_view message) {
+  return std::to_string(line) + ":" + std::to_string(column) + ": " +
+         std::string(message);
+}
+
+/// Recursive-descent parser pulling tokens from a `Lexer`, one token of
+/// lookahead. One instance parses one source text, which must outlive it;
+/// results accumulate into the referenced spec / property list / error
+/// list.
 class Parser {
  public:
   Parser(std::string_view text, WebAppSpec* spec,
          std::vector<ParsedProperty>* properties,
          std::vector<std::string>* errors)
-      : tokens_(Tokenize(text)),
+      : lexer_(text),
+        token_(lexer_.Next()),
         spec_(spec),
         properties_(properties),
         errors_(errors) {}
@@ -35,32 +42,31 @@ class Parser {
   /// Top level: a sequence of declarations, pages and properties.
   void ParseFile() {
     while (!AtEnd()) {
-      size_t before = pos_;
+      int64_t before = consumed_;
       if (!ParseTopLevel()) SkipToTopLevel();
-      if (pos_ == before) Advance();  // guarantee progress
+      if (consumed_ == before) Advance();  // guarantee progress
     }
     ResolveDeferred();
   }
 
-  /// "line:col" of the end of input — the position whole-spec diagnostics
-  /// (missing pages, unset home page) are anchored to, so every error a
-  /// ParseResult carries is positioned.
-  std::string EndPosition() const {
-    const Token& last = tokens_.back();
-    return std::to_string(last.line) + ":" + std::to_string(last.column);
+  /// `issue` positioned at the end of input — where whole-spec diagnostics
+  /// (missing pages, unset home page) are anchored, so every error a
+  /// ParseResult carries is positioned. Valid once `ParseFile` returns.
+  std::string AtEndOfInput(std::string_view issue) const {
+    return Positioned(token_.line, token_.column, issue);
   }
 
   /// Parses `property` blocks only (pre-existing spec).
   void ParsePropertiesOnly() {
     while (!AtEnd()) {
-      size_t before = pos_;
+      int64_t before = consumed_;
       if (PeekIdent("property")) {
         if (!ParseProperty()) SkipToTopLevel();
       } else {
         Error("expected 'property'");
         SkipToTopLevel();
       }
-      if (pos_ == before) Advance();  // guarantee progress
+      if (consumed_ == before) Advance();  // guarantee progress
     }
     // The spec is complete here, so page atoms resolve immediately.
     CheckPendingPageAtoms();
@@ -78,16 +84,25 @@ class Parser {
 
  private:
   // --- token plumbing -----------------------------------------------------
-  const Token& Peek(int ahead = 0) const {
-    size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
-    return tokens_[i];
+  const Token& Peek() const { return token_; }
+  /// The token after the current one, lexed by a copy of the lexer.
+  Token PeekSecond() const {
+    Lexer ahead = lexer_;
+    return ahead.Next();
   }
-  bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
-  const Token& Advance() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
+  bool AtEnd() const { return token_.kind == TokenKind::kEnd; }
+  /// Consumes the current token and returns it. At the end of input it
+  /// stays at kEnd but still counts as consumed.
+  Token Advance() {
+    const Token current = token_;
+    token_ = lexer_.Next();
+    ++consumed_;
+    return current;
+  }
 
-  bool PeekIs(TokenKind kind) const { return Peek().kind == kind; }
+  bool PeekIs(TokenKind kind) const { return token_.kind == kind; }
   bool PeekIdent(std::string_view name) const {
-    return Peek().kind == TokenKind::kIdent && Peek().text == name;
+    return token_.kind == TokenKind::kIdent && token_.text == name;
   }
   bool Eat(TokenKind kind) {
     if (!PeekIs(kind)) return false;
@@ -100,10 +115,8 @@ class Parser {
     return true;
   }
 
-  void Error(const std::string& message) {
-    const Token& t = Peek();
-    errors_->push_back(std::to_string(t.line) + ":" +
-                       std::to_string(t.column) + ": " + message);
+  void Error(std::string_view message) {
+    errors_->push_back(Positioned(token_.line, token_.column, message));
   }
 
   // --- formula depth (kMaxFormulaDepth) --------------------------------------
@@ -136,44 +149,53 @@ class Parser {
     return result;
   }
 
-  bool Expect(TokenKind kind, const std::string& what) {
+  /// Eats a `kind` token; otherwise reports that `what` was expected. The
+  /// message is built only then.
+  bool Expect(TokenKind kind, const char* what) {
     if (Eat(kind)) return true;
-    Error("expected " + what + ", found " +
-          std::string(TokenKindName(Peek().kind)) +
-          (Peek().kind == TokenKind::kIdent ? " '" + Peek().text + "'" : ""));
+    std::string message = std::string("expected ") + what + ", found " +
+                          TokenKindName(token_.kind);
+    if (token_.kind == TokenKind::kIdent) {
+      message += " '" + std::string(token_.text) + "'";
+    }
+    Error(message);
     return false;
   }
 
-  std::string ExpectIdent(const std::string& what) {
+  /// The next identifier, viewing the source text; empty, with an error
+  /// saying that `what` was expected, if the next token is not one.
+  std::string_view ExpectIdent(const char* what) {
     if (PeekIs(TokenKind::kIdent)) return Advance().text;
-    Error("expected " + what);
-    return "";
+    Error(std::string("expected ") + what);
+    return {};
+  }
+
+  /// True if the current token is an identifier spelled as one of `words`.
+  template <size_t N>
+  bool PeekOneOf(const std::string_view (&words)[N]) const {
+    return PeekIs(TokenKind::kIdent) &&
+           std::find(words, words + N, token_.text) != words + N;
   }
 
   /// Error recovery: skip to a token that can start a top-level statement.
   void SkipToTopLevel() {
-    static const std::set<std::string> kStarters = {
-        "app",   "database", "state", "input", "inputconst",
-        "action", "home",    "page",  "property"};
+    static constexpr std::string_view kStarters[] = {
+        "app",    "database", "state", "input",   "inputconst",
+        "action", "home",     "page",  "property"};
     while (!AtEnd()) {
-      if (PeekIs(TokenKind::kIdent) && kStarters.count(Peek().text) > 0) {
-        return;
-      }
+      if (PeekOneOf(kStarters)) return;
       Advance();
     }
   }
 
   /// Skip within a page/property block to the next statement or '}'.
   void SkipToBlockStatement() {
-    static const std::set<std::string> kStarters = {
-        "input", "rule", "state", "action", "target"};
+    static constexpr std::string_view kStarters[] = {"input", "rule", "state",
+                                                     "action", "target"};
     int depth = 0;
     while (!AtEnd()) {
       if (depth == 0 && PeekIs(TokenKind::kRBrace)) return;
-      if (depth == 0 && PeekIs(TokenKind::kIdent) &&
-          kStarters.count(Peek().text) > 0) {
-        return;
-      }
+      if (depth == 0 && PeekOneOf(kStarters)) return;
       if (PeekIs(TokenKind::kLBrace)) ++depth;
       if (PeekIs(TokenKind::kRBrace)) --depth;
       Advance();
@@ -183,7 +205,7 @@ class Parser {
   // --- top level ------------------------------------------------------------
   bool ParseTopLevel() {
     if (PeekIs(TokenKind::kError)) {
-      Error(Peek().text);
+      Error(LexErrorMessage(token_));
       Advance();
       return false;
     }
@@ -191,10 +213,9 @@ class Parser {
       spec_->name = ExpectIdent("application name");
       return true;
     }
-    if (PeekIdent("database") || PeekIdent("state") || PeekIdent("input") ||
-        PeekIdent("inputconst") || PeekIdent("action")) {
-      return ParseRelationDecl();
-    }
+    static constexpr std::string_view kRelationKinds[] = {
+        "database", "state", "input", "inputconst", "action"};
+    if (PeekOneOf(kRelationKinds)) return ParseRelationDecl();
     if (EatIdent("home")) {
       home_page_name_ = ExpectIdent("home page name");
       home_line_ = Peek().line;
@@ -208,26 +229,27 @@ class Parser {
   }
 
   bool ParseRelationDecl() {
-    std::string kind_word = Advance().text;
+    const std::string_view kind_word = Advance().text;
     RelationKind kind = RelationKind::kDatabase;
     if (kind_word == "state") kind = RelationKind::kState;
     if (kind_word == "input") kind = RelationKind::kInput;
     if (kind_word == "inputconst") kind = RelationKind::kInputConstant;
     if (kind_word == "action") kind = RelationKind::kAction;
 
-    RelationSchema schema;
-    schema.kind = kind;
-    schema.name = ExpectIdent("relation name");
-    if (schema.name.empty()) return false;
-    if (spec_->catalog().Find(schema.name) != kInvalidRelation) {
-      Error("relation '" + schema.name + "' already declared");
+    const std::string_view name = ExpectIdent("relation name");
+    if (name.empty()) return false;
+    if (spec_->catalog().Find(name) != kInvalidRelation) {
+      Error("relation '" + std::string(name) + "' already declared");
       return false;
     }
+    RelationSchema schema;
+    schema.kind = kind;
+    schema.name = name;
     if (kind == RelationKind::kInputConstant) {
       // Arity-1 by definition; no attribute list required.
       schema.arity = 1;
       if (Eat(TokenKind::kLParen)) {
-        schema.attributes.push_back(ExpectIdent("attribute name"));
+        schema.attributes.emplace_back(ExpectIdent("attribute name"));
         Expect(TokenKind::kRParen, "')'");
       }
       spec_->catalog().Declare(std::move(schema));
@@ -236,7 +258,7 @@ class Parser {
     if (!Expect(TokenKind::kLParen, "'(' and attribute list")) return false;
     if (!PeekIs(TokenKind::kRParen)) {
       do {
-        schema.attributes.push_back(ExpectIdent("attribute name"));
+        schema.attributes.emplace_back(ExpectIdent("attribute name"));
       } while (Eat(TokenKind::kComma));
     }
     if (!Expect(TokenKind::kRParen, "')'")) return false;
@@ -248,19 +270,20 @@ class Parser {
   // --- pages ------------------------------------------------------------------
   bool ParsePage() {
     EatIdent("page");
-    PageSchema page;
-    page.name = ExpectIdent("page name");
-    if (page.name.empty()) return false;
-    if (spec_->PageIndex(page.name) != -1) {
-      Error("page '" + page.name + "' already declared");
+    const std::string_view name = ExpectIdent("page name");
+    if (name.empty()) return false;
+    if (spec_->PageIndex(name) != -1) {
+      Error("page '" + std::string(name) + "' already declared");
       return false;
     }
+    PageSchema page;
+    page.name = name;
     int page_index = spec_->AddPage(std::move(page));
     if (!Expect(TokenKind::kLBrace, "'{'")) return false;
     while (!PeekIs(TokenKind::kRBrace) && !AtEnd()) {
-      size_t before = pos_;
+      int64_t before = consumed_;
       if (!ParsePageStatement(page_index)) SkipToBlockStatement();
-      if (pos_ == before) Advance();  // guarantee progress
+      if (consumed_ == before) Advance();  // guarantee progress
     }
     Expect(TokenKind::kRBrace, "'}'");
     return true;
@@ -271,10 +294,10 @@ class Parser {
   bool ParsePageStatement(int page_index) {
     PageSchema* page = MutablePage(page_index);
     if (EatIdent("input")) {
-      std::string name = ExpectIdent("input relation name");
+      const std::string_view name = ExpectIdent("input relation name");
       RelationId id = spec_->catalog().Find(name);
       if (id == kInvalidRelation) {
-        Error("undeclared input relation '" + name + "'");
+        Error("undeclared input relation '" + std::string(name) + "'");
         return false;
       }
       page->inputs.push_back(id);
@@ -316,7 +339,7 @@ class Parser {
       return true;
     }
     if (EatIdent("target")) {
-      std::string target_name = ExpectIdent("target page name");
+      const std::string_view target_name = ExpectIdent("target page name");
       if (target_name.empty()) return false;
       if (!Expect(TokenKind::kArrowLeft, "'<-'")) return false;
       FormulaPtr condition = ParseFormula();
@@ -331,11 +354,11 @@ class Parser {
   }
 
   bool ParseRuleHead(RelationId* relation, std::vector<Term>* head) {
-    std::string name = ExpectIdent("relation name");
+    const std::string_view name = ExpectIdent("relation name");
     if (name.empty()) return false;
     *relation = spec_->catalog().Find(name);
     if (*relation == kInvalidRelation) {
-      Error("undeclared relation '" + name + "' in rule head");
+      Error("undeclared relation '" + std::string(name) + "' in rule head");
       return false;
     }
     if (spec_->catalog().schema(*relation).arity == 0) {
@@ -344,20 +367,29 @@ class Parser {
       return true;
     }
     if (!Expect(TokenKind::kLParen, "'('")) return false;
-    if (!PeekIs(TokenKind::kRParen)) {
-      do {
-        Term t;
-        if (!ParseTerm(&t)) return false;
-        head->push_back(std::move(t));
-      } while (Eat(TokenKind::kComma));
+    if (!ParseTerms(spec_->catalog().schema(*relation).arity, head)) {
+      return false;
     }
     return Expect(TokenKind::kRParen, "')'");
   }
 
   // --- FO formulas ---------------------------------------------------------
+  /// Comma-separated terms up to, not including, a ')'. `arity`, the
+  /// count expected, sizes `out` once.
+  bool ParseTerms(int arity, std::vector<Term>* out) {
+    out->reserve(arity);
+    if (PeekIs(TokenKind::kRParen)) return true;
+    do {
+      Term t;
+      if (!ParseTerm(&t)) return false;
+      out->push_back(std::move(t));
+    } while (Eat(TokenKind::kComma));
+    return true;
+  }
+
   bool ParseTerm(Term* out) {
     if (PeekIs(TokenKind::kIdent)) {
-      *out = Term::Var(Advance().text);
+      *out = Term::Var(std::string(Advance().text));
       return true;
     }
     if (PeekIs(TokenKind::kString)) {
@@ -415,9 +447,9 @@ class Parser {
 
   bool ParseVarList(std::vector<std::string>* vars) {
     do {
-      std::string v = ExpectIdent("variable name");
+      const std::string_view v = ExpectIdent("variable name");
       if (v.empty()) return false;
-      vars->push_back(std::move(v));
+      vars->emplace_back(v);
     } while (Eat(TokenKind::kComma));
     return Expect(TokenKind::kColon, "':'");
   }
@@ -457,10 +489,10 @@ class Parser {
       // and resolve it with the other deferred names at end of parse.
       int line = Peek().line;
       int column = Peek().column;
-      std::string page = ExpectIdent("page name");
+      const std::string_view page = ExpectIdent("page name");
       if (page.empty()) return nullptr;
       pending_page_atoms_.push_back({page, line, column});
-      return Formula::Page(std::move(page));
+      return Formula::Page(std::string(page));
     }
     if (EatIdent("prev")) {
       return ParseAtomOrEquality(/*previous=*/true);
@@ -470,31 +502,33 @@ class Parser {
 
   FormulaPtr ParseAtomOrEquality(bool previous) {
     // IDENT '(' -> relational atom; otherwise a term followed by '='.
-    if (PeekIs(TokenKind::kIdent) && Peek(1).kind == TokenKind::kLParen) {
-      std::string relation = Advance().text;
+    if (PeekIs(TokenKind::kIdent) &&
+        PeekSecond().kind == TokenKind::kLParen) {
+      const std::string_view relation = Advance().text;
       Advance();  // '('
+      // Looked up first to size the argument list; an undeclared relation
+      // is reported after the arguments.
+      const RelationId id = spec_->catalog().Find(relation);
       std::vector<Term> args;
-      if (!PeekIs(TokenKind::kRParen)) {
-        do {
-          Term t;
-          if (!ParseTerm(&t)) return nullptr;
-          args.push_back(std::move(t));
-        } while (Eat(TokenKind::kComma));
+      if (!ParseTerms(id == kInvalidRelation
+                          ? 0
+                          : spec_->catalog().schema(id).arity,
+                      &args) ||
+          !Expect(TokenKind::kRParen, "')'")) {
+        return nullptr;
       }
-      if (!Expect(TokenKind::kRParen, "')'")) return nullptr;
-      RelationId id = spec_->catalog().Find(relation);
       if (id == kInvalidRelation) {
-        Error("undeclared relation '" + relation + "'");
+        Error("undeclared relation '" + std::string(relation) + "'");
         return nullptr;
       }
       if (spec_->catalog().schema(id).arity !=
           static_cast<int>(args.size())) {
-        Error("atom " + relation + "/" + std::to_string(args.size()) +
-              " does not match declared arity " +
+        Error("atom " + std::string(relation) + "/" +
+              std::to_string(args.size()) + " does not match declared arity " +
               std::to_string(spec_->catalog().schema(id).arity));
         return nullptr;
       }
-      return Formula::Atom(std::move(relation), std::move(args), previous);
+      return Formula::Atom(std::string(relation), std::move(args), previous);
     }
     if (previous) {
       Error("'prev' must be followed by a relational atom");
@@ -513,9 +547,10 @@ class Parser {
     EatIdent("property");
     int name_line = Peek().line;
     int name_column = Peek().column;
+    const std::string_view name = ExpectIdent("property name");
+    if (name.empty()) return false;
     ParsedProperty parsed;
-    parsed.property.name = ExpectIdent("property name");
-    if (parsed.property.name.empty()) return false;
+    parsed.property.name = name;
     while (true) {
       if (EatIdent("type")) {
         parsed.property.type_code = ExpectIdent("type code");
@@ -546,9 +581,9 @@ class Parser {
     if (!Expect(TokenKind::kLBrace, "'{'")) return false;
     if (EatIdent("forall")) {
       do {
-        std::string v = ExpectIdent("variable name");
+        const std::string_view v = ExpectIdent("variable name");
         if (v.empty()) return false;
-        parsed.property.forall_vars.push_back(std::move(v));
+        parsed.property.forall_vars.emplace_back(v);
       } while (Eat(TokenKind::kComma));
       if (!Expect(TokenKind::kColon, "':'")) return false;
     }
@@ -558,16 +593,15 @@ class Parser {
     // Binding check (ISSUE 2): every free variable of the body must be
     // declared in the forall block — this used to abort inside the
     // verifier's Prepare phase instead of being a parse error.
-    {
-      std::set<std::string> declared(parsed.property.forall_vars.begin(),
-                                     parsed.property.forall_vars.end());
-      for (const std::string& v : parsed.property.body->FreeVariables()) {
-        if (declared.count(v) == 0) {
-          errors_->push_back(std::to_string(name_line) + ":" +
-                             std::to_string(name_column) + ": property '" +
-                             parsed.property.name + "': free variable '" + v +
-                             "' not bound by the forall block");
-        }
+    const std::vector<std::string>& declared = parsed.property.forall_vars;
+    free_vars_.clear();
+    parsed.property.body->AppendFreeVariables(&free_vars_);
+    for (std::string_view v : free_vars_) {
+      if (std::find(declared.begin(), declared.end(), v) == declared.end()) {
+        errors_->push_back(Positioned(
+            name_line, name_column,
+            "property '" + parsed.property.name + "': free variable '" +
+                std::string(v) + "' not bound by the forall block"));
       }
     }
     properties_->push_back(std::move(parsed));
@@ -678,9 +712,10 @@ class Parser {
   }
 
   // --- deferred resolution ---------------------------------------------------
+  // Names below view the source text, which outlives the parser.
   struct DeferredTarget {
     int page_index;
-    std::string target_name;
+    std::string_view target_name;
     FormulaPtr condition;
     int line;
   };
@@ -688,7 +723,7 @@ class Parser {
   /// An `at PAGE` atom awaiting end-of-parse resolution (pages may be
   /// declared after the formula referencing them).
   struct PendingPageAtom {
-    std::string page;
+    std::string_view page;
     int line;
     int column;
   };
@@ -696,10 +731,11 @@ class Parser {
   void CheckPendingPageAtoms() {
     for (const PendingPageAtom& p : pending_page_atoms_) {
       if (spec_->PageIndex(p.page) == -1) {
-        errors_->push_back(std::to_string(p.line) + ":" +
-                           std::to_string(p.column) +
-                           ": page atom 'at " + p.page +
-                           "' references unknown page '" + p.page + "'");
+        const std::string page(p.page);
+        errors_->push_back(Positioned(p.line, p.column,
+                                      "page atom 'at " + page +
+                                          "' references unknown page '" +
+                                          page + "'"));
       }
     }
     pending_page_atoms_.clear();
@@ -710,9 +746,10 @@ class Parser {
     for (const DeferredTarget& d : deferred_targets_) {
       int target = spec_->PageIndex(d.target_name);
       if (target == -1) {
-        errors_->push_back(std::to_string(d.line) +
-                           ":1: target rule references unknown page '" +
-                           d.target_name + "'");
+        errors_->push_back(Positioned(
+            d.line, 1,
+            "target rule references unknown page '" +
+                std::string(d.target_name) + "'"));
         continue;
       }
       MutablePage(d.page_index)
@@ -721,17 +758,18 @@ class Parser {
     if (!home_page_name_.empty()) {
       int home = spec_->PageIndex(home_page_name_);
       if (home == -1) {
-        errors_->push_back(std::to_string(home_line_) +
-                           ":1: unknown home page '" + home_page_name_ +
-                           "'");
+        errors_->push_back(Positioned(
+            home_line_, 1,
+            "unknown home page '" + std::string(home_page_name_) + "'"));
       } else {
         spec_->set_home_page(home);
       }
     }
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token token_;            // the current token, one ahead of `lexer_`
+  int64_t consumed_ = 0;   // tokens consumed, for the progress guards
   // Depth of the formula the last formula-parsing call returned, and the
   // levels open above the one being parsed (see kMaxFormulaDepth).
   int depth_ = 0;
@@ -741,7 +779,8 @@ class Parser {
   std::vector<std::string>* errors_;
   std::vector<DeferredTarget> deferred_targets_;
   std::vector<PendingPageAtom> pending_page_atoms_;
-  std::string home_page_name_;
+  std::vector<std::string_view> free_vars_;  // reused by each property
+  std::string_view home_page_name_;
   int home_line_ = 1;
 };
 
@@ -754,7 +793,7 @@ ParseResult ParseSpec(std::string_view text) {
   parser.ParseFile();
   if (result.ok()) {
     for (const std::string& issue : result.spec->Validate()) {
-      result.errors.push_back(parser.EndPosition() + ": " + issue);
+      result.errors.push_back(parser.AtEndOfInput(issue));
     }
   }
   return result;

@@ -38,7 +38,7 @@ RelationId Catalog::Declare(RelationSchema schema) {
   return id;
 }
 
-RelationId Catalog::Find(const std::string& name) const {
+RelationId Catalog::Find(std::string_view name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidRelation : it->second;
 }

@@ -13,9 +13,10 @@
 #define WAVE_RELATIONAL_SCHEMA_H_
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/symbol_table.h"
 
 namespace wave {
@@ -68,7 +69,7 @@ class Catalog {
   RelationId Declare(RelationSchema schema);
 
   /// Returns the id for `name` or `kInvalidRelation`.
-  RelationId Find(const std::string& name) const;
+  RelationId Find(std::string_view name) const;
 
   const RelationSchema& schema(RelationId id) const { return schemas_[id]; }
   int size() const { return static_cast<int>(schemas_.size()); }
@@ -78,7 +79,7 @@ class Catalog {
 
  private:
   std::vector<RelationSchema> schemas_;
-  std::unordered_map<std::string, RelationId> by_name_;
+  StringMap<RelationId> by_name_;
 };
 
 }  // namespace wave

@@ -43,7 +43,7 @@ int WebAppSpec::AddPage(PageSchema page) {
   return index;
 }
 
-int WebAppSpec::PageIndex(const std::string& name) const {
+int WebAppSpec::PageIndex(std::string_view name) const {
   auto it = page_index_.find(name);
   return it == page_index_.end() ? -1 : it->second;
 }
@@ -79,8 +79,11 @@ std::set<SymbolId> WebAppSpec::SpecConstants() const {
 
 std::vector<std::string> WebAppSpec::Validate() const {
   std::vector<std::string> issues;
-  auto report = [&issues](const std::string& where, const std::string& what) {
-    issues.push_back(where + ": " + what);
+  // `where` names the rule or page at fault. It is built only for an issue
+  // that is reported, so a clean spec builds no strings.
+  using Where = FunctionRef<std::string()>;
+  auto report = [&issues](Where where, const std::string& what) {
+    issues.push_back(where() + ": " + what);
   };
 
   if (pages_.empty()) {
@@ -93,7 +96,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
 
   // Atom checks shared by rule bodies and target conditions, which may
   // not read action relations (actions are write-only).
-  auto check_reads = [&](const std::string& where, const Formula& f) {
+  auto check_reads = [&](Where where, const Formula& f) {
     CheckAtoms(f, where, &issues);
     f.VisitLeaves([&](const Formula& leaf) {
       if (leaf.kind() != Formula::Kind::kAtom) return;
@@ -106,8 +109,10 @@ std::vector<std::string> WebAppSpec::Validate() const {
     });
   };
 
-  // Shared checks for a rule head + body.
-  auto check_rule = [&](const std::string& where, RelationId relation,
+  // Shared checks for a rule head + body. The variable lists are reused
+  // from rule to rule.
+  std::vector<std::string_view> head_vars, body_vars;
+  auto check_rule = [&](Where where, RelationId relation,
                         RelationKind expected_kind,
                         const std::vector<Term>& head, const FormulaPtr& body) {
     if (relation == kInvalidRelation) {
@@ -128,18 +133,26 @@ std::vector<std::string> WebAppSpec::Validate() const {
                         std::to_string(schema.arity));
     }
     // Safety: head variables == free variables of the body.
-    std::vector<std::string> head_vars = HeadVariables(head);
-    std::vector<std::string> body_vars = body->FreeVariables();
-    for (const std::string& v : body_vars) {
-      if (std::find(head_vars.begin(), head_vars.end(), v) ==
-          head_vars.end()) {
-        report(where, "body free variable '" + v + "' not in rule head");
+    head_vars.clear();
+    for (const Term& t : head) {
+      if (t.is_variable() && std::find(head_vars.begin(), head_vars.end(),
+                                       t.variable) == head_vars.end()) {
+        head_vars.push_back(t.variable);
       }
     }
-    for (const std::string& v : head_vars) {
+    body_vars.clear();
+    body->AppendFreeVariables(&body_vars);
+    for (std::string_view v : body_vars) {
+      if (std::find(head_vars.begin(), head_vars.end(), v) ==
+          head_vars.end()) {
+        report(where, "body free variable '" + std::string(v) +
+                          "' not in rule head");
+      }
+    }
+    for (std::string_view v : head_vars) {
       if (std::find(body_vars.begin(), body_vars.end(), v) ==
           body_vars.end()) {
-        report(where, "head variable '" + v +
+        report(where, "head variable '" + std::string(v) +
                           "' is unconstrained by the rule body");
       }
     }
@@ -147,10 +160,14 @@ std::vector<std::string> WebAppSpec::Validate() const {
   };
 
   for (const PageSchema& page : pages_) {
-    const std::string prefix = "page " + page.name;
+    auto prefix = [&page] { return "page " + page.name; };
+    // "page P, <kind> rule R" (R is "?" when undeclared).
+    auto rule_where = [&](const char* kind, RelationId relation) {
+      return prefix() + ", " + kind + " rule " +
+             (relation == kInvalidRelation ? "?"
+                                           : catalog_.schema(relation).name);
+    };
     // Input declarations.
-    std::set<RelationId> declared_inputs(page.inputs.begin(),
-                                         page.inputs.end());
     for (RelationId id : page.inputs) {
       if (!IsInputKind(catalog_.schema(id).kind)) {
         report(prefix, "declared input " + catalog_.schema(id).name +
@@ -158,19 +175,22 @@ std::vector<std::string> WebAppSpec::Validate() const {
       }
     }
     // Every input relation (not constant) needs exactly one options rule.
-    std::set<RelationId> with_rule;
-    for (const InputRule& r : page.input_rules) {
-      check_rule(prefix + ", input rule " +
-                     (r.relation == kInvalidRelation
-                          ? "?"
-                          : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kInput, r.head, r.body);
+    auto has_rule = [&page](RelationId id, size_t before) {
+      return std::any_of(
+          page.input_rules.begin(), page.input_rules.begin() + before,
+          [id](const InputRule& r) { return r.relation == id; });
+    };
+    for (size_t i = 0; i < page.input_rules.size(); ++i) {
+      const InputRule& r = page.input_rules[i];
+      check_rule([&] { return rule_where("input", r.relation); }, r.relation,
+                 RelationKind::kInput, r.head, r.body);
       if (r.relation != kInvalidRelation) {
-        if (!with_rule.insert(r.relation).second) {
+        if (has_rule(r.relation, i)) {
           report(prefix, "multiple options rules for input " +
                              catalog_.schema(r.relation).name);
         }
-        if (declared_inputs.count(r.relation) == 0) {
+        if (std::find(page.inputs.begin(), page.inputs.end(), r.relation) ==
+            page.inputs.end()) {
           report(prefix, "options rule for undeclared input " +
                              catalog_.schema(r.relation).name);
         }
@@ -184,7 +204,7 @@ std::vector<std::string> WebAppSpec::Validate() const {
     }
     for (RelationId id : page.inputs) {
       if (catalog_.schema(id).kind == RelationKind::kInput &&
-          with_rule.count(id) == 0) {
+          !has_rule(id, page.input_rules.size())) {
         report(prefix, "input " + catalog_.schema(id).name +
                            " lacks an options rule");
       }
@@ -200,43 +220,42 @@ std::vector<std::string> WebAppSpec::Validate() const {
       }
     }
     for (const StateRule& r : page.state_rules) {
-      check_rule(prefix + ", state rule " +
-                     (r.relation == kInvalidRelation
-                          ? "?"
-                          : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kState, r.head, r.body);
+      check_rule([&] { return rule_where("state", r.relation); }, r.relation,
+                 RelationKind::kState, r.head, r.body);
     }
     for (const ActionRule& r : page.action_rules) {
-      check_rule(prefix + ", action rule " +
-                     (r.relation == kInvalidRelation
-                          ? "?"
-                          : catalog_.schema(r.relation).name),
-                 r.relation, RelationKind::kAction, r.head, r.body);
+      check_rule([&] { return rule_where("action", r.relation); }, r.relation,
+                 RelationKind::kAction, r.head, r.body);
     }
     for (const TargetRule& r : page.target_rules) {
       if (r.target_page < 0 || r.target_page >= num_pages()) {
         report(prefix, "target rule points to an unknown page");
         continue;
       }
-      if (!r.condition->FreeVariables().empty()) {
+      auto target_where = [&] {
+        return prefix() + ", target condition for " +
+               pages_[r.target_page].name;
+      };
+      body_vars.clear();
+      r.condition->AppendFreeVariables(&body_vars);
+      if (!body_vars.empty()) {
         report(prefix, "target condition for " +
                            pages_[r.target_page].name +
                            " has free variables (must be a sentence)");
       }
-      check_reads(prefix + ", target condition for " +
-                      pages_[r.target_page].name,
-                  *r.condition);
+      check_reads(target_where, *r.condition);
     }
   }
   return issues;
 }
 
-void WebAppSpec::CheckAtoms(const Formula& f, const std::string& where,
+void WebAppSpec::CheckAtoms(const Formula& f,
+                            FunctionRef<std::string()> where,
                             std::vector<std::string>* issues) const {
   f.VisitLeaves([&](const Formula& leaf) {
     if (leaf.kind() == Formula::Kind::kPage) {
       if (PageIndex(leaf.page()) < 0) {
-        issues->push_back(where + ": page atom 'at " + leaf.page() +
+        issues->push_back(where() + ": page atom 'at " + leaf.page() +
                           "' references unknown page '" + leaf.page() + "'");
       }
       return;
@@ -244,11 +263,11 @@ void WebAppSpec::CheckAtoms(const Formula& f, const std::string& where,
     if (leaf.kind() != Formula::Kind::kAtom) return;
     RelationId id = catalog_.Find(leaf.relation());
     if (id == kInvalidRelation) {
-      issues->push_back(where + ": undeclared relation '" + leaf.relation() +
-                        "'");
+      issues->push_back(where() + ": undeclared relation '" +
+                        leaf.relation() + "'");
     } else if (static_cast<int>(leaf.args().size()) !=
                catalog_.schema(id).arity) {
-      issues->push_back(where + ": atom " + leaf.relation() + "/" +
+      issues->push_back(where() + ": atom " + leaf.relation() + "/" +
                         std::to_string(leaf.args().size()) +
                         " does not match declared arity " +
                         std::to_string(catalog_.schema(id).arity));

@@ -10,12 +10,14 @@
 #ifndef WAVE_SPEC_WEB_APP_H_
 #define WAVE_SPEC_WEB_APP_H_
 
-#include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "common/symbol_table.h"
 #include "fo/formula.h"
 #include "relational/schema.h"
@@ -90,7 +92,7 @@ class WebAppSpec {
   /// Adds a page; names must be unique. Returns its index.
   int AddPage(PageSchema page);
 
-  int PageIndex(const std::string& name) const;  // -1 if unknown
+  int PageIndex(std::string_view name) const;  // -1 if unknown
   const PageSchema& page(int index) const { return pages_[index]; }
   /// Mutable access for construction-time rule insertion (parser/builders).
   PageSchema* mutable_page(int index) { return &pages_[index]; }
@@ -112,10 +114,10 @@ class WebAppSpec {
   /// order: a relation atom over an undeclared relation or with the wrong
   /// number of arguments, or a page atom naming an unknown page. These are
   /// the parser's own atom errors, in its words, for formulas built through
-  /// the API or checked against another spec. `Validate` runs it on every
-  /// rule body and target condition, `ValidatePropertyForSpec` on every
-  /// property component.
-  void CheckAtoms(const Formula& f, const std::string& where,
+  /// the API or checked against another spec. `where` is called only for a
+  /// faulty leaf. `Validate` runs it on every rule body and target
+  /// condition, `ValidatePropertyForSpec` on every property component.
+  void CheckAtoms(const Formula& f, FunctionRef<std::string()> where,
                   std::vector<std::string>* issues) const;
 
   /// `Validate()` as a structured error: OK when clean, otherwise
@@ -134,7 +136,7 @@ class WebAppSpec {
   SymbolTable symbols_;
   Catalog catalog_;
   std::vector<PageSchema> pages_;
-  std::map<std::string, int> page_index_;
+  StringMap<int> page_index_;
   int home_page_ = 0;
 };
 

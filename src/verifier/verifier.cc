@@ -1654,7 +1654,8 @@ Status ValidatePropertyForSpec(const WebAppSpec& spec,
     // WAVE_CHECKs at verify time, so a property passing here cannot abort
     // the search.
     std::vector<std::string> issues;
-    spec.CheckAtoms(*c, "property '" + property.name + "'", &issues);
+    spec.CheckAtoms(
+        *c, [&] { return "property '" + property.name + "'"; }, &issues);
     if (!issues.empty()) {
       return Status::InvalidArgument(issues.front(), WAVE_LOC);
     }
@@ -1687,14 +1688,20 @@ Status ValidateCandidateBudgets(const VerifyOptions& options,
   return Status::Ok();
 }
 
-Verifier::Verifier(WebAppSpec* spec)
-    : spec_(spec), prepared_(spec) {
-  std::vector<std::string> issues = spec->Validate();
+Verifier::Validated Verifier::CheckValid(const WebAppSpec& spec) {
+  std::vector<std::string> issues = spec.Validate();
   WAVE_CHECK_MSG(issues.empty(),
                  "spec does not validate: " << issues.front() << " (and "
                                             << issues.size() - 1 << " more)");
-  session_ = std::make_unique<VerifierSession>(spec);
+  return Validated();
 }
+
+Verifier::Verifier(WebAppSpec* spec) : Verifier(spec, CheckValid(*spec)) {}
+
+Verifier::Verifier(WebAppSpec* spec, Validated)
+    : spec_(spec),
+      prepared_(spec),
+      session_(std::make_unique<VerifierSession>(spec)) {}
 
 Verifier::~Verifier() = default;
 
@@ -1702,17 +1709,9 @@ StatusOr<std::unique_ptr<Verifier>> Verifier::Create(WebAppSpec* spec) {
   if (spec == nullptr) {
     return Status::InvalidArgument("spec is null", WAVE_LOC);
   }
-  std::vector<std::string> issues = spec->Validate();
-  if (!issues.empty()) {
-    std::string joined;
-    for (const std::string& issue : issues) {
-      if (!joined.empty()) joined += "; ";
-      joined += issue;
-    }
-    return Status::FailedPrecondition("spec does not validate: " + joined,
-                                      WAVE_LOC);
-  }
-  return std::make_unique<Verifier>(spec);
+  WAVE_RETURN_IF_ERROR(spec->ValidateStatus());
+  // Validated once; the constructor below does not validate again.
+  return std::unique_ptr<Verifier>(new Verifier(spec, Validated()));
 }
 
 StatusOr<VerifyResponse> Verifier::Run(const VerifyRequest& request) {

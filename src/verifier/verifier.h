@@ -476,6 +476,13 @@ class Verifier {
   VerifierSession& session() { return *session_; }
 
  private:
+  /// Proof that the spec was validated: the constructor taking it does not
+  /// validate again.
+  struct Validated {};
+  /// `Validated` for a spec that validates; aborts otherwise.
+  static Validated CheckValid(const WebAppSpec& spec);
+  Verifier(WebAppSpec* spec, Validated);
+
   WebAppSpec* spec_;
   PreparedSpec prepared_;
   std::unique_ptr<VerifierSession> session_;

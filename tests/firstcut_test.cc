@@ -11,9 +11,11 @@
 // configuration.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 
+#include "apps/apps.h"
 #include "baseline/firstcut.h"
 #include "parser/parser.h"
 #include "verifier/verifier.h"
@@ -157,6 +159,29 @@ TEST(FirstCutTest, TimeoutDegradesToUnknown) {
   FirstCutResult r = RunFirstCut(text, options);
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_FALSE(r.failure_reason.empty());
+}
+
+TEST(FirstCutTest, TheTimeoutStopsTheBuchiTranslation) {
+  // E1 with `G` nested 998 deep (the parser's limit): only the size caps
+  // would end its translation, after seconds and hundreds of MB. The
+  // translation polls the search's deadline, so 0.5 s answers unknown
+  // with a timeout reason.
+  const std::string e1 = E1SpecText();
+  std::string text = e1.substr(0, e1.find("\nproperty ")) +
+                     "\nproperty deep {\n";
+  for (int i = 0; i < 998; ++i) text += "G ";
+  text += "[at HP]\n}\n";
+  FirstCutOptions options;
+  options.timeout_seconds = 0.5;
+  const auto start = std::chrono::steady_clock::now();
+  FirstCutResult r = RunFirstCut(text, options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.failure_reason.rfind("timeout after", 0), 0u)
+      << r.failure_reason;
+  EXPECT_LT(seconds, 2.0);
 }
 
 }  // namespace

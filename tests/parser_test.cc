@@ -19,8 +19,18 @@
 namespace wave {
 namespace {
 
+/// Pulls every token of `text` up to and including the first kEnd.
+std::vector<Token> Drain(std::string_view text) {
+  Lexer lexer(text);
+  std::vector<Token> tokens;
+  do {
+    tokens.push_back(lexer.Next());
+  } while (tokens.back().kind != TokenKind::kEnd);
+  return tokens;
+}
+
 TEST(LexerTest, TokenizesPunctuationAndIdents) {
-  std::vector<Token> tokens = Tokenize("rule R(x) <- x = \"a\" -> | & !");
+  std::vector<Token> tokens = Drain("rule R(x) <- x = \"a\" -> | & !");
   std::vector<TokenKind> kinds;
   for (const Token& t : tokens) kinds.push_back(t.kind);
   EXPECT_EQ(kinds,
@@ -30,10 +40,13 @@ TEST(LexerTest, TokenizesPunctuationAndIdents) {
                 TokenKind::kIdent, TokenKind::kEquals, TokenKind::kString,
                 TokenKind::kArrowRight, TokenKind::kPipe, TokenKind::kAmp,
                 TokenKind::kBang, TokenKind::kEnd}));
+  // Names and string values view the source; a string drops its quotes.
+  EXPECT_EQ(tokens[0].text, "rule");
+  EXPECT_EQ(tokens[8].text, "a");
 }
 
 TEST(LexerTest, TracksLineAndColumn) {
-  std::vector<Token> tokens = Tokenize("a\n  bb");
+  std::vector<Token> tokens = Drain("a\n  bb");
   ASSERT_GE(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].line, 1);
   EXPECT_EQ(tokens[1].line, 2);
@@ -41,18 +54,48 @@ TEST(LexerTest, TracksLineAndColumn) {
 }
 
 TEST(LexerTest, CommentsAreSkipped) {
-  std::vector<Token> tokens = Tokenize("a # comment til eol\nb");
+  std::vector<Token> tokens = Drain("a # comment til eol\nb");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].text, "b");
 }
 
 TEST(LexerTest, UnterminatedStringIsAnError) {
-  std::vector<Token> tokens = Tokenize("\"oops");
+  std::vector<Token> tokens = Drain("\"oops");
   // The error token is followed by a terminating kEnd so parsers always
   // see a finite stream.
-  ASSERT_GE(tokens.size(), 2u);
-  EXPECT_EQ(tokens[tokens.size() - 2].kind, TokenKind::kError);
-  EXPECT_EQ(tokens.back().kind, TokenKind::kEnd);
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kError);
+  EXPECT_EQ(LexErrorMessage(tokens[0]), "unterminated string literal");
+  EXPECT_EQ(tokens[1].kind, TokenKind::kEnd);
+}
+
+TEST(LexerTest, EveryTokenAfterALexicalErrorIsEndAtItsPosition) {
+  // An unterminated string ends the input where its scan stopped (at the
+  // newline); an unexpected character ends it at the character.
+  struct Case {
+    const char* text;
+    int error_column;
+    int end_column;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"a \"oops\nb c", 3, 8, "unterminated string literal"},
+      {"a $ b c", 3, 3, "unexpected character '$'"},
+  };
+  for (const Case& c : cases) {
+    Lexer lexer(c.text);
+    EXPECT_EQ(lexer.Next().kind, TokenKind::kIdent);
+    Token error = lexer.Next();
+    EXPECT_EQ(error.kind, TokenKind::kError) << c.text;
+    EXPECT_EQ(error.column, c.error_column) << c.text;
+    EXPECT_EQ(LexErrorMessage(error), c.message);
+    for (int i = 0; i < 3; ++i) {
+      Token end = lexer.Next();
+      EXPECT_EQ(end.kind, TokenKind::kEnd) << c.text;
+      EXPECT_EQ(end.line, 1) << c.text;
+      EXPECT_EQ(end.column, c.end_column) << c.text;
+    }
+  }
 }
 
 constexpr char kMinimalSpec[] = R"(
