@@ -1,33 +1,18 @@
 #include "parser/lexer.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdint>
 
 namespace wave {
 
 namespace {
 
-/// Character classes, one table lookup per byte.
-enum CharClass : uint8_t {
-  kOther = 0,
-  kIdentStart = 1,  // a letter or '_'
-  kIdentRest = 2,   // a digit or '.': continues an identifier only
-};
-
-constexpr std::array<uint8_t, 256> MakeClasses() {
-  std::array<uint8_t, 256> classes{};
-  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart;
-  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart;
-  classes['_'] = kIdentStart;
-  for (int c = '0'; c <= '9'; ++c) classes[c] = kIdentRest;
-  classes['.'] = kIdentRest;
-  return classes;
+bool IsIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 
-constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
-
-uint8_t ClassOf(char c) { return kClasses[static_cast<unsigned char>(c)]; }
+bool IsIdentChar(char c) {
+  return IsIdentStart(c) || (c >= '0' && c <= '9') || c == '.';
+}
 
 }  // namespace
 
@@ -51,11 +36,12 @@ Token Lexer::Next() {
       pos_ = std::min(text_.find('\n', pos_), text_.size());
       continue;
     }
-    if (ClassOf(c) == kIdentStart) {
+    if (IsIdentStart(c)) {
       const size_t start = pos_;
-      while (++pos_ < text_.size() && ClassOf(text_[pos_]) != kOther) {
+      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) {
+        ++pos_;
+        ++column_;
       }
-      column_ += static_cast<int>(pos_ - start);
       return {TokenKind::kIdent, text_.substr(start, pos_ - start), line_,
               start_column};
     }
