@@ -493,20 +493,25 @@ TEST(ProductSharingTest, EachSkeletonIsEnumeratedOncePerShard) {
   // calls for 327 configurations), and each distinct (previous page,
   // skeleton) is completed once per shard: the 2-state E1/P5 and E3/R3
   // never expand a configuration twice, yet their 21,399 and 34,301
-  // successors take at most 6,000 ApplyInput calls each. The search itself
-  // (expansions, visited-bit lookups) is pinned too.
+  // successors take 3,956 and 4,367 ApplyInput calls. Every prepared call
+  // count is pinned, and so is the search itself (expansions, visited-bit
+  // lookups).
   struct Case {
     AppBundle (*build)();
     const char* property;
     int64_t advance_calls;
+    int64_t apply_input_calls;
+    int64_t compute_options_calls;
+    int64_t rule_evaluations;
+    int64_t derived_tuples;
     int64_t expansions;
     int64_t trie_hits;
     int64_t trie_misses;
   };
   const Case cases[] = {
-      {&BuildE1, "P4", 327, 1214, 10580, 2427},
-      {&BuildE1, "P5", 1051, 1065, 20334, 2128},
-      {&BuildE3, "R3", 1113, 1121, 33180, 2241},
+      {&BuildE1, "P4", 327, 1244, 156, 1356, 559, 1214, 10580, 2427},
+      {&BuildE1, "P5", 1051, 3956, 465, 4111, 1743, 1065, 20334, 2128},
+      {&BuildE3, "R3", 1113, 4367, 565, 1925, 1926, 1121, 33180, 2241},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.property);
@@ -521,7 +526,14 @@ TEST(ProductSharingTest, EachSkeletonIsEnumeratedOncePerShard) {
     EXPECT_EQ(r.verdict, Verdict::kHolds);
     EXPECT_EQ(metrics.counter("prepared.advance_calls")->value(),
               c.advance_calls);
-    EXPECT_LE(metrics.counter("prepared.apply_input_calls")->value(), 6000);
+    EXPECT_EQ(metrics.counter("prepared.apply_input_calls")->value(),
+              c.apply_input_calls);
+    EXPECT_EQ(metrics.counter("prepared.compute_options_calls")->value(),
+              c.compute_options_calls);
+    EXPECT_EQ(metrics.counter("prepared.rule_evaluations")->value(),
+              c.rule_evaluations);
+    EXPECT_EQ(metrics.counter("prepared.derived_tuples")->value(),
+              c.derived_tuples);
     EXPECT_EQ(r.stats.num_expansions, c.expansions);
     EXPECT_EQ(r.stats.trie_hits, c.trie_hits);
     EXPECT_EQ(r.stats.trie_misses, c.trie_misses);
@@ -537,7 +549,10 @@ TEST(ProductSharingTest, MemoCountersAccountForEveryAdvance) {
                                 "search.memo.skeleton_hits",
                                 "search.memo.skeleton_misses",
                                 "prepared.advance_calls",
-                                "prepared.apply_input_calls"};
+                                "prepared.apply_input_calls",
+                                "prepared.compute_options_calls",
+                                "prepared.rule_evaluations",
+                                "prepared.derived_tuples"};
   std::map<std::string, int64_t> at_one_job;
   for (int jobs : {1, 4}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
