@@ -98,27 +98,19 @@ PreparedSpec::PreparedSpec(const WebAppSpec* spec) : spec_(spec) {
 void PreparedSpec::ComputeOptions(const ConfigurationView& view,
                                   const std::vector<SymbolId>& domain,
                                   DerivedTuples* options) const {
-  ++exec_stats_.compute_options_calls;
   options->Clear();
   for (const PreparedRule& rule : pages_[view.current_page()].input_rules) {
     options->Derive(rule, view, domain);
-    ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(
-        options->size(options->num_groups() - 1));
   }
 }
 
 void PreparedSpec::DeriveActions(const ConfigurationView& view,
                                  const std::vector<SymbolId>& domain,
                                  DerivedTuples* actions) const {
-  ++exec_stats_.apply_input_calls;
   actions->Clear();
   // Actions see the chosen input, previous input and current state.
   for (const PreparedRule& rule : pages_[view.current_page()].action_rules) {
     actions->Derive(rule, view, domain);
-    ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(
-        actions->size(actions->num_groups() - 1));
   }
 }
 
@@ -126,7 +118,6 @@ int PreparedSpec::Advance(const ConfigurationView& view,
                           const std::vector<SymbolId>& domain,
                           DerivedTuples* inserts,
                           DerivedTuples* deletes) const {
-  ++exec_stats_.advance_calls;
   const int current = view.current_page();
   const PreparedPage& page = pages_[current];
 
@@ -152,15 +143,9 @@ int PreparedSpec::Advance(const ConfigurationView& view,
   deletes->Clear();
   for (const PreparedRule& rule : page.state_inserts) {
     inserts->Derive(rule, view, domain);
-    ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(
-        inserts->size(inserts->num_groups() - 1));
   }
   for (const PreparedRule& rule : page.state_deletes) {
     deletes->Derive(rule, view, domain);
-    ++exec_stats_.rule_evaluations;
-    exec_stats_.derived_tuples += static_cast<int64_t>(
-        deletes->size(deletes->num_groups() - 1));
   }
   return (target != -1 && unique) ? target : current;
 }

@@ -1,7 +1,8 @@
 // A `WebAppSpec` with every rule compiled to a `PreparedFormula` — the
 // analogue of the paper's prepared SQL statements (Section 4): resolve and
 // "optimize" each rule once, re-execute it with fresh parameters at every
-// step of the search.
+// step of the search. A `PreparedSpec` is immutable once built, so every
+// search worker can read one instance.
 #ifndef WAVE_SPEC_PREPARED_SPEC_H_
 #define WAVE_SPEC_PREPARED_SPEC_H_
 
@@ -81,18 +82,6 @@ struct PreparedPage {
   std::vector<PreparedTarget> targets;
 };
 
-/// Cumulative execution counters for one `PreparedSpec` (ISSUE 1
-/// observability) — the prepared-query analogue of a DBMS's statement
-/// counters. Monotone; snapshot before/after a region and subtract to
-/// attribute work to it.
-struct PreparedExecStats {
-  int64_t compute_options_calls = 0;
-  int64_t apply_input_calls = 0;
-  int64_t advance_calls = 0;
-  int64_t rule_evaluations = 0;  // prepared rule bodies executed
-  int64_t derived_tuples = 0;    // head tuples produced by those bodies
-};
-
 /// Compiled spec + the step semantics used by runs and pseudoruns.
 class PreparedSpec {
  public:
@@ -113,7 +102,7 @@ class PreparedSpec {
 
   /// The actions the current page of `view` derives, once its input choice
   /// is in place and its action relations are empty: one group per action
-  /// rule. Counts one `apply_input_calls`.
+  /// rule.
   void DeriveActions(const ConfigurationView& view,
                      const std::vector<SymbolId>& domain,
                      DerivedTuples* actions) const;
@@ -155,15 +144,10 @@ class PreparedSpec {
       const Configuration& config,
       const std::vector<SymbolId>& extra = {}) const;
 
-  /// Cumulative counters since construction.
-  const PreparedExecStats& exec_stats() const { return exec_stats_; }
-
  private:
   const WebAppSpec* spec_;
   std::vector<PreparedPage> pages_;
   std::vector<SymbolId> spec_constants_;
-  // Mutable: the step methods are logically const queries.
-  mutable PreparedExecStats exec_stats_;
 };
 
 }  // namespace wave

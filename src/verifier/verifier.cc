@@ -48,12 +48,27 @@ GovernorLimits GovernorLimitsFromOptions(const VerifyOptions& options) {
   return limits;
 }
 
-/// How a worker's `succP` requests were served: from a configuration's own
-/// successor list, or through its skeleton's, found or newly enumerated.
-struct MemoCounters {
+/// One worker's running search counters across its whole drain, each
+/// written once, as its event happens. The expansion budget, the heartbeats
+/// and the per-call metrics read them; each shard's share goes into its
+/// property's `VerifyStats` when the shard ends.
+struct SearchCounters {
+  int64_t cores = 0;
+  int64_t expansions = 0;
+  int64_t successors = 0;
+  int max_trie_size = 0;  // the largest store of a finished shard
+  // How `succP` requests were served: from a configuration's own successor
+  // list, or through its skeleton's, found or newly enumerated.
   int64_t replays = 0;
   int64_t skeleton_hits = 0;
   int64_t skeleton_misses = 0;
+  // The prepared calls the search made, the rule bodies they ran and the
+  // head tuples those derived.
+  int64_t compute_options_calls = 0;
+  int64_t apply_input_calls = 0;
+  int64_t advance_calls = 0;
+  int64_t rule_evaluations = 0;
+  int64_t derived_tuples = 0;
 };
 
 /// Heartbeat counters a worker publishes for the coordinator's aggregated
@@ -149,12 +164,12 @@ void EmitHeartbeat(const VerifyOptions& options, obs::Tracer* tracer,
 }
 
 /// One worker's NDFS machinery: its own configuration store, search stacks,
-/// governor front end and stats. Pops shards off the queue until it runs
-/// dry or a stop fans out. Reads the plans/contexts only; everything it
-/// writes is thread-local except the mutex-guarded EngineShared claims.
-/// Stats are double-entry: `stats_` aggregates across the whole drain (the
-/// governor's expansion watch target), `job_stats_[j]` slices the same
-/// counters per property for the per-property merge.
+/// governor front end and counters. Pops shards off the queue until it runs
+/// dry or a stop fans out. Reads the plans/contexts and the shared compiled
+/// spec only; everything it writes is thread-local except the mutex-guarded
+/// EngineShared claims. `counters_` runs across the whole drain (the
+/// governor's expansion watch target); `job_stats_[j]` takes property j's
+/// share of it as each of its shards ends, for the per-property merge.
 class ShardRunner {
  public:
   ShardRunner(const std::vector<BatchSlot>* slots, int num_jobs,
@@ -174,7 +189,7 @@ class ShardRunner {
         telemetry_(telemetry),
         gov_(ledger, worker),
         job_stats_(num_jobs) {
-    gov_.WatchExpansions(&stats_.num_expansions);
+    gov_.WatchExpansions(&counters_.expansions);
     assignment_us_.assign(slots->size(), 0.0);
   }
 
@@ -215,10 +230,9 @@ class ShardRunner {
     gov_.Flush();
   }
 
-  const VerifyStats& stats() const { return stats_; }
+  const SearchCounters& counters() const { return counters_; }
   const std::vector<VerifyStats>& job_stats() const { return job_stats_; }
   const std::vector<double>& assignment_us() const { return assignment_us_; }
-  const MemoCounters& memo() const { return memo_; }
   int64_t heartbeats() const { return heartbeats_; }
 
  private:
@@ -258,12 +272,11 @@ class ShardRunner {
     spec_ = plan_->spec;
     shared_ = batch_->jobs[job_].get();
     job_cur_ = &job_stats_[job_];
-    const int64_t expansions_before = job_cur_->num_expansions;
+    const SearchCounters before = counters_;
     const obs::AllocStats alloc_before = alloc_;
 
     obs::ScopedSpan span(tracer_, "core");
-    ++stats_.num_cores;
-    ++job_cur_->num_cores;
+    ++counters_.cores;
     store_.Reset(&spec_->catalog(), plan_->automaton.NumStates(),
                  static_cast<int>(ctx_->components.size()),
                  &ctx_->in_universe);
@@ -292,25 +305,28 @@ class ShardRunner {
     SearchStatus status = InternCompletions(/*prev_page=*/-1, &starts_);
     for (size_t i = 0; i < starts_.size() && status == SearchStatus::kContinue;
          ++i) {
-      CountSuccessor();
+      ++counters_.successors;
       status = Search(plan_->automaton.start, starts_[i]);
     }
-    stats_.max_trie_size = std::max(stats_.max_trie_size, store_.size());
-    job_cur_->max_trie_size =
-        std::max(job_cur_->max_trie_size, store_.size());
-    stats_.trie_hits += store_.stats().hits;
-    stats_.trie_misses += store_.stats().misses;
-    job_cur_->trie_hits += store_.stats().hits;
-    job_cur_->trie_misses += store_.stats().misses;
+    counters_.max_trie_size = std::max(counters_.max_trie_size, store_.size());
+
+    // The shard's share of the running counters goes to its property.
+    VerifyStats& job = *job_cur_;
+    const int64_t expansions = counters_.expansions - before.expansions;
+    job.num_cores += counters_.cores - before.cores;
+    job.num_expansions += expansions;
+    job.num_successors += counters_.successors - before.successors;
+    job.max_trie_size = std::max(job.max_trie_size, store_.size());
+    job.trie_hits += store_.stats().hits;
+    job.trie_misses += store_.stats().misses;
     if (telemetry_) {
       // Per-shard search telemetry: expansion count and tracked allocation
       // bytes.
-      job_cur_->shard_expansions.Record(
-          static_cast<double>(job_cur_->num_expansions - expansions_before));
-      job_cur_->shard_alloc_bytes.Record(
+      job.shard_expansions.Record(static_cast<double>(expansions));
+      job.shard_alloc_bytes.Record(
           static_cast<double>(alloc_.bytes - alloc_before.bytes));
-      job_cur_->alloc_bytes += alloc_.bytes - alloc_before.bytes;
-      job_cur_->alloc_count += alloc_.count - alloc_before.count;
+      job.alloc_bytes += alloc_.bytes - alloc_before.bytes;
+      job.alloc_count += alloc_.count - alloc_before.count;
     }
     return status;
   }
@@ -329,9 +345,13 @@ class ShardRunner {
     return store_.Intern(config);
   }
 
-  void CountSuccessor() {
-    ++stats_.num_successors;
-    ++job_cur_->num_successors;
+  /// Counts the rule bodies a prepared call ran (one group each) and the
+  /// head tuples they derived.
+  void CountDerived(const DerivedTuples& derived) {
+    counters_.rule_evaluations += derived.num_groups();
+    for (int g = 0; g < derived.num_groups(); ++g) {
+      counters_.derived_tuples += static_cast<int64_t>(derived.size(g));
+    }
   }
 
   /// Enumerates the extensions and input choices completing `skeleton_`
@@ -385,6 +405,8 @@ class ShardRunner {
         }
         prepared_->DeriveActions(WordsView(&tuples, &complete_), domain_,
                                  &action_tuples_);
+        ++counters_.apply_input_calls;
+        CountDerived(action_tuples_);
         for (int g = 0; g < action_tuples_.num_groups(); ++g) {
           for (size_t k = 0; k < action_tuples_.size(g); ++k) {
             const TupleId t = tuples.Intern(action_tuples_.relation(g),
@@ -458,6 +480,8 @@ class ShardRunner {
       if (!options_computed) {
         prepared_->ComputeOptions(WordsView(&tuples, &complete_), domain_,
                                   &option_tuples_);
+        ++counters_.compute_options_calls;
+        CountDerived(option_tuples_);
         options_computed = true;
       }
       // The last rule for `input` decides, as in `InputOptions`.
@@ -492,6 +516,9 @@ class ShardRunner {
     TupleTable& tuples = store_.tuples();
     skeleton_.page = prepared_->Advance(WordsView(&tuples, &here_),
                                         here_domain_, &inserts_, &deletes_);
+    ++counters_.advance_calls;
+    CountDerived(inserts_);
+    CountDerived(deletes_);
     // The state update; an insert that is also deleted is a no-op.
     inserted_.clear();
     deleted_.clear();
@@ -573,16 +600,16 @@ class ShardRunner {
   /// the ids.
   SearchStatus Successors(ConfigId id, SuccessorRange* range) {
     if (store_.FindSuccessors(id, range)) {
-      ++memo_.replays;
+      ++counters_.replays;
       return SearchStatus::kContinue;
     }
     Expand(id);
     Skeleton();
     const SkeletonId s = store_.InternSkeleton(here_.page, skeleton_);
     if (store_.FindSkeletonSuccessors(s, range)) {
-      ++memo_.skeleton_hits;
+      ++counters_.skeleton_hits;
     } else {
-      ++memo_.skeleton_misses;
+      ++counters_.skeleton_misses;
       completions_.clear();
       SearchStatus status = InternCompletions(here_.page, &completions_);
       if (status != SearchStatus::kContinue) return status;
@@ -619,10 +646,7 @@ class ShardRunner {
     stack_bytes_ += sizeof(Frame);
     obs::CountAlloc(sizeof(Frame));
     gov_.ReportMemory(store_.approx_bytes() + stack_bytes_);
-    ++stats_.num_expansions;
-    ++job_cur_->num_expansions;
-    stats_.max_pseudorun_length =
-        std::max(stats_.max_pseudorun_length, depth);
+    ++counters_.expansions;
     job_cur_->max_pseudorun_length =
         std::max(job_cur_->max_pseudorun_length, depth);
     Frame frame;
@@ -661,7 +685,7 @@ class ShardRunner {
       frame.next = range.begin;
       frame.end = range.end;
     }
-    CountSuccessor();
+    ++counters_.successors;
     *next = store_.successor(frame.next++);
     return SearchStatus::kContinue;
   }
@@ -861,14 +885,14 @@ class ShardRunner {
   }
 
   void PublishProgress() {
-    progress_->expansions.store(stats_.num_expansions,
+    progress_->expansions.store(counters_.expansions,
                                 std::memory_order_relaxed);
-    progress_->successors.store(stats_.num_successors,
+    progress_->successors.store(counters_.successors,
                                 std::memory_order_relaxed);
-    progress_->cores.store(stats_.num_cores, std::memory_order_relaxed);
+    progress_->cores.store(counters_.cores, std::memory_order_relaxed);
     int trie_size = store_.size();
     progress_->trie_size.store(trie_size, std::memory_order_relaxed);
-    progress_->max_trie.store(std::max(stats_.max_trie_size, trie_size),
+    progress_->max_trie.store(std::max(counters_.max_trie_size, trie_size),
                               std::memory_order_relaxed);
   }
 
@@ -885,11 +909,11 @@ class ShardRunner {
     HeartbeatSnapshot snapshot;
     snapshot.elapsed_seconds = elapsed;
     snapshot.num_assignments = static_cast<int64_t>(assignment_us_.size());
-    snapshot.num_cores = stats_.num_cores;
-    snapshot.num_expansions = stats_.num_expansions;
-    snapshot.num_successors = stats_.num_successors;
+    snapshot.num_cores = counters_.cores;
+    snapshot.num_expansions = counters_.expansions;
+    snapshot.num_successors = counters_.successors;
     snapshot.trie_size = store_.size();
-    snapshot.max_trie_size = std::max(stats_.max_trie_size, store_.size());
+    snapshot.max_trie_size = std::max(counters_.max_trie_size, store_.size());
     snapshot.buchi_states = plan_ != nullptr ? plan_->automaton.NumStates() : 0;
     EmitHeartbeat(*options_, tracer_, snapshot);
   }
@@ -906,11 +930,10 @@ class ShardRunner {
   bool telemetry_;
 
   WorkerGovernor gov_;
-  VerifyStats stats_;                   // aggregate across the whole drain
-  std::vector<VerifyStats> job_stats_;  // per-property slices of the same
+  SearchCounters counters_;             // across the whole drain
+  std::vector<VerifyStats> job_stats_;  // per property, as its shards end
   std::vector<double> assignment_us_;   // summed shard time per SLOT
   obs::AllocStats alloc_;               // tracked allocs across the drain
-  MemoCounters memo_;                   // across the drain
   int lookup_tick_ = 0;                 // 1/64 lookup-latency sampling phase
   int64_t heartbeats_ = 0;
   double last_heartbeat_seconds_ = 0;
@@ -961,28 +984,21 @@ class ShardRunner {
   std::vector<bool> component_values_;
 };
 
-
-/// Per-attempt totals that belong to the batch rather than any single
-/// property: the attempt's wall time and (for n > 1) the heartbeats the
-/// coordinator fired while the fused search ran.
-struct AttemptTotals {
-  double wall_seconds = 0;
-  int64_t heartbeats = 0;
-};
-
 /// One batch verification attempt over `props`: session-cached plans and
 /// pre-pass, one fused sharded search across every property, per-property
 /// deterministic merge, metrics finalization. With one property this is
 /// exactly the PR-3 single-property attempt; see docs/PARALLELISM.md for
-/// the shard model and docs/API.md for the batch semantics.
+/// the shard model and docs/API.md for the batch semantics. Every worker
+/// reads the verifier's one `prepared` spec. For n > 1, the heartbeats the
+/// coordinator fired, which no single property's stats can hold, are added
+/// to `*batch_heartbeats` when given.
 std::vector<VerifyResult> RunBatchAttempt(
-    VerifierSession* session, WebAppSpec* spec, PreparedSpec* prepared,
+    VerifierSession* session, const PreparedSpec* prepared,
     const std::vector<const Property*>& props, const VerifyOptions& options,
-    int jobs, AttemptTotals* totals) {
+    int jobs, int64_t* batch_heartbeats) {
   const int n = static_cast<int>(props.size());
   std::vector<VerifyResult> results(n);
   Stopwatch watch;
-  PreparedExecStats exec_before = prepared->exec_stats();
   obs::ScopedSpan verify_span(options.tracer, "verify");
 
   // Search telemetry (ISSUE 6) is tied to the observability surfaces:
@@ -1140,22 +1156,18 @@ std::vector<VerifyResult> RunBatchAttempt(
       ShardQueue queue(blocks, jobs);
       if (jobs == 1) {
         // Inline on the calling thread: the caller's tracer, inline
-        // heartbeats, the verifier's own prepared runtime — byte-for-byte
-        // the sequential engine.
+        // heartbeats — byte-for-byte the sequential engine.
         runners.push_back(std::make_unique<ShardRunner>(
             &slots, n, prepared, &options, &shared, &ledger,
             /*worker=*/0, options.tracer, heartbeat_enabled,
             /*progress=*/nullptr, telemetry));
         runners[0]->Drain(&queue);
       } else {
-        // Per-worker prepared runtimes (the exec-stats counters are
-        // mutable) and tracers, all constructed sequentially here.
-        std::vector<std::unique_ptr<PreparedSpec>> worker_prepared;
+        // Per-worker tracers, all constructed sequentially here.
         std::vector<std::unique_ptr<obs::Tracer>> worker_tracers;
         std::vector<double> tracer_offsets(jobs, 0.0);
         std::vector<std::unique_ptr<WorkerProgress>> progress;
         for (int w = 0; w < jobs; ++w) {
-          worker_prepared.push_back(std::make_unique<PreparedSpec>(spec));
           if (options.tracer != nullptr) {
             tracer_offsets[w] = options.tracer->NowMicros();
             worker_tracers.push_back(std::make_unique<obs::Tracer>());
@@ -1164,8 +1176,7 @@ std::vector<VerifyResult> RunBatchAttempt(
             progress.push_back(std::make_unique<WorkerProgress>());
           }
           runners.push_back(std::make_unique<ShardRunner>(
-              &slots, n, worker_prepared[w].get(), &options, &shared,
-              &ledger, w,
+              &slots, n, prepared, &options, &shared, &ledger, w,
               options.tracer != nullptr ? worker_tracers[w].get() : nullptr,
               /*heartbeat_enabled=*/false,
               heartbeat_enabled ? progress[w].get() : nullptr, telemetry));
@@ -1210,17 +1221,6 @@ std::vector<VerifyResult> RunBatchAttempt(
             options.tracer->MergeFrom(*worker_tracers[w], /*tid=*/2 + w,
                                       tracer_offsets[w]);
           }
-        }
-        // The prepared.* deltas of the worker copies (fresh instances, so
-        // the absolute stats are the deltas) accumulate into the
-        // verifier's own runtime stats via the exec delta below.
-        for (const std::unique_ptr<PreparedSpec>& wp : worker_prepared) {
-          const PreparedExecStats& e = wp->exec_stats();
-          exec_before.compute_options_calls -= e.compute_options_calls;
-          exec_before.apply_input_calls -= e.apply_input_calls;
-          exec_before.advance_calls -= e.advance_calls;
-          exec_before.rule_evaluations -= e.rule_evaluations;
-          exec_before.derived_tuples -= e.derived_tuples;
         }
       }
       steals = queue.steals();
@@ -1372,7 +1372,7 @@ std::vector<VerifyResult> RunBatchAttempt(
         // mean (1.0 = perfectly balanced).
         int64_t total = 0, worker_max = 0;
         for (const std::unique_ptr<ShardRunner>& runner : runners) {
-          int64_t e = runner->stats().num_expansions;
+          int64_t e = runner->counters().expansions;
           total += e;
           worker_max = std::max(worker_max, e);
           call_metrics.Record("verify.worker_expansions",
@@ -1425,27 +1425,27 @@ std::vector<VerifyResult> RunBatchAttempt(
       call_metrics.histogram("verify.assignment_us")
           ->MergeFrom(assignment_hist);
 
-      const PreparedExecStats& exec = prepared->exec_stats();
-      call_metrics.Add(
-          "prepared.compute_options_calls",
-          exec.compute_options_calls - exec_before.compute_options_calls);
-      call_metrics.Add("prepared.apply_input_calls",
-                       exec.apply_input_calls - exec_before.apply_input_calls);
-      call_metrics.Add("prepared.advance_calls",
-                       exec.advance_calls - exec_before.advance_calls);
-      call_metrics.Add("prepared.rule_evaluations",
-                       exec.rule_evaluations - exec_before.rule_evaluations);
-      call_metrics.Add("prepared.derived_tuples",
-                       exec.derived_tuples - exec_before.derived_tuples);
-      MemoCounters memo;
-      for (const std::unique_ptr<ShardRunner>& runner : runners) {
-        memo.replays += runner->memo().replays;
-        memo.skeleton_hits += runner->memo().skeleton_hits;
-        memo.skeleton_misses += runner->memo().skeleton_misses;
+      // The prepared calls and memo outcomes, summed over the workers.
+      static constexpr std::pair<const char*, int64_t SearchCounters::*>
+          kSearchCounters[] = {
+              {"prepared.compute_options_calls",
+               &SearchCounters::compute_options_calls},
+              {"prepared.apply_input_calls",
+               &SearchCounters::apply_input_calls},
+              {"prepared.advance_calls", &SearchCounters::advance_calls},
+              {"prepared.rule_evaluations", &SearchCounters::rule_evaluations},
+              {"prepared.derived_tuples", &SearchCounters::derived_tuples},
+              {"search.memo.replays", &SearchCounters::replays},
+              {"search.memo.skeleton_hits", &SearchCounters::skeleton_hits},
+              {"search.memo.skeleton_misses",
+               &SearchCounters::skeleton_misses}};
+      for (const auto& [name, member] : kSearchCounters) {
+        int64_t total = 0;
+        for (const std::unique_ptr<ShardRunner>& runner : runners) {
+          total += runner->counters().*member;
+        }
+        call_metrics.Add(name, total);
       }
-      call_metrics.Add("search.memo.replays", memo.replays);
-      call_metrics.Add("search.memo.skeleton_hits", memo.skeleton_hits);
-      call_metrics.Add("search.memo.skeleton_misses", memo.skeleton_misses);
       options.metrics->MergeFrom(call_metrics);
     }
   }
@@ -1459,16 +1459,12 @@ std::vector<VerifyResult> RunBatchAttempt(
     }
   }
 
-  double wall = watch.ElapsedSeconds();
-  if (totals != nullptr) {
-    totals->wall_seconds += wall;
-    if (n > 1) totals->heartbeats += heartbeats;
-  }
+  if (batch_heartbeats != nullptr && n > 1) *batch_heartbeats += heartbeats;
   if (n == 1) {
     // Single-property attempts keep the historical stats contract:
     // `seconds` is the attempt wall time and the search phase is the
     // attempt's whole search wall, net of the other phases.
-    results[0].stats.seconds = wall;
+    results[0].stats.seconds = watch.ElapsedSeconds();
     if (!work[0].plan->decided_holds) {
       results[0].stats.search_seconds = net_search_us / 1e6;
     }
@@ -1482,10 +1478,10 @@ std::vector<VerifyResult> RunBatchAttempt(
 /// the properties still undecided for a budget-limited reason), then
 /// persistent-cache stores of the newly decided results.
 std::vector<VerifyResponse> VerifyProperties(
-    VerifierSession* session, WebAppSpec* spec, PreparedSpec* prepared,
+    VerifierSession* session, WebAppSpec* spec, const PreparedSpec* prepared,
     const std::vector<const Property*>& props, const VerifyOptions& base,
     const RetryPolicy& retry, int jobs, ResultCache* cache,
-    AttemptTotals* totals) {
+    int64_t* batch_heartbeats) {
   const int n = static_cast<int>(props.size());
   std::vector<VerifyResponse> responses(n);
   std::vector<bool> decided(n, false);
@@ -1528,7 +1524,7 @@ std::vector<VerifyResponse> VerifyProperties(
     std::vector<const Property*> subset;
     for (int j : pending) subset.push_back(props[j]);
     std::vector<VerifyResult> rs = RunBatchAttempt(
-        session, spec, prepared, subset, base, jobs, totals);
+        session, prepared, subset, base, jobs, batch_heartbeats);
     for (size_t m = 0; m < pending.size(); ++m) {
       static_cast<VerifyResult&>(responses[pending[m]]) = std::move(rs[m]);
     }
@@ -1569,7 +1565,7 @@ std::vector<VerifyResponse> VerifyProperties(
       std::vector<const Property*> subset;
       for (int j : pending) subset.push_back(props[j]);
       std::vector<VerifyResult> rs = RunBatchAttempt(
-          session, spec, prepared, subset, options, jobs, totals);
+          session, prepared, subset, options, jobs, batch_heartbeats);
       double elapsed = attempt_watch.ElapsedSeconds();
 
       std::vector<int> still;
@@ -1762,7 +1758,7 @@ StatusOr<VerifyResponse> Verifier::Run(const VerifyRequest& request) {
   const int jobs = WorkerPool::ResolveJobs(request.jobs);
   std::vector<VerifyResponse> rs = VerifyProperties(
       session_.get(), spec_, &prepared_, {property}, request.options,
-      request.retry, jobs, request.cache, /*totals=*/nullptr);
+      request.retry, jobs, request.cache, /*batch_heartbeats=*/nullptr);
   return std::move(rs[0]);
 }
 
@@ -1802,18 +1798,18 @@ StatusOr<BatchResponse> Verifier::RunBatch(const BatchRequest& request) {
 
   const int jobs = WorkerPool::ResolveJobs(request.jobs);
   Stopwatch watch;
-  AttemptTotals totals;
+  int64_t batch_heartbeats = 0;
   BatchResponse batch;
   batch.responses = VerifyProperties(session_.get(), spec_, &prepared_, props,
                                      request.options, request.retry, jobs,
-                                     request.cache, &totals);
+                                     request.cache, &batch_heartbeats);
 
   VerifyStats& merged = batch.merged;
   for (const VerifyResponse& r : batch.responses) merged.Merge(r.stats);
   // Batch-level heartbeats fired by the fused searches' coordinators (the
   // per-response stats carry none when n > 1: a heartbeat spans every
   // property at once and cannot be attributed to one of them).
-  merged.heartbeats += totals.heartbeats;
+  merged.heartbeats += batch_heartbeats;
   merged.seconds = watch.ElapsedSeconds();
   return batch;
 }
