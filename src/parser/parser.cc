@@ -33,11 +33,9 @@ class Parser {
   Parser(std::string_view text, WebAppSpec* spec,
          std::vector<ParsedProperty>* properties,
          std::vector<std::string>* errors)
-      : lexer_(text),
-        token_(lexer_.Next()),
-        spec_(spec),
-        properties_(properties),
-        errors_(errors) {}
+      : lexer_(text), spec_(spec), properties_(properties), errors_(errors) {
+    Lex();
+  }
 
   /// Top level: a sequence of declarations, pages and properties.
   void ParseFile() {
@@ -91,11 +89,18 @@ class Parser {
     return ahead.Next();
   }
   bool AtEnd() const { return token_.kind == TokenKind::kEnd; }
+  /// Pulls the next token into `token_`. A lexical error is reported here,
+  /// once, at its position, wherever the parser meets it; what the parser
+  /// expected there is reported after it.
+  void Lex() {
+    token_ = lexer_.Next();
+    if (token_.kind == TokenKind::kError) Error(LexErrorMessage(token_));
+  }
   /// Consumes the current token and returns it. At the end of input it
   /// stays at kEnd but still counts as consumed.
   Token Advance() {
     const Token current = token_;
-    token_ = lexer_.Next();
+    Lex();
     ++consumed_;
     return current;
   }
@@ -205,8 +210,7 @@ class Parser {
   // --- top level ------------------------------------------------------------
   bool ParseTopLevel() {
     if (PeekIs(TokenKind::kError)) {
-      Error(LexErrorMessage(token_));
-      Advance();
+      Advance();  // reported when it was lexed
       return false;
     }
     if (EatIdent("app")) {

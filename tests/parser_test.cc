@@ -1,6 +1,7 @@
 // Parser tests: lexing, spec parsing, property parsing, and diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <regex>
 #include <sstream>
@@ -247,6 +248,35 @@ home NOPAGE
 )");
   EXPECT_FALSE(result.ok());
   EXPECT_GE(result.errors.size(), 2u);
+}
+
+TEST(ParserTest, CutStringInAPropertyIsReported) {
+  // The lexer's own message comes first, at the error's position, then
+  // what the parser expected there.
+  ParseResult result = ParseSpec(R"(app x
+home P
+page P { target P <- true }
+property q desc "cut off)");
+  EXPECT_EQ(result.errors,
+            (std::vector<std::string>{
+                "4:17: unterminated string literal",
+                "4:17: expected a string after 'desc'",
+                "4:17: expected '{', found lexical error"}));
+}
+
+TEST(ParserTest, UnexpectedCharacterInAPageIsReportedOnce) {
+  ParseResult result = ParseSpec(R"(app x
+database d(a)
+home P
+page P {
+  target P <- d($)
+}
+)");
+  ASSERT_FALSE(result.errors.empty());
+  EXPECT_EQ(result.errors[0], "5:17: unexpected character '$'");
+  EXPECT_EQ(std::count(result.errors.begin(), result.errors.end(),
+                       result.errors[0]),
+            1);
 }
 
 TEST(ParserTest, ParsePropertiesAgainstExistingSpec) {
