@@ -24,6 +24,7 @@
 #include "apps/apps.h"
 #include "common/fingerprint.h"
 #include "obs/metrics.h"
+#include "parser/parser.h"
 #include "verifier/cache.h"
 #include "verifier/session.h"
 #include "verifier/validate.h"
@@ -110,6 +111,75 @@ TEST(SessionTest, GpvwTranslationSharedAcrossSameSkeletonProperties) {
   EXPECT_EQ(stats.plan_builds, static_cast<int64_t>(e1.properties.size()));
   EXPECT_GT(stats.gpvw_hits, 0);
   EXPECT_LT(stats.gpvw_misses, static_cast<int64_t>(e1.properties.size()));
+}
+
+/// One `G ![at p]` property per page of `bundle`'s spec, parsed into it.
+std::vector<Property> NeverAtEachPage(const AppBundle& bundle) {
+  std::string text;
+  for (int p = 0; p < bundle.spec->num_pages(); ++p) {
+    text += "property never" + std::to_string(p) + " { G ![at " +
+            bundle.spec->page(p).name + "] }\n";
+  }
+  ParseResult parsed = ParseProperties(text, bundle.spec.get());
+  EXPECT_TRUE(parsed.ok()) << parsed.ErrorText();
+  std::vector<Property> properties;
+  for (const ParsedProperty& p : parsed.properties) {
+    properties.push_back(p.property);
+  }
+  return properties;
+}
+
+TEST(SessionTest, PrepassCacheEvictsOnlyUnpinnedEntries) {
+  // E4 has 35 pages, so 35 distinct properties: more than the 32 entries
+  // the pre-pass cache keeps.
+  AppBundle e4 = BuildE4();
+  const std::vector<Property> catalog = NeverAtEachPage(e4);
+  ASSERT_EQ(catalog.size(), 35u);
+  Verifier verifier(e4.spec.get());
+  BatchRequest request;
+  request.properties = &catalog;
+  StatusOr<BatchResponse> batch = verifier.RunBatch(request);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+  // Every entry stays pinned until the batch's merge, so none is evicted
+  // and the cache holds all 35.
+  SessionStats stats = verifier.session().stats();
+  EXPECT_EQ(stats.context_builds, 35);
+  EXPECT_EQ(stats.context_evictions, 0);
+
+  // Each verdict is the one a single Run gives on a fresh verifier.
+  AppBundle fresh = BuildE4();
+  const std::vector<Property> fresh_catalog = NeverAtEachPage(fresh);
+  Verifier single(fresh.spec.get());
+  int violated = 0;
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    EXPECT_EQ(batch->responses[i].verdict,
+              RunVerify(single, fresh_catalog[i]).verdict)
+        << catalog[i].name;
+    if (batch->responses[i].verdict == Verdict::kViolated) ++violated;
+  }
+  EXPECT_GT(violated, 0);
+
+  // Repeating the batch at once rebuilds no context.
+  batch = verifier.RunBatch(request);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(verifier.session().stats().context_builds, 35);
+  EXPECT_EQ(verifier.session().stats().context_reuses,
+            stats.context_reuses + 35);
+  EXPECT_EQ(verifier.session().stats().context_evictions, 0);
+
+  // The next new (property, options) entry first evicts the least
+  // recently used entries, the batch's first four, down to 31.
+  VerifyOptions wider;
+  wider.max_candidates = kDefaultMaxCandidates + 1;
+  RunVerify(verifier, catalog[0], wider);
+  stats = verifier.session().stats();
+  EXPECT_EQ(stats.context_builds, 36);
+  EXPECT_EQ(stats.context_evictions, 4);
+  RunVerify(verifier, catalog[4]);
+  EXPECT_EQ(verifier.session().stats().context_builds, 36);
+  RunVerify(verifier, catalog[3]);
+  EXPECT_EQ(verifier.session().stats().context_builds, 37);
 }
 
 // --- batch API ---------------------------------------------------------------
