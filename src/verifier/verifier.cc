@@ -989,9 +989,9 @@ class ShardRunner {
 /// deterministic merge, metrics finalization. With one property this is
 /// exactly the PR-3 single-property attempt; see docs/PARALLELISM.md for
 /// the shard model and docs/API.md for the batch semantics. Every worker
-/// reads the verifier's one `prepared` spec. For n > 1, the heartbeats the
-/// coordinator fired, which no single property's stats can hold, are added
-/// to `*batch_heartbeats` when given.
+/// reads the verifier's one `prepared` spec. For n > 1, the attempt's
+/// heartbeats, which no single property's stats can hold, are added to
+/// `*batch_heartbeats` when given.
 std::vector<VerifyResult> RunBatchAttempt(
     VerifierSession* session, const PreparedSpec* prepared,
     const std::vector<const Property*>& props, const VerifyOptions& options,
@@ -1163,7 +1163,8 @@ std::vector<VerifyResult> RunBatchAttempt(
             /*progress=*/nullptr, telemetry));
         runners[0]->Drain(&queue);
       } else {
-        // Per-worker tracers, all constructed sequentially here.
+        // Per-worker tracers, progress and runners, all constructed
+        // sequentially here.
         std::vector<std::unique_ptr<obs::Tracer>> worker_tracers;
         std::vector<double> tracer_offsets(jobs, 0.0);
         std::vector<std::unique_ptr<WorkerProgress>> progress;
