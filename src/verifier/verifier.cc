@@ -169,7 +169,8 @@ void EmitHeartbeat(const VerifyOptions& options, obs::Tracer* tracer,
 /// spec only; everything it writes is thread-local except the mutex-guarded
 /// EngineShared claims. `counters_` runs across the whole drain (the
 /// governor's expansion watch target); `job_stats_[j]` takes property j's
-/// share of it as each of its shards ends, for the per-property merge.
+/// share of the counts as each of its shards ends, for the per-property
+/// merge.
 class ShardRunner {
  public:
   ShardRunner(const std::vector<BatchSlot>* slots, int num_jobs,
@@ -931,7 +932,7 @@ class ShardRunner {
 
   WorkerGovernor gov_;
   SearchCounters counters_;             // across the whole drain
-  std::vector<VerifyStats> job_stats_;  // per property, as its shards end
+  std::vector<VerifyStats> job_stats_;  // per property; counts per shard
   std::vector<double> assignment_us_;   // summed shard time per SLOT
   obs::AllocStats alloc_;               // tracked allocs across the drain
   int lookup_tick_ = 0;                 // 1/64 lookup-latency sampling phase
