@@ -40,10 +40,13 @@
 # sanitizer report.
 #
 # TSan mode builds with WAVE_SANITIZE=thread and runs the determinism
-# suite (tests/parallel_test.cc) plus the batch-equivalence suite
-# (tests/session_test.cc) — the tests that actually spin up worker
-# fleets — rather than the whole battery, since TSan slows execution
-# ~10x and the sequential tests exercise no cross-thread interleavings.
+# suite (tests/parallel_test.cc), the batch-equivalence suite
+# (tests/session_test.cc) and the product-sharing suite
+# (tests/verifier_test.cc, whose E1 batch at jobs 4 has every worker read
+# the verifier's one compiled spec) — the tests that actually spin up
+# worker fleets — rather than the whole battery, since TSan slows
+# execution ~10x and the sequential tests exercise no cross-thread
+# interleavings.
 #
 # Fuzz mode (ISSUE 5) runs a tools/wave_fuzz differential campaign —
 # random input-bounded specs cross-checked against the explicit
@@ -187,7 +190,7 @@ if [ "$MODE" = "tsan" ]; then
   echo "== parallel determinism suite under ThreadSanitizer"
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -j "$(nproc 2>/dev/null || echo 4)" \
-        -R "Determinism|ParallelCancellation|ShardQueue|BudgetLedger|WorkerPool|VerifyRequest|BatchEquivalence"
+        -R "Determinism|ParallelCancellation|ShardQueue|BudgetLedger|WorkerPool|VerifyRequest|BatchEquivalence|ProductSharing"
   echo "== TSAN OK"
   exit 0
 fi
